@@ -91,7 +91,14 @@ func runSequential(set *seq.SetS, cfg Config) (*Result, error) {
 	}
 	st.Phases.Partition = fb.partition
 	st.Phases.Construct = fb.construct
-	pr.observeBuckets(fb.hist, suffix.Loads(fb.hist, suffix.Assign(fb.hist, 1), 1))
+	if pr != nil {
+		// One worker owns every bucket: its load is the histogram total.
+		var total int64
+		for _, n := range fb.hist {
+			total += n
+		}
+		pr.observeBuckets(fb.hist, []int64{total})
+	}
 	if tw != nil {
 		tw.Span(cfg.TracePID, 0, "partition", "gst", 0, st.Phases.Partition)
 		tw.Span(cfg.TracePID, 0, "construct", "gst", st.Phases.Partition, st.Phases.Construct)

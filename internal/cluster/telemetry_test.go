@@ -133,6 +133,10 @@ func TestSequentialTelemetry(t *testing.T) {
 	if got := snap[mPairsProcessed]; int64(got) != st.PairsProcessed {
 		t.Errorf("registry %s = %v, want %d", mPairsProcessed, got, st.PairsProcessed)
 	}
+	// One worker holds every bucket, so max load / mean load is exactly 1.
+	if got := snap[mLoadSkew]; got != 1 {
+		t.Errorf("registry %s = %v, want 1", mLoadSkew, got)
+	}
 	var events []map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)

@@ -2,16 +2,32 @@
 // promising pairs from a forest of local GST subtrees, in decreasing order of
 // maximal common substring length.
 //
-// Every node of string-depth >= ψ is processed in decreasing string-depth
-// order. Each node carries five lsets — the strings owning a suffix in the
-// node's subtree, partitioned by the suffix's left-extension character
-// (A, C, G, T, or λ) — implemented as linked lists with O(1) concatenation so
-// total lset storage stays linear in the input (paper's O(N) bound). At an
-// internal node, duplicate string occurrences across children are removed
-// with a global mark array, cartesian products across (child, character)
-// groups emit the pairs whose maximal common substring is the node's path
-// label (Lemma 1), and the surviving entries are concatenated into the
-// node's own lsets.
+// Every internal node of string-depth >= ψ is processed in decreasing
+// string-depth order. Each node carries five lsets — the strings owning a
+// suffix in the node's subtree, partitioned by the suffix's left-extension
+// character (A, C, G, T, or λ). At an internal node, duplicate string
+// occurrences across children are removed with a global mark array,
+// cartesian products across (child, character) groups emit the pairs whose
+// maximal common substring is the node's path label (Lemma 1), and the
+// surviving entries become the node's own lsets.
+//
+// The paper keeps lsets as linked lists with O(1) concatenation. This
+// package keeps them in flat, forest-lifetime arenas instead, using the
+// DFS-array invariant that the leaves of a subtree are contiguous in
+// preorder: one item array holds one 8-byte entry per leaf in preorder (the
+// left character packed beside the position), and a processed node's five
+// lsets are the front of its own leaf range, sorted by left character; an
+// 8-byte row per internal node records the range's length and how much of it
+// is live. A node's children tile its range, so processing it is one forward
+// scan with a running leaf count — no per-node index — followed by writing
+// the survivors back over the children's ranges character by character,
+// children in order within a character. That is exactly the order list
+// concatenation produced, so the emitted pair sequence is the linked
+// version's (reference_test.go keeps that version as the oracle). The
+// write-back is one more sequential pass over entries the dedup scan has
+// just touched, so the time bound is the paper's, and storage is still O(N)
+// — 8 B per leaf, 8 per internal node, 12 per internal node of depth >= ψ,
+// allocated once per forest — with no per-entry link and no list heads.
 //
 // The generator is resumable: it remembers its position inside a node's
 // cartesian products, so callers pull pairs in batches without ever
@@ -61,37 +77,33 @@ type Stats struct {
 	// generated — and judged — in the generation that introduced the younger
 	// of the two.
 	DiscardedStale int64
-	// Entries is the total number of lset entries allocated — the
+	// Entries is the number of lset entries (leaves of depth >= ψ) — the
 	// generator's O(N) working set.
 	Entries int64
 }
 
-// list is a singly linked lset; head/tail index a tree-local entry pool.
-type list struct{ head, tail int32 }
-
-var emptyList = list{head: -1, tail: -1}
-
-// entry is one lset element.
-type entry struct {
-	sid  seq.StringID
-	pos  int32
-	next int32
-}
-
-// treeState is the per-tree lset storage.
+// treeState locates one tree's share of the generator's arenas.
 type treeState struct {
-	tree *suffix.Tree
-	// lsetIdx maps a node index to its row in lsets, or -1 for nodes of
-	// depth < ψ (which never own lsets).
-	lsetIdx []int32
-	lsets   [][seq.NumLeftChars]list
-	pool    []entry
+	// nodes is the tree's node array, held directly so that reaching a node
+	// costs no load of the Tree in between.
+	nodes []suffix.Node
+	// leaf and internal are the tree's bases into items and rows; int, so a
+	// forest of more than 2³¹ leaves cannot wrap.
+	leaf, internal int
 }
 
-// nodeRef addresses one node in the forest.
+// nodeRef addresses one internal node in the forest. leavesBefore is the
+// number of leaves preceding it in its tree's preorder — where its leaf range
+// starts, and, subtracted from node, its rank among the tree's internal nodes.
 type nodeRef struct {
-	tree int32
-	node int32
+	tree, node, leavesBefore int32
+}
+
+// row is the lset state of one internal node, indexed by internal rank.
+type row struct {
+	// leaves is the length of the node's leaf range; live is how many
+	// entries at the front of that range are its surviving lset entries.
+	leaves, live int32
 }
 
 // group is a snapshot of one (child, left-character) lset taken while
@@ -107,21 +119,36 @@ type group struct {
 	fresh bool
 }
 
+// item is one lset entry: a string and the start of its suffix in it, with
+// the suffix's left-extension character packed under the position so that
+// an lset range needs no side table to say where each character's entries
+// end.
 type item struct {
-	sid seq.StringID
-	pos int32
+	sid     seq.StringID
+	posChar int32 // pos<<charBits | left character
 }
+
+const charBits = 3 // seq.NumLeftChars <= 1<<charBits
+
+func (it item) pos() int32     { return it.posChar >> charBits }
+func (it item) char() seq.Code { return seq.Code(it.posChar & (1<<charBits - 1)) }
 
 // Generator produces promising pairs on demand.
 type Generator struct {
-	set   *seq.SetS
 	psi   int32
-	trees []*treeState
+	trees []treeState
 	// freshID is the fresh-only threshold: pairs whose strings both have an
 	// id below it are suppressed (0 emits everything). Generations are
 	// monotone in string id, so freshness is a single comparison.
 	freshID seq.StringID
 
+	// items holds one entry per leaf, in preorder. Once an internal node has
+	// been processed, the front of its leaf range holds its surviving lset
+	// entries sorted by left character, and its row says how many.
+	items []item
+	rows  []row
+
+	// order lists the internal nodes of depth >= ψ, deepest first.
 	order  []nodeRef
 	cursor int
 
@@ -160,7 +187,12 @@ type Observer struct {
 }
 
 // Observe installs (or replaces) the generator's telemetry hooks.
-func (g *Generator) Observe(o Observer) { g.obs = o }
+func (g *Generator) Observe(o Observer) {
+	if o.BatchNs != nil && o.Clock == nil {
+		o.Clock = telemetry.NewWallClock().Elapsed
+	}
+	g.obs = o
+}
 
 // New builds a generator over the given forest. psi is the promising-pair
 // threshold ψ: only nodes of string-depth >= psi generate pairs. The bucket
@@ -185,82 +217,87 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 		return nil, fmt.Errorf("pairgen: psi must be >= 1, got %d", psi)
 	}
 	g := &Generator{
-		set:  set,
-		psi:  int32(psi),
-		mark: make([]int32, set.NumStrings()),
+		psi:   int32(psi),
+		mark:  make([]int32, set.NumStrings()),
+		trees: make([]treeState, len(forest)),
 	}
 	if fresh > 0 {
 		g.freshID = set.GenStartString(fresh)
 	}
-	for _, t := range forest {
-		ts := &treeState{tree: t, lsetIdx: make([]int32, t.Len())}
-		deep := int32(0)
-		for i, n := range t.Nodes {
-			if n.Depth >= g.psi {
-				ts.lsetIdx[i] = deep
-				deep++
-			} else {
-				ts.lsetIdx[i] = -1
-			}
-		}
-		ts.lsets = make([][seq.NumLeftChars]list, deep)
-		for i := range ts.lsets {
-			for c := range ts.lsets[i] {
-				ts.lsets[i][c] = emptyList
-			}
-		}
-		g.trees = append(g.trees, ts)
-	}
-	g.buildOrder()
-	return g, nil
-}
-
-// buildOrder sorts the deep nodes of the forest by decreasing string-depth,
-// breaking ties by descending node index so that children (which follow
-// their parent in preorder and are at least as deep) are always processed
-// before their parent. The sort is the O(sorting) term of the paper's
-// Lemma 4; a two-pass counting sort keeps it linear.
-func (g *Generator) buildOrder() {
+	// Size the arenas from a counting pass over the nodes themselves.
+	var nodes, leaves, deepLeaves, deepInternal int
 	maxDepth := int32(0)
-	total := 0
-	for _, ts := range g.trees {
-		for _, n := range ts.tree.Nodes {
-			if n.Depth >= g.psi {
-				total++
+	for ti, t := range forest {
+		g.trees[ti] = treeState{nodes: t.Nodes, leaf: leaves, internal: nodes - leaves}
+		nodes += len(t.Nodes)
+		for i, n := range t.Nodes {
+			deep := n.Depth >= g.psi
+			if n.RML == int32(i) {
+				leaves++
+				if deep {
+					deepLeaves++
+				}
+			} else if deep {
+				deepInternal++
 				if n.Depth > maxDepth {
 					maxDepth = n.Depth
 				}
 			}
 		}
 	}
-	if total == 0 {
-		return
-	}
-	counts := make([]int32, maxDepth+2)
+	g.stats.NodesProcessed, g.stats.Entries = int64(deepLeaves), int64(deepLeaves)
+	g.items = make([]item, leaves)
+	g.rows = make([]row, nodes-leaves)
+	g.order = make([]nodeRef, deepInternal)
+
+	// One sequential pass initializes every leaf's single-entry lset and
+	// histograms the deep internal nodes by depth for buildOrder.
+	byDepth := make([]int, maxDepth+1)
+	next := g.items
 	for _, ts := range g.trees {
-		for _, n := range ts.tree.Nodes {
-			if n.Depth >= g.psi {
-				counts[n.Depth]++
+		for i, n := range ts.nodes {
+			if n.RML == int32(i) {
+				if n.Pos >= 1<<(31-charBits) {
+					return nil, fmt.Errorf("pairgen: suffix position %d of string %d does not fit %d bits", n.Pos, n.SID, 31-charBits)
+				}
+				next[0] = item{sid: n.SID, posChar: n.Pos<<charBits | int32(set.LeftChar(n.SID, n.Pos))}
+				next = next[1:]
+			} else if n.Depth >= g.psi {
+				byDepth[n.Depth]++
 			}
 		}
 	}
+	g.buildOrder(byDepth)
+	return g, nil
+}
+
+// buildOrder sorts the deep internal nodes of the forest by decreasing
+// string-depth, breaking ties by descending node index so that children
+// (which follow their parent in preorder and are deeper) are always
+// processed before their parent. Leaves need no processing — NewFresh has
+// initialized them — so they stay out. The sort is the O(sorting) term of the
+// paper's Lemma 4; a counting sort keeps it linear. counts[d] holds the
+// number of deep internal nodes of depth d and is consumed.
+func (g *Generator) buildOrder(counts []int) {
 	// Prefix-sum from the deepest down so larger depths come first.
-	start := make([]int32, maxDepth+2)
-	acc := int32(0)
-	for d := maxDepth; d >= g.psi; d-- {
-		start[d] = acc
-		acc += counts[d]
+	acc := 0
+	for d := len(counts) - 1; d >= 0; d-- {
+		acc, counts[d] = acc+counts[d], acc
 	}
-	g.order = make([]nodeRef, total)
 	// Walk node indices in reverse so, within a depth class, higher
 	// indices are placed first (children before parents).
+	end := len(g.items)
 	for ti := len(g.trees) - 1; ti >= 0; ti-- {
-		nodes := g.trees[ti].tree.Nodes
-		for i := len(nodes) - 1; i >= 0; i-- {
-			d := nodes[i].Depth
-			if d >= g.psi {
-				g.order[start[d]] = nodeRef{tree: int32(ti), node: int32(i)}
-				start[d]++
+		ts := g.trees[ti]
+		before := int32(end - ts.leaf) // leaves of the tree not yet walked past
+		end = ts.leaf
+		for i := len(ts.nodes) - 1; i >= 0; i-- {
+			n := ts.nodes[i]
+			if n.RML == int32(i) {
+				before--
+			} else if n.Depth >= g.psi {
+				g.order[counts[n.Depth]] = nodeRef{tree: int32(ti), node: int32(i), leavesBefore: before}
+				counts[n.Depth]++
 			}
 		}
 	}
@@ -278,110 +315,104 @@ func (g *Generator) Remaining() bool {
 // Next appends up to max pairs to dst and returns the extended slice.
 // A return with no appended pairs means the generator is exhausted.
 func (g *Generator) Next(dst []Pair, max int) []Pair {
+	var start time.Duration
 	if g.obs.BatchNs != nil {
-		clk := g.obs.Clock
-		if clk == nil {
-			clk = telemetry.NewWallClock().Elapsed
-		}
-		start := clk()
-		defer func() { g.obs.BatchNs.Observe((clk() - start).Nanoseconds()) }()
+		start = g.obs.Clock()
 	}
 	want := len(dst) + max
-	for len(dst) < want {
-		if !g.active {
-			if g.cursor >= len(g.order) {
-				return dst
-			}
-			ref := g.order[g.cursor]
-			g.cursor++
-			g.processNode(ref)
+	for len(dst) < want && g.Remaining() {
+		if g.active {
+			dst = g.emit(dst, want)
 			continue
 		}
-		dst = g.emit(dst, want)
+		g.processNode(g.order[g.cursor])
+		g.cursor++
+	}
+	if g.obs.BatchNs != nil {
+		g.obs.BatchNs.Observe((g.obs.Clock() - start).Nanoseconds())
 	}
 	return dst
 }
 
-// processNode initializes a leaf's lsets or prepares an internal node's
-// dedup/snapshot/union and arms pair iteration.
+// processNode dedups and snapshots an internal node's child lsets, arms pair
+// iteration over the snapshot, and leaves the survivors as the node's own
+// lsets.
 func (g *Generator) processNode(ref nodeRef) {
-	ts := g.trees[ref.tree]
-	t := ts.tree
+	ts := &g.trees[ref.tree]
+	nodes := ts.nodes
+	v := ref.node
 	g.stats.NodesProcessed++
-	if t.IsLeaf(ref.node) {
-		n := t.Nodes[ref.node]
-		c := g.set.LeftChar(n.SID, n.Pos)
-		e := int32(len(ts.pool))
-		ts.pool = append(ts.pool, entry{sid: n.SID, pos: n.Pos, next: -1})
-		g.stats.Entries++
-		ts.lsets[ts.lsetIdx[ref.node]][c] = list{head: e, tail: e}
-		return
-	}
 
 	// Dedup every child lset with a fresh token, snapshotting survivors.
+	// The children's leaf ranges tile v's, so one forward scan with a running
+	// leaf count finds each child's range and, for an internal child, its row.
 	g.token++
 	g.groups = g.groups[:0]
 	g.itemsBuf = g.itemsBuf[:0]
 	childOrd := int32(0)
-	for c := t.FirstChild(ref.node); c != -1; c = t.NextSibling(c, ref.node) {
-		li := ts.lsetIdx[c]
-		for ch := seq.Code(0); ch < seq.NumLeftChars; ch++ {
-			l := &ts.lsets[li][ch]
-			prev := int32(-1)
-			cur := l.head
-			lo := int32(len(g.itemsBuf))
-			fresh := false
-			for cur != -1 {
-				e := &ts.pool[cur]
-				if g.mark[e.sid] == g.token {
-					// Duplicate occurrence: unlink.
-					if prev == -1 {
-						l.head = e.next
-					} else {
-						ts.pool[prev].next = e.next
-					}
-					if e.next == -1 {
-						l.tail = prev
-					}
-					cur = e.next
-					continue
-				}
-				g.mark[e.sid] = g.token
-				g.itemsBuf = append(g.itemsBuf, item{sid: e.sid, pos: e.pos})
-				fresh = fresh || e.sid >= g.freshID
-				prev = cur
-				cur = e.next
-			}
-			if hi := int32(len(g.itemsBuf)); hi > lo {
-				g.groups = append(g.groups, group{child: childOrd, char: ch, lo: lo, hi: hi, fresh: fresh})
-			}
+	before := ref.leavesBefore
+	for c := v + 1; ; c = nodes[c].RML + 1 {
+		r := row{leaves: 1, live: 1}
+		if nodes[c].RML != c {
+			r = g.rows[ts.internal+int(c-before)]
 		}
+		at := ts.leaf + int(before)
+		g.snapshot(childOrd, g.items[at:at+int(r.live)])
+		before += r.leaves
 		childOrd++
-	}
-
-	// Union surviving child lsets into this node (O(|Σ|²) concatenations).
-	vi := ts.lsetIdx[ref.node]
-	for c := t.FirstChild(ref.node); c != -1; c = t.NextSibling(c, ref.node) {
-		li := ts.lsetIdx[c]
-		for ch := seq.Code(0); ch < seq.NumLeftChars; ch++ {
-			src := ts.lsets[li][ch]
-			ts.lsets[li][ch] = emptyList
-			if src.head == -1 {
-				continue
-			}
-			dst := &ts.lsets[vi][ch]
-			if dst.head == -1 {
-				*dst = src
-			} else {
-				ts.pool[dst.tail].next = src.head
-				dst.tail = src.tail
-			}
+		if nodes[c].RML == nodes[v].RML {
+			break
 		}
 	}
 
-	g.curDepth = t.Nodes[ref.node].Depth
+	// Union the surviving child lsets into this node: character by
+	// character, children in order — the order list concatenation gave. The
+	// snapshot holds every survivor, so overwriting the children's ranges is
+	// safe; a tree root's lsets are never read, so it skips the write.
+	if v != 0 {
+		var at [seq.NumLeftChars]int
+		for _, gr := range g.groups {
+			at[gr.char] += int(gr.hi - gr.lo)
+		}
+		next := ts.leaf + int(ref.leavesBefore)
+		for ch, k := range at {
+			at[ch] = next
+			next += k
+		}
+		for _, gr := range g.groups {
+			at[gr.char] += copy(g.items[at[gr.char]:], g.itemsBuf[gr.lo:gr.hi])
+		}
+		g.rows[ts.internal+int(v-ref.leavesBefore)] = row{
+			leaves: before - ref.leavesBefore,
+			live:   int32(len(g.itemsBuf)),
+		}
+	}
+
+	g.curDepth = nodes[v].Depth
 	g.gi, g.gj, g.ii, g.jj = 0, 1, 0, 0
 	g.active = len(g.groups) >= 2
+}
+
+// snapshot appends the entries of one child's lsets that no earlier child
+// of the current node has contributed to itemsBuf, one group per left
+// character present (the entries arrive sorted by it).
+func (g *Generator) snapshot(child int32, lsets []item) {
+	open := false // whether the last group belongs to this child
+	for _, it := range lsets {
+		if g.mark[it.sid] == g.token {
+			continue
+		}
+		g.mark[it.sid] = g.token
+		if !open || g.groups[len(g.groups)-1].char != it.char() {
+			at := int32(len(g.itemsBuf))
+			g.groups = append(g.groups, group{child: child, char: it.char(), lo: at, hi: at})
+			open = true
+		}
+		gr := &g.groups[len(g.groups)-1]
+		gr.hi++
+		gr.fresh = gr.fresh || it.sid >= g.freshID
+		g.itemsBuf = append(g.itemsBuf, it)
+	}
 }
 
 // compatible reports whether two groups may produce pairs: different
@@ -473,7 +504,7 @@ func (g *Generator) canonical(a, b item) (Pair, bool) {
 	}
 	return Pair{
 		S1: a.sid, S2: b.sid,
-		Pos1: a.pos, Pos2: b.pos,
+		Pos1: a.pos(), Pos2: b.pos(),
 		MatchLen: g.curDepth,
 	}, true
 }

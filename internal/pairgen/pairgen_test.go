@@ -3,9 +3,11 @@ package pairgen
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"pace/internal/seq"
 	"pace/internal/suffix"
+	"pace/internal/telemetry"
 )
 
 // buildForest builds the complete forest (single worker) for a set.
@@ -96,6 +98,11 @@ func TestNewValidation(t *testing.T) {
 	set := mustSet(t, "ACGTACGT")
 	if _, err := New(set, nil, 0); err == nil {
 		t.Error("psi=0 must fail")
+	}
+	// A suffix position that would overflow the packed lset entry.
+	far := &suffix.Tree{Nodes: []suffix.Node{{Depth: 8, Pos: 1 << 28}}}
+	if _, err := New(set, []*suffix.Tree{far}, 5); err == nil {
+		t.Error("suffix position 1<<28 must fail")
 	}
 }
 
@@ -381,7 +388,10 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// lset storage must stay linear: entries == number of deep leaves.
+// lset storage must stay linear: entries == number of deep leaves, and the
+// arenas hold 8 bytes per leaf, 8 per internal node and one 12-byte order
+// entry per deep internal node — nothing per node, and nothing that grows
+// with the pairs generated.
 func TestEntriesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	ests := randomESTs(rng, 10, 50, 80)
@@ -392,17 +402,112 @@ func TestEntriesLinear(t *testing.T) {
 	w := 5
 	psi := 5 // every suffix-bearing node is deep
 	forest := buildForest(t, set, w)
-	g, err := New(set, forest, psi)
+	// Hand-assembled trees report no cached leaf count; the generator must
+	// size its arenas from the nodes themselves.
+	bare := make([]*suffix.Tree, len(forest))
+	var nodes, leaves int
+	for i, tr := range forest {
+		bare[i] = &suffix.Tree{Bucket: tr.Bucket, Nodes: tr.Nodes}
+		nodes += tr.Len()
+		leaves += tr.NumLeaves()
+	}
+	g, err := New(set, bare, psi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drain(g, 1000)
-	var leaves int64
-	for _, tr := range forest {
-		leaves += int64(tr.NumLeaves())
-	}
-	if g.Stats().Entries != leaves {
+	if g.Stats().Entries != int64(leaves) {
 		t.Errorf("entries %d != deep leaves %d", g.Stats().Entries, leaves)
+	}
+	internal := nodes - leaves
+	arena := int(unsafe.Sizeof(item{}))*cap(g.items) + int(unsafe.Sizeof(row{}))*cap(g.rows) +
+		int(unsafe.Sizeof(nodeRef{}))*cap(g.order)
+	if bound := 8*leaves + 8*internal + 12*internal; arena > bound {
+		t.Errorf("arenas hold %d bytes for %d leaves and %d internal nodes, bound %d", arena, leaves, internal, bound)
+	}
+}
+
+// allocWorkload builds n random ESTs threaded with overlaps, and their forest.
+func allocWorkload(t testing.TB, n int) (*seq.SetS, []*suffix.Tree) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(n)))
+	ests := randomESTs(rng, n, 60, 120)
+	for i := 1; i < n; i++ {
+		ests[i] = append(ests[i-1][30:].Clone(), ests[i][:30]...)
+	}
+	set, err := seq.NewSetS(ests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set, buildForest(t, set, 6)
+}
+
+// Generator construction must cost a constant number of allocations — the
+// arenas — however large the forest, and a full drain only the amortized
+// growth of the snapshot scratch.
+func TestAllocationsIndependentOfForestSize(t *testing.T) {
+	var newAllocs, drainAllocs [2]float64
+	for i, n := range []int{50, 500} {
+		set, forest := allocWorkload(t, n)
+		newAllocs[i] = testing.AllocsPerRun(5, func() {
+			if _, err := NewFresh(set, forest, 12, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		buf := make([]Pair, 0, 60)
+		pairs := 0
+		drainAllocs[i] = testing.AllocsPerRun(2, func() {
+			g, err := NewFresh(set, forest, 12, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for buf = g.Next(buf[:0], 60); len(buf) > 0; buf = g.Next(buf[:0], 60) {
+				pairs += len(buf)
+			}
+		}) - newAllocs[i]
+		if pairs == 0 {
+			t.Fatalf("n=%d: workload generated no pairs", n)
+		}
+	}
+	// The 500-EST forest has thousands of trees: any per-tree or per-node
+	// allocation breaks the bound.
+	if newAllocs[0] > 16 || newAllocs[1] > 16 {
+		t.Errorf("NewFresh allocations %v for 50 and 500 ESTs, want <= 16 for both", newAllocs)
+	}
+	// itemsBuf and groups double as they grow: a few dozen appends at most.
+	if drainAllocs[0] > 40 || drainAllocs[1] > 40 {
+		t.Errorf("full drain allocations %v for 50 and 500 ESTs, want <= 40", drainAllocs)
+	}
+}
+
+// A BatchNs observer without a Clock times every Next call against a wall
+// clock resolved once, when it is attached — not once per call.
+func TestBatchObserverRecordsEveryCallWithoutAllocating(t *testing.T) {
+	set, forest := allocWorkload(t, 50)
+	g, err := New(set, forest, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := telemetry.NewRegistry().Histogram("pace_pairgen_batch_ns", telemetry.ExpBounds(1000, 4, 12))
+	g.Observe(Observer{BatchNs: h})
+	buf := make([]Pair, 0, 60)
+	calls := int64(0)
+	// AllocsPerRun's warm-up run drains the generator; the measured run is
+	// one observed call on the exhausted generator.
+	allocs := testing.AllocsPerRun(1, func() {
+		for {
+			buf = g.Next(buf[:0], 60)
+			calls++
+			if len(buf) == 0 {
+				return
+			}
+		}
+	})
+	if h.Count() != calls {
+		t.Errorf("observed %d batches over %d Next calls", h.Count(), calls)
+	}
+	if allocs != 0 {
+		t.Errorf("an observed Next on an exhausted generator allocates %v times", allocs)
 	}
 }
 

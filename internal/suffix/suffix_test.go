@@ -350,7 +350,9 @@ func TestForestLeavesAreExactlyTheSuffixes(t *testing.T) {
 }
 
 // Internal nodes must be branching: no child may carry the subtree's whole
-// leaf set (checked by Verify's >=2-children rule across random inputs).
+// leaf set (checked by Verify's >=2-children rule across random inputs). A
+// built tree also holds exactly its nodes — no spare capacity kept for its
+// lifetime, whatever the scratch it was built in had grown to.
 func TestVerifyRandomForests(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 10; trial++ {
@@ -359,6 +361,9 @@ func TestVerifyRandomForests(t *testing.T) {
 		for _, tr := range buildAll(t, set, w) {
 			if err := tr.Verify(set); err != nil {
 				t.Fatalf("trial %d bucket %d: %v", trial, tr.Bucket, err)
+			}
+			if cap(tr.Nodes) != len(tr.Nodes) {
+				t.Fatalf("trial %d bucket %d: %d nodes in capacity %d", trial, tr.Bucket, len(tr.Nodes), cap(tr.Nodes))
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package suffix
 
 import (
 	"fmt"
+	"sync"
 
 	"pace/internal/seq"
 )
@@ -121,15 +122,27 @@ func Build(set *seq.SetS, bucket int, suffixes []SuffixRef, w int) (*Tree, error
 	if len(suffixes) == 0 {
 		return nil, fmt.Errorf("suffix: bucket %d: %w", bucket, ErrEmptyBucket)
 	}
-	b := &builder{set: set, nodes: make([]Node, 0, 2*len(suffixes))}
+	b := &builder{set: set}
 	for _, r := range suffixes {
 		if b.suffixLen(r) < int32(w) {
 			return nil, fmt.Errorf("suffix: suffix (%d,%d) shorter than window %d", r.SID, r.Pos, w)
 		}
 	}
+	scratch := nodeScratch.Get().(*[]Node)
+	b.nodes = (*scratch)[:0]
 	b.build(suffixes, int32(w))
-	return &Tree{Bucket: bucket, Nodes: b.nodes, leaves: len(suffixes)}, nil
+	nodes := make([]Node, len(b.nodes))
+	copy(nodes, b.nodes)
+	*scratch = b.nodes
+	nodeScratch.Put(scratch)
+	return &Tree{Bucket: bucket, Nodes: nodes, leaves: len(suffixes)}, nil
 }
+
+// nodeScratch recycles the buffers Build grows a tree in. A tree of n
+// suffixes has up to 2n−1 nodes, how many is known only once it is built;
+// building in scratch and copying out at the exact length keeps a tree from
+// holding the unused rest of a worst-case allocation for its whole lifetime.
+var nodeScratch = sync.Pool{New: func() any { return new([]Node) }}
 
 // emitLeaf appends a leaf for suffix r (depth = full suffix length).
 func (b *builder) emitLeaf(r SuffixRef) {
