@@ -104,11 +104,11 @@ type Config struct {
 	// run over the whole set. 0 (the default) clusters everything.
 	FreshGen seq.Gen
 
-	// Cache, when non-nil, carries per-bucket GST state across the
-	// sequential runs of a session: suffix lists grow in place as batches
-	// arrive and untouched subtrees are reused verbatim, so batch k+1 pays
-	// only for the strings and buckets it touches. Sequential engine only
-	// (MP.Procs == 1); the parallel engine re-collects per run.
+	// Cache, when non-nil, carries the flat suffix table across the
+	// sequential runs of a session: a batch's suffixes are merged in as it
+	// arrives and only the buckets it touches are built, so batch k+1
+	// scans only its own strings. Sequential engine only (MP.Procs == 1);
+	// the parallel engine re-collects per run.
 	Cache *BucketCache
 
 	// Recover enables slave-failure recovery: when a slave rank dies
@@ -427,8 +427,8 @@ type IncrementalStats struct {
 	// ones whose subtrees were (re)built this run.
 	BucketsRebuilt int64
 	// BucketsReused is the number of non-empty buckets no fresh suffix fell
-	// into: their subtrees (and every pair inside them) carried over from
-	// earlier generations untouched.
+	// into: every pair inside them was judged in an earlier generation, so
+	// the run skipped them without building a subtree.
 	BucketsReused int64
 	// FreshPairs is the number of promising pairs the restricted generators
 	// emitted — the work actually attributable to the batch. Equals

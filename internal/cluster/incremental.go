@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"pace/internal/seq"
@@ -20,42 +18,44 @@ import (
 // old×old pair was already produced and judged by an earlier run, and the
 // final partition is identical to a from-scratch run over the union.
 
-// BucketCache carries per-bucket GST state across the sequential runs of a
-// session. Suffix lists grow in place as generations arrive — strings are
-// scanned exactly once, in ascending id order, so each bucket's list is
-// byte-for-byte what a from-scratch collection would produce and rebuilt
-// subtrees are identical to scratch-built ones. Subtrees of buckets a batch
-// does not touch are reused verbatim.
+// BucketCache carries the suffix table across the sequential runs of a
+// session: every suffix seen so far, in one flat suffix.Buckets. The table
+// grows as generations arrive — strings are scanned exactly once, in
+// ascending id order, so each bucket's range is byte-for-byte what a
+// from-scratch collection would produce and rebuilt subtrees are identical
+// to scratch-built ones. Only the table is kept. No subtree outlives the run
+// that built it: a bucket a batch does not touch cannot yield a fresh pair
+// and is not built at all, and a touched bucket is rebuilt from its range.
 //
 // The cache is single-goroutine state owned by its session; it is not safe
 // for concurrent runs.
 type BucketCache struct {
-	w        int
-	scanned  seq.StringID
-	byBucket map[int][]suffix.SuffixRef
-	trees    map[int]*suffix.Tree
+	w       int
+	scanned seq.StringID
+	table   *suffix.Buckets // nil until the first absorb fixes the window
 }
 
 // NewBucketCache returns an empty cache, ready to be carried across a
 // session's runs via Config.Cache.
-func NewBucketCache() *BucketCache {
-	return &BucketCache{
-		byBucket: make(map[int][]suffix.SuffixRef),
-		trees:    make(map[int]*suffix.Tree),
-	}
-}
+func NewBucketCache() *BucketCache { return &BucketCache{} }
 
 // Strings reports how many strings the cache has scanned.
 func (bc *BucketCache) Strings() int { return int(bc.scanned) }
 
 // Buckets reports how many non-empty buckets the cache holds.
-func (bc *BucketCache) Buckets() int { return len(bc.byBucket) }
+func (bc *BucketCache) Buckets() int {
+	if bc.table == nil {
+		return 0
+	}
+	return len(bc.table.NonEmpty())
+}
 
-// absorb scans strings [bc.scanned, hi) into the per-bucket suffix lists and
-// returns, in ascending order, the ids of buckets that received suffixes.
-func (bc *BucketCache) absorb(set *seq.SetS, w int, hi seq.StringID) ([]int, error) {
+// absorb merges the suffixes of strings [bc.scanned, hi) into the table and
+// returns, in ascending order, the ids of buckets that received any.
+func (bc *BucketCache) absorb(set *seq.SetS, w int, hi seq.StringID) ([]int32, error) {
 	if bc.w == 0 {
 		bc.w = w
+		bc.table = suffix.NewBuckets(w)
 	}
 	if bc.w != w {
 		return nil, fmt.Errorf("cluster: bucket cache was built with window %d, run uses %d", bc.w, w)
@@ -63,65 +63,33 @@ func (bc *BucketCache) absorb(set *seq.SetS, w int, hi seq.StringID) ([]int, err
 	if hi < bc.scanned {
 		return nil, fmt.Errorf("cluster: bucket cache covers %d strings but the run has only %d", bc.scanned, hi)
 	}
-	touched := make(map[int]bool)
-	for id := bc.scanned; id < hi; id++ {
-		suffix.BucketEach(set.Str(id), w, func(b int, pos int32) {
-			bc.byBucket[b] = append(bc.byBucket[b], suffix.SuffixRef{SID: id, Pos: pos})
-			touched[b] = true
-		})
+	touched, err := bc.table.Absorb(set, bc.scanned, hi)
+	if err != nil {
+		return nil, err
 	}
 	bc.scanned = hi
-	ids := make([]int, 0, len(touched))
-	for b := range touched {
-		ids = append(ids, b)
-	}
-	sort.Ints(ids)
-	return ids, nil
+	return touched, nil
 }
 
 // Truncate rolls the cache back so it covers only strings with id < hi —
-// the inverse of absorb for a failed batch run. Suffix lists are appended
-// in ascending string-id order, so every ref of a dropped string sits at
-// the tail of its bucket's list; those tails are trimmed, buckets left
-// empty are deleted, and the cached subtree of every trimmed bucket is
-// discarded (it was built over suffixes that no longer exist — the next
-// batch run rebuilds it from the restored list). Subtrees of untouched
-// buckets stay valid verbatim. A no-op when hi >= the scanned high mark.
+// the inverse of absorb for a failed batch run: the table is left equal to
+// one that never saw the dropped strings, so the retried batch rebuilds the
+// same subtrees a first attempt would. A no-op when hi >= the scanned high
+// mark.
 func (bc *BucketCache) Truncate(hi seq.StringID) {
 	if hi >= bc.scanned {
 		return
 	}
-	for b, refs := range bc.byBucket {
-		cut := sort.Search(len(refs), func(i int) bool { return refs[i].SID >= hi })
-		if cut == len(refs) {
-			continue
-		}
-		delete(bc.trees, b)
-		if cut == 0 {
-			delete(bc.byBucket, b)
-			continue
-		}
-		bc.byBucket[b] = refs[:cut:cut]
-	}
+	bc.table.Truncate(hi)
 	bc.scanned = hi
 }
 
 // Warm scans every string of set into the cache without building any
 // subtrees — the state a resumed session needs so that its next batch
-// rebuilds only the buckets the batch touches. Subtrees are built lazily:
-// a bucket that never sees a fresh suffix never needs one.
+// rebuilds only the buckets the batch touches.
 func (bc *BucketCache) Warm(set *seq.SetS, w int) error {
 	_, err := bc.absorb(set, w, seq.StringID(set.NumStrings()))
 	return err
-}
-
-// histogram derives the global bucket histogram from the cached lists.
-func (bc *BucketCache) histogram(w int) []int64 {
-	hist := make([]int64, suffix.NumBuckets(w))
-	for b, refs := range bc.byBucket {
-		hist[b] = int64(len(refs))
-	}
-	return hist
 }
 
 // forestBuild is the outcome of the sequential partition+construct phases.
@@ -139,10 +107,10 @@ type forestBuild struct {
 //     every non-empty bucket.
 //   - no Cache, FreshGen > 0: rescan, but assign only the buckets the fresh
 //     generations touch (AssignFresh); untouched buckets are skipped.
-//   - Cache: scan only the strings the cache has not seen, rebuild exactly
-//     the touched buckets, and leave the rest of the cached forest alone.
-//     The forest handed to the generator is the touched subset — untouched
-//     subtrees cannot contain a fresh pair.
+//   - Cache: scan only the strings the cache has not seen into its table and
+//     build exactly the touched buckets from it. The forest handed to the
+//     generator is that touched subset — an untouched bucket cannot contain
+//     a fresh pair, so it is not built.
 //
 // Incremental bucket counts land in st.Incremental.
 func buildSequentialForest(set *seq.SetS, cfg Config, st *Stats, clk func() time.Duration) (*forestBuild, error) {
@@ -155,19 +123,12 @@ func buildSequentialForest(set *seq.SetS, cfg Config, st *Stats, clk func() time
 		if err != nil {
 			return nil, err
 		}
-		fb.hist = bc.histogram(cfg.Window)
+		fb.hist = bc.table.Histogram()
 		fb.partition = clk() - t0
 		t1 := clk()
-		for _, b := range touched {
-			tr, err := suffix.Build(set, b, bc.byBucket[b], cfg.Window)
-			if errors.Is(err, suffix.ErrEmptyBucket) {
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			bc.trees[b] = tr
-			fb.forest = append(fb.forest, tr)
+		fb.forest, err = suffix.BuildBuckets(set, bc.table, touched)
+		if err != nil {
+			return nil, err
 		}
 		fb.construct = clk() - t1
 		st.Incremental.BucketsRebuilt = int64(len(fb.forest))

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pace/internal/seq"
-	"pace/internal/suffix"
 )
 
 // TestRunSetIncrementalEquivalence drives the engine-level incremental
@@ -40,13 +39,6 @@ func TestRunSetIncrementalEquivalence(t *testing.T) {
 		t.Fatalf("cache scanned %d strings, want %d", cache.Strings(), 2*cut)
 	}
 
-	// Snapshot the cached subtrees so reuse is observable: pointers of
-	// buckets the tail does not touch must survive the second run.
-	treesBefore := make(map[int]*suffix.Tree, len(cache.trees))
-	for bkt, tr := range cache.trees {
-		treesBefore[bkt] = tr
-	}
-
 	gen, err := set.Append(b.ESTs[cut:])
 	if err != nil {
 		t.Fatal(err)
@@ -77,24 +69,15 @@ func TestRunSetIncrementalEquivalence(t *testing.T) {
 	if inc.FreshPairs != r2.Stats.PairsGenerated {
 		t.Errorf("FreshPairs %d != PairsGenerated %d", inc.FreshPairs, r2.Stats.PairsGenerated)
 	}
+	// The tail batch must touch some buckets and leave others alone, and the
+	// two counts must account for every non-empty bucket of the table.
 	if inc.BucketsRebuilt <= 0 || inc.BucketsReused <= 0 {
 		t.Errorf("BucketsRebuilt %d / BucketsReused %d, want both > 0",
 			inc.BucketsRebuilt, inc.BucketsReused)
 	}
-
-	var reused, replaced int
-	for bkt, tr := range treesBefore {
-		if cache.trees[bkt] == tr {
-			reused++
-		} else {
-			replaced++
-		}
-	}
-	if reused == 0 {
-		t.Error("no cached subtree survived the incremental run; untouched buckets should be reused verbatim")
-	}
-	if replaced == 0 {
-		t.Error("no cached subtree was rebuilt; the tail batch must touch some buckets")
+	if sum := inc.BucketsRebuilt + inc.BucketsReused; sum != int64(cache.Buckets()) {
+		t.Errorf("BucketsRebuilt %d + BucketsReused %d != %d cached buckets",
+			inc.BucketsRebuilt, inc.BucketsReused, cache.Buckets())
 	}
 }
 
@@ -168,10 +151,9 @@ func TestBucketCacheConsistency(t *testing.T) {
 }
 
 // TestBucketCacheTruncateRollsBackAbsorb proves cache truncation is the
-// exact inverse of absorbing a batch: lists shrink back to the prefix run's
-// state, subtrees of touched buckets are discarded (they index dead
-// suffixes), untouched subtrees survive verbatim, and a re-run of the batch
-// after rollback reproduces the from-scratch partition and pair counts —
+// exact inverse of absorbing a batch: every bucket shrinks back to the
+// prefix run's state, and a re-run of the batch after rollback rebuilds the
+// same buckets and reproduces the from-scratch partition and pair counts —
 // the retried-Add-equals-first-attempt contract at the engine level.
 func TestBucketCacheTruncateRollsBackAbsorb(t *testing.T) {
 	b := benchSet(t, 60, 4, 13)
@@ -196,14 +178,7 @@ func TestBucketCacheTruncateRollsBackAbsorb(t *testing.T) {
 		t.Fatal(err)
 	}
 	bucketsBefore := cache.Buckets()
-	lenBefore := make(map[int]int, len(cache.byBucket))
-	for bkt, refs := range cache.byBucket {
-		lenBefore[bkt] = len(refs)
-	}
-	treesBefore := make(map[int]*suffix.Tree, len(cache.trees))
-	for bkt, tr := range cache.trees {
-		treesBefore[bkt] = tr
-	}
+	lenBefore := cache.table.Histogram()
 
 	// Absorb the tail batch (as a failed run would have), then roll back.
 	gen, err := set.Append(b.ESTs[cut:])
@@ -214,7 +189,8 @@ func TestBucketCacheTruncateRollsBackAbsorb(t *testing.T) {
 	c2.Cache = cache
 	c2.FreshGen = gen
 	c2.InitialLabels = r1.Labels
-	if _, err := RunSet(set, c2); err != nil {
+	r2, err := RunSet(set, c2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	cache.Truncate(seq.Forward(seq.ESTID(cut)))
@@ -228,14 +204,9 @@ func TestBucketCacheTruncateRollsBackAbsorb(t *testing.T) {
 	if cache.Buckets() != bucketsBefore {
 		t.Errorf("truncated cache holds %d buckets, want %d", cache.Buckets(), bucketsBefore)
 	}
-	for bkt, refs := range cache.byBucket {
-		if len(refs) != lenBefore[bkt] {
-			t.Errorf("bucket %d has %d refs after rollback, want %d", bkt, len(refs), lenBefore[bkt])
-		}
-	}
-	for bkt, tr := range cache.trees {
-		if treesBefore[bkt] != tr {
-			t.Errorf("bucket %d kept a subtree built over rolled-back suffixes", bkt)
+	for bkt, n := range cache.table.Histogram() {
+		if n != lenBefore[bkt] {
+			t.Errorf("bucket %d has %d refs after rollback, want %d", bkt, n, lenBefore[bkt])
 		}
 	}
 
@@ -264,6 +235,86 @@ func TestBucketCacheTruncateRollsBackAbsorb(t *testing.T) {
 	if sum := r1.Stats.PairsGenerated + r3.Stats.PairsGenerated; sum != full.Stats.PairsGenerated {
 		t.Errorf("prefix %d + retried %d pairs != from-scratch %d",
 			r1.Stats.PairsGenerated, r3.Stats.PairsGenerated, full.Stats.PairsGenerated)
+	}
+	if r3.Stats.Incremental != r2.Stats.Incremental {
+		t.Errorf("retried run's incremental counters %+v differ from the first attempt's %+v",
+			r3.Stats.Incremental, r2.Stats.Incremental)
+	}
+}
+
+// sameCacheTable fails unless the two caches hold the same suffixes in the
+// same buckets in the same order.
+func sameCacheTable(t *testing.T, what string, got, want *BucketCache) {
+	t.Helper()
+	if got.Strings() != want.Strings() || got.Buckets() != want.Buckets() {
+		t.Fatalf("%s: %d strings in %d buckets, want %d in %d", what, got.Strings(), got.Buckets(), want.Strings(), want.Buckets())
+	}
+	if want.table == nil {
+		return
+	}
+	if got.table.Len() != want.table.Len() {
+		t.Fatalf("%s: %d suffixes, want %d", what, got.table.Len(), want.table.Len())
+	}
+	for _, b := range want.table.NonEmpty() {
+		g, w := got.table.Refs(int(b)), want.table.Refs(int(b))
+		if len(g) != len(w) {
+			t.Fatalf("%s: bucket %d has %d refs, want %d", what, b, len(g), len(w))
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Fatalf("%s: bucket %d ref %d is %+v, want %+v", what, b, i, g[i], w[i])
+			}
+		}
+	}
+}
+
+// TestCacheTruncateIsInverseOfAbsorb checks the rollback at the table level:
+// absorb A, absorb B, truncate to A leaves exactly the table of a cache that
+// only ever saw A — for an empty A, for an A so short that the cut empties
+// buckets, and for a B of one EST.
+func TestCacheTruncateIsInverseOfAbsorb(t *testing.T) {
+	b := benchSet(t, 40, 4, 17)
+	const w = 5
+	for _, cutESTs := range []int{0, 1, len(b.ESTs) / 2, len(b.ESTs) - 1} {
+		set, err := seq.NewSetS(b.ESTs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := seq.Forward(seq.ESTID(cutESTs))
+		n2 := seq.StringID(set.NumStrings())
+
+		onlyA := NewBucketCache()
+		if _, err := onlyA.absorb(set, w, cut); err != nil {
+			t.Fatal(err)
+		}
+		cache := NewBucketCache()
+		var fresh int
+		for _, hi := range []seq.StringID{cut, (cut + n2) / 2, n2} {
+			touched, err := cache.absorb(set, w, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh = len(touched)
+		}
+		if fresh == 0 || cache.table.Len() <= onlyA.table.Len() {
+			t.Fatalf("cut %d: the batches after the cut added nothing (%d suffixes vs %d)", cutESTs, cache.table.Len(), onlyA.table.Len())
+		}
+		cache.Truncate(cut)
+		sameCacheTable(t, "truncated", cache, onlyA)
+
+		// The rolled-back cache absorbs the batch again as if for the first time.
+		again, err := cache.absorb(set, w, n2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole := NewBucketCache()
+		if err := whole.Warm(set, w); err != nil {
+			t.Fatal(err)
+		}
+		sameCacheTable(t, "re-absorbed", cache, whole)
+		if cutESTs == 0 && len(again) != whole.Buckets() {
+			t.Errorf("re-absorbing everything touched %d of %d buckets", len(again), whole.Buckets())
+		}
 	}
 }
 

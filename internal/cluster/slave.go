@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"time"
 
 	"pace/internal/align"
@@ -22,10 +23,16 @@ import (
 // own share of the strings, groups every suffix by its bucket's owner, and
 // ships the (bucket, string, position) triples to that owner. Each slave
 // ends up holding exactly the suffixes of its buckets while having scanned
-// only 1/(p-1) of the input.
-func exchangeSuffixes(set *seq.SetS, cfg Config, c *mp.Comm, owner []int32) (map[int][]suffix.SuffixRef, error) {
+// only 1/(p-1) of the input. The global histogram fixes the receiving table's
+// layout before the first message, so every triple goes to its final place
+// as it arrives.
+func exchangeSuffixes(set *seq.SetS, cfg Config, c *mp.Comm, owner []int32, hist []int64) (*suffix.Buckets, error) {
 	slaves := c.Size() - 1
 	me := c.Rank() - 1
+	table, err := suffix.NewSizedBuckets(cfg.Window, hist, owner, int32(me))
+	if err != nil {
+		return nil, err
+	}
 	lo, hi := shareRange(me, slaves, set.NumStrings())
 	perDest := make([][]uint32, slaves)
 	for id := lo; id < hi; id++ {
@@ -35,16 +42,6 @@ func exchangeSuffixes(set *seq.SetS, cfg Config, c *mp.Comm, owner []int32) (map
 				perDest[o] = append(perDest[o], uint32(b), uint32(id), uint32(pos))
 			}
 		})
-	}
-	byBucket := make(map[int][]suffix.SuffixRef)
-	absorb := func(flat []uint32) {
-		for i := 0; i+2 < len(flat); i += 3 {
-			b := int(flat[i])
-			byBucket[b] = append(byBucket[b], suffix.SuffixRef{
-				SID: seq.StringID(flat[i+1]),
-				Pos: int32(flat[i+2]),
-			})
-		}
 	}
 	var wire []byte // reused across destinations; mp copies on send
 	for s := 0; s < slaves; s++ {
@@ -56,23 +53,57 @@ func exchangeSuffixes(set *seq.SetS, cfg Config, c *mp.Comm, owner []int32) (map
 			return nil, err
 		}
 	}
-	// Absorb in fixed source order so bucket contents are deterministic.
+	// Scatter in fixed source order: sources hold ascending string ranges,
+	// so every bucket fills in (SID, Pos) order.
 	for s := 0; s < slaves; s++ {
-		if s == me {
-			absorb(perDest[s])
-			continue
+		flat := perDest[s]
+		if s != me {
+			m, err := c.Recv(s+1, tagSuffix)
+			if err != nil {
+				return nil, err
+			}
+			if flat, err = decodeU32s(m.Data); err != nil {
+				return nil, err
+			}
 		}
-		m, err := c.Recv(s+1, tagSuffix)
-		if err != nil {
-			return nil, err
+		if err := scatterSuffixes(table, set, cfg.Window, owner, int32(me), flat); err != nil {
+			return nil, fmt.Errorf("cluster: suffixes from slave %d: %w", s, err)
 		}
-		flat, err := decodeU32s(m.Data)
-		if err != nil {
-			return nil, err
-		}
-		absorb(flat)
 	}
-	return byBucket, nil
+	if err := table.Seal(); err != nil {
+		return nil, fmt.Errorf("cluster: suffix exchange fell short of the global histogram: %w", err)
+	}
+	return table, nil
+}
+
+// scatterSuffixes puts one suffix message's (bucket, string, position)
+// triples into the slave's table. The words come off the wire, so each is
+// checked before it indexes anything: a fragment, a bucket this slave does
+// not own, a suffix no string has, or more suffixes than the global histogram
+// announced for a bucket is an error.
+func scatterSuffixes(table *suffix.Buckets, set *seq.SetS, w int, owner []int32, me int32, flat []uint32) error {
+	if len(flat)%3 != 0 {
+		return fmt.Errorf("cluster: %d words are not (bucket, string, position) triples", len(flat))
+	}
+	for i := 0; i < len(flat); i += 3 {
+		b, sid, pos := flat[i], flat[i+1], flat[i+2]
+		if int64(b) >= int64(len(owner)) {
+			return fmt.Errorf("cluster: bucket %d out of range for window %d", b, w)
+		}
+		if owner[b] != me {
+			return fmt.Errorf("cluster: bucket %d belongs to slave %d, not %d", b, owner[b], me)
+		}
+		if int64(sid) >= int64(set.NumStrings()) {
+			return fmt.Errorf("cluster: string %d of %d", sid, set.NumStrings())
+		}
+		if int64(pos)+int64(w) > int64(len(set.Str(seq.StringID(sid)))) {
+			return fmt.Errorf("cluster: string %d has no suffix of %d characters at %d", sid, w, pos)
+		}
+		if !table.Put(int(b), suffix.SuffixRef{SID: seq.StringID(sid), Pos: int32(pos)}) {
+			return fmt.Errorf("cluster: bucket %d overflows the size the global histogram announced", b)
+		}
+	}
+	return nil
 }
 
 func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
@@ -83,11 +114,11 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		return err
 	}
 	tStart := c.Elapsed()
-	owner, _, err := prologue(set, cfg, c)
+	owner, hist, err := prologue(set, cfg, c)
 	if err != nil {
 		return err
 	}
-	byBucket, err := exchangeSuffixes(set, cfg, c, owner)
+	table, err := exchangeSuffixes(set, cfg, c, owner, hist)
 	if err != nil {
 		return err
 	}
@@ -97,12 +128,9 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 	}
 
 	t1 := c.Elapsed()
-	var forest []*suffix.Tree
-	if len(byBucket) > 0 {
-		forest, err = suffix.BuildForest(set, byBucket, cfg.Window)
-		if err != nil {
-			return err
-		}
+	forest, err := suffix.BuildForest(set, table, cfg.Window)
+	if err != nil {
+		return err
 	}
 	tConstruct := c.Elapsed() - t1
 	if tw != nil {
@@ -371,22 +399,17 @@ func (g *genChain) Stale() int64 {
 // order exchangeSuffixes produces), so the rebuilt buckets and therefore the
 // regenerated pair stream are identical to what the dead slave held.
 func rebuildShard(set *seq.SetS, cfg Config, owner []int32, sh shard) (*pairgen.Generator, error) {
-	byBucket := make(map[int][]suffix.SuffixRef)
-	n := seq.StringID(set.NumStrings())
-	for id := seq.StringID(0); id < n; id++ {
-		suffix.BucketEach(set.Str(id), cfg.Window, func(b int, pos int32) {
-			if owner[b] == sh.part && int32(b)%sh.of == sh.idx {
-				byBucket[b] = append(byBucket[b], suffix.SuffixRef{SID: id, Pos: pos})
-			}
-		})
-	}
-	var forest []*suffix.Tree
-	if len(byBucket) > 0 {
-		var err error
-		forest, err = suffix.BuildForest(set, byBucket, cfg.Window)
-		if err != nil {
-			return nil, err
+	// The shard as an assignment of its own: worker 0 owns its buckets.
+	mine := make([]int32, len(owner))
+	for b, o := range owner {
+		if o != sh.part || int32(b)%sh.of != sh.idx {
+			mine[b] = -1
 		}
+	}
+	table := suffix.CollectOwned(set, cfg.Window, mine, 0, 0, seq.StringID(set.NumStrings()))
+	forest, err := suffix.BuildForest(set, table, cfg.Window)
+	if err != nil {
+		return nil, err
 	}
 	// Fresh-only mode must survive recovery: a rebuilt shard regenerates the
 	// dead slave's restricted pair stream, not the full one.

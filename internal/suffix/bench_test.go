@@ -1,0 +1,82 @@
+package suffix
+
+import (
+	"math/rand"
+	"testing"
+
+	"pace/internal/seq"
+)
+
+// benchInput is the microbenchmarks' input: n random ESTs of 400–700 bases
+// and the one-worker assignment of their buckets.
+func benchInput(b *testing.B, n, w int) (*seq.SetS, []int32) {
+	b.Helper()
+	set := randomSet(b, rand.New(rand.NewSource(1)), n, 400, 700)
+	return set, Assign(Histogram(set, w, 0, seq.StringID(set.NumStrings())), 1)
+}
+
+// BenchmarkCollectOwned times the partition alone: two scans of 200 ESTs into
+// the flat table.
+func BenchmarkCollectOwned(b *testing.B) {
+	const w = 8
+	set, owner := benchInput(b, 200, w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if t := CollectOwned(set, w, owner, 0, 0, seq.StringID(set.NumStrings())); t.err != nil {
+			b.Fatal(t.err)
+		}
+	}
+}
+
+// BenchmarkBuildForest times the build alone, over a table collected once:
+// 200 ESTs in 65 536 buckets of three or four suffixes.
+func BenchmarkBuildForest(b *testing.B) {
+	const w = 8
+	set, owner := benchInput(b, 200, w)
+	table := CollectOwned(set, w, owner, 0, 0, seq.StringID(set.NumStrings()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildForest(set, table, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildForestSparse is the seq_sparse shape at a fraction of its
+// size: unrelated ESTs in buckets of about 70 suffixes (there 5000 ESTs in
+// 4^8 buckets, here 300 in 4^6).
+func BenchmarkBuildForestSparse(b *testing.B) {
+	const w = 6
+	set, owner := benchInput(b, 300, w)
+	table := CollectOwned(set, w, owner, 0, 0, seq.StringID(set.NumStrings()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildForest(set, table, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCacheAbsorb is the ingest_paced shape: twelve batches of 20 ESTs
+// absorbed into one growing table, the touched buckets rebuilt after each.
+func BenchmarkCacheAbsorb(b *testing.B) {
+	const w, batches = 8, 12
+	set, _ := benchInput(b, 20*batches, w)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		table := NewBuckets(w)
+		for k := 0; k < batches; k++ {
+			touched, err := table.Absorb(set, seq.StringID(40*k), seq.StringID(40*(k+1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := BuildBuckets(set, table, touched); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -9,6 +9,19 @@
 // space-efficient depth-first-search array in which every node carries only
 // its string-depth, a pointer to the rightmost leaf of its subtree, and a
 // representative suffix (leaves: the suffix itself).
+//
+// Both steps are counting sorts over flat arrays. The partition (table.go)
+// is one Buckets table — every suffix in a single slice ordered by bucket,
+// then string id, then position, with an offset per bucket — filled by a
+// counting scan and a scattering scan; a session merges each batch into it,
+// a slave lays it out from the global histogram and fills it as messages
+// arrive. The build (tree.go) partitions a group in place by its next
+// character with a stable five-way scatter (terminator, A, C, G, T) through
+// one scratch buffer, the path-compression test riding on the same counting
+// pass, and appends nodes at the tail of fixed-size slabs shared by the whole
+// forest. Stability is what makes the result canonical: a bucket's range is
+// in (string id, position) order, every class keeps that order, so equal
+// tables give node-for-node equal trees whichever collector filled them.
 package suffix
 
 import (
@@ -24,8 +37,8 @@ import (
 const MaxWindow = 12
 
 // ErrEmptyBucket is returned (wrapped) by Build for a bucket with no
-// suffixes. Callers performing incremental rebuilds match it with errors.Is
-// and skip the bucket.
+// suffixes. BuildForest and BuildBuckets never return it: they skip empty
+// buckets, which a rollback can leave behind.
 var ErrEmptyBucket = errors.New("suffix: empty bucket")
 
 // SuffixRef identifies one suffix: string id and start position.
@@ -173,45 +186,4 @@ func Skew(loads []int64) float64 {
 	}
 	mean := float64(total) / float64(len(loads))
 	return float64(maxLoad) / mean
-}
-
-// CollectOwned scans the strings in [lo,hi) and gathers the suffixes whose
-// bucket is owned by worker me, grouped by bucket id. In the parallel engine
-// this grouping is what each rank sends to bucket owners; sequentially it is
-// called once per worker with the full string range.
-func CollectOwned(set *seq.SetS, w int, owner []int32, me int32, lo, hi seq.StringID) map[int][]SuffixRef {
-	out := make(map[int][]SuffixRef)
-	for id := lo; id < hi; id++ {
-		BucketEach(set.Str(id), w, func(b int, pos int32) {
-			if owner[b] == me {
-				out[b] = append(out[b], SuffixRef{SID: id, Pos: pos})
-			}
-		})
-	}
-	return out
-}
-
-// CollectOwnedFrom is CollectOwned restricted to suffixes of strings with
-// generation >= from — the incremental path that gathers only a new batch's
-// suffixes, to be merged into cached per-bucket lists whose older entries are
-// already in place.
-func CollectOwnedFrom(set *seq.SetS, w int, owner []int32, me int32, lo, hi seq.StringID, from seq.Gen) map[int][]SuffixRef {
-	if s := set.GenStartString(from); s > lo {
-		lo = s
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return CollectOwned(set, w, owner, me, lo, hi)
-}
-
-// SortedBucketIDs returns the map's bucket ids in ascending order, for
-// deterministic iteration.
-func SortedBucketIDs(m map[int][]SuffixRef) []int {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }

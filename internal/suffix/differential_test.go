@@ -1,0 +1,482 @@
+package suffix
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"pace/internal/seq"
+)
+
+// tableFromMap lays a hand-written bucket map out as a flat table.
+func tableFromMap(t testing.TB, w int, m map[int][]SuffixRef) *Buckets {
+	t.Helper()
+	nb := NumBuckets(w)
+	hist := make([]int64, nb)
+	for b, refs := range m {
+		hist[b] = int64(len(refs))
+	}
+	table, err := NewSizedBuckets(w, hist, make([]int32, nb), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b, refs := range m {
+		for _, r := range refs {
+			if !table.Put(b, r) {
+				t.Fatalf("bucket %d full", b)
+			}
+		}
+	}
+	if err := table.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return table
+}
+
+// Input shapes of the differential tests.
+const (
+	shapeRandom = iota
+	shapeDuplicates
+	shapeOneLetter
+	shapeShort
+	numShapes
+)
+
+// diffSet returns a three-generation set of n ESTs per generation in the
+// given shape: random reads, reads drawn from a few templates (so whole
+// suffixes repeat and terminator leaves abound), runs of a single letter, or
+// reads mostly shorter than any window the tests use.
+func diffSet(t testing.TB, seed int64, n, shape int) *seq.SetS {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	random := func(l int) seq.Sequence {
+		s := make(seq.Sequence, l)
+		for i := range s {
+			s[i] = seq.Code(rng.Intn(4))
+		}
+		return s
+	}
+	templates := []seq.Sequence{random(60), random(45), random(30)}
+	next := func() seq.Sequence {
+		switch shape {
+		case shapeDuplicates:
+			tpl := templates[rng.Intn(len(templates))]
+			lo := rng.Intn(len(tpl) / 2)
+			return tpl[lo : lo+len(tpl)/2+rng.Intn(len(tpl)/2-lo+1)].Clone()
+		case shapeOneLetter:
+			s := make(seq.Sequence, 1+rng.Intn(40))
+			c := seq.Code(rng.Intn(2)) // A or C, so reverse complements are T or G runs
+			for i := range s {
+				s[i] = c
+			}
+			return s
+		case shapeShort:
+			return random(1 + rng.Intn(10))
+		default:
+			return random(20 + rng.Intn(50))
+		}
+	}
+	batch := func() []seq.Sequence {
+		out := make([]seq.Sequence, n)
+		for i := range out {
+			out[i] = next()
+		}
+		return out
+	}
+	set, err := seq.NewSetS(batch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < 2; g++ {
+		if _, err := set.Append(batch()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return set
+}
+
+// requireSameForest fails unless the two forests hold the same buckets with
+// the same nodes, element for element, and every tree verifies.
+func requireSameForest(t testing.TB, set *seq.SetS, what string, got, want []*Tree) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d trees, reference has %d", what, len(got), len(want))
+	}
+	for i, g := range got {
+		r := want[i]
+		if g.Bucket != r.Bucket {
+			t.Fatalf("%s: tree %d is bucket %d, reference has %d", what, i, g.Bucket, r.Bucket)
+		}
+		if len(g.Nodes) != len(r.Nodes) {
+			t.Fatalf("%s: bucket %d has %d nodes, reference has %d", what, g.Bucket, len(g.Nodes), len(r.Nodes))
+		}
+		for k := range g.Nodes {
+			if g.Nodes[k] != r.Nodes[k] {
+				t.Fatalf("%s: bucket %d node %d = %+v, reference has %+v", what, g.Bucket, k, g.Nodes[k], r.Nodes[k])
+			}
+		}
+		if g.NumLeaves() != r.NumLeaves() {
+			t.Fatalf("%s: bucket %d counts %d leaves, reference %d", what, g.Bucket, g.NumLeaves(), r.NumLeaves())
+		}
+		if err := g.Verify(set); err != nil {
+			t.Fatalf("%s: bucket %d: %v", what, g.Bucket, err)
+		}
+	}
+}
+
+// refForest is the oracle's forest over strings [0,hi), restricted to the
+// buckets that owner gives to me.
+func refForest(t testing.TB, set *seq.SetS, w int, owner []int32, me int32, hi seq.StringID) []*Tree {
+	t.Helper()
+	forest, err := refBuildForest(set, refCollectOwned(set, w, owner, me, 0, hi), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return forest
+}
+
+// requireSameTable fails unless the two tables hold the same suffixes in the
+// same order under the same offsets.
+func requireSameTable(t testing.TB, what string, got, want *Buckets) {
+	t.Helper()
+	if len(got.off) != len(want.off) || len(got.refs) != len(want.refs) {
+		t.Fatalf("%s: table of %d suffixes in %d buckets, want %d in %d", what, len(got.refs), len(got.off)-1, len(want.refs), len(want.off)-1)
+	}
+	for b := range got.off {
+		if got.off[b] != want.off[b] {
+			t.Fatalf("%s: offset of bucket %d is %d, want %d", what, b, got.off[b], want.off[b])
+		}
+	}
+	for i := range got.refs {
+		if got.refs[i] != want.refs[i] {
+			t.Fatalf("%s: ref %d is %+v, want %+v", what, i, got.refs[i], want.refs[i])
+		}
+	}
+}
+
+// prefixSplits are the batch splits of the incremental-equivalence suite, as
+// fractions of the strings absorbed after each batch.
+func prefixSplits(n2 int) map[string][]seq.StringID {
+	even := func(x int) seq.StringID { return seq.StringID(x &^ 1) } // whole ESTs
+	return map[string][]seq.StringID{
+		"70-30":       {even(n2 * 7 / 10), even(n2)},
+		"50-25-25":    {even(n2 / 2), even(n2 * 3 / 4), even(n2)},
+		"tail-by-one": {even(n2 - 2), even(n2)},
+	}
+}
+
+// checkBuildMatchesReference runs every production path that builds a forest
+// over one input and requires each to match the oracle node for node.
+func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
+	t.Helper()
+	set := diffSet(t, seed, n, shape)
+	n2 := seq.StringID(set.NumStrings())
+	hist := Histogram(set, w, 0, n2)
+	all := Assign(hist, 1)
+
+	// One-shot: collect everything, build everything; and the fresh-only
+	// assignment a cache-less incremental run makes.
+	whole := CollectOwned(set, w, all, 0, 0, n2)
+	forest, err := BuildForest(set, whole, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameForest(t, set, "one-shot", forest, refForest(t, set, w, all, 0, n2))
+	touchedOnly := AssignFresh(hist, HistogramFrom(set, w, 2, 0, n2), 1)
+	forest, err = BuildForest(set, CollectOwned(set, w, touchedOnly, 0, 0, n2), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameForest(t, set, "fresh-assigned", forest, refForest(t, set, w, touchedOnly, 0, n2))
+
+	// Cache path: after every batch the touched buckets, built from the
+	// grown table, are what the oracle builds from scratch over the prefix;
+	// the fully grown table is the one-shot table.
+	for name, cuts := range prefixSplits(int(n2)) {
+		table := NewBuckets(w)
+		lo := seq.StringID(0)
+		for _, hi := range cuts {
+			touched, err := table.Absorb(set, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mask := make([]int32, len(hist))
+			for b := range mask {
+				mask[b] = -1
+			}
+			for _, b := range touched {
+				mask[b] = 0
+			}
+			forest, err := BuildBuckets(set, table, touched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameForest(t, set, "split "+name, forest, refForest(t, set, w, mask, 0, hi))
+			lo = hi
+		}
+		requireSameTable(t, "split "+name, table, whole)
+	}
+
+	// Slave path: every source scans its share and the owner places the
+	// suffixes as they arrive, in source order, into a table laid out from
+	// the global histogram.
+	for _, slaves := range []int{2, 3} {
+		owner := Assign(hist, slaves)
+		for me := int32(0); me < int32(slaves); me++ {
+			table, err := NewSizedBuckets(w, hist, owner, me)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < slaves; s++ {
+				lo, hi := seq.StringID(s*int(n2)/slaves), seq.StringID((s+1)*int(n2)/slaves)
+				for id := lo; id < hi; id++ {
+					BucketEach(set.Str(id), w, func(b int, pos int32) {
+						if owner[b] == me && !table.Put(b, SuffixRef{SID: id, Pos: pos}) {
+							t.Fatalf("bucket %d full before its last suffix", b)
+						}
+					})
+				}
+			}
+			if err := table.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			requireSameTable(t, "exchanged", table, CollectOwned(set, w, owner, me, 0, n2))
+			forest, err := BuildForest(set, table, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameForest(t, set, "exchanged", forest, refForest(t, set, w, owner, me, n2))
+		}
+	}
+}
+
+func TestBuildMatchesReference(t *testing.T) {
+	for shape := 0; shape < numShapes; shape++ {
+		for _, w := range []int{1, 4, 8} {
+			for seed := int64(1); seed <= 4; seed++ {
+				checkBuildMatchesReference(t, seed, 3+int(seed)*3, w, shape)
+			}
+		}
+	}
+}
+
+type buildSeed struct {
+	seed     int64
+	n, w, sh uint8
+}
+
+// FuzzBuildMatchesReference's pinned seeds run in plain `go test` too: the
+// testing package executes every f.Add entry as a subtest.
+func FuzzBuildMatchesReference(f *testing.F) {
+	for _, s := range []buildSeed{
+		{1, 4, 1, shapeRandom},
+		{2, 12, 4, shapeDuplicates},
+		{3, 9, 8, shapeOneLetter},
+		{4, 20, 3, shapeShort},
+		{5, 1, 2, shapeDuplicates},
+		{6, 30, 6, shapeRandom},
+		{7, 16, 12, shapeDuplicates},
+		{8, 7, 5, shapeOneLetter},
+	} {
+		f.Add(s.seed, s.n, s.w, s.sh)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, w, shape uint8) {
+		checkBuildMatchesReference(t, seed, 1+int(n%32), 1+int(w%8), int(shape%numShapes))
+	})
+}
+
+// lessSuffix orders suffixes lexicographically, a proper prefix first.
+func lessSuffix(a, b seq.Sequence) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
+}
+
+func lcp(a, b seq.Sequence) int32 {
+	n := int32(0)
+	for int(n) < len(a) && int(n) < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
+}
+
+// The reference-free statement of what a bucket tree is: its leaves, read in
+// preorder, are the bucket's suffixes in lexicographic order with equal
+// suffixes in (SID, Pos) order, and an internal node's depth is the longest
+// common prefix of the leaves it spans.
+func TestPreorderLeavesAreTheSortedSuffixes(t *testing.T) {
+	for shape := 0; shape < numShapes; shape++ {
+		for _, w := range []int{1, 4, 8} {
+			set := diffSet(t, int64(10+shape), 8, shape)
+			n2 := seq.StringID(set.NumStrings())
+			table := CollectOwned(set, w, Assign(Histogram(set, w, 0, n2), 1), 0, 0, n2)
+			forest, err := BuildForest(set, table, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tr := range forest {
+				want := append([]SuffixRef(nil), table.Refs(tr.Bucket)...)
+				sort.SliceStable(want, func(i, j int) bool {
+					return lessSuffix(set.Suffix(want[i].SID, want[i].Pos), set.Suffix(want[j].SID, want[j].Pos))
+				})
+				var got []SuffixRef
+				for i, n := range tr.Nodes {
+					if tr.IsLeaf(int32(i)) {
+						got = append(got, SuffixRef{SID: n.SID, Pos: n.Pos})
+						continue
+					}
+					// Leaves are sorted, so the span's LCP is that of its
+					// first and last leaf; the first leaf is the leftmost
+					// descendant, found by walking first children.
+					first := int32(i)
+					for !tr.IsLeaf(first) {
+						first = tr.FirstChild(first)
+					}
+					a, b := tr.Nodes[first], tr.Nodes[n.RML]
+					if d := lcp(set.Suffix(a.SID, a.Pos), set.Suffix(b.SID, b.Pos)); d != n.Depth {
+						t.Fatalf("shape %d w %d bucket %d node %d: depth %d, leaves share %d", shape, w, tr.Bucket, i, n.Depth, d)
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("shape %d w %d bucket %d: %d leaves for %d suffixes", shape, w, tr.Bucket, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("shape %d w %d bucket %d: leaf %d is %+v, sorted order has %+v", shape, w, tr.Bucket, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// Truncate is the inverse of Absorb at the table level too: whatever was
+// absorbed after a cut, truncating to the cut leaves the table a single scan
+// of the prefix produces — including a cut that empties buckets and cut 0.
+func TestTruncateIsInverseOfAbsorb(t *testing.T) {
+	set := diffSet(t, 21, 10, shapeDuplicates)
+	n2 := seq.StringID(set.NumStrings())
+	const w = 3
+	for _, cut := range []seq.StringID{0, 2, n2 / 2 &^ 1, n2 - 2, n2} {
+		table := NewBuckets(w)
+		lo := seq.StringID(0)
+		for _, hi := range []seq.StringID{cut, (cut + n2) / 2 &^ 1, n2} {
+			if _, err := table.Absorb(set, lo, hi); err != nil {
+				t.Fatal(err)
+			}
+			lo = hi
+		}
+		table.Truncate(cut)
+		want := NewBuckets(w)
+		if _, err := want.Absorb(set, 0, cut); err != nil {
+			t.Fatal(err)
+		}
+		requireSameTable(t, "truncated", table, want)
+	}
+}
+
+// The table's int32 offsets cap it at MaxInt32 suffixes. The limit is hit in
+// the layout pass, before anything is allocated for the suffixes, so a
+// synthetic histogram reaches it.
+func TestTableSizeLimit(t *testing.T) {
+	hist := []int64{1 << 30, 1 << 30, 1 << 30, 1 << 30}
+	owner := make([]int32, 4)
+	_, err := NewSizedBuckets(1, hist, owner, 0)
+	if err == nil || !strings.Contains(err.Error(), "bucket 1's 1073741824 suffixes behind 1073741824 others") {
+		t.Fatalf("2^32 suffixes: got %v, want an error naming the counts that cross the limit", err)
+	}
+	// Counts whose int64 sum would wrap negative are refused before they are
+	// summed, not laid out.
+	for _, huge := range [][]int64{{1 << 62, 1 << 62, 0, 0}, {1, math.MaxInt64, 0, 0}, {math.MaxInt32, 1, 0, 0}} {
+		if _, err := NewSizedBuckets(1, huge, owner, 0); err == nil || !strings.Contains(err.Error(), "exceed") {
+			t.Errorf("histogram %v: got %v, want the size-limit error", huge, err)
+		}
+	}
+	// Exactly MaxInt32 is still a table (laid out only: no refs allocated).
+	atLimit := []int64{math.MaxInt32 - 1, 0, 1, 0}
+	if off, err := offsets(4, func(b int) int64 { return atLimit[b] }); err != nil || off[4] != math.MaxInt32 {
+		t.Errorf("MaxInt32 suffixes: offsets %v, err %v", off, err)
+	}
+	// Buckets of other workers do not count against this worker's table.
+	owner = []int32{0, 1, 1, 1}
+	table, err := NewSizedBuckets(1, []int64{3, 1 << 40, 1 << 40, 1 << 40}, owner, 0)
+	if err != nil || table.Len() != 3 {
+		t.Fatalf("3 owned suffixes: table %v, err %v", table, err)
+	}
+	if _, err := NewSizedBuckets(1, []int64{1, -1, 0, 0}, make([]int32, 4), 0); err == nil {
+		t.Error("negative bucket size must fail")
+	}
+	if _, err := NewSizedBuckets(2, hist, owner, 0); err == nil {
+		t.Error("histogram of the wrong window must fail")
+	}
+}
+
+func TestSizedTableRejectsOverflowAndShortfall(t *testing.T) {
+	hist := []int64{2, 0, 1, 0}
+	table, err := NewSizedBuckets(1, hist, make([]int32, 4), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !table.Put(0, SuffixRef{SID: 0, Pos: 0}) || !table.Put(2, SuffixRef{SID: 0, Pos: 1}) {
+		t.Fatal("Put into a bucket with room failed")
+	}
+	if table.Put(2, SuffixRef{SID: 1, Pos: 1}) {
+		t.Error("Put beyond the announced size succeeded")
+	}
+	if table.Put(1, SuffixRef{SID: 1, Pos: 1}) {
+		t.Error("Put into a bucket announced empty succeeded")
+	}
+	if err := table.Seal(); err == nil || !strings.Contains(err.Error(), "bucket 0 received 1 of 2") {
+		t.Errorf("Seal of a short table: %v", err)
+	}
+	if !table.Put(0, SuffixRef{SID: 1, Pos: 0}) {
+		t.Fatal("Put of the last suffix failed")
+	}
+	if err := table.Seal(); err != nil {
+		t.Error(err)
+	}
+	if got := table.Refs(0); len(got) != 2 || got[1].SID != 1 || cap(got) != 2 {
+		t.Errorf("bucket 0 = %v (cap %d)", got, cap(got))
+	}
+}
+
+// Collecting and building cost a fixed number of allocations plus one per
+// node slab, whatever the number of ESTs, buckets and trees; and a tree's
+// Nodes cannot be appended into the next tree of its slab.
+func TestForestAllocationsIndependentOfSize(t *testing.T) {
+	const w = 6
+	for _, n := range []int{50, 500} {
+		set := randomSet(t, rand.New(rand.NewSource(int64(n))), n, 300, 500)
+		n2 := seq.StringID(set.NumStrings())
+		owner := Assign(Histogram(set, w, 0, n2), 1)
+		var forest []*Tree
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			forest, err = BuildForest(set, CollectOwned(set, w, owner, 0, 0, n2), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		nodes := Stats(forest).Nodes
+		if limit := float64(16 + nodes/slabNodes); allocs > limit {
+			t.Errorf("%d ESTs: %v allocations for %d trees and %d nodes, want at most %v", n, allocs, len(forest), nodes, limit)
+		}
+		for i, tr := range forest {
+			if cap(tr.Nodes) != len(tr.Nodes) {
+				t.Fatalf("%d ESTs: bucket %d has %d nodes in capacity %d", n, tr.Bucket, len(tr.Nodes), cap(tr.Nodes))
+			}
+			if i+1 < len(forest) {
+				next := forest[i+1].Nodes[0]
+				_ = append(tr.Nodes, Node{Depth: -1})
+				if forest[i+1].Nodes[0] != next {
+					t.Fatalf("%d ESTs: append to bucket %d overwrote bucket %d", n, tr.Bucket, forest[i+1].Bucket)
+				}
+			}
+		}
+	}
+}

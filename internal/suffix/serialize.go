@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"pace/internal/seq"
 )
@@ -18,6 +19,9 @@ import (
 const (
 	magic   = 0x47535431 // "GST1"
 	version = 1
+	// readChunk is how many nodes (or trees) a reader allocates before any
+	// has arrived, whatever the header claims.
+	readChunk = 1 << 16
 )
 
 // WriteTree serializes one tree.
@@ -58,28 +62,38 @@ func ReadTree(r io.Reader) (*Tree, error) {
 	if v := binary.LittleEndian.Uint32(hdr[4:]); v != version {
 		return nil, fmt.Errorf("suffix: unsupported version %d", v)
 	}
+	// RML is an int32, so no valid tree has more nodes than that; and the
+	// count is only a claim until the records arrive, so the node slice
+	// grows with what has been read instead of being sized from the header.
 	count := binary.LittleEndian.Uint64(hdr[12:])
-	if count == 0 || count > 1<<40 {
+	if count == 0 || count > math.MaxInt32 {
 		return nil, fmt.Errorf("suffix: implausible node count %d", count)
 	}
 	t := &Tree{
 		Bucket: int(binary.LittleEndian.Uint32(hdr[8:])),
-		Nodes:  make([]Node, count),
+		Nodes:  make([]Node, 0, min(count, readChunk)),
 	}
 	var rec [16]byte
-	for i := range t.Nodes {
+	for i := 0; i < int(count); i++ {
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
 			return nil, fmt.Errorf("suffix: reading node %d: %w", i, err)
 		}
-		t.Nodes[i] = Node{
+		n := Node{
 			Depth: int32(binary.LittleEndian.Uint32(rec[0:])),
 			RML:   int32(binary.LittleEndian.Uint32(rec[4:])),
 			SID:   seq.StringID(binary.LittleEndian.Uint32(rec[8:])),
 			Pos:   int32(binary.LittleEndian.Uint32(rec[12:])),
 		}
-		if t.Nodes[i].RML < int32(i) || t.Nodes[i].RML >= int32(count) {
-			return nil, fmt.Errorf("suffix: node %d has invalid RML %d", i, t.Nodes[i].RML)
+		if n.RML < int32(i) || n.RML >= int32(count) {
+			return nil, fmt.Errorf("suffix: node %d has invalid RML %d", i, n.RML)
 		}
+		if i == cap(t.Nodes) {
+			// Double, but never past the claim: the last step lands on it.
+			grown := make([]Node, i, min(int(count), 2*i))
+			copy(grown, t.Nodes)
+			t.Nodes = grown
+		}
+		t.Nodes = append(t.Nodes, n)
 	}
 	t.leaves = t.countLeaves() // cache once so NumLeaves stays O(1)
 	return t, nil
@@ -111,7 +125,7 @@ func ReadForest(rd io.Reader) ([]*Tree, error) {
 	if n > 1<<32 {
 		return nil, fmt.Errorf("suffix: implausible forest size %d", n)
 	}
-	forest := make([]*Tree, 0, n)
+	forest := make([]*Tree, 0, min(n, readChunk))
 	for i := uint64(0); i < n; i++ {
 		t, err := ReadTree(r)
 		if err != nil {

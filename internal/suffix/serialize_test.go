@@ -2,7 +2,11 @@ package suffix
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"pace/internal/seq"
@@ -103,6 +107,68 @@ func TestReadTreeRejectsCorruption(t *testing.T) {
 	bad[20+7] = 0x7F
 	if _, err := ReadTree(bytes.NewReader(bad)); err == nil {
 		t.Error("invalid RML accepted")
+	}
+
+	// A header is 20 bytes and may claim any node count. More nodes than an
+	// int32 RML can index is refused outright, and a claim that is merely
+	// huge costs no more memory than the records that actually follow.
+	claim := func(count uint64, records int) []byte {
+		out := append([]byte(nil), data[:20+16*records]...)
+		binary.LittleEndian.PutUint64(out[12:], count)
+		return out
+	}
+	for _, count := range []uint64{1 << 40, math.MaxInt32 + 1} {
+		if _, err := ReadTree(bytes.NewReader(claim(count, 0))); err == nil || !strings.Contains(err.Error(), "implausible node count") {
+			t.Errorf("header claiming %d nodes: %v", count, err)
+		}
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err := ReadTree(bytes.NewReader(claim(math.MaxInt32, 1)))
+	runtime.ReadMemStats(&m1)
+	if err == nil || !strings.Contains(err.Error(), "reading node 1") {
+		t.Errorf("stream of 1 node claiming %d: %v", math.MaxInt32, err)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 2*16*readChunk {
+		t.Errorf("reading 1 node of a truncated stream allocated %d bytes", got)
+	}
+	var cnt [8]byte
+	binary.LittleEndian.PutUint64(cnt[:], 1<<32)
+	runtime.ReadMemStats(&m0)
+	_, err = ReadForest(bytes.NewReader(cnt[:]))
+	runtime.ReadMemStats(&m1)
+	if err == nil || !strings.Contains(err.Error(), "tree 0") {
+		t.Errorf("forest of no trees claiming 2^32: %v", err)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 2*8*readChunk {
+		t.Errorf("reading an empty forest allocated %d bytes", got)
+	}
+}
+
+// A tree longer than the reader's first chunk arrives whole, in a slice
+// grown to exactly its length.
+func TestReadTreeGrowsPastTheFirstChunk(t *testing.T) {
+	n := 2*readChunk + 3
+	big := &Tree{Bucket: 5, Nodes: make([]Node, n)}
+	for i := range big.Nodes {
+		big.Nodes[i] = Node{Depth: int32(i % 7), RML: int32(n - 1), SID: seq.StringID(i), Pos: int32(i)}
+	}
+	big.Nodes[n-1].RML = int32(n - 1)
+	var buf bytes.Buffer
+	if err := WriteTree(&buf, big); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadTree(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Nodes) != n || cap(got.Nodes) != n {
+		t.Fatalf("read %d nodes in capacity %d, want %d", len(got.Nodes), cap(got.Nodes), n)
+	}
+	for i := range big.Nodes {
+		if got.Nodes[i] != big.Nodes[i] {
+			t.Fatalf("node %d differs", i)
+		}
 	}
 }
 

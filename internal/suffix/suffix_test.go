@@ -182,11 +182,11 @@ func TestCollectOwnedCoversEverySuffixExactlyOnce(t *testing.T) {
 	var total int
 	for me := int32(0); me < int32(p); me++ {
 		m := CollectOwned(set, w, owner, me, 0, seq.StringID(set.NumStrings()))
-		for b, refs := range m {
+		for _, b := range m.NonEmpty() {
 			if owner[b] != me {
 				t.Fatalf("bucket %d collected by non-owner %d", b, me)
 			}
-			for _, r := range refs {
+			for _, r := range m.Refs(int(b)) {
 				seen[r]++
 				total++
 			}
@@ -289,7 +289,7 @@ func TestTreeNavigation(t *testing.T) {
 	w := 2
 	m := CollectOwned(set, w, Assign(Histogram(set, w, 0, 4), 1), 0, 0, 4)
 	acBucket := 0<<2 | 1 // "AC"
-	refs := m[acBucket]
+	refs := m.Refs(acBucket)
 	if len(refs) != 2 {
 		t.Fatalf("AC bucket should hold 2 suffixes, got %v", refs)
 	}
@@ -351,8 +351,8 @@ func TestForestLeavesAreExactlyTheSuffixes(t *testing.T) {
 
 // Internal nodes must be branching: no child may carry the subtree's whole
 // leaf set (checked by Verify's >=2-children rule across random inputs). A
-// built tree also holds exactly its nodes — no spare capacity kept for its
-// lifetime, whatever the scratch it was built in had grown to.
+// built tree's Nodes are also capped at their length, so an append through
+// one tree cannot write into the next tree of the slab.
 func TestVerifyRandomForests(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 10; trial++ {
@@ -375,21 +375,6 @@ func TestNumBuckets(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildForest(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	set := randomSet(b, rng, 200, 400, 700)
-	w := 8
-	owner := Assign(Histogram(set, w, 0, seq.StringID(set.NumStrings())), 1)
-	m := CollectOwned(set, w, owner, 0, 0, seq.StringID(set.NumStrings()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildForest(set, m, w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestBuildEmptyBucketSentinel(t *testing.T) {
 	set := mustSet(t, "ACG")
 	_, err := Build(set, 7, nil, 2)
@@ -400,17 +385,24 @@ func TestBuildEmptyBucketSentinel(t *testing.T) {
 
 func TestBuildForestSkipsEmptyBuckets(t *testing.T) {
 	set := mustSet(t, "ACGT")
-	m := map[int][]SuffixRef{
-		0: nil, // legitimately emptied by an incremental rebuild
-		1: {{SID: 0, Pos: 0}},
-		9: {},
-	}
+	// Buckets 0 and 9 hold nothing, as a rollback can leave them.
+	m := tableFromMap(t, 2, map[int][]SuffixRef{1: {{SID: 0, Pos: 0}}})
 	forest, err := BuildForest(set, m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(forest) != 1 || forest[0].Bucket != 1 {
 		t.Fatalf("forest = %v, want exactly bucket 1", forest)
+	}
+	forest, err = BuildBuckets(set, m, []int32{0, 1, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(forest) != 1 || forest[0].Bucket != 1 {
+		t.Fatalf("listed forest = %v, want exactly bucket 1", forest)
+	}
+	if _, err := BuildForest(set, m, 3); err == nil {
+		t.Error("building a w=2 table with w=3 must fail")
 	}
 }
 
@@ -462,31 +454,5 @@ func TestAssignFreshSkipsUntouchedBuckets(t *testing.T) {
 	}
 	if owner[1] < 0 || owner[3] < 0 {
 		t.Errorf("touched buckets unassigned: %v", owner)
-	}
-}
-
-func TestCollectOwnedFromGathersOnlyFreshSuffixes(t *testing.T) {
-	set := mustSet(t, "ACGTACGT", "TTGGCCAA")
-	gen, err := set.Append([]seq.Sequence{mustSeq(t, "CAGTCAGT")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := 2
-	n2 := seq.StringID(set.NumStrings())
-	owner := Assign(Histogram(set, w, 0, n2), 1)
-	freshOnly := CollectOwnedFrom(set, w, owner, 0, 0, n2, gen)
-	firstFresh := set.GenStartString(gen)
-	total := 0
-	for b, refs := range freshOnly {
-		for _, r := range refs {
-			if r.SID < firstFresh {
-				t.Fatalf("bucket %d: collected stale suffix (%d,%d)", b, r.SID, r.Pos)
-			}
-			total++
-		}
-	}
-	// Two fresh strings (forward + rc) of length 8, w=2 → 7 suffixes each.
-	if total != 14 {
-		t.Errorf("collected %d fresh suffixes, want 14", total)
 	}
 }

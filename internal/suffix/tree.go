@@ -2,7 +2,6 @@ package suffix
 
 import (
 	"fmt"
-	"sync"
 
 	"pace/internal/seq"
 )
@@ -92,10 +91,39 @@ func (t *Tree) countLeaves() int {
 	return c
 }
 
-// builder constructs one bucket subtree.
+// slabNodes is the size of the node slabs a forest is written into: 64 Ki
+// nodes, 1 MiB. A tree that needs more gets a slab of its own size.
+const slabNodes = 1 << 16
+
+// builder constructs bucket subtrees straight into node slabs. One builder
+// serves a whole forest, so its scratch buffers and slabs are allocated a
+// handful of times whatever the number of trees.
 type builder struct {
-	set   *seq.SetS
-	nodes []Node
+	set *seq.SetS
+	w   int32
+	// slab is the current slab; the tree under construction is its tail from
+	// base on, and node indices are relative to base.
+	slab []Node
+	base int
+	// pending counts the suffixes of the trees still to be built, which
+	// bounds the nodes the next slab can be asked to hold.
+	pending int
+	// work holds the bucket being built, partitioned in place level by
+	// level; tmp is the source copy of the group a scatter is moving, and
+	// cls the class (0 terminator, 1+c character c) of each of its suffixes.
+	work, tmp []SuffixRef
+	cls       []uint8
+}
+
+// newBuilder returns a builder for trees totalling pending suffixes, none
+// larger than largest.
+func newBuilder(set *seq.SetS, w, pending, largest int) *builder {
+	return &builder{
+		set: set, w: int32(w), pending: pending,
+		work: make([]SuffixRef, largest),
+		tmp:  make([]SuffixRef, largest),
+		cls:  make([]uint8, largest),
+	}
 }
 
 // suffixLen returns the length of the suffix ref.
@@ -103,118 +131,157 @@ func (b *builder) suffixLen(r SuffixRef) int32 {
 	return int32(len(b.set.Str(r.SID))) - r.Pos
 }
 
-// charAt returns the suffix's character at string-depth d; the caller
-// guarantees d < suffixLen.
-func (b *builder) charAt(r SuffixRef, d int32) seq.Code {
-	return b.set.Str(r.SID)[r.Pos+d]
+// tree builds one bucket's subtree at the tail of the current slab and
+// returns its nodes, capped at their length so that no append through one
+// tree can reach its neighbour. suffixes is left unmodified.
+func (b *builder) tree(suffixes []SuffixRef) ([]Node, error) {
+	n := len(suffixes)
+	work := b.work[:n]
+	for i, r := range suffixes {
+		if b.suffixLen(r) < b.w {
+			return nil, fmt.Errorf("suffix: suffix (%d,%d) shorter than window %d", r.SID, r.Pos, b.w)
+		}
+		work[i] = r
+	}
+	// n leaves and at most n-1 branching internal nodes.
+	if need := 2*n - 1; cap(b.slab)-len(b.slab) < need {
+		b.slab = make([]Node, 0, max(need, min(slabNodes, 2*b.pending)))
+	}
+	b.base = len(b.slab)
+	b.build(work, b.w)
+	b.pending -= n
+	return b.slab[b.base:len(b.slab):len(b.slab)], nil
 }
 
 // Build constructs the subtree for a bucket's suffixes, which all share
 // their first w characters. Construction is the paper's simple
 // character-at-a-time recursive bucketing: O(sum of suffix lengths) for the
 // bucket, i.e. O(N·l/p) per worker overall — efficient in practice because
-// the average EST length l is independent of n.
+// the average EST length l is independent of n. suffixes is not modified.
 // Building an empty bucket returns ErrEmptyBucket (wrapped with the bucket
-// id); incremental rebuilds legitimately produce such buckets when every
-// cached suffix of a bucket belongs to strings that no longer map to it, and
-// callers are expected to skip them explicitly rather than fail.
+// id). The engines build whole forests with BuildBuckets; a lone Build pays
+// the builder's scratch for one tree and keeps a slab sized for the 2n-1
+// worst case behind the tree's length-capped Nodes.
 func Build(set *seq.SetS, bucket int, suffixes []SuffixRef, w int) (*Tree, error) {
 	if len(suffixes) == 0 {
 		return nil, fmt.Errorf("suffix: bucket %d: %w", bucket, ErrEmptyBucket)
 	}
-	b := &builder{set: set}
-	for _, r := range suffixes {
-		if b.suffixLen(r) < int32(w) {
-			return nil, fmt.Errorf("suffix: suffix (%d,%d) shorter than window %d", r.SID, r.Pos, w)
-		}
+	nodes, err := newBuilder(set, w, len(suffixes), len(suffixes)).tree(suffixes)
+	if err != nil {
+		return nil, err
 	}
-	scratch := nodeScratch.Get().(*[]Node)
-	b.nodes = (*scratch)[:0]
-	b.build(suffixes, int32(w))
-	nodes := make([]Node, len(b.nodes))
-	copy(nodes, b.nodes)
-	*scratch = b.nodes
-	nodeScratch.Put(scratch)
 	return &Tree{Bucket: bucket, Nodes: nodes, leaves: len(suffixes)}, nil
 }
 
-// nodeScratch recycles the buffers Build grows a tree in. A tree of n
-// suffixes has up to 2n−1 nodes, how many is known only once it is built;
-// building in scratch and copying out at the exact length keeps a tree from
-// holding the unused rest of a worst-case allocation for its whole lifetime.
-var nodeScratch = sync.Pool{New: func() any { return new([]Node) }}
-
-// emitLeaf appends a leaf for suffix r (depth = full suffix length).
-func (b *builder) emitLeaf(r SuffixRef) {
-	i := int32(len(b.nodes))
-	b.nodes = append(b.nodes, Node{Depth: b.suffixLen(r), RML: i, SID: r.SID, Pos: r.Pos})
+// emitLeaf appends a leaf for suffix r, whose length is depth.
+func (b *builder) emitLeaf(r SuffixRef, depth int32) {
+	i := int32(len(b.slab) - b.base)
+	b.slab = append(b.slab, Node{Depth: depth, RML: i, SID: r.SID, Pos: r.Pos})
 }
 
 // build adds the subtree for a group of suffixes sharing their first `depth`
-// characters. Conceptually every suffix ends with a unique terminator, so
-// identical suffixes from different strings split at an internal node whose
-// leaf children they become.
+// characters, reordering group in place. Conceptually every suffix ends with
+// a unique terminator, so identical suffixes from different strings split at
+// an internal node whose leaf children they become.
+//
+// One pass over the group reads each suffix's next character into cls and
+// counts the five classes. While every suffix continues with the same
+// character the pass repeats one character deeper (path compression);
+// otherwise the counts are the offsets of a stable scatter that leaves the
+// group ordered terminators, A, C, G, T with the (SID, Pos) order kept inside
+// each class — the order per-class appends would have produced.
 func (b *builder) build(group []SuffixRef, depth int32) {
 	if len(group) == 1 {
-		b.emitLeaf(group[0])
+		b.emitLeaf(group[0], b.suffixLen(group[0]))
 		return
 	}
-	// Path compression: extend the shared prefix while no suffix ends and
-	// all continue with the same character.
+	cls := b.cls[:len(group)]
+	var cnt [1 + seq.AlphabetSize]int32
 	for {
-		if b.suffixLen(group[0]) == depth {
-			break
-		}
-		c := b.charAt(group[0], depth)
-		same := true
-		for _, r := range group[1:] {
-			if b.suffixLen(r) == depth || b.charAt(r, depth) != c {
-				same = false
-				break
+		cnt = [1 + seq.AlphabetSize]int32{}
+		for i, r := range group {
+			s := b.set.Str(r.SID)
+			var c uint8
+			if at := int(r.Pos + depth); at < len(s) {
+				c = 1 + uint8(s[at])
 			}
+			cls[i] = c
+			cnt[c]++
 		}
-		if !same {
+		if c := cls[0]; c == 0 || int(cnt[c]) < len(group) {
 			break
 		}
 		depth++
 	}
-	// Internal node at this depth; partition the group into suffixes that
-	// end here (terminator children) and per-character subgroups.
-	self := int32(len(b.nodes))
-	b.nodes = append(b.nodes, Node{Depth: depth, SID: group[0].SID, Pos: group[0].Pos})
+	self := len(b.slab)
+	b.slab = append(b.slab, Node{Depth: depth, SID: group[0].SID, Pos: group[0].Pos})
 
-	var classes [seq.AlphabetSize][]SuffixRef
-	for _, r := range group {
-		if b.suffixLen(r) == depth {
-			b.emitLeaf(r) // terminator edge: leaf at the same string-depth
-			continue
-		}
-		c := b.charAt(r, depth)
-		classes[c] = append(classes[c], r)
+	tmp := b.tmp[:len(group)]
+	copy(tmp, group)
+	var at [1 + seq.AlphabetSize]int32
+	for c := 1; c < len(at); c++ {
+		at[c] = at[c-1] + cnt[c-1]
 	}
-	for c := 0; c < seq.AlphabetSize; c++ {
-		if len(classes[c]) > 0 {
-			b.build(classes[c], depth+1)
+	for i, r := range tmp {
+		c := cls[i]
+		group[at[c]] = r
+		at[c]++
+	}
+	// cls and tmp are free again: the recursion below reuses them.
+	for _, r := range group[:cnt[0]] {
+		b.emitLeaf(r, depth) // terminator edge: leaf at the same string-depth
+	}
+	lo := cnt[0]
+	for _, n := range cnt[1:] {
+		if n > 0 {
+			b.build(group[lo:lo+n], depth+1)
+			lo += n
 		}
 	}
-	b.nodes[self].RML = int32(len(b.nodes)) - 1
+	b.slab[self].RML = int32(len(b.slab)-b.base) - 1
 }
 
-// BuildForest builds the subtree of every bucket in the map, in ascending
-// bucket order. Buckets whose suffix list is empty are skipped: incremental
-// rebuilds can leave such entries behind, and they carry no subtree.
-func BuildForest(set *seq.SetS, byBucket map[int][]SuffixRef, w int) ([]*Tree, error) {
-	ids := SortedBucketIDs(byBucket)
-	forest := make([]*Tree, 0, len(ids))
+// BuildForest builds the subtree of every non-empty bucket of the table, in
+// ascending bucket order.
+func BuildForest(set *seq.SetS, t *Buckets, w int) ([]*Tree, error) {
+	if t.err != nil {
+		return nil, t.err
+	}
+	if t.w != w {
+		return nil, fmt.Errorf("suffix: table collected with window %d, build asked for %d", t.w, w)
+	}
+	return BuildBuckets(set, t, t.NonEmpty())
+}
+
+// BuildBuckets builds the subtrees of the listed buckets of the table, in the
+// order given, skipping the empty ones. The table is only read. Trees are
+// written back to back into shared node slabs and their headers are cut from
+// one array, so a forest costs a few allocations per slab, not per tree — and
+// a tree keeps its whole slab reachable for as long as it is.
+func BuildBuckets(set *seq.SetS, t *Buckets, ids []int32) ([]*Tree, error) {
+	trees, pending, largest := 0, 0, 0
 	for _, id := range ids {
-		if len(byBucket[id]) == 0 {
+		if n := len(t.Refs(int(id))); n > 0 {
+			trees++
+			pending += n
+			largest = max(largest, n)
+		}
+	}
+	forest := make([]*Tree, 0, trees)
+	headers := make([]Tree, trees)
+	b := newBuilder(set, t.w, pending, largest)
+	for _, id := range ids {
+		refs := t.Refs(int(id))
+		if len(refs) == 0 {
 			continue
 		}
-		t, err := Build(set, id, byBucket[id], w)
+		nodes, err := b.tree(refs)
 		if err != nil {
 			return nil, err
 		}
-		forest = append(forest, t)
+		h := &headers[len(forest)]
+		*h = Tree{Bucket: int(id), Nodes: nodes, leaves: len(refs)}
+		forest = append(forest, h)
 	}
 	return forest, nil
 }

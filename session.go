@@ -25,8 +25,8 @@ const (
 //
 // Each Add appends a batch as a new generation of the sequence set and
 // re-clusters only what the batch can affect: GST buckets no new suffix
-// falls into are skipped (sequentially their cached subtrees are reused
-// verbatim), and inside rebuilt buckets pairs whose strings both predate
+// falls into are skipped (they cannot hold a fresh pair, so their subtrees
+// are not built), and inside rebuilt buckets pairs whose strings both predate
 // the batch are suppressed — their maximal common substring is a property
 // of the two strings alone, so they were generated and judged when the
 // younger string arrived, and that verdict is carried forward by seeding
