@@ -1,7 +1,9 @@
 package align
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pace/internal/seq"
@@ -36,6 +38,18 @@ func TestExtendAnchorRangeChecks(t *testing.T) {
 	}
 	if _, err := e.Extend(a, a, 7, 7, 2); err == nil {
 		t.Error("anchor past end must fail")
+	}
+	// Sums that overflow int32 must be rejected, not wrap past the check.
+	for _, c := range [][3]int32{
+		{1, 1, math.MaxInt32},
+		{1, math.MaxInt32, 1},
+		{math.MaxInt32, 1, 1},
+		{math.MaxInt32, math.MaxInt32, math.MaxInt32},
+	} {
+		_, err := e.Extend(a, a, c[0], c[1], c[2])
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("Extend(%d,%d,+%d): err = %v, want an out-of-range error", c[0], c[1], c[2], err)
+		}
 	}
 }
 
@@ -279,41 +293,63 @@ func TestAcceptCriteria(t *testing.T) {
 }
 
 func BenchmarkExtend600(b *testing.B) {
-	e := newExt(b, 15)
-	rng := rand.New(rand.NewSource(1))
-	ov := randSeq(rng, 300)
-	x := append(randSeq(rng, 300), ov...)
-	y := append(ov.Clone(), randSeq(rng, 300)...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Extend(x, y, 450, 150, 20); err != nil {
-			b.Fatal(err)
+	benchExtendShape(b, shape600, newExt(b, shape600.band).Extend)
+}
+
+// checkExtendNeverBeatsOverlap plants anchor into ra at cutA and into rb at
+// cutB and requires the anchored extension, at any band, to score no higher
+// than the unbanded overlap optimum: it is a restriction of overlap alignment.
+func checkExtendNeverBeatsOverlap(t *testing.T, ra, rb, anchor []byte, cutA, cutB uint16, band uint8) {
+	t.Helper()
+	const maxLen = 300 // Overlap is quadratic
+	plant := func(raw []byte, cut uint16) (seq.Sequence, int32) {
+		if len(raw) > maxLen {
+			raw = raw[:maxLen]
 		}
+		at := int(cut) % (len(raw) + 1)
+		s := make(seq.Sequence, 0, len(raw)+len(anchor))
+		for _, c := range append(append(append([]byte(nil), raw[:at]...), anchor...), raw[at:]...) {
+			s = append(s, seq.Code(c&3))
+		}
+		return s, int32(at)
+	}
+	if len(anchor) > maxLen {
+		anchor = anchor[:maxLen]
+	}
+	a, pa := plant(ra, cutA)
+	b, pb := plant(rb, cutB)
+	sc := DefaultScoring()
+	res, err := newExt(t, 1+int(band)%16).Extend(a, b, pa, pb, int32(len(anchor)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref := Overlap(a, b, sc); res.Score > ref.Score {
+		t.Fatalf("banded %d beats unbanded optimum %d (band %d, anchor (%d,%d,+%d))\na=%v\nb=%v",
+			res.Score, ref.Score, 1+int(band)%16, pa, pb, len(anchor), a, b)
 	}
 }
 
-// Property: the banded anchored extension is a restriction of overlap
-// alignment, so its score can never exceed the unbanded overlap optimum.
-func TestExtendNeverBeatsOverlap(t *testing.T) {
-	sc := DefaultScoring()
-	e := newExt(t, 8)
+// FuzzExtendNeverBeatsOverlap explores the property from pinned seeds, which
+// plain `go test` runs: random flanks around a shared anchor as the former
+// seeded-loop test drew them, plus the degenerate shapes.
+func FuzzExtendNeverBeatsOverlap(f *testing.F) {
 	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 60; trial++ {
-		anchor := randSeq(rng, 8+rng.Intn(20))
-		aLeft, bLeft := rng.Intn(60), rng.Intn(60)
-		a := append(append(randSeq(rng, aLeft), anchor...), randSeq(rng, rng.Intn(60))...)
-		b := append(append(randSeq(rng, bLeft), anchor...), randSeq(rng, rng.Intn(60))...)
-		pa, pb := int32(aLeft), int32(bLeft)
-		res, err := e.Extend(a, b, pa, pb, int32(len(anchor)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := Overlap(a, b, sc)
-		if res.Score > ref.Score {
-			t.Fatalf("trial %d: banded %d beats unbanded optimum %d", trial, res.Score, ref.Score)
-		}
+	raw := func(n int) []byte {
+		out := make([]byte, n)
+		rng.Read(out)
+		return out
 	}
+	for trial := 0; trial < 12; trial++ {
+		f.Add(raw(rng.Intn(120)), raw(rng.Intn(120)), raw(8+rng.Intn(20)),
+			uint16(rng.Intn(120)), uint16(rng.Intn(120)), uint8(rng.Intn(16)))
+	}
+	shared := raw(90)
+	f.Add(shared, shared, []byte{}, uint16(40), uint16(40), uint8(7))                            // identical, empty anchor
+	f.Add([]byte{}, []byte{}, raw(30), uint16(0), uint16(0), uint8(0))                           // the anchor is everything
+	f.Add(raw(60), []byte{}, raw(10), uint16(60), uint16(0), uint8(3))                           // b is the anchor alone
+	f.Add(make([]byte, 80), make([]byte, 70), make([]byte, 9), uint16(30), uint16(50), uint8(2)) // homopolymer
+	f.Add(shared[:70], shared[20:], []byte{}, uint16(45), uint16(25), uint8(11))                 // suffix-prefix overlap
+	f.Fuzz(checkExtendNeverBeatsOverlap)
 }
 
 // Property: extension results are symmetric under swapping the sequences

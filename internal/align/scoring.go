@@ -6,6 +6,16 @@
 // both ends with banded dynamic programming, and the result is accepted as
 // cluster-merge evidence only when it realizes one of the four
 // overlap/containment patterns with sufficient quality.
+//
+// All aligners score with affine gaps over three layers (M, X, Y). The
+// reference aligners and the tracebacks work on rows of cell structs; the
+// extension kernel (Extender.bandAlign) is the same recurrence on flat rows:
+// per band slot three int32 scores and three path words (cols<<32 | matches),
+// two rows cut from two allocations, each row's live slot range computed once
+// with a dead sentinel after it so the inner loop tests no edge, and rows
+// stopping where the band leaves the shorter string. Its contract is equality
+// with the cell kernel it replaced (refBandAlign in the tests), tie-breaks
+// included, so a Result never depends on which of the two computed it.
 package align
 
 import "fmt"
@@ -145,10 +155,3 @@ func DefaultCriteria() Criteria {
 }
 
 const negInf = int32(-1 << 29)
-
-func max2(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}

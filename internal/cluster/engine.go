@@ -34,10 +34,16 @@ func Run(ests []seq.Sequence, cfg Config) (*Result, error) {
 }
 
 // alignPairs runs the anchored banded extension on each pair and returns the
-// per-pair verdicts.
+// per-pair verdicts. A slave's pairs come off the wire, where decodeWork
+// cannot know the set: string ids are checked here, positions and match
+// length by Extend.
 func alignPairs(set *seq.SetS, ext *align.Extender, cfg Config, pairs []pairgen.Pair) ([]alignResult, error) {
 	out := make([]alignResult, 0, len(pairs))
+	ns := seq.StringID(set.NumStrings())
 	for _, p := range pairs {
+		if p.S1 < 0 || p.S1 >= ns || p.S2 < 0 || p.S2 >= ns {
+			return nil, fmt.Errorf("cluster: aligning pair %+v: string id out of range for %d strings", p, ns)
+		}
 		res, err := ext.Extend(set.Str(p.S1), set.Str(p.S2), p.Pos1, p.Pos2, p.MatchLen)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: aligning pair %+v: %w", p, err)

@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"pace/internal/align"
 	"pace/internal/mp"
+	"pace/internal/pairgen"
 	"pace/internal/seq"
 	"pace/internal/suffix"
 )
@@ -178,5 +182,54 @@ func TestScatterSuffixesValidatesTheWire(t *testing.T) {
 	}
 	if err := table.Seal(); err == nil {
 		t.Error("sealing a table short of the histogram succeeded")
+	}
+}
+
+// TestAlignPairsValidatesTheWire hands alignPairs the pairs a damaged work
+// message decodes to: each must come back as a cluster error naming the pair,
+// never as an index panic inside the rank's goroutine.
+func TestAlignPairsValidatesTheWire(t *testing.T) {
+	ests := make([]seq.Sequence, 2)
+	for i, s := range []string{"ACGTACGTAC", "GTACGTACGG"} {
+		var err error
+		if ests[i], err = seq.Parse(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set, err := seq.NewSetS(ests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(1)
+	ext, err := align.NewExtender(cfg.Scoring, cfg.Band)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2 := seq.StringID(set.NumStrings())
+	good := pairgen.Pair{S1: 0, S2: 2, Pos1: 2, Pos2: 0, MatchLen: 8}
+
+	cases := []struct {
+		name string
+		pair pairgen.Pair
+		want string // substring of the error; "" = accepted
+	}{
+		{"a genuine pair", good, ""},
+		{"S2 one past the set", pairgen.Pair{S1: 0, S2: n2, MatchLen: 2}, "string id out of range"},
+		{"S1 one past the set", pairgen.Pair{S1: n2, S2: 0, MatchLen: 2}, "string id out of range"},
+		{"S1 from a word above 2^31", pairgen.Pair{S1: -1, S2: 0, MatchLen: 2}, "string id out of range"},
+		{"S2 from a word above 2^31", pairgen.Pair{S1: 0, S2: math.MinInt32, MatchLen: 2}, "string id out of range"},
+		{"MatchLen 2^31-1", pairgen.Pair{S1: 0, S2: 2, Pos1: 2, Pos2: 1, MatchLen: math.MaxInt32}, "out of range"},
+		{"negative Pos1", pairgen.Pair{S1: 0, S2: 2, Pos1: -3, Pos2: 0, MatchLen: 4}, "out of range"},
+		{"Pos2 2^31-1", pairgen.Pair{S1: 0, S2: 2, Pos1: 0, Pos2: math.MaxInt32, MatchLen: 4}, "out of range"},
+	}
+	for _, tc := range cases {
+		out, err := alignPairs(set, ext, cfg, []pairgen.Pair{good, tc.pair})
+		switch {
+		case tc.want == "" && (err != nil || len(out) != 2):
+			t.Errorf("%s: %d verdicts, err %v", tc.name, len(out), err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want) ||
+			!strings.HasPrefix(err.Error(), "cluster: ") || !strings.Contains(err.Error(), fmt.Sprintf("%+v", tc.pair))):
+			t.Errorf("%s: got %v, want a cluster error naming the pair and containing %q", tc.name, err, tc.want)
+		}
 	}
 }
