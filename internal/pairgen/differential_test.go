@@ -1,10 +1,13 @@
 package pairgen
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pace/internal/seq"
+	"pace/internal/simulate"
 	"pace/internal/suffix"
 )
 
@@ -13,18 +16,32 @@ import (
 // one that drains most inputs in a single call.
 var diffBatches = []int{1, 7, 60, 1000}
 
+// The input shapes of the differential tests.
+const (
+	shapeRandom = iota // random ESTs with planted overlaps
+	shapeDup           // windows, copies and reverse complements of two short bases
+	shapePolyA         // random heads with homopolymer tails, some strings all A
+	shapeDeep          // simulated reads at 20x coverage of one or two genes
+	numShapes
+)
+
 // diffInput derives a deterministic multi-generation EST input from a seed.
-// dup makes it duplicate-heavy: most ESTs are windows of (or exact copies
-// of, or reverse complements of) two short bases, one of them a tandem
+// shapeDup makes it duplicate-heavy: most ESTs are windows of (or exact
+// copies of, or reverse complements of) two short bases, one of them a tandem
 // repeat, so single nodes see the same string under several children and
-// the dedup path carries real weight.
-func diffInput(seed int64, n int, dup bool) [][]seq.Sequence {
+// the dedup path carries real weight. shapePolyA gives most ESTs a run of A
+// longer than any ψ the tests use and makes some nothing else, so deep nodes
+// hold long ranges of one string's suffixes, most of them dead. shapeDeep
+// samples error-perturbed reads from a gene or two, so most deep nodes hold
+// a single left character and are never scheduled.
+func diffInput(seed int64, n int, shape uint8) [][]seq.Sequence {
 	rng := rand.New(rand.NewSource(seed))
 	if n < 3 {
 		n = 3
 	}
 	ests := randomESTs(rng, n, 24, 80)
-	if dup {
+	switch shape % numShapes {
+	case shapeDup:
 		bases := randomESTs(rng, 2, 90, 90)
 		for i := range bases[1] {
 			bases[1][i] = bases[1][i%5] // tandem repeat, period 5
@@ -44,7 +61,28 @@ func diffInput(seed int64, n int, dup bool) [][]seq.Sequence {
 				ests[i] = b[lo : lo+30+rng.Intn(20)].Clone()
 			}
 		}
-	} else {
+	case shapePolyA:
+		for i := range ests {
+			tail := make(seq.Sequence, 20+rng.Intn(30)) // all seq.A
+			switch rng.Intn(4) {
+			case 0: // nothing but the tail
+				ests[i] = tail
+			case 1: // no tail
+			default:
+				ests[i] = append(ests[i][:8+rng.Intn(16)], tail...)
+			}
+		}
+	case shapeDeep:
+		cfg := simulate.DefaultConfig(n)
+		cfg.MeanESTLen, cfg.SDESTLen, cfg.MinESTLen = 60, 10, 30
+		cfg.ExonLen, cfg.IntronLen, cfg.ExonsPerGene = [2]int{20, 40}, [2]int{10, 20}, [2]int{3, 4}
+		cfg.Seed = seed
+		bm, err := simulate.Generate(cfg)
+		if err != nil {
+			panic(err) // the configuration above is fixed and valid
+		}
+		ests = bm.ESTs
+	default:
 		for i := 1; i < n; i += 2 { // plant overlaps so pairs exist
 			cut := 8 + rng.Intn(12)
 			ests[i] = append(ests[i-1][cut:].Clone(), ests[i][:cut]...)
@@ -113,11 +151,11 @@ func requireSameAsReference(t testing.TB, set *seq.SetS, forest []*suffix.Tree, 
 // checkMatchesReference is the differential property: over every generation
 // of the input, New on the full forest and NewFresh on the generation's
 // rebuilt buckets agree with the oracle.
-func checkMatchesReference(t testing.TB, seed int64, n, w, extraPsi uint8, dup bool) {
+func checkMatchesReference(t testing.TB, seed int64, n, w, extraPsi, shape uint8) {
 	t.Helper()
 	window := 3 + int(w%4)
 	psi := window + int(extraPsi%12)
-	batches := diffInput(seed, int(n%40), dup)
+	batches := diffInput(seed, int(n%40), shape)
 	set, err := seq.NewSetS(batches[0])
 	if err != nil {
 		t.Fatal(err)
@@ -135,8 +173,8 @@ func checkMatchesReference(t testing.TB, seed int64, n, w, extraPsi uint8, dup b
 	}
 }
 
-// TestMatchesReference sweeps random and duplicate-heavy inputs through the
-// differential property: the arena generator must reproduce the linked-list
+// TestMatchesReference sweeps every input shape through the differential
+// property: the leaf-range generator must reproduce the linked-list
 // generator's pair sequence and counters exactly, full and fresh mode.
 func TestMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2002))
@@ -145,27 +183,29 @@ func TestMatchesReference(t *testing.T) {
 		trials = 8
 	}
 	for i := 0; i < trials; i++ {
-		checkMatchesReference(t, rng.Int63(), uint8(6+rng.Intn(30)), uint8(rng.Intn(4)), uint8(rng.Intn(12)), i%2 == 1)
+		checkMatchesReference(t, rng.Int63(), uint8(6+rng.Intn(30)), uint8(rng.Intn(4)), uint8(rng.Intn(12)), uint8(i%numShapes))
 	}
 }
 
 type diffSeed struct {
 	seed           int64
 	n, w, extraPsi uint8
-	dup            bool
+	shape          uint8
 }
 
 // diffSeeds is the pinned corpus of FuzzGeneratorMatchesReference.
 func diffSeeds() []diffSeed {
 	return []diffSeed{
-		{1, 3, 0, 0, false},       // smallest input: one EST per generation
-		{2, 12, 1, 0, true},       // psi == w: every bucket root is deep
-		{3, 12, 1, 11, true},      // psi far above w: shallow internal nodes above deep ones
-		{4, 39, 0, 2, true},       // w = 3: few, large trees, heavy dedup
-		{5, 39, 3, 4, false},      // w = 6: many small trees
-		{6, 20, 2, 6, false},      // planted overlaps across generation boundaries
-		{7, 30, 1, 1, true},       // tandem repeats: one string under many children
-		{-8, 255, 255, 255, true}, // parameter wrap-around
+		{1, 3, 0, 0, shapeRandom},  // smallest input: one EST per generation
+		{2, 12, 1, 0, shapeDup},    // psi == w: every bucket root is deep
+		{3, 12, 1, 11, shapeDup},   // psi far above w: shallow internal nodes above deep ones
+		{4, 39, 0, 2, shapeDup},    // w = 3: few, large trees, heavy dedup
+		{5, 39, 3, 4, shapeRandom}, // w = 6: many small trees
+		{6, 20, 2, 6, shapeRandom}, // planted overlaps across generation boundaries
+		{7, 30, 1, 1, shapeDup},    // tandem repeats: one string under many children
+		{-8, 255, 255, 255, 253},   // parameter wrap-around (253 is shapeDup)
+		{9, 30, 0, 11, shapePolyA}, // homopolymer tails longer than psi: long ranges of dead entries
+		{10, 39, 1, 9, shapeDeep},  // 20x coverage: most deep nodes hold one left character
 	}
 }
 
@@ -174,10 +214,10 @@ func diffSeeds() []diffSeed {
 // ./internal/pairgen`.
 func FuzzGeneratorMatchesReference(f *testing.F) {
 	for _, s := range diffSeeds() {
-		f.Add(s.seed, s.n, s.w, s.extraPsi, s.dup)
+		f.Add(s.seed, s.n, s.w, s.extraPsi, s.shape)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, n, w, extraPsi uint8, dup bool) {
-		checkMatchesReference(t, seed, n, w, extraPsi, dup)
+	f.Fuzz(func(t *testing.T, seed int64, n, w, extraPsi, shape uint8) {
+		checkMatchesReference(t, seed, n, w, extraPsi, shape)
 	})
 }
 
@@ -186,6 +226,159 @@ func FuzzGeneratorMatchesReference(f *testing.F) {
 // invoked.
 func TestFuzzSeedsGeneratorMatchesReference(t *testing.T) {
 	for _, s := range diffSeeds() {
-		checkMatchesReference(t, s.seed, s.n, s.w, s.extraPsi, s.dup)
+		checkMatchesReference(t, s.seed, s.n, s.w, s.extraPsi, s.shape)
 	}
+}
+
+// invariantForests are the inputs of the layout-invariant tests: random,
+// duplicate-heavy, homopolymer and 20x-coverage, each with a last generation
+// for the fresh-only mode.
+func invariantForests(t *testing.T, visit func(name string, set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen)) {
+	t.Helper()
+	for shape := uint8(0); shape < numShapes; shape++ {
+		batches := diffInput(int64(100+shape), 30, shape)
+		set, err := seq.NewSetS(append(batches[0], batches[1]...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := set.Append(batches[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		visit(fmt.Sprintf("shape %d", shape), set, buildForest(t, set, 4), 9, gen)
+	}
+	cfg := simulate.DefaultConfig(60)
+	cfg.Seed = 7
+	bm, err := simulate.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := seq.NewSetS(bm.ESTs[:50])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := set.Append(bm.ESTs[50:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	visit("20x coverage", set, buildForest(t, set, 8), 20, gen)
+}
+
+// lsetLeaves computes the lsets of node v by Algorithm 1's own definition,
+// bottom-up: a leaf's is itself, an internal node's the concatenation of its
+// children's with every string kept once, first child first. It returns the
+// surviving leaves child by child.
+func lsetLeaves(tr *suffix.Tree, v int32) [][]int32 {
+	if tr.IsLeaf(v) {
+		return [][]int32{{v}}
+	}
+	var out [][]int32
+	seen := map[seq.StringID]bool{}
+	for c := tr.FirstChild(v); c != -1; c = tr.NextSibling(c, v) {
+		var kept []int32
+		for _, below := range lsetLeaves(tr, c) {
+			for _, leaf := range below {
+				if sid := tr.Nodes[leaf].SID; !seen[sid] {
+					seen[sid] = true
+					kept = append(kept, leaf)
+				}
+			}
+		}
+		out = append(out, kept)
+	}
+	return out
+}
+
+// TestUnscheduledNodesHaveNoProducts is the scheduling rule's soundness: a
+// deep internal node left out of order has, under the brute-force lsets, no
+// two entries in different children whose left characters differ or are both
+// λ — and in fresh-only mode it may also be left out because no leaf beneath
+// it belongs to the current batch.
+func TestUnscheduledNodesHaveNoProducts(t *testing.T) {
+	invariantForests(t, func(name string, set *seq.SetS, forest []*suffix.Tree, psi int, gen seq.Gen) {
+		for _, fresh := range []seq.Gen{0, gen} {
+			g, err := NewFresh(set, forest, psi, fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inOrder := map[[2]int32]bool{}
+			for _, ref := range g.order {
+				inOrder[[2]int32{ref.tree, ref.node}] = true
+			}
+			dropped := 0
+			for ti, tr := range forest {
+				for v := int32(0); v < int32(tr.Len()); v++ {
+					if tr.IsLeaf(v) || tr.Nodes[v].Depth < int32(psi) || inOrder[[2]int32{int32(ti), v}] {
+						continue
+					}
+					dropped++
+					stale := true
+					for leaf := v + 1; leaf <= tr.Nodes[v].RML; leaf++ {
+						if tr.IsLeaf(leaf) && tr.Nodes[leaf].SID >= g.freshID {
+							stale = false
+						}
+					}
+					if fresh > 0 && stale {
+						continue
+					}
+					children := lsetLeaves(tr, v)
+					for i, a := range children {
+						for _, b := range children[i+1:] {
+							for _, la := range a {
+								for _, lb := range b {
+									ca := set.LeftChar(tr.Nodes[la].SID, tr.Nodes[la].Pos)
+									cb := set.LeftChar(tr.Nodes[lb].SID, tr.Nodes[lb].Pos)
+									if ca != cb || ca == seq.Lambda {
+										t.Fatalf("%s fresh=%d: tree %d node %d is not scheduled but pairs leaves %d and %d", name, fresh, ti, v, la, lb)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+			if dropped == 0 {
+				t.Errorf("%s fresh=%d: every deep internal node is scheduled; the input exercises nothing", name, fresh)
+			}
+		}
+	})
+}
+
+// TestGroupsAreLeafRangeCuts is the layout's other leg: the groups the
+// generator cuts from a scheduled node's leaf range equal, item for item and
+// in order, the snapshot the linked-list oracle takes at that node after
+// maintaining every lset beneath it.
+func TestGroupsAreLeafRangeCuts(t *testing.T) {
+	invariantForests(t, func(name string, set *seq.SetS, forest []*suffix.Tree, psi int, gen seq.Gen) {
+		for _, fresh := range []seq.Gen{0, gen} {
+			g, err := NewFresh(set, forest, psi, fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := newRefFresh(set, forest, psi, fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scheduled := map[[2]int32]nodeRef{}
+			for _, r := range g.order {
+				scheduled[[2]int32{r.tree, r.node}] = r
+			}
+			for _, r := range ref.order {
+				ref.processNode(r) // every node, in order: the oracle's lsets are built bottom-up
+				at, ok := scheduled[[2]int32{r.tree, r.node}]
+				if !ok {
+					continue
+				}
+				g.processNode(at)
+				if !slices.Equal(g.groups, ref.groups) {
+					t.Fatalf("%s fresh=%d: tree %d node %d: groups %+v, reference %+v", name, fresh, r.tree, r.node, g.groups, ref.groups)
+				}
+				for i, it := range g.itemsBuf {
+					if want := ref.itemsBuf[i]; it.sid != want.sid || it.pos != want.pos {
+						t.Fatalf("%s fresh=%d: tree %d node %d: item %d is %+v, reference %+v", name, fresh, r.tree, r.node, i, it, want)
+					}
+				}
+			}
+		}
+	})
 }

@@ -2,32 +2,36 @@
 // promising pairs from a forest of local GST subtrees, in decreasing order of
 // maximal common substring length.
 //
-// Every internal node of string-depth >= ψ is processed in decreasing
+// Internal nodes of string-depth >= ψ are processed in decreasing
 // string-depth order. Each node carries five lsets — the strings owning a
 // suffix in the node's subtree, partitioned by the suffix's left-extension
 // character (A, C, G, T, or λ). At an internal node, duplicate string
-// occurrences across children are removed with a global mark array,
+// occurrences across children are removed with a global mark array, and
 // cartesian products across (child, character) groups emit the pairs whose
-// maximal common substring is the node's path label (Lemma 1), and the
-// surviving entries become the node's own lsets.
+// maximal common substring is the node's path label (Lemma 1).
 //
-// The paper keeps lsets as linked lists with O(1) concatenation. This
-// package keeps them in flat, forest-lifetime arenas instead, using the
-// DFS-array invariant that the leaves of a subtree are contiguous in
-// preorder: one item array holds one 8-byte entry per leaf in preorder (the
-// left character packed beside the position), and a processed node's five
-// lsets are the front of its own leaf range, sorted by left character; an
-// 8-byte row per internal node records the range's length and how much of it
-// is live. A node's children tile its range, so processing it is one forward
-// scan with a running leaf count — no per-node index — followed by writing
-// the survivors back over the children's ranges character by character,
-// children in order within a character. That is exactly the order list
-// concatenation produced, so the emitted pair sequence is the linked
-// version's (reference_test.go keeps that version as the oracle). The
-// write-back is one more sequential pass over entries the dedup scan has
-// just touched, so the time bound is the paper's, and storage is still O(N)
-// — 8 B per leaf, 8 per internal node, 12 per internal node of depth >= ψ,
-// allocated once per forest — with no per-entry link and no list heads.
+// The paper keeps lsets as linked lists, concatenated bottom-up in O(1).
+// This package keeps no lsets. In the DFS array a node's leaves are a
+// contiguous preorder range that never moves, and an entry survives the
+// dedup of every node from its leaf up to v exactly when it is the
+// preorder-first leaf of its string inside v's range. So v's groups are cut
+// from nodes[v+1 .. RML(v)] at the moment v is processed: walk the range
+// child by child, keep the first leaf of each string, stable-sort each
+// child's survivors by left character — the order list concatenation gave,
+// so the emitted pair sequence is the linked version's (reference_test.go
+// keeps that version as the oracle). The only per-leaf state is the left
+// character, one byte.
+//
+// Nothing is maintained for a node's ancestors, so a node that cannot emit is
+// not visited. Construction ORs the left characters beneath every node from
+// children into parents and schedules only nodes under which two characters,
+// or λ, occur (two groups pair only when their characters differ or are both
+// λ) and, in fresh-only mode, a leaf of the current batch. A scheduled node
+// costs the length of its leaf range, dead entries included, where the lists
+// cost the survivors: the total is bounded by the sum over leaves of their
+// deep ancestors — no more than the character work the suffix builder has
+// paid — and long homopolymer runs approach it (DESIGN.md §1). Storage is
+// 1 B per leaf and 12 B per scheduled node, allocated once per forest.
 //
 // The generator is resumable: it remembers its position inside a node's
 // cartesian products, so callers pull pairs in batches without ever
@@ -60,7 +64,10 @@ func (p Pair) ESTs() (seq.ESTID, seq.ESTID) { return p.S1.EST(), p.S2.EST() }
 
 // Stats counts generator activity.
 type Stats struct {
-	// NodesProcessed is the number of tree nodes of depth >= ψ processed.
+	// NodesProcessed is the number of tree nodes of depth >= ψ, leaves
+	// included: what a generator that visits every such node (the reference)
+	// has counted by the end of a drain. It is fixed at construction; only
+	// the nodes that can emit a pair are visited.
 	NodesProcessed int64
 	// Generated counts canonical pairs emitted.
 	Generated int64
@@ -82,32 +89,25 @@ type Stats struct {
 	Entries int64
 }
 
-// treeState locates one tree's share of the generator's arenas.
+// treeState locates one tree's share of the generator's leaf array.
 type treeState struct {
 	// nodes is the tree's node array, held directly so that reaching a node
 	// costs no load of the Tree in between.
 	nodes []suffix.Node
-	// leaf and internal are the tree's bases into items and rows; int, so a
-	// forest of more than 2³¹ leaves cannot wrap.
-	leaf, internal int
+	// leaf is the tree's base into chars; int, so a forest of more than 2³¹
+	// leaves cannot wrap.
+	leaf int
 }
 
 // nodeRef addresses one internal node in the forest. leavesBefore is the
 // number of leaves preceding it in its tree's preorder — where its leaf range
-// starts, and, subtracted from node, its rank among the tree's internal nodes.
+// starts.
 type nodeRef struct {
 	tree, node, leavesBefore int32
 }
 
-// row is the lset state of one internal node, indexed by internal rank.
-type row struct {
-	// leaves is the length of the node's leaf range; live is how many
-	// entries at the front of that range are its surviving lset entries.
-	leaves, live int32
-}
-
-// group is a snapshot of one (child, left-character) lset taken while
-// processing an internal node; pairs are cartesian products across
+// group is one (child, left-character) lset cut from the leaf range of the
+// internal node being processed; pairs are cartesian products across
 // compatible groups.
 type group struct {
 	child int32
@@ -119,19 +119,23 @@ type group struct {
 	fresh bool
 }
 
-// item is one lset entry: a string and the start of its suffix in it, with
-// the suffix's left-extension character packed under the position so that
-// an lset range needs no side table to say where each character's entries
-// end.
+// item is one lset entry: a string, the start of its suffix in it, and the
+// suffix's left-extension character.
 type item struct {
-	sid     seq.StringID
-	posChar int32 // pos<<charBits | left character
+	sid  seq.StringID
+	pos  int32
+	char seq.Code
 }
 
-const charBits = 3 // seq.NumLeftChars <= 1<<charBits
-
-func (it item) pos() int32     { return it.posChar >> charBits }
-func (it item) char() seq.Code { return seq.Code(it.posChar & (1<<charBits - 1)) }
+// Per-node bits of NewFresh's scratch: the left characters beneath the node
+// in the low seq.NumLeftChars bits, then whether a leaf of the current batch
+// is beneath it, whether the node goes into order, and whether it is a leaf.
+const (
+	charMask  = 1<<seq.NumLeftChars - 1
+	freshBit  = 1 << seq.NumLeftChars
+	scheduled = freshBit << 1
+	leafBit   = scheduled << 1
+)
 
 // Generator produces promising pairs on demand.
 type Generator struct {
@@ -142,13 +146,11 @@ type Generator struct {
 	// monotone in string id, so freshness is a single comparison.
 	freshID seq.StringID
 
-	// items holds one entry per leaf, in preorder. Once an internal node has
-	// been processed, the front of its leaf range holds its surviving lset
-	// entries sorted by left character, and its row says how many.
-	items []item
-	rows  []row
+	// chars holds the left-extension character of every leaf, in preorder.
+	chars []seq.Code
 
-	// order lists the internal nodes of depth >= ψ, deepest first.
+	// order lists the internal nodes of depth >= ψ that can emit a pair,
+	// deepest first.
 	order  []nodeRef
 	cursor int
 
@@ -209,9 +211,8 @@ func New(set *seq.SetS, forest []*suffix.Tree, psi int) (*Generator, error) {
 // emitted (the paper's Lemmas 1–4 guarantee an old×old pair's maximal common
 // substring — and hence the pair itself — was already produced by the run
 // that introduced the younger string). fresh == 0 emits every pair, exactly
-// like New. Lsets are still built over all suffixes in the forest, so the
-// emitted fresh pairs are identical to what a full run would produce for
-// them, dedup included.
+// like New. Dedup still runs over all suffixes in the forest, so the emitted
+// fresh pairs are identical to what a full run would produce for them.
 func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Generator, error) {
 	if psi < 1 {
 		return nil, fmt.Errorf("pairgen: psi must be >= 1, got %d", psi)
@@ -220,87 +221,111 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 		psi:   int32(psi),
 		mark:  make([]int32, set.NumStrings()),
 		trees: make([]treeState, len(forest)),
+		// Sized past their first doublings, which would otherwise be most of
+		// a drain's allocations.
+		groups:   make([]group, 0, 16),
+		itemsBuf: make([]item, 0, 64),
 	}
 	if fresh > 0 {
 		g.freshID = set.GenStartString(fresh)
 	}
-	// Size the arenas from a counting pass over the nodes themselves.
-	var nodes, leaves, deepLeaves, deepInternal int
-	maxDepth := int32(0)
+	nodes, leaves := 0, 0
 	for ti, t := range forest {
-		g.trees[ti] = treeState{nodes: t.Nodes, leaf: leaves, internal: nodes - leaves}
+		g.trees[ti] = treeState{nodes: t.Nodes, leaf: leaves}
 		nodes += len(t.Nodes)
-		for i, n := range t.Nodes {
-			deep := n.Depth >= g.psi
+		leaves += t.NumLeaves()
+	}
+	g.chars = make([]seq.Code, leaves)
+	// A path label is a substring, so no node is deeper than the longest
+	// string is long.
+	longest := 0
+	for id := 0; id < set.NumStrings(); id++ {
+		longest = max(longest, len(set.Str(seq.StringID(id))))
+	}
+	byDepth := make([]int, longest+1)
+
+	// One reverse pass — children before parents — records every deep leaf's
+	// left character, ORs the characters beneath each deep internal node out
+	// of its children's bytes, and marks and histograms the nodes to schedule.
+	// With no fresh generation every string id is >= freshID, so every leaf
+	// counts as fresh and the second condition is vacuous.
+	bits := make([]uint8, nodes)
+	total := 0
+	base, leaf := nodes, leaves
+	for ti := len(g.trees) - 1; ti >= 0; ti-- {
+		ns := g.trees[ti].nodes
+		base -= len(ns)
+		b := bits[base : base+len(ns)]
+		for i := len(ns) - 1; i >= 0; i-- {
+			n := ns[i]
 			if n.RML == int32(i) {
-				leaves++
-				if deep {
-					deepLeaves++
+				leaf--
+				b[i] = leafBit
+				if n.Depth >= g.psi {
+					g.stats.Entries++
+					ch := set.LeftChar(n.SID, n.Pos)
+					g.chars[leaf] = ch
+					b[i] |= 1 << ch
+					if n.SID >= g.freshID {
+						b[i] |= freshBit
+					}
 				}
-			} else if deep {
-				deepInternal++
-				if n.Depth > maxDepth {
-					maxDepth = n.Depth
+				continue
+			}
+			if n.Depth < g.psi {
+				continue
+			}
+			g.stats.NodesProcessed++
+			var or uint8
+			for c := int32(i) + 1; ; c = ns[c].RML + 1 {
+				or |= b[c]
+				if ns[c].RML == n.RML {
+					break
 				}
 			}
-		}
-	}
-	g.stats.NodesProcessed, g.stats.Entries = int64(deepLeaves), int64(deepLeaves)
-	g.items = make([]item, leaves)
-	g.rows = make([]row, nodes-leaves)
-	g.order = make([]nodeRef, deepInternal)
-
-	// One sequential pass initializes every leaf's single-entry lset and
-	// histograms the deep internal nodes by depth for buildOrder.
-	byDepth := make([]int, maxDepth+1)
-	next := g.items
-	for _, ts := range g.trees {
-		for i, n := range ts.nodes {
-			if n.RML == int32(i) {
-				if n.Pos >= 1<<(31-charBits) {
-					return nil, fmt.Errorf("pairgen: suffix position %d of string %d does not fit %d bits", n.Pos, n.SID, 31-charBits)
+			or &= charMask | freshBit
+			// Two groups pair only when their characters differ or are both
+			// λ: a range holding one non-λ character has no product.
+			if ch := or & charMask; (ch&(ch-1) != 0 || ch == 1<<seq.Lambda) && or&freshBit != 0 {
+				if int(n.Depth) >= len(byDepth) {
+					return nil, fmt.Errorf("pairgen: node of depth %d over strings no longer than %d", n.Depth, longest)
 				}
-				next[0] = item{sid: n.SID, posChar: n.Pos<<charBits | int32(set.LeftChar(n.SID, n.Pos))}
-				next = next[1:]
-			} else if n.Depth >= g.psi {
+				or |= scheduled
 				byDepth[n.Depth]++
+				total++
 			}
+			b[i] = or
 		}
 	}
-	g.buildOrder(byDepth)
-	return g, nil
-}
 
-// buildOrder sorts the deep internal nodes of the forest by decreasing
-// string-depth, breaking ties by descending node index so that children
-// (which follow their parent in preorder and are deeper) are always
-// processed before their parent. Leaves need no processing — NewFresh has
-// initialized them — so they stay out. The sort is the O(sorting) term of the
-// paper's Lemma 4; a counting sort keeps it linear. counts[d] holds the
-// number of deep internal nodes of depth d and is consumed.
-func (g *Generator) buildOrder(counts []int) {
-	// Prefix-sum from the deepest down so larger depths come first.
+	g.stats.NodesProcessed += g.stats.Entries
+
+	// Counting-sort the scheduled nodes by decreasing string-depth, breaking
+	// ties by descending node index so that children (which follow their
+	// parent in preorder and are deeper) come before their parent. The sort is
+	// the O(sorting) term of the paper's Lemma 4. Prefix-sum from the deepest
+	// down so larger depths come first, then walk node indices in reverse so,
+	// within a depth class, higher indices are placed first.
+	g.order = make([]nodeRef, total)
 	acc := 0
-	for d := len(counts) - 1; d >= 0; d-- {
-		acc, counts[d] = acc+counts[d], acc
+	for d := len(byDepth) - 1; d >= 0; d-- {
+		acc, byDepth[d] = acc+byDepth[d], acc
 	}
-	// Walk node indices in reverse so, within a depth class, higher
-	// indices are placed first (children before parents).
-	end := len(g.items)
+	base, leaf = nodes, leaves
 	for ti := len(g.trees) - 1; ti >= 0; ti-- {
 		ts := g.trees[ti]
-		before := int32(end - ts.leaf) // leaves of the tree not yet walked past
-		end = ts.leaf
+		base -= len(ts.nodes)
 		for i := len(ts.nodes) - 1; i >= 0; i-- {
-			n := ts.nodes[i]
-			if n.RML == int32(i) {
-				before--
-			} else if n.Depth >= g.psi {
-				g.order[counts[n.Depth]] = nodeRef{tree: int32(ti), node: int32(i), leavesBefore: before}
-				counts[n.Depth]++
+			if b := bits[base+i]; b&leafBit != 0 {
+				leaf--
+			} else if b&scheduled != 0 {
+				at := &byDepth[ts.nodes[i].Depth]
+				g.order[*at] = nodeRef{tree: int32(ti), node: int32(i), leavesBefore: int32(leaf - ts.leaf)}
+				*at++
 			}
 		}
 	}
+	return g, nil
 }
 
 // Stats returns a copy of the activity counters.
@@ -334,57 +359,47 @@ func (g *Generator) Next(dst []Pair, max int) []Pair {
 	return dst
 }
 
-// processNode dedups and snapshots an internal node's child lsets, arms pair
-// iteration over the snapshot, and leaves the survivors as the node's own
-// lsets.
+// processNode cuts an internal node's (child, character) groups out of its
+// leaf range and arms pair iteration over them.
 func (g *Generator) processNode(ref nodeRef) {
 	ts := &g.trees[ref.tree]
 	nodes := ts.nodes
 	v := ref.node
-	g.stats.NodesProcessed++
+	chars := g.chars[ts.leaf+int(ref.leavesBefore):]
 
-	// Dedup every child lset with a fresh token, snapshotting survivors.
-	// The children's leaf ranges tile v's, so one forward scan with a running
-	// leaf count finds each child's range and, for an internal child, its row.
+	// The children's ranges tile nodes[v+1 .. RML(v)]. Within each, the first
+	// leaf of a string no earlier child has shown survives: the mark array
+	// with a fresh token per node is the dedup.
 	g.token++
 	g.groups = g.groups[:0]
 	g.itemsBuf = g.itemsBuf[:0]
-	childOrd := int32(0)
-	before := ref.leavesBefore
-	for c := v + 1; ; c = nodes[c].RML + 1 {
-		r := row{leaves: 1, live: 1}
-		if nodes[c].RML != c {
-			r = g.rows[ts.internal+int(c-before)]
+	leaf := 0
+	last := nodes[v].RML
+	for c, child := v+1, int32(0); c <= last; child++ {
+		lo := int32(len(g.itemsBuf))
+		var seen uint8 // left characters among the child's survivors
+		fresh := false
+		for end := nodes[c].RML; c <= end; c++ {
+			n := &nodes[c]
+			if n.RML != c {
+				continue
+			}
+			ch := chars[leaf]
+			leaf++
+			if g.mark[n.SID] == g.token {
+				continue
+			}
+			g.mark[n.SID] = g.token
+			seen |= 1 << ch
+			fresh = fresh || n.SID >= g.freshID
+			g.itemsBuf = append(g.itemsBuf, item{sid: n.SID, pos: n.Pos, char: ch})
 		}
-		at := ts.leaf + int(before)
-		g.snapshot(childOrd, g.items[at:at+int(r.live)])
-		before += r.leaves
-		childOrd++
-		if nodes[c].RML == nodes[v].RML {
-			break
-		}
-	}
-
-	// Union the surviving child lsets into this node: character by
-	// character, children in order — the order list concatenation gave. The
-	// snapshot holds every survivor, so overwriting the children's ranges is
-	// safe; a tree root's lsets are never read, so it skips the write.
-	if v != 0 {
-		var at [seq.NumLeftChars]int
-		for _, gr := range g.groups {
-			at[gr.char] += int(gr.hi - gr.lo)
-		}
-		next := ts.leaf + int(ref.leavesBefore)
-		for ch, k := range at {
-			at[ch] = next
-			next += k
-		}
-		for _, gr := range g.groups {
-			at[gr.char] += copy(g.items[at[gr.char]:], g.itemsBuf[gr.lo:gr.hi])
-		}
-		g.rows[ts.internal+int(v-ref.leavesBefore)] = row{
-			leaves: before - ref.leavesBefore,
-			live:   int32(len(g.itemsBuf)),
+		switch hi := int32(len(g.itemsBuf)); {
+		case hi == lo:
+		case seen&(seen-1) == 0: // one character, the common case: one group
+			g.groups = append(g.groups, group{child: child, char: g.itemsBuf[lo].char, lo: lo, hi: hi, fresh: fresh})
+		default:
+			g.sortByChar(child, lo)
 		}
 	}
 
@@ -393,26 +408,33 @@ func (g *Generator) processNode(ref nodeRef) {
 	g.active = len(g.groups) >= 2
 }
 
-// snapshot appends the entries of one child's lsets that no earlier child
-// of the current node has contributed to itemsBuf, one group per left
-// character present (the entries arrive sorted by it).
-func (g *Generator) snapshot(child int32, lsets []item) {
-	open := false // whether the last group belongs to this child
-	for _, it := range lsets {
-		if g.mark[it.sid] == g.token {
-			continue
+// sortByChar stable-counting-sorts itemsBuf[lo:], one child's survivors in
+// preorder, by left character, and appends one group per character present.
+func (g *Generator) sortByChar(child, lo int32) {
+	// The second buffer of the sort is itemsBuf's own tail.
+	end := len(g.itemsBuf)
+	g.itemsBuf = append(g.itemsBuf, g.itemsBuf[lo:]...)
+	src := g.itemsBuf[end:]
+	var count [seq.NumLeftChars]int32
+	for _, it := range src {
+		count[it.char]++
+	}
+	var slot [seq.NumLeftChars]int // each character's group
+	for ch, k := range count {
+		if k > 0 {
+			slot[ch] = len(g.groups)
+			g.groups = append(g.groups, group{child: child, char: seq.Code(ch), lo: lo, hi: lo})
+			lo += k
 		}
-		g.mark[it.sid] = g.token
-		if !open || g.groups[len(g.groups)-1].char != it.char() {
-			at := int32(len(g.itemsBuf))
-			g.groups = append(g.groups, group{child: child, char: it.char(), lo: at, hi: at})
-			open = true
-		}
-		gr := &g.groups[len(g.groups)-1]
+	}
+	// A group's hi is its write cursor until the scatter is done.
+	for _, it := range src {
+		gr := &g.groups[slot[it.char]]
+		g.itemsBuf[gr.hi] = it
 		gr.hi++
 		gr.fresh = gr.fresh || it.sid >= g.freshID
-		g.itemsBuf = append(g.itemsBuf, it)
 	}
+	g.itemsBuf = g.itemsBuf[:end]
 }
 
 // compatible reports whether two groups may produce pairs: different
@@ -504,7 +526,7 @@ func (g *Generator) canonical(a, b item) (Pair, bool) {
 	}
 	return Pair{
 		S1: a.sid, S2: b.sid,
-		Pos1: a.pos(), Pos2: b.pos(),
+		Pos1: a.pos, Pos2: b.pos,
 		MatchLen: g.curDepth,
 	}, true
 }

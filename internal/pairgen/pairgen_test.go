@@ -99,10 +99,15 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(set, nil, 0); err == nil {
 		t.Error("psi=0 must fail")
 	}
-	// A suffix position that would overflow the packed lset entry.
-	far := &suffix.Tree{Nodes: []suffix.Node{{Depth: 8, Pos: 1 << 28}}}
-	if _, err := New(set, []*suffix.Tree{far}, 5); err == nil {
-		t.Error("suffix position 1<<28 must fail")
+	// A node deeper than any string is long: the depth histogram has no slot
+	// for it.
+	deep := &suffix.Tree{Nodes: []suffix.Node{
+		{Depth: 100, RML: 2},
+		{Depth: 101, RML: 1, Pos: 0},
+		{Depth: 101, RML: 2, Pos: 1},
+	}}
+	if _, err := New(set, []*suffix.Tree{deep}, 5); err == nil {
+		t.Error("a scheduled node of depth 100 over an 8-base string must fail")
 	}
 }
 
@@ -388,10 +393,11 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-// lset storage must stay linear: entries == number of deep leaves, and the
-// arenas hold 8 bytes per leaf, 8 per internal node and one 12-byte order
-// entry per deep internal node — nothing per node, and nothing that grows
-// with the pairs generated.
+// Storage must stay linear: entries == number of deep leaves, and the
+// generator holds one byte per leaf and one order entry per scheduled node —
+// nothing per internal node, and nothing that grows with the pairs
+// generated. On deep coverage most deep internal nodes hold a single left
+// character, so fewer than half of them are scheduled.
 func TestEntriesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	ests := randomESTs(rng, 10, 50, 80)
@@ -403,12 +409,11 @@ func TestEntriesLinear(t *testing.T) {
 	psi := 5 // every suffix-bearing node is deep
 	forest := buildForest(t, set, w)
 	// Hand-assembled trees report no cached leaf count; the generator must
-	// size its arenas from the nodes themselves.
+	// size its arrays from the nodes themselves.
 	bare := make([]*suffix.Tree, len(forest))
-	var nodes, leaves int
+	leaves := 0
 	for i, tr := range forest {
 		bare[i] = &suffix.Tree{Bucket: tr.Bucket, Nodes: tr.Nodes}
-		nodes += tr.Len()
 		leaves += tr.NumLeaves()
 	}
 	g, err := New(set, bare, psi)
@@ -419,11 +424,26 @@ func TestEntriesLinear(t *testing.T) {
 	if g.Stats().Entries != int64(leaves) {
 		t.Errorf("entries %d != deep leaves %d", g.Stats().Entries, leaves)
 	}
-	internal := nodes - leaves
-	arena := int(unsafe.Sizeof(item{}))*cap(g.items) + int(unsafe.Sizeof(row{}))*cap(g.rows) +
-		int(unsafe.Sizeof(nodeRef{}))*cap(g.order)
-	if bound := 8*leaves + 8*internal + 12*internal; arena > bound {
-		t.Errorf("arenas hold %d bytes for %d leaves and %d internal nodes, bound %d", arena, leaves, internal, bound)
+	held := cap(g.chars) + int(unsafe.Sizeof(nodeRef{}))*cap(g.order)
+	if bound := leaves + int(unsafe.Sizeof(nodeRef{}))*len(g.order); held > bound {
+		t.Errorf("generator holds %d bytes for %d leaves and %d scheduled nodes, bound %d", held, leaves, len(g.order), bound)
+	}
+
+	set, forest = deepCoverage(t, 100)
+	g, err = New(set, forest, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := 0
+	for _, tr := range forest {
+		for i, n := range tr.Nodes {
+			if n.Depth >= 20 && !tr.IsLeaf(int32(i)) {
+				deep++
+			}
+		}
+	}
+	if len(g.order) == 0 || 2*len(g.order) >= deep {
+		t.Errorf("%d of %d deep internal nodes scheduled on 20x coverage, want fewer than half", len(g.order), deep)
 	}
 }
 
