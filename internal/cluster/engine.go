@@ -75,8 +75,10 @@ func wallElapsed() func() time.Duration {
 // policy (MergeShards >= 1) accepted pairs accumulate as a per-batch delta
 // applied at the batch boundary — the same deferred-merge semantics the
 // parallel delta protocol has, so the sequential engine is a valid
-// equivalence reference for it.
-func runSequential(set *seq.SetS, cfg Config) (*Result, error) {
+// equivalence reference for it. Forest construction and generator set-up fan
+// out over up to workers goroutines; partition, the pair drain and alignment
+// run on this one, and the result does not depend on workers.
+func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	pr := newProbes(cfg.Metrics)
 	tw := cfg.Trace
 	if tw != nil {
@@ -91,7 +93,7 @@ func runSequential(set *seq.SetS, cfg Config) (*Result, error) {
 	}
 	clk := wallElapsed()
 	t0 := clk()
-	fb, err := buildSequentialForest(set, cfg, st, clk)
+	fb, err := buildSequentialForest(set, cfg, st, clk, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +116,7 @@ func runSequential(set *seq.SetS, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	t2 := clk()
-	gen, err := pairgen.NewFresh(set, fb.forest, cfg.Psi, cfg.FreshGen)
+	gen, err := pairgen.NewFreshParallel(set, fb.forest, cfg.Psi, cfg.FreshGen, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"pace/internal/seq"
@@ -112,8 +113,9 @@ type forestBuild struct {
 //     generator is that touched subset — an untouched bucket cannot contain
 //     a fresh pair, so it is not built.
 //
-// Incremental bucket counts land in st.Incremental.
-func buildSequentialForest(set *seq.SetS, cfg Config, st *Stats, clk func() time.Duration) (*forestBuild, error) {
+// Construction runs on up to workers goroutines; the forest is the same
+// whatever their number. Incremental bucket counts land in st.Incremental.
+func buildSequentialForest(set *seq.SetS, cfg Config, st *Stats, clk func() time.Duration, workers int) (*forestBuild, error) {
 	fb := &forestBuild{}
 	n2 := seq.StringID(set.NumStrings())
 	t0 := clk()
@@ -126,7 +128,7 @@ func buildSequentialForest(set *seq.SetS, cfg Config, st *Stats, clk func() time
 		fb.hist = bc.table.Histogram()
 		fb.partition = clk() - t0
 		t1 := clk()
-		fb.forest, err = suffix.BuildBuckets(set, bc.table, touched)
+		fb.forest, err = suffix.BuildBuckets(set, bc.table, touched, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +151,7 @@ func buildSequentialForest(set *seq.SetS, cfg Config, st *Stats, clk func() time
 	fb.partition = clk() - t0
 
 	t1 := clk()
-	forest, err := suffix.BuildForest(set, byBucket, cfg.Window)
+	forest, err := suffix.BuildBuckets(set, byBucket, byBucket.NonEmpty(), workers)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +208,12 @@ func RunSet(set *seq.SetS, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("cluster: full run (FreshGen == 0) over a non-empty cache; set FreshGen to the batch generation")
 	}
 	if cfg.MP.Procs == 1 {
-		return runSequential(set, cfg)
+		// The sequential engine is the whole machine, so it builds and sets up
+		// on every core. A rank of the parallel engine does both on one
+		// goroutine (slave.go): the simulator charges a rank's measured compute
+		// to one modelled processor, and on the real transport the slaves
+		// already fill the cores.
+		return runSequential(set, cfg, runtime.GOMAXPROCS(0))
 	}
 	return runParallel(set, cfg)
 }

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"pace/internal/seq"
+	"pace/internal/testutil"
 )
 
 // TestRunSetIncrementalEquivalence drives the engine-level incremental
@@ -343,5 +345,69 @@ func TestCheckpointFromLabels(t *testing.T) {
 
 	if _, err := CheckpointFromLabels(4, 6, 18, labels); err == nil {
 		t.Error("label/EST count mismatch: want error")
+	}
+}
+
+// TestSequentialWorkerCounts holds the sequential engine's fan-out to its
+// contract: at every width, a one-shot run and a cached session's batch runs
+// produce the partition and every counter the one-worker engine does, and no
+// worker outlives its run.
+func TestSequentialWorkerCounts(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	b := benchSet(t, 60, 4, 13)
+	cfg := DefaultConfig(1)
+	cfg.Window, cfg.Psi = 6, 18
+	cut := len(b.ESTs) * 2 / 3
+
+	// run returns the one-shot result, then the session's two batch results.
+	run := func(workers int) []*Result {
+		full, err := seq.NewSetS(b.ESTs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := runSequential(full, cfg, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := seq.NewSetS(b.ESTs[:cut])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c1 := cfg
+		c1.Cache = NewBucketCache()
+		r1, err := runSequential(set, c1, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := set.Append(b.ESTs[cut:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c2 := c1
+		c2.FreshGen, c2.InitialLabels = gen, r1.Labels
+		r2, err := runSequential(set, c2, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*Result{one, r1, r2}
+	}
+	counters := func(st Stats) [6]int64 {
+		return [6]int64{st.PairsGenerated, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, st.Recovery.SeedMerges}
+	}
+	want := run(1)
+	if want[2].Stats.Incremental.BucketsRebuilt == 0 || want[0].Stats.PairsGenerated == 0 {
+		t.Fatalf("workload exercises nothing: %+v", want[2].Stats)
+	}
+	for _, workers := range []int{2, 3, 8} {
+		for i, got := range run(workers) {
+			w := want[i]
+			if !slices.Equal(got.Labels, w.Labels) || got.NumClusters != w.NumClusters {
+				t.Errorf("workers=%d run %d: partition differs from one worker's", workers, i)
+			}
+			if counters(got.Stats) != counters(w.Stats) || got.Stats.Incremental != w.Stats.Incremental {
+				t.Errorf("workers=%d run %d: counters %v %+v, one worker %v %+v", workers, i,
+					counters(got.Stats), got.Stats.Incremental, counters(w.Stats), w.Stats.Incremental)
+			}
+		}
 	}
 }

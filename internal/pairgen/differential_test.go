@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"pace/internal/seq"
 	"pace/internal/simulate"
 	"pace/internal/suffix"
+	"pace/internal/testutil"
 )
 
 // diffBatches is the batch-size sweep of the differential tests: the flow-
@@ -107,45 +109,67 @@ func freshForest(t testing.TB, set *seq.SetS, w int, gen seq.Gen) []*suffix.Tree
 	return forest
 }
 
-// requireSameAsReference drains the production generator and the linked-list
-// oracle over one forest at every batch size in diffBatches and requires the
-// identical pair sequence and identical counters.
+// workerCounts are the set-up widths every generator is built at: one chunk
+// inline, two, one that divides nothing evenly, and more workers than most
+// small forests have trees.
+var workerCounts = []int{1, 2, 3, 8}
+
+// requireSameAsReference drains the production generator, set up at every
+// width in workerCounts, and the linked-list oracle over one forest at every
+// batch size in diffBatches, in lockstep, and requires the identical pair
+// sequence, Remaining and counters after every call.
 func requireSameAsReference(t testing.TB, set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) {
 	t.Helper()
 	for _, batch := range diffBatches {
-		g, err := NewFresh(set, forest, psi, fresh)
-		if err != nil {
-			t.Fatal(err)
+		gens := make([]*Generator, len(workerCounts))
+		got := make([][]Pair, len(workerCounts))
+		for k, workers := range workerCounts {
+			var err error
+			if gens[k], err = NewFreshParallel(set, forest, psi, fresh, workers); err != nil {
+				t.Fatal(err)
+			}
 		}
 		ref, err := newRefFresh(set, forest, psi, fresh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got, want []Pair
+		var want []Pair
 		for {
 			n := len(want)
-			got, want = g.Next(got, batch), ref.Next(want, batch)
-			if len(got) != len(want) {
-				t.Fatalf("fresh=%d batch=%d: %d pairs after a call, reference has %d", fresh, batch, len(got), len(want))
-			}
-			for i := n; i < len(want); i++ {
-				if got[i] != want[i] {
-					t.Fatalf("fresh=%d batch=%d: pair %d is %+v, reference %+v", fresh, batch, i, got[i], want[i])
+			want = ref.Next(want, batch)
+			for k, g := range gens {
+				got[k] = g.Next(got[k], batch)
+				what := fmt.Sprintf("fresh=%d batch=%d workers=%d", fresh, batch, workerCounts[k])
+				if len(got[k]) != len(want) {
+					t.Fatalf("%s: %d pairs after a call, reference has %d", what, len(got[k]), len(want))
 				}
-			}
-			// Slaves report themselves passive off Remaining, so it must
-			// flip on the same call as the reference's.
-			if g.Remaining() != ref.Remaining() {
-				t.Fatalf("fresh=%d batch=%d: Remaining %v, reference %v after %d pairs", fresh, batch, g.Remaining(), ref.Remaining(), len(want))
+				for i := n; i < len(want); i++ {
+					if got[k][i] != want[i] {
+						t.Fatalf("%s: pair %d is %+v, reference %+v", what, i, got[k][i], want[i])
+					}
+				}
+				// Slaves report themselves passive off Remaining, so it must
+				// flip on the same call as the reference's.
+				if g.Remaining() != ref.Remaining() {
+					t.Fatalf("%s: Remaining %v, reference %v after %d pairs", what, g.Remaining(), ref.Remaining(), len(want))
+				}
+				// The oracle counts nodes and entries as it visits them, the
+				// generator at construction: those two agree once drained.
+				if s, r := g.Stats(), ref.Stats(); (len(want) == n && s != r) || emitted(s) != emitted(r) {
+					t.Fatalf("%s: stats %+v, reference %+v after %d pairs", what, s, r, len(want))
+				}
 			}
 			if len(want) == n {
 				break
 			}
 		}
-		if g.Stats() != ref.Stats() {
-			t.Fatalf("fresh=%d batch=%d: stats %+v, reference %+v", fresh, batch, g.Stats(), ref.Stats())
-		}
 	}
+}
+
+// emitted returns the counters Next moves pair by pair.
+func emitted(s Stats) Stats {
+	s.NodesProcessed, s.Entries = 0, 0
+	return s
 }
 
 // checkMatchesReference is the differential property: over every generation
@@ -381,4 +405,53 @@ func TestGroupsAreLeafRangeCuts(t *testing.T) {
 			}
 		}
 	})
+}
+
+// The set-up fan-out's edges, full and fresh-only: one tree, fewer trees than
+// workers and no tree at all drain exactly like the oracle at every width; a
+// forest with several malformed trees fails with the error the one-worker
+// pass meets first — the last tree's, since the pass runs in reverse. The
+// leak guard holds every worker to exiting, on the error path too.
+func TestSetupWorkerCounts(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	for shape := uint8(0); shape < numShapes; shape++ {
+		batches := diffInput(int64(200+shape), 12, shape)
+		set, err := seq.NewSetS(append(batches[0], batches[1]...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := set.Append(batches[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		forest := buildForest(t, set, 4)
+		if len(forest) < 3 {
+			t.Fatalf("shape %d: %d trees", shape, len(forest))
+		}
+		for _, fresh := range []seq.Gen{0, gen} {
+			requireSameAsReference(t, set, forest[:1], 6, fresh)
+			requireSameAsReference(t, set, forest[:3], 6, fresh)
+			requireSameAsReference(t, set, nil, 6, fresh)
+		}
+	}
+
+	set := mustSet(t, "ACGTACGT")
+	bad := func(depth int32) *suffix.Tree {
+		return &suffix.Tree{Nodes: []suffix.Node{
+			{Depth: depth, RML: 2},
+			{Depth: depth + 1, RML: 1, Pos: 0},
+			{Depth: depth + 1, RML: 2, Pos: 1},
+		}}
+	}
+	leaf := &suffix.Tree{Nodes: []suffix.Node{{Depth: 8, RML: 0}}}
+	forest := []*suffix.Tree{bad(100), leaf, bad(200), leaf, bad(300), leaf}
+	_, first := NewFresh(set, forest, 5, 0)
+	if first == nil || !strings.Contains(first.Error(), "depth 300 ") {
+		t.Fatalf("one worker: got %v, want the last malformed tree's error", first)
+	}
+	for _, workers := range workerCounts {
+		if _, err := NewFreshParallel(set, forest, 5, 0, workers); err == nil || err.Error() != first.Error() {
+			t.Errorf("%d workers: got %v, want %v", workers, err, first)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package suffix
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pace/internal/seq"
@@ -60,6 +61,23 @@ func BenchmarkBuildForestSparse(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildForestFanOut is BenchmarkBuildForestSparse built the way the
+// sequential engine builds it, over GOMAXPROCS workers: run it at -cpu 1,2 to
+// record both widths.
+func BenchmarkBuildForestFanOut(b *testing.B) {
+	const w = 6
+	set, owner := benchInput(b, 300, w)
+	table := CollectOwned(set, w, owner, 0, 0, seq.StringID(set.NumStrings()))
+	ids := table.NonEmpty()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildBuckets(set, table, ids, runtime.GOMAXPROCS(0)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCacheAbsorb is the ingest_paced shape: twelve batches of 20 ESTs
 // absorbed into one growing table, the touched buckets rebuilt after each.
 func BenchmarkCacheAbsorb(b *testing.B) {
@@ -74,7 +92,7 @@ func BenchmarkCacheAbsorb(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := BuildBuckets(set, table, touched); err != nil {
+			if _, err := BuildBuckets(set, table, touched, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

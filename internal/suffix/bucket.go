@@ -22,6 +22,9 @@
 // forest. Stability is what makes the result canonical: a bucket's range is
 // in (string id, position) order, every class keeps that order, so equal
 // tables give node-for-node equal trees whichever collector filled them.
+// Subtrees are independent, so BuildBuckets may build contiguous chunks of
+// buckets concurrently, each with a builder and slabs of its own, and still
+// return the one-builder forest.
 package suffix
 
 import (

@@ -1,6 +1,8 @@
 package suffix
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"pace/internal/seq"
+	"pace/internal/testutil"
 )
 
 // tableFromMap lays a hand-written bucket map out as a flat table.
@@ -41,13 +44,20 @@ const (
 	shapeDuplicates
 	shapeOneLetter
 	shapeShort
+	shapePolyA
 	numShapes
 )
 
+// workerCounts are the fan-out widths every production build path is run at:
+// one chunk inline, two, one that divides nothing evenly, and more workers
+// than a w = 1 forest has trees.
+var workerCounts = []int{1, 2, 3, 8}
+
 // diffSet returns a three-generation set of n ESTs per generation in the
 // given shape: random reads, reads drawn from a few templates (so whole
-// suffixes repeat and terminator leaves abound), runs of a single letter, or
-// reads mostly shorter than any window the tests use.
+// suffixes repeat and terminator leaves abound), runs of a single letter,
+// reads mostly shorter than any window the tests use, or random heads with
+// poly(A) tails longer than any window (some reads all tail).
 func diffSet(t testing.TB, seed int64, n, shape int) *seq.SetS {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -74,6 +84,12 @@ func diffSet(t testing.TB, seed int64, n, shape int) *seq.SetS {
 			return s
 		case shapeShort:
 			return random(1 + rng.Intn(10))
+		case shapePolyA:
+			tail := make(seq.Sequence, 15+rng.Intn(30)) // all seq.A
+			if rng.Intn(4) == 0 {
+				return tail
+			}
+			return append(random(rng.Intn(20)), tail...)
 		default:
 			return random(20 + rng.Intn(50))
 		}
@@ -177,23 +193,36 @@ func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 	all := Assign(hist, 1)
 
 	// One-shot: collect everything, build everything; and the fresh-only
-	// assignment a cache-less incremental run makes.
+	// assignment a cache-less incremental run makes. Both at every fan-out
+	// width the sequential engine may use, and through BuildForest.
 	whole := CollectOwned(set, w, all, 0, 0, n2)
-	forest, err := BuildForest(set, whole, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameForest(t, set, "one-shot", forest, refForest(t, set, w, all, 0, n2))
 	touchedOnly := AssignFresh(hist, HistogramFrom(set, w, 2, 0, n2), 1)
-	forest, err = BuildForest(set, CollectOwned(set, w, touchedOnly, 0, 0, n2), w)
-	if err != nil {
-		t.Fatal(err)
+	fresh := CollectOwned(set, w, touchedOnly, 0, 0, n2)
+	for _, c := range []struct {
+		name  string
+		table *Buckets
+		want  []*Tree
+	}{
+		{"one-shot", whole, refForest(t, set, w, all, 0, n2)},
+		{"fresh-assigned", fresh, refForest(t, set, w, touchedOnly, 0, n2)},
+	} {
+		forest, err := BuildForest(set, c.table, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameForest(t, set, c.name, forest, c.want)
+		for _, workers := range workerCounts {
+			forest, err := BuildBuckets(set, c.table, c.table.NonEmpty(), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameForest(t, set, fmt.Sprintf("%s, %d workers", c.name, workers), forest, c.want)
+		}
 	}
-	requireSameForest(t, set, "fresh-assigned", forest, refForest(t, set, w, touchedOnly, 0, n2))
 
 	// Cache path: after every batch the touched buckets, built from the
-	// grown table, are what the oracle builds from scratch over the prefix;
-	// the fully grown table is the one-shot table.
+	// grown table at every fan-out width, are what the oracle builds from
+	// scratch over the prefix; the fully grown table is the one-shot table.
 	for name, cuts := range prefixSplits(int(n2)) {
 		table := NewBuckets(w)
 		lo := seq.StringID(0)
@@ -209,11 +238,14 @@ func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 			for _, b := range touched {
 				mask[b] = 0
 			}
-			forest, err := BuildBuckets(set, table, touched)
-			if err != nil {
-				t.Fatal(err)
+			want := refForest(t, set, w, mask, 0, hi)
+			for _, workers := range workerCounts {
+				forest, err := BuildBuckets(set, table, touched, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameForest(t, set, fmt.Sprintf("split %s, %d workers", name, workers), forest, want)
 			}
-			requireSameForest(t, set, "split "+name, forest, refForest(t, set, w, mask, 0, hi))
 			lo = hi
 		}
 		requireSameTable(t, "split "+name, table, whole)
@@ -477,6 +509,76 @@ func TestForestAllocationsIndependentOfSize(t *testing.T) {
 					t.Fatalf("%d ESTs: append to bucket %d overwrote bucket %d", n, tr.Bucket, forest[i+1].Bucket)
 				}
 			}
+		}
+	}
+}
+
+// The fan-out's edges: one tree, fewer trees than workers and no tree at all
+// build what one builder builds; a table a failed collect returned fails at
+// every width, and a bad suffix fails with the error a single pass over the
+// ids meets first. The leak guard holds every worker to exiting, on the error
+// paths too.
+func TestBuildWorkerCounts(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	set := diffSet(t, 31, 6, shapePolyA)
+	n2 := seq.StringID(set.NumStrings())
+	const w = 4
+	whole := CollectOwned(set, w, Assign(Histogram(set, w, 0, n2), 1), 0, 0, n2)
+	ids := whole.NonEmpty()
+	for name, ids := range map[string][]int32{"one tree": ids[:1], "three trees": ids[:3], "no tree": nil} {
+		want, err := BuildBuckets(set, whole, ids, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != len(ids) {
+			t.Fatalf("%s: %d trees for %d buckets", name, len(want), len(ids))
+		}
+		for _, workers := range workerCounts {
+			got, err := BuildBuckets(set, whole, ids, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameForest(t, set, fmt.Sprintf("%s, %d workers", name, workers), got, want)
+		}
+	}
+	for _, workers := range workerCounts {
+		if forest, err := BuildBuckets(set, NewBuckets(w), nil, workers); err != nil || len(forest) != 0 {
+			t.Errorf("empty table, %d workers: forest %v, err %v", workers, forest, err)
+		}
+	}
+
+	// A collect too large for one table hands back an empty table carrying
+	// its error; every entry point must return it rather than build an empty
+	// forest.
+	failed := errors.New("collect failed")
+	carrying := CollectOwned(set, w, Assign(Histogram(set, w, 0, n2), 1), 0, 0, n2)
+	carrying.err = failed
+	for _, workers := range []int{1, 2, 8} {
+		if _, err := BuildBuckets(set, carrying, carrying.NonEmpty(), workers); !errors.Is(err, failed) {
+			t.Errorf("table carrying an error, %d workers: got %v", workers, err)
+		}
+	}
+	if _, err := BuildForest(set, carrying, w); !errors.Is(err, failed) {
+		t.Errorf("table carrying an error, BuildForest: got %v", err)
+	}
+
+	// Suffixes shorter than the window in buckets 5 and 12 of 16 one-suffix
+	// buckets: bucket 5's is the one a single pass meets first.
+	bad := map[int][]SuffixRef{}
+	for b := 0; b < 16; b++ {
+		bad[b] = []SuffixRef{{SID: 0, Pos: 0}}
+	}
+	last := int32(len(set.Str(0)))
+	bad[5] = append(bad[5], SuffixRef{SID: 0, Pos: last - 2})
+	bad[12] = append(bad[12], SuffixRef{SID: 0, Pos: last - 1})
+	table := tableFromMap(t, w, bad)
+	_, first := BuildBuckets(set, table, table.NonEmpty(), 1)
+	if first == nil || !strings.Contains(first.Error(), fmt.Sprintf("(0,%d)", last-2)) {
+		t.Fatalf("one worker: got %v, want bucket 5's short suffix", first)
+	}
+	for _, workers := range workerCounts {
+		if _, err := BuildBuckets(set, table, table.NonEmpty(), workers); err == nil || err.Error() != first.Error() {
+			t.Errorf("%d workers: got %v, want %v", workers, err, first)
 		}
 	}
 }

@@ -394,12 +394,14 @@ func TestBuildForestSkipsEmptyBuckets(t *testing.T) {
 	if len(forest) != 1 || forest[0].Bucket != 1 {
 		t.Fatalf("forest = %v, want exactly bucket 1", forest)
 	}
-	forest, err = BuildBuckets(set, m, []int32{0, 1, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(forest) != 1 || forest[0].Bucket != 1 {
-		t.Fatalf("listed forest = %v, want exactly bucket 1", forest)
+	for _, workers := range []int{1, 2, 8} {
+		forest, err = BuildBuckets(set, m, []int32{0, 1, 9}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(forest) != 1 || forest[0].Bucket != 1 {
+			t.Fatalf("workers=%d: listed forest = %v, want exactly bucket 1", workers, forest)
+		}
 	}
 	if _, err := BuildForest(set, m, 3); err == nil {
 		t.Error("building a w=2 table with w=3 must fail")

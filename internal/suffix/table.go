@@ -22,7 +22,7 @@ type Buckets struct {
 	// next[b] is where Put writes bucket b's next suffix. Only a table from
 	// NewSizedBuckets has it, and Seal drops it.
 	next []int32
-	// err is a failed CollectOwned's error, which BuildForest returns: the
+	// err is a failed CollectOwned's error, which BuildBuckets returns: the
 	// collector has a single result.
 	err error
 }
@@ -100,7 +100,8 @@ func (t *Buckets) Histogram() []int64 {
 // bucket is owned by worker me into a flat table. Sequentially it is called
 // once with the full string range; a survivor rebuilding a dead slave's shard
 // calls it with an owner array masked down to the shard. A string set too
-// large for one table yields an empty table whose error BuildForest returns.
+// large for one table yields an empty table whose error BuildBuckets (and so
+// BuildForest) returns.
 func CollectOwned(set *seq.SetS, w int, owner []int32, me int32, lo, hi seq.StringID) *Buckets {
 	t := NewBuckets(w)
 	_, t.err = t.merge(set, owner, me, lo, hi)

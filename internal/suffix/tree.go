@@ -3,6 +3,7 @@ package suffix
 import (
 	"fmt"
 
+	"pace/internal/fanout"
 	"pace/internal/seq"
 )
 
@@ -242,48 +243,77 @@ func (b *builder) build(group []SuffixRef, depth int32) {
 }
 
 // BuildForest builds the subtree of every non-empty bucket of the table, in
-// ascending bucket order.
+// ascending bucket order, on the calling goroutine alone.
 func BuildForest(set *seq.SetS, t *Buckets, w int) ([]*Tree, error) {
-	if t.err != nil {
-		return nil, t.err
-	}
 	if t.w != w {
 		return nil, fmt.Errorf("suffix: table collected with window %d, build asked for %d", t.w, w)
 	}
-	return BuildBuckets(set, t, t.NonEmpty())
+	return BuildBuckets(set, t, t.NonEmpty(), 1)
 }
 
 // BuildBuckets builds the subtrees of the listed buckets of the table, in the
-// order given, skipping the empty ones. The table is only read. Trees are
-// written back to back into shared node slabs and their headers are cut from
-// one array, so a forest costs a few allocations per slab, not per tree — and
-// a tree keeps its whole slab reachable for as long as it is.
-func BuildBuckets(set *seq.SetS, t *Buckets, ids []int32) ([]*Tree, error) {
-	trees, pending, largest := 0, 0, 0
-	for _, id := range ids {
-		if n := len(t.Refs(int(id))); n > 0 {
-			trees++
-			pending += n
-			largest = max(largest, n)
+// order given, skipping the empty ones; a table a failed CollectOwned
+// returned yields that collect's error. The table is only read.
+//
+// The ids are cut into at most workers contiguous chunks of near-equal suffix
+// count, each built by a builder of its own, the first on the calling
+// goroutine and the others concurrently. Subtrees are independent (§3.1), so
+// the forest is node for node what one builder makes, in the same order, and
+// the error returned is the one a single pass over the ids meets first.
+// Trees are written back to back into node slabs and their headers are cut
+// from one array, so a forest costs a few allocations per slab and per
+// worker, not per tree — and a tree keeps its whole slab reachable for as
+// long as it is.
+func BuildBuckets(set *seq.SetS, t *Buckets, ids []int32, workers int) ([]*Tree, error) {
+	if t.err != nil {
+		return nil, t.err
+	}
+	cuts := fanout.Cuts(len(ids), workers, func(i int) int { return len(t.Refs(int(ids[i]))) })
+	// Slot i holds ids[i]'s tree until the compaction below, so no chunk
+	// needs to know how many trees the chunks before it build.
+	forest := make([]*Tree, len(ids))
+	headers := make([]Tree, len(ids))
+	err := fanout.Run(len(cuts)-1, func(k int) error {
+		lo, hi := cuts[k], cuts[k+1]
+		return buildRange(set, t, ids[lo:hi], forest[lo:hi], headers[lo:hi])
+	})
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, tr := range forest {
+		if tr != nil {
+			forest[n] = tr
+			n++
 		}
 	}
-	forest := make([]*Tree, 0, trees)
-	headers := make([]Tree, trees)
-	b := newBuilder(set, t.w, pending, largest)
+	return forest[:n], nil
+}
+
+// buildRange builds the non-empty buckets among ids with one builder, putting
+// bucket ids[i]'s tree in headers[i] and forest[i]. It stops at the first
+// error.
+func buildRange(set *seq.SetS, t *Buckets, ids []int32, forest []*Tree, headers []Tree) error {
+	pending, largest := 0, 0
 	for _, id := range ids {
+		n := len(t.Refs(int(id)))
+		pending += n
+		largest = max(largest, n)
+	}
+	b := newBuilder(set, t.w, pending, largest)
+	for i, id := range ids {
 		refs := t.Refs(int(id))
 		if len(refs) == 0 {
 			continue
 		}
 		nodes, err := b.tree(refs)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		h := &headers[len(forest)]
-		*h = Tree{Bucket: int(id), Nodes: nodes, leaves: len(refs)}
-		forest = append(forest, h)
+		headers[i] = Tree{Bucket: int(id), Nodes: nodes, leaves: len(refs)}
+		forest[i] = &headers[i]
 	}
-	return forest, nil
+	return nil
 }
 
 // Verify checks the structural invariants of a tree against the sequence

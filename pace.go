@@ -150,8 +150,11 @@ func BenchFileName(tool string, now time.Time) string {
 
 // Options configures Cluster. Start from DefaultOptions.
 type Options struct {
-	// Processors is the number of ranks; 1 runs the sequential engine,
-	// p >= 2 runs one master and p-1 slaves.
+	// Processors is the number of message-passing ranks, not of threads;
+	// 1 runs the sequential engine, p >= 2 runs one master and p-1 slaves.
+	// The sequential engine still builds its suffix forest and sets up its
+	// pair generator on every core (GOMAXPROCS); each rank of the parallel
+	// engine runs on one goroutine.
 	Processors int
 	// Simulated runs the parallel engine on the discrete-event simulated
 	// machine (virtual clocks, modeled interconnect) instead of real
