@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, table1, table2, table3, fig6a, fig6b, fig7, fig8, ablations, trim, incremental, shardeduf)")
+	exp := flag.String("exp", "all", "experiment to run (all, table1, table2, table3, fig6a, fig6b, fig7, fig8, ablations, trim, incremental)")
 	scaleName := flag.String("scale", "small", "workload scale (tiny, small, medium)")
 	seed := flag.Int64("seed", 1, "benchmark random seed")
 	reportPath := flag.String("report", "", "write a run-report JSON here ('auto' derives BENCH_experiments_<stamp>.json)")
@@ -57,9 +57,8 @@ func main() {
 		"ablations":   ablations,
 		"trim":        trimStudy,
 		"incremental": incrementalStudy,
-		"shardeduf":   shardedUFStudy,
 	}
-	order := []string{"table1", "table2", "table3", "fig6a", "fig6b", "fig7", "fig8", "ablations", "trim", "incremental", "shardeduf"}
+	order := []string{"table1", "table2", "table3", "fig6a", "fig6b", "fig7", "fig8", "ablations", "trim", "incremental"}
 
 	names := order
 	if *exp != "all" {
@@ -311,76 +310,6 @@ func incrementalStudy(sc experiments.Scale, seed int64) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "experiments: wrote incremental comparison to %s\n", incrementalBench)
-	return nil
-}
-
-// shardedUFBench is the artifact -exp shardeduf writes next to stdout.
-const shardedUFBench = "BENCH_shardeduf.json"
-
-// shardedUFShards is the master shard count for the study (the K the CI
-// equivalence matrix also pins).
-const shardedUFShards = 16
-
-func shardedUFStudy(sc experiments.Scale, seed int64) error {
-	header(fmt.Sprintf("Sharded union-find — master idle (virtual s) vs p, %d ESTs, K=%d",
-		sc.ComponentN, shardedUFShards))
-	rows, err := experiments.ShardedUFStudy(sc, seed, shardedUFShards)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%6s  %12s  %12s  %12s  %12s  %11s  %11s  %11s  %7s\n",
-		"p", "legacy idle", "sharded idle", "recv wait", "reconcile",
-		"master inKB", "(legacy)", "delta edges", "phases")
-	for _, r := range rows {
-		fmt.Printf("%6d  %12.4f  %12.4f  %12.4f  %12.4f  %11.1f  %11.1f  %11d  %7d\n",
-			r.P, r.LegacyIdle.Seconds(), r.ShardIdle.Seconds(),
-			r.ShardRecv.Seconds(), r.ShardRecon.Seconds(),
-			float64(r.ShardMasterBytes)/1024, float64(r.LegacyMasterBytes)/1024,
-			r.DeltaEdges, r.Phases)
-	}
-	last := rows[len(rows)-1]
-	fmt.Printf("p=%d master idle: legacy %.4fs -> sharded %.4fs (%.2f%%); master inflow %.0f KB -> %.0f KB (%.1f%%)\n",
-		last.P, last.LegacyIdle.Seconds(), last.ShardIdle.Seconds(),
-		100*last.ShardIdle.Seconds()/last.LegacyIdle.Seconds(),
-		float64(last.LegacyMasterBytes)/1024, float64(last.ShardMasterBytes)/1024,
-		100*float64(last.ShardMasterBytes)/float64(last.LegacyMasterBytes))
-
-	rep := &telemetry.RunReport{
-		Tool: "shardeduf",
-		Params: map[string]string{
-			"scale":  sc.Name,
-			"n":      fmt.Sprintf("%d", sc.ComponentN),
-			"seed":   fmt.Sprintf("%d", seed),
-			"shards": fmt.Sprintf("%d", shardedUFShards),
-		},
-		Procs:     rows[len(rows)-1].P,
-		Simulated: true,
-		Counters:  map[string]float64{},
-	}
-	for _, r := range rows {
-		rep.Phases = append(rep.Phases,
-			telemetry.PhaseEntry{Name: fmt.Sprintf("p%d_legacy", r.P), Seconds: r.LegacyTotal.Seconds()},
-			telemetry.PhaseEntry{Name: fmt.Sprintf("p%d_sharded", r.P), Seconds: r.ShardTotal.Seconds()})
-		pfx := fmt.Sprintf("p%d_", r.P)
-		rep.Counters[pfx+"legacy_master_idle_ns"] = float64(r.LegacyIdle.Nanoseconds())
-		rep.Counters[pfx+"sharded_master_idle_ns"] = float64(r.ShardIdle.Nanoseconds())
-		rep.Counters[pfx+"sharded_master_recv_wait_ns"] = float64(r.ShardRecv.Nanoseconds())
-		rep.Counters[pfx+"sharded_master_reconcile_wait_ns"] = float64(r.ShardRecon.Nanoseconds())
-		rep.Counters[pfx+"legacy_master_bytes_recv"] = float64(r.LegacyMasterBytes)
-		rep.Counters[pfx+"sharded_master_bytes_recv"] = float64(r.ShardMasterBytes)
-		rep.Counters[pfx+"sharded_delta_edges"] = float64(r.DeltaEdges)
-		rep.Counters[pfx+"sharded_reconcile_phases"] = float64(r.Phases)
-	}
-	if repStamp.IsZero() {
-		rep.Stamp()
-	} else {
-		rep.StampAt(repStamp)
-		rep.WallSeconds = 0
-	}
-	if err := rep.WriteJSON(shardedUFBench); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "experiments: wrote sharded union-find comparison to %s\n", shardedUFBench)
 	return nil
 }
 

@@ -38,7 +38,7 @@ func main() {
 	window := flag.Int("w", 8, "suffix bucketing window w")
 	psi := flag.Int("psi", 20, "promising pair threshold ψ (min maximal common substring)")
 	batch := flag.Int("batch", 60, "pairs per master-slave interaction")
-	mergeShards := flag.Int("merge-shards", 0, "merge-delta protocol with K union-find shards on the master (0 = legacy per-pair protocol)")
+	mergeShards := flag.Int("merge-shards", 0, "merge protocol: 0 = per-pair verdicts, 1 = slave-filtered merge deltas")
 	minOverlap := flag.Int("min-overlap", 40, "minimum accepted overlap columns")
 	minIdentity := flag.Float64("min-identity", 0.90, "minimum accepted overlap identity")
 	doTrim := flag.Bool("trim", false, "trim poly(A)/poly(T) tails before clustering")

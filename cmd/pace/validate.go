@@ -58,8 +58,8 @@ func validateFlags(v flagValues) error {
 	if v.batch < 1 {
 		return fmt.Errorf("-batch must be positive, got %d", v.batch)
 	}
-	if v.mergeShards < 0 {
-		return fmt.Errorf("-merge-shards must be >= 0 (0 = legacy single union-find), got %d", v.mergeShards)
+	if v.mergeShards < 0 || v.mergeShards > 1 {
+		return fmt.Errorf("-merge-shards must be 0 (per-pair verdicts) or 1 (merge deltas), got %d: the K > 1 sharded master union-find was removed", v.mergeShards)
 	}
 	if v.minOverlap < 1 {
 		return fmt.Errorf("-min-overlap must be positive, got %d", v.minOverlap)

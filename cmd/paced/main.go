@@ -80,7 +80,7 @@ func main() {
 	window := flag.Int("w", 8, "suffix bucketing window w")
 	psi := flag.Int("psi", 20, "promising pair threshold ψ")
 	batch := flag.Int("batch", 60, "pairs per master-slave interaction")
-	mergeShards := flag.Int("merge-shards", 0, "merge-delta protocol with K union-find shards on the master (0 = legacy per-pair protocol)")
+	mergeShards := flag.Int("merge-shards", 0, "merge protocol: 0 = per-pair verdicts, 1 = slave-filtered merge deltas")
 	maxSessions := flag.Int("max-sessions", 64, "server-wide live session quota")
 	maxPerTenant := flag.Int("max-per-tenant", 16, "per-tenant live session quota")
 	maxESTs := flag.Int("max-ests", 0, "per-session EST capacity (0 = unlimited)")
@@ -112,8 +112,8 @@ func main() {
 	opt.Window = *window
 	opt.MinMatch = *psi
 	opt.BatchSize = *batch
-	if *mergeShards < 0 {
-		fatal(fmt.Errorf("-merge-shards must be >= 0 (0 = legacy single union-find), got %d", *mergeShards))
+	if err := checkMergeShards(*mergeShards); err != nil {
+		fatal(err)
 	}
 	opt.MergeShards = *mergeShards
 	if *chaosSpec != "" {
@@ -288,6 +288,14 @@ func closeTrace(logger *slog.Logger, trace *telemetry.TraceWriter, f *os.File) {
 	if err := f.Close(); err != nil {
 		logger.Error("trace file close failed", "err", err.Error())
 	}
+}
+
+// checkMergeShards refuses a -merge-shards value the engine no longer has.
+func checkMergeShards(k int) error {
+	if k < 0 || k > 1 {
+		return fmt.Errorf("-merge-shards must be 0 (per-pair verdicts) or 1 (merge deltas), got %d: the K > 1 sharded master union-find was removed", k)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -67,12 +67,12 @@ func TestChaos(t *testing.T) {
 	ran := 0
 	// Each scenario runs under both merge protocols: a crashed slave loses
 	// its local union-find and unshipped delta edges together, so recovery
-	// must regenerate and re-filter the lost range consistently — the
-	// sharded leg (K = 4) proves that, including deaths mid-reconcile.
+	// must regenerate and re-filter the lost range consistently — the delta
+	// leg proves that.
 	for _, merge := range []struct {
 		name   string
 		shards int
-	}{{"legacy", 0}, {"sharded", 4}} {
+	}{{"per-pair", 0}, {"delta", 1}} {
 		t.Run(merge.name, func(t *testing.T) {
 			for _, sc := range chaosScenarios {
 				if only != "" && sc.name != only {
@@ -102,8 +102,12 @@ func TestChaos(t *testing.T) {
 					if sc.fault.CrashRank > 0 && res.Stats.Recovery.RanksLost != 1 {
 						t.Errorf("RanksLost = %d, want 1", res.Stats.Recovery.RanksLost)
 					}
-					if merge.shards > 0 && res.Stats.Reconcile.Shards != merge.shards {
-						t.Errorf("Reconcile.Shards = %d, want %d", res.Stats.Reconcile.Shards, merge.shards)
+					var edges int64
+					for _, r := range res.Stats.PerRank {
+						edges += r.DeltaEdges
+					}
+					if (merge.shards > 0) != (edges > 0) {
+						t.Errorf("MergeShards %d shipped %d delta edges", merge.shards, edges)
 					}
 				})
 			}

@@ -190,9 +190,8 @@ func newCheckpointer(cfg Config, numESTs int, st *Stats, pr *probes, clock func(
 
 // maybe writes a snapshot when the cadence (EveryReports if set, else
 // Interval) says so, or unconditionally with force (the final snapshot).
-// The structure is frozen through the snapshotter seam so both merge
-// policies (plain and root-sharded) feed the same UFv1-based codec.
-func (ck *checkpointer) maybe(uf snapshotter, processed, accepted, skipped, merges int64, force bool) error {
+// uf is serialized before maybe returns, so the caller keeps mutating it.
+func (ck *checkpointer) maybe(uf *unionfind.UF, processed, accepted, skipped, merges int64, force bool) error {
 	if ck == nil {
 		return nil
 	}
@@ -213,7 +212,7 @@ func (ck *checkpointer) maybe(uf snapshotter, processed, accepted, skipped, merg
 	n, err := WriteCheckpointFS(ck.cfg.fs(), ck.cfg.Dir, &Checkpoint{
 		NumESTs: ck.numESTs, Window: ck.window, Psi: ck.psi, Seq: ck.seq,
 		PairsProcessed: processed, PairsAccepted: accepted,
-		PairsSkipped: skipped, Merges: merges, UF: uf.Snapshot(),
+		PairsSkipped: skipped, Merges: merges, UF: uf,
 	})
 	if err != nil {
 		return err

@@ -67,9 +67,9 @@ type alignResult struct {
 }
 
 // report is the slave → master message: R results and P pairs plus status
-// flags (paper §3.3). Under the sharded merge protocol (Config.MergeShards
-// >= 1) the per-pair results are replaced by a merge delta: batch counters
-// plus the spanning edges the slave's local union-find admitted.
+// flags (paper §3.3). Under the delta protocol (Config.MergeShards == 1) the
+// per-pair results are replaced by a merge delta: batch counters plus the
+// spanning edges the slave's local union-find admitted.
 type report struct {
 	results []alignResult
 	pairs   []pairgen.Pair

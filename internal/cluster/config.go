@@ -62,14 +62,12 @@ type Config struct {
 	SkipSameCluster bool
 
 	// MergeShards selects the merge protocol. 0 (the default) is the
-	// paper's single-master path: slaves report a verdict per processed
-	// pair and the master serializes every accepted pair through one
-	// union-find. K >= 1 switches to sharded delta reconciliation: slaves
-	// filter accepted pairs through a local union-find and report only the
-	// spanning edges, and the master applies them through a K-way
-	// root-sharded union-find reconciled in bounded phases (see merge.go
-	// and DESIGN.md §15). The final labels are identical across all values;
-	// only wire traffic, counters, and the master's time breakdown change.
+	// paper's per-pair path: slaves report a verdict per processed pair and
+	// the master unions every accepted pair. 1 switches to merge deltas:
+	// slaves filter accepted pairs through a local union-find and report
+	// only the spanning edges, which the master unions (see merge.go and
+	// DESIGN.md §15). The final labels are identical either way; only wire
+	// traffic and counters change. Values above 1 are refused.
 	MergeShards int
 
 	// MP configures the message-passing machine (rank count, real vs
@@ -267,8 +265,8 @@ func (c Config) Validate() error {
 	if c.SlaveTimeout < 0 {
 		return fmt.Errorf("cluster: SlaveTimeout must be >= 0")
 	}
-	if c.MergeShards < 0 {
-		return fmt.Errorf("cluster: MergeShards must be >= 0 (0 selects the single-master merge path)")
+	if c.MergeShards < 0 || c.MergeShards > 1 {
+		return fmt.Errorf("cluster: MergeShards must be 0 (per-pair verdicts) or 1 (merge deltas), got %d: the K > 1 sharded master union-find was removed", c.MergeShards)
 	}
 	if c.Checkpoint.Interval < 0 || c.Checkpoint.EveryReports < 0 {
 		return fmt.Errorf("cluster: checkpoint cadence must be >= 0")
@@ -356,23 +354,13 @@ type Stats struct {
 	// charges every outstanding grant (including the slaves' bootstrap
 	// batches) against the free space before issuing a new one.
 	WorkBufHighWater int
-	// MasterIdle is the time the master spent NOT serving slave protocol
-	// messages: MasterRecvWait + MasterReconcileWait. It used to alias the
-	// recv-wait alone, which silently folded merge-application time into
-	// "busy"; the split keeps the paper's not-a-bottleneck evidence honest
-	// when the merge path changes.
+	// MasterIdle is the time the master's dispatch loop spent blocked in
+	// Recv waiting for slave reports; merge application, per pair or per
+	// delta, is MasterBusy. Prologue collective waits (bucket count
+	// exchange, startup barriers) are excluded: they are identical under
+	// every merge protocol and would drown the dispatch-loop signal at
+	// large p.
 	MasterIdle time.Duration
-	// MasterRecvWait is the time the master's dispatch loop spent blocked
-	// in Recv waiting for slave reports. Prologue collective waits (bucket
-	// count exchange, startup barriers) are excluded: they are identical
-	// under every merge protocol and would drown the dispatch-loop signal
-	// at large p.
-	MasterRecvWait time.Duration
-	// MasterReconcileWait is the time the master spent applying merge
-	// deltas through the sharded structure (Config.MergeShards >= 1).
-	// Always zero on the legacy single-master path, whose per-result
-	// unions are counted in MasterBusy as before.
-	MasterReconcileWait time.Duration
 	// Phases is the per-phase breakdown.
 	Phases PhaseTimes
 	// PerRank is the per-rank load/communication breakdown behind the
@@ -386,38 +374,6 @@ type Stats struct {
 	// Incremental tallies batch-ingest activity; zero unless Config.FreshGen
 	// or Config.Cache was set.
 	Incremental IncrementalStats
-	// Reconcile tallies the sharded merge path; zero unless
-	// Config.MergeShards >= 1.
-	Reconcile ReconcileStats
-}
-
-// ReconcileStats counts what the sharded merge path (Config.MergeShards >= 1)
-// did during a run: how many deltas were applied, how much reconciliation
-// traffic crossed shard boundaries, and how deep the phase loop went.
-type ReconcileStats struct {
-	// Shards is the configured shard count K.
-	Shards int
-	// Applies is the number of delta applications (one per delta-carrying
-	// report on the master; one per batch in the sequential engine).
-	Applies int64
-	// DeltaEdges is the total number of spanning edges received in deltas —
-	// the entire merge traffic under the delta protocol (compare
-	// PairsProcessed, the legacy protocol's per-verdict traffic).
-	DeltaEdges int64
-	// Phases is the total number of reconcile rounds across all applies.
-	Phases int64
-	// MaxPhases is the deepest reconcile loop of any single apply — the
-	// observed bound on the phase count.
-	MaxPhases int64
-	// Tasks is the total number of merge tasks processed (edges plus
-	// cross-shard forwards).
-	Tasks int64
-	// CrossShard is the number of tasks forwarded between shards.
-	CrossShard int64
-	// PhaseTasks is the per-round task count summed over applies:
-	// PhaseTasks[i] tasks were processed in round i+1 of their apply. The
-	// sharp decay from PhaseTasks[0] is the fixpoint argument made visible.
-	PhaseTasks []int64
 }
 
 // IncrementalStats counts what the incremental machinery saved and did
@@ -497,7 +453,7 @@ type RankStats struct {
 	// messages rather than waiting.
 	Busy time.Duration
 	// DeltaEdges is the number of merge-delta spanning edges the rank
-	// shipped (sharded merge protocol; zero otherwise).
+	// shipped (delta protocol; zero otherwise).
 	DeltaEdges int64
 }
 

@@ -6,7 +6,7 @@ package cluster
 //	             rank shares (prologue, suffix redistribution ranges)
 //	master.go  — the master rank: dispatch, flow control, failure recovery
 //	slave.go   — the slave rank: GST share, pair generation, alignment loop
-//	merge.go   — the merge policy seam: how accepted pairs become merges
+//	merge.go   — the merge protocols: how accepted pairs become merges
 //	codec.go   — the wire protocol
 
 import (
@@ -71,11 +71,11 @@ func wallElapsed() func() time.Duration {
 }
 
 // runSequential is the single-process engine: generate batches in decreasing
-// order, skip same-cluster pairs, align, merge. Under the sharded merge
-// policy (MergeShards >= 1) accepted pairs accumulate as a per-batch delta
-// applied at the batch boundary — the same deferred-merge semantics the
-// parallel delta protocol has, so the sequential engine is a valid
-// equivalence reference for it. Forest construction and generator set-up fan
+// order, skip same-cluster pairs, align, merge. Under the delta protocol
+// (MergeShards == 1) accepted pairs accumulate as a per-batch delta applied
+// at the batch boundary — the same deferred-merge semantics the parallel
+// delta protocol has, so the sequential engine is a valid equivalence
+// reference for it. Forest construction and generator set-up fan
 // out over up to workers goroutines; partition, the pair drain and alignment
 // run on this one, and the result does not depend on workers.
 func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
@@ -116,7 +116,7 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		return nil, err
 	}
 	t2 := clk()
-	gen, err := pairgen.NewFreshParallel(set, fb.forest, cfg.Psi, cfg.FreshGen, workers)
+	gen, err := pairgen.NewFresh(set, fb.forest, cfg.Psi, cfg.FreshGen, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -130,8 +130,8 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := newMerger(cfg, set.NumESTs())
-	seedMerges, err := seedClusters(m, cfg.InitialLabels, set.NumESTs())
+	uf := unionfind.New(set.NumESTs())
+	seedMerges, err := seedClusters(uf, cfg.InitialLabels, set.NumESTs())
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		var batchAlign time.Duration
 		for _, p := range buf {
 			i, j := p.ESTs()
-			if cfg.SkipSameCluster && m.Same(int32(i), int32(j)) {
+			if cfg.SkipSameCluster && uf.Same(int32(i), int32(j)) {
 				st.PairsSkipped++
 				if pr != nil {
 					pr.skipped.Inc()
@@ -181,7 +181,7 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 				}
 				if cfg.MergeShards > 0 {
 					batchEdges = append(batchEdges, unionfind.MergeEdge{A: int32(i), B: int32(j)})
-				} else if m.Union(int32(i), int32(j)) {
+				} else if uf.Union(int32(i), int32(j)) {
 					st.Merges++
 					if pr != nil {
 						pr.merges.Inc()
@@ -190,14 +190,10 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 			}
 		}
 		if len(batchEdges) > 0 {
-			tR := clk()
-			links := m.apply(batchEdges)
-			dR := clk() - tR
-			st.MasterReconcileWait += dR
+			links := applyDelta(uf, batchEdges)
 			st.Merges += links
 			if pr != nil {
 				pr.merges.Add(links)
-				pr.reconApplyNs.Observe(int64(dR))
 			}
 			batchEdges = batchEdges[:0]
 		}
@@ -205,11 +201,11 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		if tw != nil && batchAlign > 0 {
 			tw.Span(cfg.TracePID, 0, "align", "cluster", tBatch, batchAlign)
 		}
-		if err := ck.maybe(m, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, false); err != nil {
+		if err := ck.maybe(uf, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, false); err != nil {
 			return nil, err
 		}
 	}
-	if err := ck.maybe(m, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, true); err != nil {
+	if err := ck.maybe(uf, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, true); err != nil {
 		return nil, err
 	}
 	st.PairsGenerated = gen.Stats().Generated
@@ -220,8 +216,6 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	if cfg.FreshGen > 0 || cfg.Cache != nil {
 		pr.recordIncremental(st.Incremental)
 	}
-	st.Reconcile = m.reconcile()
-	pr.recordReconcile(st.Reconcile)
 	st.Phases.Total = clk() - t0
 	st.PerRank = []RankStats{{
 		Rank: 0, Role: "seq",
@@ -230,8 +224,8 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		PairsGenerated: st.PairsGenerated, PairsProcessed: st.PairsProcessed,
 		PairsAccepted: st.PairsAccepted,
 	}}
-	res.Labels = m.Labels()
-	res.NumClusters = m.Count()
+	res.Labels = uf.Labels()
+	res.NumClusters = uf.Count()
 	return res, nil
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,8 +33,19 @@ func benchSet(t testing.TB, n, genes int, seed int64) *simulate.Benchmark {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig(4).Validate(); err != nil {
-		t.Fatal(err)
+	for _, k := range []int{0, 1} {
+		c := DefaultConfig(4)
+		c.MergeShards = k
+		if err := c.Validate(); err != nil {
+			t.Fatalf("MergeShards %d: %v", k, err)
+		}
+	}
+	for _, k := range []int{-1, 2} {
+		c := DefaultConfig(4)
+		c.MergeShards = k
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("MergeShards %d: error %v, want a refusal naming the removal", k, err)
+		}
 	}
 	bad := []func(*Config){
 		func(c *Config) { c.Window = 0 },

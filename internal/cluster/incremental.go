@@ -182,7 +182,7 @@ func CheckpointFromLabels(numESTs, window, psi int, labels []int32) (*Checkpoint
 		return nil, fmt.Errorf("cluster: %d labels for %d ESTs", len(labels), numESTs)
 	}
 	uf := unionfind.New(numESTs)
-	merges, err := seedClusters(legacyMerger{uf}, labels, numESTs)
+	merges, err := seedClusters(uf, labels, numESTs)
 	if err != nil {
 		return nil, err
 	}

@@ -41,16 +41,7 @@ const (
 	mIncrFreshPairs     = "pace_incremental_fresh_pairs_total"
 	mIncrStale          = "pace_incremental_stale_suppressed_total"
 
-	mReconShards     = "pace_reconcile_shards"
-	mReconApplies    = "pace_reconcile_applies_total"
-	mReconDeltaEdges = "pace_reconcile_delta_edges_total"
-	mReconPhases     = "pace_reconcile_phases_total"
-	mReconMaxPhases  = "pace_reconcile_max_phases"
-	mReconTasks      = "pace_reconcile_tasks_total"
-	mReconCross      = "pace_reconcile_cross_shard_total"
-	mReconApplyNs    = "pace_reconcile_apply_ns"
-	mMasterRecvWait  = "pace_master_recv_wait_ns"
-	mMasterReconWait = "pace_master_reconcile_wait_ns"
+	mMasterIdle = "pace_master_recv_wait_ns"
 )
 
 // probes is the engine's live-instrumentation bundle: pointers resolved once
@@ -89,16 +80,7 @@ type probes struct {
 	incrFresh   *telemetry.Counter
 	incrStale   *telemetry.Counter
 
-	reconShards     *telemetry.Gauge
-	reconApplies    *telemetry.Counter
-	reconDeltaEdges *telemetry.Counter
-	reconPhases     *telemetry.Counter
-	reconMaxPhases  *telemetry.Gauge
-	reconTasks      *telemetry.Counter
-	reconCross      *telemetry.Counter
-	reconApplyNs    *telemetry.Histogram
-	masterRecvWait  *telemetry.Gauge
-	masterReconWait *telemetry.Gauge
+	masterIdle *telemetry.Gauge
 }
 
 func newProbes(reg *telemetry.Registry) *probes {
@@ -129,16 +111,7 @@ func newProbes(reg *telemetry.Registry) *probes {
 	reg.Help(mIncrBucketsReused, "Non-empty GST buckets the latest incremental batch left untouched.")
 	reg.Help(mIncrFreshPairs, "Promising pairs emitted by fresh-only incremental runs.")
 	reg.Help(mIncrStale, "Old-by-old pairs suppressed inside rebuilt buckets (already judged).")
-	reg.Help(mReconShards, "Root shards K of the sharded merge structure (0 = legacy single-master).")
-	reg.Help(mReconApplies, "Merge-delta applications through the sharded structure.")
-	reg.Help(mReconDeltaEdges, "Spanning edges received in merge deltas.")
-	reg.Help(mReconPhases, "Reconcile rounds run across all delta applications.")
-	reg.Help(mReconMaxPhases, "Deepest reconcile loop of any single delta application.")
-	reg.Help(mReconTasks, "Merge tasks processed by the shards (delta edges plus forwards).")
-	reg.Help(mReconCross, "Merge tasks forwarded between shards during reconciliation.")
-	reg.Help(mReconApplyNs, "Latency of one merge-delta application, nanoseconds.")
-	reg.Help(mMasterRecvWait, "Master time blocked in Recv waiting for slave reports, nanoseconds.")
-	reg.Help(mMasterReconWait, "Master time applying merge deltas (not serving messages), nanoseconds.")
+	reg.Help(mMasterIdle, "Master time blocked in Recv waiting for slave reports, nanoseconds.")
 	return &probes{
 		reg:        reg,
 		generated:  reg.Counter(mPairsGenerated),
@@ -168,41 +141,8 @@ func newProbes(reg *telemetry.Registry) *probes {
 		incrFresh:   reg.Counter(mIncrFreshPairs),
 		incrStale:   reg.Counter(mIncrStale),
 
-		reconShards:     reg.Gauge(mReconShards),
-		reconApplies:    reg.Counter(mReconApplies),
-		reconDeltaEdges: reg.Counter(mReconDeltaEdges),
-		reconPhases:     reg.Counter(mReconPhases),
-		reconMaxPhases:  reg.Gauge(mReconMaxPhases),
-		reconTasks:      reg.Counter(mReconTasks),
-		reconCross:      reg.Counter(mReconCross),
-		reconApplyNs:    reg.Histogram(mReconApplyNs, telemetry.ExpBounds(1000, 4, 12)),
-		masterRecvWait:  reg.Gauge(mMasterRecvWait),
-		masterReconWait: reg.Gauge(mMasterReconWait),
+		masterIdle: reg.Gauge(mMasterIdle),
 	}
-}
-
-// recordReconcile publishes a run's sharded-merge tallies (set once at run
-// end, outside the hot path; no-op for the legacy policy's zero stats).
-func (pr *probes) recordReconcile(rs ReconcileStats) {
-	if pr == nil || rs.Shards == 0 {
-		return
-	}
-	pr.reconShards.Set(int64(rs.Shards))
-	pr.reconApplies.Add(rs.Applies)
-	pr.reconDeltaEdges.Add(rs.DeltaEdges)
-	pr.reconPhases.Add(rs.Phases)
-	pr.reconMaxPhases.SetMax(rs.MaxPhases)
-	pr.reconTasks.Add(rs.Tasks)
-	pr.reconCross.Add(rs.CrossShard)
-}
-
-// recordMasterWait publishes the master's idle breakdown.
-func (pr *probes) recordMasterWait(recvWait, reconWait time.Duration) {
-	if pr == nil {
-		return
-	}
-	pr.masterRecvWait.Set(int64(recvWait))
-	pr.masterReconWait.Set(int64(reconWait))
 }
 
 // recordIncremental publishes a batch run's incremental tallies (set once at

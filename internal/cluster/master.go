@@ -9,15 +9,15 @@ import (
 	"pace/internal/pairgen"
 	"pace/internal/seq"
 	"pace/internal/suffix"
+	"pace/internal/unionfind"
 )
 
 // The master rank (paper §3.3): it owns the cluster structure and the
 // bounded WORKBUF of promising pairs, dispatches alignment batches to the
 // slaves under the E = min(α·δ·batchsize, nfree/p) flow-control grant, and
 // recovers from slave deaths by requeueing their in-flight work and
-// subdividing their generator shards. How accepted pairs become merges is
-// delegated to the merger seam (merge.go): per-result unions on the legacy
-// protocol, phase-reconciled delta applies on the sharded one.
+// subdividing their generator shards. Accepted pairs reach its union-find as
+// per-pair verdicts or as merge deltas (merge.go).
 
 // masterState tracks one slave's protocol position.
 type masterState struct {
@@ -106,8 +106,8 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 		st.Incremental.BucketsRebuilt = rebuilt
 		st.Incremental.BucketsReused = nonEmptyBuckets(global) - rebuilt
 	}
-	m := newMerger(cfg, set.NumESTs())
-	seedMerges, err := seedClusters(m, cfg.InitialLabels, set.NumESTs())
+	uf := unionfind.New(set.NumESTs())
+	seedMerges, err := seedClusters(uf, cfg.InitialLabels, set.NumESTs())
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +158,7 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 		var out []pairgen.Pair
 		keep := func(p pairgen.Pair) bool {
 			i, j := p.ESTs()
-			if cfg.SkipSameCluster && m.Same(int32(i), int32(j)) {
+			if cfg.SkipSameCluster && uf.Same(int32(i), int32(j)) {
 				st.PairsSkipped++
 				if pr != nil {
 					pr.skipped.Inc()
@@ -343,8 +343,8 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 	// accumulated up to here is the prologue's collective synchronization
 	// (bucket-count exchange, barriers), the same for every merge protocol
 	// and not a master-bottleneck signal. Snapshotting the baseline makes
-	// MasterRecvWait exactly "time the dispatch loop spent blocked on
-	// slave reports".
+	// MasterIdle exactly "time the dispatch loop spent blocked on slave
+	// reports".
 	rw0 := c.Stats().RecvWait
 
 	// cumProcessed/cumAccepted mirror the slaves' counters from the
@@ -411,28 +411,20 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 			return nil, fmt.Errorf("cluster: slave %d reported %d pairs, exceeding its grant of %d", s, len(rep.pairs), grant)
 		}
 
-		// Merge application, by protocol. The reconcile time of a delta
-		// apply is carved out of MasterBusy into MasterReconcileWait: it is
-		// time the master is not serving protocol messages, which is the
-		// quantity the master-bottleneck argument is about.
-		var recon time.Duration
+		// Merge application, by protocol; either way it is master busy time.
 		if rep.hasDelta {
 			cumProcessed += rep.deltaProcessed
 			cumAccepted += rep.deltaAccepted
-			tR := c.Elapsed()
-			links := m.apply(rep.delta.Edges)
-			recon = c.Elapsed() - tR
-			st.MasterReconcileWait += recon
+			links := applyDelta(uf, rep.delta.Edges)
 			st.Merges += links
 			if pr != nil {
 				pr.merges.Add(links)
-				pr.reconApplyNs.Observe(int64(recon))
 			}
 		} else {
 			for _, r := range rep.results {
 				if r.accepted {
 					cumAccepted++
-					if m.Union(int32(r.estI), int32(r.estJ)) {
+					if uf.Union(int32(r.estI), int32(r.estJ)) {
 						st.Merges++
 						if pr != nil {
 							pr.merges.Inc()
@@ -445,7 +437,7 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 		added := 0
 		for _, pair := range rep.pairs {
 			i, j := pair.ESTs()
-			if cfg.SkipSameCluster && m.Same(int32(i), int32(j)) {
+			if cfg.SkipSameCluster && uf.Same(int32(i), int32(j)) {
 				st.PairsSkipped++
 				if pr != nil {
 					pr.skipped.Inc()
@@ -466,7 +458,7 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 		if tw != nil {
 			tw.Counter(cfg.TracePID, "workbuf", c.Elapsed(), int64(buffered()))
 		}
-		if err := ck.maybe(m, cumProcessed, cumAccepted, st.PairsSkipped, st.Merges, false); err != nil {
+		if err := ck.maybe(uf, cumProcessed, cumAccepted, st.PairsSkipped, st.Merges, false); err != nil {
 			return nil, err
 		}
 
@@ -513,14 +505,14 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 		if err := reactivate(); err != nil {
 			return nil, err
 		}
-		st.MasterBusy += c.Elapsed() - busy - recon
+		st.MasterBusy += c.Elapsed() - busy
 		if done() {
 			break
 		}
 	}
 
 	// Final snapshot: a resumed run starts from the completed partition.
-	if err := ck.maybe(m, cumProcessed, cumAccepted, st.PairsSkipped, st.Merges, true); err != nil {
+	if err := ck.maybe(uf, cumProcessed, cumAccepted, st.PairsSkipped, st.Merges, true); err != nil {
 		return nil, err
 	}
 
@@ -538,11 +530,10 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 	// ranks can be skipped; they appear as zeroed "lost" rows.
 	total := c.Elapsed() - tStart
 	cs := c.Stats()
-	st.MasterRecvWait = cs.RecvWait - rw0
-	st.MasterIdle = st.MasterRecvWait + st.MasterReconcileWait
-	st.Reconcile = m.reconcile()
-	pr.recordReconcile(st.Reconcile)
-	pr.recordMasterWait(st.MasterRecvWait, st.MasterReconcileWait)
+	st.MasterIdle = cs.RecvWait - rw0
+	if pr != nil {
+		pr.masterIdle.Set(int64(st.MasterIdle))
+	}
 	mine := phaseReport{partitionNs: int64(tPart), totalNs: int64(total), busyNs: int64(st.MasterBusy)}
 	fillComm(&mine, cs)
 	st.PerRank = make([]RankStats, 0, c.Size())
@@ -606,7 +597,7 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 		pr.recordIncremental(st.Incremental)
 	}
 
-	res.Labels = m.Labels()
-	res.NumClusters = m.Count()
+	res.Labels = uf.Labels()
+	res.NumClusters = uf.Count()
 	return res, nil
 }

@@ -6,118 +6,33 @@ import (
 	"pace/internal/unionfind"
 )
 
-// Merge policy: how accepted pairs become cluster merges.
+// Merge protocols: how accepted pairs become cluster merges.
 //
-// The engine supports two protocols, selected by Config.MergeShards:
+// The master (and the sequential engine) owns one union-find, the paper's
+// §3.3 CLUSTERS structure. Config.MergeShards selects what reaches it:
 //
-//   - Legacy single-master (MergeShards == 0): slaves report a verdict for
-//     every processed pair and the master serializes each accepted pair
-//     through one union-find — the paper's §3.2 structure, kept bit-exact as
-//     the baseline.
-//   - Sharded delta reconciliation (MergeShards >= 1): each slave filters
-//     accepted pairs through a local union-find and reports only the
-//     spanning edges (a MergeDelta) plus batch counters; the master owns a
-//     root-sharded union-find whose K shards apply same-shard merges
-//     concurrently and reconcile cross-shard merges in bounded phases.
-//
-// Both policies sit behind the merger seam below so the master, the
-// sequential engine, and the checkpointer never branch on the mode.
+//   - Per-pair verdicts (MergeShards == 0, the default): slaves report a
+//     verdict for every processed pair and the master unions each accepted
+//     pair — the paper's protocol, bit-exact.
+//   - Merge deltas (MergeShards == 1): each slave filters its accepted pairs
+//     through a local union-find (deltaLog) and reports only the spanning
+//     edges plus batch counters; the master unions the edges. The sequential
+//     engine applies each batch's accepted pairs at the batch boundary, the
+//     same deferred-merge semantics.
 
-// merger is the master-side (and sequential-engine) cluster structure.
-type merger interface {
-	// Same reports whether two ESTs already share a cluster (the
-	// SkipSameCluster filter).
-	Same(i, j int32) bool
-	// Union merges two ESTs directly — the seeding path (InitialLabels)
-	// and the legacy per-result path.
-	Union(i, j int32) bool
-	// apply merges a delta's edges through the policy's bulk path and
-	// returns the number of links that joined two clusters.
-	apply(edges []unionfind.MergeEdge) int64
-	// Labels / Count expose the partition.
-	Labels() []int32
-	Count() int
-	// Snapshot freezes the partition as a plain UF for the UFv1-based
-	// checkpoint codec.
-	Snapshot() *unionfind.UF
-	// reconcile returns the accumulated reconciliation tallies (zero value
-	// for the legacy policy).
-	reconcile() ReconcileStats
-}
-
-// snapshotter is the slice of merger the checkpointer needs.
-type snapshotter interface {
-	Snapshot() *unionfind.UF
-}
-
-// newMerger builds the configured merge policy over n ESTs.
-func newMerger(cfg Config, n int) merger {
-	if cfg.MergeShards == 0 {
-		return legacyMerger{unionfind.New(n)}
-	}
-	s := unionfind.NewSharded(n, cfg.MergeShards)
-	s.Parallel = true
-	return &shardedMerger{s: s, st: ReconcileStats{Shards: s.Shards()}}
-}
-
-// legacyMerger is the single-master policy: a plain rank-based union-find.
-type legacyMerger struct {
-	uf *unionfind.UF
-}
-
-func (m legacyMerger) Same(i, j int32) bool      { return m.uf.Same(i, j) }
-func (m legacyMerger) Union(i, j int32) bool     { return m.uf.Union(i, j) }
-func (m legacyMerger) Labels() []int32           { return m.uf.Labels() }
-func (m legacyMerger) Count() int                { return m.uf.Count() }
-func (m legacyMerger) Snapshot() *unionfind.UF   { return m.uf.Snapshot() }
-func (m legacyMerger) reconcile() ReconcileStats { return ReconcileStats{} }
-func (m legacyMerger) apply(edges []unionfind.MergeEdge) int64 {
+// applyDelta unions a delta's edges into uf and returns the number that
+// joined two clusters.
+func applyDelta(uf *unionfind.UF, edges []unionfind.MergeEdge) int64 {
 	var links int64
 	for _, e := range edges {
-		if m.uf.Union(e.A, e.B) {
+		if uf.Union(e.A, e.B) {
 			links++
 		}
 	}
 	return links
 }
 
-// shardedMerger is the phase-reconciled policy: deltas go through the
-// root-sharded structure's bulk Apply, and every apply's round breakdown is
-// accumulated into the run's ReconcileStats.
-type shardedMerger struct {
-	s  *unionfind.Sharded
-	st ReconcileStats
-	// acc sums the per-apply round tallies across the run.
-	acc unionfind.ApplyStats
-}
-
-func (m *shardedMerger) Same(i, j int32) bool    { return m.s.Same(i, j) }
-func (m *shardedMerger) Union(i, j int32) bool   { return m.s.Union(i, j) }
-func (m *shardedMerger) Labels() []int32         { return m.s.Labels() }
-func (m *shardedMerger) Count() int              { return m.s.Count() }
-func (m *shardedMerger) Snapshot() *unionfind.UF { return m.s.Snapshot() }
-
-func (m *shardedMerger) apply(edges []unionfind.MergeEdge) int64 {
-	st := m.s.Apply(unionfind.MergeDelta{Edges: edges})
-	m.st.Applies++
-	m.st.DeltaEdges += int64(len(edges))
-	if st.Phases > m.st.MaxPhases {
-		m.st.MaxPhases = st.Phases
-	}
-	m.acc.Add(st)
-	return st.Links
-}
-
-func (m *shardedMerger) reconcile() ReconcileStats {
-	out := m.st
-	out.Phases = m.acc.Phases
-	out.Tasks = m.acc.Tasks
-	out.CrossShard = m.acc.CrossShard
-	out.PhaseTasks = append([]int64(nil), m.acc.RoundTasks...)
-	return out
-}
-
-// deltaLog is the slave-side half of the sharded policy: a local union-find
+// deltaLog is the slave-side half of the delta protocol: a local union-find
 // that filters the slave's accepted pairs down to spanning edges. Edges
 // accumulate in pending until a report ships them; a slave that dies loses
 // its local structure and its unshipped edges together, so recovery's
@@ -159,7 +74,7 @@ func (d *deltaLog) take() []unionfind.MergeEdge {
 // may cover only a prefix of the ESTs (old batch before newly arrived ones).
 // It returns the number of union operations performed, so a resumed run can
 // report how much work the seed (e.g. a checkpoint) already covered.
-func seedClusters(m merger, labels []int32, n int) (int64, error) {
+func seedClusters(uf *unionfind.UF, labels []int32, n int) (int64, error) {
 	if len(labels) > n {
 		return 0, fmt.Errorf("cluster: %d initial labels for %d ESTs", len(labels), n)
 	}
@@ -170,7 +85,7 @@ func seedClusters(m merger, labels []int32, n int) (int64, error) {
 			continue
 		}
 		if f, ok := first[l]; ok {
-			if m.Union(f, int32(i)) {
+			if uf.Union(f, int32(i)) {
 				merges++
 			}
 		} else {

@@ -15,9 +15,9 @@ import (
 // bucket share, generates promising pairs on demand in decreasing order of
 // maximal common substring length, and aligns the batches the master
 // dispatches — overlapping generation with the wait for the master's reply.
-// Under the sharded merge protocol a slave additionally filters its accepted
-// pairs through a local union-find (merge.go's deltaLog) and ships spanning
-// edges instead of per-pair verdicts.
+// Under the delta protocol a slave additionally filters its accepted pairs
+// through a local union-find (merge.go's deltaLog) and ships spanning edges
+// instead of per-pair verdicts.
 
 // exchangeSuffixes is the redistribution step of §3.1: each slave scans its
 // own share of the strings, groups every suffix by its bucket's owner, and
@@ -138,7 +138,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 	}
 
 	t2 := c.Elapsed()
-	gen0, err := pairgen.NewFresh(set, forest, cfg.Psi, cfg.FreshGen)
+	gen0, err := pairgen.NewFresh(set, forest, cfg.Psi, cfg.FreshGen, 1)
 	if err != nil {
 		return err
 	}
@@ -413,5 +413,5 @@ func rebuildShard(set *seq.SetS, cfg Config, owner []int32, sh shard) (*pairgen.
 	}
 	// Fresh-only mode must survive recovery: a rebuilt shard regenerates the
 	// dead slave's restricted pair stream, not the full one.
-	return pairgen.NewFresh(set, forest, cfg.Psi, cfg.FreshGen)
+	return pairgen.NewFresh(set, forest, cfg.Psi, cfg.FreshGen, 1)
 }

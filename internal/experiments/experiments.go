@@ -12,7 +12,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"pace/internal/baseline"
@@ -574,108 +573,4 @@ func IncrementalStudy(n int, seed int64) ([]IncrementalRow, error) {
 		return nil, err
 	}
 	return []IncrementalRow{initial, scratch, incr}, nil
-}
-
-// ------------------------------------------------------- Sharded union-find
-
-// ShardedUFRow compares the legacy per-pair merge protocol against the
-// merge-delta protocol with a sharded master union-find at one simulated
-// machine size. Durations are virtual (deterministic sim), so the comparison
-// is of the communication model only: delta reports are smaller than
-// per-pair result reports, which lowers the master's receive wait as p grows.
-type ShardedUFRow struct {
-	P int
-
-	// Legacy protocol (MergeShards = 0).
-	LegacyIdle  time.Duration
-	LegacyTotal time.Duration
-
-	// Sharded protocol.
-	ShardIdle  time.Duration
-	ShardRecv  time.Duration
-	ShardRecon time.Duration
-	ShardTotal time.Duration
-
-	// Master inflow (rank 0 BytesRecv): the protocols exchange the same
-	// number of messages, so the byte delta is the per-pair results the
-	// delta protocol never ships.
-	LegacyMasterBytes int64
-	ShardMasterBytes  int64
-
-	// Reconciliation volume on the sharded leg.
-	DeltaEdges int64
-	Phases     int64
-}
-
-// ShardedUFProcs is the machine-size sweep for ShardedUFStudy — deliberately
-// reaching past the paper's 128 processors to where the single master's
-// report traffic dominates.
-var ShardedUFProcs = []int{16, 64, 256, 1024}
-
-// ShardedUFStudy runs the master-idle comparison at each machine size in
-// ShardedUFProcs with shards union-find shards on the master. Runs are
-// deterministic (the measured-compute bridge is off), so two invocations
-// with the same inputs produce identical rows.
-func ShardedUFStudy(sc Scale, seed int64, shards int) ([]ShardedUFRow, error) {
-	b, err := Dataset(sc.ComponentN, seed)
-	if err != nil {
-		return nil, err
-	}
-	config := func(p, k int) cluster.Config {
-		cfg := cluster.DefaultConfig(p)
-		// A narrower bucketing window keeps the prologue's per-rank
-		// bucket-count exchange small across a 1024-rank sweep.
-		cfg.Window, cfg.Psi = 6, 18
-		cfg.MergeShards = k
-		cfg.MP = mp.DefaultSimConfig(p)
-		cfg.MP.MeasureCompute = false
-		// Model a bandwidth-bound interconnect (1 µs/byte vs the default
-		// 10 ns/byte): the protocols exchange the same number of
-		// messages, so the study's signal is communication volume —
-		// per-pair result reports vs spanning-edge deltas — and at the
-		// default bandwidth the 50 µs per-message latency hides the byte
-		// difference entirely. Under incast at large p the master's
-		// inflow is bandwidth-limited, which is the regime the paper's
-		// master-bottleneck concern describes.
-		cfg.MP.ByteTime = time.Microsecond
-		return cfg
-	}
-	masterBytes := func(st cluster.Stats) int64 {
-		for _, r := range st.PerRank {
-			if r.Role == "master" {
-				return r.BytesRecv
-			}
-		}
-		return 0
-	}
-	var rows []ShardedUFRow
-	for _, p := range ShardedUFProcs {
-		legacy, err := cluster.Run(b.ESTs, config(p, 0))
-		if err != nil {
-			return nil, err
-		}
-		sharded, err := cluster.Run(b.ESTs, config(p, shards))
-		if err != nil {
-			return nil, err
-		}
-		for i := range legacy.Labels {
-			if legacy.Labels[i] != sharded.Labels[i] {
-				return nil, fmt.Errorf("shardeduf: partition differs between protocols at p=%d, EST %d", p, i)
-			}
-		}
-		rows = append(rows, ShardedUFRow{
-			P:                 p,
-			LegacyIdle:        legacy.Stats.MasterIdle,
-			LegacyTotal:       legacy.Stats.Phases.Total,
-			ShardIdle:         sharded.Stats.MasterIdle,
-			ShardRecv:         sharded.Stats.MasterRecvWait,
-			ShardRecon:        sharded.Stats.MasterReconcileWait,
-			ShardTotal:        sharded.Stats.Phases.Total,
-			LegacyMasterBytes: masterBytes(legacy.Stats),
-			ShardMasterBytes:  masterBytes(sharded.Stats),
-			DeltaEdges:        sharded.Stats.Reconcile.DeltaEdges,
-			Phases:            sharded.Stats.Reconcile.Phases,
-		})
-	}
-	return rows, nil
 }

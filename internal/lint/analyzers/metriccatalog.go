@@ -15,7 +15,7 @@ import (
 // MetricCatalog keeps the telemetry surface and its documentation in
 // lockstep, codecwords-style: every `pace_*` metric name registered in
 // code must appear (as a full name — wildcard families like
-// `pace_reconcile_*` don't count) in the DESIGN.md metric catalog, and —
+// `pace_recovery_*` don't count) in the DESIGN.md metric catalog, and —
 // in standalone full runs, which see the whole program — every full name
 // the catalog lists must be registered by some package. The catalog file
 // is the DESIGN.md next to the module's go.mod, so fixture modules bring

@@ -125,7 +125,7 @@ func requireSameAsReference(t testing.TB, set *seq.SetS, forest []*suffix.Tree, 
 		got := make([][]Pair, len(workerCounts))
 		for k, workers := range workerCounts {
 			var err error
-			if gens[k], err = NewFreshParallel(set, forest, psi, fresh, workers); err != nil {
+			if gens[k], err = NewFresh(set, forest, psi, fresh, workers); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -321,7 +321,7 @@ func lsetLeaves(tr *suffix.Tree, v int32) [][]int32 {
 func TestUnscheduledNodesHaveNoProducts(t *testing.T) {
 	invariantForests(t, func(name string, set *seq.SetS, forest []*suffix.Tree, psi int, gen seq.Gen) {
 		for _, fresh := range []seq.Gen{0, gen} {
-			g, err := NewFresh(set, forest, psi, fresh)
+			g, err := NewFresh(set, forest, psi, fresh, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -375,7 +375,7 @@ func TestUnscheduledNodesHaveNoProducts(t *testing.T) {
 func TestGroupsAreLeafRangeCuts(t *testing.T) {
 	invariantForests(t, func(name string, set *seq.SetS, forest []*suffix.Tree, psi int, gen seq.Gen) {
 		for _, fresh := range []seq.Gen{0, gen} {
-			g, err := NewFresh(set, forest, psi, fresh)
+			g, err := NewFresh(set, forest, psi, fresh, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -445,12 +445,12 @@ func TestSetupWorkerCounts(t *testing.T) {
 	}
 	leaf := &suffix.Tree{Nodes: []suffix.Node{{Depth: 8, RML: 0}}}
 	forest := []*suffix.Tree{bad(100), leaf, bad(200), leaf, bad(300), leaf}
-	_, first := NewFresh(set, forest, 5, 0)
+	_, first := NewFresh(set, forest, 5, 0, 1)
 	if first == nil || !strings.Contains(first.Error(), "depth 300 ") {
 		t.Fatalf("one worker: got %v, want the last malformed tree's error", first)
 	}
 	for _, workers := range workerCounts {
-		if _, err := NewFreshParallel(set, forest, 5, 0, workers); err == nil || err.Error() != first.Error() {
+		if _, err := NewFresh(set, forest, 5, 0, workers); err == nil || err.Error() != first.Error() {
 			t.Errorf("%d workers: got %v, want %v", workers, err, first)
 		}
 	}

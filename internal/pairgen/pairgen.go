@@ -32,7 +32,7 @@
 // deep ancestors — no more than the character work the suffix builder has
 // paid — and long homopolymer runs approach it (DESIGN.md §1). Storage is
 // 1 B per leaf and 12 B per scheduled node, allocated once per forest.
-// Construction's passes are per tree, so NewFreshParallel runs them over
+// Construction's passes are per tree, so NewFresh runs them over
 // contiguous chunks of trees concurrently and lays the schedule down exactly
 // as one pass does.
 //
@@ -207,18 +207,7 @@ func (g *Generator) Observe(o Observer) {
 // the caller is responsible for that invariant (it is validated by the
 // clustering layer).
 func New(set *seq.SetS, forest []*suffix.Tree, psi int) (*Generator, error) {
-	return NewFresh(set, forest, psi, 0)
-}
-
-// NewFresh builds a generator restricted to pairs involving the current
-// batch: only pairs where at least one string has generation >= fresh are
-// emitted (the paper's Lemmas 1–4 guarantee an old×old pair's maximal common
-// substring — and hence the pair itself — was already produced by the run
-// that introduced the younger string). fresh == 0 emits every pair, exactly
-// like New. Dedup still runs over all suffixes in the forest, so the emitted
-// fresh pairs are identical to what a full run would produce for them.
-func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Generator, error) {
-	return NewFreshParallel(set, forest, psi, fresh, 1)
+	return NewFresh(set, forest, psi, 0, 1)
 }
 
 // setupChunk is one worker's share of construction: trees [lo,hi) of the
@@ -228,7 +217,7 @@ type setupChunk struct {
 	// bits is the per-node scratch of the chunk's trees, back to back.
 	bits []uint8
 	// byDepth counts the chunk's scheduled nodes of each depth until
-	// NewFreshParallel turns it into the chunk's cursors into order.
+	// NewFresh turns it into the chunk's cursors into order.
 	byDepth []int
 	// entries and internal count the chunk's deep leaves and deep internal
 	// nodes; scheduled counts the nodes it puts into order.
@@ -236,13 +225,21 @@ type setupChunk struct {
 	scheduled         int
 }
 
-// NewFreshParallel is NewFresh with construction cut into at most workers
-// contiguous chunks of trees of near-equal node count, the first set up on the
-// calling goroutine and the others concurrently. Subtrees are independent
-// (Lemma 4 needs only a pass per subtree and one sort by depth), so the
-// generator — and every pair and counter it produces — is the one NewFresh
-// builds, and the error returned is the one NewFresh's pass meets first.
-func NewFreshParallel(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen, workers int) (*Generator, error) {
+// NewFresh builds a generator restricted to pairs involving the current
+// batch: only pairs where at least one string has generation >= fresh are
+// emitted (the paper's Lemmas 1–4 guarantee an old×old pair's maximal common
+// substring — and hence the pair itself — was already produced by the run
+// that introduced the younger string). fresh == 0 emits every pair, exactly
+// like New. Dedup still runs over all suffixes in the forest, so the emitted
+// fresh pairs are identical to what a full run would produce for them.
+//
+// Construction is cut into at most workers contiguous chunks of trees of
+// near-equal node count, the first set up on the calling goroutine and the
+// others concurrently. Subtrees are independent (Lemma 4 needs only a pass per
+// subtree and one sort by depth), so the generator — and every pair and
+// counter it produces — does not depend on workers, and the error returned is
+// the one a single pass meets first.
+func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen, workers int) (*Generator, error) {
 	if psi < 1 {
 		return nil, fmt.Errorf("pairgen: psi must be >= 1, got %d", psi)
 	}

@@ -28,7 +28,6 @@
 package suffix
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -38,11 +37,6 @@ import (
 // MaxWindow bounds the bucket-prefix width: 4^12 = 16M buckets is already far
 // beyond what load balancing needs.
 const MaxWindow = 12
-
-// ErrEmptyBucket is returned (wrapped) by Build for a bucket with no
-// suffixes. BuildForest and BuildBuckets never return it: they skip empty
-// buckets, which a rollback can leave behind.
-var ErrEmptyBucket = errors.New("suffix: empty bucket")
 
 // SuffixRef identifies one suffix: string id and start position.
 type SuffixRef struct {

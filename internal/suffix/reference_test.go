@@ -7,11 +7,15 @@ package suffix
 // bucket ids and the same Nodes, element for element.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"pace/internal/seq"
 )
+
+// errRefEmptyBucket is refBuild's error for a bucket with no suffixes.
+var errRefEmptyBucket = errors.New("suffix: empty bucket")
 
 // refCollectOwned scans the strings in [lo,hi) and gathers the suffixes whose
 // bucket is owned by worker me, grouped by bucket id.
@@ -55,7 +59,7 @@ func (b *refBuilder) charAt(r SuffixRef, d int32) seq.Code {
 // time recursive bucketing.
 func refBuild(set *seq.SetS, bucket int, suffixes []SuffixRef, w int) (*Tree, error) {
 	if len(suffixes) == 0 {
-		return nil, fmt.Errorf("suffix: bucket %d: %w", bucket, ErrEmptyBucket)
+		return nil, fmt.Errorf("suffix: bucket %d: %w", bucket, errRefEmptyBucket)
 	}
 	b := &refBuilder{set: set}
 	for _, r := range suffixes {

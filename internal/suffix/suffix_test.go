@@ -1,7 +1,6 @@
 package suffix
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -219,12 +218,23 @@ func buildAll(t testing.TB, set *seq.SetS, w int) []*Tree {
 	return forest
 }
 
+// buildBucket builds one hand-made bucket of window w through BuildBuckets.
+func buildBucket(t testing.TB, set *seq.SetS, w, bucket int, refs []SuffixRef) ([]*Tree, error) {
+	t.Helper()
+	table := tableFromMap(t, w, map[int][]SuffixRef{bucket: refs})
+	return BuildBuckets(set, table, []int32{int32(bucket)}, 1)
+}
+
 func TestBuildSingleSuffixBucket(t *testing.T) {
 	set := mustSet(t, "ACG")
-	tr, err := Build(set, 0, []SuffixRef{{SID: 0, Pos: 0}}, 2)
+	forest, err := buildBucket(t, set, 2, 1, []SuffixRef{{SID: 0, Pos: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(forest) != 1 || forest[0].Bucket != 1 {
+		t.Fatalf("forest = %v, want exactly bucket 1", forest)
+	}
+	tr := forest[0]
 	if tr.Len() != 1 || !tr.IsLeaf(0) {
 		t.Fatalf("singleton bucket tree: %+v", tr.Nodes)
 	}
@@ -233,12 +243,14 @@ func TestBuildSingleSuffixBucket(t *testing.T) {
 	}
 }
 
+// An empty bucket builds no tree; a suffix shorter than the window fails the
+// build.
 func TestBuildRejectsEmptyAndShort(t *testing.T) {
 	set := mustSet(t, "ACG")
-	if _, err := Build(set, 0, nil, 2); err == nil {
-		t.Error("empty bucket must fail")
+	if forest, err := buildBucket(t, set, 2, 1, nil); err != nil || len(forest) != 0 {
+		t.Errorf("empty bucket: forest %v, err %v; want no tree and no error", forest, err)
 	}
-	if _, err := Build(set, 0, []SuffixRef{{SID: 0, Pos: 2}}, 2); err == nil {
+	if _, err := buildBucket(t, set, 2, 3, []SuffixRef{{SID: 0, Pos: 2}}); err == nil {
 		t.Error("too-short suffix must fail")
 	}
 }
@@ -293,10 +305,14 @@ func TestTreeNavigation(t *testing.T) {
 	if len(refs) != 2 {
 		t.Fatalf("AC bucket should hold 2 suffixes, got %v", refs)
 	}
-	tr, err := Build(set, acBucket, refs, w)
+	forest, err := buildBucket(t, set, w, acBucket, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(forest) != 1 {
+		t.Fatalf("%d trees, want 1", len(forest))
+	}
+	tr := forest[0]
 	if err := tr.Verify(set); err != nil {
 		t.Fatal(err)
 	}
@@ -372,14 +388,6 @@ func TestVerifyRandomForests(t *testing.T) {
 func TestNumBuckets(t *testing.T) {
 	if NumBuckets(1) != 4 || NumBuckets(8) != 65536 {
 		t.Error("NumBuckets wrong")
-	}
-}
-
-func TestBuildEmptyBucketSentinel(t *testing.T) {
-	set := mustSet(t, "ACG")
-	_, err := Build(set, 7, nil, 2)
-	if !errors.Is(err, ErrEmptyBucket) {
-		t.Fatalf("Build(empty) = %v, want ErrEmptyBucket", err)
 	}
 }
 

@@ -73,8 +73,8 @@ func (t *Tree) PathLabel(set *seq.SetS, i int32) seq.Sequence {
 }
 
 // NumLeaves returns the number of leaves (i.e. suffixes) in the tree. Trees
-// from Build or ReadTree answer from a count cached at construction; a tree
-// assembled by hand falls back to a scan.
+// from BuildBuckets or ReadTree answer from a count cached at construction; a
+// tree assembled by hand falls back to a scan.
 func (t *Tree) NumLeaves() int {
 	if t.leaves > 0 || len(t.Nodes) == 0 {
 		return t.leaves
@@ -134,7 +134,11 @@ func (b *builder) suffixLen(r SuffixRef) int32 {
 
 // tree builds one bucket's subtree at the tail of the current slab and
 // returns its nodes, capped at their length so that no append through one
-// tree can reach its neighbour. suffixes is left unmodified.
+// tree can reach its neighbour. suffixes, which all share their first w
+// characters, is left unmodified. Construction is the paper's simple
+// character-at-a-time recursive bucketing: O(sum of suffix lengths) for the
+// bucket, i.e. O(N·l/p) per worker overall — efficient in practice because
+// the average EST length l is independent of n.
 func (b *builder) tree(suffixes []SuffixRef) ([]Node, error) {
 	n := len(suffixes)
 	work := b.work[:n]
@@ -152,26 +156,6 @@ func (b *builder) tree(suffixes []SuffixRef) ([]Node, error) {
 	b.build(work, b.w)
 	b.pending -= n
 	return b.slab[b.base:len(b.slab):len(b.slab)], nil
-}
-
-// Build constructs the subtree for a bucket's suffixes, which all share
-// their first w characters. Construction is the paper's simple
-// character-at-a-time recursive bucketing: O(sum of suffix lengths) for the
-// bucket, i.e. O(N·l/p) per worker overall — efficient in practice because
-// the average EST length l is independent of n. suffixes is not modified.
-// Building an empty bucket returns ErrEmptyBucket (wrapped with the bucket
-// id). The engines build whole forests with BuildBuckets; a lone Build pays
-// the builder's scratch for one tree and keeps a slab sized for the 2n-1
-// worst case behind the tree's length-capped Nodes.
-func Build(set *seq.SetS, bucket int, suffixes []SuffixRef, w int) (*Tree, error) {
-	if len(suffixes) == 0 {
-		return nil, fmt.Errorf("suffix: bucket %d: %w", bucket, ErrEmptyBucket)
-	}
-	nodes, err := newBuilder(set, w, len(suffixes), len(suffixes)).tree(suffixes)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{Bucket: bucket, Nodes: nodes, leaves: len(suffixes)}, nil
 }
 
 // emitLeaf appends a leaf for suffix r, whose length is depth.

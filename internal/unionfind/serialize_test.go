@@ -1,8 +1,10 @@
 package unionfind
 
 import (
+	"encoding/hex"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -57,6 +59,54 @@ func TestSerializeAppendBinary(t *testing.T) {
 	got := New(0)
 	if err := got.UnmarshalBinary(data[3:]); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// shardedUFv1 is a UFv1 blob as the removed K-way sharded master union-find
+// checkpointed it (n = 24, K = 4): ranks all zero, and a parent array linked
+// by union-by-min, so every chain descends to its set's smallest element
+// (18 → 11 → 5 → 2, 15 → 12 → 4). PACECKPT files holding such blobs may
+// still be on disk and must keep resuming.
+const shardedUFv1 = "5546763118000000080000000000000001000000020000000300000004000000" +
+	"0200000006000000060000000800000009000000060000000500000004000000" +
+	"07000000090000000c00000006000000030000000b0000000200000006000000" +
+	"0e0000000900000002000000000000000000000000000000000000000000000000000000"
+
+// shardedUFv1Labels are the labels the writing run reported for the blob.
+var shardedUFv1Labels = []int32{0, 1, 2, 3, 4, 2, 5, 5, 6, 7, 5, 2, 4, 5, 7, 4, 5, 3, 2, 2, 5, 7, 7, 2}
+
+func TestShardedSnapshotUFv1(t *testing.T) {
+	blob, err := hex.DecodeString(shardedUFv1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := New(0)
+	if err := u.UnmarshalBinary(blob); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if u.Len() != 24 || u.Count() != 8 {
+		t.Fatalf("len/count = %d/%d, want 24/8", u.Len(), u.Count())
+	}
+	if got := u.Labels(); !slices.Equal(got, shardedUFv1Labels) {
+		t.Fatalf("labels %v, want %v", got, shardedUFv1Labels)
+	}
+	// Resume: zero ranks and union-by-min chains are a valid forest for
+	// union by rank to keep merging into.
+	if u.Union(18, 23) {
+		t.Error("Union inside one set merged")
+	}
+	if !u.Union(21, 17) || !u.Union(8, 1) || !u.Union(0, 20) {
+		t.Error("Union of two sets did not merge")
+	}
+	if u.Count() != 5 || !u.Same(9, 3) || !u.Same(0, 16) || u.Same(1, 4) {
+		t.Errorf("after unions: count %d, partition %v", u.Count(), u.Labels())
+	}
+	var back UF
+	if err := back.UnmarshalBinary(u.AppendBinary(nil)); err != nil {
+		t.Fatalf("re-encode after resume: %v", err)
+	}
+	if !slices.Equal(back.Labels(), u.Labels()) {
+		t.Error("re-encoded forest changed the partition")
 	}
 }
 

@@ -66,12 +66,6 @@ func (u *UF) Union(x, y int32) bool {
 	return true
 }
 
-// Snapshot returns the forest itself: UF is already the serializable shape,
-// so the checkpoint seam (which snapshots any merge structure as a *UF to
-// feed the UFv1 codec) costs nothing for the plain flavor. Callers serialize
-// synchronously and must not hold the result across further mutation.
-func (u *UF) Snapshot() *UF { return u }
-
 // Clusters materializes the current partition as a map from representative to
 // members. Member order within a cluster is ascending.
 func (u *UF) Clusters() map[int32][]int32 {
@@ -91,23 +85,19 @@ func (u *UF) Labels() []int32 { return u.LabelsInto(nil) }
 // LabelsInto is Labels writing into dst (reused when its capacity suffices),
 // so per-phase label snapshots in hot loops stop allocating. It allocates
 // nothing when cap(dst) >= Len(): the dense relabeling runs in place over
-// dst using a sign-encoding pass instead of a root→label map.
+// dst using a sign-encoding pass instead of a root→label map. Pass 1 stores
+// each element's root id in dst; pass 2 walks ascending and, at the first
+// member of each set, stamps a new label (encoded negative) over the root's
+// own slot so later members find it without a map; pass 3 flips the
+// encoding.
 func (u *UF) LabelsInto(dst []int32) []int32 {
-	return labelsInto(dst, len(u.parent), u.Find)
-}
-
-// labelsInto materializes first-appearance-order dense labels for any
-// union-find flavor given its Find. Pass 1 stores each element's root id in
-// dst; pass 2 walks ascending and, at the first member of each set, stamps a
-// new label (encoded negative) over the root's own slot so later members
-// find it without a map; pass 3 flips the encoding.
-func labelsInto(dst []int32, n int, find func(int32) int32) []int32 {
+	n := len(u.parent)
 	if cap(dst) < n {
 		dst = make([]int32, n)
 	}
 	dst = dst[:n]
 	for i := 0; i < n; i++ {
-		dst[i] = find(int32(i))
+		dst[i] = u.Find(int32(i))
 	}
 	next := int32(0)
 	for i := 0; i < n; i++ {

@@ -147,6 +147,35 @@ func TestCountInvariant(t *testing.T) {
 	}
 }
 
+// TestLabelsIntoReuse: LabelsInto writes into the provided buffer without
+// allocating when capacity suffices.
+func TestLabelsIntoReuse(t *testing.T) {
+	u := New(128)
+	for i := int32(0); i < 127; i += 3 {
+		u.Union(i, i+1)
+	}
+	buf := make([]int32, 0, 128)
+	out := u.LabelsInto(buf)
+	if &out[0] != &buf[:1][0] {
+		t.Error("LabelsInto did not reuse the buffer")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { buf = u.LabelsInto(buf) }); allocs != 0 {
+		t.Errorf("LabelsInto allocated %v times with sufficient capacity", allocs)
+	}
+}
+
+// TestFindAllocFree: Find is allocation-free (iterative, no recursion or
+// visited stack), including on long chains.
+func TestFindAllocFree(t *testing.T) {
+	u := New(1 << 12)
+	for i := int32(1); i < 1<<12; i++ {
+		u.Union(i-1, i)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { u.Find(1<<12 - 1) }); allocs != 0 {
+		t.Fatalf("Find allocated %v times", allocs)
+	}
+}
+
 func BenchmarkUnionFind(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 100000

@@ -72,10 +72,6 @@ type (
 	// did: buckets rebuilt vs reused, fresh pairs emitted, old×old pairs
 	// suppressed. See Session.
 	IncrementalStats = cluster.IncrementalStats
-	// ReconcileStats reports the sharded merge path's reconciliation work
-	// (Options.MergeShards): deltas applied, edges received, phase counts
-	// and cross-shard forwards. Zero for legacy (MergeShards == 0) runs.
-	ReconcileStats = cluster.ReconcileStats
 
 	// FS is the filesystem seam the session store and the checkpointer
 	// write through (Session.SaveCheckpointFS, the serving stack's state
@@ -182,14 +178,14 @@ type Options struct {
 	BatchSize int
 
 	// MergeShards selects the merge protocol. 0 (the default) is the
-	// legacy protocol: slaves ship per-pair verdicts and the master
-	// replays every accepted pair into one union-find. K >= 1 switches to
-	// merge deltas: each slave filters its accepted pairs through a local
-	// union-find and ships only spanning edges; the master partitions
-	// union-find roots into K shards and applies the edges with
-	// phase-reconciled concurrent rounds. The final partition is identical
-	// either way; deltas shrink master traffic and K > 1 parallelizes the
-	// apply. See Stats.Reconcile.
+	// paper's protocol: slaves ship per-pair verdicts and the master
+	// unions every accepted pair into its union-find. 1 switches to merge
+	// deltas: each slave filters its accepted pairs through a local
+	// union-find and ships only the spanning edges, which the master
+	// unions into the same structure; the sequential engine then merges a
+	// batch's accepted pairs at the batch boundary. The final partition is
+	// identical either way; deltas shrink master traffic (see
+	// RankStats.DeltaEdges). Values above 1 are refused.
 	MergeShards int
 
 	// Alignment scoring.
@@ -300,19 +296,10 @@ type Stats struct {
 	PairsSkipped   int64
 	Merges         int64
 	MasterBusy     time.Duration
-	// MasterIdle is the master's total non-processing time in parallel
-	// runs (zero sequentially): MasterRecvWait + MasterReconcileWait.
+	// MasterIdle is the master's dispatch-loop time blocked waiting for
+	// slave reports in parallel runs (zero sequentially); startup
+	// collective waits are excluded, and merge application is MasterBusy.
 	MasterIdle time.Duration
-	// MasterRecvWait is the master's dispatch-loop time blocked waiting
-	// for slave reports; startup collective waits are excluded.
-	MasterRecvWait time.Duration
-	// MasterReconcileWait is the master's time applying merge deltas
-	// (MergeShards >= 1; zero for legacy runs, where per-pair replay is
-	// counted as MasterBusy).
-	MasterReconcileWait time.Duration
-	// Reconcile reports the sharded merge path's work; zero when
-	// MergeShards == 0.
-	Reconcile ReconcileStats
 	// WorkBufHighWater is the peak WORKBUF occupancy (parallel runs).
 	WorkBufHighWater int
 	// Recovery reports slave-failure recovery and checkpoint activity.
@@ -354,7 +341,7 @@ type RankStats struct {
 	PairsProcessed int64
 	PairsAccepted  int64
 	// DeltaEdges is the number of merge-delta spanning edges this slave
-	// shipped (MergeShards >= 1; zero for legacy runs).
+	// shipped (MergeShards == 1; zero for per-pair runs).
 	DeltaEdges int64
 	// Busy is the message-processing time (master only).
 	Busy time.Duration
@@ -465,19 +452,16 @@ func convertResult(res *cluster.Result) *Clustering {
 		NumClusters: res.NumClusters,
 		Clusters:    make([][]int, res.NumClusters),
 		Stats: Stats{
-			PairsGenerated:      res.Stats.PairsGenerated,
-			PairsProcessed:      res.Stats.PairsProcessed,
-			PairsAccepted:       res.Stats.PairsAccepted,
-			PairsSkipped:        res.Stats.PairsSkipped,
-			Merges:              res.Stats.Merges,
-			MasterBusy:          res.Stats.MasterBusy,
-			MasterIdle:          res.Stats.MasterIdle,
-			MasterRecvWait:      res.Stats.MasterRecvWait,
-			MasterReconcileWait: res.Stats.MasterReconcileWait,
-			Reconcile:           res.Stats.Reconcile,
-			WorkBufHighWater:    res.Stats.WorkBufHighWater,
-			Recovery:            res.Stats.Recovery,
-			Incremental:         res.Stats.Incremental,
+			PairsGenerated:   res.Stats.PairsGenerated,
+			PairsProcessed:   res.Stats.PairsProcessed,
+			PairsAccepted:    res.Stats.PairsAccepted,
+			PairsSkipped:     res.Stats.PairsSkipped,
+			Merges:           res.Stats.Merges,
+			MasterBusy:       res.Stats.MasterBusy,
+			MasterIdle:       res.Stats.MasterIdle,
+			WorkBufHighWater: res.Stats.WorkBufHighWater,
+			Recovery:         res.Stats.Recovery,
+			Incremental:      res.Stats.Incremental,
 			Phases: PhaseTimes{
 				Partition: res.Stats.Phases.Partition,
 				Construct: res.Stats.Phases.Construct,

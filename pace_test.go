@@ -136,6 +136,11 @@ func TestClusterRejectsBadInput(t *testing.T) {
 	if _, err := Cluster([]string{"ACGTACGT"}, opt); err == nil {
 		t.Error("MinMatch < Window accepted")
 	}
+	opt = DefaultOptions()
+	opt.MergeShards = 2
+	if _, err := Cluster([]string{"ACGTACGT"}, opt); err == nil || !strings.Contains(err.Error(), "removed") {
+		t.Errorf("MergeShards 2: error %v, want a refusal naming the removal", err)
+	}
 }
 
 func TestIncrementalReclustering(t *testing.T) {
