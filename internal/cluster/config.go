@@ -37,18 +37,6 @@ type Config struct {
 	BatchSize int
 	// WorkBufCap bounds the master's WORKBUF queue.
 	WorkBufCap int
-	// PairBufCap bounds a slave's PAIRBUF of generated-but-unreported
-	// pairs; 0 derives 4×BatchSize.
-	PairBufCap int
-	// GenChunk is how many pairs a slave generates per probe of the
-	// master's reply while overlapping generation with waiting.
-	GenChunk int
-	// AlphaMax caps the flow-control redundancy factor α. α estimates how
-	// many reported pairs are needed per pair that survives same-cluster
-	// filtering; when an entire incoming batch is redundant the ratio is
-	// undefined and, uncapped, a raw batch length would inflate the grant
-	// E unboundedly. 0 derives the default of 4.
-	AlphaMax float64
 
 	// Scoring and Criteria govern pairwise alignment and acceptance;
 	// Band is the banded-extension half-width.
@@ -195,7 +183,6 @@ func DefaultConfig(p int) Config {
 		Psi:             20,
 		BatchSize:       60,
 		WorkBufCap:      1 << 14,
-		GenChunk:        32,
 		Scoring:         align.DefaultScoring(),
 		Criteria:        align.DefaultCriteria(),
 		Band:            12,
@@ -256,12 +243,6 @@ func (c Config) Validate() error {
 		// never-starve floor of one pair per slave could breach the bound.
 		return fmt.Errorf("cluster: WorkBufCap %d < Procs %d breaks the WORKBUF bound", c.WorkBufCap, c.MP.Procs)
 	}
-	if c.GenChunk < 1 {
-		return fmt.Errorf("cluster: GenChunk must be >= 1")
-	}
-	if c.AlphaMax < 0 {
-		return fmt.Errorf("cluster: AlphaMax must be >= 0 (0 selects the default)")
-	}
 	if c.SlaveTimeout < 0 {
 		return fmt.Errorf("cluster: SlaveTimeout must be >= 0")
 	}
@@ -289,21 +270,20 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// pairBufCap resolves the PAIRBUF capacity.
-func (c Config) pairBufCap() int {
-	if c.PairBufCap > 0 {
-		return c.PairBufCap
-	}
-	return 4 * c.BatchSize
-}
-
-// alphaMax resolves the α cap.
-func (c Config) alphaMax() float64 {
-	if c.AlphaMax > 0 {
-		return c.AlphaMax
-	}
-	return 4
-}
+const (
+	// pairBufBatches sizes a slave's PAIRBUF of generated-but-unreported
+	// pairs, in batches: the buffer holds pairBufBatches×BatchSize pairs.
+	pairBufBatches = 4
+	// genChunk is how many pairs a slave generates per probe of the
+	// master's reply while overlapping generation with waiting.
+	genChunk = 32
+	// alphaMax caps the flow-control redundancy factor α. α estimates how
+	// many reported pairs are needed per pair that survives same-cluster
+	// filtering; when an entire incoming batch is redundant the ratio is
+	// undefined and, uncapped, a raw batch length would inflate the grant
+	// E unboundedly.
+	alphaMax = 4.0
+)
 
 // bootstrapGrant is the size of the unsolicited pair batch a slave ships
 // with its very first report. It is the implicit initial grant E charged
@@ -321,7 +301,8 @@ func bootstrapGrant(cfg Config, p int) int {
 }
 
 // PhaseTimes is the per-component breakdown of the paper's Table 3. Each
-// entry is the maximum over ranks of the time that rank spent in the phase.
+// entry is the maximum over ranks of the time that rank spent in the phase;
+// in simulated runs these are virtual times.
 type PhaseTimes struct {
 	Partition time.Duration // bucketing histogram + assignment + collection
 	Construct time.Duration // GST subtree construction
@@ -349,15 +330,16 @@ type Stats struct {
 	// real transport (the paper reports it stays under 2% of the total).
 	MasterBusy time.Duration
 	// WorkBufHighWater is the maximum number of pairs the master's WORKBUF
-	// ever held. The flow-control invariant asserts it never exceeds
-	// Config.WorkBufCap: the grant formula E = min(α·δ·batchsize, nfree/p)
-	// charges every outstanding grant (including the slaves' bootstrap
-	// batches) against the free space before issuing a new one.
+	// ever held (parallel runs). The flow-control invariant asserts it
+	// never exceeds Config.WorkBufCap: the grant formula E =
+	// min(α·δ·batchsize, nfree/p) charges every outstanding grant
+	// (including the slaves' bootstrap batches) against the free space
+	// before issuing a new one.
 	WorkBufHighWater int
 	// MasterIdle is the time the master's dispatch loop spent blocked in
-	// Recv waiting for slave reports; merge application, per pair or per
-	// delta, is MasterBusy. Prologue collective waits (bucket count
-	// exchange, startup barriers) are excluded: they are identical under
+	// Recv waiting for slave reports (zero in sequential runs); merge
+	// application, per pair or per delta, is MasterBusy. Prologue waits
+	// (the bucket-count allreduces) are excluded: they are identical under
 	// every merge protocol and would drown the dispatch-loop signal at
 	// large p.
 	MasterIdle time.Duration
@@ -422,11 +404,13 @@ type RecoveryStats struct {
 }
 
 // RankStats is one rank's row of the load-balance table: where its time went
-// and how much it communicated. Comm counters snapshot the rank's
-// mp.CommStats just before the final gather.
+// and how much it communicated. Durations are virtual in simulated runs.
+// Comm counters snapshot the rank's mp.CommStats just before its final
+// report to the master.
 type RankStats struct {
 	Rank int
-	// Role is "master", "slave", or "seq".
+	// Role is "master", "slave", or "seq"; a slave that died mid-run and
+	// was recovered from appears as "lost" with zeroed counters.
 	Role string
 
 	Partition time.Duration
@@ -439,7 +423,8 @@ type RankStats struct {
 	BytesSent int64
 	MsgsRecv  int64
 	BytesRecv int64
-	// RecvWait is time blocked in Recv (virtual under the simulator).
+	// RecvWait is time blocked in receives — idle time for the master, a
+	// load-imbalance signal for slaves.
 	RecvWait time.Duration
 	// CollectiveOps / CollectiveTime tally collective calls and their
 	// latency (composites count constituents; see mp.CollectiveStats).
@@ -453,7 +438,7 @@ type RankStats struct {
 	// messages rather than waiting.
 	Busy time.Duration
 	// DeltaEdges is the number of merge-delta spanning edges the rank
-	// shipped (delta protocol; zero otherwise).
+	// shipped (MergeShards == 1; zero for per-pair runs).
 	DeltaEdges int64
 }
 

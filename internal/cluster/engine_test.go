@@ -53,11 +53,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Psi = c.Window - 1 },
 		func(c *Config) { c.BatchSize = 0 },
 		func(c *Config) { c.WorkBufCap = c.BatchSize - 1 },
-		func(c *Config) { c.GenChunk = 0 },
 		func(c *Config) { c.Band = 0 },
 		func(c *Config) { c.Scoring.Match = 0 },
 		func(c *Config) { c.MP.Procs = 0 },
-		func(c *Config) { c.AlphaMax = -1 },
 		func(c *Config) { c.MP.Procs = c.WorkBufCap + 1 },
 	}
 	for i, mod := range bad {

@@ -29,7 +29,7 @@ func TestGrantEAllRedundantBatchClamped(t *testing.T) {
 	cfg := grantCfg()
 	const hugeFree = 1 << 20
 	e := grantE(cfg, 5000, 0, 3, 3, 4, hugeFree)
-	want := int(cfg.alphaMax() * 1 * float64(cfg.BatchSize)) // α=cap, δ=1
+	want := int(alphaMax * 1 * float64(cfg.BatchSize)) // α=cap, δ=1
 	if e != want {
 		t.Errorf("all-redundant grant = %d, want α_max·δ·batchsize = %d", e, want)
 	}
@@ -45,23 +45,9 @@ func TestGrantEAlphaRatioClamped(t *testing.T) {
 	const hugeFree = 1 << 20
 	// 900 reported, 3 useful → α would be 300; must clamp to 4.
 	e := grantE(cfg, 900, 3, 3, 3, 4, hugeFree)
-	want := int(cfg.alphaMax() * 1 * float64(cfg.BatchSize))
+	want := int(alphaMax * 1 * float64(cfg.BatchSize))
 	if e != want {
 		t.Errorf("high-ratio grant = %d, want clamped %d", e, want)
-	}
-}
-
-// AlphaMax is configurable; 0 derives the default of 4.
-func TestGrantEAlphaMaxConfigurable(t *testing.T) {
-	cfg := grantCfg()
-	if got := cfg.alphaMax(); got != 4 {
-		t.Fatalf("default alphaMax = %v, want 4", got)
-	}
-	cfg.AlphaMax = 2
-	const hugeFree = 1 << 20
-	e := grantE(cfg, 5000, 0, 3, 3, 4, hugeFree)
-	if want := int(2 * float64(cfg.BatchSize)); e != want {
-		t.Errorf("AlphaMax=2 grant = %d, want %d", e, want)
 	}
 }
 

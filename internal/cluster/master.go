@@ -40,7 +40,7 @@ type masterState struct {
 // grantE computes the paper's flow-control grant E = min(α·δ·batchsize,
 // nfree/p) for one slave interaction.
 //
-//   - α (clamped to cfg.alphaMax()) is the redundancy factor: reported pairs
+//   - α (clamped to alphaMax) is the redundancy factor: reported pairs
 //     per pair that survived same-cluster filtering. When the whole batch
 //     was redundant the ratio is undefined; the cap is used directly rather
 //     than the seed's unbounded raw batch length.
@@ -58,10 +58,10 @@ func grantE(cfg Config, reported, added, active, slaves, p, nfree int) int {
 	if added > 0 {
 		alpha = float64(reported) / float64(added)
 	} else if reported > 0 {
-		alpha = cfg.alphaMax()
+		alpha = alphaMax
 	}
-	if alpha > cfg.alphaMax() {
-		alpha = cfg.alphaMax()
+	if alpha > alphaMax {
+		alpha = alphaMax
 	}
 	delta := float64(slaves) / float64(max(1, active))
 	e := min(int(alpha*delta*float64(cfg.BatchSize)), nfree/p)
@@ -341,7 +341,7 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 
 	// Master idle is measured over the dispatch loop only: recv wait
 	// accumulated up to here is the prologue's collective synchronization
-	// (bucket-count exchange, barriers), the same for every merge protocol
+	// (the bucket-count allreduces), the same for every merge protocol
 	// and not a master-bottleneck signal. Snapshotting the baseline makes
 	// MasterIdle exactly "time the dispatch loop spent blocked on slave
 	// reports".

@@ -232,7 +232,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		return err
 	}
 
-	bufCap := cfg.pairBufCap()
+	bufCap := pairBufBatches * cfg.BatchSize
 	nextFromMaster := false
 	for {
 		// Phase-boundary cancellation poll; the master polls too, so this
@@ -268,7 +268,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 			if !chain.Remaining() || len(pairbuf) >= bufCap {
 				break
 			}
-			chunk := min(cfg.GenChunk, bufCap-len(pairbuf))
+			chunk := min(genChunk, bufCap-len(pairbuf))
 			pairbuf = chain.Next(pairbuf, chunk)
 		}
 		m, err := c.Recv(0, tagWork)

@@ -2,8 +2,6 @@
 // contract an earlier PR established by convention and guarded only with
 // tests:
 //
-//   - sendowned: the mp copy-on-send / SendOwned buffer-ownership
-//     contract, call-graph-aware (forwarding helpers count as handoffs).
 //   - walltime: no wall-clock reads in the virtual-time packages.
 //   - tagconst: message tags are named tag* constants, unique per package.
 //   - codecwords: fixed-width wire structs, their words() arrays and their
@@ -21,9 +19,10 @@
 //   - metriccatalog: pace_* metric names in code and the DESIGN.md §13/§15
 //     catalog stay in lockstep, both directions.
 //
-// The flow-aware ones (ctxpoll, lockguard, sendowned) are built on
-// pace/internal/lint/dataflow. The catalog (contract, rationale,
-// allow-directive syntax) lives in DESIGN.md §10 and §16.
+// The flow-aware ones (ctxpoll, lockguard) are built on
+// pace/internal/lint/dataflow. The roster (contract, rationale, origin)
+// is the table in DESIGN.md §10, which TestRosterMatchesDesign keeps in
+// lockstep with All; the dataflow layer is described in §16.
 package analyzers
 
 import (
@@ -36,7 +35,6 @@ import (
 // All returns the full pacelint suite in stable order.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
-		SendOwned,
 		Walltime,
 		TagConst,
 		CodecWords,
@@ -78,23 +76,10 @@ func commMethod(info *types.Info, call *ast.CallExpr, name string) bool {
 	return obj.Name() == "Comm" && obj.Pkg() != nil && obj.Pkg().Name() == "mp"
 }
 
-// identObj resolves an expression to the object of its base identifier,
-// looking through slice expressions (v, v[1:], v[a:b:c] all alias the same
-// backing array).
-func identObj(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			if obj := info.Uses[x]; obj != nil {
-				return obj
-			}
-			return info.Defs[x]
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
+// resolveIdent returns the object an identifier uses or defines.
+func resolveIdent(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Uses[id]; obj != nil {
+		return obj
 	}
+	return info.Defs[id]
 }

@@ -1,7 +1,9 @@
 package analyzers_test
 
 import (
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -17,10 +19,6 @@ func fixtureDir(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return dir
-}
-
-func TestSendOwned(t *testing.T) {
-	linttest.Run(t, fixtureDir(t), []*lint.Analyzer{analyzers.SendOwned}, "./sendowned")
 }
 
 func TestWalltime(t *testing.T) {
@@ -197,5 +195,45 @@ func TestSuiteOnRepo(t *testing.T) {
 	diags := linttest.DiagnoseStrict(t, root, analyzers.All(), "./...")
 	for _, d := range diags {
 		t.Errorf("repo is not lint-clean: %s", d)
+	}
+}
+
+// rosterRowRE matches a row of the DESIGN.md §10 roster table and captures
+// the analyzer name in its first cell.
+var rosterRowRE = regexp.MustCompile("^\\| `([a-z]+)` \\|")
+
+// TestRosterMatchesDesign keeps the one analyzer roster, the table in
+// DESIGN.md §10, in lockstep with All(), in both directions: an analyzer
+// added without a row, or a row left behind by a deleted analyzer, fails.
+func TestRosterMatchesDesign(t *testing.T) {
+	doc, err := os.ReadFile("../../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## 10. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 10")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	inDoc := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if m := rosterRowRE.FindStringSubmatch(line); m != nil {
+			if inDoc[m[1]] {
+				t.Errorf("DESIGN.md §10 lists %s twice", m[1])
+			}
+			inDoc[m[1]] = true
+		}
+	}
+	inCode := map[string]bool{}
+	for _, a := range analyzers.All() {
+		inCode[a.Name] = true
+		if !inDoc[a.Name] {
+			t.Errorf("analyzer %s has no row in the DESIGN.md §10 roster", a.Name)
+		}
+	}
+	for name := range inDoc {
+		if !inCode[name] {
+			t.Errorf("DESIGN.md §10 lists %s, which analyzers.All() does not return", name)
+		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // TagConst enforces the tag registry discipline of the master–slave
-// protocol: every tag handed to the mp endpoint (Send, SendOwned, Recv,
-// RecvTimeout, Probe) must be a named constant whose name starts with
+// protocol: every tag handed to the mp endpoint (Send, Recv, RecvTimeout,
+// Probe) must be a named constant whose name starts with
 // "tag"/"Tag" — never a bare literal or an arbitrary expression — and
 // within one package no two tag constants may share a value (a collision
 // silently cross-wires two message streams; see the collective-tag space in
@@ -28,7 +28,6 @@ var TagConst = &lint.Analyzer{
 // tagArgIndex maps Comm method name -> index of its tag argument.
 var tagArgIndex = map[string]int{
 	"Send":        1,
-	"SendOwned":   1,
 	"Recv":        1,
 	"RecvTimeout": 1,
 	"Probe":       1,

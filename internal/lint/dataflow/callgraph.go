@@ -6,9 +6,6 @@
 //   - loop-contains-call reachability (Reach): does executing this node hit
 //     a given "direct" fact, literally or through calls to package
 //     functions that do? (ctxpoll)
-//   - value-flows-to-call sink parameters (SinkParams): which parameters of
-//     which functions end up, possibly through further calls, in a given
-//     argument slot of a sink call? (sendowned v2)
 //   - lock-held-at-access simulation (WalkHeld, locks.go): a forward
 //     must-hold walk over a function body's CFG-lite block ordering.
 //     (lockguard)
@@ -123,22 +120,6 @@ func (g *Graph) Callee(call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// Body returns the body of a graph node (declared function or tracked
-// closure), or nil if the object has no body in this package.
-func (g *Graph) Body(obj types.Object) *ast.BlockStmt {
-	switch o := obj.(type) {
-	case *types.Func:
-		if d := g.decls[o]; d != nil {
-			return d.Body
-		}
-	case *types.Var:
-		if lit := g.closures[o]; lit != nil {
-			return lit.Body
-		}
-	}
-	return nil
-}
-
 // Decl returns the declaration of a function object in this package.
 func (g *Graph) Decl(fn *types.Func) *ast.FuncDecl { return g.decls[fn] }
 
@@ -153,32 +134,6 @@ func (g *Graph) Bodies() map[types.Object]*ast.BlockStmt {
 	}
 	for v, lit := range g.closures {
 		out[v] = lit.Body
-	}
-	return out
-}
-
-// Params returns the parameter objects of a graph node, in declaration
-// order, resolved from its syntax.
-func (g *Graph) Params(obj types.Object) []types.Object {
-	var ft *ast.FuncType
-	switch o := obj.(type) {
-	case *types.Func:
-		if d := g.decls[o]; d != nil {
-			ft = d.Type
-		}
-	case *types.Var:
-		if lit := g.closures[o]; lit != nil {
-			ft = lit.Type
-		}
-	}
-	if ft == nil || ft.Params == nil {
-		return nil
-	}
-	var out []types.Object
-	for _, field := range ft.Params.List {
-		for _, name := range field.Names {
-			out = append(out, g.Info.Defs[name])
-		}
 	}
 	return out
 }

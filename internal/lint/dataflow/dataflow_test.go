@@ -76,6 +76,7 @@ func useClosures() {
 		}
 		return true
 	})
+	bodies := g.Bodies()
 	got := map[string]string{}
 	for _, c := range calls {
 		name := ExprPath(c.Fun)
@@ -83,7 +84,7 @@ func useClosures() {
 		switch {
 		case obj == nil:
 			got[name] = "nil"
-		case g.Body(obj) != nil:
+		case bodies[obj] != nil:
 			got[name] = "body"
 		default:
 			got[name] = "nobody"
@@ -102,11 +103,6 @@ func useClosures() {
 	// out of the graph rather than resolve to either literal.
 	if got["rebound"] != "nil" {
 		t.Errorf("call rebound(): reassigned closure must not resolve, got %s", got["rebound"])
-	}
-
-	a := lookupFunc(t, g, "a")
-	if len(g.Params(a)) != 0 {
-		t.Errorf("a has no params, got %v", g.Params(a))
 	}
 }
 
@@ -170,63 +166,6 @@ func loops() {
 	}
 	if r.Reaches(forLoops[1]) {
 		t.Errorf("loop at %s must not reach poll", fset.Position(forLoops[1].Pos()))
-	}
-}
-
-func TestSinkParamsFixpoint(t *testing.T) {
-	const src = `package p
-
-func sink(b []byte) {}
-
-func f1(b []byte)    { sink(b) }
-func f2(b []byte)    { f1(b) }
-func f3(a, b []byte) { f1(b) }
-func f4(b []byte)    { sink(b[2:]) }
-func safe(b []byte)  { _ = b }
-
-func closures() {
-	cl := func(b []byte) { f2(b) }
-	cl(nil)
-}
-`
-	_, f, info := typecheck(t, src)
-	g := NewGraph(info, []*ast.File{f})
-	sinks := g.SinkParams(
-		func(c *ast.CallExpr) int {
-			if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "sink" {
-				return 0
-			}
-			return -1
-		},
-		func(e ast.Expr) types.Object {
-			for {
-				switch x := e.(type) {
-				case *ast.Ident:
-					return objOf(info, x)
-				case *ast.SliceExpr:
-					e = x.X
-				default:
-					return nil
-				}
-			}
-		},
-	)
-
-	byName := map[string][]int{}
-	for obj, idxs := range sinks {
-		byName[obj.Name()] = idxs
-	}
-	for name, want := range map[string][]int{"f1": {0}, "f2": {0}, "f3": {1}, "f4": {0}, "cl": {0}} {
-		got := byName[name]
-		if len(got) != len(want) || (len(got) > 0 && got[0] != want[0]) {
-			t.Errorf("SinkParams[%s] = %v, want %v", name, got, want)
-		}
-	}
-	if _, ok := byName["safe"]; ok {
-		t.Errorf("safe does not forward to the sink, got %v", byName["safe"])
-	}
-	if _, ok := byName["sink"]; ok {
-		t.Errorf("the primitive sink itself has no body-derived sink params here, got %v", byName["sink"])
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 	"pace/internal/lint"
 )
 
-// Run loads pattern (e.g. "./sendowned/...") relative to dir, applies the
+// Run loads pattern (e.g. "./tagconst/...") relative to dir, applies the
 // analyzers, and verifies diagnostics against want comments.
 func Run(t *testing.T, dir string, analyzers []*lint.Analyzer, pattern string) {
 	t.Helper()

@@ -9,9 +9,8 @@ import "time"
 // Comm mirrors the real endpoint's messaging surface.
 type Comm struct{}
 
-func (c *Comm) Send(to, tag int, data []byte) error      { return nil }
-func (c *Comm) SendOwned(to, tag int, data []byte) error { return nil }
-func (c *Comm) Recv(from, tag int) ([]byte, int, error)  { return nil, 0, nil }
+func (c *Comm) Send(to, tag int, data []byte) error     { return nil }
+func (c *Comm) Recv(from, tag int) ([]byte, int, error) { return nil, 0, nil }
 func (c *Comm) RecvTimeout(from, tag int, d time.Duration) ([]byte, int, error) {
 	return nil, 0, nil
 }

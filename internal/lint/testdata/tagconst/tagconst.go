@@ -16,7 +16,7 @@ const bufCap = 1
 
 func conforming(c *mp.Comm) {
 	_ = c.Send(1, tagWork, nil)
-	_ = c.SendOwned(1, tagReport, nil)
+	_ = c.Send(1, tagReport, nil)
 	_, _, _ = c.Recv(0, TagPhase)
 	_, _ = c.Probe(0, tagWork)
 }

@@ -1,8 +1,7 @@
 package mp
 
-// Satellite audit for ISSUE 3: every collective must unblock with an error
-// wrapping ErrRankFailed when a participating rank dies mid-collective,
-// in both modes. The mechanism is cascade unblocking: the rank directly
+// Every collective must unblock with an error wrapping ErrRankFailed when a
+// participating rank dies mid-collective, in both modes. The mechanism is cascade unblocking: the rank directly
 // blocked on the dead peer errors out, its own failure is recorded, and the
 // next rank in the tree observes that, until no one is left hanging.
 
@@ -61,35 +60,24 @@ func TestBcastUnblocksOnRankFailure(t *testing.T) {
 	})
 }
 
-func TestBarrierUnblocksOnRankFailure(t *testing.T) {
+func TestReduceSumInt64UnblocksOnRankFailure(t *testing.T) {
+	// Kill an inner tree node: the root blocks on its partial sum, while the
+	// leaf below it only sends and may complete.
 	runCollectiveFailure(t, 2, func(c *Comm) error {
-		return expectPeerFailure(c.Barrier())
-	})
-}
-
-func TestGatherBytesUnblocksOnRankFailure(t *testing.T) {
-	// Kill a contributor: the root blocks on its per-source receive.
-	runCollectiveFailure(t, 2, func(c *Comm) error {
-		_, err := c.GatherBytes(0, []byte{byte(c.Rank())})
+		_, err := c.ReduceSumInt64(0, []int64{int64(c.Rank()), 1})
 		if c.Rank() != 0 && err == nil {
-			// Non-root contributors only send; they may complete.
 			return nil
 		}
 		return expectPeerFailure(err)
 	})
 }
 
-func TestScatterBytesUnblocksOnRankFailure(t *testing.T) {
-	// Kill the root: every receiver blocks on it.
-	runCollectiveFailure(t, 0, func(c *Comm) error {
-		_, err := c.ScatterBytes(0, [][]byte{{0}, {1}, {2}, {3}})
-		return expectPeerFailure(err)
-	})
-}
-
-func TestAllgatherBytesUnblocksOnRankFailure(t *testing.T) {
-	runCollectiveFailure(t, 1, func(c *Comm) error {
-		_, err := c.AllgatherBytes([]byte{byte(c.Rank())})
+func TestAllreduceSumInt64UnblocksOnRankFailure(t *testing.T) {
+	// The broadcast half needs the root's total, which needs every rank, so
+	// every survivor must observe the failure — the engine's prologue
+	// histogram sum relies on this to fail cleanly instead of hanging.
+	runCollectiveFailure(t, 2, func(c *Comm) error {
+		_, err := c.AllreduceSumInt64([]int64{int64(c.Rank()), 1})
 		return expectPeerFailure(err)
 	})
 }

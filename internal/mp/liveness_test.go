@@ -1,6 +1,6 @@
 package mp
 
-// Tests for the message-ownership contract (copy-on-send, SendOwned) and
+// Tests for the message-ownership contract (copy-on-send) and
 // the liveness features (bounded receives, rank-failure broadcast). The
 // buffer-reuse stress test is the contract's lock-in: under the race
 // detector it fails against a transport that enqueues the caller's slice
@@ -64,35 +64,6 @@ func TestSendBufferReuseStress(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestSendOwnedDelivers(t *testing.T) {
-	bothModes(t, 2, "owned", func(c *Comm) error {
-		if c.Rank() == 0 {
-			payload := []byte{1, 2, 3}
-			return c.SendOwned(1, 4, payload) // ownership transferred; not touched again
-		}
-		m, err := c.Recv(0, 4)
-		if err != nil {
-			return err
-		}
-		if len(m.Data) != 3 || m.Data[0] != 1 || m.Data[2] != 3 {
-			return fmt.Errorf("bad payload %v", m.Data)
-		}
-		return nil
-	})
-}
-
-func TestSendOwnedInvalidRank(t *testing.T) {
-	err := Run(Config{Procs: 1, Mode: ModeReal}, func(c *Comm) error {
-		if err := c.SendOwned(3, 0, nil); err == nil {
-			return errors.New("SendOwned to bad rank must fail")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRecvTimeoutExpiresReal(t *testing.T) {
@@ -185,25 +156,6 @@ func TestRecvTimeoutSimDeliversEarlierMessage(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Config.RecvTimeout bounds plain Recv machine-wide.
-func TestConfigRecvTimeout(t *testing.T) {
-	for _, mode := range []Mode{ModeReal, ModeSim} {
-		cfg := simTestConfig(1)
-		cfg.Mode = mode
-		cfg.RecvTimeout = 20 * time.Millisecond
-		err := runWithWatchdog(t, 10*time.Second, cfg, func(c *Comm) error {
-			_, err := c.Recv(0, 1)
-			if !errors.Is(err, ErrTimeout) {
-				return fmt.Errorf("want ErrTimeout from default-bounded Recv, got %v", err)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
 	}
 }
 

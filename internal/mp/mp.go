@@ -1,8 +1,9 @@
 // Package mp is a message-passing runtime — the substrate standing in for
 // the MPI / IBM SP environment the paper's software ran on. It provides
 // ranks, tagged point-to-point messaging with any-source receives and
-// probing, and O(log p) tree collectives (the paper's "parallel summation
-// algorithm in O(log p) communication steps").
+// probing, and the O(log p) tree collectives the engine's prologue needs:
+// Bcast, ReduceSumInt64 and AllreduceSumInt64 (the paper's "parallel
+// summation algorithm in O(log p) communication steps").
 //
 // Two execution modes share one API:
 //
@@ -14,24 +15,22 @@
 //     memory machine. Ranks execute one at a time under a global scheduler
 //     that always advances the rank with the minimum virtual clock;
 //     communication costs follow a latency + bytes/bandwidth model, and
-//     compute sections are charged by measuring their actual execution time
-//     (optionally scaled). This reproduces parallel run-time *shape*
-//     (speedups, component breakdowns) faithfully even on a single-core
-//     host, which is how the paper's 8–128-processor curves are regenerated
-//     here.
+//     compute sections are charged by measuring their actual execution time.
+//     This reproduces parallel run-time *shape* (speedups, component
+//     breakdowns) faithfully even on a single-core host, which is how the
+//     paper's 8–128-processor curves are regenerated here.
 //
 // Message ownership: Send copies the payload before it is enqueued, so a
 // caller keeps full ownership of its buffer and may reuse it immediately;
-// the receiver owns Msg.Data exclusively. SendOwned is the explicit
-// zero-copy opt-in that transfers buffer ownership to the runtime.
+// the receiver owns Msg.Data exclusively.
 //
 // Liveness: a rank whose body errors or panics is recorded as failed, so a
 // peer whose receive depends on it (a receive from that specific rank, or an
 // any-source receive with no other traffic) returns a *RankFailedError
 // (wrapping ErrRankFailed) instead of hanging. Failure is per rank: traffic
 // among survivors is unaffected, and messages a dead rank sent before dying
-// remain receivable. RecvTimeout (or Config.RecvTimeout) bounds individual
-// receives with ErrTimeout, in virtual time under ModeSim.
+// remain receivable. RecvTimeout bounds an individual receive with
+// ErrTimeout, in virtual time under ModeSim.
 //
 // Fault tolerance extras: Config.Retry arms exponential backoff with jitter
 // for transient errors, and Config.Fault injects a deterministic fault
@@ -69,12 +68,6 @@ type Config struct {
 	// Mode selects real or simulated execution.
 	Mode Mode
 
-	// RecvTimeout, when positive, bounds every plain Recv (and therefore
-	// every collective) on the machine: a receive that would block longer
-	// returns ErrTimeout instead of hanging. In ModeSim the bound is in
-	// virtual time. Per-call bounds are available via Comm.RecvTimeout.
-	RecvTimeout time.Duration
-
 	// Latency is the per-message delivery latency (ModeSim).
 	Latency time.Duration
 	// ByteTime is the per-byte transfer time, i.e. 1/bandwidth (ModeSim).
@@ -82,8 +75,6 @@ type Config struct {
 	// SendOverhead is the CPU cost charged to a sender per message
 	// (ModeSim).
 	SendOverhead time.Duration
-	// ComputeScale multiplies measured compute time (ModeSim); 0 means 1.
-	ComputeScale float64
 	// MeasureCompute charges wall-clock compute time between communication
 	// calls to the virtual clock (ModeSim). Disable for deterministic
 	// tests that charge time explicitly via ChargeCompute.
@@ -110,7 +101,6 @@ func DefaultSimConfig(p int) Config {
 		Latency:        50 * time.Microsecond,
 		ByteTime:       10 * time.Nanosecond,
 		SendOverhead:   5 * time.Microsecond,
-		ComputeScale:   1,
 		MeasureCompute: true,
 	}
 }
@@ -239,10 +229,6 @@ type CollectiveStats struct {
 	Bcasts     int64
 	Reduces    int64
 	Allreduces int64
-	Barriers   int64
-	Gathers    int64
-	Scatters   int64
-	Allgathers int64
 	// Time is the summed latency across all collective calls (virtual
 	// under ModeSim). Nested constituents double-count here by design:
 	// Time answers "how long was this rank inside collective code".
@@ -252,7 +238,7 @@ type CollectiveStats struct {
 // Ops returns the total number of collective entries (constituents of
 // composite collectives included).
 func (c CollectiveStats) Ops() int64 {
-	return c.Bcasts + c.Reduces + c.Allreduces + c.Barriers + c.Gathers + c.Scatters + c.Allgathers
+	return c.Bcasts + c.Reduces + c.Allreduces
 }
 
 // add records one message.
@@ -268,11 +254,10 @@ func (s *CommStats) addRecv(n int) {
 
 // Comm is a rank's endpoint, analogous to an MPI communicator + rank.
 type Comm struct {
-	rank       int
-	size       int
-	tr         transport
-	defTimeout time.Duration
-	mode       Mode
+	rank int
+	size int
+	tr   transport
+	mode Mode
 
 	// retry / rng implement bounded exponential backoff for transient
 	// errors; retries counts performed retries. A Comm is owned by its
@@ -347,9 +332,7 @@ func (c *Comm) Size() int { return c.size }
 // Ownership contract: Send copies data before it is enqueued, so the caller
 // keeps full ownership of its buffer and may overwrite or reuse it the
 // moment Send returns — even in ModeReal where the receiver runs
-// concurrently. The receiver in turn owns Msg.Data exclusively. Callers
-// that build a throwaway buffer per message can use SendOwned to skip the
-// copy.
+// concurrently. The receiver in turn owns Msg.Data exclusively.
 func (c *Comm) Send(to, tag int, data []byte) error {
 	if to < 0 || to >= c.size {
 		return fmt.Errorf("mp: send to invalid rank %d", to)
@@ -362,23 +345,10 @@ func (c *Comm) Send(to, tag int, data []byte) error {
 	return c.withRetry(func() error { return c.tr.send(c.rank, to, tag, cp) })
 }
 
-// SendOwned is the zero-copy opt-in: it enqueues data without copying and
-// transfers ownership of the buffer to the runtime (and ultimately to the
-// receiver). The caller must not read or write data after the call.
-func (c *Comm) SendOwned(to, tag int, data []byte) error {
-	if to < 0 || to >= c.size {
-		return fmt.Errorf("mp: send to invalid rank %d", to)
-	}
-	// Ownership is only transferred on success: a transient failure leaves
-	// the buffer with the runtime-retry loop, never with a receiver.
-	return c.withRetry(func() error { return c.tr.send(c.rank, to, tag, data) })
-}
-
 // Recv blocks until a message with the given tag arrives from rank `from`
-// (or from anyone if from == AnySource). Tags match exactly. If the machine
-// was configured with Config.RecvTimeout > 0, that bound applies.
+// (or from anyone if from == AnySource). Tags match exactly.
 func (c *Comm) Recv(from, tag int) (Msg, error) {
-	return c.RecvTimeout(from, tag, c.defTimeout)
+	return c.RecvTimeout(from, tag, 0)
 }
 
 // RecvTimeout is Recv with an explicit per-call bound: when timeout > 0 and
@@ -426,11 +396,8 @@ func (c *Comm) Stats() CommStats {
 // Collective tags live in their own space so they can never match
 // application receives.
 const (
-	tagBcast   = 1 << 28
-	tagReduce  = 1<<28 + 1
-	tagBarrier = 1<<28 + 2
-	tagGather  = 1<<28 + 3
-	tagScatter = 1<<28 + 4
+	tagBcast  = 1 << 28
+	tagReduce = 1<<28 + 1
 )
 
 // Bcast distributes root's buffer to all ranks along a binomial tree and
@@ -458,8 +425,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	for mask > 0 {
 		if vrank+mask < c.size {
 			dst := (c.rank + mask) % c.size
-			// Send (not SendOwned): data is also returned to this
-			// rank's caller, so it must not be handed off.
+			// Send copies: data is also returned to this rank's caller.
 			if err := c.Send(dst, tagBcast, data); err != nil {
 				return nil, err
 			}
@@ -499,8 +465,9 @@ func (c *Comm) ReduceSumInt64(root int, vals []int64) ([]int64, error) {
 		} else {
 			dst := ((vrank ^ mask) + root) % c.size
 			// The encoded vector is freshly allocated and never touched
-			// again, so hand it off without the Send copy.
-			if err := c.SendOwned(dst, tagReduce, EncodeInt64s(acc)); err != nil {
+			// again, so it goes to the transport without the Send copy.
+			buf := EncodeInt64s(acc)
+			if err := c.withRetry(func() error { return c.tr.send(c.rank, dst, tagReduce, buf) }); err != nil {
 				return nil, err
 			}
 			return nil, nil
@@ -526,115 +493,6 @@ func (c *Comm) AllreduceSumInt64(vals []int64) ([]int64, error) {
 		return nil, err
 	}
 	return DecodeInt64s(buf)
-}
-
-// Barrier blocks until every rank has entered it.
-func (c *Comm) Barrier() error {
-	defer c.collTimer()(&c.coll.Barriers)
-	// Dissemination barrier: ceil(log2 p) rounds.
-	for mask := 1; mask < c.size; mask <<= 1 {
-		dst := (c.rank + mask) % c.size
-		src := (c.rank - mask + c.size) % c.size
-		if err := c.Send(dst, tagBarrier, nil); err != nil {
-			return err
-		}
-		if _, err := c.Recv(src, tagBarrier); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// GatherBytes collects each rank's buffer at root; the result at root is
-// indexed by rank (nil elsewhere).
-func (c *Comm) GatherBytes(root int, data []byte) ([][]byte, error) {
-	defer c.collTimer()(&c.coll.Gathers)
-	if c.rank != root {
-		return nil, c.Send(root, tagGather, data)
-	}
-	out := make([][]byte, c.size)
-	out[root] = data
-	// Receive from each specific source: per-source FIFO matching keeps
-	// back-to-back gathers from interleaving (an any-source receive could
-	// pick up a fast rank's *next* gather contribution).
-	for src := 0; src < c.size; src++ {
-		if src == root {
-			continue
-		}
-		m, err := c.Recv(src, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		out[src] = m.Data
-	}
-	return out, nil
-}
-
-// ScatterBytes distributes parts[i] from root to rank i (parts is read at
-// root only; every rank returns its own slice).
-func (c *Comm) ScatterBytes(root int, parts [][]byte) ([]byte, error) {
-	defer c.collTimer()(&c.coll.Scatters)
-	if c.rank == root {
-		if len(parts) != c.size {
-			return nil, fmt.Errorf("mp: scatter needs %d parts, got %d", c.size, len(parts))
-		}
-		for r := 0; r < c.size; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.Send(r, tagScatter, parts[r]); err != nil {
-				return nil, err
-			}
-		}
-		return parts[root], nil
-	}
-	m, err := c.Recv(root, tagScatter)
-	if err != nil {
-		return nil, err
-	}
-	return m.Data, nil
-}
-
-// AllgatherBytes collects every rank's buffer at every rank (gather to rank
-// 0, then broadcast of the concatenation with a length header).
-func (c *Comm) AllgatherBytes(data []byte) ([][]byte, error) {
-	defer c.collTimer()(&c.coll.Allgathers)
-	parts, err := c.GatherBytes(0, data)
-	if err != nil {
-		return nil, err
-	}
-	var packed []byte
-	if c.rank == 0 {
-		lens := make([]int64, c.size)
-		for i, p := range parts {
-			lens[i] = int64(len(p))
-		}
-		packed = EncodeInt64s(lens)
-		for _, p := range parts {
-			packed = append(packed, p...)
-		}
-	}
-	packed, err = c.Bcast(0, packed)
-	if err != nil {
-		return nil, err
-	}
-	if len(packed) < 8*c.size {
-		return nil, fmt.Errorf("mp: allgather header truncated")
-	}
-	lens, err := DecodeInt64s(packed[:8*c.size])
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, c.size)
-	off := 8 * c.size
-	for i, l := range lens {
-		if off+int(l) > len(packed) {
-			return nil, fmt.Errorf("mp: allgather payload truncated at rank %d", i)
-		}
-		out[i] = packed[off : off+int(l)]
-		off += int(l)
-	}
-	return out, nil
 }
 
 // EncodeInt64s packs a vector little-endian.
@@ -706,12 +564,7 @@ func RunRanks(cfg Config, body func(c *Comm) error) ([]error, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			c := &Comm{
-				rank: rank, size: cfg.Procs, tr: tr,
-				defTimeout: cfg.RecvTimeout,
-				mode:       cfg.Mode,
-				retry:      cfg.Retry,
-			}
+			c := &Comm{rank: rank, size: cfg.Procs, tr: tr, mode: cfg.Mode, retry: cfg.Retry}
 			var err error
 			defer func() {
 				if rec := recover(); rec != nil {
@@ -751,29 +604,4 @@ func FirstError(errs []error) error {
 		}
 	}
 	return derived
-}
-
-// RunTimed is Run plus the final per-rank clocks (virtual in ModeSim),
-// whose maximum is the modeled parallel run-time.
-func RunTimed(cfg Config, body func(c *Comm) error) ([]time.Duration, error) {
-	if cfg.Procs < 1 {
-		return nil, fmt.Errorf("mp: Procs must be >= 1, got %d", cfg.Procs)
-	}
-	times := make([]time.Duration, cfg.Procs)
-	err := Run(cfg, func(c *Comm) error {
-		defer func() { times[c.Rank()] = c.Elapsed() }()
-		return body(c)
-	})
-	return times, err
-}
-
-// MaxTime returns the maximum of a set of per-rank clocks.
-func MaxTime(ts []time.Duration) time.Duration {
-	var m time.Duration
-	for _, t := range ts {
-		if t > m {
-			m = t
-		}
-	}
-	return m
 }

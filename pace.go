@@ -72,6 +72,13 @@ type (
 	// did: buckets rebuilt vs reused, fresh pairs emitted, old×old pairs
 	// suppressed. See Session.
 	IncrementalStats = cluster.IncrementalStats
+	// Stats carries a run's counters (the quantities of the paper's Figure
+	// 7) and phase timings.
+	Stats = cluster.Stats
+	// PhaseTimes breaks the run into the paper's Table 3 components.
+	PhaseTimes = cluster.PhaseTimes
+	// RankStats is one rank's row of the load-balance table.
+	RankStats = cluster.RankStats
 
 	// FS is the filesystem seam the session store and the checkpointer
 	// write through (Session.SaveCheckpointFS, the serving stack's state
@@ -278,75 +285,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// PhaseTimes breaks the run into the paper's Table 3 components. In
-// simulated mode these are virtual times.
-type PhaseTimes struct {
-	Partition time.Duration
-	Construct time.Duration
-	Sort      time.Duration
-	Align     time.Duration
-	Total     time.Duration
-}
-
-// Stats carries a run's counters (the quantities of the paper's Figure 7).
-type Stats struct {
-	PairsGenerated int64
-	PairsProcessed int64
-	PairsAccepted  int64
-	PairsSkipped   int64
-	Merges         int64
-	MasterBusy     time.Duration
-	// MasterIdle is the master's dispatch-loop time blocked waiting for
-	// slave reports in parallel runs (zero sequentially); startup
-	// collective waits are excluded, and merge application is MasterBusy.
-	MasterIdle time.Duration
-	// WorkBufHighWater is the peak WORKBUF occupancy (parallel runs).
-	WorkBufHighWater int
-	// Recovery reports slave-failure recovery and checkpoint activity.
-	Recovery RecoveryStats
-	// Incremental reports batch-ingest savings (Session runs; zero for
-	// plain one-shot runs).
-	Incremental IncrementalStats
-	Phases      PhaseTimes
-	// PerRank is the per-rank load/communication breakdown, sorted by
-	// rank; sequential runs report a single "seq" row.
-	PerRank []RankStats
-}
-
-// RankStats is one rank's row of the load-balance table: where its time went
-// and how much it communicated. Durations are virtual in simulated runs.
-type RankStats struct {
-	Rank int
-	// Role is "master", "slave", or "seq"; a slave that died mid-run and
-	// was recovered from appears as "lost" with zeroed counters.
-	Role string
-
-	Partition time.Duration
-	Construct time.Duration
-	Sort      time.Duration
-	Align     time.Duration
-	Total     time.Duration
-
-	MsgsSent  int64
-	BytesSent int64
-	MsgsRecv  int64
-	BytesRecv int64
-	// RecvWait is time blocked in receives — idle time for the master,
-	// a load-imbalance signal for slaves.
-	RecvWait       time.Duration
-	CollectiveOps  int64
-	CollectiveTime time.Duration
-
-	PairsGenerated int64
-	PairsProcessed int64
-	PairsAccepted  int64
-	// DeltaEdges is the number of merge-delta spanning edges this slave
-	// shipped (MergeShards == 1; zero for per-pair runs).
-	DeltaEdges int64
-	// Busy is the message-processing time (master only).
-	Busy time.Duration
-}
-
 // Clustering is the result of Cluster.
 type Clustering struct {
 	// Labels assigns each input EST a dense cluster label in
@@ -451,42 +389,7 @@ func convertResult(res *cluster.Result) *Clustering {
 		Labels:      make([]int, len(res.Labels)),
 		NumClusters: res.NumClusters,
 		Clusters:    make([][]int, res.NumClusters),
-		Stats: Stats{
-			PairsGenerated:   res.Stats.PairsGenerated,
-			PairsProcessed:   res.Stats.PairsProcessed,
-			PairsAccepted:    res.Stats.PairsAccepted,
-			PairsSkipped:     res.Stats.PairsSkipped,
-			Merges:           res.Stats.Merges,
-			MasterBusy:       res.Stats.MasterBusy,
-			MasterIdle:       res.Stats.MasterIdle,
-			WorkBufHighWater: res.Stats.WorkBufHighWater,
-			Recovery:         res.Stats.Recovery,
-			Incremental:      res.Stats.Incremental,
-			Phases: PhaseTimes{
-				Partition: res.Stats.Phases.Partition,
-				Construct: res.Stats.Phases.Construct,
-				Sort:      res.Stats.Phases.Sort,
-				Align:     res.Stats.Phases.Align,
-				Total:     res.Stats.Phases.Total,
-			},
-		},
-	}
-	for _, rs := range res.Stats.PerRank {
-		out.Stats.PerRank = append(out.Stats.PerRank, RankStats{
-			Rank: rs.Rank, Role: rs.Role,
-			Partition: rs.Partition, Construct: rs.Construct,
-			Sort: rs.Sort, Align: rs.Align, Total: rs.Total,
-			MsgsSent: rs.MsgsSent, BytesSent: rs.BytesSent,
-			MsgsRecv: rs.MsgsRecv, BytesRecv: rs.BytesRecv,
-			RecvWait:       rs.RecvWait,
-			CollectiveOps:  rs.CollectiveOps,
-			CollectiveTime: rs.CollectiveTime,
-			PairsGenerated: rs.PairsGenerated,
-			PairsProcessed: rs.PairsProcessed,
-			PairsAccepted:  rs.PairsAccepted,
-			DeltaEdges:     rs.DeltaEdges,
-			Busy:           rs.Busy,
-		})
+		Stats:       res.Stats,
 	}
 	for i, l := range res.Labels {
 		out.Labels[i] = int(l)
