@@ -67,9 +67,10 @@ type Config struct {
 	// boundaries, once per batch in the sequential loop, and once per
 	// slave report in the master's protocol loop, and aborts with an error
 	// wrapping Ctx.Err() when it is done. Polling (rather than selecting
-	// on Done) keeps the engine free of extra goroutines and lets tests
-	// trip cancellation at a deterministic poll count. nil means the run
-	// cannot be canceled (the pre-server behavior).
+	// on Done) needs no goroutine to watch the context and lets tests
+	// trip cancellation at a deterministic poll count; the sequential
+	// engine's pair producer never polls, so it leaves that count as it
+	// is. nil means the run cannot be canceled (the pre-server behavior).
 	Ctx context.Context
 
 	// InitialLabels optionally seeds the cluster structure with a prior

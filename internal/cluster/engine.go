@@ -2,12 +2,14 @@ package cluster
 
 // The engine is split along its roles:
 //
-//	engine.go  — entry points, the sequential engine, and the phases every
-//	             rank shares (prologue, suffix redistribution ranges)
-//	master.go  — the master rank: dispatch, flow control, failure recovery
-//	slave.go   — the slave rank: GST share, pair generation, alignment loop
-//	merge.go   — the merge protocols: how accepted pairs become merges
-//	codec.go   — the wire protocol
+//	engine.go   — entry points, the sequential engine, and the phases every
+//	              rank shares (prologue, suffix redistribution ranges)
+//	runahead.go — the sequential engine's pair drain, run ahead of its
+//	              consumer on a goroutine of its own
+//	master.go   — the master rank: dispatch, flow control, failure recovery
+//	slave.go    — the slave rank: GST share, pair generation, alignment loop
+//	merge.go    — the merge protocols: how accepted pairs become merges
+//	codec.go    — the wire protocol
 
 import (
 	"fmt"
@@ -76,8 +78,11 @@ func wallElapsed() func() time.Duration {
 // at the batch boundary — the same deferred-merge semantics the parallel
 // delta protocol has, so the sequential engine is a valid equivalence
 // reference for it. Forest construction and generator set-up fan
-// out over up to workers goroutines; partition, the pair drain and alignment
-// run on this one, and the result does not depend on workers.
+// out over up to workers goroutines. With workers > 1 the pair drain runs on
+// a producer goroutine of its own, ahead of the skip tests, alignments and
+// merges on this one, into a buffer bounded by the input's length
+// (runahead.go). Partition stays on this goroutine, and the result does not
+// depend on workers.
 func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	pr := newProbes(cfg.Metrics)
 	tw := cfg.Trace
@@ -143,13 +148,14 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		cfg.logger().Info("seeded prior partition", "merges", seedMerges)
 	}
 	ck := newCheckpointer(cfg, set.NumESTs(), st, pr, clk)
-	buf := make([]pairgen.Pair, 0, cfg.BatchSize)
+	drain := newPairDrain(gen, cfg.BatchSize, runAheadBatches(set.TotalChars(), cfg.BatchSize), workers)
+	defer drain.join()
 	var batchEdges []unionfind.MergeEdge
 	for {
 		if err := cfg.ctxErr(); err != nil {
 			return nil, err
 		}
-		buf = gen.Next(buf[:0], cfg.BatchSize)
+		buf := drain.next()
 		if len(buf) == 0 {
 			break
 		}
@@ -208,6 +214,7 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	if err := ck.maybe(uf, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, true); err != nil {
 		return nil, err
 	}
+	drain.join()
 	st.PairsGenerated = gen.Stats().Generated
 	if cfg.FreshGen > 0 {
 		st.Incremental.FreshPairs = gen.Stats().Generated

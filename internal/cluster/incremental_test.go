@@ -348,20 +348,44 @@ func TestCheckpointFromLabels(t *testing.T) {
 	}
 }
 
-// TestSequentialWorkerCounts holds the sequential engine's fan-out to its
-// contract: at every width, a one-shot run and a cached session's batch runs
-// produce the partition and every counter the one-worker engine does, and no
+// TestSequentialWorkerCounts holds the sequential engine's fan-out and pair
+// run-ahead to their contract: at every width, a one-shot run and a cached
+// session's batch runs produce the partition and every counter the one-worker
+// engine does, under either merge protocol, without the same-cluster skip,
+// and with a run-ahead buffer at its floor that the producer fills, and no
 // worker outlives its run.
 func TestSequentialWorkerCounts(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	b := benchSet(t, 60, 4, 13)
 	cfg := DefaultConfig(1)
 	cfg.Window, cfg.Psi = 6, 18
-	cut := len(b.ESTs) * 2 / 3
+	deltas, noSkip := cfg, cfg
+	deltas.MergeShards = 1
+	noSkip.SkipSameCluster = false
+	floorESTs, floor := floorInput(t)
+	for _, leg := range []struct {
+		name string
+		ests []seq.Sequence
+		cfg  Config
+		// minPairs is how many pairs the one-shot run must exceed.
+		minPairs int64
+	}{
+		{"default", b.ESTs, cfg, 0},
+		{"MergeShards=1", b.ESTs, deltas, 0},
+		// Every pair is aligned: a third of the input keeps the leg quick.
+		{"SkipSameCluster=false", b.ESTs[:20], noSkip, 0},
+		{"run-ahead floor", floorESTs, floor, int64(runAheadFloor * floor.BatchSize)},
+	} {
+		t.Run(leg.name, func(t *testing.T) { checkWorkerCounts(t, leg.ests, leg.cfg, leg.minPairs) })
+	}
+}
+
+func checkWorkerCounts(t *testing.T, ests []seq.Sequence, cfg Config, minPairs int64) {
+	cut := len(ests) * 2 / 3
 
 	// run returns the one-shot result, then the session's two batch results.
 	run := func(workers int) []*Result {
-		full, err := seq.NewSetS(b.ESTs)
+		full, err := seq.NewSetS(ests)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +393,7 @@ func TestSequentialWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, err := seq.NewSetS(b.ESTs[:cut])
+		set, err := seq.NewSetS(ests[:cut])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +403,7 @@ func TestSequentialWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen, err := set.Append(b.ESTs[cut:])
+		gen, err := set.Append(ests[cut:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,7 +419,7 @@ func TestSequentialWorkerCounts(t *testing.T) {
 		return [6]int64{st.PairsGenerated, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, st.Recovery.SeedMerges}
 	}
 	want := run(1)
-	if want[2].Stats.Incremental.BucketsRebuilt == 0 || want[0].Stats.PairsGenerated == 0 {
+	if want[2].Stats.Incremental.BucketsRebuilt == 0 || want[0].Stats.PairsGenerated <= minPairs {
 		t.Fatalf("workload exercises nothing: %+v", want[2].Stats)
 	}
 	for _, workers := range []int{2, 3, 8} {

@@ -33,12 +33,16 @@ func Cuts(n, parts int, weight func(i int) int) []int {
 	return append(cuts, n)
 }
 
-// Run calls fn(k) for every chunk k in [0,chunks), chunks >= 1, and returns
-// once every call has, with the error of the lowest-numbered chunk that
-// failed: the one a single pass over the chunks in order would meet first.
-// Chunk 0 runs on the calling goroutine and each other chunk on a goroutine
-// of its own, so a single chunk starts no goroutine and allocates nothing.
+// Run calls fn(k) for every chunk k in [0,chunks) and returns once every call
+// has, with the error of the lowest-numbered chunk that failed: the one a
+// single pass over the chunks in order would meet first. Chunk 0 runs on the
+// calling goroutine and each other chunk on a goroutine of its own, so a
+// single chunk starts no goroutine and allocates nothing. No chunks, or a
+// negative count, calls nothing and returns nil.
 func Run(chunks int, fn func(k int) error) error {
+	if chunks < 1 {
+		return nil
+	}
 	if chunks == 1 {
 		return fn(0)
 	}

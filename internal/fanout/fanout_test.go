@@ -56,7 +56,8 @@ func TestCutsTileTheItems(t *testing.T) {
 
 // Run calls every chunk exactly once, the first on the caller's goroutine,
 // and returns only after the last call has, with the lowest-numbered chunk's
-// error: the leak guard sees no goroutine outlive it, failing or not.
+// error: the leak guard sees no goroutine outlive it, failing or not. With no
+// chunks it calls nothing.
 func TestRunCallsEveryChunkOnce(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	for _, chunks := range []int{1, 2, 3, 8} {
@@ -81,6 +82,15 @@ func TestRunCallsEveryChunkOnce(t *testing.T) {
 			if fmt.Sprint(err) != want {
 				t.Errorf("chunks=%d failing=%v: error %v, want %s", chunks, failing, err, want)
 			}
+		}
+	}
+	// No chunks, as an empty round has, calls nothing and fails nothing.
+	for _, chunks := range []int{0, -1} {
+		if err := Run(chunks, func(k int) error {
+			t.Errorf("chunks=%d: chunk %d called", chunks, k)
+			return nil
+		}); err != nil {
+			t.Errorf("chunks=%d: error %v, want nil", chunks, err)
 		}
 	}
 	// One chunk starts no goroutine.
