@@ -38,7 +38,6 @@ func main() {
 	window := flag.Int("w", 8, "suffix bucketing window w")
 	psi := flag.Int("psi", 20, "promising pair threshold ψ (min maximal common substring)")
 	batch := flag.Int("batch", 60, "pairs per master-slave interaction")
-	mergeShards := flag.Int("merge-shards", 0, "merge protocol: 0 = per-pair verdicts, 1 = slave-filtered merge deltas")
 	minOverlap := flag.Int("min-overlap", 40, "minimum accepted overlap columns")
 	minIdentity := flag.Float64("min-identity", 0.90, "minimum accepted overlap identity")
 	doTrim := flag.Bool("trim", false, "trim poly(A)/poly(T) tails before clustering")
@@ -64,8 +63,7 @@ func main() {
 	if err := validateFlags(flagValues{
 		in: *in, procs: *procs, sim: *sim,
 		window: *window, psi: *psi, batch: *batch,
-		mergeShards: *mergeShards,
-		minOverlap:  *minOverlap, minIdentity: *minIdentity,
+		minOverlap: *minOverlap, minIdentity: *minIdentity,
 		retries: *retries, ckptDir: *ckptDir,
 		ckptInterval: *ckptInterval, ckptEvery: *ckptEvery,
 		slaveTimeout: *slaveTimeout, resume: *resume,
@@ -111,7 +109,6 @@ func main() {
 	opt.Window = *window
 	opt.MinMatch = *psi
 	opt.BatchSize = *batch
-	opt.MergeShards = *mergeShards
 	opt.MinOverlap = *minOverlap
 	opt.MinIdentity = *minIdentity
 	opt.Recover = !*noRecover

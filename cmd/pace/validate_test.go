@@ -22,11 +22,6 @@ func TestValidateFlags(t *testing.T) {
 	if err := validateFlags(simOK); err != nil {
 		t.Fatalf("valid -sim flags rejected: %v", err)
 	}
-	deltas := okFlags()
-	deltas.mergeShards = 1
-	if err := validateFlags(deltas); err != nil {
-		t.Fatalf("-merge-shards 1 rejected: %v", err)
-	}
 
 	cases := []struct {
 		name string
@@ -40,8 +35,6 @@ func TestValidateFlags(t *testing.T) {
 		{"zero psi", func(v *flagValues) { v.psi = 0 }, "-psi must be positive"},
 		{"psi below window", func(v *flagValues) { v.psi = 4 }, "must be >= -w"},
 		{"zero batch", func(v *flagValues) { v.batch = 0 }, "-batch must be positive"},
-		{"negative merge shards", func(v *flagValues) { v.mergeShards = -1 }, "-merge-shards must be 0"},
-		{"sharded merge", func(v *flagValues) { v.mergeShards = 2 }, "sharded master union-find was removed"},
 		{"zero overlap", func(v *flagValues) { v.minOverlap = 0 }, "-min-overlap must be positive"},
 		{"zero identity", func(v *flagValues) { v.minIdentity = 0 }, "-min-identity must be in (0,1]"},
 		{"identity above one", func(v *flagValues) { v.minIdentity = 1.5 }, "-min-identity must be in (0,1]"},

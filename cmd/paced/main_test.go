@@ -3,18 +3,25 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"pace"
+	"pace/internal/serve"
 )
 
-func TestCheckMergeShards(t *testing.T) {
-	for _, k := range []int{0, 1} {
-		if err := checkMergeShards(k); err != nil {
-			t.Errorf("-merge-shards %d rejected: %v", k, err)
-		}
+// TestBootRefusesSimulatedSequential follows paced's boot with -sim -p 1:
+// the manager validates the session options before anything is served, and
+// the sequential engine has no simulated machine, so boot fails with the
+// library's refusal rather than serving wall-clock phases as virtual ones.
+func TestBootRefusesSimulatedSequential(t *testing.T) {
+	opt := pace.DefaultOptions()
+	opt.Processors = 1
+	opt.Simulated = true
+	_, err := serve.NewManager(serve.Config{Options: opt})
+	if err == nil || !strings.Contains(err.Error(), "pace: Simulated needs Processors >= 2") {
+		t.Fatalf("-sim -p 1: error %v, want the pace: refusal", err)
 	}
-	for _, k := range []int{-1, 2, 16} {
-		err := checkMergeShards(k)
-		if err == nil || !strings.Contains(err.Error(), "-merge-shards must be 0") || !strings.Contains(err.Error(), "removed") {
-			t.Errorf("-merge-shards %d: error %v, want a refusal naming the removal", k, err)
-		}
+	opt.Processors = 2
+	if _, err := serve.NewManager(serve.Config{Options: opt}); err != nil {
+		t.Fatalf("-sim -p 2 refused: %v", err)
 	}
 }

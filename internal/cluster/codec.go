@@ -6,7 +6,6 @@ import (
 
 	"pace/internal/pairgen"
 	"pace/internal/seq"
-	"pace/internal/unionfind"
 )
 
 // Wire protocol between master and slaves. Messages are packed with a small
@@ -67,9 +66,7 @@ type alignResult struct {
 }
 
 // report is the slave → master message: R results and P pairs plus status
-// flags (paper §3.3). Under the delta protocol (Config.MergeShards == 1) the
-// per-pair results are replaced by a merge delta: batch counters plus the
-// spanning edges the slave's local union-find admitted.
+// flags (paper §3.3).
 type report struct {
 	results []alignResult
 	pairs   []pairgen.Pair
@@ -84,16 +81,6 @@ type report struct {
 	// in-flight FIFO; batches still in the FIFO when a slave dies are
 	// requeued to survivors.
 	ackWork bool
-	// hasDelta: the report carries deltaProcessed/deltaAccepted and the
-	// delta blob instead of per-pair results (mutually exclusive with
-	// results; the decoder rejects a message carrying both).
-	hasDelta bool
-	// deltaProcessed / deltaAccepted are the batch's alignment counters —
-	// the information the master no longer gets per pair.
-	deltaProcessed int64
-	deltaAccepted  int64
-	// delta is the slave's pending spanning edges (UFD1 blob on the wire).
-	delta unionfind.MergeDelta
 }
 
 // work is the master → slave message: W pairs to align and the number E of
@@ -175,9 +162,6 @@ func appendReport(b []byte, rep report) []byte {
 	if rep.ackWork {
 		flags |= 4
 	}
-	if rep.hasDelta {
-		flags |= 8
-	}
 	b = appendU32(b, flags)
 	b = appendU32(b, uint32(len(rep.results)))
 	for _, res := range rep.results {
@@ -193,30 +177,19 @@ func appendReport(b []byte, rep report) []byte {
 	for _, p := range rep.pairs {
 		b = appendPair(b, p)
 	}
-	if rep.hasDelta {
-		b = appendU32(b, uint32(rep.deltaProcessed))
-		b = appendU32(b, uint32(rep.deltaAccepted))
-		blobAt := len(b) + 4 // length prefix precedes the blob
-		b = appendU32(b, 0)
-		b = rep.delta.AppendBinary(b)
-		binary.LittleEndian.PutUint32(b[blobAt-4:], uint32(len(b)-blobAt))
-	}
 	return b
 }
 
 func decodeReport(b []byte) (report, error) {
 	r := reader{b: b}
 	flags := r.u32()
-	if r.err == nil && flags&^15 != 0 {
-		return report{}, fmt.Errorf("cluster: unknown report flag bits %#x", flags&^15)
+	if r.err == nil && flags&^7 != 0 {
+		return report{}, fmt.Errorf("cluster: unknown report flag bits %#x", flags&^7)
 	}
-	rep := report{passive: flags&1 != 0, hasNextWork: flags&2 != 0, ackWork: flags&4 != 0, hasDelta: flags&8 != 0}
+	rep := report{passive: flags&1 != 0, hasNextWork: flags&2 != 0, ackWork: flags&4 != 0}
 	nRes := r.u32()
 	if r.err == nil && int(nRes) > len(b)/12 {
 		return report{}, fmt.Errorf("cluster: result count %d exceeds message size", nRes)
-	}
-	if r.err == nil && rep.hasDelta && nRes > 0 {
-		return report{}, fmt.Errorf("cluster: delta report carries %d per-pair results", nRes)
 	}
 	for i := uint32(0); i < nRes && r.err == nil; i++ {
 		res := alignResult{estI: seq.ESTID(r.u32()), estJ: seq.ESTID(r.u32())}
@@ -233,20 +206,6 @@ func decodeReport(b []byte) (report, error) {
 	}
 	for i := uint32(0); i < nPairs && r.err == nil; i++ {
 		rep.pairs = append(rep.pairs, r.pair())
-	}
-	if rep.hasDelta {
-		rep.deltaProcessed = int64(r.u32())
-		rep.deltaAccepted = int64(r.u32())
-		blobLen := int(r.u32())
-		if r.err == nil && (blobLen > len(b)-r.off || blobLen < 0) {
-			return report{}, fmt.Errorf("cluster: delta blob length %d exceeds message size at offset %d", blobLen, r.off-4)
-		}
-		if r.err == nil {
-			if err := rep.delta.UnmarshalBinary(b[r.off : r.off+blobLen]); err != nil {
-				return report{}, fmt.Errorf("cluster: delta blob at offset %d: %w", r.off, err)
-			}
-			r.off += blobLen
-		}
 	}
 	if err := r.done(); err != nil {
 		return report{}, err
@@ -328,13 +287,10 @@ type phaseReport struct {
 	generated, processed, accepted, stale              int64
 	msgsSent, bytesSent, msgsRecv, bytesRecv           int64
 	recvWaitNs, collOps, collTimeNs, busyNs            int64
-	// deltaEdges is the number of spanning edges the rank shipped in merge
-	// deltas (zero on the legacy protocol and on the master).
-	deltaEdges int64
 }
 
 // phaseReportWords is the fixed number of int64 fields on the wire.
-const phaseReportWords = 18
+const phaseReportWords = 17
 
 func (p phaseReport) words() [phaseReportWords]int64 {
 	return [phaseReportWords]int64{
@@ -342,7 +298,6 @@ func (p phaseReport) words() [phaseReportWords]int64 {
 		p.generated, p.processed, p.accepted, p.stale,
 		p.msgsSent, p.bytesSent, p.msgsRecv, p.bytesRecv,
 		p.recvWaitNs, p.collOps, p.collTimeNs, p.busyNs,
-		p.deltaEdges,
 	}
 }
 
@@ -370,6 +325,5 @@ func decodePhase(b []byte) (phaseReport, error) {
 		generated: v(5), processed: v(6), accepted: v(7), stale: v(8),
 		msgsSent: v(9), bytesSent: v(10), msgsRecv: v(11), bytesRecv: v(12),
 		recvWaitNs: v(13), collOps: v(14), collTimeNs: v(15), busyNs: v(16),
-		deltaEdges: v(17),
 	}, nil
 }

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"pace/internal/pairgen"
 	"pace/internal/seq"
-	"pace/internal/unionfind"
 )
 
 func TestReportRoundTrip(t *testing.T) {
@@ -317,81 +319,19 @@ func TestAppendEncodersReuseBuffer(t *testing.T) {
 	}
 }
 
-// Delta reports (flag bit 8) replace per-pair results with the processed and
-// accepted counts plus a length-prefixed UFD1 merge-delta blob.
-func TestReportDeltaRoundTrip(t *testing.T) {
-	rep := report{
-		pairs: []pairgen.Pair{
-			{S1: seq.Forward(0), S2: seq.Reverse(7), Pos1: 12, Pos2: 0, MatchLen: 31},
-		},
-		hasNextWork:    true,
-		hasDelta:       true,
-		deltaProcessed: 42,
-		deltaAccepted:  5,
-		delta: unionfind.MergeDelta{Edges: []unionfind.MergeEdge{
-			{A: 9, B: 1}, {A: 4, B: 3},
-		}},
+// Flag bits above ackWork are unknown, bit 8 included: it once marked a merge
+// delta and is rejected like any other, never read as a per-pair report.
+func TestDecodeRejectsUnknownReportFlags(t *testing.T) {
+	valid := encodeReport(report{results: []alignResult{{estI: 1, estJ: 2, accepted: true}}, passive: true, hasNextWork: true, ackWork: true})
+	if _, err := decodeReport(valid); err != nil {
+		t.Fatalf("all three known flags: %v", err)
 	}
-	got, err := decodeReport(encodeReport(rep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.hasDelta || got.deltaProcessed != 42 || got.deltaAccepted != 5 {
-		t.Errorf("delta header: %+v", got)
-	}
-	if len(got.delta.Edges) != 2 || got.delta.Edges[0] != rep.delta.Edges[0] || got.delta.Edges[1] != rep.delta.Edges[1] {
-		t.Errorf("delta edges: %+v", got.delta.Edges)
-	}
-	if len(got.results) != 0 || len(got.pairs) != 1 || got.pairs[0] != rep.pairs[0] {
-		t.Errorf("non-delta sections: %+v", got)
-	}
-
-	// An empty delta (all accepted pairs locally redundant) still carries
-	// honest counts.
-	empty := report{hasDelta: true, deltaProcessed: 7}
-	got, err = decodeReport(encodeReport(empty))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.hasDelta || got.deltaProcessed != 7 || got.deltaAccepted != 0 || len(got.delta.Edges) != 0 {
-		t.Errorf("empty delta: %+v", got)
-	}
-}
-
-// A report cannot carry both per-pair results and a merge delta: the two
-// protocols are mutually exclusive and the decoder must reject the mix (a
-// corrupted or confused sender) rather than double-count merges.
-func TestDecodeRejectsMixedDeltaResults(t *testing.T) {
-	rep := report{
-		results:  []alignResult{{estI: 1, estJ: 2, accepted: true}},
-		hasDelta: true,
-	}
-	if _, err := decodeReport(encodeReport(rep)); err == nil {
-		t.Fatal("decoder accepted a report with both results and a delta")
-	}
-}
-
-// Truncating anywhere inside the delta section must fail loudly, and the
-// reuse contract extends to delta reports.
-func TestReportDeltaTruncatedAndReuse(t *testing.T) {
-	rep := report{
-		hasDelta:       true,
-		deltaProcessed: 3,
-		deltaAccepted:  2,
-		delta: unionfind.MergeDelta{Edges: []unionfind.MergeEdge{
-			{A: 5, B: 0}, {A: 8, B: 5},
-		}},
-	}
-	full := encodeReport(rep)
-	for cut := len(full) - 1; cut > len(full)-30 && cut >= 0; cut-- {
-		if _, err := decodeReport(full[:cut]); err == nil {
-			t.Fatalf("decoder accepted delta report truncated to %d of %d bytes", cut, len(full))
+	for _, bit := range []uint32{8, 16, 1 << 31} {
+		b := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(b, binary.LittleEndian.Uint32(b)|bit)
+		_, err := decodeReport(b)
+		if want := fmt.Sprintf("unknown report flag bits %#x", bit); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("flag bit %#x: error %v, want %q", bit, err, want)
 		}
-	}
-
-	scratch := append([]byte("garbage-prefix"), 0xEE)[:0]
-	scratch = appendReport(scratch, rep)
-	if string(scratch) != string(full) {
-		t.Error("reused-buffer delta encode differs from fresh encode")
 	}
 }

@@ -49,15 +49,6 @@ type Config struct {
 	// is an ablation knob.
 	SkipSameCluster bool
 
-	// MergeShards selects the merge protocol. 0 (the default) is the
-	// paper's per-pair path: slaves report a verdict per processed pair and
-	// the master unions every accepted pair. 1 switches to merge deltas:
-	// slaves filter accepted pairs through a local union-find and report
-	// only the spanning edges, which the master unions (see merge.go and
-	// DESIGN.md §15). The final labels are identical either way; only wire
-	// traffic and counters change. Values above 1 are refused.
-	MergeShards int
-
 	// MP configures the message-passing machine (rank count, real vs
 	// simulated execution, network model). MP.Procs == 1 selects the
 	// sequential in-process engine.
@@ -247,9 +238,6 @@ func (c Config) Validate() error {
 	if c.SlaveTimeout < 0 {
 		return fmt.Errorf("cluster: SlaveTimeout must be >= 0")
 	}
-	if c.MergeShards < 0 || c.MergeShards > 1 {
-		return fmt.Errorf("cluster: MergeShards must be 0 (per-pair verdicts) or 1 (merge deltas), got %d: the K > 1 sharded master union-find was removed", c.MergeShards)
-	}
 	if c.Checkpoint.Interval < 0 || c.Checkpoint.EveryReports < 0 {
 		return fmt.Errorf("cluster: checkpoint cadence must be >= 0")
 	}
@@ -339,10 +327,9 @@ type Stats struct {
 	WorkBufHighWater int
 	// MasterIdle is the time the master's dispatch loop spent blocked in
 	// Recv waiting for slave reports (zero in sequential runs); merge
-	// application, per pair or per delta, is MasterBusy. Prologue waits
-	// (the bucket-count allreduces) are excluded: they are identical under
-	// every merge protocol and would drown the dispatch-loop signal at
-	// large p.
+	// application is MasterBusy. Prologue waits (the bucket-count
+	// allreduces) are excluded: they are collective synchronization, not
+	// dispatch-loop idling, and would drown the signal at large p.
 	MasterIdle time.Duration
 	// Phases is the per-phase breakdown.
 	Phases PhaseTimes
@@ -438,9 +425,6 @@ type RankStats struct {
 	// Busy is meaningful on the master only: time spent processing
 	// messages rather than waiting.
 	Busy time.Duration
-	// DeltaEdges is the number of merge-delta spanning edges the rank
-	// shipped (MergeShards == 1; zero for per-pair runs).
-	DeltaEdges int64
 }
 
 // Result is the outcome of a clustering run.

@@ -3,12 +3,13 @@ package cluster
 // The engine is split along its roles:
 //
 //	engine.go   — entry points, the sequential engine, and the phases every
-//	              rank shares (prologue, suffix redistribution ranges)
+//	              rank shares (prologue, cluster seeding, suffix
+//	              redistribution ranges)
 //	runahead.go — the sequential engine's pair drain, run ahead of its
 //	              consumer on a goroutine of its own
-//	master.go   — the master rank: dispatch, flow control, failure recovery
+//	master.go   — the master rank: dispatch, flow control, merging the
+//	              slaves' per-pair verdicts, failure recovery
 //	slave.go    — the slave rank: GST share, pair generation, alignment loop
-//	merge.go    — the merge protocols: how accepted pairs become merges
 //	codec.go    — the wire protocol
 
 import (
@@ -73,16 +74,12 @@ func wallElapsed() func() time.Duration {
 }
 
 // runSequential is the single-process engine: generate batches in decreasing
-// order, skip same-cluster pairs, align, merge. Under the delta protocol
-// (MergeShards == 1) accepted pairs accumulate as a per-batch delta applied
-// at the batch boundary — the same deferred-merge semantics the parallel
-// delta protocol has, so the sequential engine is a valid equivalence
-// reference for it. Forest construction and generator set-up fan
-// out over up to workers goroutines. With workers > 1 the pair drain runs on
-// a producer goroutine of its own, ahead of the skip tests, alignments and
-// merges on this one, into a buffer bounded by the input's length
-// (runahead.go). Partition stays on this goroutine, and the result does not
-// depend on workers.
+// order, skip same-cluster pairs, align, merge. Forest construction and
+// generator set-up fan out over up to workers goroutines. With workers > 1
+// the pair drain runs on a producer goroutine of its own, ahead of the skip
+// tests, alignments and merges on this one, into a buffer bounded by the
+// input's length (runahead.go). Partition stays on this goroutine, and the
+// result does not depend on workers.
 func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	pr := newProbes(cfg.Metrics)
 	tw := cfg.Trace
@@ -150,7 +147,6 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	ck := newCheckpointer(cfg, set.NumESTs(), st, pr, clk)
 	drain := newPairDrain(gen, cfg.BatchSize, runAheadBatches(set.TotalChars(), cfg.BatchSize), workers)
 	defer drain.join()
-	var batchEdges []unionfind.MergeEdge
 	for {
 		if err := cfg.ctxErr(); err != nil {
 			return nil, err
@@ -185,23 +181,13 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 				if pr != nil {
 					pr.accepted.Inc()
 				}
-				if cfg.MergeShards > 0 {
-					batchEdges = append(batchEdges, unionfind.MergeEdge{A: int32(i), B: int32(j)})
-				} else if uf.Union(int32(i), int32(j)) {
+				if uf.Union(int32(i), int32(j)) {
 					st.Merges++
 					if pr != nil {
 						pr.merges.Inc()
 					}
 				}
 			}
-		}
-		if len(batchEdges) > 0 {
-			links := applyDelta(uf, batchEdges)
-			st.Merges += links
-			if pr != nil {
-				pr.merges.Add(links)
-			}
-			batchEdges = batchEdges[:0]
 		}
 		st.Phases.Align += batchAlign
 		if tw != nil && batchAlign > 0 {
@@ -258,6 +244,31 @@ func runParallel(set *seq.SetS, cfg Config) (*Result, error) {
 		}
 	}
 	return result, nil
+}
+
+// seedClusters merges ESTs that share a non-negative initial label. Labels
+// may cover only a prefix of the ESTs (old batch before newly arrived ones).
+// It returns the number of union operations performed, so a resumed run can
+// report how much work the seed (e.g. a checkpoint) already covered.
+func seedClusters(uf *unionfind.UF, labels []int32, n int) (int64, error) {
+	if len(labels) > n {
+		return 0, fmt.Errorf("cluster: %d initial labels for %d ESTs", len(labels), n)
+	}
+	first := make(map[int32]int32)
+	var merges int64
+	for i, l := range labels {
+		if l < 0 {
+			continue
+		}
+		if f, ok := first[l]; ok {
+			if uf.Union(f, int32(i)) {
+				merges++
+			}
+		} else {
+			first[l] = int32(i)
+		}
+	}
+	return merges, nil
 }
 
 // shareRange splits the 2n strings over the p-1 slaves for histogram

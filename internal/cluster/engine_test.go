@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -33,19 +32,8 @@ func benchSet(t testing.TB, n, genes int, seed int64) *simulate.Benchmark {
 }
 
 func TestConfigValidate(t *testing.T) {
-	for _, k := range []int{0, 1} {
-		c := DefaultConfig(4)
-		c.MergeShards = k
-		if err := c.Validate(); err != nil {
-			t.Fatalf("MergeShards %d: %v", k, err)
-		}
-	}
-	for _, k := range []int{-1, 2} {
-		c := DefaultConfig(4)
-		c.MergeShards = k
-		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "removed") {
-			t.Errorf("MergeShards %d: error %v, want a refusal naming the removal", k, err)
-		}
+	if err := DefaultConfig(4).Validate(); err != nil {
+		t.Fatalf("default config: %v", err)
 	}
 	bad := []func(*Config){
 		func(c *Config) { c.Window = 0 },

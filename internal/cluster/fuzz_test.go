@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -29,16 +30,12 @@ func fuzzSeedReports() []report {
 			},
 			ackWork: true,
 		},
-		{hasDelta: true, deltaProcessed: 9},
+		// Ids past any set, from words of 2³¹ and above: the decoder cannot
+		// know the set and passes them; the master's checkReportIDs refuses
+		// them.
 		{
-			hasDelta:       true,
-			deltaProcessed: 12,
-			deltaAccepted:  2,
-			delta: unionfind.MergeDelta{Edges: []unionfind.MergeEdge{
-				{A: 6, B: 1}, {A: 3, B: 2},
-			}},
-			pairs:   []pairgen.Pair{{S1: 2, S2: 5, Pos1: 0, Pos2: 4, MatchLen: 21}},
-			ackWork: true,
+			results: []alignResult{{estI: math.MinInt32, estJ: 0, accepted: true}},
+			pairs:   []pairgen.Pair{{S1: -1, S2: 3, Pos1: 0, Pos2: 0, MatchLen: 20}},
 		},
 	}
 }
@@ -47,10 +44,12 @@ func FuzzDecodeReport(f *testing.F) {
 	for _, rep := range fuzzSeedReports() {
 		f.Add(encodeReport(rep))
 	}
-	// Truncated and trailing mutants of a valid message.
+	// Truncated, trailing and unknown-flag mutants of a valid message; flag
+	// bit 8 once marked a merge delta.
 	enc := encodeReport(fuzzSeedReports()[3])
 	f.Add(enc[:len(enc)-1])
 	f.Add(append(append([]byte{}, enc...), 0xAA))
+	f.Add(append([]byte{enc[0] | 8}, enc[1:]...))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rep, err := decodeReport(b)
 		if err != nil {

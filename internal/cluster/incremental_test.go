@@ -351,16 +351,15 @@ func TestCheckpointFromLabels(t *testing.T) {
 // TestSequentialWorkerCounts holds the sequential engine's fan-out and pair
 // run-ahead to their contract: at every width, a one-shot run and a cached
 // session's batch runs produce the partition and every counter the one-worker
-// engine does, under either merge protocol, without the same-cluster skip,
-// and with a run-ahead buffer at its floor that the producer fills, and no
-// worker outlives its run.
+// engine does, by default, without the same-cluster skip, and with a
+// run-ahead buffer at its floor that the producer fills, and no worker
+// outlives its run.
 func TestSequentialWorkerCounts(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	b := benchSet(t, 60, 4, 13)
 	cfg := DefaultConfig(1)
 	cfg.Window, cfg.Psi = 6, 18
-	deltas, noSkip := cfg, cfg
-	deltas.MergeShards = 1
+	noSkip := cfg
 	noSkip.SkipSameCluster = false
 	floorESTs, floor := floorInput(t)
 	for _, leg := range []struct {
@@ -371,7 +370,6 @@ func TestSequentialWorkerCounts(t *testing.T) {
 		minPairs int64
 	}{
 		{"default", b.ESTs, cfg, 0},
-		{"MergeShards=1", b.ESTs, deltas, 0},
 		// Every pair is aligned: a third of the input keeps the leg quick.
 		{"SkipSameCluster=false", b.ESTs[:20], noSkip, 0},
 		{"run-ahead floor", floorESTs, floor, int64(runAheadFloor * floor.BatchSize)},

@@ -16,8 +16,9 @@ import (
 // bounded WORKBUF of promising pairs, dispatches alignment batches to the
 // slaves under the E = min(α·δ·batchsize, nfree/p) flow-control grant, and
 // recovers from slave deaths by requeueing their in-flight work and
-// subdividing their generator shards. Accepted pairs reach its union-find as
-// per-pair verdicts or as merge deltas (merge.go).
+// subdividing their generator shards. Every report carries a verdict per
+// processed pair, and the master unions each accepted pair into its
+// union-find.
 
 // masterState tracks one slave's protocol position.
 type masterState struct {
@@ -71,6 +72,30 @@ func grantE(cfg Config, reported, added, active, slaves, p, nfree int) int {
 		e = 1
 	}
 	return e
+}
+
+// checkReportIDs range-checks the ids in slave s's report before any of them
+// indexes the master's union-find. The report comes off the wire, where
+// decodeReport cannot know the set, and a word of 2³¹ or more decodes to a
+// negative id; as wire words both must fall below the set's EST or string
+// count.
+func checkReportIDs(s int, rep report, set *seq.SetS) error {
+	ne, ns := uint32(set.NumESTs()), uint32(set.NumStrings())
+	for _, r := range rep.results {
+		for _, id := range [2]uint32{uint32(r.estI), uint32(r.estJ)} {
+			if id >= ne {
+				return fmt.Errorf("cluster: slave %d reported a verdict on EST %d of %d", s, id, ne)
+			}
+		}
+	}
+	for _, p := range rep.pairs {
+		for _, id := range [2]uint32{uint32(p.S1), uint32(p.S2)} {
+			if id >= ns {
+				return fmt.Errorf("cluster: slave %d reported a pair on string %d of %d", s, id, ns)
+			}
+		}
+	}
+	return nil
 }
 
 func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
@@ -262,11 +287,8 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 	// its generator shards among the survivors, who rebuild them locally
 	// and regenerate the remaining pairs. Regenerated pairs overlap work
 	// the dead slave already reported; the same-cluster filter and the
-	// idempotence of union-find merges absorb the duplicates — under the
-	// delta protocol the dead slave's local filter and unshipped edges are
-	// lost together, so the survivors' refiltered deltas re-derive exactly
-	// the missing connectivity — and the final clusters match a
-	// failure-free run.
+	// idempotence of union-find merges absorb the duplicates, and the final
+	// clusters match a failure-free run.
 	handleDeath := func(s int) error {
 		states[s].dead = true
 		states[s].idle = false
@@ -341,16 +363,14 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 
 	// Master idle is measured over the dispatch loop only: recv wait
 	// accumulated up to here is the prologue's collective synchronization
-	// (the bucket-count allreduces), the same for every merge protocol
-	// and not a master-bottleneck signal. Snapshotting the baseline makes
-	// MasterIdle exactly "time the dispatch loop spent blocked on slave
-	// reports".
+	// (the bucket-count allreduces), not a master-bottleneck signal.
+	// Snapshotting the baseline makes MasterIdle exactly "time the dispatch
+	// loop spent blocked on slave reports".
 	rw0 := c.Stats().RecvWait
 
 	// cumProcessed/cumAccepted mirror the slaves' counters from the
-	// results stream (or the delta reports' batch counters) for
-	// checkpointing; the authoritative per-rank totals still arrive with
-	// the final phase reports.
+	// results stream for checkpointing; the authoritative per-rank totals
+	// still arrive with the final phase reports.
 	var cumProcessed, cumAccepted int64
 	for {
 		// Cancellation poll, once per slave interaction. The master is the
@@ -392,8 +412,8 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rep.hasDelta != (cfg.MergeShards > 0) {
-			return nil, fmt.Errorf("cluster: slave %d report protocol (delta=%v) does not match MergeShards=%d", s, rep.hasDelta, cfg.MergeShards)
+		if err := checkReportIDs(s, rep, set); err != nil {
+			return nil, err
 		}
 		states[s].generatorDone = rep.passive
 		states[s].hasNextWork = rep.hasNextWork
@@ -411,29 +431,19 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 			return nil, fmt.Errorf("cluster: slave %d reported %d pairs, exceeding its grant of %d", s, len(rep.pairs), grant)
 		}
 
-		// Merge application, by protocol; either way it is master busy time.
-		if rep.hasDelta {
-			cumProcessed += rep.deltaProcessed
-			cumAccepted += rep.deltaAccepted
-			links := applyDelta(uf, rep.delta.Edges)
-			st.Merges += links
-			if pr != nil {
-				pr.merges.Add(links)
-			}
-		} else {
-			for _, r := range rep.results {
-				if r.accepted {
-					cumAccepted++
-					if uf.Union(int32(r.estI), int32(r.estJ)) {
-						st.Merges++
-						if pr != nil {
-							pr.merges.Inc()
-						}
+		// Merge application is master busy time.
+		for _, r := range rep.results {
+			if r.accepted {
+				cumAccepted++
+				if uf.Union(int32(r.estI), int32(r.estJ)) {
+					st.Merges++
+					if pr != nil {
+						pr.merges.Inc()
 					}
 				}
 			}
-			cumProcessed += int64(len(rep.results))
 		}
+		cumProcessed += int64(len(rep.results))
 		added := 0
 		for _, pair := range rep.pairs {
 			i, j := pair.ESTs()
@@ -563,7 +573,6 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 			PairsProcessed: ph.processed,
 			PairsAccepted:  ph.accepted,
 			Busy:           time.Duration(ph.busyNs),
-			DeltaEdges:     ph.deltaEdges,
 		})
 	}
 	addRow(0, "master", mine)

@@ -15,9 +15,7 @@ import (
 // bucket share, generates promising pairs on demand in decreasing order of
 // maximal common substring length, and aligns the batches the master
 // dispatches — overlapping generation with the wait for the master's reply.
-// Under the delta protocol a slave additionally filters its accepted pairs
-// through a local union-find (merge.go's deltaLog) and ships spanning edges
-// instead of per-pair verdicts.
+// Every processed pair's verdict rides the next report to the master.
 
 // exchangeSuffixes is the redistribution step of §3.1: each slave scans its
 // own share of the strings, groups every suffix by its bucket's owner, and
@@ -181,27 +179,6 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		return out, err
 	}
 
-	// Under the delta protocol, verdicts fold into the local merge log and
-	// reports ship only the spanning edges; makeReport centralizes the
-	// per-protocol report assembly.
-	var dl *deltaLog
-	if cfg.MergeShards > 0 {
-		dl = newDeltaLog(set.NumESTs())
-	}
-	var deltaShipped int64
-	makeReport := func(results []alignResult, rep report) report {
-		if dl == nil {
-			rep.results = results
-			return rep
-		}
-		rep.hasDelta = true
-		rep.deltaProcessed = int64(len(results))
-		rep.deltaAccepted = dl.absorb(results)
-		rep.delta.Edges = dl.take()
-		deltaShipped += int64(len(rep.delta.Edges))
-		return rep
-	}
-
 	// Reports are encoded into one reusable buffer; safe under the mp
 	// copy-on-send ownership contract.
 	var wire []byte
@@ -222,11 +199,12 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		return err
 	}
 	next := b2
-	first := makeReport(results, report{
+	first := report{
+		results:     results,
 		pairs:       pairbuf,
 		passive:     !chain.Remaining(),
 		hasNextWork: len(next) > 0,
-	})
+	}
 	pairbuf = nil
 	if err := sendReport(first); err != nil {
 		return err
@@ -314,12 +292,13 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		next = w.pairs
 		nextFromMaster = len(w.pairs) > 0
 
-		rep := makeReport(results, report{
+		rep := report{
+			results:     results,
 			pairs:       outPairs,
 			passive:     !chain.Remaining() && len(pairbuf) == 0,
 			hasNextWork: len(next) > 0,
 			ackWork:     ackThis,
-		})
+		}
 		if err := sendReport(rep); err != nil {
 			return err
 		}
@@ -336,7 +315,6 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		processed:   processed,
 		accepted:    accepted,
 		stale:       chain.Stale(),
-		deltaEdges:  deltaShipped,
 	}
 	fillComm(&mine, c.Stats())
 	// Point-to-point phase report: a collective here would wedge the

@@ -16,13 +16,13 @@
 //     held on every path; suspicious unannotated fields are flagged.
 //   - errwrap: errors crossing the cluster/serve/root API boundaries wrap
 //     with %w so errors.Is/As survive the chain.
-//   - metriccatalog: pace_* metric names in code and the DESIGN.md §13/§15
+//   - metriccatalog: pace_* metric names in code and the DESIGN.md §13
 //     catalog stay in lockstep, both directions.
 //
 // The flow-aware ones (ctxpoll, lockguard) are built on
 // pace/internal/lint/dataflow. The roster (contract, rationale, origin)
 // is the table in DESIGN.md §10, which TestRosterMatchesDesign keeps in
-// lockstep with All; the dataflow layer is described in §16.
+// lockstep with All; the dataflow layer is described in §15.
 package analyzers
 
 import (

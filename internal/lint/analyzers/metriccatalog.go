@@ -61,7 +61,7 @@ func runMetricCatalog(pass *lint.Pass) error {
 	for _, s := range sites {
 		if !catalog[s.name] {
 			pass.Reportf(s.pos,
-				"metric %s is not in the catalog (%s §13/§15); document it there (full name, not a wildcard)", s.name, filepath.Base(path))
+				"metric %s is not in the catalog (%s §13); document it there (full name, not a wildcard)", s.name, filepath.Base(path))
 		}
 	}
 	return nil

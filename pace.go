@@ -163,7 +163,8 @@ type Options struct {
 	Processors int
 	// Simulated runs the parallel engine on the discrete-event simulated
 	// machine (virtual clocks, modeled interconnect) instead of real
-	// goroutine concurrency. Stats report virtual times.
+	// goroutine concurrency. Stats report virtual times. It needs
+	// Processors >= 2: the sequential engine has no simulated machine.
 	Simulated bool
 	// SimDeterministic makes a Simulated run fully reproducible by
 	// disabling the simulator's measured-compute bridge (which charges
@@ -185,17 +186,6 @@ type Options struct {
 	// BatchSize is the number of pairs per master–slave interaction
 	// (paper: 40–60).
 	BatchSize int
-
-	// MergeShards selects the merge protocol. 0 (the default) is the
-	// paper's protocol: slaves ship per-pair verdicts and the master
-	// unions every accepted pair into its union-find. 1 switches to merge
-	// deltas: each slave filters its accepted pairs through a local
-	// union-find and ships only the spanning edges, which the master
-	// unions into the same structure; the sequential engine then merges a
-	// batch's accepted pairs at the batch boundary. The final partition is
-	// identical either way; deltas shrink master traffic (see
-	// RankStats.DeltaEdges). Values above 1 are refused.
-	MergeShards int
 
 	// Alignment scoring.
 	Match, Mismatch, GapOpen, GapExtend int
@@ -305,11 +295,16 @@ func (o Options) toConfig() (cluster.Config, error) {
 	if o.Processors < 1 {
 		return cluster.Config{}, fmt.Errorf("pace: Processors must be >= 1, got %d", o.Processors)
 	}
+	if o.Simulated && o.Processors < 2 {
+		// Processors == 1 selects the sequential engine, which has no
+		// simulated machine: its phases would be wall time reported as
+		// virtual.
+		return cluster.Config{}, fmt.Errorf("pace: Simulated needs Processors >= 2 (a master and at least one slave), got %d", o.Processors)
+	}
 	cfg := cluster.DefaultConfig(o.Processors)
 	cfg.Window = o.Window
 	cfg.Psi = o.MinMatch
 	cfg.BatchSize = o.BatchSize
-	cfg.MergeShards = o.MergeShards
 	cfg.Scoring.Match = int32(o.Match)
 	cfg.Scoring.Mismatch = int32(o.Mismatch)
 	cfg.Scoring.GapOpen = int32(o.GapOpen)

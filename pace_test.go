@@ -136,10 +136,12 @@ func TestClusterRejectsBadInput(t *testing.T) {
 	if _, err := Cluster([]string{"ACGTACGT"}, opt); err == nil {
 		t.Error("MinMatch < Window accepted")
 	}
+	// Processors == 1 is the sequential engine, which has no simulated
+	// machine: its wall-clock phases must not be reported as virtual time.
 	opt = DefaultOptions()
-	opt.MergeShards = 2
-	if _, err := Cluster([]string{"ACGTACGT"}, opt); err == nil || !strings.Contains(err.Error(), "removed") {
-		t.Errorf("MergeShards 2: error %v, want a refusal naming the removal", err)
+	opt.Simulated = true
+	if _, err := Cluster([]string{"ACGTACGT"}, opt); err == nil || !strings.HasPrefix(err.Error(), "pace: Simulated needs Processors >= 2") {
+		t.Errorf("Simulated with one processor: error %v, want the pace: refusal", err)
 	}
 }
 
