@@ -1,17 +1,12 @@
 // Command pacelint runs the project's analyzer suite: the mechanical form
-// of the pipeline's ownership, determinism and wire-format contracts.
-//
-// Standalone:
+// of the determinism, persistence, cancellation, error-chain and
+// metric-catalog contracts that no test or compiler check already holds.
 //
 //	go run ./cmd/pacelint ./...
 //
-// As a vet tool (analyzes test variants too, cached by the build system):
-//
-//	go build -o /tmp/pacelint ./cmd/pacelint
-//	go vet -vettool=/tmp/pacelint ./...
-//
-// See DESIGN.md §10 for the invariant catalog and the //pacelint:allow
-// directive syntax.
+// It analyzes the packages' non-test sources, audits the //pacelint:allow
+// ledger and runs the whole-program checks; -h lists the analyzers. See
+// DESIGN.md §10 for the roster and the directive syntax.
 package main
 
 import (

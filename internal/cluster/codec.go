@@ -12,12 +12,13 @@ import (
 // hand-rolled little-endian codec: the paper's implementation moves flat C
 // structs over MPI, and flat buffers keep the simulated byte counts honest.
 
-// Message tags.
+// Message tags, 1–4 and distinct by construction. mp's collective tags
+// live at 1<<28, so they never collide with these.
 const (
-	tagReport = 1 // slave → master: results + fresh pairs + status
-	tagWork   = 2 // master → slave: work batch + pair request (or stop)
-	tagSuffix = 3 // slave → slave: suffix redistribution triples
-	tagPhase  = 4 // rank → master: final phase/timing report (point-to-point
+	tagReport = iota + 1 // slave → master: results + fresh pairs + status
+	tagWork              // master → slave: work batch + pair request (or stop)
+	tagSuffix            // slave → slave: suffix redistribution triples
+	tagPhase             // rank → master: final phase/timing report (point-to-point
 	// rather than a collective, so the master can skip dead ranks)
 )
 

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -196,6 +198,34 @@ func TestPhaseRoundTrip(t *testing.T) {
 	}
 	if _, err := decodePhase(make([]byte, 10)); err == nil {
 		t.Error("short phase report accepted")
+	}
+}
+
+// TestPhaseReportLayout pins phaseReport to its wire width: every declared
+// field is one word on the wire, in declaration order, and encodePhase
+// gives decodePhase's input back byte for byte. A field added to the
+// struct without a word (or a word without a field) fails here.
+func TestPhaseReportLayout(t *testing.T) {
+	typ := reflect.TypeOf(phaseReport{})
+	if typ.NumField() != phaseReportWords {
+		t.Fatalf("phaseReport has %d fields, phaseReportWords is %d", typ.NumField(), phaseReportWords)
+	}
+	b := make([]byte, 8*phaseReportWords)
+	for i := 0; i < phaseReportWords; i++ {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(i+1))
+	}
+	p, err := decodePhase(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := reflect.ValueOf(p)
+	for i := 0; i < typ.NumField(); i++ {
+		if got := v.Field(i).Int(); got != int64(i+1) {
+			t.Errorf("field %d (%s) decodes word %d, want word %d", i, typ.Field(i).Name, got-1, i)
+		}
+	}
+	if !bytes.Equal(encodePhase(p), b) {
+		t.Error("encodePhase does not give decodePhase's input back")
 	}
 }
 

@@ -37,18 +37,6 @@ func TestWalltimeOutOfScope(t *testing.T) {
 	}
 }
 
-func TestTagConst(t *testing.T) {
-	linttest.Run(t, fixtureDir(t), []*lint.Analyzer{analyzers.TagConst}, "./tagconst")
-}
-
-func TestCodecWords(t *testing.T) {
-	linttest.Run(t, fixtureDir(t), []*lint.Analyzer{analyzers.CodecWords}, "./codecwords")
-}
-
-func TestAtomicHygiene(t *testing.T) {
-	linttest.Run(t, fixtureDir(t), []*lint.Analyzer{analyzers.AtomicHygiene}, "./atomichygiene")
-}
-
 func TestVfsonly(t *testing.T) {
 	old := analyzers.VfsonlyScope
 	analyzers.VfsonlyScope = []string{"fixture/vfsonly"}
@@ -78,20 +66,6 @@ func TestCtxpollOutOfScope(t *testing.T) {
 	diags := linttest.Diagnose(t, fixtureDir(t), []*lint.Analyzer{analyzers.Ctxpoll}, "./ctxpoll")
 	for _, d := range diags {
 		t.Errorf("unexpected diagnostic outside CtxpollScope: %s", d)
-	}
-}
-
-func TestLockguard(t *testing.T) {
-	old := analyzers.LockguardScope
-	analyzers.LockguardScope = []string{"fixture/lockguard"}
-	defer func() { analyzers.LockguardScope = old }()
-	linttest.Run(t, fixtureDir(t), []*lint.Analyzer{analyzers.Lockguard}, "./lockguard")
-}
-
-func TestLockguardOutOfScope(t *testing.T) {
-	diags := linttest.Diagnose(t, fixtureDir(t), []*lint.Analyzer{analyzers.Lockguard}, "./lockguard")
-	for _, d := range diags {
-		t.Errorf("unexpected diagnostic outside LockguardScope: %s", d)
 	}
 }
 
@@ -181,9 +155,9 @@ func TestStaleAllow(t *testing.T) {
 }
 
 // TestSuiteOnRepo runs the full suite over the real tree exactly as the
-// standalone CI driver does — strict per-package analysis (stale-allow
-// audit included) plus the whole-program RunGlobal passes. The contract
-// the CI lint gate enforces: after this PR the repo itself lints clean.
+// driver does — strict per-package analysis (stale-allow audit included)
+// plus the whole-program RunGlobal passes. The contract the CI lint gate
+// enforces: the repo itself lints clean.
 func TestSuiteOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")

@@ -26,10 +26,9 @@ var CtxpollScope = []string{"pace/internal/cluster", "pace/internal/serve"}
 // runs after the context already fired) carry //pacelint:allow ctxpoll
 // with the reason.
 var Ctxpoll = &lint.Analyzer{
-	Name:      "ctxpoll",
-	Doc:       "unbounded and blocking wait loops in the engine/serving packages must poll the run context",
-	SkipTests: true,
-	Run:       runCtxpoll,
+	Name: "ctxpoll",
+	Doc:  "unbounded and blocking wait loops in the engine/serving packages must poll the run context",
+	Run:  runCtxpoll,
 }
 
 func runCtxpoll(pass *lint.Pass) error {
@@ -104,8 +103,8 @@ func isWaitLoop(body *ast.BlockStmt) bool {
 	return blocking
 }
 
-// pathInScope reports whether pkgPath matches one of the scope entries
-// exactly or as a path suffix (fixture modules have their own prefix).
+// pathInScope reports whether pkgPath equals one of the scope entries
+// (tests point the scope at the fixture module's own paths).
 func pathInScope(pkgPath string, scope []string) bool {
 	for _, s := range scope {
 		if pkgPath == s {

@@ -20,10 +20,9 @@ var ErrwrapScope = []string{"pace", "pace/internal/serve", "pace/internal/cluste
 // stops working. Since Go 1.20 fmt.Errorf accepts multiple %w verbs, so
 // there is no excuse for flattening a second error in one format.
 var Errwrap = &lint.Analyzer{
-	Name:      "errwrap",
-	Doc:       "errors formatted into fmt.Errorf in API-boundary packages must use %w, not %v/%s/.Error()",
-	SkipTests: true,
-	Run:       runErrwrap,
+	Name: "errwrap",
+	Doc:  "errors formatted into fmt.Errorf in API-boundary packages must use %w, not %v/%s/.Error()",
+	Run:  runErrwrap,
 }
 
 func runErrwrap(pass *lint.Pass) error {

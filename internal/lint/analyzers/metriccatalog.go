@@ -13,17 +13,15 @@ import (
 )
 
 // MetricCatalog keeps the telemetry surface and its documentation in
-// lockstep, codecwords-style: every `pace_*` metric name registered in
-// code must appear (as a full name — wildcard families like
-// `pace_recovery_*` don't count) in the DESIGN.md metric catalog, and —
-// in standalone full runs, which see the whole program — every full name
-// the catalog lists must be registered by some package. The catalog file
-// is the DESIGN.md next to the module's go.mod, so fixture modules bring
-// their own.
+// lockstep: every `pace_*` metric name registered in code must appear (as
+// a full name — wildcard families like `pace_recovery_*` don't count) in
+// the DESIGN.md metric catalog, and — in full runs, which see the whole
+// program — every full name the catalog lists must be registered by some
+// package. The catalog file is the DESIGN.md next to the module's go.mod,
+// so fixture modules bring their own.
 var MetricCatalog = &lint.Analyzer{
 	Name:      "metriccatalog",
-	Doc:       "every pace_* metric registered in code is listed in the DESIGN.md catalog, and (standalone) vice versa",
-	SkipTests: true,
+	Doc:       "every pace_* metric registered in code is listed in the DESIGN.md catalog, and vice versa",
 	Run:       runMetricCatalog,
 	RunGlobal: runMetricCatalogGlobal,
 }
@@ -74,12 +72,8 @@ func runMetricCatalogGlobal(pkgs []*lint.Package) []lint.Diagnostic {
 	var anyFile string
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			name := pkg.Fset.Position(f.Pos()).Filename
-			if strings.HasSuffix(name, "_test.go") {
-				continue
-			}
 			if anyFile == "" {
-				anyFile = name
+				anyFile = pkg.Fset.Position(f.Pos()).Filename
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if s, ok := stringLit(asExpr(n)); ok && metricNameRE.MatchString(s) {

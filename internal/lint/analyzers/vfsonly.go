@@ -39,10 +39,9 @@ var vfsonlyFuncs = map[string]bool{
 // fault plans (ENOSPC, torn writes, fsync failures, crash-at-op-k) exercise
 // every durability path the server actually takes.
 var Vfsonly = &lint.Analyzer{
-	Name:      "vfsonly",
-	Doc:       "forbids direct os writes (os.WriteFile/Rename/... and (*os.File).Sync) in state-persisting packages; route them through internal/vfs",
-	SkipTests: true,
-	Run:       runVfsonly,
+	Name: "vfsonly",
+	Doc:  "forbids direct os writes (os.WriteFile/Rename/... and (*os.File).Sync) in state-persisting packages; route them through internal/vfs",
+	Run:  runVfsonly,
 }
 
 func runVfsonly(pass *lint.Pass) error {

@@ -56,10 +56,9 @@ var slogWallFuncs = map[string]bool{
 // contract covers logging: stdlib slog handlers stamp records from the
 // wall clock, so loggers must come from telemetry.NewLogger instead.
 var Walltime = &lint.Analyzer{
-	Name:      "walltime",
-	Doc:       "forbids time.Now/Sleep/... and wall-clock slog handlers in virtual-time packages unless annotated",
-	SkipTests: true,
-	Run:       runWalltime,
+	Name: "walltime",
+	Doc:  "forbids time.Now/Sleep/... and wall-clock slog handlers in virtual-time packages unless annotated",
+	Run:  runWalltime,
 }
 
 func runWalltime(pass *lint.Pass) error {

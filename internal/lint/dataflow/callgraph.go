@@ -1,20 +1,13 @@
-// Package dataflow is the flow-aware layer beneath the pacelint analyzers:
-// a type-directed call graph over one package (declared functions, methods
-// and single-assignment local closures), plus the reusable facts the v2
-// analyzer suite is built on —
-//
-//   - loop-contains-call reachability (Reach): does executing this node hit
-//     a given "direct" fact, literally or through calls to package
-//     functions that do? (ctxpoll)
-//   - lock-held-at-access simulation (WalkHeld, locks.go): a forward
-//     must-hold walk over a function body's CFG-lite block ordering.
-//     (lockguard)
+// Package dataflow is the flow-aware layer beneath ctxpoll: a
+// type-directed call graph over one package (declared functions, methods
+// and single-assignment local closures) and loop-contains-call
+// reachability over it (Reach): does executing this node hit a given
+// "direct" fact, literally or through calls to package functions that do?
 //
 // Everything here is intra-package: calls that resolve to another package,
 // to an interface method, or to a dynamic function value are treated as
-// opaque. That bias is deliberate — each fact is consumed by a "must reach"
-// or "must hold" check, so opaque calls err toward reporting, never toward
-// silence.
+// opaque. That bias is deliberate — the fact is consumed by a "must reach"
+// check, so opaque calls err toward reporting, never toward silence.
 package dataflow
 
 import (
@@ -119,9 +112,6 @@ func (g *Graph) Callee(call *ast.CallExpr) types.Object {
 	}
 	return nil
 }
-
-// Decl returns the declaration of a function object in this package.
-func (g *Graph) Decl(fn *types.Func) *ast.FuncDecl { return g.decls[fn] }
 
 // Bodies returns every graph node that has a body: declared functions and
 // methods plus tracked closures.

@@ -66,7 +66,7 @@ func f() {}
 	if ix.allows("walltime", token.Position{Filename: "d.go", Line: 4}) {
 		t.Error("suppression leaked past the next line")
 	}
-	if ix.allows("tagconst", token.Position{Filename: "d.go", Line: 3}) {
+	if ix.allows("vfsonly", token.Position{Filename: "d.go", Line: 3}) {
 		t.Error("suppression leaked to another analyzer")
 	}
 }

@@ -1,17 +1,17 @@
 // Package lint is a self-contained static-analysis framework in the spirit
 // of golang.org/x/tools/go/analysis, built only on the standard library so
-// the repo stays dependency-free. It exists to carry pacelint: the suite of
-// project-specific analyzers that mechanically enforce the pipeline's
-// ownership, determinism and wire-format contracts (see DESIGN.md §10).
+// the repo stays dependency-free. It exists to carry pacelint: the
+// project-specific analyzers that enforce the determinism, persistence,
+// cancellation, error-chain and metric-catalog contracts no test or
+// compiler check holds (see DESIGN.md §10).
 //
-// The framework has three entry points:
+// The framework has two entry points:
 //
-//   - Standalone: `pacelint ./...` loads packages itself (via `go list
-//     -export`) and analyzes their non-test sources.
-//   - Vet tool: `go vet -vettool=$(which pacelint) ./...` — the binary
-//     speaks cmd/go's unitchecker protocol (-V=full, -flags, vet.cfg), so
-//     vet drives it over every package *including test variants*.
-//   - Tests: linttest runs an analyzer over fixture modules with
+//   - Main, the one driver: `pacelint [packages]` loads the packages'
+//     non-test sources itself (via `go list -export`), runs every analyzer
+//     over each, audits the allow-directive ledger and runs the
+//     whole-program checks.
+//   - linttest, which runs an analyzer over fixture modules with
 //     analysistest-style `// want "regexp"` expectations.
 //
 // Findings are suppressed with scoped directives:
@@ -28,7 +28,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one named check over a type-checked package.
@@ -37,16 +36,12 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-line contract the analyzer enforces.
 	Doc string
-	// SkipTests excludes _test.go files from the analysis (used by checks
-	// whose contracts only bind production code, e.g. walltime).
-	SkipTests bool
 	// Run reports findings via pass.Reportf.
 	Run func(pass *Pass) error
 	// RunGlobal, when non-nil, is a whole-program direction of the check
 	// that needs every package in view at once (e.g. "the catalog lists a
-	// metric no package registers"). It only runs in standalone mode and
-	// in the repo suite test — the vet driver analyzes one package per
-	// process, so per-package Run must carry the per-package direction.
+	// metric no package registers"). It runs in the driver and in the repo
+	// suite test, after every package's Run.
 	RunGlobal func(pkgs []*Package) []Diagnostic
 }
 
@@ -87,13 +82,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// SkipFile reports whether the analyzer should ignore the file holding pos.
-func (p *Pass) SkipFile(pos token.Pos) bool {
-	return p.Analyzer.SkipTests && isTestFile(p.Fset.Position(pos).Filename)
-}
-
-func isTestFile(name string) bool { return strings.HasSuffix(name, "_test.go") }
-
 // AnalyzePackage runs the analyzers over one loaded package and returns the
 // surviving findings, sorted by position. Malformed pacelint directives are
 // reported under the pseudo-analyzer "pacelint".
@@ -105,8 +93,8 @@ func AnalyzePackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // AnalyzePackageStrict additionally reports allow directives that
 // suppressed nothing as "stale-allow" findings (and directives naming an
 // analyzer that does not exist). It is meant for full runs — the
-// standalone driver and the repo suite test — where every analyzer and
-// every non-test file is in view, so "suppressed nothing" genuinely means
+// driver and the repo suite test — where every analyzer and every
+// non-test file is in view, so "suppressed nothing" genuinely means
 // the directive is dead weight in the exemption ledger.
 func AnalyzePackageStrict(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	diags, allow, err := analyzePackage(pkg, analyzers)
@@ -127,14 +115,10 @@ func analyzePackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, *allowIn
 	allow, bad := buildAllowIndex(pkg.Fset, pkg.Files)
 	diags = append(diags, bad...)
 	for _, a := range analyzers {
-		files := pkg.Files
-		if a.SkipTests {
-			files = nonTestFiles(pkg.Fset, pkg.Files)
-		}
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
-			Files:     files,
+			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 			allow:     allow,
@@ -159,14 +143,4 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-}
-
-func nonTestFiles(fset *token.FileSet, files []*ast.File) []*ast.File {
-	out := make([]*ast.File, 0, len(files))
-	for _, f := range files {
-		if !isTestFile(fset.Position(f.Pos()).Filename) {
-			out = append(out, f)
-		}
-	}
-	return out
 }

@@ -5,8 +5,8 @@
 //
 // Fixture layout: internal/lint/testdata is its own module ("fixture") so
 // the main build never sees it — the go tool ignores testdata directories —
-// and so fixtures can declare their own minimal mp package for the
-// Comm-based analyzers. A line expecting one or more diagnostics carries
+// and so it can carry its own DESIGN.md metric catalog. A line expecting
+// one or more diagnostics carries
 //
 //	code() // want "first regexp" "second regexp"
 //
@@ -24,7 +24,7 @@ import (
 	"pace/internal/lint"
 )
 
-// Run loads pattern (e.g. "./tagconst/...") relative to dir, applies the
+// Run loads pattern (e.g. "./walltime/...") relative to dir, applies the
 // analyzers, and verifies diagnostics against want comments.
 func Run(t *testing.T, dir string, analyzers []*lint.Analyzer, pattern string) {
 	t.Helper()
@@ -131,27 +131,12 @@ func Diagnose(t *testing.T, dir string, analyzers []*lint.Analyzer, pattern stri
 	return all
 }
 
-// DiagnoseStrict mirrors the standalone driver: per-package strict
-// analysis (stale-allow included) plus each analyzer's whole-program
-// RunGlobal pass over everything the pattern matched.
+// DiagnoseStrict is the driver's full run (lint.Check) as a test helper.
 func DiagnoseStrict(t *testing.T, dir string, analyzers []*lint.Analyzer, pattern string) []lint.Diagnostic {
 	t.Helper()
-	pkgs, err := lint.LoadPackages(dir, pattern)
+	diags, err := lint.Check(dir, analyzers, pattern)
 	if err != nil {
-		t.Fatalf("loading %s: %v", pattern, err)
+		t.Fatalf("checking %s: %v", pattern, err)
 	}
-	var all []lint.Diagnostic
-	for _, pkg := range pkgs {
-		diags, err := lint.AnalyzePackageStrict(pkg, analyzers)
-		if err != nil {
-			t.Fatalf("analyzing %s: %v", pkg.PkgPath, err)
-		}
-		all = append(all, diags...)
-	}
-	for _, a := range analyzers {
-		if a.RunGlobal != nil {
-			all = append(all, a.RunGlobal(pkgs)...)
-		}
-	}
-	return all
+	return diags
 }

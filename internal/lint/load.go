@@ -32,7 +32,6 @@ type listPkg struct {
 	Export          string
 	DepOnly         bool
 	GoFiles         []string
-	CgoFiles        []string
 	CompiledGoFiles []string
 	Error           *struct{ Err string }
 }
@@ -43,8 +42,8 @@ type listPkg struct {
 // dependency — the same trick go/packages uses, done here with nothing but
 // the standard library.
 //
-// Only non-test sources are loaded; test variants are analyzed when the
-// binary runs under `go vet -vettool`, where cmd/go supplies them.
+// Only non-test sources are loaded: every contract pacelint enforces binds
+// production code.
 func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -53,7 +52,7 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("lint: go list: %v\n%s", err, stderr.String())
+		return nil, fmt.Errorf("lint: go list: %w\n%s", err, stderr.String())
 	}
 
 	exports := map[string]string{}
@@ -101,18 +100,6 @@ func exportLookup(exports map[string]string) func(path string) (io.ReadCloser, e
 	}
 }
 
-// NewInfo returns a types.Info with every map the analyzers need.
-func NewInfo() *types.Info {
-	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-}
-
 func typecheck(p *listPkg, exports map[string]string) (*Package, error) {
 	fset := token.NewFileSet()
 	srcs := p.CompiledGoFiles
@@ -134,7 +121,12 @@ func typecheck(p *listPkg, exports map[string]string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
-	info := NewInfo()
+	// The analyzers read types, definitions and uses; nothing else.
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
 	conf := types.Config{
 		Importer: importer.ForCompiler(fset, "gc", exportLookup(exports)),
 	}

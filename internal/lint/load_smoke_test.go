@@ -3,7 +3,7 @@ package lint
 import "testing"
 
 func TestLoadSmoke(t *testing.T) {
-	pkgs, err := LoadPackages("/root/repo", "./internal/mp", "./internal/cluster")
+	pkgs, err := LoadPackages("../..", "./internal/mp", "./internal/cluster")
 	if err != nil {
 		t.Fatal(err)
 	}

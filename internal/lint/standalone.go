@@ -4,74 +4,53 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 )
 
-// Main is the shared entry point for cmd/pacelint. It dispatches between
-// the three invocation styles:
+// Main is the entry point of cmd/pacelint:
 //
-//	pacelint ./...                      standalone, loads packages itself
-//	go vet -vettool=$(pacelint) ./...   unitchecker protocol (vet.cfg files)
-//	pacelint -V=full / -flags           cmd/go tool handshake
+//	pacelint [packages]   (default ./...)
+//
+// It runs Check from the working directory, prints findings to stderr and
+// exits 2 if there were any. -h prints the analyzer roster.
 func Main(analyzers []*Analyzer) {
-	var (
-		vFlag     = flag.String("V", "", "print version and exit (cmd/go tool handshake)")
-		flagsFlag = flag.Bool("flags", false, "print analyzer flags as JSON and exit (cmd/go tool handshake)")
-		jsonFlag  = flag.Bool("json", false, "emit diagnostics as JSON")
-		listFlag  = flag.Bool("list", false, "list the analyzers and exit")
-	)
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: pacelint [packages]\n       go vet -vettool=$(command -v pacelint) [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: pacelint [packages]\n\nAnalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", a.Name, a.Doc)
 		}
-		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	switch {
-	case *vFlag != "":
-		// cmd/go requires the first line to be "<name> version <ver>"; the
-		// build ID suffix keeps vet's action cache honest across rebuilds.
-		fmt.Printf("pacelint version %s buildID=%s\n", version(), buildID())
-		os.Exit(0)
-	case *flagsFlag:
-		// No per-analyzer flags yet: report none so cmd/go forwards none.
-		fmt.Println("[]")
-		os.Exit(0)
-	case *listFlag:
-		for _, a := range analyzers {
-			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
-		}
-		os.Exit(0)
-	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		unitcheckerMain(args[0], analyzers, *jsonFlag)
-		return
-	}
-	standaloneMain(args, analyzers, *jsonFlag)
-}
-
-func standaloneMain(patterns []string, analyzers []*Analyzer, asJSON bool) {
+	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err := LoadPackages(".", patterns...)
+	diags, err := Check(".", analyzers, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// Standalone runs see the whole program (non-test sources of every
-	// package), so they also run the strict directions: stale-allow
-	// directive auditing and the analyzers' RunGlobal checks.
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
+	}
+	if len(diags) > 0 {
+		os.Exit(2)
+	}
+}
+
+// Check is a full run over the packages matching patterns in dir: strict
+// per-package analysis (stale-allow audit included) plus each analyzer's
+// whole-program RunGlobal pass over everything the patterns matched.
+func Check(dir string, analyzers []*Analyzer, patterns ...string) ([]Diagnostic, error) {
+	pkgs, err := LoadPackages(dir, patterns...)
+	if err != nil {
+		return nil, err
+	}
 	var all []Diagnostic
 	for _, pkg := range pkgs {
 		diags, err := AnalyzePackageStrict(pkg, analyzers)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return nil, err
 		}
 		all = append(all, diags...)
 	}
@@ -80,18 +59,5 @@ func standaloneMain(patterns []string, analyzers []*Analyzer, asJSON bool) {
 			all = append(all, a.RunGlobal(pkgs)...)
 		}
 	}
-	emit(all, asJSON)
-	if len(all) > 0 {
-		os.Exit(2)
-	}
-}
-
-func emit(diags []Diagnostic, asJSON bool) {
-	if asJSON {
-		fmt.Println(diagsJSON(diags))
-		return
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s [%s]\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
-	}
+	return all, nil
 }

@@ -32,7 +32,7 @@ type simTransport struct {
 
 // wakeAll releases every parked rank (machine-wide death).
 //
-// lockguard: caller holds t.mu
+// Caller holds t.mu.
 func (t *simTransport) wakeAll() {
 	for _, rk := range t.ranks {
 		rk.cond.Signal()
@@ -105,7 +105,7 @@ func newSimTransport(cfg Config) *simTransport {
 
 // stopClock charges the elapsed compute time of a currently-computing rank.
 //
-// lockguard: caller holds t.mu
+// Caller holds t.mu.
 func (t *simTransport) stopClock(rk *simRank) {
 	if rk.phase == phaseComputing && t.cfg.MeasureCompute {
 		//pacelint:allow walltime MeasureCompute bridges real compute time into the virtual clock
@@ -131,7 +131,7 @@ func firstMatch(rk *simRank) (int, *simMsg) {
 // is sticky; for AnySource each dead peer is reported once (earliest death
 // first), turning sticky when every peer is dead.
 //
-// lockguard: caller holds t.mu
+// Caller holds t.mu.
 func (t *simTransport) failureCandidate(rk *simRank) (int, time.Duration, bool) {
 	if !rk.isRecv {
 		return 0, 0, false
@@ -185,7 +185,7 @@ func (t *simTransport) failureCandidate(rk *simRank) (int, time.Duration, bool) 
 // takes precedence over a peer-failure notification; a receive with neither
 // becomes eligible at the failure-notification time.
 //
-// lockguard: caller holds t.mu
+// Caller holds t.mu.
 func (t *simTransport) keyOf(rk *simRank) (time.Duration, bool) {
 	if !rk.isRecv {
 		return rk.clock, true
@@ -215,7 +215,7 @@ func (t *simTransport) keyOf(rk *simRank) (time.Duration, bool) {
 // schedule releases the eligible parked rank with the minimum timestamp.
 // A no-op while some rank is computing.
 //
-// lockguard: caller holds t.mu
+// Caller holds t.mu.
 func (t *simTransport) schedule() {
 	if t.running != -1 || t.dead != nil {
 		return
@@ -258,8 +258,6 @@ func (t *simTransport) schedule() {
 // blocks until the scheduler releases it. On a nil return the caller holds
 // mu and may execute its operation (an error return leaves mu released).
 // timeout > 0 arms a virtual-time deadline on a receive.
-//
-// lockguard: acquires t.mu
 func (t *simTransport) enter(r int, isRecv bool, from, tag int, timeout time.Duration) error {
 	t.mu.Lock()
 	if dead := t.dead; dead != nil {
@@ -291,9 +289,8 @@ func (t *simTransport) enter(r int, isRecv bool, from, tag int, timeout time.Dur
 	return nil
 }
 
-// leave resumes compute for rank r after its operation.
-//
-// lockguard: releases t.mu
+// leave resumes compute for rank r after its operation. Caller holds t.mu;
+// leave releases it.
 func (t *simTransport) leave(r int) {
 	rk := t.ranks[r]
 	rk.phase = phaseComputing
