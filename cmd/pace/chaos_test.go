@@ -1,12 +1,13 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
 
 func TestParseChaos(t *testing.T) {
-	plan, err := parseChaos("crash=2:5,delay=0.1:2ms,transient=0.05:10,drop=0.2,dup=0.01,seed=7")
+	plan, err := parseChaos("crash=2:5,delay=0.1:2ms,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,12 +19,6 @@ func TestParseChaos(t *testing.T) {
 	}
 	if plan.DelayProb != 0.1 || plan.Delay != 2*time.Millisecond {
 		t.Errorf("delay: %+v", plan)
-	}
-	if plan.TransientProb != 0.05 || plan.TransientMax != 10 {
-		t.Errorf("transient: %+v", plan)
-	}
-	if plan.DropProb != 0.2 || plan.DupProb != 0.01 {
-		t.Errorf("drop/dup: %+v", plan)
 	}
 }
 
@@ -39,17 +34,16 @@ func TestParseChaosExplicitTag(t *testing.T) {
 
 func TestParseChaosRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{
-		"crash",            // no value
-		"crash=2",          // missing after
-		"crash=a:b",        // non-numeric
-		"crash=1:2:3:4",    // too many fields
-		"drop=1.5",         // probability out of range
-		"drop=-0.1",        // negative probability
-		"delay=0.1",        // missing duration
-		"delay=0.1:xx",     // bad duration
-		"transient=0.1:zz", // bad max
-		"warp=0.5",         // unknown directive
-		"seed=abc",         // bad seed
+		"crash",          // no value
+		"crash=2",        // missing after
+		"crash=a:b",      // non-numeric
+		"crash=1:2:3:4",  // too many fields
+		"delay=1.5:1ms",  // probability out of range
+		"delay=-0.1:1ms", // negative probability
+		"delay=0.1",      // missing duration
+		"delay=0.1:xx",   // bad duration
+		"warp=0.5",       // unknown directive
+		"seed=abc",       // bad seed
 	} {
 		if _, err := parseChaos(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
@@ -57,12 +51,24 @@ func TestParseChaosRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestParseChaosRejectsUnreliableDelivery: the engine's protocol assumes
+// reliable delivery, so lost, duplicated and transiently failed messages are
+// not fault classes the spec can ask for.
+func TestParseChaosRejectsUnreliableDelivery(t *testing.T) {
+	for _, spec := range []string{"drop=0.1", "dup=0.1", "transient=0.1"} {
+		_, err := parseChaos(spec)
+		if err == nil || !strings.Contains(err.Error(), "unknown chaos directive") {
+			t.Errorf("spec %q: want the unknown-directive error, got %v", spec, err)
+		}
+	}
+}
+
 func TestParseChaosEmptyPartsIgnored(t *testing.T) {
-	plan, err := parseChaos("drop=0.1,, ,")
+	plan, err := parseChaos("delay=0.1:1ms,, ,")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.DropProb != 0.1 {
-		t.Errorf("drop: %+v", plan)
+	if plan.DelayProb != 0.1 {
+		t.Errorf("delay: %+v", plan)
 	}
 }

@@ -49,7 +49,6 @@ func main() {
 	chaosSpec := flag.String("chaos", "", "inject faults, e.g. 'crash=2:5,delay=0.1:2ms,seed=7' (see cmd docs)")
 	noRecover := flag.Bool("no-recover", false, "fail the whole run when a slave rank dies instead of recovering")
 	slaveTimeout := flag.Duration("slave-timeout", 0, "master watchdog: fail if no slave reports within this window (0 = wait forever)")
-	retries := flag.Int("retries", 3, "attempts per message for transient transport errors (1 = no retry)")
 	ckptDir := flag.String("checkpoint-dir", "", "periodically checkpoint clustering state into this directory")
 	ckptInterval := flag.Duration("checkpoint-interval", 0, "wall-clock time between checkpoints (default 30s)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint every N slave reports instead of on a timer")
@@ -64,8 +63,7 @@ func main() {
 		in: *in, procs: *procs, sim: *sim,
 		window: *window, psi: *psi, batch: *batch,
 		minOverlap: *minOverlap, minIdentity: *minIdentity,
-		retries: *retries, ckptDir: *ckptDir,
-		ckptInterval: *ckptInterval, ckptEvery: *ckptEvery,
+		ckptDir: *ckptDir, ckptInterval: *ckptInterval, ckptEvery: *ckptEvery,
 		slaveTimeout: *slaveTimeout, resume: *resume,
 		session: *sessionDir, add: *addBatch,
 		simDeterministic: *simDet, stamp: *stampStr,
@@ -113,9 +111,6 @@ func main() {
 	opt.MinIdentity = *minIdentity
 	opt.Recover = !*noRecover
 	opt.SlaveTimeout = *slaveTimeout
-	if *retries > 1 {
-		opt.Retry = pace.RetryConfig{MaxAttempts: *retries, BaseDelay: time.Millisecond}
-	}
 	if *chaosSpec != "" {
 		plan, err := parseChaos(*chaosSpec)
 		if err != nil {

@@ -19,7 +19,6 @@ type flagValues struct {
 	minOverlap  int
 	minIdentity float64
 
-	retries      int
 	ckptDir      string
 	ckptInterval time.Duration
 	ckptEvery    int
@@ -62,9 +61,6 @@ func validateFlags(v flagValues) error {
 	}
 	if v.minIdentity <= 0 || v.minIdentity > 1 {
 		return fmt.Errorf("-min-identity must be in (0,1], got %g", v.minIdentity)
-	}
-	if v.retries < 1 {
-		return fmt.Errorf("-retries must be >= 1 (attempts per message), got %d", v.retries)
 	}
 	if v.ckptInterval < 0 {
 		return fmt.Errorf("-checkpoint-interval must be >= 0, got %v", v.ckptInterval)

@@ -8,7 +8,7 @@ import (
 func okFlags() flagValues {
 	return flagValues{
 		in: "ests.fasta", procs: 1, window: 8, psi: 20, batch: 60,
-		minOverlap: 40, minIdentity: 0.9, retries: 3,
+		minOverlap: 40, minIdentity: 0.9,
 	}
 }
 
@@ -38,7 +38,6 @@ func TestValidateFlags(t *testing.T) {
 		{"zero overlap", func(v *flagValues) { v.minOverlap = 0 }, "-min-overlap must be positive"},
 		{"zero identity", func(v *flagValues) { v.minIdentity = 0 }, "-min-identity must be in (0,1]"},
 		{"identity above one", func(v *flagValues) { v.minIdentity = 1.5 }, "-min-identity must be in (0,1]"},
-		{"zero retries", func(v *flagValues) { v.retries = 0 }, "-retries must be >= 1"},
 		{"negative checkpoint interval", func(v *flagValues) { v.ckptInterval = -1 }, "-checkpoint-interval must be >= 0"},
 		{"negative checkpoint every", func(v *flagValues) { v.ckptEvery = -1 }, "-checkpoint-every must be >= 0"},
 		{"negative slave timeout", func(v *flagValues) { v.slaveTimeout = -1 }, "-slave-timeout must be >= 0"},

@@ -92,7 +92,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "how long an idle keep-alive connection is held open")
 	maxBatchBytes := flag.Int64("max-batch-bytes", 0, "ingest body cap in bytes; oversized uploads fail with 413 (0 = derive from -max-ests)")
 	degradedProbe := flag.Duration("degraded-probe", 15*time.Second, "how often to retry persistence for degraded read-only sessions (0 = never)")
-	chaosSpec := flag.String("chaos", "", "engine fault-injection spec (seed=N,crash=RANK:AFTER[:TAG],drop=P,dup=P,delay=P:DUR,transient=P[:MAX]) — testing only")
+	chaosSpec := flag.String("chaos", "", "engine fault-injection spec (seed=N,crash=RANK:AFTER[:TAG],delay=P:DUR) — testing only")
 	chaosFSSpec := flag.String("chaos-fs", "", "filesystem fault-injection spec (seed=N,crash=OP,pwrite=P,ptorn=P,psync=P,prename=P,max=N) — testing only")
 	flag.Parse()
 

@@ -5,9 +5,9 @@ package cluster
 // per job via PACE_CHAOS_SCENARIO; with the variable unset every scenario
 // runs (the local default).
 //
-// Drop/duplication are deliberately absent: the master–slave protocol
-// assumes reliable delivery (as MPI does), so those faults are exercised at
-// the transport level in internal/mp, not end-to-end.
+// The scenarios cover the two fault classes the transport injects: a sticky
+// rank crash and a delayed send. The master–slave protocol assumes reliable
+// delivery (as MPI does), so no scenario loses or duplicates a message.
 
 import (
 	"os"
@@ -20,7 +20,6 @@ import (
 type chaosScenario struct {
 	name  string
 	fault mp.FaultPlan
-	retry mp.RetryConfig
 }
 
 var chaosScenarios = []chaosScenario{
@@ -39,11 +38,6 @@ var chaosScenarios = []chaosScenario{
 	{
 		name:  "delay",
 		fault: mp.FaultPlan{Seed: 14, DelayProb: 0.3, Delay: 2 * time.Millisecond},
-	},
-	{
-		name:  "transient",
-		fault: mp.FaultPlan{Seed: 15, TransientProb: 0.1, TransientMax: 25},
-		retry: mp.RetryConfig{MaxAttempts: 6, BaseDelay: 10 * time.Microsecond, Seed: 15},
 	},
 }
 
@@ -77,7 +71,6 @@ func TestChaos(t *testing.T) {
 				cfg := base
 				fault := sc.fault
 				cfg.MP.Fault = &fault
-				cfg.MP.Retry = sc.retry
 				res, err := Run(b.ESTs, cfg)
 				if err != nil {
 					t.Fatalf("pipeline did not survive %s: %v", sc.name, err)

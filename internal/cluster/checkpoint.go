@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -123,27 +124,22 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// WriteCheckpoint atomically persists the snapshot to dir/CheckpointFile
-// (write to a temp file, then rename): a crash mid-write leaves the previous
-// snapshot intact. Returns the number of bytes written.
-func WriteCheckpoint(dir string, ck *Checkpoint) (int, error) {
-	return WriteCheckpointFS(vfs.OS{}, dir, ck)
-}
-
-// WriteCheckpointFS is WriteCheckpoint on an explicit filesystem seam, so
-// servers and crash-window sweeps can route the snapshot through a
-// fault-injecting vfs.FS.
+// WriteCheckpointFS durably persists the snapshot to dir/CheckpointFile
+// through the filesystem seam (vfs.WriteAtomic), so a crash or power loss
+// mid-write leaves the previous snapshot intact. Servers and crash-window
+// sweeps route it through a fault-injecting vfs.FS. Returns the number of
+// bytes written.
 func WriteCheckpointFS(fsys vfs.FS, dir string, ck *Checkpoint) (int, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("cluster: checkpoint dir: %w", err)
 	}
 	data := ck.encode()
-	tmp := filepath.Join(dir, CheckpointFile+".tmp")
-	if err := fsys.WriteFile(tmp, data, 0o644); err != nil {
+	err := vfs.WriteAtomic(fsys, dir, CheckpointFile, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
 		return 0, fmt.Errorf("cluster: checkpoint write: %w", err)
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, CheckpointFile)); err != nil {
-		return 0, fmt.Errorf("cluster: checkpoint rename: %w", err)
 	}
 	return len(data), nil
 }

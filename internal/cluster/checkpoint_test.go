@@ -6,12 +6,12 @@ package cluster
 // re-aligning them.
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
 	"pace/internal/mp"
 	"pace/internal/unionfind"
+	"pace/internal/vfs"
 )
 
 func sampleCheckpoint() *Checkpoint {
@@ -84,15 +84,15 @@ func TestCheckpointValidateFingerprint(t *testing.T) {
 func TestWriteCheckpointAtomic(t *testing.T) {
 	dir := t.TempDir()
 	ck := sampleCheckpoint()
-	n, err := WriteCheckpoint(dir, ck)
+	n, err := WriteCheckpointFS(vfs.OS{}, dir, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n <= 0 {
 		t.Fatalf("wrote %d bytes", n)
 	}
-	if _, err := os.Stat(filepath.Join(dir, CheckpointFile+".tmp")); !os.IsNotExist(err) {
-		t.Error("temp file left behind")
+	if tmps, _ := filepath.Glob(filepath.Join(dir, CheckpointFile+".tmp*")); len(tmps) > 0 {
+		t.Errorf("temp files left behind: %v", tmps)
 	}
 	got, err := LoadCheckpoint(dir)
 	if err != nil {
@@ -103,7 +103,7 @@ func TestWriteCheckpointAtomic(t *testing.T) {
 	}
 	// A second write replaces the first; the newer snapshot wins.
 	ck.Seq = 8
-	if _, err := WriteCheckpoint(dir, ck); err != nil {
+	if _, err := WriteCheckpointFS(vfs.OS{}, dir, ck); err != nil {
 		t.Fatal(err)
 	}
 	got, err = LoadCheckpoint(dir)

@@ -102,64 +102,44 @@ type forestBuild struct {
 }
 
 // buildSequentialForest runs the partition and construction phases for the
-// sequential engine, honoring the incremental knobs:
-//
-//   - no Cache, FreshGen == 0: the one-shot path — collect everything, build
-//     every non-empty bucket.
-//   - no Cache, FreshGen > 0: rescan, but assign only the buckets the fresh
-//     generations touch (AssignFresh); untouched buckets are skipped.
-//   - Cache: scan only the strings the cache has not seen into its table and
-//     build exactly the touched buckets from it. The forest handed to the
-//     generator is that touched subset — an untouched bucket cannot contain
-//     a fresh pair, so it is not built.
+// sequential engine. It scans the strings the bucket table has not seen and
+// builds exactly the buckets they touch. Without a Cache the table is
+// run-local: it first absorbs the strings before FreshGen, so the second
+// absorb touches exactly the buckets the fresh generations reach (every
+// non-empty bucket in a one-shot run, FreshGen == 0). An untouched bucket
+// cannot contain a fresh pair, so it is not built.
 //
 // Construction runs on up to workers goroutines; the forest is the same
-// whatever their number. Incremental bucket counts land in st.Incremental.
+// whatever their number. Incremental runs (a Cache or FreshGen > 0) count
+// their bucket reuse in st.Incremental.
 func buildSequentialForest(set *seq.SetS, cfg Config, st *Stats, clk func() time.Duration, workers int) (*forestBuild, error) {
 	fb := &forestBuild{}
-	n2 := seq.StringID(set.NumStrings())
 	t0 := clk()
-
-	if bc := cfg.Cache; bc != nil {
-		touched, err := bc.absorb(set, cfg.Window, n2)
-		if err != nil {
-			return nil, err
+	bc := cfg.Cache
+	if bc == nil {
+		bc = NewBucketCache()
+		if old := set.GenStartString(cfg.FreshGen); old > 0 {
+			if _, err := bc.absorb(set, cfg.Window, old); err != nil {
+				return nil, err
+			}
 		}
-		fb.hist = bc.table.Histogram()
-		fb.partition = clk() - t0
-		t1 := clk()
-		fb.forest, err = suffix.BuildBuckets(set, bc.table, touched, workers)
-		if err != nil {
-			return nil, err
-		}
-		fb.construct = clk() - t1
-		st.Incremental.BucketsRebuilt = int64(len(fb.forest))
-		st.Incremental.BucketsReused = nonEmptyBuckets(fb.hist) - int64(len(fb.forest))
-		return fb, nil
 	}
-
-	hist := suffix.Histogram(set, cfg.Window, 0, n2)
-	var owner []int32
-	if cfg.FreshGen > 0 {
-		freshHist := suffix.HistogramFrom(set, cfg.Window, cfg.FreshGen, 0, n2)
-		owner = suffix.AssignFresh(hist, freshHist, 1)
-	} else {
-		owner = suffix.Assign(hist, 1)
-	}
-	byBucket := suffix.CollectOwned(set, cfg.Window, owner, 0, 0, n2)
-	fb.hist = hist
-	fb.partition = clk() - t0
-
-	t1 := clk()
-	forest, err := suffix.BuildBuckets(set, byBucket, byBucket.NonEmpty(), workers)
+	touched, err := bc.absorb(set, cfg.Window, seq.StringID(set.NumStrings()))
 	if err != nil {
 		return nil, err
 	}
-	fb.forest = forest
+	fb.hist = bc.table.Histogram()
+	fb.partition = clk() - t0
+
+	t1 := clk()
+	fb.forest, err = suffix.BuildBuckets(set, bc.table, touched, workers)
+	if err != nil {
+		return nil, err
+	}
 	fb.construct = clk() - t1
-	if cfg.FreshGen > 0 {
-		st.Incremental.BucketsRebuilt = int64(len(forest))
-		st.Incremental.BucketsReused = nonEmptyBuckets(hist) - int64(len(forest))
+	if cfg.Cache != nil || cfg.FreshGen > 0 {
+		st.Incremental.BucketsRebuilt = int64(len(fb.forest))
+		st.Incremental.BucketsReused = nonEmptyBuckets(fb.hist) - int64(len(fb.forest))
 	}
 	return fb, nil
 }

@@ -83,6 +83,65 @@ func TestRunSetIncrementalEquivalence(t *testing.T) {
 	}
 }
 
+// TestRunSetFreshWithoutCache: a fresh-only run (FreshGen > 0) with no
+// Cache collects into a run-local table, absorbing the older strings first.
+// It must touch exactly the buckets the cached run rebuilds, so its labels,
+// pair counters and Stats.Incremental equal the cached run's.
+func TestRunSetFreshWithoutCache(t *testing.T) {
+	b := benchSet(t, 60, 4, 13)
+	cfg := DefaultConfig(1)
+	cfg.Window, cfg.Psi = 6, 18
+
+	cut := len(b.ESTs) - 2
+	set, err := seq.NewSetS(b.ESTs[:cut])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewBucketCache()
+	c1 := cfg
+	c1.Cache = cache
+	r1, err := RunSet(set, c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := set.Append(b.ESTs[cut:])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := cfg
+	fresh.FreshGen = gen
+	fresh.InitialLabels = r1.Labels
+	cached := fresh
+	cached.Cache = cache
+	want, err := RunSet(set, cached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunSet(set, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if !slices.Equal(got.Labels, want.Labels) {
+		t.Error("labels differ from the cached run's")
+	}
+	gs, ws := got.Stats, want.Stats
+	if gs.PairsGenerated != ws.PairsGenerated || gs.PairsProcessed != ws.PairsProcessed ||
+		gs.PairsAccepted != ws.PairsAccepted || gs.PairsSkipped != ws.PairsSkipped || gs.Merges != ws.Merges {
+		t.Errorf("counters generated/processed/accepted/skipped/merges %d/%d/%d/%d/%d, cached run %d/%d/%d/%d/%d",
+			gs.PairsGenerated, gs.PairsProcessed, gs.PairsAccepted, gs.PairsSkipped, gs.Merges,
+			ws.PairsGenerated, ws.PairsProcessed, ws.PairsAccepted, ws.PairsSkipped, ws.Merges)
+	}
+	if gs.Incremental != ws.Incremental {
+		t.Errorf("Stats.Incremental %+v, cached run %+v", gs.Incremental, ws.Incremental)
+	}
+	if ws.Incremental.BucketsRebuilt <= 0 || ws.Incremental.BucketsReused <= 0 {
+		t.Errorf("cached run rebuilt %d and reused %d buckets, want both > 0",
+			ws.Incremental.BucketsRebuilt, ws.Incremental.BucketsReused)
+	}
+}
+
 // TestRunSetGuards exercises the RunSet/Validate rejections around the
 // incremental knobs.
 func TestRunSetGuards(t *testing.T) {

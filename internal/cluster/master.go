@@ -23,7 +23,6 @@ import (
 // masterState tracks one slave's protocol position.
 type masterState struct {
 	generatorDone bool // last report said passive
-	hasNextWork   bool // slave holds a batch whose results are pending
 	idle          bool // parked with nothing to do; candidate for stop
 	granted       int  // outstanding grant E: pairs the slave may still report
 	dead          bool // rank failed; excluded from the protocol
@@ -381,14 +380,10 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 		if err := cfg.ctxErr(); err != nil {
 			return nil, err
 		}
-		var msg mp.Msg
-		if cfg.SlaveTimeout > 0 {
-			msg, err = c.RecvTimeout(mp.AnySource, tagReport, cfg.SlaveTimeout)
-			if errors.Is(err, mp.ErrTimeout) {
-				return nil, fmt.Errorf("cluster: no slave report within SlaveTimeout %v; a slave is wedged", cfg.SlaveTimeout)
-			}
-		} else {
-			msg, err = c.Recv(mp.AnySource, tagReport)
+		// A zero SlaveTimeout waits forever, so only an armed one expires.
+		msg, err := c.RecvTimeout(mp.AnySource, tagReport, cfg.SlaveTimeout)
+		if errors.Is(err, mp.ErrTimeout) {
+			return nil, fmt.Errorf("cluster: no slave report within SlaveTimeout %v; a slave is wedged", cfg.SlaveTimeout)
 		}
 		if err != nil {
 			var rf *mp.RankFailedError
@@ -416,7 +411,6 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 			return nil, err
 		}
 		states[s].generatorDone = rep.passive
-		states[s].hasNextWork = rep.hasNextWork
 		if rep.ackWork && len(states[s].inflight) > 0 {
 			states[s].inflight = states[s].inflight[1:]
 		}

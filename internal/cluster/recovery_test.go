@@ -10,7 +10,10 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"pace/internal/mp"
 	"pace/internal/simulate"
@@ -150,5 +153,43 @@ func TestAllSlavesDeadFails(t *testing.T) {
 	cfg.MP.Fault = &mp.FaultPlan{Seed: 4, CrashRank: 1, CrashAfter: 2, CrashTag: tagReport}
 	if _, err := Run(b.ESTs, cfg); err == nil {
 		t.Fatal("run with zero surviving slaves must fail")
+	}
+}
+
+// TestSlaveTimeoutFiresInVirtualTime: on the deterministic simulator, every
+// send delayed well past SlaveTimeout makes the master's report receive
+// expire in virtual time, and the run fails as wedged instead of hanging.
+// The same delayed run without the timeout completes with the failure-free
+// partition.
+func TestSlaveTimeoutFiresInVirtualTime(t *testing.T) {
+	b := recoveryBench(t)
+	const p = 4
+	sim := mp.DefaultSimConfig(p)
+	sim.MeasureCompute = false
+
+	baseline, err := Run(b.ESTs, recoveryConfig(p, sim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := normalizeLabels(baseline.Labels)
+
+	delayed := func(timeout time.Duration) Config {
+		cfg := recoveryConfig(p, sim)
+		cfg.MP.Fault = &mp.FaultPlan{Seed: 1, DelayProb: 1, Delay: time.Second}
+		cfg.SlaveTimeout = timeout
+		return cfg
+	}
+
+	_, err = Run(b.ESTs, delayed(100*time.Millisecond))
+	if err == nil || !strings.Contains(err.Error(), "a slave is wedged") {
+		t.Fatalf("want the wedged-slave error, got %v", err)
+	}
+
+	res, err := Run(b.ESTs, delayed(0))
+	if err != nil {
+		t.Fatalf("delayed run without a timeout: %v", err)
+	}
+	if got := normalizeLabels(res.Labels); !slices.Equal(got, want) {
+		t.Error("delayed run's partition differs from the failure-free run")
 	}
 }

@@ -3,15 +3,12 @@
 // (internal/serve, internal/cluster).
 package vfsonly
 
-import (
-	"io/fs"
-	"os"
-)
+import "os"
 
 // FS is the fixture's stand-in for the vfs seam.
 type FS interface {
-	WriteFile(name string, data []byte, perm fs.FileMode) error
 	Rename(oldpath, newpath string) error
+	Remove(name string) error
 }
 
 func bad(dir string) {
@@ -37,14 +34,14 @@ func legalReads(dir string) {
 
 // Conforming: writes routed through the injected seam.
 func legalSeam(fsys FS, dir string) {
-	_ = fsys.WriteFile(dir+"/f", nil, 0o644)
 	_ = fsys.Rename(dir+"/a", dir+"/b")
+	_ = fsys.Remove(dir + "/f")
 }
 
 // Conforming: methods named like the forbidden package functions are fine —
 // only package os entry points (and *os.File fsyncs) are the seam's leaks.
 func legalMethodNames(fsys FS) {
-	_ = fsys.WriteFile("f", nil, 0o644)
+	_ = fsys.Remove("f")
 }
 
 // Conforming: annotated — e.g. removing a dead session's directory is not

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -19,6 +18,10 @@ import (
 // ErrInjectedCrash. The rank's body is expected to propagate the error, at
 // which point the runtime records the rank as failed and peers observe an
 // ordinary *RankFailedError.
+//
+// Delivery stays reliable: a delayed send arrives late, never lost or twice,
+// because the engine's protocol (like the paper's, on MPI) assumes exactly
+// that of a live rank.
 type FaultPlan struct {
 	// Seed derives the per-rank RNG streams (rank index is mixed in).
 	Seed int64
@@ -33,39 +36,18 @@ type FaultPlan struct {
 	CrashAfter int
 	CrashTag   int
 
-	// DropProb silently discards a send (the message vanishes in the
-	// network). DupProb delivers a send twice. DelayProb stalls the sender
-	// for Delay before the send (virtual time under ModeSim).
-	// TransientProb makes a send or receive fail with ErrTransient —
-	// retryable via Config.Retry. All probabilities are in [0, 1].
-	DropProb      float64
-	DupProb       float64
-	DelayProb     float64
-	TransientProb float64
+	// DelayProb, in [0, 1], stalls the sender for Delay before a send
+	// (virtual time under ModeSim).
+	DelayProb float64
 
 	// Delay is the injected latency for delayed sends; 0 derives 1ms.
 	Delay time.Duration
-
-	// TransientMax caps injected transient errors per rank, so a bounded
-	// retry budget always wins eventually. 0 means unlimited.
-	TransientMax int
-
-	// Stats, when non-nil, is filled with injection tallies.
-	Stats *FaultStats
 }
 
 // Validate checks the plan.
 func (p *FaultPlan) Validate() error {
-	for _, pr := range []struct {
-		name string
-		v    float64
-	}{
-		{"DropProb", p.DropProb}, {"DupProb", p.DupProb},
-		{"DelayProb", p.DelayProb}, {"TransientProb", p.TransientProb},
-	} {
-		if pr.v < 0 || pr.v > 1 {
-			return fmt.Errorf("mp: fault plan %s %v out of [0,1]", pr.name, pr.v)
-		}
+	if p.DelayProb < 0 || p.DelayProb > 1 {
+		return fmt.Errorf("mp: fault plan DelayProb %v out of [0,1]", p.DelayProb)
 	}
 	if p.CrashAfter < 0 {
 		return fmt.Errorf("mp: fault plan CrashAfter must be >= 0")
@@ -83,16 +65,6 @@ func (p *FaultPlan) delay() time.Duration {
 	return time.Millisecond
 }
 
-// FaultStats tallies injected faults. Fields are atomics because ranks hit
-// the injection layer concurrently under ModeReal.
-type FaultStats struct {
-	Crashes    atomic.Int64
-	Drops      atomic.Int64
-	Dups       atomic.Int64
-	Delays     atomic.Int64
-	Transients atomic.Int64
-}
-
 // faultTransport decorates a transport with the plan. Per-rank state (RNG,
 // op counters) means each rank's fault sequence depends only on its own
 // operation order, which is deterministic for a deterministic program even
@@ -102,20 +74,18 @@ type faultTransport struct {
 	plan  *FaultPlan
 	mode  Mode
 
-	mu         sync.Mutex
-	rngs       []*rand.Rand
-	crashOps   []int
-	crashed    []bool
-	transients []int
+	mu       sync.Mutex
+	rngs     []*rand.Rand
+	crashOps []int
+	crashed  []bool
 }
 
 func newFaultTransport(inner transport, cfg Config) *faultTransport {
 	t := &faultTransport{
 		inner: inner, plan: cfg.Fault, mode: cfg.Mode,
-		rngs:       make([]*rand.Rand, cfg.Procs),
-		crashOps:   make([]int, cfg.Procs),
-		crashed:    make([]bool, cfg.Procs),
-		transients: make([]int, cfg.Procs),
+		rngs:     make([]*rand.Rand, cfg.Procs),
+		crashOps: make([]int, cfg.Procs),
+		crashed:  make([]bool, cfg.Procs),
 	}
 	for r := range t.rngs {
 		t.rngs[r] = rand.New(rand.NewSource(cfg.Fault.Seed + int64(r)*0x9E3779B9))
@@ -143,81 +113,26 @@ func (t *faultTransport) crashCheck(rank, tag int) error {
 		return nil
 	}
 	t.crashed[rank] = true
-	if p.Stats != nil {
-		p.Stats.Crashes.Add(1)
-	}
 	return fmt.Errorf("mp: rank %d crashed at tagged op %d: %w", rank, t.crashOps[rank], ErrInjectedCrash)
-}
-
-// roll draws from rank's RNG under the lock; every op consumes exactly the
-// draws its fault classes need, keeping per-rank streams reproducible.
-func (t *faultTransport) roll(rank int, prob float64) bool {
-	if prob <= 0 {
-		return false
-	}
-	return t.rngs[rank].Float64() < prob
-}
-
-// transientCheck decides a transient error for rank's op (caller holds no
-// lock).
-func (t *faultTransport) transientCheck(rank int, op string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.roll(rank, t.plan.TransientProb) {
-		return nil
-	}
-	if t.plan.TransientMax > 0 && t.transients[rank] >= t.plan.TransientMax {
-		return nil
-	}
-	t.transients[rank]++
-	if t.plan.Stats != nil {
-		t.plan.Stats.Transients.Add(1)
-	}
-	return fmt.Errorf("mp: rank %d injected %s fault: %w", rank, op, ErrTransient)
 }
 
 func (t *faultTransport) send(from, to, tag int, data []byte) error {
 	if err := t.crashCheck(from, tag); err != nil {
 		return err
 	}
-	if err := t.transientCheck(from, "send"); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	drop := t.roll(from, t.plan.DropProb)
-	delay := t.roll(from, t.plan.DelayProb)
-	dup := t.roll(from, t.plan.DupProb)
-	t.mu.Unlock()
-	if drop {
-		if t.plan.Stats != nil {
-			t.plan.Stats.Drops.Add(1)
-		}
-		return nil
-	}
-	if delay {
-		if t.plan.Stats != nil {
-			t.plan.Stats.Delays.Add(1)
-		}
-		if t.mode == ModeSim {
-			t.inner.charge(from, t.plan.delay())
-		} else {
-			//pacelint:allow walltime ModeReal delay injection stalls the goroutine for real
-			time.Sleep(t.plan.delay())
-		}
-	}
-	if dup {
-		if t.plan.Stats != nil {
-			t.plan.Stats.Dups.Add(1)
-		}
-		// The receiver owns delivered payloads exclusively, so the
-		// duplicate must carry its own copy.
-		var cp []byte
-		if len(data) > 0 {
-			cp = make([]byte, len(data))
-			copy(cp, data)
-		}
-		if err := t.inner.send(from, to, tag, cp); err != nil {
-			return err
+	if p := t.plan.DelayProb; p > 0 {
+		// The draw is under the lock; a rank's stream depends only on its
+		// own send order, so the schedule is reproducible.
+		t.mu.Lock()
+		delay := t.rngs[from].Float64() < p
+		t.mu.Unlock()
+		if delay {
+			if t.mode == ModeSim {
+				t.inner.charge(from, t.plan.delay())
+			} else {
+				//pacelint:allow walltime ModeReal delay injection stalls the goroutine for real
+				time.Sleep(t.plan.delay())
+			}
 		}
 	}
 	return t.inner.send(from, to, tag, data)
@@ -225,9 +140,6 @@ func (t *faultTransport) send(from, to, tag int, data []byte) error {
 
 func (t *faultTransport) recv(rank, from, tag int, timeout time.Duration) (Msg, error) {
 	if err := t.crashCheck(rank, tag); err != nil {
-		return Msg{}, err
-	}
-	if err := t.transientCheck(rank, "recv"); err != nil {
 		return Msg{}, err
 	}
 	return t.inner.recv(rank, from, tag, timeout)

@@ -9,17 +9,15 @@ import (
 
 // ParsePlan turns a -chaos flag spec into a fault-injection plan, shared by
 // every binary that arms engine chaos. The spec is a comma-separated list
-// of directives:
+// of directives, one per fault class the engine survives:
 //
-//	seed=N                 RNG seed for the probabilistic faults (default 1)
+//	seed=N                 RNG seed for the delay draws (default 1)
 //	crash=RANK:AFTER[:TAG] kill rank RANK on its AFTER-th operation carrying
 //	                       message tag TAG (default 1, the slave report tag;
 //	                       0 matches every tag)
-//	drop=P                 drop each message with probability P
-//	dup=P                  deliver each message twice with probability P
 //	delay=P:DUR            stall a send for DUR with probability P
-//	transient=P[:MAX]      fail sends/receives with a retryable transient
-//	                       error with probability P, at most MAX per rank
+//
+// Any other key is an unknown directive.
 //
 // Example: 'crash=2:5,delay=0.1:2ms,seed=7'
 func ParsePlan(spec string) (*FaultPlan, error) {
@@ -58,18 +56,6 @@ func ParsePlan(spec string) (*FaultPlan, error) {
 				}
 			}
 			plan.CrashRank, plan.CrashAfter, plan.CrashTag = rank, after, tag
-		case "drop":
-			p, err := parseProb(val)
-			if err != nil {
-				return nil, fmt.Errorf("chaos drop: %v", err)
-			}
-			plan.DropProb = p
-		case "dup":
-			p, err := parseProb(val)
-			if err != nil {
-				return nil, fmt.Errorf("chaos dup: %v", err)
-			}
-			plan.DupProb = p
 		case "delay":
 			pStr, dStr, ok := strings.Cut(val, ":")
 			if !ok {
@@ -84,20 +70,6 @@ func ParsePlan(spec string) (*FaultPlan, error) {
 				return nil, fmt.Errorf("chaos delay: %v", err)
 			}
 			plan.DelayProb, plan.Delay = p, d
-		case "transient":
-			pStr, maxStr, hasMax := strings.Cut(val, ":")
-			p, err := parseProb(pStr)
-			if err != nil {
-				return nil, fmt.Errorf("chaos transient: %v", err)
-			}
-			plan.TransientProb = p
-			if hasMax {
-				m, err := strconv.Atoi(maxStr)
-				if err != nil {
-					return nil, fmt.Errorf("chaos transient max: %v", err)
-				}
-				plan.TransientMax = m
-			}
 		default:
 			return nil, fmt.Errorf("unknown chaos directive %q", key)
 		}

@@ -32,17 +32,16 @@
 // remain receivable. RecvTimeout bounds an individual receive with
 // ErrTimeout, in virtual time under ModeSim.
 //
-// Fault tolerance extras: Config.Retry arms exponential backoff with jitter
-// for transient errors, and Config.Fault injects a deterministic fault
-// schedule (crashes, drops, duplicates, delays, transients) for chaos
-// testing — see FaultPlan.
+// Delivery is reliable and fail-stop, as under MPI: a message to a live rank
+// is delivered exactly once. Config.Fault injects the two faults the engine
+// must survive, a sticky rank crash and a delayed send, for chaos testing —
+// see FaultPlan.
 package mp
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -80,15 +79,9 @@ type Config struct {
 	// tests that charge time explicitly via ChargeCompute.
 	MeasureCompute bool
 
-	// Retry arms bounded retries with exponential backoff + jitter for
-	// transient Send/Recv errors (errors wrapping ErrTransient). The zero
-	// value disables retrying: transient errors fail-stop immediately.
-	Retry RetryConfig
-
 	// Fault, when non-nil, wraps the transport in the deterministic
-	// fault-injection layer (rank crash after N ops, message
-	// drop/duplication/delay, transient errors). Used by chaos tests and
-	// the pace -chaos flag; nil in production runs.
+	// fault-injection layer (rank crash after N ops, delayed sends). Used by
+	// chaos tests and the pace -chaos flag; nil in production runs.
 	Fault *FaultPlan
 }
 
@@ -127,12 +120,6 @@ var ErrTimeout = errors.New("mp: receive timed out")
 // The concrete error is a *RankFailedError identifying which rank died.
 var ErrRankFailed = errors.New("mp: peer rank failed")
 
-// ErrTransient marks a retryable communication fault (injected by the fault
-// plan or, in principle, raised by a lossy transport). Comm retries it with
-// exponential backoff when Config.Retry is armed; exhausted retries surface
-// the error to the caller (fail-stop).
-var ErrTransient = errors.New("mp: transient communication error")
-
 // ErrInjectedCrash is the sticky error every operation of a rank returns
 // after the fault plan crashed it. The rank's body is expected to propagate
 // it, turning the injected crash into an ordinary rank failure.
@@ -155,36 +142,6 @@ func (e *RankFailedError) Error() string {
 
 // Unwrap makes the error match ErrRankFailed.
 func (e *RankFailedError) Unwrap() error { return ErrRankFailed }
-
-// RetryConfig arms bounded retries with exponential backoff and jitter for
-// transient Send/Recv errors (errors wrapping ErrTransient). Zero value
-// disables retries.
-type RetryConfig struct {
-	// MaxAttempts is the total number of tries per operation; <= 1 disables
-	// retrying.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; it doubles per
-	// attempt. 0 derives 1ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff. 0 derives 100ms.
-	MaxDelay time.Duration
-	// Seed makes the jitter deterministic per rank (rank index is mixed in).
-	Seed int64
-}
-
-func (r RetryConfig) baseDelay() time.Duration {
-	if r.BaseDelay > 0 {
-		return r.BaseDelay
-	}
-	return time.Millisecond
-}
-
-func (r RetryConfig) maxDelay() time.Duration {
-	if r.MaxDelay > 0 {
-		return r.MaxDelay
-	}
-	return 100 * time.Millisecond
-}
 
 // transport is the mode-specific engine under a Comm.
 type transport interface {
@@ -257,57 +214,10 @@ type Comm struct {
 	rank int
 	size int
 	tr   transport
-	mode Mode
-
-	// retry / rng implement bounded exponential backoff for transient
-	// errors; retries counts performed retries. A Comm is owned by its
-	// rank's goroutine, so plain fields suffice.
-	retry   RetryConfig
-	rng     *rand.Rand
-	retries int64
 
 	// coll accumulates collective tallies (Stats is called by the owning
 	// goroutine too).
 	coll CollectiveStats
-}
-
-// Retries returns how many transient-error retries this rank performed.
-func (c *Comm) Retries() int64 { return c.retries }
-
-// backoff sleeps before retry attempt number `attempt` (1-based): an
-// exponentially growing delay, capped, with half-range jitter. Under ModeSim
-// the delay is charged to the rank's virtual clock instead of sleeping.
-func (c *Comm) backoff(attempt int) {
-	d := c.retry.baseDelay() << (attempt - 1)
-	if maxD := c.retry.maxDelay(); d > maxD || d <= 0 {
-		d = maxD
-	}
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.retry.Seed + int64(c.rank)*0x9E3779B9))
-	}
-	d = d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
-	if c.mode == ModeSim {
-		c.tr.charge(c.rank, d)
-		return
-	}
-	//pacelint:allow walltime ModeReal backoff sleeps for real; the sim branch above charges virtual time
-	time.Sleep(d)
-}
-
-// withRetry runs op, retrying errors that wrap ErrTransient with backoff up
-// to Retry.MaxAttempts total tries. Non-transient errors and exhausted
-// retries are returned as-is (fail-stop).
-func (c *Comm) withRetry(op func() error) error {
-	err := op()
-	if err == nil || c.retry.MaxAttempts <= 1 {
-		return err
-	}
-	for attempt := 1; attempt < c.retry.MaxAttempts && errors.Is(err, ErrTransient); attempt++ {
-		c.backoff(attempt)
-		c.retries++
-		err = op()
-	}
-	return err
 }
 
 // collTimer marks the start of a collective; the returned func records one
@@ -342,7 +252,7 @@ func (c *Comm) Send(to, tag int, data []byte) error {
 		cp = make([]byte, len(data))
 		copy(cp, data)
 	}
-	return c.withRetry(func() error { return c.tr.send(c.rank, to, tag, cp) })
+	return c.tr.send(c.rank, to, tag, cp)
 }
 
 // Recv blocks until a message with the given tag arrives from rank `from`
@@ -358,13 +268,7 @@ func (c *Comm) RecvTimeout(from, tag int, timeout time.Duration) (Msg, error) {
 	if from != AnySource && (from < 0 || from >= c.size) {
 		return Msg{}, fmt.Errorf("mp: recv from invalid rank %d", from)
 	}
-	var m Msg
-	err := c.withRetry(func() error {
-		var e error
-		m, e = c.tr.recv(c.rank, from, tag, timeout)
-		return e
-	})
-	return m, err
+	return c.tr.recv(c.rank, from, tag, timeout)
 }
 
 // Probe reports whether a matching message is already available; it never
@@ -467,7 +371,7 @@ func (c *Comm) ReduceSumInt64(root int, vals []int64) ([]int64, error) {
 			// The encoded vector is freshly allocated and never touched
 			// again, so it goes to the transport without the Send copy.
 			buf := EncodeInt64s(acc)
-			if err := c.withRetry(func() error { return c.tr.send(c.rank, dst, tagReduce, buf) }); err != nil {
+			if err := c.tr.send(c.rank, dst, tagReduce, buf); err != nil {
 				return nil, err
 			}
 			return nil, nil
@@ -564,7 +468,7 @@ func RunRanks(cfg Config, body func(c *Comm) error) ([]error, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			c := &Comm{rank: rank, size: cfg.Procs, tr: tr, mode: cfg.Mode, retry: cfg.Retry}
+			c := &Comm{rank: rank, size: cfg.Procs, tr: tr}
 			var err error
 			defer func() {
 				if rec := recover(); rec != nil {

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -58,8 +59,8 @@ type State struct {
 
 // SaveState persists a session's state pair into dir through the given
 // filesystem seam (vfs.OS{} for the real disk, a vfs.Faulty for chaos and
-// crash-window tests): the EST store (atomic temp+fsync+rename) first, then
-// the partition checkpoint (the engine's own atomic replace). recs must be
+// crash-window tests): the EST store first, then the partition checkpoint,
+// each a vfs.WriteAtomic (temp, fsync, rename, directory fsync). recs must be
 // the sequences the session actually clustered — post-trim if trimming was
 // applied — in ingest order.
 //
@@ -72,52 +73,25 @@ func SaveState(fsys vfs.FS, dir string, sess *pace.Session, recs []pace.Record) 
 	if n := sess.NumESTs(); n != len(recs) {
 		return fmt.Errorf("serve: saving %d records for a session holding %d ESTs", len(recs), n)
 	}
-	tmp, err := fsys.CreateTemp(dir, FASTAFile+".tmp*")
+	err := vfs.WriteAtomic(fsys, dir, FASTAFile, func(w io.Writer) error {
+		return pace.WriteFASTA(w, recs)
+	})
 	if err != nil {
 		return err
 	}
-	if err := pace.WriteFASTA(tmp, recs); err != nil {
-		tmp.Close()
-		fsys.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		fsys.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmp.Name())
-		return err
-	}
-	if err := fsys.Rename(tmp.Name(), filepath.Join(dir, FASTAFile)); err != nil {
-		fsys.Remove(tmp.Name())
-		return err
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return err
-	}
-	if err := sess.SaveCheckpointFS(fsys, dir); err != nil {
-		return err
-	}
-	return fsys.SyncDir(dir)
+	return sess.SaveCheckpointFS(fsys, dir)
 }
 
-// WriteMeta persists server-side session metadata (atomic replace).
+// WriteMeta durably persists server-side session metadata (vfs.WriteAtomic).
 func WriteMeta(fsys vfs.FS, dir string, m Meta) error {
 	data, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, MetaFile+".tmp")
-	if err := fsys.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	return vfs.WriteAtomic(fsys, dir, MetaFile, func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
 		return err
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, MetaFile)); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	return fsys.SyncDir(dir)
+	})
 }
 
 // LoadState reads and cross-checks a session directory against the run

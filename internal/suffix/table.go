@@ -128,9 +128,9 @@ func (t *Buckets) Absorb(set *seq.SetS, lo, hi seq.StringID) ([]int32, error) {
 // the fresh counts. On error the table is unchanged.
 //
 // merge always counts for itself. The callers that hold the range's histogram
-// already (the no-cache sequential path, rebuildShard, internal/baseline) so
-// scan the strings a third time, an accepted 4 % of their collect + build
-// (0.75 of 18 ms at 200 ESTs): the layout never rests on a caller's counts.
+// already (rebuildShard, internal/baseline) so scan the strings a third time,
+// an accepted 4 % of their collect + build (0.75 of 18 ms at 200 ESTs): the
+// layout never rests on a caller's counts.
 func (t *Buckets) merge(set *seq.SetS, owner []int32, me int32, lo, hi seq.StringID) ([]int64, error) {
 	fresh := Histogram(set, t.w, lo, hi)
 	if owner != nil {

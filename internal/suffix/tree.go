@@ -32,8 +32,8 @@ type Tree struct {
 	// Nodes are the tree nodes in depth-first (preorder) order; Nodes[0]
 	// is the subtree root.
 	Nodes []Node
-	// leaves caches the leaf count; Build and ReadTree fill it so NumLeaves
-	// need not rescan the node array on every stats or serialization call.
+	// leaves caches the leaf count; BuildBuckets fills it so NumLeaves need
+	// not rescan the node array on every stats call.
 	leaves int
 }
 
@@ -73,8 +73,8 @@ func (t *Tree) PathLabel(set *seq.SetS, i int32) seq.Sequence {
 }
 
 // NumLeaves returns the number of leaves (i.e. suffixes) in the tree. Trees
-// from BuildBuckets or ReadTree answer from a count cached at construction; a
-// tree assembled by hand falls back to a scan.
+// from BuildBuckets answer from a count cached at construction; a tree
+// assembled by hand falls back to a scan.
 func (t *Tree) NumLeaves() int {
 	if t.leaves > 0 || len(t.Nodes) == 0 {
 		return t.leaves

@@ -190,27 +190,6 @@ func (f *Faulty) CreateTemp(dir, pattern string) (File, error) {
 	return &faultyFile{File: file, fs: f}, nil
 }
 
-// WriteFile implements FS. A crash or torn fault writes a prefix of data
-// first, so the on-disk state is the torn file a real crash mid-write
-// leaves behind.
-func (f *Faulty) WriteFile(name string, data []byte, perm fs.FileMode) error {
-	crashed, inject := f.step(f.plan.PWriteErr + f.plan.PTorn)
-	if crashed {
-		_ = f.under.WriteFile(name, data[:len(data)/2], perm)
-		return fmt.Errorf("%w: write %s", ErrCrashed, name)
-	}
-	if inject {
-		// Split the combined draw between torn and clean-fail.
-		if f.plan.PTorn > 0 && f.tornFrac() < f.plan.PTorn/(f.plan.PWriteErr+f.plan.PTorn) {
-			n := int(float64(len(data)) * f.tornFrac())
-			_ = f.under.WriteFile(name, data[:n], perm)
-			return injected("torn write "+name, syscall.ENOSPC)
-		}
-		return injected("write "+name, syscall.ENOSPC)
-	}
-	return f.under.WriteFile(name, data, perm)
-}
-
 // Rename implements FS.
 func (f *Faulty) Rename(oldpath, newpath string) error {
 	crashed, inject := f.step(f.plan.PRenameErr)

@@ -8,12 +8,16 @@
 // short writes, rename failures — and whose CrashOp mode aborts a write
 // sequence at an exact operation index, turning "every crash window is
 // recoverable" from an argument into a swept assertion.
+//
+// WriteAtomic is the one durable write: every state file is replaced through
+// it, so each gets the same temp, fsync, rename and directory-sync sequence.
 package vfs
 
 import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 )
 
 // File is the writable-file subset the durable write paths need: write,
@@ -36,10 +40,6 @@ type FS interface {
 	// CreateTemp creates a new temporary file in dir (pattern as in
 	// os.CreateTemp), open for writing.
 	CreateTemp(dir, pattern string) (File, error)
-	// WriteFile writes data to name in one logical operation, creating or
-	// truncating it (no fsync — pair with a rename or use for droppable
-	// files only).
-	WriteFile(name string, data []byte, perm fs.FileMode) error
 	// Rename atomically replaces newpath with oldpath.
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
@@ -58,11 +58,6 @@ type OS struct{}
 // CreateTemp implements FS.
 func (OS) CreateTemp(dir, pattern string) (File, error) {
 	return os.CreateTemp(dir, pattern)
-}
-
-// WriteFile implements FS.
-func (OS) WriteFile(name string, data []byte, perm fs.FileMode) error {
-	return os.WriteFile(name, data, perm)
 }
 
 // Rename implements FS.
@@ -86,4 +81,32 @@ func (OS) SyncDir(dir string) error {
 	}
 	_ = d.Sync()
 	return d.Close()
+}
+
+// WriteAtomic durably replaces dir/name with what write produces: it writes
+// a fresh temp file in dir, fsyncs and closes it, renames it over name and
+// fsyncs dir. On failure it removes the temp file and returns the error, so
+// a crash or power loss leaves either the old dir/name or the new one, whole.
+func WriteAtomic(fsys FS, dir, name string, write func(io.Writer) error) error {
+	tmp, err := fsys.CreateTemp(dir, name+".tmp*")
+	if err != nil {
+		return err
+	}
+	err = write(tmp)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
+		// Best effort: the write has already failed, and nothing reads a
+		// leftover temp file.
+		_ = fsys.Remove(tmp.Name())
+		return err
+	}
+	return fsys.SyncDir(dir)
 }

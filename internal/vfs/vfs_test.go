@@ -2,42 +2,40 @@ package vfs
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
 	"testing"
 )
 
-// writeSequence performs a fixed durable-write sequence (temp + write +
-// fsync + rename + dir sync + WriteFile + rename) against fsys, the same
-// shape serve.SaveState uses. It returns the first error.
+// writeBytes is a WriteAtomic body that writes data.
+func writeBytes(data string) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := io.WriteString(w, data)
+		return err
+	}
+}
+
+// writeSequence performs two durable writes (temp + write + fsync + rename
+// + dir sync each) against fsys, the shape serve.SaveState uses for the EST
+// store and the checkpoint. It returns the first error.
 func writeSequence(fsys FS, dir string) error {
-	f, err := fsys.CreateTemp(dir, "data-*.tmp")
+	if err := WriteAtomic(fsys, dir, "data", writeBytes("hello crash windows")); err != nil {
+		return err
+	}
+	return WriteAtomic(fsys, dir, "meta", writeBytes(`{"ok":true}`))
+}
+
+// tempFile creates a temp file through fsys, failing the test on error.
+func tempFile(t *testing.T, fsys FS) File {
+	t.Helper()
+	f, err := fsys.CreateTemp(t.TempDir(), "x-*.tmp")
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte("hello crash windows")); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(f.Name(), filepath.Join(dir, "data")); err != nil {
-		return err
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, "meta.tmp")
-	if err := fsys.WriteFile(tmp, []byte(`{"ok":true}`), 0o644); err != nil {
-		return err
-	}
-	return fsys.Rename(tmp, filepath.Join(dir, "meta"))
+	t.Cleanup(func() { f.Close() })
+	return f
 }
 
 func TestOSPassthrough(t *testing.T) {
@@ -94,17 +92,17 @@ func TestCrashEveryOp(t *testing.T) {
 	}
 }
 
-// TestCrashWriteIsTorn checks that a crash landing on WriteFile leaves a
-// half-written file behind rather than nothing.
+// TestCrashWriteIsTorn checks that a crash landing on a temp file's Write
+// leaves a half-written file behind rather than nothing.
 func TestCrashWriteIsTorn(t *testing.T) {
-	dir := t.TempDir()
-	f := NewFaulty(OS{}, Plan{CrashOp: 1})
+	f := NewFaulty(OS{}, Plan{CrashOp: 2}) // op 1 creates the temp file
+	tmp := tempFile(t, f)
 	data := []byte("0123456789")
-	err := f.WriteFile(filepath.Join(dir, "torn"), data, 0o644)
+	_, err := tmp.Write(data)
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("err = %v, want ErrCrashed", err)
 	}
-	got, err := os.ReadFile(filepath.Join(dir, "torn"))
+	got, err := os.ReadFile(tmp.Name())
 	if err != nil {
 		t.Fatalf("torn file missing: %v", err)
 	}
@@ -147,19 +145,17 @@ func TestDeterministicInjection(t *testing.T) {
 }
 
 func TestInjectedWrapsENOSPC(t *testing.T) {
-	f := NewFaulty(OS{}, Plan{PWriteErr: 1})
-	err := f.WriteFile(filepath.Join(t.TempDir(), "x"), []byte("x"), 0o644)
+	_, err := tempFile(t, NewFaulty(OS{}, Plan{PWriteErr: 1})).Write([]byte("x"))
 	if !errors.Is(err, ErrInjected) || !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("err = %v, want ErrInjected wrapping ENOSPC", err)
 	}
 }
 
 func TestMaxFaultsCap(t *testing.T) {
-	f := NewFaulty(OS{}, Plan{PWriteErr: 1, MaxFaults: 2})
-	dir := t.TempDir()
+	tmp := tempFile(t, NewFaulty(OS{}, Plan{PWriteErr: 1, MaxFaults: 2}))
 	fails := 0
 	for i := 0; i < 10; i++ {
-		if err := f.WriteFile(filepath.Join(dir, "x"), []byte("x"), 0o644); err != nil {
+		if _, err := tmp.Write([]byte("x")); err != nil {
 			fails++
 		}
 	}

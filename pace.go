@@ -54,14 +54,9 @@ type (
 
 	// FaultPlan is a deterministic fault-injection schedule for the
 	// message-passing layer: a seeded crash (rank × operation count × tag)
-	// plus probabilistic drop / duplication / delay / transient errors.
-	// Attach one via Options.Fault to chaos-test a run.
+	// plus probabilistic send delays. Attach one via Options.Fault to
+	// chaos-test a run.
 	FaultPlan = mp.FaultPlan
-	// FaultStats counts the faults a FaultPlan actually injected.
-	FaultStats = mp.FaultStats
-	// RetryConfig enables bounded exponential-backoff retries of transient
-	// transport errors.
-	RetryConfig = mp.RetryConfig
 	// Checkpoint is a versioned snapshot of the master's clustering state,
 	// written periodically when Options.CheckpointDir is set and reloadable
 	// with LoadCheckpoint for a resumed run.
@@ -104,8 +99,8 @@ func OSFS() FS { return vfs.OS{} }
 func NewFaultyFS(under FS, plan FSFaultPlan) FS { return vfs.NewFaulty(under, plan) }
 
 // ParseFaultPlan parses an engine chaos spec (the -chaos flag grammar:
-// comma-separated seed=N, crash=RANK:AFTER[:TAG], drop=P, dup=P,
-// delay=P:DUR, transient=P[:MAX]) into a FaultPlan for Options.Fault.
+// comma-separated seed=N, crash=RANK:AFTER[:TAG], delay=P:DUR) into a
+// FaultPlan for Options.Fault.
 func ParseFaultPlan(spec string) (*FaultPlan, error) { return mp.ParsePlan(spec) }
 
 // ParseFSFaultPlan parses a filesystem chaos spec (the -chaos-fs flag
@@ -215,9 +210,6 @@ type Options struct {
 	// Fault, when non-nil, injects deterministic faults into the
 	// message-passing layer (chaos testing). See FaultPlan.
 	Fault *FaultPlan
-	// Retry retries transient transport errors (injected or otherwise)
-	// with exponential backoff. The zero value disables retries.
-	Retry RetryConfig
 
 	// CheckpointDir enables periodic checkpointing of the master's
 	// clustering state into this directory ("" disables). To resume a
@@ -322,7 +314,6 @@ func (o Options) toConfig() (cluster.Config, error) {
 		cfg.MP = mp.Config{Procs: o.Processors, Mode: mp.ModeReal}
 	}
 	cfg.MP.Fault = o.Fault
-	cfg.MP.Retry = o.Retry
 	cfg.Recover = o.Recover
 	cfg.SlaveTimeout = o.SlaveTimeout
 	cfg.Checkpoint = cluster.CheckpointConfig{
