@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"pace"
+	"pace/internal/simulate"
 )
 
 func main() {
@@ -39,20 +40,21 @@ func main() {
 		os.Exit(2)
 	}
 
-	opt := pace.SimOptions{
-		NumESTs:           *n,
-		NumGenes:          *genes,
-		ErrorRate:         *errRate,
-		MeanLength:        *mean,
-		ParalogFamilies:   *paralogs,
-		ParalogDivergence: *divergence,
-		AltSpliceProb:     *altsplice,
-		Seed:              *seed,
-	}
+	// Fill the generator's config directly rather than through
+	// pace.SimOptions, whose zero values mean "default": every flag value,
+	// -error 0 included, is taken literally.
+	cfg := simulate.DefaultConfig(*n)
+	cfg.NumGenes = *genes
+	cfg.ErrorRate = *errRate
+	cfg.MeanESTLen = *mean
+	cfg.ParalogFamilies = *paralogs
+	cfg.ParalogDivergence = *divergence
+	cfg.AltSpliceProb = *altsplice
+	cfg.Seed = *seed
 	if *polyA > 0 {
-		opt.PolyATail = [2]int{(*polyA + 1) / 2, *polyA}
+		cfg.PolyATail = [2]int{(*polyA + 1) / 2, *polyA}
 	}
-	b, err := pace.Simulate(opt)
+	b, err := simulate.Generate(cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -62,7 +64,7 @@ func main() {
 		recs[i] = pace.Record{
 			ID:   fmt.Sprintf("est%06d", i),
 			Desc: fmt.Sprintf("gene=%d", b.Truth[i]),
-			Seq:  e,
+			Seq:  e.String(),
 		}
 	}
 	f, err := os.Create(*out)
@@ -93,7 +95,7 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "estsim: wrote %d ESTs from %d genes to %s\n",
-		len(b.ESTs), b.NumGenes, *out)
+		len(b.ESTs), len(b.Genes), *out)
 }
 
 func fatal(err error) {

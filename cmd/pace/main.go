@@ -41,8 +41,6 @@ func main() {
 	minOverlap := flag.Int("min-overlap", 40, "minimum accepted overlap columns")
 	minIdentity := flag.Float64("min-identity", 0.90, "minimum accepted overlap identity")
 	doTrim := flag.Bool("trim", false, "trim poly(A)/poly(T) tails before clustering")
-	consOut := flag.String("consensus", "", "also assemble per-cluster consensus sequences to this FASTA file")
-	spliceOut := flag.String("splice", "", "also scan clusters for alternative-splicing events, TSV to this file")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, expvar and pprof on this address (e.g. :9090)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event file here (chrome://tracing, Perfetto)")
 	reportPath := flag.String("report", "", "write a run-report JSON here ('auto' derives BENCH_pace_<stamp>.json)")
@@ -161,7 +159,7 @@ func main() {
 	t0 := time.Now()
 	var cl *pace.Clustering
 	if *sessionDir != "" {
-		cl, recs, seqs, err = runSession(*sessionDir, *addBatch, recs, seqs, opt)
+		cl, recs, err = runSession(*sessionDir, *addBatch, recs, seqs, opt)
 	} else {
 		cl, err = pace.Cluster(seqs, opt)
 	}
@@ -194,63 +192,6 @@ func main() {
 	}
 	if err := w.Flush(); err != nil {
 		fatal(err)
-	}
-
-	if *consOut != "" {
-		cons, err := pace.Consensus(seqs, cl.Labels)
-		if err != nil {
-			fatal(err)
-		}
-		var crecs []pace.Record
-		for label, c := range cons {
-			if c == nil {
-				continue
-			}
-			crecs = append(crecs, pace.Record{
-				ID:   fmt.Sprintf("cluster%05d", label),
-				Desc: fmt.Sprintf("reads=%d excluded=%d len=%d", c.Used, c.Excluded, len(c.Seq)),
-				Seq:  c.Seq,
-			})
-		}
-		cf, err := os.Create(*consOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pace.WriteFASTA(cf, crecs); err != nil {
-			fatal(err)
-		}
-		if err := cf.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "pace: wrote %d consensus sequences to %s\n", len(crecs), *consOut)
-	}
-
-	if *spliceOut != "" {
-		events, err := pace.DetectSplicing(seqs, cl.Labels)
-		if err != nil {
-			fatal(err)
-		}
-		sf, err := os.Create(*spliceOut)
-		if err != nil {
-			fatal(err)
-		}
-		sw := bufio.NewWriter(sf)
-		fmt.Fprintln(sw, "# cluster\test_id\tkind\tconsensus_pos\tgap_len\tflank_matches")
-		for _, ev := range events {
-			kind := "skipped-in-member"
-			if !ev.SkippedInMember {
-				kind = "extra-in-member"
-			}
-			fmt.Fprintf(sw, "%d\t%s\t%s\t%d\t%d\t%d\n",
-				ev.Cluster, recs[ev.Member].ID, kind, ev.ConsensusPos, ev.GapLen, ev.FlankMatches)
-		}
-		if err := sw.Flush(); err != nil {
-			fatal(err)
-		}
-		if err := sf.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "pace: wrote %d splice events to %s\n", len(events), *spliceOut)
 	}
 
 	st := cl.Stats

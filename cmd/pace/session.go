@@ -28,54 +28,54 @@ import (
 )
 
 // runSession clusters via a persistent session directory. It returns the
-// clustering plus the full record/sequence lists it covers (old batches
-// first, then recs).
-func runSession(dir string, add bool, recs []pace.Record, seqs []string, opt pace.Options) (*pace.Clustering, []pace.Record, []string, error) {
+// clustering plus the full record list it covers (old batches first, then
+// recs).
+func runSession(dir string, add bool, recs []pace.Record, seqs []string, opt pace.Options) (*pace.Clustering, []pace.Record, error) {
 	if !add {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		sess, err := pace.NewSession(opt)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		cl, err := sess.Add(seqs)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		if err := saveSession(dir, sess, recs, seqs); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		fmt.Fprintf(os.Stderr, "pace: session %s initialized with %d ESTs\n", dir, len(seqs))
-		return cl, recs, seqs, nil
+		return cl, recs, nil
 	}
 
 	st, err := serve.LoadState(dir, opt)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil, nil, fmt.Errorf("open session store (did you initialize with -session without -add?): %w", err)
+			return nil, nil, fmt.Errorf("open session store (did you initialize with -session without -add?): %w", err)
 		}
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	oldRecs := st.Recs
 	oldSeqs := pace.Sequences(oldRecs)
 	sess, err := st.Resume(opt)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	cl, err := sess.Add(seqs)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	allRecs := append(oldRecs, recs...)
 	allSeqs := append(oldSeqs, seqs...)
 	if err := saveSession(dir, sess, allRecs, allSeqs); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	inc := cl.Stats.Incremental
 	fmt.Fprintf(os.Stderr, "pace: session %s: %d + %d ESTs, buckets rebuilt=%d reused=%d, fresh pairs=%d, stale pairs suppressed=%d\n",
 		dir, len(oldRecs), len(recs), inc.BucketsRebuilt, inc.BucketsReused, inc.FreshPairs, inc.StaleSuppressed)
-	return cl, allRecs, allSeqs, nil
+	return cl, allRecs, nil
 }
 
 // saveSession persists the session's EST store and partition checkpoint in

@@ -39,18 +39,18 @@ func TestRunSessionRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sess")
 	cut := 30
 
-	cl1, recs1, seqs1, err := runSession(dir, false, recs[:cut], b.ESTs[:cut], opt)
+	cl1, recs1, err := runSession(dir, false, recs[:cut], b.ESTs[:cut], opt)
 	if err != nil {
 		t.Fatalf("initialize session: %v", err)
 	}
-	if len(recs1) != cut || len(seqs1) != cut || len(cl1.Labels) != cut {
-		t.Fatalf("initial session covers %d/%d/%d, want %d", len(recs1), len(seqs1), len(cl1.Labels), cut)
+	if len(recs1) != cut || len(cl1.Labels) != cut {
+		t.Fatalf("initial session covers %d recs / %d labels, want %d", len(recs1), len(cl1.Labels), cut)
 	}
 	if _, err := os.Stat(filepath.Join(dir, serve.FASTAFile)); err != nil {
 		t.Fatalf("session store not written: %v", err)
 	}
 
-	cl2, recs2, _, err := runSession(dir, true, recs[cut:], b.ESTs[cut:], opt)
+	cl2, recs2, err := runSession(dir, true, recs[cut:], b.ESTs[cut:], opt)
 	if err != nil {
 		t.Fatalf("add batch: %v", err)
 	}
@@ -97,12 +97,12 @@ func TestRunSessionRoundTrip(t *testing.T) {
 	bad := opt
 	bad.Window = opt.Window - 2
 	bad.MinMatch = opt.MinMatch - 2
-	if _, _, _, err := runSession(dir, true, recs[:1], b.ESTs[:1], bad); err == nil {
+	if _, _, err := runSession(dir, true, recs[:1], b.ESTs[:1], bad); err == nil {
 		t.Error("add with mismatched window/psi: want error")
 	}
 
 	// -add against a directory that was never initialized fails cleanly.
-	if _, _, _, err := runSession(filepath.Join(t.TempDir(), "nope"), true, recs[:1], b.ESTs[:1], opt); err == nil {
+	if _, _, err := runSession(filepath.Join(t.TempDir(), "nope"), true, recs[:1], b.ESTs[:1], opt); err == nil {
 		t.Error("add without initialized session: want error")
 	}
 }

@@ -8,14 +8,15 @@
 // overlap/containment patterns with sufficient quality.
 //
 // All aligners score with affine gaps over three layers (M, X, Y). The
-// reference aligners and the tracebacks work on rows of cell structs; the
-// extension kernel (Extender.bandAlign) is the same recurrence on flat rows:
-// per band slot three int32 scores and three path words (cols<<32 | matches),
-// two rows cut from two allocations, each row's live slot range computed once
-// with a dead sentinel after it so the inner loop tests no edge, and rows
-// stopping where the band leaves the shorter string. Its contract is equality
-// with the cell kernel it replaced (refBandAlign in the tests), tie-breaks
-// included, so a Result never depends on which of the two computed it.
+// reference aligners return a score with column and match counts, not an edit
+// script, and work on rows of cell structs; the extension kernel
+// (Extender.bandAlign) is the same recurrence on flat rows: per band slot three
+// int32 scores and three path words (cols<<32 | matches), two rows cut from two
+// allocations, each row's live slot range computed once with a dead sentinel
+// after it so the inner loop tests no edge, and rows stopping where the band
+// leaves the shorter string. Its contract is equality with the cell kernel it
+// replaced (refBandAlign in the tests), tie-breaks included, so a Result never
+// depends on which of the two computed it.
 package align
 
 import "fmt"

@@ -1,5 +1,4 @@
-// Package trim implements EST preprocessing: poly(A)/poly(T) tail trimming
-// and low-complexity (DUST-style) assessment.
+// Package trim implements EST preprocessing: poly(A)/poly(T) tail trimming.
 //
 // mRNAs carry 3' poly(A) tails, and oligo-dT-primed cDNA fragments inherit
 // them; after strand flips the tails surface as leading poly(T) or trailing
@@ -147,47 +146,4 @@ func Batch(ests []seq.Sequence, o Options) ([]seq.Sequence, Stats) {
 		}
 	}
 	return out, st
-}
-
-// DustScore computes a DUST-style low-complexity score for s: the triplet-
-// repetitiveness sum S = Σ c_t(c_t−1)/2 normalized by (w−3) where c_t are
-// trinucleotide counts. Perfectly diverse sequence scores near 0.5;
-// homopolymers score ~(w−3)/2 before normalization (≈ large).
-func DustScore(s seq.Sequence) float64 {
-	if len(s) < 4 {
-		return 0
-	}
-	counts := make(map[uint16]int, len(s))
-	for i := 0; i+3 <= len(s); i++ {
-		t := uint16(s[i])<<4 | uint16(s[i+1])<<2 | uint16(s[i+2])
-		counts[t]++
-	}
-	var sum float64
-	for _, c := range counts {
-		sum += float64(c*(c-1)) / 2
-	}
-	return sum / float64(len(s)-3)
-}
-
-// LowComplexityFraction slides a window over s and returns the fraction of
-// windows whose DustScore exceeds the threshold. Typical parameters:
-// window 64, threshold 2.
-func LowComplexityFraction(s seq.Sequence, window int, threshold float64) float64 {
-	if window < 8 {
-		window = 8
-	}
-	if len(s) < window {
-		if DustScore(s) > threshold {
-			return 1
-		}
-		return 0
-	}
-	hits, total := 0, 0
-	for i := 0; i+window <= len(s); i += window / 2 {
-		total++
-		if DustScore(s[i:i+window]) > threshold {
-			hits++
-		}
-	}
-	return float64(hits) / float64(total)
 }

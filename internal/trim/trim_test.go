@@ -1,7 +1,6 @@
 package trim
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -129,43 +128,5 @@ func TestBatch(t *testing.T) {
 	}
 	if len(out[0]) != len(body) || len(out[1]) != len(body) {
 		t.Errorf("lengths: %d %d", len(out[0]), len(out[1]))
-	}
-}
-
-func TestDustScoreOrdering(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	random := make(seq.Sequence, 64)
-	for i := range random {
-		random[i] = seq.Code(rng.Intn(4))
-	}
-	homo := mustSeq(t, strings.Repeat("A", 64))
-	dinuc := mustSeq(t, strings.Repeat("AT", 32))
-	if DustScore(homo) <= DustScore(dinuc) {
-		t.Error("homopolymer must out-score dinucleotide repeat")
-	}
-	if DustScore(dinuc) <= DustScore(random) {
-		t.Error("repeat must out-score random")
-	}
-	if DustScore(mustSeq(t, "ACG")) != 0 {
-		t.Error("too-short input must score 0")
-	}
-}
-
-func TestLowComplexityFraction(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	random := make(seq.Sequence, 256)
-	for i := range random {
-		random[i] = seq.Code(rng.Intn(4))
-	}
-	if f := LowComplexityFraction(random, 64, 2); f != 0 {
-		t.Errorf("random fraction %f", f)
-	}
-	homo := mustSeq(t, strings.Repeat("A", 256))
-	if f := LowComplexityFraction(homo, 64, 2); f != 1 {
-		t.Errorf("homopolymer fraction %f", f)
-	}
-	short := mustSeq(t, strings.Repeat("A", 20))
-	if f := LowComplexityFraction(short, 64, 2); f != 1 {
-		t.Errorf("short homopolymer fraction %f", f)
 	}
 }

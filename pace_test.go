@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"pace/internal/simulate"
 )
 
 func testBenchmark(t testing.TB, n, genes int, seed int64) *Benchmark {
@@ -253,85 +255,71 @@ func TestTrimPublic(t *testing.T) {
 	}
 }
 
-func TestLowComplexityFractionPublic(t *testing.T) {
-	f, err := LowComplexityFraction(strings.Repeat("A", 200))
+// TestIsoformReadsClusterWithGene clusters reads from genes that all carry
+// an exon-skipping isoform: reads from both isoforms of a gene must land in
+// the gene's one cluster, sequentially and on the simulated machine alike.
+func TestIsoformReadsClusterWithGene(t *testing.T) {
+	sim := SimOptions{NumESTs: 120, NumGenes: 3, ErrorRate: 0.01, AltSpliceProb: 1, Seed: 31}
+	b, err := Simulate(sim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f != 1 {
-		t.Errorf("homopolymer fraction %f", f)
+	// Confirm the input plants what the test is about: regenerate it from
+	// the config Simulate builds and count each gene's isoform reads.
+	cfg := simulate.DefaultConfig(sim.NumESTs)
+	cfg.NumGenes, cfg.ErrorRate, cfg.AltSpliceProb, cfg.Seed = sim.NumGenes, sim.ErrorRate, sim.AltSpliceProb, sim.Seed
+	ref, err := simulate.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := LowComplexityFraction("ACGX"); err == nil {
-		t.Error("invalid sequence accepted")
+	reads := make([][2]int, len(ref.Genes)) // per gene: main, isoform
+	for i, e := range ref.ESTs {
+		if e.String() != b.ESTs[i] {
+			t.Fatalf("EST %d differs from the regenerated benchmark", i)
+		}
+		if ref.FromIsoform[i] {
+			reads[ref.Truth[i]][1]++
+		} else {
+			reads[ref.Truth[i]][0]++
+		}
 	}
-}
+	mixed := 0
+	for _, r := range reads {
+		if r[0] >= 2 && r[1] >= 2 {
+			mixed++
+		}
+	}
+	if mixed == 0 {
+		t.Fatalf("no gene has two reads from each isoform: %v", reads)
+	}
 
-func TestConsensusPublic(t *testing.T) {
-	b := testBenchmark(t, 60, 3, 8)
 	opt := DefaultOptions()
-	opt.Window = 6
-	opt.MinMatch = 18
+	opt.Processors = 1
 	cl, err := Cluster(b.ESTs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := Consensus(b.ESTs, cl.Labels)
+	if cl.NumClusters != 3 {
+		t.Errorf("%d clusters, want 3", cl.NumClusters)
+	}
+	q, err := Evaluate(cl.Labels, b.Truth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cons) != cl.NumClusters {
-		t.Fatalf("consensus count %d != clusters %d", len(cons), cl.NumClusters)
+	if q.OQ != 1 {
+		t.Errorf("isoform clustering quality: %v", q)
 	}
-	for label, c := range cons {
-		if c == nil {
-			t.Fatalf("cluster %d has no consensus", label)
-		}
-		if len(c.Seq) == 0 || len(c.Coverage) != len(c.Seq) {
-			t.Fatalf("cluster %d: malformed consensus", label)
-		}
-		if c.Used+c.Excluded != len(cl.Clusters[label]) {
-			t.Fatalf("cluster %d: used %d + excluded %d != members %d",
-				label, c.Used, c.Excluded, len(cl.Clusters[label]))
-		}
-	}
-	if _, err := Consensus(b.ESTs, cl.Labels[:5]); err == nil {
-		t.Error("label length mismatch accepted")
-	}
-}
 
-func TestDetectSplicingPublic(t *testing.T) {
-	bench, err := Simulate(SimOptions{
-		NumESTs:       120,
-		NumGenes:      3,
-		ErrorRate:     0.01,
-		AltSpliceProb: 1,
-		Seed:          31,
-	})
+	opt.Processors = 4
+	opt.Simulated = true
+	par, err := Cluster(b.ESTs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions()
-	cl, err := Cluster(bench.ESTs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, err := DetectSplicing(bench.ESTs, cl.Labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("no splice events on isoform-rich data")
-	}
-	for _, ev := range events {
-		if ev.GapLen < 50 || ev.FlankMatches < 30 {
-			t.Errorf("weak event reported: %+v", ev)
+	for i := range cl.Labels {
+		if par.Labels[i] != cl.Labels[i] {
+			t.Fatalf("EST %d: label %d at Processors 4, %d at Processors 1", i, par.Labels[i], cl.Labels[i])
 		}
-		if ev.Member < 0 || ev.Member >= len(bench.ESTs) {
-			t.Errorf("member out of range: %+v", ev)
-		}
-	}
-	if _, err := DetectSplicing(bench.ESTs, cl.Labels[:3]); err == nil {
-		t.Error("label length mismatch accepted")
 	}
 }
 

@@ -1,9 +1,6 @@
 package pace
 
-import (
-	"pace/internal/seq"
-	"pace/internal/trim"
-)
+import "pace/internal/trim"
 
 // TrimOptions configures poly(A)/poly(T) tail trimming.
 type TrimOptions struct {
@@ -54,15 +51,4 @@ func Trim(ests []string, opt TrimOptions) ([]string, TrimStats, error) {
 		out[i] = s.String()
 	}
 	return out, TrimStats{Reads: st.Reads, Trimmed: st.Trimmed, CharsRemoved: st.CharsRemoved}, nil
-}
-
-// LowComplexityFraction reports the fraction of 64-base windows of the
-// sequence whose DUST-style score exceeds 2 — a quick screen for reads that
-// are mostly repeats or homopolymer.
-func LowComplexityFraction(est string) (float64, error) {
-	s, err := seq.Parse(est)
-	if err != nil {
-		return 0, err
-	}
-	return trim.LowComplexityFraction(s, 64, 2), nil
 }
