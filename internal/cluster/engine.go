@@ -2,21 +2,22 @@ package cluster
 
 // The engine is split along its roles:
 //
-//	engine.go   — entry points, the sequential engine, and the phases every
-//	              rank shares (prologue, cluster seeding, suffix
-//	              redistribution ranges)
-//	runahead.go — the sequential engine's pair drain, run ahead of its
-//	              consumer on a goroutine of its own
-//	master.go   — the master rank: dispatch, flow control, merging the
-//	              slaves' per-pair verdicts, failure recovery
-//	slave.go    — the slave rank: GST share, pair generation, alignment loop
-//	codec.go    — the wire protocol
+//	engine.go — entry points, the sequential engine and its workers, and the
+//	            phases every rank shares (prologue, cluster seeding, suffix
+//	            redistribution ranges)
+//	master.go — the master rank: dispatch, flow control, merging the
+//	            slaves' per-pair verdicts, failure recovery
+//	slave.go  — the slave rank: GST share, pair generation, alignment loop
+//	codec.go  — the wire protocol
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"pace/internal/align"
+	"pace/internal/fanout"
 	"pace/internal/mp"
 	"pace/internal/pairgen"
 	"pace/internal/seq"
@@ -73,13 +74,18 @@ func wallElapsed() func() time.Duration {
 	}
 }
 
-// runSequential is the single-process engine: generate batches in decreasing
-// order, skip same-cluster pairs, align, merge. Forest construction and
-// generator set-up fan out over up to workers goroutines. With workers > 1
-// the pair drain runs on a producer goroutine of its own, ahead of the skip
-// tests, alignments and merges on this one, into a buffer bounded by the
-// input's length (runahead.go). Partition stays on this goroutine, and the
-// result does not depend on workers.
+// runSequential is the single-process engine. Forest construction fans out
+// over up to workers goroutines. Then the forest is cut into at most workers
+// contiguous chunks of near-equal node count, as the paper spreads buckets
+// over its processors, and each chunk gets a worker: a generator over the
+// chunk, an Extender, and a loop that takes the chunk's next batch, skips
+// same-cluster pairs, aligns the rest and merges the accepted ones into the
+// one union-find every worker shares. Chunk 0 runs on this goroutine, so one
+// worker is the inline loop and starts no goroutine. Every accepted pair is
+// either merged or already joined, so the partition is the connected
+// components of the accepted pairs and the seed, whatever the workers'
+// interleaving. Which pairs a worker skips, and so the processed, accepted
+// and skipped counts, may vary with workers > 1.
 func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	pr := newProbes(cfg.Metrics)
 	tw := cfg.Trace
@@ -102,7 +108,7 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	st.Phases.Partition = fb.partition
 	st.Phases.Construct = fb.construct
 	if pr != nil {
-		// One worker owns every bucket: its load is the histogram total.
+		// One process owns every bucket: its load is the histogram total.
 		var total int64
 		for _, n := range fb.hist {
 			total += n
@@ -118,20 +124,33 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		return nil, err
 	}
 	t2 := clk()
-	gen, err := pairgen.NewFresh(set, fb.forest, cfg.Psi, cfg.FreshGen, workers)
+	forest := fb.forest
+	cuts := fanout.Cuts(len(forest), workers, func(i int) int { return len(forest[i].Nodes) })
+	ws := make([]seqWorker, len(cuts)-1)
+	err = fanout.Run(len(ws), func(k int) error {
+		gen, err := pairgen.NewFresh(set, forest[cuts[k]:cuts[k+1]], cfg.Psi, cfg.FreshGen)
+		if err != nil {
+			return err
+		}
+		gen.Observe(pr.observer(clk))
+		ext, err := align.NewExtender(cfg.Scoring, cfg.Band)
+		if err != nil {
+			return err
+		}
+		ws[k] = seqWorker{lane: k, gen: gen, ext: ext, buf: make([]pairgen.Pair, 0, cfg.BatchSize)}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	gen.Observe(pr.observer(clk))
 	st.Phases.Sort = clk() - t2
 	if tw != nil {
 		tw.Span(cfg.TracePID, 0, "sort", "pairgen", t2-t0, st.Phases.Sort)
+		for k := 1; k < len(ws); k++ {
+			tw.ThreadName(cfg.TracePID, k, fmt.Sprintf("rank 0 (seq worker %d)", k))
+		}
 	}
 
-	ext, err := align.NewExtender(cfg.Scoring, cfg.Band)
-	if err != nil {
-		return nil, err
-	}
 	uf := unionfind.New(set.NumESTs())
 	seedMerges, err := seedClusters(uf, cfg.InitialLabels, set.NumESTs())
 	if err != nil {
@@ -144,67 +163,25 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	if seedMerges > 0 {
 		cfg.logger().Info("seeded prior partition", "merges", seedMerges)
 	}
-	ck := newCheckpointer(cfg, set.NumESTs(), st, pr, clk)
-	drain := newPairDrain(gen, cfg.BatchSize, runAheadBatches(set.TotalChars(), cfg.BatchSize), workers)
-	defer drain.join()
-	for {
-		if err := cfg.ctxErr(); err != nil {
-			return nil, err
-		}
-		buf := drain.next()
-		if len(buf) == 0 {
-			break
-		}
-		tBatch := clk() - t0
-		var batchAlign time.Duration
-		for _, p := range buf {
-			i, j := p.ESTs()
-			if cfg.SkipSameCluster && uf.Same(int32(i), int32(j)) {
-				st.PairsSkipped++
-				if pr != nil {
-					pr.skipped.Inc()
-				}
-				continue
-			}
-			tA := clk()
-			r, err := ext.Extend(set.Str(p.S1), set.Str(p.S2), p.Pos1, p.Pos2, p.MatchLen)
-			batchAlign += clk() - tA
-			if err != nil {
-				return nil, err
-			}
-			st.PairsProcessed++
-			if pr != nil {
-				pr.processed.Inc()
-			}
-			if r.Accept(cfg.Scoring, cfg.Criteria) {
-				st.PairsAccepted++
-				if pr != nil {
-					pr.accepted.Inc()
-				}
-				if uf.Union(int32(i), int32(j)) {
-					st.Merges++
-					if pr != nil {
-						pr.merges.Inc()
-					}
-				}
-			}
-		}
-		st.Phases.Align += batchAlign
-		if tw != nil && batchAlign > 0 {
-			tw.Span(cfg.TracePID, 0, "align", "cluster", tBatch, batchAlign)
-		}
-		if err := ck.maybe(uf, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, false); err != nil {
-			return nil, err
-		}
+	run := &seqRun{
+		set: set, cfg: cfg, uf: uf, pr: pr, clk: clk, t0: t0, st: st,
+		ck: newCheckpointer(cfg, set.NumESTs(), st, pr, clk),
 	}
-	if err := ck.maybe(uf, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, true); err != nil {
+	if err := fanout.Run(len(ws), func(k int) error { return run.drain(&ws[k]) }); err != nil {
 		return nil, err
 	}
-	drain.join()
-	st.PairsGenerated = gen.Stats().Generated
+	if err := run.ck.maybe(uf, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, true); err != nil {
+		return nil, err
+	}
+	var stale int64
+	for _, w := range ws {
+		st.PairsGenerated += w.gen.Stats().Generated
+		stale += w.gen.Stats().DiscardedStale
+		st.Phases.Align = maxDur(st.Phases.Align, w.align)
+	}
 	if cfg.FreshGen > 0 {
-		st.Incremental.FreshPairs = gen.Stats().Generated
-		st.Incremental.StaleSuppressed = gen.Stats().DiscardedStale
+		st.Incremental.FreshPairs = st.PairsGenerated
+		st.Incremental.StaleSuppressed = stale
 	}
 	if cfg.FreshGen > 0 || cfg.Cache != nil {
 		pr.recordIncremental(st.Incremental)
@@ -220,6 +197,122 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	res.Labels = uf.Labels()
 	res.NumClusters = uf.Count()
 	return res, nil
+}
+
+// seqWorker is one worker of the sequential engine: its chunk's generator,
+// its own Extender and batch, its pair counts not yet added to the run's
+// Stats, and its total Extend time.
+type seqWorker struct {
+	lane int // trace lane
+	gen  *pairgen.Generator
+	ext  *align.Extender
+	buf  []pairgen.Pair
+
+	processed, accepted, skipped, merges int64
+	align                                time.Duration
+}
+
+// seqRun is what the sequential engine's workers share.
+type seqRun struct {
+	set *seq.SetS
+	cfg Config
+	uf  *unionfind.UF
+	pr  *probes
+	clk func() time.Duration
+	t0  time.Duration
+	// stop is set by the first worker to fail, so the others stop at their
+	// next batch.
+	stop atomic.Bool
+	// mu guards st's pair counters and the checkpointer.
+	mu sync.Mutex
+	st *Stats
+	ck *checkpointer
+}
+
+// drain runs one worker until its generator is exhausted, the run's context
+// is canceled, a checkpoint fails or another worker has failed, and adds its
+// counts to the run's Stats.
+func (r *seqRun) drain(w *seqWorker) error {
+	err := r.loop(w)
+	if err != nil {
+		r.stop.Store(true)
+	}
+	r.mu.Lock()
+	r.fold(w)
+	r.mu.Unlock()
+	return err
+}
+
+func (r *seqRun) loop(w *seqWorker) error {
+	cfg, pr, uf, tw := r.cfg, r.pr, r.uf, r.cfg.Trace
+	for !r.stop.Load() {
+		if err := cfg.ctxErr(); err != nil {
+			return err
+		}
+		w.buf = w.gen.Next(w.buf[:0], cfg.BatchSize)
+		if len(w.buf) == 0 {
+			return nil
+		}
+		tBatch := r.clk() - r.t0
+		var batchAlign time.Duration
+		for _, p := range w.buf {
+			i, j := p.ESTs()
+			if cfg.SkipSameCluster && uf.Same(int32(i), int32(j)) {
+				w.skipped++
+				if pr != nil {
+					pr.skipped.Inc()
+				}
+				continue
+			}
+			tA := r.clk()
+			res, err := w.ext.Extend(r.set.Str(p.S1), r.set.Str(p.S2), p.Pos1, p.Pos2, p.MatchLen)
+			batchAlign += r.clk() - tA
+			if err != nil {
+				return err
+			}
+			w.processed++
+			if pr != nil {
+				pr.processed.Inc()
+			}
+			if res.Accept(cfg.Scoring, cfg.Criteria) {
+				w.accepted++
+				if pr != nil {
+					pr.accepted.Inc()
+				}
+				if uf.Union(int32(i), int32(j)) {
+					w.merges++
+					if pr != nil {
+						pr.merges.Inc()
+					}
+				}
+			}
+		}
+		w.align += batchAlign
+		if tw != nil && batchAlign > 0 {
+			tw.Span(cfg.TracePID, w.lane, "align", "cluster", tBatch, batchAlign)
+		}
+		if r.ck != nil {
+			r.mu.Lock()
+			r.fold(w)
+			st := r.st
+			err := r.ck.maybe(uf, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, false)
+			r.mu.Unlock()
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// fold moves the worker's pair counts into the run's Stats; r.mu must be
+// held.
+func (r *seqRun) fold(w *seqWorker) {
+	r.st.PairsProcessed += w.processed
+	r.st.PairsAccepted += w.accepted
+	r.st.PairsSkipped += w.skipped
+	r.st.Merges += w.merges
+	w.processed, w.accepted, w.skipped, w.merges = 0, 0, 0, 0
 }
 
 // runParallel launches the master–slave machine. Under cfg.Recover a

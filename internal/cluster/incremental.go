@@ -188,13 +188,12 @@ func RunSet(set *seq.SetS, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("cluster: full run (FreshGen == 0) over a non-empty cache; set FreshGen to the batch generation")
 	}
 	if cfg.MP.Procs == 1 {
-		// The sequential engine is the whole machine, so it builds and sets up
-		// on every core, and drains its pairs on a goroutine of their own, ahead
-		// of alignment, into a buffer bounded by the input's length. A rank of
-		// the parallel engine does all three on one goroutine (slave.go): the
-		// simulator charges a rank's measured compute to one modelled
-		// processor, and on the real transport the slaves already fill the
-		// cores.
+		// The sequential engine is the whole machine, so it builds its forest
+		// on every core and runs one worker per core, each draining and
+		// aligning its own chunk of the forest. A rank of the parallel engine
+		// does both on one goroutine (slave.go): the simulator charges a
+		// rank's measured compute to one modelled processor, and on the real
+		// transport the slaves already fill the cores.
 		return runSequential(set, cfg, runtime.GOMAXPROCS(0))
 	}
 	return runParallel(set, cfg)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -86,7 +87,9 @@ func TestRunSetIncrementalEquivalence(t *testing.T) {
 // TestRunSetFreshWithoutCache: a fresh-only run (FreshGen > 0) with no
 // Cache collects into a run-local table, absorbing the older strings first.
 // It must touch exactly the buckets the cached run rebuilds, so its labels,
-// pair counters and Stats.Incremental equal the cached run's.
+// pair counters and Stats.Incremental equal the cached run's. The two fresh
+// runs are pinned to one worker, where the processed, accepted and skipped
+// counts do not depend on scheduling.
 func TestRunSetFreshWithoutCache(t *testing.T) {
 	b := benchSet(t, 60, 4, 13)
 	cfg := DefaultConfig(1)
@@ -114,11 +117,11 @@ func TestRunSetFreshWithoutCache(t *testing.T) {
 	fresh.InitialLabels = r1.Labels
 	cached := fresh
 	cached.Cache = cache
-	want, err := RunSet(set, cached)
+	want, err := runSequential(set, cached, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSet(set, fresh)
+	got, err := runSequential(set, fresh, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,12 +410,14 @@ func TestCheckpointFromLabels(t *testing.T) {
 	}
 }
 
-// TestSequentialWorkerCounts holds the sequential engine's fan-out and pair
-// run-ahead to their contract: at every width, a one-shot run and a cached
-// session's batch runs produce the partition and every counter the one-worker
-// engine does, by default, without the same-cluster skip, and with a
-// run-ahead buffer at its floor that the producer fills, and no worker
-// outlives its run.
+// TestSequentialWorkerCounts holds the sequential engine's workers to their
+// contract: at every width, a one-shot run and a cached session's batch runs
+// produce the one-worker partition and every counter that does not depend on
+// which worker reaches a pair first — generated pairs, merges, seed merges
+// and the incremental tallies — by default, without the same-cluster skip,
+// and on one transcript's worth of near-identical reads, where every worker
+// merges into one cluster. Every pair is either aligned or skipped, and no
+// worker outlives its run.
 func TestSequentialWorkerCounts(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	b := benchSet(t, 60, 4, 13)
@@ -420,24 +425,21 @@ func TestSequentialWorkerCounts(t *testing.T) {
 	cfg.Window, cfg.Psi = 6, 18
 	noSkip := cfg
 	noSkip.SkipSameCluster = false
-	floorESTs, floor := floorInput(t)
 	for _, leg := range []struct {
 		name string
 		ests []seq.Sequence
 		cfg  Config
-		// minPairs is how many pairs the one-shot run must exceed.
-		minPairs int64
 	}{
-		{"default", b.ESTs, cfg, 0},
+		{"default", b.ESTs, cfg},
 		// Every pair is aligned: a third of the input keeps the leg quick.
-		{"SkipSameCluster=false", b.ESTs[:20], noSkip, 0},
-		{"run-ahead floor", floorESTs, floor, int64(runAheadFloor * floor.BatchSize)},
+		{"SkipSameCluster=false", b.ESTs[:20], noSkip},
+		{"one transcript", oneTranscript(), cfg},
 	} {
-		t.Run(leg.name, func(t *testing.T) { checkWorkerCounts(t, leg.ests, leg.cfg, leg.minPairs) })
+		t.Run(leg.name, func(t *testing.T) { checkWorkerCounts(t, leg.ests, leg.cfg) })
 	}
 }
 
-func checkWorkerCounts(t *testing.T, ests []seq.Sequence, cfg Config, minPairs int64) {
+func checkWorkerCounts(t *testing.T, ests []seq.Sequence, cfg Config) {
 	cut := len(ests) * 2 / 3
 
 	// run returns the one-shot result, then the session's two batch results.
@@ -472,23 +474,45 @@ func checkWorkerCounts(t *testing.T, ests []seq.Sequence, cfg Config, minPairs i
 		}
 		return []*Result{one, r1, r2}
 	}
-	counters := func(st Stats) [6]int64 {
-		return [6]int64{st.PairsGenerated, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, st.Recovery.SeedMerges}
+	invariant := func(st Stats) [3]int64 {
+		return [3]int64{st.PairsGenerated, st.Merges, st.Recovery.SeedMerges}
 	}
 	want := run(1)
-	if want[2].Stats.Incremental.BucketsRebuilt == 0 || want[0].Stats.PairsGenerated <= minPairs {
+	if want[2].Stats.Incremental.BucketsRebuilt == 0 || want[0].Stats.Merges == 0 {
 		t.Fatalf("workload exercises nothing: %+v", want[2].Stats)
 	}
-	for _, workers := range []int{2, 3, 8} {
+	for _, workers := range []int{1, 2, 3, 8} {
 		for i, got := range run(workers) {
-			w := want[i]
+			w, st := want[i], got.Stats
 			if !slices.Equal(got.Labels, w.Labels) || got.NumClusters != w.NumClusters {
 				t.Errorf("workers=%d run %d: partition differs from one worker's", workers, i)
 			}
-			if counters(got.Stats) != counters(w.Stats) || got.Stats.Incremental != w.Stats.Incremental {
-				t.Errorf("workers=%d run %d: counters %v %+v, one worker %v %+v", workers, i,
-					counters(got.Stats), got.Stats.Incremental, counters(w.Stats), w.Stats.Incremental)
+			if invariant(st) != invariant(w.Stats) || st.Incremental != w.Stats.Incremental {
+				t.Errorf("workers=%d run %d: generated/merges/seed merges %v %+v, one worker %v %+v", workers, i,
+					invariant(st), st.Incremental, invariant(w.Stats), w.Stats.Incremental)
+			}
+			if st.PairsProcessed+st.PairsSkipped != st.PairsGenerated || st.PairsAccepted > st.PairsProcessed {
+				t.Errorf("workers=%d run %d: processed %d + skipped %d != generated %d, or accepted %d > processed",
+					workers, i, st.PairsProcessed, st.PairsSkipped, st.PairsGenerated, st.PairsAccepted)
 			}
 		}
 	}
+}
+
+// oneTranscript returns 160 copies of one 50-base transcript, each with one
+// substitution: far more pairs than batches hold, all of them in one gene.
+func oneTranscript() []seq.Sequence {
+	rng := rand.New(rand.NewSource(29))
+	base := make(seq.Sequence, 50)
+	for i := range base {
+		base[i] = seq.Code(rng.Intn(seq.AlphabetSize))
+	}
+	ests := make([]seq.Sequence, 160)
+	for i := range ests {
+		e := base.Clone()
+		at := rng.Intn(len(e))
+		e[at] = (e[at] + seq.Code(1+rng.Intn(seq.AlphabetSize-1))) % seq.AlphabetSize
+		ests[i] = e
+	}
+	return ests
 }

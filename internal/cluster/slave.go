@@ -136,7 +136,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 	}
 
 	t2 := c.Elapsed()
-	gen0, err := pairgen.NewFresh(set, forest, cfg.Psi, cfg.FreshGen, 1)
+	gen0, err := pairgen.NewFresh(set, forest, cfg.Psi, cfg.FreshGen)
 	if err != nil {
 		return err
 	}
@@ -391,5 +391,5 @@ func rebuildShard(set *seq.SetS, cfg Config, owner []int32, sh shard) (*pairgen.
 	}
 	// Fresh-only mode must survive recovery: a rebuilt shard regenerates the
 	// dead slave's restricted pair stream, not the full one.
-	return pairgen.NewFresh(set, forest, cfg.Psi, cfg.FreshGen, 1)
+	return pairgen.NewFresh(set, forest, cfg.Psi, cfg.FreshGen)
 }

@@ -2,7 +2,6 @@ package pairgen
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"pace/internal/seq"
@@ -100,16 +99,14 @@ func BenchmarkNextInstrumented(b *testing.B) {
 }
 
 // BenchmarkNewFreshDeep is generator construction alone on seq_deep's shape
-// (400 reads, 20 genes, w = 8, ψ = 20): the mask pass and the scheduling,
-// over GOMAXPROCS workers as the sequential engine runs them — at -cpu 1 it
-// is one worker, and -cpu 1,2 records both widths.
+// (400 reads, 20 genes, w = 8, ψ = 20): the mask pass and the scheduling.
 func BenchmarkNewFreshDeep(b *testing.B) {
 	set, forest := deepCoverage(b, 400)
 	b.ReportAllocs()
 	b.ResetTimer()
 	nodes := 0
 	for i := 0; i < b.N; i++ {
-		g, err := NewFresh(set, forest, 20, 0, runtime.GOMAXPROCS(0))
+		g, err := NewFresh(set, forest, 20, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

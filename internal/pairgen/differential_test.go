@@ -1,16 +1,18 @@
 package pairgen
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
+	"pace/internal/fanout"
 	"pace/internal/seq"
 	"pace/internal/simulate"
 	"pace/internal/suffix"
-	"pace/internal/testutil"
 )
 
 // diffBatches is the batch-size sweep of the differential tests: the flow-
@@ -109,55 +111,44 @@ func freshForest(t testing.TB, set *seq.SetS, w int, gen seq.Gen) []*suffix.Tree
 	return forest
 }
 
-// workerCounts are the set-up widths every generator is built at: one chunk
-// inline, two, one that divides nothing evenly, and more workers than most
-// small forests have trees.
-var workerCounts = []int{1, 2, 3, 8}
-
-// requireSameAsReference drains the production generator, set up at every
-// width in workerCounts, and the linked-list oracle over one forest at every
-// batch size in diffBatches, in lockstep, and requires the identical pair
-// sequence, Remaining and counters after every call.
+// requireSameAsReference drains the production generator and the
+// linked-list oracle over one forest at every batch size in diffBatches, in
+// lockstep, and requires the identical pair sequence, Remaining and counters
+// after every call.
 func requireSameAsReference(t testing.TB, set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) {
 	t.Helper()
 	for _, batch := range diffBatches {
-		gens := make([]*Generator, len(workerCounts))
-		got := make([][]Pair, len(workerCounts))
-		for k, workers := range workerCounts {
-			var err error
-			if gens[k], err = NewFresh(set, forest, psi, fresh, workers); err != nil {
-				t.Fatal(err)
-			}
+		g, err := NewFresh(set, forest, psi, fresh)
+		if err != nil {
+			t.Fatal(err)
 		}
 		ref, err := newRefFresh(set, forest, psi, fresh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []Pair
+		var got, want []Pair
 		for {
 			n := len(want)
 			want = ref.Next(want, batch)
-			for k, g := range gens {
-				got[k] = g.Next(got[k], batch)
-				what := fmt.Sprintf("fresh=%d batch=%d workers=%d", fresh, batch, workerCounts[k])
-				if len(got[k]) != len(want) {
-					t.Fatalf("%s: %d pairs after a call, reference has %d", what, len(got[k]), len(want))
+			got = g.Next(got, batch)
+			what := fmt.Sprintf("fresh=%d batch=%d", fresh, batch)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d pairs after a call, reference has %d", what, len(got), len(want))
+			}
+			for i := n; i < len(want); i++ {
+				if got[i] != want[i] {
+					t.Fatalf("%s: pair %d is %+v, reference %+v", what, i, got[i], want[i])
 				}
-				for i := n; i < len(want); i++ {
-					if got[k][i] != want[i] {
-						t.Fatalf("%s: pair %d is %+v, reference %+v", what, i, got[k][i], want[i])
-					}
-				}
-				// Slaves report themselves passive off Remaining, so it must
-				// flip on the same call as the reference's.
-				if g.Remaining() != ref.Remaining() {
-					t.Fatalf("%s: Remaining %v, reference %v after %d pairs", what, g.Remaining(), ref.Remaining(), len(want))
-				}
-				// The oracle counts nodes and entries as it visits them, the
-				// generator at construction: those two agree once drained.
-				if s, r := g.Stats(), ref.Stats(); (len(want) == n && s != r) || emitted(s) != emitted(r) {
-					t.Fatalf("%s: stats %+v, reference %+v after %d pairs", what, s, r, len(want))
-				}
+			}
+			// Slaves report themselves passive off Remaining, so it must
+			// flip on the same call as the reference's.
+			if g.Remaining() != ref.Remaining() {
+				t.Fatalf("%s: Remaining %v, reference %v after %d pairs", what, g.Remaining(), ref.Remaining(), len(want))
+			}
+			// The oracle counts nodes and entries as it visits them, the
+			// generator at construction: those two agree once drained.
+			if s, r := g.Stats(), ref.Stats(); (len(want) == n && s != r) || emitted(s) != emitted(r) {
+				t.Fatalf("%s: stats %+v, reference %+v after %d pairs", what, s, r, len(want))
 			}
 			if len(want) == n {
 				break
@@ -321,7 +312,7 @@ func lsetLeaves(tr *suffix.Tree, v int32) [][]int32 {
 func TestUnscheduledNodesHaveNoProducts(t *testing.T) {
 	invariantForests(t, func(name string, set *seq.SetS, forest []*suffix.Tree, psi int, gen seq.Gen) {
 		for _, fresh := range []seq.Gen{0, gen} {
-			g, err := NewFresh(set, forest, psi, fresh, 1)
+			g, err := NewFresh(set, forest, psi, fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -375,7 +366,7 @@ func TestUnscheduledNodesHaveNoProducts(t *testing.T) {
 func TestGroupsAreLeafRangeCuts(t *testing.T) {
 	invariantForests(t, func(name string, set *seq.SetS, forest []*suffix.Tree, psi int, gen seq.Gen) {
 		for _, fresh := range []seq.Gen{0, gen} {
-			g, err := NewFresh(set, forest, psi, fresh, 1)
+			g, err := NewFresh(set, forest, psi, fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -407,13 +398,17 @@ func TestGroupsAreLeafRangeCuts(t *testing.T) {
 	})
 }
 
-// The set-up fan-out's edges, full and fresh-only: one tree, fewer trees than
-// workers and no tree at all drain exactly like the oracle at every width; a
-// forest with several malformed trees fails with the error the one-worker
-// pass meets first — the last tree's, since the pass runs in reverse. The
-// leak guard holds every worker to exiting, on the error path too.
-func TestSetupWorkerCounts(t *testing.T) {
-	testutil.CheckGoroutines(t)
+// chunkCounts are the chunkings the cover test cuts each forest into: the
+// whole forest, two, a count that divides nothing evenly, and more chunks
+// than most small forests have trees.
+var chunkCounts = []int{1, 2, 3, 8}
+
+// TestChunkCover holds the sequential engine's worker split to its contract,
+// full and fresh-only: generators over the fanout.Cuts chunks of a forest
+// together emit the whole forest's pairs as a multiset, each in
+// non-increasing match length, and their counters sum to the whole's.
+// Forests of one tree, three and none are the edges.
+func TestChunkCover(t *testing.T) {
 	for shape := uint8(0); shape < numShapes; shape++ {
 		batches := diffInput(int64(200+shape), 12, shape)
 		set, err := seq.NewSetS(append(batches[0], batches[1]...))
@@ -429,12 +424,69 @@ func TestSetupWorkerCounts(t *testing.T) {
 			t.Fatalf("shape %d: %d trees", shape, len(forest))
 		}
 		for _, fresh := range []seq.Gen{0, gen} {
-			requireSameAsReference(t, set, forest[:1], 6, fresh)
-			requireSameAsReference(t, set, forest[:3], 6, fresh)
-			requireSameAsReference(t, set, nil, 6, fresh)
+			for _, f := range [][]*suffix.Tree{forest, forest[:1], forest[:3], nil} {
+				what := fmt.Sprintf("shape %d fresh=%d trees=%d", shape, fresh, len(f))
+				if n := requireChunksCover(t, what, set, f, 6, fresh); n == 0 && len(f) == len(forest) {
+					t.Fatalf("%s: no pairs; the cover checks nothing", what)
+				}
+			}
 		}
 	}
+}
 
+// requireChunksCover checks the cover at every count in chunkCounts and
+// returns how many pairs the whole forest's generator emits.
+func requireChunksCover(t *testing.T, what string, set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) int {
+	t.Helper()
+	whole, err := NewFresh(set, forest, psi, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := whole.Next(nil, math.MaxInt)
+	slices.SortFunc(want, comparePairs)
+	for _, chunks := range chunkCounts {
+		cuts := fanout.Cuts(len(forest), chunks, func(i int) int { return len(forest[i].Nodes) })
+		var got []Pair
+		var sum Stats
+		for k := 0; k+1 < len(cuts); k++ {
+			g, err := NewFresh(set, forest[cuts[k]:cuts[k+1]], psi, fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mine := g.Next(nil, math.MaxInt)
+			for i := 1; i < len(mine); i++ {
+				if mine[i].MatchLen > mine[i-1].MatchLen {
+					t.Fatalf("%s chunks=%d: chunk %d's pair %d is longer than the one before", what, chunks, k, i)
+				}
+			}
+			got = append(got, mine...)
+			s := g.Stats()
+			sum.NodesProcessed += s.NodesProcessed
+			sum.Generated += s.Generated
+			sum.DiscardedOrientation += s.DiscardedOrientation
+			sum.DiscardedSelf += s.DiscardedSelf
+			sum.DiscardedStale += s.DiscardedStale
+			sum.Entries += s.Entries
+		}
+		slices.SortFunc(got, comparePairs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s chunks=%d: %d pairs against the whole forest's %d, or another multiset", what, chunks, len(got), len(want))
+		}
+		if sum != whole.Stats() {
+			t.Fatalf("%s chunks=%d: counters sum to %+v, the whole forest's %+v", what, chunks, sum, whole.Stats())
+		}
+	}
+	return len(want)
+}
+
+func comparePairs(a, b Pair) int {
+	return cmp.Or(cmp.Compare(a.S1, b.S1), cmp.Compare(a.S2, b.S2), cmp.Compare(a.Pos1, b.Pos1),
+		cmp.Compare(a.Pos2, b.Pos2), cmp.Compare(a.MatchLen, b.MatchLen))
+}
+
+// A forest with several malformed trees fails with the error the reverse
+// pass meets first: the last tree's.
+func TestSetupFailsAtLastMalformedTree(t *testing.T) {
 	set := mustSet(t, "ACGTACGT")
 	bad := func(depth int32) *suffix.Tree {
 		return &suffix.Tree{Nodes: []suffix.Node{
@@ -445,13 +497,7 @@ func TestSetupWorkerCounts(t *testing.T) {
 	}
 	leaf := &suffix.Tree{Nodes: []suffix.Node{{Depth: 8, RML: 0}}}
 	forest := []*suffix.Tree{bad(100), leaf, bad(200), leaf, bad(300), leaf}
-	_, first := NewFresh(set, forest, 5, 0, 1)
-	if first == nil || !strings.Contains(first.Error(), "depth 300 ") {
-		t.Fatalf("one worker: got %v, want the last malformed tree's error", first)
-	}
-	for _, workers := range workerCounts {
-		if _, err := NewFresh(set, forest, 5, 0, workers); err == nil || err.Error() != first.Error() {
-			t.Errorf("%d workers: got %v, want %v", workers, err, first)
-		}
+	if _, err := NewFresh(set, forest, 5, 0); err == nil || !strings.Contains(err.Error(), "depth 300 ") {
+		t.Fatalf("got %v, want the last malformed tree's error", err)
 	}
 }

@@ -32,9 +32,9 @@
 // deep ancestors — no more than the character work the suffix builder has
 // paid — and long homopolymer runs approach it (DESIGN.md §1). Storage is
 // 1 B per leaf and 12 B per scheduled node, allocated once per forest.
-// Construction's passes are per tree, so NewFresh runs them over
-// contiguous chunks of trees concurrently and lays the schedule down exactly
-// as one pass does.
+// Subtrees are independent, so generators over disjoint chunks of a forest
+// together emit exactly the whole forest's pairs and counters; the
+// sequential engine gives each of its workers one.
 //
 // The generator is resumable: it remembers its position inside a node's
 // cartesian products, so callers pull pairs in batches without ever
@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"time"
 
-	"pace/internal/fanout"
 	"pace/internal/seq"
 	"pace/internal/suffix"
 	"pace/internal/telemetry"
@@ -207,22 +206,7 @@ func (g *Generator) Observe(o Observer) {
 // the caller is responsible for that invariant (it is validated by the
 // clustering layer).
 func New(set *seq.SetS, forest []*suffix.Tree, psi int) (*Generator, error) {
-	return NewFresh(set, forest, psi, 0, 1)
-}
-
-// setupChunk is one worker's share of construction: trees [lo,hi) of the
-// forest, and what the mask pass found in them.
-type setupChunk struct {
-	lo, hi int
-	// bits is the per-node scratch of the chunk's trees, back to back.
-	bits []uint8
-	// byDepth counts the chunk's scheduled nodes of each depth until
-	// NewFresh turns it into the chunk's cursors into order.
-	byDepth []int
-	// entries and internal count the chunk's deep leaves and deep internal
-	// nodes; scheduled counts the nodes it puts into order.
-	entries, internal int64
-	scheduled         int
+	return NewFresh(set, forest, psi, 0)
 }
 
 // NewFresh builds a generator restricted to pairs involving the current
@@ -232,14 +216,7 @@ type setupChunk struct {
 // that introduced the younger string). fresh == 0 emits every pair, exactly
 // like New. Dedup still runs over all suffixes in the forest, so the emitted
 // fresh pairs are identical to what a full run would produce for them.
-//
-// Construction is cut into at most workers contiguous chunks of trees of
-// near-equal node count, the first set up on the calling goroutine and the
-// others concurrently. Subtrees are independent (Lemma 4 needs only a pass per
-// subtree and one sort by depth), so the generator — and every pair and
-// counter it produces — does not depend on workers, and the error returned is
-// the one a single pass meets first.
-func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen, workers int) (*Generator, error) {
+func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Generator, error) {
 	if psi < 1 {
 		return nil, fmt.Errorf("pairgen: psi must be >= 1, got %d", psi)
 	}
@@ -255,10 +232,11 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen, work
 	if fresh > 0 {
 		g.freshID = set.GenStartString(fresh)
 	}
-	leaves := 0
+	leaves, nodes := 0, 0
 	for ti, t := range forest {
 		g.trees[ti] = treeState{nodes: t.Nodes, leaf: leaves}
 		leaves += t.NumLeaves()
+		nodes += len(t.Nodes)
 	}
 	g.chars = make([]seq.Code, leaves)
 	// A path label is a substring, so no node is deeper than the longest
@@ -267,84 +245,48 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen, work
 	for id := 0; id < set.NumStrings(); id++ {
 		longest = max(longest, len(set.Str(seq.StringID(id))))
 	}
-
-	// The pass runs over the forest last tree first, so chunks are numbered
-	// from the end: chunk 0 holds the last trees. A lower-numbered chunk's
-	// error, and its scheduled nodes of each depth, come before those of the
-	// chunks after it, as in one pass.
-	cuts := fanout.Cuts(len(forest), workers, func(i int) int { return len(forest[i].Nodes) })
-	chunks := make([]setupChunk, len(cuts)-1)
-	for k := range chunks {
-		end := len(chunks) - k
-		chunks[k].lo, chunks[k].hi = cuts[end-1], cuts[end]
-	}
-	err := fanout.Run(len(chunks), func(k int) error { return g.mask(set, &chunks[k], longest) })
+	bits := make([]uint8, nodes)
+	byDepth := make([]int, longest+1)
+	total, err := g.mask(set, bits, byDepth)
 	if err != nil {
 		return nil, err
-	}
-	total := 0
-	for _, c := range chunks {
-		g.stats.Entries += c.entries
-		g.stats.NodesProcessed += c.internal + c.entries
-		total += c.scheduled
 	}
 
 	// Counting-sort the scheduled nodes by decreasing string-depth, breaking
 	// ties by descending position in the forest so that children (which
 	// follow their parent in preorder and are deeper) come before their
 	// parent. The sort is the O(sorting) term of the paper's Lemma 4.
-	// Prefix-sum from the deepest down so larger depths come first and,
-	// within a depth, chunk by chunk; each chunk then walks its nodes in
-	// reverse, placing higher positions first.
+	// Prefix-sum from the deepest down so larger depths come first; place
+	// then walks the forest in reverse, putting higher positions first.
 	g.order = make([]nodeRef, total)
 	acc := 0
 	for d := longest; d >= 0; d-- {
-		for k := range chunks {
-			at := &chunks[k].byDepth[d]
-			acc, *at = acc+*at, acc
-		}
+		acc, byDepth[d] = acc+byDepth[d], acc
 	}
-	// Placing cannot fail.
-	_ = fanout.Run(len(chunks), func(k int) error {
-		g.place(&chunks[k])
-		return nil
-	})
+	g.place(bits, byDepth)
 	return g, nil
 }
 
-// leafEnd returns the number of leaves in trees [0,hi).
-func (g *Generator) leafEnd(hi int) int {
-	if hi < len(g.trees) {
-		return g.trees[hi].leaf
-	}
-	return len(g.chars)
-}
-
-// mask is the chunk's share of construction's reverse pass — children before
-// parents: it records every deep leaf's left character, ORs the characters
-// beneath each deep internal node out of its children's bytes, and marks and
-// histograms the nodes to schedule. With no fresh generation every string id
-// is >= freshID, so every leaf counts as fresh and the second condition is
-// vacuous. It writes only the chunk, and chars of the chunk's leaves.
-func (g *Generator) mask(set *seq.SetS, c *setupChunk, longest int) error {
-	nodes := 0
-	for _, ts := range g.trees[c.lo:c.hi] {
-		nodes += len(ts.nodes)
-	}
-	c.bits = make([]uint8, nodes)
-	c.byDepth = make([]int, longest+1)
-	base, leaf := nodes, g.leafEnd(c.hi)
-	for ti := c.hi - 1; ti >= c.lo; ti-- {
+// mask is construction's reverse pass — children before parents: it records
+// every deep leaf's left character, ORs the characters beneath each deep
+// internal node out of its children's bytes into bits, and marks and
+// histograms by depth the nodes to schedule, returning how many there are.
+// With no fresh generation every string id is >= freshID, so every leaf
+// counts as fresh and the second condition is vacuous.
+func (g *Generator) mask(set *seq.SetS, bits []uint8, byDepth []int) (int, error) {
+	total := 0
+	base, leaf := len(bits), len(g.chars)
+	for ti := len(g.trees) - 1; ti >= 0; ti-- {
 		ns := g.trees[ti].nodes
 		base -= len(ns)
-		b := c.bits[base : base+len(ns)]
+		b := bits[base : base+len(ns)]
 		for i := len(ns) - 1; i >= 0; i-- {
 			n := ns[i]
 			if n.RML == int32(i) {
 				leaf--
 				b[i] = leafBit
 				if n.Depth >= g.psi {
-					c.entries++
+					g.stats.Entries++
 					ch := set.LeftChar(n.SID, n.Pos)
 					g.chars[leaf] = ch
 					b[i] |= 1 << ch
@@ -357,7 +299,7 @@ func (g *Generator) mask(set *seq.SetS, c *setupChunk, longest int) error {
 			if n.Depth < g.psi {
 				continue
 			}
-			c.internal++
+			g.stats.NodesProcessed++
 			var or uint8
 			for child := int32(i) + 1; ; child = ns[child].RML + 1 {
 				or |= b[child]
@@ -369,31 +311,33 @@ func (g *Generator) mask(set *seq.SetS, c *setupChunk, longest int) error {
 			// Two groups pair only when their characters differ or are both
 			// λ: a range holding one non-λ character has no product.
 			if ch := or & charMask; (ch&(ch-1) != 0 || ch == 1<<seq.Lambda) && or&freshBit != 0 {
-				if int(n.Depth) > longest {
-					return fmt.Errorf("pairgen: node of depth %d over strings no longer than %d", n.Depth, longest)
+				if int(n.Depth) >= len(byDepth) {
+					return 0, fmt.Errorf("pairgen: node of depth %d over strings no longer than %d", n.Depth, len(byDepth)-1)
 				}
 				or |= scheduled
-				c.byDepth[n.Depth]++
-				c.scheduled++
+				byDepth[n.Depth]++
+				total++
 			}
 			b[i] = or
 		}
 	}
-	return nil
+	g.stats.NodesProcessed += g.stats.Entries
+	return total, nil
 }
 
-// place writes the chunk's scheduled nodes into order at its cursors, walking
-// its trees in reverse so that, within a depth, higher positions come first.
-func (g *Generator) place(c *setupChunk) {
-	base, leaf := len(c.bits), g.leafEnd(c.hi)
-	for ti := c.hi - 1; ti >= c.lo; ti-- {
+// place writes the scheduled nodes into order at the cursors byDepth holds,
+// walking the forest in reverse so that, within a depth, higher positions
+// come first.
+func (g *Generator) place(bits []uint8, byDepth []int) {
+	base, leaf := len(bits), len(g.chars)
+	for ti := len(g.trees) - 1; ti >= 0; ti-- {
 		ts := g.trees[ti]
 		base -= len(ts.nodes)
 		for i := len(ts.nodes) - 1; i >= 0; i-- {
-			if b := c.bits[base+i]; b&leafBit != 0 {
+			if b := bits[base+i]; b&leafBit != 0 {
 				leaf--
 			} else if b&scheduled != 0 {
-				at := &c.byDepth[ts.nodes[i].Depth]
+				at := &byDepth[ts.nodes[i].Depth]
 				g.order[*at] = nodeRef{tree: int32(ti), node: int32(i), leavesBefore: int32(leaf - ts.leaf)}
 				*at++
 			}

@@ -470,14 +470,14 @@ func TestAllocationsIndependentOfForestSize(t *testing.T) {
 	for i, n := range []int{50, 500} {
 		set, forest := allocWorkload(t, n)
 		newAllocs[i] = testing.AllocsPerRun(5, func() {
-			if _, err := NewFresh(set, forest, 12, 0, 1); err != nil {
+			if _, err := NewFresh(set, forest, 12, 0); err != nil {
 				t.Fatal(err)
 			}
 		})
 		buf := make([]Pair, 0, 60)
 		pairs := 0
 		drainAllocs[i] = testing.AllocsPerRun(2, func() {
-			g, err := NewFresh(set, forest, 12, 0, 1)
+			g, err := NewFresh(set, forest, 12, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -584,7 +584,7 @@ func TestFreshModeEmitsExactlyFreshPairs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inc, err := NewFresh(set, forest, 12, gen, 1)
+		inc, err := NewFresh(set, forest, 12, gen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -632,7 +632,7 @@ func TestFreshZeroEqualsFull(t *testing.T) {
 	}
 	forest := buildForest(t, set, 6)
 	g1, _ := New(set, forest, 12)
-	g2, _ := NewFresh(set, forest, 12, 0, 1)
+	g2, _ := NewFresh(set, forest, 12, 0)
 	a, b := drain(g1, 8), drain(g2, 8)
 	if len(a) != len(b) {
 		t.Fatalf("count mismatch: %d vs %d", len(a), len(b))
@@ -665,7 +665,7 @@ func TestDiscardedStaleCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	forest := buildForest(t, set, 4)
-	inc, err := NewFresh(set, forest, 8, gen, 1)
+	inc, err := NewFresh(set, forest, 8, gen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,14 +3,15 @@ package unionfind
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // FuzzUFv1 drives UnmarshalBinary with arbitrary bytes. Invariants: no
-// panic, every failure wraps ErrCorrupt, and every accepted input
-// round-trips byte-for-byte through MarshalBinary (the format has a single
-// canonical encoding per forest).
+// panic, every failure wraps ErrCorrupt, and every accepted input re-encodes
+// through MarshalBinary with the same header and parent bytes, zeroed rank
+// bytes, and a partition that decodes to the input's.
 func FuzzUFv1(f *testing.F) {
 	small := New(4)
 	small.Union(0, 1)
@@ -26,6 +27,7 @@ func FuzzUFv1(f *testing.F) {
 	f.Add(enc[:len(enc)-3])                       // truncated mid-rank
 	f.Add(append(append([]byte{}, enc...), 0, 1)) // trailing bytes
 	f.Add([]byte("UFv2????????"))                 // wrong magic version
+	f.Add(byRankUFv1)                             // union by rank's layout and rank bytes
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var u UF
 		if err := u.UnmarshalBinary(b); err != nil {
@@ -35,10 +37,49 @@ func FuzzUFv1(f *testing.F) {
 			return
 		}
 		got, _ := u.MarshalBinary()
-		if !bytes.Equal(got, b) {
-			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", b, got)
+		ranks := 12 + 4*u.Len()
+		if !bytes.Equal(got[:ranks], b[:ranks]) {
+			t.Fatalf("header or parent bytes changed:\n in  %x\n out %x", b, got)
+		}
+		if !bytes.Equal(got[ranks:], make([]byte, u.Len())) {
+			t.Fatalf("rank bytes not zeroed: %x", got[ranks:])
+		}
+		var back UF
+		if err := back.UnmarshalBinary(got); err != nil {
+			t.Fatalf("re-encoded forest does not decode: %v", err)
+		}
+		if !slices.Equal(back.Labels(), u.Labels()) {
+			t.Fatalf("partition changed: %v, then %v", u.Labels(), back.Labels())
 		}
 	})
+}
+
+// byRankUFv1 is a UFv1 blob as union by rank wrote it (n = 4): 0 hangs
+// under 3, a link up that union by minimum never makes, 2 hangs under 1, and
+// both roots carry rank 1.
+var byRankUFv1 = []byte{
+	'U', 'F', 'v', '1', 4, 0, 0, 0, 2, 0, 0, 0,
+	3, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0,
+	0, 1, 0, 1,
+}
+
+// TestUFv1IgnoresRanks: a union-by-rank snapshot loads with its partition,
+// keeps merging, and re-encodes with the same parents and zero ranks.
+func TestUFv1IgnoresRanks(t *testing.T) {
+	var u UF
+	if err := u.UnmarshalBinary(byRankUFv1); err != nil {
+		t.Fatal(err)
+	}
+	if got := u.Labels(); !slices.Equal(got, []int32{0, 1, 1, 0}) || u.Count() != 2 {
+		t.Fatalf("labels %v count %d, want [0 1 1 0] and 2", got, u.Count())
+	}
+	enc, _ := u.MarshalBinary()
+	if want := append(slices.Clone(byRankUFv1[:28]), 0, 0, 0, 0); !bytes.Equal(enc, want) {
+		t.Fatalf("re-encoded %x, want %x", enc, want)
+	}
+	if !u.Union(2, 0) || u.Count() != 1 || !u.Same(1, 3) {
+		t.Errorf("after Union(2, 0): count %d, labels %v", u.Count(), u.Labels())
+	}
 }
 
 // TestUFv1StrictLength pins the truncated/trailing split: both directions

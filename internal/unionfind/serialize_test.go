@@ -9,7 +9,7 @@ import (
 )
 
 // buildRandom unions random pairs so the forest has nontrivial interior
-// structure (ranks > 0, uncompressed paths).
+// structure (uncompressed paths).
 func buildRandom(n int, seed int64) *UF {
 	u := New(n)
 	rng := rand.New(rand.NewSource(seed))
@@ -90,8 +90,7 @@ func TestShardedSnapshotUFv1(t *testing.T) {
 	if got := u.Labels(); !slices.Equal(got, shardedUFv1Labels) {
 		t.Fatalf("labels %v, want %v", got, shardedUFv1Labels)
 	}
-	// Resume: zero ranks and union-by-min chains are a valid forest for
-	// union by rank to keep merging into.
+	// Resume: union-by-min chains are the forest Union itself builds.
 	if u.Union(18, 23) {
 		t.Error("Union inside one set merged")
 	}
@@ -139,6 +138,12 @@ func TestSerializeCorruptInput(t *testing.T) {
 		return b
 	})
 	mutate("count-mismatch", func(b []byte) []byte { b[8]++; return b })
+	// 0 → 1 → 0 with element 2 the one root: in range, counted right, and a
+	// Find on 0 would never return.
+	mutate("cycle", func([]byte) []byte {
+		return []byte{'U', 'F', 'v', '1', 3, 0, 0, 0, 1, 0, 0, 0,
+			1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0}
+	})
 	// Huge declared n with a short body must fail the length check, not
 	// attempt a giant allocation after reading garbage.
 	mutate("absurd-n", func(b []byte) []byte {

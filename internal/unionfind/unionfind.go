@@ -1,25 +1,28 @@
 // Package unionfind implements the disjoint-set (union-find) structure from
-// Tarjan's analysis, used by the master processor to maintain the EST
-// clusters (the paper's CLUSTERS buffer). Find and Union run in amortized
-// inverse-Ackermann time via path compression and union by rank.
+// Tarjan's analysis, used to maintain the EST clusters (the paper's CLUSTERS
+// buffer). Find, Same and Union are safe for concurrent use: every parent
+// entry is atomic, Union links one root under another with a compare-and-
+// swap, always the larger root under the smaller (union by minimum), and
+// Find compresses by path halving with compare-and-swaps. So every link
+// Union makes satisfies parent[x] < x, and concurrent links cannot close a
+// cycle. With one goroutine the structure is the sequential one, and Same and
+// Union answer from the partition alone, whatever the layout of the trees.
 package unionfind
+
+import "sync/atomic"
 
 // UF is a disjoint-set forest over the integers [0, n).
 type UF struct {
-	parent []int32
-	rank   []uint8
-	count  int // number of disjoint sets
+	parent []atomic.Int32
+	count  atomic.Int64 // number of disjoint sets
 }
 
 // New creates n singleton sets.
 func New(n int) *UF {
-	u := &UF{
-		parent: make([]int32, n),
-		rank:   make([]uint8, n),
-		count:  n,
-	}
+	u := &UF{parent: make([]atomic.Int32, n)}
+	u.count.Store(int64(n))
 	for i := range u.parent {
-		u.parent[i] = int32(i)
+		u.parent[i].Store(int32(i))
 	}
 	return u
 }
@@ -28,42 +31,62 @@ func New(n int) *UF {
 func (u *UF) Len() int { return len(u.parent) }
 
 // Count returns the current number of disjoint sets.
-func (u *UF) Count() int { return u.count }
+func (u *UF) Count() int { return int(u.count.Load()) }
 
 // Find returns the representative of x's set. It compresses by iterative
 // path halving — every visited node is re-pointed at its grandparent — which
 // keeps the amortized inverse-Ackermann bound of two-pass compression in a
-// single allocation-free loop (no recursion, no visited stack), so the hot
-// Same/Union filters stay allocation-free even under the race detector.
+// single allocation-free loop. A node that is not a root never becomes one
+// again, and its grandparent stays in its set, so a halving that loses its
+// compare-and-swap to another goroutine's is simply skipped.
 func (u *UF) Find(x int32) int32 {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
+	for {
+		p := u.parent[x].Load()
+		if p == x {
+			return x
+		}
+		g := u.parent[p].Load()
+		if g == p {
+			return p
+		}
+		u.parent[x].CompareAndSwap(p, g)
+		x = g
 	}
-	return x
 }
 
-// Same reports whether x and y are in the same set.
-func (u *UF) Same(x, y int32) bool { return u.Find(x) == u.Find(y) }
+// Same reports whether x and y are in the same set. Under concurrent Unions
+// the answer holds at one instant of the call: roots found apart are apart
+// only if the first is still a root once the second is found.
+func (u *UF) Same(x, y int32) bool {
+	for {
+		rx, ry := u.Find(x), u.Find(y)
+		if rx == ry {
+			return true
+		}
+		if u.parent[rx].Load() == rx {
+			return false
+		}
+	}
+}
 
 // Union merges the sets of x and y and reports whether a merge happened
-// (false when they were already in the same set).
+// (false when they were already in the same set). The larger root is hung
+// under the smaller; a link that loses its root to another goroutine's link
+// retries from the new roots.
 func (u *UF) Union(x, y int32) bool {
-	rx, ry := u.Find(x), u.Find(y)
-	if rx == ry {
-		return false
+	for {
+		rx, ry := u.Find(x), u.Find(y)
+		if rx == ry {
+			return false
+		}
+		if rx < ry {
+			rx, ry = ry, rx
+		}
+		if u.parent[rx].CompareAndSwap(rx, ry) {
+			u.count.Add(-1)
+			return true
+		}
 	}
-	switch {
-	case u.rank[rx] < u.rank[ry]:
-		u.parent[rx] = ry
-	case u.rank[rx] > u.rank[ry]:
-		u.parent[ry] = rx
-	default:
-		u.parent[ry] = rx
-		u.rank[rx]++
-	}
-	u.count--
-	return true
 }
 
 // Clusters materializes the current partition as a map from representative to

@@ -2,6 +2,9 @@ package unionfind
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -173,6 +176,63 @@ func TestFindAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { u.Find(1<<12 - 1) }); allocs != 0 {
 		t.Fatalf("Find allocated %v times", allocs)
+	}
+}
+
+// TestConcurrentUnions: goroutines applying shuffled copies of one edge list
+// at once, with Same and Find racing the links, leave the partition one
+// goroutine leaves, a count equal to the roots, and only links down.
+func TestConcurrentUnions(t *testing.T) {
+	const n, workers = 20000, 4
+	rng := rand.New(rand.NewSource(36))
+	edges := make([][2]int32, 3*n/2)
+	for i := range edges {
+		edges[i] = [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
+	}
+	want := New(n)
+	for _, e := range edges {
+		want.Union(e[0], e[1])
+	}
+	for round := 0; round < 10; round++ {
+		u := New(n)
+		var merges atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{}) // releases every goroutine at once
+		for w := 0; w < workers; w++ {
+			mine := slices.Clone(edges)
+			rand.New(rand.NewSource(int64(round*workers+w))).Shuffle(len(mine), func(i, j int) {
+				mine[i], mine[j] = mine[j], mine[i]
+			})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for _, e := range mine {
+					if !u.Same(e[0], e[1]) && u.Union(e[0], e[1]) {
+						merges.Add(1)
+					}
+					u.Find(e[1])
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := u.Labels(); !slices.Equal(got, want.Labels()) {
+			t.Fatalf("round %d: labels differ from one goroutine's", round)
+		}
+		roots := 0
+		for x := range u.parent {
+			p := u.parent[x].Load()
+			if p == int32(x) {
+				roots++
+			} else if p > int32(x) {
+				t.Fatalf("round %d: parent[%d] = %d links up", round, x, p)
+			}
+		}
+		if u.Count() != roots || u.Count() != want.Count() || merges.Load() != int64(n-roots) {
+			t.Fatalf("round %d: count %d, %d roots, %d merges; one goroutine counts %d",
+				round, u.Count(), roots, merges.Load(), want.Count())
+		}
 	}
 }
 

@@ -150,11 +150,11 @@ func BenchFileName(tool string, now time.Time) string {
 type Options struct {
 	// Processors is the number of message-passing ranks, not of threads;
 	// 1 runs the sequential engine, p >= 2 runs one master and p-1 slaves.
-	// The sequential engine still builds its suffix forest and sets up its
-	// pair generator on every core (GOMAXPROCS), and with more than one it
-	// drains pairs on a goroutine of their own while it aligns, running at
-	// most ⌈N/4⌉ pairs (5 B per input base) ahead; each rank of the parallel
-	// engine runs on one goroutine.
+	// The sequential engine still builds its suffix forest on every core
+	// (GOMAXPROCS) and runs one worker per core, each draining and aligning
+	// its own chunk of the forest, at most one batch of pairs in flight
+	// each; the partition does not depend on the core count. Each rank of
+	// the parallel engine runs on one goroutine.
 	Processors int
 	// Simulated runs the parallel engine on the discrete-event simulated
 	// machine (virtual clocks, modeled interconnect) instead of real
