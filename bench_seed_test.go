@@ -16,7 +16,8 @@ import (
 // counters and virtual phase times to match it exactly. BENCH_seed.json is a
 // determinism-and-counter gate, not a speed baseline: a new counter family or
 // an engine change that moves a counter fails here, in plain `go test`,
-// until the file is regenerated with that recipe.
+// until the file is regenerated with that recipe. The run must also align at
+// most two pairs per merge.
 func TestSeedReportMatchesCommitted(t *testing.T) {
 	raw, err := os.ReadFile("BENCH_seed.json")
 	if err != nil {
@@ -44,6 +45,14 @@ func TestSeedReportMatchesCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := BuildReport(cl, opt, "pace", "perf.fasta", len(b.ESTs), 0)
+
+	// The waste bound holds whatever the committed file says: each slave
+	// skips the pairs its replica union-find already joins, so this run
+	// aligns 1.66 pairs per merge, where aligning every dispatched pair
+	// whole took 3.06.
+	if st := cl.Stats; st.PairsProcessed > 2*st.Merges {
+		t.Errorf("%d alignments for %d merges, want at most 2 per merge", st.PairsProcessed, st.Merges)
+	}
 
 	if got.Tool != want.Tool || got.Dataset != want.Dataset || got.Procs != want.Procs ||
 		got.Simulated != want.Simulated || got.NumESTs != want.NumESTs ||

@@ -87,12 +87,15 @@ type report struct {
 // work is the master → slave message: W pairs to align and the number E of
 // fresh pairs to include in the next report. stop ends the slave loop.
 // recover carries bucket shards of a dead slave the recipient must rebuild
-// and regenerate pairs from.
+// and regenerate pairs from. edges are the (i, j) EST pairs whose union
+// joined two master clusters since the recipient's previous work message;
+// the slave unions them into its replica union-find.
 type work struct {
 	pairs   []pairgen.Pair
 	e       int32
 	stop    bool
 	recover []shard
+	edges   [][2]int32
 }
 
 func appendU32(b []byte, v uint32) []byte {
@@ -226,6 +229,9 @@ func appendWork(b []byte, w work) []byte {
 	if len(w.recover) > 0 {
 		flags |= 2
 	}
+	if len(w.edges) > 0 {
+		flags |= 4
+	}
 	b = appendU32(b, flags)
 	b = appendU32(b, uint32(w.e))
 	b = appendU32(b, uint32(len(w.pairs)))
@@ -240,14 +246,21 @@ func appendWork(b []byte, w work) []byte {
 			b = appendU32(b, uint32(sh.of))
 		}
 	}
+	if len(w.edges) > 0 {
+		b = appendU32(b, uint32(len(w.edges)))
+		for _, e := range w.edges {
+			b = appendU32(b, uint32(e[0]))
+			b = appendU32(b, uint32(e[1]))
+		}
+	}
 	return b
 }
 
 func decodeWork(b []byte) (work, error) {
 	r := reader{b: b}
 	flags := r.u32()
-	if r.err == nil && flags&^3 != 0 {
-		return work{}, fmt.Errorf("cluster: unknown work flag bits %#x", flags&^3)
+	if r.err == nil && flags&^7 != 0 {
+		return work{}, fmt.Errorf("cluster: unknown work flag bits %#x", flags&^7)
 	}
 	w := work{stop: flags&1 != 0, e: int32(r.u32())}
 	nPairs := r.u32()
@@ -273,6 +286,18 @@ func decodeWork(b []byte) (work, error) {
 			w.recover = append(w.recover, sh)
 		}
 	}
+	if flags&4 != 0 {
+		nEdges := r.u32()
+		if r.err == nil && nEdges == 0 {
+			return work{}, fmt.Errorf("cluster: edge flag set but zero edges")
+		}
+		if r.err == nil && int(nEdges) > len(b)/8 {
+			return work{}, fmt.Errorf("cluster: edge count %d exceeds message size", nEdges)
+		}
+		for i := uint32(0); i < nEdges && r.err == nil; i++ {
+			w.edges = append(w.edges, [2]int32{int32(r.u32()), int32(r.u32())})
+		}
+	}
 	if err := r.done(); err != nil {
 		return work{}, err
 	}
@@ -285,18 +310,18 @@ func decodeWork(b []byte) (work, error) {
 // final gather itself is not included — uniformly across ranks.
 type phaseReport struct {
 	partitionNs, constructNs, sortNs, alignNs, totalNs int64
-	generated, processed, accepted, stale              int64
+	generated, processed, accepted, stale, skipped     int64
 	msgsSent, bytesSent, msgsRecv, bytesRecv           int64
 	recvWaitNs, collOps, collTimeNs, busyNs            int64
 }
 
 // phaseReportWords is the fixed number of int64 fields on the wire.
-const phaseReportWords = 17
+const phaseReportWords = 18
 
 func (p phaseReport) words() [phaseReportWords]int64 {
 	return [phaseReportWords]int64{
 		p.partitionNs, p.constructNs, p.sortNs, p.alignNs, p.totalNs,
-		p.generated, p.processed, p.accepted, p.stale,
+		p.generated, p.processed, p.accepted, p.stale, p.skipped,
 		p.msgsSent, p.bytesSent, p.msgsRecv, p.bytesRecv,
 		p.recvWaitNs, p.collOps, p.collTimeNs, p.busyNs,
 	}
@@ -323,8 +348,8 @@ func decodePhase(b []byte) (phaseReport, error) {
 	v := func(i int) int64 { return int64(binary.LittleEndian.Uint64(b[8*i:])) }
 	return phaseReport{
 		partitionNs: v(0), constructNs: v(1), sortNs: v(2), alignNs: v(3), totalNs: v(4),
-		generated: v(5), processed: v(6), accepted: v(7), stale: v(8),
-		msgsSent: v(9), bytesSent: v(10), msgsRecv: v(11), bytesRecv: v(12),
-		recvWaitNs: v(13), collOps: v(14), collTimeNs: v(15), busyNs: v(16),
+		generated: v(5), processed: v(6), accepted: v(7), stale: v(8), skipped: v(9),
+		msgsSent: v(10), bytesSent: v(11), msgsRecv: v(12), bytesRecv: v(13),
+		recvWaitNs: v(14), collOps: v(15), collTimeNs: v(16), busyNs: v(17),
 	}, nil
 }

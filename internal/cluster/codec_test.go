@@ -135,6 +135,61 @@ func TestWorkRecoverShardsRoundTrip(t *testing.T) {
 	}
 }
 
+func TestWorkEdgesRoundTrip(t *testing.T) {
+	edges := [][2]int32{{0, 5}, {7, 2}, {-1, 3}} // -1: a word of 2³²-1, for checkEdgeIDs
+	for _, w := range []work{
+		{edges: edges},
+		{e: 3, pairs: []pairgen.Pair{{S1: seq.Forward(2), S2: seq.Forward(5), MatchLen: 25}}, edges: edges},
+		{e: 1, recover: []shard{{part: 1, idx: 0, of: 2}}, edges: edges[:1]},
+	} {
+		enc := encodeWork(w)
+		if binary.LittleEndian.Uint32(enc)&4 == 0 {
+			t.Errorf("%+v: edge flag not set", w)
+		}
+		got, err := decodeWork(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("work: got %+v, want %+v", got, w)
+		}
+	}
+	// No edges → no flag, no section.
+	enc := encodeWork(work{e: 1})
+	if binary.LittleEndian.Uint32(enc)&4 != 0 || len(enc) != 12 {
+		t.Errorf("edgeless work encodes the edge section: %x", enc)
+	}
+}
+
+func TestDecodeRejectsMalformedEdges(t *testing.T) {
+	head := func(flags uint32) []byte {
+		b := appendU32(nil, flags)
+		b = appendU32(b, 0)    // e
+		return appendU32(b, 0) // no pairs
+	}
+	valid := encodeWork(work{edges: [][2]int32{{1, 2}}})
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		want string
+	}{
+		{"flag set, zero edges", appendU32(head(4), 0), "zero edges"},
+		{"count past the message", append(appendU32(head(4), 1<<20), make([]byte, 16)...), "exceeds message size"},
+		{"count one past the words", appendU32(appendU32(appendU32(head(4), 2), 1), 2), "truncated"},
+		{"edge cut short", valid[:len(valid)-2], "truncated"},
+		{"trailing bytes", append(append([]byte{}, valid...), 0, 0, 0, 0), "trailing bytes"},
+		{"section without the flag", appendU32(appendU32(appendU32(head(0), 1), 1), 2), "trailing bytes"},
+	} {
+		_, err := decodeWork(tc.b)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := decodeWork(valid); err != nil {
+		t.Errorf("valid edge section refused: %v", err)
+	}
+}
+
 func TestDecodeRejectsMalformedShard(t *testing.T) {
 	for _, bad := range []shard{
 		{part: 1, idx: 0, of: 0},  // of < 1
@@ -187,7 +242,7 @@ func TestDecodeRejectsAbsurdCounts(t *testing.T) {
 func TestPhaseRoundTrip(t *testing.T) {
 	p := phaseReport{
 		partitionNs: 1, constructNs: 2, sortNs: 3, alignNs: 4, totalNs: 5,
-		generated: 6, processed: 7, accepted: 8,
+		generated: 6, processed: 7, accepted: 8, skipped: 9,
 	}
 	got, err := decodePhase(encodePhase(p))
 	if err != nil {

@@ -45,8 +45,9 @@ type Config struct {
 	Band     int
 
 	// SkipSameCluster enables the paper's pruning: a pair whose ESTs
-	// already share a cluster is neither queued nor aligned. Disabling it
-	// is an ablation knob.
+	// already share a cluster is neither queued nor aligned. The parallel
+	// engine applies it at the master and, on replica union-finds, at the
+	// slaves. Disabling it is an ablation knob.
 	SkipSameCluster bool
 
 	// MP configures the message-passing machine (rank count, real vs
@@ -267,10 +268,12 @@ const (
 	// master's reply while overlapping generation with waiting.
 	genChunk = 32
 	// alphaMax caps the flow-control redundancy factor α. α estimates how
-	// many reported pairs are needed per pair that survives same-cluster
-	// filtering; when an entire incoming batch is redundant the ratio is
-	// undefined and, uncapped, a raw batch length would inflate the grant
-	// E unboundedly.
+	// many reported pairs are needed per pair that survives the master's
+	// same-cluster filter. Slaves ship only pairs their replica union-find
+	// did not join, so α measures how far the replicas lag the master: ≈ 1
+	// when they are current. When an entire incoming batch is redundant the
+	// ratio is undefined and, uncapped, a raw batch length would inflate the
+	// grant E unboundedly.
 	alphaMax = 4.0
 )
 
@@ -310,7 +313,8 @@ type Stats struct {
 	// PairsAccepted counts alignments passing the merge criteria.
 	PairsAccepted int64
 	// PairsSkipped counts pairs pruned because their ESTs already shared
-	// a cluster (at enqueue or dispatch time).
+	// a cluster: at the master on enqueue or dispatch, at a slave on its
+	// replica union-find's word.
 	PairsSkipped int64
 	// Merges counts union operations that actually joined two clusters.
 	Merges int64

@@ -40,26 +40,32 @@ func Run(ests []seq.Sequence, cfg Config) (*Result, error) {
 // alignPairs runs the anchored banded extension on each pair and returns the
 // per-pair verdicts. A slave's pairs come off the wire, where decodeWork
 // cannot know the set: string ids are checked here, positions and match
-// length by Extend.
-func alignPairs(set *seq.SetS, ext *align.Extender, cfg Config, pairs []pairgen.Pair) ([]alignResult, error) {
-	out := make([]alignResult, 0, len(pairs))
+// length by Extend. With a non-nil replica it skips, and counts, every pair
+// the replica already joins, and unions each accepted pair into it at once,
+// so later pairs of the batch see the verdict.
+func alignPairs(set *seq.SetS, ext *align.Extender, cfg Config, replica *unionfind.UF, pairs []pairgen.Pair) (out []alignResult, skipped int64, err error) {
+	out = make([]alignResult, 0, len(pairs))
 	ns := seq.StringID(set.NumStrings())
 	for _, p := range pairs {
 		if p.S1 < 0 || p.S1 >= ns || p.S2 < 0 || p.S2 >= ns {
-			return nil, fmt.Errorf("cluster: aligning pair %+v: string id out of range for %d strings", p, ns)
+			return nil, 0, fmt.Errorf("cluster: aligning pair %+v: string id out of range for %d strings", p, ns)
+		}
+		i, j := p.ESTs()
+		if replica != nil && replica.Same(int32(i), int32(j)) {
+			skipped++
+			continue
 		}
 		res, err := ext.Extend(set.Str(p.S1), set.Str(p.S2), p.Pos1, p.Pos2, p.MatchLen)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: aligning pair %+v: %w", p, err)
+			return nil, 0, fmt.Errorf("cluster: aligning pair %+v: %w", p, err)
 		}
-		i, j := p.ESTs()
-		out = append(out, alignResult{
-			estI:     i,
-			estJ:     j,
-			accepted: res.Accept(cfg.Scoring, cfg.Criteria),
-		})
+		acc := res.Accept(cfg.Scoring, cfg.Criteria)
+		if acc && replica != nil {
+			replica.Union(int32(i), int32(j))
+		}
+		out = append(out, alignResult{estI: i, estJ: j, accepted: acc})
 	}
-	return out, nil
+	return out, skipped, nil
 }
 
 // wallElapsed returns a monotonic clock counting from now. It is the

@@ -13,6 +13,15 @@ import (
 // benchSet generates a small benchmark with ground truth.
 func benchSet(t testing.TB, n, genes int, seed int64) *simulate.Benchmark {
 	t.Helper()
+	b, err := simulate.Generate(benchConfig(n, genes, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// benchConfig is benchSet's generator configuration.
+func benchConfig(n, genes int, seed int64) simulate.Config {
 	cfg := simulate.DefaultConfig(n)
 	cfg.NumGenes = genes
 	cfg.Seed = seed
@@ -24,11 +33,7 @@ func benchSet(t testing.TB, n, genes int, seed int64) *simulate.Benchmark {
 	cfg.MinESTLen = 200
 	cfg.ExonLen = [2]int{150, 180}
 	cfg.ExonsPerGene = [2]int{3, 3}
-	b, err := simulate.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return cfg
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -161,6 +166,33 @@ func TestParallelMatchesSequentialPartition(t *testing.T) {
 				}
 				if st.Phases.Total == 0 {
 					t.Error("no total time recorded")
+				}
+			})
+		}
+	}
+}
+
+// TestParallelPairAccounting holds the parallel engine to the sequential
+// engine's identity: on a failure-free run every generated pair is either
+// aligned once or skipped once — by a slave's replica inside a batch or
+// before it enters PAIRBUF, or by the master at admission or dispatch — so
+// the slaves' skips, reported in their phase words, close the sum.
+func TestParallelPairAccounting(t *testing.T) {
+	b := benchSet(t, 150, 8, 5)
+	for _, p := range []int{3, 5} {
+		for _, mpCfg := range parallelModes(p) {
+			t.Run(fmt.Sprintf("p%d_%s", p, modeName(mpCfg)), func(t *testing.T) {
+				cfg := DefaultConfig(p)
+				cfg.Window, cfg.Psi = 6, 18
+				cfg.MP = mpCfg
+				res, err := Run(b.ESTs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := res.Stats
+				if st.PairsProcessed+st.PairsSkipped != st.PairsGenerated || st.PairsAccepted > st.PairsProcessed {
+					t.Errorf("processed %d + skipped %d != generated %d, or accepted %d > processed",
+						st.PairsProcessed, st.PairsSkipped, st.PairsGenerated, st.PairsAccepted)
 				}
 			})
 		}

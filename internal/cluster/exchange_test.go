@@ -12,6 +12,7 @@ import (
 	"pace/internal/pairgen"
 	"pace/internal/seq"
 	"pace/internal/suffix"
+	"pace/internal/unionfind"
 )
 
 // sameForest fails unless the two forests hold the same buckets with the same
@@ -222,14 +223,17 @@ func TestAlignPairsValidatesTheWire(t *testing.T) {
 		{"negative Pos1", pairgen.Pair{S1: 0, S2: 2, Pos1: -3, Pos2: 0, MatchLen: 4}, "out of range"},
 		{"Pos2 2^31-1", pairgen.Pair{S1: 0, S2: 2, Pos1: 0, Pos2: math.MaxInt32, MatchLen: 4}, "out of range"},
 	}
-	for _, tc := range cases {
-		out, err := alignPairs(set, ext, cfg, []pairgen.Pair{good, tc.pair})
-		switch {
-		case tc.want == "" && (err != nil || len(out) != 2):
-			t.Errorf("%s: %d verdicts, err %v", tc.name, len(out), err)
-		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want) ||
-			!strings.HasPrefix(err.Error(), "cluster: ") || !strings.Contains(err.Error(), fmt.Sprintf("%+v", tc.pair))):
-			t.Errorf("%s: got %v, want a cluster error naming the pair and containing %q", tc.name, err, tc.want)
+	// With a replica the ids are checked before they index it, too.
+	for _, replica := range []*unionfind.UF{nil, unionfind.New(set.NumESTs())} {
+		for _, tc := range cases {
+			out, skipped, err := alignPairs(set, ext, cfg, replica, []pairgen.Pair{good, tc.pair})
+			switch {
+			case tc.want == "" && (err != nil || int64(len(out))+skipped != 2):
+				t.Errorf("%s: %d verdicts, %d skipped, err %v", tc.name, len(out), skipped, err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want) ||
+				!strings.HasPrefix(err.Error(), "cluster: ") || !strings.Contains(err.Error(), fmt.Sprintf("%+v", tc.pair))):
+				t.Errorf("%s: got %v, want a cluster error naming the pair and containing %q", tc.name, err, tc.want)
+			}
 		}
 	}
 }
@@ -269,6 +273,32 @@ func TestCheckReportIDsValidatesTheWire(t *testing.T) {
 			t.Errorf("%s: %v", tc.name, err)
 		case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), "cluster: slave 3 reported a ") || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: got %v, want a cluster error naming slave 3 and containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCheckEdgeIDsValidatesTheWire hands the slave's check the spanning edges
+// a damaged work message decodes to: each end indexes the slave's replica, so
+// one past the set must come back as a cluster error naming the wire value.
+func TestCheckEdgeIDsValidatesTheWire(t *testing.T) {
+	set, err := seq.NewSetS(benchSet(t, 2, 1, 9).ESTs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		edges [][2]int32
+		want  string // the error; "" = accepted
+	}{
+		{"a genuine edge", [][2]int32{{0, 1}}, ""},
+		{"no edges", nil, ""},
+		{"EST one past the set", [][2]int32{{0, 1}, {2, 0}}, "cluster: master sent an edge on EST 2 of 2"},
+		{"EST from the word 2^31", [][2]int32{{1, math.MinInt32}}, "cluster: master sent an edge on EST 2147483648 of 2"},
+		{"EST from the word 2^32-1", [][2]int32{{-1, 0}}, "cluster: master sent an edge on EST 4294967295 of 2"},
+	} {
+		err := checkEdgeIDs(tc.edges, set)
+		if (tc.want == "" && err != nil) || (tc.want != "" && (err == nil || err.Error() != tc.want)) {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

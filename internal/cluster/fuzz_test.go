@@ -67,6 +67,15 @@ func FuzzDecodeWork(f *testing.F) {
 		{stop: true},
 		{e: 5, pairs: []pairgen.Pair{{S1: 3, S2: 4, Pos1: 1, Pos2: 2, MatchLen: 9}}},
 		{e: 1, recover: []shard{{part: 0, idx: 1, of: 2}}},
+		{edges: [][2]int32{{0, 1}}},
+		{
+			e:       2,
+			pairs:   []pairgen.Pair{{S1: 3, S2: 4, Pos1: 1, Pos2: 2, MatchLen: 9}},
+			recover: []shard{{part: 1, idx: 0, of: 3}},
+			// An id from a word of 2³¹: decodeWork passes it, checkEdgeIDs
+			// refuses it.
+			edges: [][2]int32{{4, 2}, {math.MinInt32, 7}},
+		},
 	}
 	for _, w := range seeds {
 		f.Add(encodeWork(w))
@@ -74,6 +83,10 @@ func FuzzDecodeWork(f *testing.F) {
 	enc := encodeWork(seeds[2])
 	f.Add(enc[:7])
 	f.Add(append(append([]byte{}, enc...), 0, 0))
+	// Edge flag with no section, and an edge section cut short.
+	f.Add(append([]byte{enc[0] | 4}, enc[1:]...))
+	enc = encodeWork(seeds[5])
+	f.Add(enc[:len(enc)-3])
 	f.Fuzz(func(t *testing.T, b []byte) {
 		w, err := decodeWork(b)
 		if err != nil {
@@ -88,7 +101,7 @@ func FuzzDecodeWork(f *testing.F) {
 func FuzzDecodePhase(f *testing.F) {
 	p := phaseReport{
 		partitionNs: 1, constructNs: 2, sortNs: 3, alignNs: 4, totalNs: 5,
-		generated: 6, processed: 7, accepted: 8, stale: 9,
+		generated: 6, processed: 7, accepted: 8, stale: 9, skipped: 17,
 		msgsSent: 10, bytesSent: 11, msgsRecv: 12, bytesRecv: 13,
 		recvWaitNs: 14, collOps: 15, collTimeNs: 16, busyNs: -1,
 	}

@@ -18,7 +18,9 @@ import (
 // recovers from slave deaths by requeueing their in-flight work and
 // subdividing their generator shards. Every report carries a verdict per
 // processed pair, and the master unions each accepted pair into its
-// union-find.
+// union-find. Each union that joins two clusters is logged as a spanning
+// edge, and every work message carries the edges its slave has not yet seen,
+// for the slave's replica union-find.
 
 // masterState tracks one slave's protocol position.
 type masterState struct {
@@ -35,6 +37,9 @@ type masterState struct {
 	// one (part = rank-1, 1 of 1) plus any dead-slave shards it took over.
 	// When the slave dies they are subdivided among the survivors.
 	shards []shard
+	// edgesSent is how much of the master's spanning-edge log this slave's
+	// work messages have carried.
+	edgesSent int
 }
 
 // grantE computes the paper's flow-control grant E = min(α·δ·batchsize,
@@ -219,11 +224,20 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 		return a
 	}
 
+	// edges logs every accepted pair whose union joined two clusters: at
+	// most n-1 entries over a run, each sent to every slave once.
+	var edges [][2]int32
+
 	// Wire messages are encoded into one reusable scratch buffer: the mp
 	// ownership contract (copy-on-send) makes the reuse safe, so the
-	// master's steady state allocates nothing per interaction.
+	// master's steady state allocates nothing per interaction. Every work
+	// message but stop carries the edges logged since the slave's last one.
 	var wire []byte
 	sendWork := func(to int, w work) error {
+		if !w.stop {
+			w.edges = edges[states[to].edgesSent:]
+			states[to].edgesSent = len(edges)
+		}
 		wire = appendWork(wire[:0], w)
 		return c.Send(to, tagWork, wire)
 	}
@@ -431,6 +445,9 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 				cumAccepted++
 				if uf.Union(int32(r.estI), int32(r.estJ)) {
 					st.Merges++
+					if cfg.SkipSameCluster {
+						edges = append(edges, [2]int32{int32(r.estI), int32(r.estJ)})
+					}
 					if pr != nil {
 						pr.merges.Inc()
 					}
@@ -551,6 +568,7 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 		st.PairsProcessed += ph.processed
 		st.PairsAccepted += ph.accepted
 		st.Incremental.StaleSuppressed += ph.stale
+		st.PairsSkipped += ph.skipped
 		st.PerRank = append(st.PerRank, RankStats{
 			Rank: r, Role: role,
 			Partition: time.Duration(ph.partitionNs),

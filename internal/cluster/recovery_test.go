@@ -20,10 +20,21 @@ import (
 )
 
 // recoveryBench is shared across the recovery tests (generation dominates
-// their cost).
+// their cost). Each of its six genes has a paralog 10 % diverged: pairs
+// across a gene and its paralog are generated but never merge, so no replica
+// ever joins them and every slave must ship and align its share of them.
+// Without them a slave the scheduler starts late finds its whole shard
+// already joined and may report only twice, so late crash schedules need
+// not fire on the real transport.
 func recoveryBench(t testing.TB) *simulate.Benchmark {
 	t.Helper()
-	return benchSet(t, 90, 6, 21)
+	cfg := benchConfig(90, 6, 21)
+	cfg.ParalogFamilies, cfg.ParalogDivergence = 6, 0.1
+	b, err := simulate.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func recoveryConfig(p int, mpCfg mp.Config) Config {
@@ -31,7 +42,7 @@ func recoveryConfig(p int, mpCfg mp.Config) Config {
 	cfg.Window, cfg.Psi = 6, 18
 	// Small batches force many report round-trips per slave, so late crash
 	// schedules (CrashAfter up to ~10) actually fire before the run ends.
-	cfg.BatchSize = 8
+	cfg.BatchSize = 4
 	cfg.WorkBufCap = 256
 	cfg.MP = mpCfg
 	return cfg

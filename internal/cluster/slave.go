@@ -9,6 +9,7 @@ import (
 	"pace/internal/pairgen"
 	"pace/internal/seq"
 	"pace/internal/suffix"
+	"pace/internal/unionfind"
 )
 
 // The slave ranks (paper §3.1, §3.3): each builds the GST subtrees of its
@@ -16,6 +17,15 @@ import (
 // maximal common substring length, and aligns the batches the master
 // dispatches — overlapping generation with the wait for the master's reply.
 // Every processed pair's verdict rides the next report to the master.
+//
+// Each slave also keeps a replica of the master's union-find, fed by its own
+// accepted verdicts and by the spanning edges each work message carries, and
+// drops every pair the replica already joins: inside a batch before it is
+// aligned, before a generated pair enters PAIRBUF, and over PAIRBUF whenever
+// the replica has grown. This is the paper's same-cluster test, moved to
+// where the stale pairs are. It is safe because a report carries every
+// verdict the filtering of its own contents relied on, so the master already
+// joins whatever the slave skipped by the time it reads the report.
 
 // exchangeSuffixes is the redistribution step of §3.1: each slave scans its
 // own share of the strings, groups every suffix by its bucket's owner, and
@@ -153,15 +163,25 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 	if err != nil {
 		return err
 	}
+	// The replica starts from the seed partition, as the master's does; a
+	// run without the same-cluster filter keeps none and filters nothing.
+	var replica *unionfind.UF
+	if cfg.SkipSameCluster {
+		replica = unionfind.New(set.NumESTs())
+		if _, err := seedClusters(replica, cfg.InitialLabels, set.NumESTs()); err != nil {
+			return err
+		}
+	}
 
 	var alignTime time.Duration
-	var processed, accepted int64
+	var processed, accepted, skipped int64
 	alignBatch := func(pairs []pairgen.Pair) ([]alignResult, error) {
 		tA := c.Elapsed()
-		out, err := alignPairs(set, ext, cfg, pairs)
+		out, skip, err := alignPairs(set, ext, cfg, replica, pairs)
 		dA := c.Elapsed() - tA
 		alignTime += dA
-		processed += int64(len(pairs))
+		processed += int64(len(out))
+		skipped += skip
 		var acc int64
 		for _, r := range out {
 			if r.accepted {
@@ -170,14 +190,50 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		}
 		accepted += acc
 		if pr != nil {
-			pr.processed.Add(int64(len(pairs)))
+			pr.processed.Add(int64(len(out)))
 			pr.accepted.Add(acc)
+			pr.skipped.Add(skip)
 		}
-		if tw != nil && len(pairs) > 0 {
+		if tw != nil && len(out) > 0 {
 			tw.Span(cfg.TracePID, c.Rank(), "align", "cluster", tA, dA)
 		}
 		return out, err
 	}
+
+	// PAIRBUF holds generated pairs the replica did not join when they
+	// entered it. prune drops those it joins now from pairbuf[from:], in
+	// place; grow generates up to n more and prunes them; fill grows PAIRBUF
+	// to n pairs or until the chain runs dry.
+	var pairbuf []pairgen.Pair
+	prune := func(from int) {
+		if replica == nil {
+			return
+		}
+		kept := pairbuf[:from]
+		for _, p := range pairbuf[from:] {
+			i, j := p.ESTs()
+			if !replica.Same(int32(i), int32(j)) {
+				kept = append(kept, p)
+			}
+		}
+		skip := int64(len(pairbuf) - len(kept))
+		skipped += skip
+		if pr != nil {
+			pr.skipped.Add(skip)
+		}
+		pairbuf = kept
+	}
+	grow := func(n int) {
+		from := len(pairbuf)
+		pairbuf = chain.Next(pairbuf, n)
+		prune(from)
+	}
+	fill := func(n int) {
+		for len(pairbuf) < n && chain.Remaining() {
+			grow(n - len(pairbuf))
+		}
+	}
+	prunedAt := 0 // the replica's cluster count when PAIRBUF was last pruned whole
 
 	// Reports are encoded into one reusable buffer; safe under the mp
 	// copy-on-send ownership contract.
@@ -190,14 +246,15 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 	// Bootstrap: three initial batches — align the first, report its
 	// results together with the third, keep the second as NEXTWORK. The
 	// unsolicited pairs are capped at the implicit bootstrap grant the
-	// master charged against the WORKBUF for this slave.
+	// master charged against the WORKBUF for this slave; they are generated
+	// after the first batch's verdicts, so the replica filters them.
 	b1 := chain.Next(nil, cfg.BatchSize)
 	b2 := chain.Next(nil, cfg.BatchSize)
-	pairbuf := chain.Next(nil, bootstrapGrant(cfg, c.Size()))
 	results, err := alignBatch(b1)
 	if err != nil {
 		return err
 	}
+	fill(bootstrapGrant(cfg, c.Size()))
 	next := b2
 	first := report{
 		results:     results,
@@ -246,8 +303,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 			if !chain.Remaining() || len(pairbuf) >= bufCap {
 				break
 			}
-			chunk := min(genChunk, bufCap-len(pairbuf))
-			pairbuf = chain.Next(pairbuf, chunk)
+			grow(min(genChunk, bufCap-len(pairbuf)))
 		}
 		m, err := c.Recv(0, tagWork)
 		if err != nil {
@@ -259,6 +315,21 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		}
 		if w.stop {
 			break
+		}
+		// Union the master's spanning edges into the replica. If it has
+		// grown since PAIRBUF was last pruned whole, by these edges or by
+		// the slave's own verdicts, prune all of PAIRBUF.
+		if err := checkEdgeIDs(w.edges, set); err != nil {
+			return err
+		}
+		if replica != nil {
+			for _, e := range w.edges {
+				replica.Union(e[0], e[1])
+			}
+			if replica.Count() != prunedAt {
+				prune(0)
+				prunedAt = replica.Count()
+			}
 		}
 
 		// Rebuild any dead slave's shards assigned to us: every rank
@@ -283,9 +354,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		}
 
 		// Top PAIRBUF up to the requested E.
-		for len(pairbuf) < int(w.e) && chain.Remaining() {
-			pairbuf = chain.Next(pairbuf, int(w.e)-len(pairbuf))
-		}
+		fill(int(w.e))
 		p := min(int(w.e), len(pairbuf))
 		outPairs := pairbuf[:p:p]
 		pairbuf = pairbuf[p:]
@@ -315,11 +384,28 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		processed:   processed,
 		accepted:    accepted,
 		stale:       chain.Stale(),
+		skipped:     skipped,
 	}
 	fillComm(&mine, c.Stats())
 	// Point-to-point phase report: a collective here would wedge the
 	// survivors whenever a peer died mid-run.
 	return c.Send(0, tagPhase, encodePhase(mine))
+}
+
+// checkEdgeIDs range-checks a work message's spanning edges before any of
+// them indexes the slave's replica, as checkReportIDs does for reports at the
+// master: decodeWork cannot know the set, and a word of 2³¹ or more decodes to
+// a negative id, so as wire words both ends must fall below the EST count.
+func checkEdgeIDs(edges [][2]int32, set *seq.SetS) error {
+	ne := uint32(set.NumESTs())
+	for _, e := range edges {
+		for _, id := range e {
+			if uint32(id) >= ne {
+				return fmt.Errorf("cluster: master sent an edge on EST %d of %d", uint32(id), ne)
+			}
+		}
+	}
+	return nil
 }
 
 // genChain concatenates pair generators: the slave's own partition plus any
