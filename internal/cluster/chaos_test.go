@@ -10,6 +10,7 @@ package cluster
 // delivery (as MPI does), so no scenario loses or duplicates a message.
 
 import (
+	"math/bits"
 	"os"
 	"testing"
 	"time"
@@ -41,22 +42,27 @@ var chaosScenarios = []chaosScenario{
 	},
 }
 
+// TestChaos runs on the recovery tests' fixture: its paralog pairs never
+// merge, so every slave keeps reporting until late in the run and each crash
+// plan fires.
 func TestChaos(t *testing.T) {
 	only := os.Getenv("PACE_CHAOS_SCENARIO")
-	b := benchSet(t, 90, 6, 31)
+	b := recoveryBench(t)
 	const p = 4
-
-	base := DefaultConfig(p)
-	base.Window, base.Psi = 6, 18
-	base.BatchSize = 8
-	base.WorkBufCap = 256
-	base.MP = mp.DefaultSimConfig(p)
+	base := recoveryConfig(p, mp.DefaultSimConfig(p))
 
 	baseline, err := Run(b.ESTs, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := normalizeLabels(baseline.Labels)
+	for _, sc := range chaosScenarios {
+		if f := sc.fault; f.CrashRank > 0 {
+			if n := reportsAtLeast(baseline.Stats.PerRank[f.CrashRank], p); n <= int64(f.CrashAfter) {
+				t.Fatalf("%s: slave %d sent at least %d reports on the failure-free run; a crash after %d need not fire", sc.name, f.CrashRank, n, f.CrashAfter)
+			}
+		}
+	}
 
 	ran := 0
 	// The scenarios are grouped under the merge protocol they run: the
@@ -94,4 +100,12 @@ func TestChaos(t *testing.T) {
 	if ran == 0 {
 		t.Fatalf("unknown PACE_CHAOS_SCENARIO %q", only)
 	}
+}
+
+// reportsAtLeast bounds from below the reports slave row rs sent on a
+// failure-free run of p ranks: its sends less the most a slave sends outside
+// its report loop — one reduce step and at most ⌈log₂ p⌉ broadcast steps of
+// the prologue's allreduce, and one suffix message per peer slave.
+func reportsAtLeast(rs RankStats, p int) int64 {
+	return rs.MsgsSent - int64(1+bits.Len(uint(p-1))+p-2)
 }

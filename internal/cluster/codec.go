@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"pace/internal/pairgen"
 	"pace/internal/seq"
@@ -262,7 +263,12 @@ func decodeWork(b []byte) (work, error) {
 	if r.err == nil && flags&^7 != 0 {
 		return work{}, fmt.Errorf("cluster: unknown work flag bits %#x", flags&^7)
 	}
-	w := work{stop: flags&1 != 0, e: int32(r.u32())}
+	e := r.u32()
+	if r.err == nil && e > math.MaxInt32 {
+		// A word of 2³¹ or more would become a negative grant.
+		return work{}, fmt.Errorf("cluster: grant %d at offset %d exceeds 2^31-1", e, r.off-4)
+	}
+	w := work{stop: flags&1 != 0, e: int32(e)}
 	nPairs := r.u32()
 	if r.err == nil && int(nPairs) > len(b)/20 {
 		return work{}, fmt.Errorf("cluster: pair count %d exceeds message size", nPairs)
@@ -304,52 +310,46 @@ func decodeWork(b []byte) (work, error) {
 	return w, nil
 }
 
-// phaseReport carries a rank's timing/counter contribution to the master at
-// shutdown (gathered once, outside the hot path). The comm fields are a
-// snapshot of the rank's mp.CommStats taken just before encoding, so the
-// final gather itself is not included — uniformly across ranks.
-type phaseReport struct {
-	partitionNs, constructNs, sortNs, alignNs, totalNs int64
-	generated, processed, accepted, stale, skipped     int64
-	msgsSent, bytesSent, msgsRecv, bytesRecv           int64
-	recvWaitNs, collOps, collTimeNs, busyNs            int64
-}
+// A rank's final report to the master is its RankStats row, sent once at
+// shutdown outside the hot path: every field but Rank and Role, one
+// little-endian word each, in words() order. The comm fields are a snapshot
+// of the rank's mp.CommStats taken just before encoding, so the final send
+// itself is not included — uniformly across ranks.
 
-// phaseReportWords is the fixed number of int64 fields on the wire.
+// phaseReportWords is the fixed number of int64 words on the wire.
 const phaseReportWords = 18
 
-func (p phaseReport) words() [phaseReportWords]int64 {
-	return [phaseReportWords]int64{
-		p.partitionNs, p.constructNs, p.sortNs, p.alignNs, p.totalNs,
-		p.generated, p.processed, p.accepted, p.stale, p.skipped,
-		p.msgsSent, p.bytesSent, p.msgsRecv, p.bytesRecv,
-		p.recvWaitNs, p.collOps, p.collTimeNs, p.busyNs,
+// words lists rs's wire fields in wire order, as int64 pointers so one list
+// serves the encoder and the decoder.
+func (rs *RankStats) words() [phaseReportWords]*int64 {
+	return [phaseReportWords]*int64{
+		(*int64)(&rs.Partition), (*int64)(&rs.Construct), (*int64)(&rs.Sort), (*int64)(&rs.Align), (*int64)(&rs.Total),
+		&rs.PairsGenerated, &rs.PairsProcessed, &rs.PairsAccepted, &rs.StaleSuppressed, &rs.PairsSkipped,
+		&rs.MsgsSent, &rs.BytesSent, &rs.MsgsRecv, &rs.BytesRecv,
+		(*int64)(&rs.RecvWait), &rs.CollectiveOps, (*int64)(&rs.CollectiveTime), (*int64)(&rs.Busy),
 	}
 }
 
-func encodePhase(p phaseReport) []byte {
+func encodePhase(rs RankStats) []byte {
 	b := make([]byte, 0, 8*phaseReportWords)
-	for _, v := range p.words() {
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-		b = append(b, tmp[:]...)
+	for _, w := range rs.words() {
+		b = binary.LittleEndian.AppendUint64(b, uint64(*w))
 	}
 	return b
 }
 
-func decodePhase(b []byte) (phaseReport, error) {
+// decodePhase decodes a rank's final report; the caller sets Rank and Role.
+func decodePhase(b []byte) (RankStats, error) {
 	const want = 8 * phaseReportWords
 	if len(b) < want {
-		return phaseReport{}, fmt.Errorf("cluster: phase report truncated at offset %d, want %d bytes", len(b), want)
+		return RankStats{}, fmt.Errorf("cluster: phase report truncated at offset %d, want %d bytes", len(b), want)
 	}
 	if len(b) > want {
-		return phaseReport{}, fmt.Errorf("cluster: phase report has %d trailing bytes at offset %d", len(b)-want, want)
+		return RankStats{}, fmt.Errorf("cluster: phase report has %d trailing bytes at offset %d", len(b)-want, want)
 	}
-	v := func(i int) int64 { return int64(binary.LittleEndian.Uint64(b[8*i:])) }
-	return phaseReport{
-		partitionNs: v(0), constructNs: v(1), sortNs: v(2), alignNs: v(3), totalNs: v(4),
-		generated: v(5), processed: v(6), accepted: v(7), stale: v(8), skipped: v(9),
-		msgsSent: v(10), bytesSent: v(11), msgsRecv: v(12), bytesRecv: v(13),
-		recvWaitNs: v(14), collOps: v(15), collTimeNs: v(16), busyNs: v(17),
-	}, nil
+	var rs RankStats
+	for i, w := range rs.words() {
+		*w = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return rs, nil
 }

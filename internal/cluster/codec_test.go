@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -240,9 +242,9 @@ func TestDecodeRejectsAbsurdCounts(t *testing.T) {
 }
 
 func TestPhaseRoundTrip(t *testing.T) {
-	p := phaseReport{
-		partitionNs: 1, constructNs: 2, sortNs: 3, alignNs: 4, totalNs: 5,
-		generated: 6, processed: 7, accepted: 8, skipped: 9,
+	p := RankStats{
+		Partition: 1, Construct: 2, Sort: 3, Align: 4, Total: 5,
+		PairsGenerated: 6, PairsProcessed: 7, PairsAccepted: 8, PairsSkipped: 9,
 	}
 	got, err := decodePhase(encodePhase(p))
 	if err != nil {
@@ -256,31 +258,61 @@ func TestPhaseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPhaseReportLayout pins phaseReport to its wire width: every declared
-// field is one word on the wire, in declaration order, and encodePhase
-// gives decodePhase's input back byte for byte. A field added to the
-// struct without a word (or a word without a field) fails here.
+// TestPhaseReportLayout pins a rank's final report to its wire layout: every
+// RankStats field but Rank and Role is exactly one word, at the position
+// listed below, and encodePhase gives decodePhase's input back byte for
+// byte. A field added to RankStats without a word, two fields sharing one,
+// or a reordering of the words fails here.
 func TestPhaseReportLayout(t *testing.T) {
-	typ := reflect.TypeOf(phaseReport{})
-	if typ.NumField() != phaseReportWords {
-		t.Fatalf("phaseReport has %d fields, phaseReportWords is %d", typ.NumField(), phaseReportWords)
+	wire := [phaseReportWords]string{
+		"Partition", "Construct", "Sort", "Align", "Total",
+		"PairsGenerated", "PairsProcessed", "PairsAccepted", "StaleSuppressed", "PairsSkipped",
+		"MsgsSent", "BytesSent", "MsgsRecv", "BytesRecv",
+		"RecvWait", "CollectiveOps", "CollectiveTime", "Busy",
 	}
 	b := make([]byte, 8*phaseReportWords)
 	for i := 0; i < phaseReportWords; i++ {
 		binary.LittleEndian.PutUint64(b[8*i:], uint64(i+1))
 	}
-	p, err := decodePhase(b)
+	rs, err := decodePhase(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := reflect.ValueOf(p)
-	for i := 0; i < typ.NumField(); i++ {
-		if got := v.Field(i).Int(); got != int64(i+1) {
-			t.Errorf("field %d (%s) decodes word %d, want word %d", i, typ.Field(i).Name, got-1, i)
+	v := reflect.ValueOf(rs)
+	carried := 0
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if name == "Rank" || name == "Role" {
+			continue
+		}
+		carried++
+		w := v.Field(i).Int() - 1
+		if w < 0 || w >= phaseReportWords || wire[w] != name {
+			t.Errorf("field %s decodes word %d, want word %d", name, w, slices.Index(wire[:], name))
 		}
 	}
-	if !bytes.Equal(encodePhase(p), b) {
+	if carried != phaseReportWords {
+		t.Errorf("RankStats carries %d fields on the wire, phaseReportWords is %d", carried, phaseReportWords)
+	}
+	if !bytes.Equal(encodePhase(rs), b) {
 		t.Error("encodePhase does not give decodePhase's input back")
+	}
+}
+
+// A grant word of 2³¹ or more would decode to a negative E, and the slave
+// would slice PAIRBUF with it; decodeWork refuses it as it refuses a
+// malformed shard.
+func TestDecodeRejectsNegativeGrant(t *testing.T) {
+	for _, word := range []uint32{1 << 31, math.MaxUint32} {
+		b := encodeWork(work{e: 1})
+		binary.LittleEndian.PutUint32(b[4:], word)
+		if _, err := decodeWork(b); err == nil || !strings.Contains(err.Error(), "grant") {
+			t.Errorf("grant word %#x: error %v, want a grant error", word, err)
+		}
+	}
+	w, err := decodeWork(encodeWork(work{e: math.MaxInt32}))
+	if err != nil || w.e != math.MaxInt32 {
+		t.Errorf("largest grant: %+v, %v", w, err)
 	}
 }
 

@@ -56,13 +56,12 @@ type Config struct {
 	MP mp.Config
 
 	// Ctx, when non-nil, bounds the run: the engine polls it at phase
-	// boundaries, once per batch in the sequential loop, and once per
+	// boundaries, once per batch in each sequential worker, and once per
 	// slave report in the master's protocol loop, and aborts with an error
 	// wrapping Ctx.Err() when it is done. Polling (rather than selecting
 	// on Done) needs no goroutine to watch the context and lets tests
-	// trip cancellation at a deterministic poll count; the sequential
-	// engine's pair producer never polls, so it leaves that count as it
-	// is. nil means the run cannot be canceled (the pre-server behavior).
+	// trip cancellation at a deterministic poll count. nil means the run
+	// cannot be canceled (the pre-server behavior).
 	Ctx context.Context
 
 	// InitialLabels optionally seeds the cluster structure with a prior
@@ -426,6 +425,10 @@ type RankStats struct {
 	PairsGenerated int64
 	PairsProcessed int64
 	PairsAccepted  int64
+	// PairsSkipped and StaleSuppressed are this rank's shares of
+	// Stats.PairsSkipped and Stats.Incremental.StaleSuppressed.
+	PairsSkipped    int64
+	StaleSuppressed int64
 	// Busy is meaningful on the master only: time spent processing
 	// messages rather than waiting.
 	Busy time.Duration

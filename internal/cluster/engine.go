@@ -2,12 +2,15 @@ package cluster
 
 // The engine is split along its roles:
 //
-//	engine.go — entry points, the sequential engine and its workers, and the
-//	            phases every rank shares (prologue, cluster seeding, suffix
-//	            redistribution ranges)
+//	engine.go — entry points, the batch step every aligning rank runs
+//	            (filter → align → merge), the stale-pair filter, cluster
+//	            seeding, the sequential engine and its workers, and the
+//	            phases every rank shares (prologue, suffix redistribution
+//	            ranges, the per-rank report)
 //	master.go — the master rank: dispatch, flow control, merging the
 //	            slaves' per-pair verdicts, failure recovery
-//	slave.go  — the slave rank: GST share, pair generation, alignment loop
+//	slave.go  — the slave rank: GST share, pair generation, its replica
+//	            union-find and report loop
 //	codec.go  — the wire protocol
 
 import (
@@ -22,6 +25,7 @@ import (
 	"pace/internal/pairgen"
 	"pace/internal/seq"
 	"pace/internal/suffix"
+	"pace/internal/telemetry"
 	"pace/internal/unionfind"
 )
 
@@ -37,47 +41,77 @@ func Run(ests []seq.Sequence, cfg Config) (*Result, error) {
 	return RunSet(set, cfg)
 }
 
-// alignPairs runs the anchored banded extension on each pair and returns the
-// per-pair verdicts. A slave's pairs come off the wire, where decodeWork
+// batchCounts tallies what alignBatch did with a batch: pairs aligned, pairs
+// accepted, pairs skipped as already joined, accepted pairs whose union
+// joined two clusters, and the time spent inside Extend.
+type batchCounts struct {
+	processed, accepted, skipped, merges int64
+	align                                time.Duration
+}
+
+func (n *batchCounts) add(b batchCounts) {
+	n.processed += b.processed
+	n.accepted += b.accepted
+	n.skipped += b.skipped
+	n.merges += b.merges
+	n.align += b.align
+}
+
+// alignBatch is the clustering step of §3.3, the one every aligning rank
+// runs on its union-find — the shared one in the sequential engine, a
+// replica on a slave. For each pair in turn it skips the pair if uf already
+// joins its ESTs (under cfg.SkipSameCluster), otherwise aligns it, timing
+// Extend on clk, and unions an accepted pair at once so later pairs of the
+// batch see the verdict. Verdicts are appended to out, which the caller
+// reuses across batches. A slave's pairs come off the wire, where decodeWork
 // cannot know the set: string ids are checked here, positions and match
-// length by Extend. With a non-nil replica it skips, and counts, every pair
-// the replica already joins, and unions each accepted pair into it at once,
-// so later pairs of the batch see the verdict.
-func alignPairs(set *seq.SetS, ext *align.Extender, cfg Config, replica *unionfind.UF, pairs []pairgen.Pair) (out []alignResult, skipped int64, err error) {
-	out = make([]alignResult, 0, len(pairs))
+// length by Extend.
+func alignBatch(set *seq.SetS, ext *align.Extender, cfg Config, uf *unionfind.UF, clk func() time.Duration, pairs []pairgen.Pair, out []alignResult) ([]alignResult, batchCounts, error) {
+	var n batchCounts
 	ns := seq.StringID(set.NumStrings())
 	for _, p := range pairs {
 		if p.S1 < 0 || p.S1 >= ns || p.S2 < 0 || p.S2 >= ns {
-			return nil, 0, fmt.Errorf("cluster: aligning pair %+v: string id out of range for %d strings", p, ns)
+			return out, n, fmt.Errorf("cluster: aligning pair %+v: string id out of range for %d strings", p, ns)
 		}
 		i, j := p.ESTs()
-		if replica != nil && replica.Same(int32(i), int32(j)) {
-			skipped++
+		if cfg.SkipSameCluster && uf.Same(int32(i), int32(j)) {
+			n.skipped++
 			continue
 		}
+		t0 := clk()
 		res, err := ext.Extend(set.Str(p.S1), set.Str(p.S2), p.Pos1, p.Pos2, p.MatchLen)
+		n.align += clk() - t0
 		if err != nil {
-			return nil, 0, fmt.Errorf("cluster: aligning pair %+v: %w", p, err)
+			return out, n, fmt.Errorf("cluster: aligning pair %+v: %w", p, err)
 		}
+		n.processed++
 		acc := res.Accept(cfg.Scoring, cfg.Criteria)
-		if acc && replica != nil {
-			replica.Union(int32(i), int32(j))
+		if acc {
+			n.accepted++
+			if uf.Union(int32(i), int32(j)) {
+				n.merges++
+			}
 		}
 		out = append(out, alignResult{estI: i, estJ: j, accepted: acc})
 	}
-	return out, skipped, nil
+	return out, n, nil
 }
 
-// wallElapsed returns a monotonic clock counting from now. It is the
-// sequential engine's time base: that path runs outside the mp machine, so
-// real time is — by definition — its only clock.
-func wallElapsed() func() time.Duration {
-	//pacelint:allow walltime the sequential engine has no virtual clock; wall time is its time base
-	t0 := time.Now()
-	return func() time.Duration {
-		//pacelint:allow walltime the sequential engine has no virtual clock; wall time is its time base
-		return time.Since(t0)
+// dropJoined removes from pairs[from:], in place and keeping order, every
+// pair whose ESTs uf already joins (under cfg.SkipSameCluster), and returns
+// the shortened slice and how many it dropped.
+func dropJoined(cfg Config, uf *unionfind.UF, pairs []pairgen.Pair, from int) ([]pairgen.Pair, int64) {
+	if !cfg.SkipSameCluster {
+		return pairs, 0
 	}
+	kept := pairs[:from]
+	for _, p := range pairs[from:] {
+		i, j := p.ESTs()
+		if !uf.Same(int32(i), int32(j)) {
+			kept = append(kept, p)
+		}
+	}
+	return kept, int64(len(pairs) - len(kept))
 }
 
 // runSequential is the single-process engine. Forest construction fans out
@@ -105,7 +139,7 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
-	clk := wallElapsed()
+	clk := telemetry.NewWallClock().Elapsed
 	t0 := clk()
 	fb, err := buildSequentialForest(set, cfg, st, clk, workers)
 	if err != nil {
@@ -157,17 +191,9 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		}
 	}
 
-	uf := unionfind.New(set.NumESTs())
-	seedMerges, err := seedClusters(uf, cfg.InitialLabels, set.NumESTs())
+	uf, err := seededClusters(cfg, set.NumESTs(), st, pr)
 	if err != nil {
 		return nil, err
-	}
-	st.Recovery.SeedMerges = seedMerges
-	if pr != nil {
-		pr.seedMerges.Set(seedMerges)
-	}
-	if seedMerges > 0 {
-		cfg.logger().Info("seeded prior partition", "merges", seedMerges)
 	}
 	run := &seqRun{
 		set: set, cfg: cfg, uf: uf, pr: pr, clk: clk, t0: t0, st: st,
@@ -183,7 +209,7 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	for _, w := range ws {
 		st.PairsGenerated += w.gen.Stats().Generated
 		stale += w.gen.Stats().DiscardedStale
-		st.Phases.Align = maxDur(st.Phases.Align, w.align)
+		st.Phases.Align = max(st.Phases.Align, w.align)
 	}
 	if cfg.FreshGen > 0 {
 		st.Incremental.FreshPairs = st.PairsGenerated
@@ -198,7 +224,8 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		Partition: st.Phases.Partition, Construct: st.Phases.Construct,
 		Sort: st.Phases.Sort, Align: st.Phases.Align, Total: st.Phases.Total,
 		PairsGenerated: st.PairsGenerated, PairsProcessed: st.PairsProcessed,
-		PairsAccepted: st.PairsAccepted,
+		PairsAccepted: st.PairsAccepted, PairsSkipped: st.PairsSkipped,
+		StaleSuppressed: st.Incremental.StaleSuppressed,
 	}}
 	res.Labels = uf.Labels()
 	res.NumClusters = uf.Count()
@@ -206,16 +233,17 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 }
 
 // seqWorker is one worker of the sequential engine: its chunk's generator,
-// its own Extender and batch, its pair counts not yet added to the run's
-// Stats, and its total Extend time.
+// its own Extender, batch and verdict buffer, its pair counts not yet added
+// to the run's Stats, and its total Extend time.
 type seqWorker struct {
 	lane int // trace lane
 	gen  *pairgen.Generator
 	ext  *align.Extender
 	buf  []pairgen.Pair
+	out  []alignResult
 
-	processed, accepted, skipped, merges int64
-	align                                time.Duration
+	n     batchCounts
+	align time.Duration
 }
 
 // seqRun is what the sequential engine's workers share.
@@ -250,7 +278,7 @@ func (r *seqRun) drain(w *seqWorker) error {
 }
 
 func (r *seqRun) loop(w *seqWorker) error {
-	cfg, pr, uf, tw := r.cfg, r.pr, r.uf, r.cfg.Trace
+	cfg, pr, tw := r.cfg, r.pr, r.cfg.Trace
 	for !r.stop.Load() {
 		if err := cfg.ctxErr(); err != nil {
 			return err
@@ -260,48 +288,26 @@ func (r *seqRun) loop(w *seqWorker) error {
 			return nil
 		}
 		tBatch := r.clk() - r.t0
-		var batchAlign time.Duration
-		for _, p := range w.buf {
-			i, j := p.ESTs()
-			if cfg.SkipSameCluster && uf.Same(int32(i), int32(j)) {
-				w.skipped++
-				if pr != nil {
-					pr.skipped.Inc()
-				}
-				continue
-			}
-			tA := r.clk()
-			res, err := w.ext.Extend(r.set.Str(p.S1), r.set.Str(p.S2), p.Pos1, p.Pos2, p.MatchLen)
-			batchAlign += r.clk() - tA
-			if err != nil {
-				return err
-			}
-			w.processed++
-			if pr != nil {
-				pr.processed.Inc()
-			}
-			if res.Accept(cfg.Scoring, cfg.Criteria) {
-				w.accepted++
-				if pr != nil {
-					pr.accepted.Inc()
-				}
-				if uf.Union(int32(i), int32(j)) {
-					w.merges++
-					if pr != nil {
-						pr.merges.Inc()
-					}
-				}
-			}
+		var n batchCounts
+		var err error
+		w.out, n, err = alignBatch(r.set, w.ext, cfg, r.uf, r.clk, w.buf, w.out[:0])
+		w.n.add(n)
+		w.align += n.align
+		pr.countBatch(n)
+		if pr != nil {
+			pr.merges.Add(n.merges)
 		}
-		w.align += batchAlign
-		if tw != nil && batchAlign > 0 {
-			tw.Span(cfg.TracePID, w.lane, "align", "cluster", tBatch, batchAlign)
+		if err != nil {
+			return err
+		}
+		if tw != nil && n.align > 0 {
+			tw.Span(cfg.TracePID, w.lane, "align", "cluster", tBatch, n.align)
 		}
 		if r.ck != nil {
 			r.mu.Lock()
 			r.fold(w)
 			st := r.st
-			err := r.ck.maybe(uf, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, false)
+			err := r.ck.maybe(r.uf, st.PairsProcessed, st.PairsAccepted, st.PairsSkipped, st.Merges, false)
 			r.mu.Unlock()
 			if err != nil {
 				return err
@@ -314,11 +320,11 @@ func (r *seqRun) loop(w *seqWorker) error {
 // fold moves the worker's pair counts into the run's Stats; r.mu must be
 // held.
 func (r *seqRun) fold(w *seqWorker) {
-	r.st.PairsProcessed += w.processed
-	r.st.PairsAccepted += w.accepted
-	r.st.PairsSkipped += w.skipped
-	r.st.Merges += w.merges
-	w.processed, w.accepted, w.skipped, w.merges = 0, 0, 0, 0
+	r.st.PairsProcessed += w.n.processed
+	r.st.PairsAccepted += w.n.accepted
+	r.st.PairsSkipped += w.n.skipped
+	r.st.Merges += w.n.merges
+	w.n = batchCounts{}
 }
 
 // runParallel launches the master–slave machine. Under cfg.Recover a
@@ -345,29 +351,47 @@ func runParallel(set *seq.SetS, cfg Config) (*Result, error) {
 	return result, nil
 }
 
-// seedClusters merges ESTs that share a non-negative initial label. Labels
-// may cover only a prefix of the ESTs (old batch before newly arrived ones).
-// It returns the number of union operations performed, so a resumed run can
-// report how much work the seed (e.g. a checkpoint) already covered.
-func seedClusters(uf *unionfind.UF, labels []int32, n int) (int64, error) {
-	if len(labels) > n {
-		return 0, fmt.Errorf("cluster: %d initial labels for %d ESTs", len(labels), n)
+// newClusters is the union-find every aligning rank starts from: one
+// cluster per EST, with the ESTs that share a non-negative cfg.InitialLabels
+// label merged. Labels may cover only a prefix of the ESTs (old batch before
+// newly arrived ones).
+func newClusters(cfg Config, n int) (*unionfind.UF, error) {
+	if len(cfg.InitialLabels) > n {
+		return nil, fmt.Errorf("cluster: %d initial labels for %d ESTs", len(cfg.InitialLabels), n)
 	}
+	uf := unionfind.New(n)
 	first := make(map[int32]int32)
-	var merges int64
-	for i, l := range labels {
+	for i, l := range cfg.InitialLabels {
 		if l < 0 {
 			continue
 		}
 		if f, ok := first[l]; ok {
-			if uf.Union(f, int32(i)) {
-				merges++
-			}
+			uf.Union(f, int32(i))
 		} else {
 			first[l] = int32(i)
 		}
 	}
-	return merges, nil
+	return uf, nil
+}
+
+// seededClusters is newClusters for the rank that owns the run's partition.
+// It also records the merges the seed took — each joined two of the n
+// singletons — in st, the gauge and the log, so a resumed run can report how
+// much work the seed (e.g. a checkpoint) already covered.
+func seededClusters(cfg Config, n int, st *Stats, pr *probes) (*unionfind.UF, error) {
+	uf, err := newClusters(cfg, n)
+	if err != nil {
+		return nil, err
+	}
+	merges := int64(n - uf.Count())
+	st.Recovery.SeedMerges = merges
+	if pr != nil {
+		pr.seedMerges.Set(merges)
+	}
+	if merges > 0 {
+		cfg.logger().Info("seeded prior partition", "merges", merges)
+	}
+	return uf, nil
 }
 
 // shareRange splits the 2n strings over the p-1 slaves for histogram
@@ -384,14 +408,16 @@ func shareRange(si, slaves, total int) (seq.StringID, seq.StringID) {
 // publish the bucket-size distribution and redistribution skew.
 func prologue(set *seq.SetS, cfg Config, c *mp.Comm) ([]int32, []int64, error) {
 	slaves := c.Size() - 1
-	var hist, freshHist []int64
-	if c.Rank() == 0 {
-		hist = make([]int64, suffix.NumBuckets(cfg.Window))
-	} else {
+	// sum is the global histogram of the suffixes of strings of generation
+	// from or later: each slave counts its share, the master none.
+	sum := func(from seq.Gen) ([]int64, error) {
+		if c.Rank() == 0 {
+			return c.AllreduceSumInt64(make([]int64, suffix.NumBuckets(cfg.Window)))
+		}
 		lo, hi := shareRange(c.Rank()-1, slaves, set.NumStrings())
-		hist = suffix.Histogram(set, cfg.Window, lo, hi)
+		return c.AllreduceSumInt64(suffix.HistogramFrom(set, cfg.Window, from, lo, hi))
 	}
-	global, err := c.AllreduceSumInt64(hist)
+	global, err := sum(0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -402,32 +428,35 @@ func prologue(set *seq.SetS, cfg Config, c *mp.Comm) ([]int32, []int64, error) {
 	// and only touched buckets get an owner — every pair involving a fresh
 	// string lands in a bucket some fresh suffix falls into, so untouched
 	// buckets are neither shipped nor rebuilt.
-	if c.Rank() == 0 {
-		freshHist = make([]int64, suffix.NumBuckets(cfg.Window))
-	} else {
-		lo, hi := shareRange(c.Rank()-1, slaves, set.NumStrings())
-		freshHist = suffix.HistogramFrom(set, cfg.Window, cfg.FreshGen, lo, hi)
-	}
-	globalFresh, err := c.AllreduceSumInt64(freshHist)
+	globalFresh, err := sum(cfg.FreshGen)
 	if err != nil {
 		return nil, nil, err
 	}
 	return suffix.AssignFresh(global, globalFresh, slaves), global, nil
 }
 
-// fillComm snapshots a rank's communication counters into its phase report,
-// taken just before the final gather so every rank's cut-off is uniform.
-func fillComm(p *phaseReport, s mp.CommStats) {
-	p.msgsSent, p.bytesSent = s.MsgsSent, s.BytesSent
-	p.msgsRecv, p.bytesRecv = s.MsgsRecv, s.BytesRecv
-	p.recvWaitNs = int64(s.RecvWait)
-	p.collOps = s.Collectives.Ops()
-	p.collTimeNs = int64(s.Collectives.Time)
+// fillComm snapshots a rank's communication counters into its report row,
+// taken just before the final send so every rank's cut-off is uniform.
+func fillComm(rs *RankStats, s mp.CommStats) {
+	rs.MsgsSent, rs.BytesSent = s.MsgsSent, s.BytesSent
+	rs.MsgsRecv, rs.BytesRecv = s.MsgsRecv, s.BytesRecv
+	rs.RecvWait = s.RecvWait
+	rs.CollectiveOps = s.Collectives.Ops()
+	rs.CollectiveTime = s.Collectives.Time
 }
 
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
+// addRank folds one rank's row into the run's totals — each phase is the
+// maximum over ranks, each counter the sum — and appends it to PerRank.
+func (st *Stats) addRank(rs RankStats) {
+	st.Phases.Partition = max(st.Phases.Partition, rs.Partition)
+	st.Phases.Construct = max(st.Phases.Construct, rs.Construct)
+	st.Phases.Sort = max(st.Phases.Sort, rs.Sort)
+	st.Phases.Align = max(st.Phases.Align, rs.Align)
+	st.Phases.Total = max(st.Phases.Total, rs.Total)
+	st.PairsGenerated += rs.PairsGenerated
+	st.PairsProcessed += rs.PairsProcessed
+	st.PairsAccepted += rs.PairsAccepted
+	st.PairsSkipped += rs.PairsSkipped
+	st.Incremental.StaleSuppressed += rs.StaleSuppressed
+	st.PerRank = append(st.PerRank, rs)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -193,6 +194,41 @@ func TestParallelPairAccounting(t *testing.T) {
 				if st.PairsProcessed+st.PairsSkipped != st.PairsGenerated || st.PairsAccepted > st.PairsProcessed {
 					t.Errorf("processed %d + skipped %d != generated %d, or accepted %d > processed",
 						st.PairsProcessed, st.PairsSkipped, st.PairsGenerated, st.PairsAccepted)
+				}
+			})
+		}
+	}
+}
+
+// TestParallelFilterOff runs the parallel engine with SkipSameCluster off:
+// the slaves' replicas and the master then drop nothing, so every generated
+// pair is aligned exactly once, and the partition is still one worker's.
+func TestParallelFilterOff(t *testing.T) {
+	b := benchSet(t, 40, 4, 3)
+	base := DefaultConfig(1)
+	base.Window, base.Psi = 6, 18
+	base.SkipSameCluster = false
+	seqRes, err := Run(b.ESTs, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := normalizeLabels(seqRes.Labels)
+	for _, p := range []int{3, 5} {
+		for _, mpCfg := range parallelModes(p) {
+			t.Run(fmt.Sprintf("p%d_%s", p, modeName(mpCfg)), func(t *testing.T) {
+				cfg := base
+				cfg.MP = mpCfg
+				res, err := Run(b.ESTs, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(normalizeLabels(res.Labels), want) {
+					t.Errorf("partition differs from p = 1's (%d clusters vs %d)", res.NumClusters, seqRes.NumClusters)
+				}
+				st := res.Stats
+				if st.PairsSkipped != 0 || st.PairsProcessed != st.PairsGenerated {
+					t.Errorf("skipped %d, processed %d of %d generated; want 0 skipped and every pair processed",
+						st.PairsSkipped, st.PairsProcessed, st.PairsGenerated)
 				}
 			})
 		}

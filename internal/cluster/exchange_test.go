@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pace/internal/align"
 	"pace/internal/mp"
@@ -186,9 +187,11 @@ func TestScatterSuffixesValidatesTheWire(t *testing.T) {
 	}
 }
 
-// TestAlignPairsValidatesTheWire hands alignPairs the pairs a damaged work
+// TestAlignPairsValidatesTheWire hands alignBatch the pairs a damaged work
 // message decodes to: each must come back as a cluster error naming the pair,
-// never as an index panic inside the rank's goroutine.
+// never as an index panic inside the rank's goroutine — with the same-cluster
+// filter on, when the ids are checked before they index the union-find, and
+// off.
 func TestAlignPairsValidatesTheWire(t *testing.T) {
 	ests := make([]seq.Sequence, 2)
 	for i, s := range []string{"ACGTACGTAC", "GTACGTACGG"} {
@@ -223,16 +226,18 @@ func TestAlignPairsValidatesTheWire(t *testing.T) {
 		{"negative Pos1", pairgen.Pair{S1: 0, S2: 2, Pos1: -3, Pos2: 0, MatchLen: 4}, "out of range"},
 		{"Pos2 2^31-1", pairgen.Pair{S1: 0, S2: 2, Pos1: 0, Pos2: math.MaxInt32, MatchLen: 4}, "out of range"},
 	}
-	// With a replica the ids are checked before they index it, too.
-	for _, replica := range []*unionfind.UF{nil, unionfind.New(set.NumESTs())} {
+	clk := func() time.Duration { return 0 }
+	for _, filter := range []bool{true, false} {
+		cfg.SkipSameCluster = filter
 		for _, tc := range cases {
-			out, skipped, err := alignPairs(set, ext, cfg, replica, []pairgen.Pair{good, tc.pair})
+			uf := unionfind.New(set.NumESTs())
+			out, n, err := alignBatch(set, ext, cfg, uf, clk, []pairgen.Pair{good, tc.pair}, nil)
 			switch {
-			case tc.want == "" && (err != nil || int64(len(out))+skipped != 2):
-				t.Errorf("%s: %d verdicts, %d skipped, err %v", tc.name, len(out), skipped, err)
+			case tc.want == "" && (err != nil || int64(len(out)) != n.processed || n.processed+n.skipped != 2 || !filter && n.skipped != 0):
+				t.Errorf("filter %v, %s: %d verdicts, %+v, err %v", filter, tc.name, len(out), n, err)
 			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want) ||
 				!strings.HasPrefix(err.Error(), "cluster: ") || !strings.Contains(err.Error(), fmt.Sprintf("%+v", tc.pair))):
-				t.Errorf("%s: got %v, want a cluster error naming the pair and containing %q", tc.name, err, tc.want)
+				t.Errorf("filter %v, %s: got %v, want a cluster error naming the pair and containing %q", filter, tc.name, err, tc.want)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -87,10 +88,17 @@ func FuzzDecodeWork(f *testing.F) {
 	f.Add(append([]byte{enc[0] | 4}, enc[1:]...))
 	enc = encodeWork(seeds[5])
 	f.Add(enc[:len(enc)-3])
+	// A grant word of 2³¹, which would decode to a negative E.
+	enc = encodeWork(seeds[2])
+	binary.LittleEndian.PutUint32(enc[4:], 1<<31)
+	f.Add(enc)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		w, err := decodeWork(b)
 		if err != nil {
 			return
+		}
+		if w.e < 0 {
+			t.Fatalf("negative grant %d accepted", w.e)
 		}
 		if got := encodeWork(w); !bytes.Equal(got, b) {
 			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", b, got)
@@ -99,11 +107,11 @@ func FuzzDecodeWork(f *testing.F) {
 }
 
 func FuzzDecodePhase(f *testing.F) {
-	p := phaseReport{
-		partitionNs: 1, constructNs: 2, sortNs: 3, alignNs: 4, totalNs: 5,
-		generated: 6, processed: 7, accepted: 8, stale: 9, skipped: 17,
-		msgsSent: 10, bytesSent: 11, msgsRecv: 12, bytesRecv: 13,
-		recvWaitNs: 14, collOps: 15, collTimeNs: 16, busyNs: -1,
+	p := RankStats{
+		Partition: 1, Construct: 2, Sort: 3, Align: 4, Total: 5,
+		PairsGenerated: 6, PairsProcessed: 7, PairsAccepted: 8, StaleSuppressed: 9, PairsSkipped: 17,
+		MsgsSent: 10, BytesSent: 11, MsgsRecv: 12, BytesRecv: 13,
+		RecvWait: 14, CollectiveOps: 15, CollectiveTime: 16, Busy: -1,
 	}
 	enc := encodePhase(p)
 	f.Add(enc)
@@ -197,7 +205,7 @@ func TestFuzzSeedsDecode(t *testing.T) {
 	if _, err := decodePhase(make([]byte, 8)); err == nil {
 		t.Fatal("truncated phase report accepted")
 	}
-	p := phaseReport{busyNs: 42, totalNs: 7}
+	p := RankStats{Busy: 42, Total: 7}
 	rt, err := decodePhase(encodePhase(p))
 	if err != nil || rt != p {
 		t.Fatalf("phase round-trip: %+v, %v", rt, err)

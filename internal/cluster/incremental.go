@@ -7,7 +7,6 @@ import (
 
 	"pace/internal/seq"
 	"pace/internal/suffix"
-	"pace/internal/unionfind"
 )
 
 // Incremental batch ingest: the session layer appends a batch of ESTs to a
@@ -161,14 +160,13 @@ func CheckpointFromLabels(numESTs, window, psi int, labels []int32) (*Checkpoint
 	if len(labels) != numESTs {
 		return nil, fmt.Errorf("cluster: %d labels for %d ESTs", len(labels), numESTs)
 	}
-	uf := unionfind.New(numESTs)
-	merges, err := seedClusters(uf, labels, numESTs)
+	uf, err := newClusters(Config{InitialLabels: labels}, numESTs)
 	if err != nil {
 		return nil, err
 	}
 	return &Checkpoint{
 		NumESTs: numESTs, Window: window, Psi: psi,
-		Merges: merges, UF: uf,
+		Merges: int64(numESTs - uf.Count()), UF: uf,
 	}, nil
 }
 

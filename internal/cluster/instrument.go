@@ -157,6 +157,17 @@ func (pr *probes) recordIncremental(inc IncrementalStats) {
 	pr.incrStale.Add(inc.StaleSuppressed)
 }
 
+// countBatch adds one alignBatch call's pairs processed, accepted and
+// skipped to the live counters.
+func (pr *probes) countBatch(n batchCounts) {
+	if pr == nil {
+		return
+	}
+	pr.processed.Add(n.processed)
+	pr.accepted.Add(n.accepted)
+	pr.skipped.Add(n.skipped)
+}
+
 // observer builds the pairgen hooks backed by this probe set, timing
 // batches against clk (the engine's time base — virtual on ranks, wall on
 // the sequential path; nil falls back to wall time inside pairgen).

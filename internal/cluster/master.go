@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"pace/internal/mp"
 	"pace/internal/pairgen"
@@ -135,243 +134,22 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 		st.Incremental.BucketsRebuilt = rebuilt
 		st.Incremental.BucketsReused = nonEmptyBuckets(global) - rebuilt
 	}
-	uf := unionfind.New(set.NumESTs())
-	seedMerges, err := seedClusters(uf, cfg.InitialLabels, set.NumESTs())
+	uf, err := seededClusters(cfg, set.NumESTs(), st, pr)
 	if err != nil {
 		return nil, err
 	}
-	st.Recovery.SeedMerges = seedMerges
-	if pr != nil {
-		pr.seedMerges.Set(seedMerges)
+	m := &master{
+		set: set, cfg: cfg, c: c, pr: pr, st: st, uf: uf,
+		ck:     newCheckpointer(cfg, set.NumESTs(), st, pr, c.Elapsed),
+		slaves: c.Size() - 1,
+		states: make([]masterState, c.Size()),
 	}
-	if seedMerges > 0 {
-		cfg.logger().Info("seeded prior partition", "merges", seedMerges)
-	}
-	ck := newCheckpointer(cfg, set.NumESTs(), st, pr, c.Elapsed)
-
-	slaves := c.Size() - 1
-	p := c.Size()
-	states := make([]masterState, c.Size())
 	// Every slave's unsolicited first report carries up to bootstrapGrant
 	// pairs; charge those grants up front so the WORKBUF bound holds from
 	// the first message on.
-	grantedTotal := 0
-	for r := 1; r <= slaves; r++ {
-		states[r].granted = bootstrapGrant(cfg, p)
-		grantedTotal += states[r].granted
-		states[r].owes = 1 // the unsolicited first report
-		states[r].shards = []shard{{part: int32(r - 1), idx: 0, of: 1}}
-	}
-
-	var workbuf []pairgen.Pair
-	head := 0
-	// requeued holds pairs reclaimed from dead slaves' in-flight batches.
-	// They drain ahead of WORKBUF and are deliberately not counted against
-	// its occupancy: they already passed admission control once, and the
-	// WorkBufHighWater ≤ WorkBufCap invariant is about admission.
-	var requeued []pairgen.Pair
-	// pendingShards are dead slaves' generator shards awaiting a survivor.
-	var pendingShards []shard
-	buffered := func() int { return len(workbuf) - head }
-	compact := func() {
-		if head > 0 && head >= len(workbuf)/2 {
-			workbuf = append(workbuf[:0], workbuf[head:]...)
-			head = 0
-		}
-	}
-
-	// popBatch extracts up to BatchSize pairs whose ESTs are still in
-	// different clusters (clusters may have merged since enqueue),
-	// requeued recovery pairs first.
-	popBatch := func() []pairgen.Pair {
-		var out []pairgen.Pair
-		keep := func(p pairgen.Pair) bool {
-			i, j := p.ESTs()
-			if cfg.SkipSameCluster && uf.Same(int32(i), int32(j)) {
-				st.PairsSkipped++
-				if pr != nil {
-					pr.skipped.Inc()
-				}
-				return false
-			}
-			return true
-		}
-		for len(requeued) > 0 && len(out) < cfg.BatchSize {
-			p := requeued[0]
-			requeued = requeued[1:]
-			if keep(p) {
-				out = append(out, p)
-			}
-		}
-		for head < len(workbuf) && len(out) < cfg.BatchSize {
-			p := workbuf[head]
-			head++
-			if keep(p) {
-				out = append(out, p)
-			}
-		}
-		compact()
-		return out
-	}
-
-	activeSlaves := func() int {
-		a := 0
-		for r := 1; r <= slaves; r++ {
-			if !states[r].dead && !states[r].generatorDone {
-				a++
-			}
-		}
-		return a
-	}
-
-	// edges logs every accepted pair whose union joined two clusters: at
-	// most n-1 entries over a run, each sent to every slave once.
-	var edges [][2]int32
-
-	// Wire messages are encoded into one reusable scratch buffer: the mp
-	// ownership contract (copy-on-send) makes the reuse safe, so the
-	// master's steady state allocates nothing per interaction. Every work
-	// message but stop carries the edges logged since the slave's last one.
-	var wire []byte
-	sendWork := func(to int, w work) error {
-		if !w.stop {
-			w.edges = edges[states[to].edgesSent:]
-			states[to].edgesSent = len(edges)
-		}
-		wire = appendWork(wire[:0], w)
-		return c.Send(to, tagWork, wire)
-	}
-	// dispatch sends a non-stop work message and records the protocol
-	// consequences: one more report owed, and a non-empty batch joins the
-	// slave's in-flight FIFO until a report acknowledges it.
-	dispatch := func(to int, w work) error {
-		if err := sendWork(to, w); err != nil {
-			return err
-		}
-		if len(w.pairs) > 0 {
-			states[to].inflight = append(states[to].inflight, w.pairs)
-		}
-		states[to].owes++
-		states[to].idle = false
-		return nil
-	}
-
-	grantFor := func(reported, added int) int {
-		nfree := cfg.WorkBufCap - buffered() - grantedTotal
-		return grantE(cfg, reported, added, activeSlaves(), slaves, p, nfree)
-	}
-
-	// done: no work buffered anywhere, no shard awaiting a survivor, and
-	// every living slave is parked with no report outstanding.
-	done := func() bool {
-		if buffered() > 0 || len(requeued) > 0 || len(pendingShards) > 0 {
-			return false
-		}
-		for r := 1; r <= slaves; r++ {
-			if states[r].dead {
-				continue
-			}
-			if states[r].owes > 0 || !states[r].idle {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Surplus work re-activates parked slaves.
-	reactivate := func() error {
-		for r := 1; r <= slaves && buffered()+len(requeued) > 0; r++ {
-			if states[r].dead || !states[r].idle {
-				continue
-			}
-			batch := popBatch()
-			if len(batch) == 0 {
-				break
-			}
-			if err := dispatch(r, work{pairs: batch}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// handleDeath recovers from slave s failing mid-protocol: reclaim its
-	// outstanding grant, requeue its unacknowledged batches, and subdivide
-	// its generator shards among the survivors, who rebuild them locally
-	// and regenerate the remaining pairs. Regenerated pairs overlap work
-	// the dead slave already reported; the same-cluster filter and the
-	// idempotence of union-find merges absorb the duplicates, and the final
-	// clusters match a failure-free run.
-	handleDeath := func(s int) error {
-		states[s].dead = true
-		states[s].idle = false
-		states[s].owes = 0
-		reclaimed := int64(states[s].granted)
-		grantedTotal -= states[s].granted
-		states[s].granted = 0
-		var requeuedNow int64
-		for _, b := range states[s].inflight {
-			requeued = append(requeued, b...)
-			requeuedNow += int64(len(b))
-		}
-		states[s].inflight = nil
-		st.Recovery.RanksLost++
-		st.Recovery.GrantsReclaimed += reclaimed
-		st.Recovery.PairsRequeued += requeuedNow
-
-		var surv []int
-		for r := 1; r <= slaves; r++ {
-			if !states[r].dead {
-				surv = append(surv, r)
-			}
-		}
-		if len(surv) == 0 {
-			return fmt.Errorf("cluster: all %d slaves failed; cannot recover", slaves)
-		}
-		var reassigned int64
-		// A passive slave had generated and shipped every pair of its
-		// shards before dying — nothing left to regenerate.
-		if !states[s].generatorDone {
-			k := int32(len(surv))
-			for _, sh := range states[s].shards {
-				for j := int32(0); j < k; j++ {
-					pendingShards = append(pendingShards, shard{part: sh.part, idx: sh.idx + sh.of*j, of: sh.of * k})
-				}
-				reassigned += int64(k)
-			}
-			st.Recovery.ShardsReassigned += reassigned
-		}
-		states[s].shards = nil
-		if pr != nil {
-			pr.ranksLost.Inc()
-			pr.grantsReclaimed.Add(reclaimed)
-			pr.pairsRequeued.Add(requeuedNow)
-			pr.shardsReassigned.Add(reassigned)
-		}
-		cfg.logger().Warn("slave rank lost; recovering",
-			"rank", s, "survivors", len(surv), "grants_reclaimed", reclaimed,
-			"pairs_requeued", requeuedNow, "shards_reassigned", reassigned)
-		// Hand shards to parked survivors right away; busy ones collect
-		// theirs attached to the reply to their next report.
-		for _, r := range surv {
-			if len(pendingShards) == 0 {
-				break
-			}
-			if !states[r].idle || states[r].owes > 0 {
-				continue
-			}
-			sh := pendingShards[0]
-			pendingShards = pendingShards[1:]
-			states[r].shards = append(states[r].shards, sh)
-			states[r].generatorDone = false
-			e := grantFor(0, 0)
-			if err := dispatch(r, work{e: int32(e), recover: []shard{sh}}); err != nil {
-				return err
-			}
-			states[r].granted = e
-			grantedTotal += e
-		}
-		return reactivate()
+	for r := 1; r <= m.slaves; r++ {
+		m.states[r] = masterState{granted: bootstrapGrant(cfg, c.Size()), owes: 1, shards: []shard{{part: int32(r - 1), idx: 0, of: 1}}}
+		m.granted += m.states[r].granted
 	}
 
 	// Master idle is measured over the dispatch loop only: recv wait
@@ -380,238 +158,35 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 	// Snapshotting the baseline makes MasterIdle exactly "time the dispatch
 	// loop spent blocked on slave reports".
 	rw0 := c.Stats().RecvWait
-
-	// cumProcessed/cumAccepted mirror the slaves' counters from the
-	// results stream for checkpointing; the authoritative per-rank totals
-	// still arrive with the final phase reports.
-	var cumProcessed, cumAccepted int64
-	for {
-		// Cancellation poll, once per slave interaction. The master is the
-		// protocol's hub: returning the error here fails rank 0, which the
-		// fail-stop transport propagates to every slave blocked on it, so
-		// the whole parallel run unwinds without a stray goroutine left
-		// holding the session's string set.
-		if err := cfg.ctxErr(); err != nil {
+	for !m.done() {
+		if err := m.step(); err != nil {
 			return nil, err
-		}
-		// A zero SlaveTimeout waits forever, so only an armed one expires.
-		msg, err := c.RecvTimeout(mp.AnySource, tagReport, cfg.SlaveTimeout)
-		if errors.Is(err, mp.ErrTimeout) {
-			return nil, fmt.Errorf("cluster: no slave report within SlaveTimeout %v; a slave is wedged", cfg.SlaveTimeout)
-		}
-		if err != nil {
-			var rf *mp.RankFailedError
-			if !cfg.Recover || !errors.As(err, &rf) || rf.Rank < 1 || rf.Rank > slaves || states[rf.Rank].dead {
-				return nil, err
-			}
-			busy := c.Elapsed()
-			if err := handleDeath(rf.Rank); err != nil {
-				return nil, err
-			}
-			st.MasterBusy += c.Elapsed() - busy
-			if done() {
-				break
-			}
-			continue
-		}
-		busy := c.Elapsed()
-		s := msg.From
-		states[s].owes--
-		rep, err := decodeReport(msg.Data)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkReportIDs(s, rep, set); err != nil {
-			return nil, err
-		}
-		states[s].generatorDone = rep.passive
-		if rep.ackWork && len(states[s].inflight) > 0 {
-			states[s].inflight = states[s].inflight[1:]
-		}
-		// The grant this report answers is consumed, whether or not the
-		// slave used all of it.
-		grant := states[s].granted
-		grantedTotal -= grant
-		states[s].granted = 0
-		if len(rep.pairs) > grant {
-			// Defensive: a slave exceeding its grant would silently break
-			// the WORKBUF bound.
-			return nil, fmt.Errorf("cluster: slave %d reported %d pairs, exceeding its grant of %d", s, len(rep.pairs), grant)
-		}
-
-		// Merge application is master busy time.
-		for _, r := range rep.results {
-			if r.accepted {
-				cumAccepted++
-				if uf.Union(int32(r.estI), int32(r.estJ)) {
-					st.Merges++
-					if cfg.SkipSameCluster {
-						edges = append(edges, [2]int32{int32(r.estI), int32(r.estJ)})
-					}
-					if pr != nil {
-						pr.merges.Inc()
-					}
-				}
-			}
-		}
-		cumProcessed += int64(len(rep.results))
-		added := 0
-		for _, pair := range rep.pairs {
-			i, j := pair.ESTs()
-			if cfg.SkipSameCluster && uf.Same(int32(i), int32(j)) {
-				st.PairsSkipped++
-				if pr != nil {
-					pr.skipped.Inc()
-				}
-				continue
-			}
-			workbuf = append(workbuf, pair)
-			added++
-		}
-		if b := buffered(); b > st.WorkBufHighWater {
-			st.WorkBufHighWater = b
-		}
-		if pr != nil {
-			b := int64(buffered())
-			pr.workbuf.Set(b)
-			pr.workbufHW.SetMax(b)
-		}
-		if tw != nil {
-			tw.Counter(cfg.TracePID, "workbuf", c.Elapsed(), int64(buffered()))
-		}
-		if err := ck.maybe(uf, cumProcessed, cumAccepted, st.PairsSkipped, st.Merges, false); err != nil {
-			return nil, err
-		}
-
-		// Reply: W pairs from WORKBUF plus the next pair request E, and a
-		// pending recovery shard if one is waiting for a taker.
-		batch := popBatch()
-		var rec []shard
-		if len(pendingShards) > 0 {
-			rec = pendingShards[:1:1]
-			pendingShards = pendingShards[1:]
-			states[s].shards = append(states[s].shards, rec[0])
-			states[s].generatorDone = false
-		}
-		e := 0
-		if !states[s].generatorDone {
-			e = grantFor(len(rep.pairs), added)
-			if pr != nil && e > 0 {
-				pr.grantE.Observe(int64(e))
-			}
-		}
-
-		switch {
-		case len(batch) > 0 || e > 0 || len(rec) > 0:
-			if err := dispatch(s, work{pairs: batch, e: int32(e), recover: rec}); err != nil {
-				return nil, err
-			}
-			states[s].granted = e
-			grantedTotal += e
-		case rep.hasNextWork || !states[s].generatorDone:
-			// The slave either holds a batch whose results we still need,
-			// or is an active generator that got no grant because every
-			// free WORKBUF slot is pledged to peers. Reply empty in both
-			// cases: the slave reports back (keep-alive), and by then
-			// peer reports will have released grant space. Parking an
-			// active generator here would strand its unreported pairs.
-			if err := dispatch(s, work{}); err != nil {
-				return nil, err
-			}
-		default:
-			// Park the slave on the wait queue.
-			states[s].idle = true
-		}
-
-		if err := reactivate(); err != nil {
-			return nil, err
-		}
-		st.MasterBusy += c.Elapsed() - busy
-		if done() {
-			break
 		}
 	}
 
 	// Final snapshot: a resumed run starts from the completed partition.
-	if err := ck.maybe(uf, cumProcessed, cumAccepted, st.PairsSkipped, st.Merges, true); err != nil {
+	if err := m.checkpoint(true); err != nil {
 		return nil, err
 	}
-
-	for r := 1; r <= slaves; r++ {
-		if states[r].dead {
+	for r := 1; r <= m.slaves; r++ {
+		if m.states[r].dead {
 			continue
 		}
-		if err := sendWork(r, work{stop: true}); err != nil {
+		if err := m.send(r, work{stop: true}); err != nil {
 			return nil, err
 		}
 	}
 
-	// Collect per-rank phase reports and reduce to the Table 3 rows. The
-	// collection is point-to-point (tagPhase) rather than a gather so dead
-	// ranks can be skipped; they appear as zeroed "lost" rows.
 	total := c.Elapsed() - tStart
 	cs := c.Stats()
 	st.MasterIdle = cs.RecvWait - rw0
 	if pr != nil {
 		pr.masterIdle.Set(int64(st.MasterIdle))
 	}
-	mine := phaseReport{partitionNs: int64(tPart), totalNs: int64(total), busyNs: int64(st.MasterBusy)}
+	mine := RankStats{Rank: 0, Role: "master", Partition: tPart, Total: total, PairsSkipped: m.skipped, Busy: st.MasterBusy}
 	fillComm(&mine, cs)
-	st.PerRank = make([]RankStats, 0, c.Size())
-	addRow := func(r int, role string, ph phaseReport) {
-		st.Phases.Partition = maxDur(st.Phases.Partition, time.Duration(ph.partitionNs))
-		st.Phases.Construct = maxDur(st.Phases.Construct, time.Duration(ph.constructNs))
-		st.Phases.Sort = maxDur(st.Phases.Sort, time.Duration(ph.sortNs))
-		st.Phases.Align = maxDur(st.Phases.Align, time.Duration(ph.alignNs))
-		st.Phases.Total = maxDur(st.Phases.Total, time.Duration(ph.totalNs))
-		st.PairsGenerated += ph.generated
-		st.PairsProcessed += ph.processed
-		st.PairsAccepted += ph.accepted
-		st.Incremental.StaleSuppressed += ph.stale
-		st.PairsSkipped += ph.skipped
-		st.PerRank = append(st.PerRank, RankStats{
-			Rank: r, Role: role,
-			Partition: time.Duration(ph.partitionNs),
-			Construct: time.Duration(ph.constructNs),
-			Sort:      time.Duration(ph.sortNs),
-			Align:     time.Duration(ph.alignNs),
-			Total:     time.Duration(ph.totalNs),
-			MsgsSent:  ph.msgsSent, BytesSent: ph.bytesSent,
-			MsgsRecv: ph.msgsRecv, BytesRecv: ph.bytesRecv,
-			RecvWait:       time.Duration(ph.recvWaitNs),
-			CollectiveOps:  ph.collOps,
-			CollectiveTime: time.Duration(ph.collTimeNs),
-			PairsGenerated: ph.generated,
-			PairsProcessed: ph.processed,
-			PairsAccepted:  ph.accepted,
-			Busy:           time.Duration(ph.busyNs),
-		})
-	}
-	addRow(0, "master", mine)
-	for r := 1; r <= slaves; r++ {
-		if states[r].dead {
-			st.PerRank = append(st.PerRank, RankStats{Rank: r, Role: "lost"})
-			continue
-		}
-		pm, err := c.Recv(r, tagPhase)
-		if err != nil {
-			var rf *mp.RankFailedError
-			if cfg.Recover && errors.As(err, &rf) {
-				// Died after its protocol work was complete; only its
-				// stats are lost.
-				st.PerRank = append(st.PerRank, RankStats{Rank: r, Role: "lost"})
-				continue
-			}
-			return nil, err
-		}
-		ph, err := decodePhase(pm.Data)
-		if err != nil {
-			return nil, err
-		}
-		addRow(r, "slave", ph)
-	}
-	for _, rs := range st.PerRank {
-		pr.recordComm(rs)
+	if err := m.collect(mine); err != nil {
+		return nil, err
 	}
 	if cfg.FreshGen > 0 {
 		st.Incremental.FreshPairs = st.PairsGenerated
@@ -621,4 +196,413 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 	res.Labels = uf.Labels()
 	res.NumClusters = uf.Count()
 	return res, nil
+}
+
+// master is the master rank's protocol state, changed one slave event at a
+// time by step.
+type master struct {
+	set    *seq.SetS
+	cfg    Config
+	c      *mp.Comm
+	pr     *probes
+	st     *Stats
+	uf     *unionfind.UF
+	ck     *checkpointer
+	slaves int
+	states []masterState
+	// granted is the sum of the slaves' outstanding grants, all charged
+	// against WORKBUF's free space.
+	granted int
+	// workbuf[head:] is WORKBUF.
+	workbuf []pairgen.Pair
+	head    int
+	// requeued holds pairs reclaimed from dead slaves' in-flight batches.
+	// They drain ahead of WORKBUF and are deliberately not counted against
+	// its occupancy: they already passed admission control once, and the
+	// WorkBufHighWater ≤ WorkBufCap invariant is about admission.
+	requeued []pairgen.Pair
+	// pendingShards are dead slaves' generator shards awaiting a survivor.
+	pendingShards []shard
+	// edges logs every accepted pair whose union joined two clusters: at
+	// most n-1 entries over a run, each sent to every slave once.
+	edges [][2]int32
+	// wire is the scratch buffer work messages are encoded into: the mp
+	// ownership contract (copy-on-send) makes the reuse safe, so the
+	// master's steady state allocates nothing per interaction.
+	wire []byte
+	// skipped counts the pairs the master dropped as already joined;
+	// processed and accepted mirror the slaves' counters from the verdict
+	// stream for checkpointing (the authoritative per-rank totals arrive
+	// with the final reports).
+	skipped, processed, accepted int64
+}
+
+// step waits for the next slave event — a report, or under Recover a slave's
+// death — and handles it. The handling is master busy time.
+func (m *master) step() error {
+	// Cancellation poll, once per slave interaction. The master is the
+	// protocol's hub: returning the error here fails rank 0, which the
+	// fail-stop transport propagates to every slave blocked on it, so the
+	// whole parallel run unwinds without a stray goroutine left holding the
+	// session's string set.
+	if err := m.cfg.ctxErr(); err != nil {
+		return err
+	}
+	// A zero SlaveTimeout waits forever, so only an armed one expires.
+	msg, err := m.c.RecvTimeout(mp.AnySource, tagReport, m.cfg.SlaveTimeout)
+	if errors.Is(err, mp.ErrTimeout) {
+		return fmt.Errorf("cluster: no slave report within SlaveTimeout %v; a slave is wedged", m.cfg.SlaveTimeout)
+	}
+	busy := m.c.Elapsed()
+	var rf *mp.RankFailedError
+	switch {
+	case err == nil:
+		err = m.onReport(msg)
+	case m.cfg.Recover && errors.As(err, &rf) && rf.Rank >= 1 && rf.Rank <= m.slaves && !m.states[rf.Rank].dead:
+		err = m.onDeath(rf.Rank)
+	}
+	m.st.MasterBusy += m.c.Elapsed() - busy
+	return err
+}
+
+// onReport handles one slave report: it retires what the report answers,
+// merges its verdicts, admits its pairs to WORKBUF and replies.
+func (m *master) onReport(msg mp.Msg) error {
+	s := msg.From
+	ms := &m.states[s]
+	ms.owes--
+	rep, err := decodeReport(msg.Data)
+	if err != nil {
+		return err
+	}
+	if err := checkReportIDs(s, rep, m.set); err != nil {
+		return err
+	}
+	ms.generatorDone = rep.passive
+	if rep.ackWork && len(ms.inflight) > 0 {
+		ms.inflight = ms.inflight[1:]
+	}
+	// The grant this report answers is consumed, whether or not the slave
+	// used all of it.
+	grant := ms.granted
+	m.granted -= grant
+	ms.granted = 0
+	if len(rep.pairs) > grant {
+		// Defensive: a slave exceeding its grant would silently break the
+		// WORKBUF bound.
+		return fmt.Errorf("cluster: slave %d reported %d pairs, exceeding its grant of %d", s, len(rep.pairs), grant)
+	}
+	m.merge(rep.results)
+	added := m.admit(rep.pairs)
+	if err := m.checkpoint(false); err != nil {
+		return err
+	}
+
+	// Reply: W pairs from WORKBUF plus the next pair request E, and a
+	// pending recovery shard if one is waiting for a taker.
+	batch := m.popBatch()
+	rec := m.takeShard(s)
+	e := 0
+	if !ms.generatorDone {
+		e = m.grantFor(len(rep.pairs), added)
+		if m.pr != nil && e > 0 {
+			m.pr.grantE.Observe(int64(e))
+		}
+	}
+	switch {
+	case len(batch) > 0 || e > 0 || len(rec) > 0:
+		err = m.dispatch(s, work{pairs: batch, e: int32(e), recover: rec})
+	case rep.hasNextWork || !ms.generatorDone:
+		// The slave either holds a batch whose results we still need, or
+		// is an active generator that got no grant because every free
+		// WORKBUF slot is pledged to peers. Reply empty in both cases: the
+		// slave reports back (keep-alive), and by then peer reports will
+		// have released grant space. Parking an active generator here
+		// would strand its unreported pairs.
+		err = m.dispatch(s, work{})
+	default:
+		// Park the slave on the wait queue.
+		ms.idle = true
+	}
+	if err != nil {
+		return err
+	}
+	return m.reactivate()
+}
+
+// merge unions each accepted verdict into the master's union-find, logging
+// every union that joins two clusters as a spanning edge for the replicas.
+func (m *master) merge(results []alignResult) {
+	for _, r := range results {
+		if !r.accepted {
+			continue
+		}
+		m.accepted++
+		if m.uf.Union(int32(r.estI), int32(r.estJ)) {
+			m.st.Merges++
+			if m.cfg.SkipSameCluster {
+				m.edges = append(m.edges, [2]int32{int32(r.estI), int32(r.estJ)})
+			}
+			if m.pr != nil {
+				m.pr.merges.Inc()
+			}
+		}
+	}
+	m.processed += int64(len(results))
+}
+
+// admit appends a report's pairs to WORKBUF, less those already joined, and
+// returns how many it kept.
+func (m *master) admit(pairs []pairgen.Pair) int {
+	from := len(m.workbuf)
+	var d int64
+	m.workbuf, d = dropJoined(m.cfg, m.uf, append(m.workbuf, pairs...), from)
+	m.skip(d)
+	b := m.buffered()
+	m.st.WorkBufHighWater = max(m.st.WorkBufHighWater, b)
+	if m.pr != nil {
+		m.pr.workbuf.Set(int64(b))
+		m.pr.workbufHW.SetMax(int64(b))
+	}
+	if tw := m.cfg.Trace; tw != nil {
+		tw.Counter(m.cfg.TracePID, "workbuf", m.c.Elapsed(), int64(b))
+	}
+	return len(m.workbuf) - from
+}
+
+func (m *master) buffered() int { return len(m.workbuf) - m.head }
+
+func (m *master) skip(d int64) {
+	m.skipped += d
+	if m.pr != nil {
+		m.pr.skipped.Add(d)
+	}
+}
+
+func (m *master) checkpoint(force bool) error {
+	return m.ck.maybe(m.uf, m.processed, m.accepted, m.skipped, m.st.Merges, force)
+}
+
+// popBatch takes up to BatchSize pairs whose ESTs are still in different
+// clusters (clusters may have merged since admission), requeued recovery
+// pairs first.
+func (m *master) popBatch() []pairgen.Pair {
+	var out []pairgen.Pair
+	m.requeued = m.takeInto(&out, m.requeued)
+	rest := m.takeInto(&out, m.workbuf[m.head:])
+	m.head = len(m.workbuf) - len(rest)
+	if m.head > 0 && m.head >= len(m.workbuf)/2 {
+		m.workbuf = append(m.workbuf[:0], m.workbuf[m.head:]...)
+		m.head = 0
+	}
+	return out
+}
+
+// takeInto moves pairs from the front of src to *out, dropping those already
+// joined, until *out holds BatchSize pairs or src runs dry, and returns what
+// is left of src.
+func (m *master) takeInto(out *[]pairgen.Pair, src []pairgen.Pair) []pairgen.Pair {
+	for len(src) > 0 && len(*out) < m.cfg.BatchSize {
+		from := len(*out)
+		k := min(m.cfg.BatchSize-from, len(src))
+		var d int64
+		*out, d = dropJoined(m.cfg, m.uf, append(*out, src[:k]...), from)
+		src = src[k:]
+		m.skip(d)
+	}
+	return src
+}
+
+// takeShard hands slave r the next shard awaiting a survivor, if any: r now
+// covers it and is an active generator again.
+func (m *master) takeShard(r int) []shard {
+	if len(m.pendingShards) == 0 {
+		return nil
+	}
+	sh := m.pendingShards[:1:1]
+	m.pendingShards = m.pendingShards[1:]
+	m.states[r].shards = append(m.states[r].shards, sh[0])
+	m.states[r].generatorDone = false
+	return sh
+}
+
+// grantFor is the grant E for a slave that reported `reported` pairs of which
+// `added` were admitted, against the WORKBUF space neither buffered nor
+// pledged to an outstanding grant.
+func (m *master) grantFor(reported, added int) int {
+	active := 0
+	for r := 1; r <= m.slaves; r++ {
+		if !m.states[r].dead && !m.states[r].generatorDone {
+			active++
+		}
+	}
+	nfree := m.cfg.WorkBufCap - m.buffered() - m.granted
+	return grantE(m.cfg, reported, added, active, m.slaves, m.c.Size(), nfree)
+}
+
+// send encodes and sends a work message. Every one but stop carries the
+// edges logged since the slave's previous one.
+func (m *master) send(to int, w work) error {
+	if !w.stop {
+		w.edges = m.edges[m.states[to].edgesSent:]
+		m.states[to].edgesSent = len(m.edges)
+	}
+	m.wire = appendWork(m.wire[:0], w)
+	return m.c.Send(to, tagWork, m.wire)
+}
+
+// dispatch sends a non-stop work message and records the protocol
+// consequences: one more report owed, the grant outstanding, and a non-empty
+// batch in the slave's in-flight FIFO until a report acknowledges it.
+func (m *master) dispatch(to int, w work) error {
+	if err := m.send(to, w); err != nil {
+		return err
+	}
+	ms := &m.states[to]
+	if len(w.pairs) > 0 {
+		ms.inflight = append(ms.inflight, w.pairs)
+	}
+	ms.owes++
+	ms.idle = false
+	ms.granted = int(w.e)
+	m.granted += int(w.e)
+	return nil
+}
+
+// reactivate hands surplus work to parked slaves.
+func (m *master) reactivate() error {
+	for r := 1; r <= m.slaves && m.buffered()+len(m.requeued) > 0; r++ {
+		if m.states[r].dead || !m.states[r].idle {
+			continue
+		}
+		batch := m.popBatch()
+		if len(batch) == 0 {
+			break
+		}
+		if err := m.dispatch(r, work{pairs: batch}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// done: no work buffered anywhere, no shard awaiting a survivor, and every
+// living slave is parked with no report outstanding.
+func (m *master) done() bool {
+	if m.buffered() > 0 || len(m.requeued) > 0 || len(m.pendingShards) > 0 {
+		return false
+	}
+	for r := 1; r <= m.slaves; r++ {
+		if ms := m.states[r]; !ms.dead && (ms.owes > 0 || !ms.idle) {
+			return false
+		}
+	}
+	return true
+}
+
+// onDeath recovers from slave s failing mid-protocol: reclaim its
+// outstanding grant, requeue its unacknowledged batches, and subdivide its
+// generator shards among the survivors, who rebuild them locally and
+// regenerate the remaining pairs. Regenerated pairs overlap work the dead
+// slave already reported; the same-cluster filter and the idempotence of
+// union-find merges absorb the duplicates, and the final clusters match a
+// failure-free run.
+func (m *master) onDeath(s int) error {
+	ms := &m.states[s]
+	ms.dead = true
+	ms.idle = false
+	ms.owes = 0
+	reclaimed := int64(ms.granted)
+	m.granted -= ms.granted
+	ms.granted = 0
+	var requeuedNow int64
+	for _, b := range ms.inflight {
+		m.requeued = append(m.requeued, b...)
+		requeuedNow += int64(len(b))
+	}
+	ms.inflight = nil
+	rec := &m.st.Recovery
+	rec.RanksLost++
+	rec.GrantsReclaimed += reclaimed
+	rec.PairsRequeued += requeuedNow
+
+	var surv []int
+	for r := 1; r <= m.slaves; r++ {
+		if !m.states[r].dead {
+			surv = append(surv, r)
+		}
+	}
+	if len(surv) == 0 {
+		return fmt.Errorf("cluster: all %d slaves failed; cannot recover", m.slaves)
+	}
+	var reassigned int64
+	// A passive slave had generated and shipped every pair of its shards
+	// before dying — nothing left to regenerate.
+	if !ms.generatorDone {
+		k := int32(len(surv))
+		for _, sh := range ms.shards {
+			for j := int32(0); j < k; j++ {
+				m.pendingShards = append(m.pendingShards, shard{part: sh.part, idx: sh.idx + sh.of*j, of: sh.of * k})
+			}
+			reassigned += int64(k)
+		}
+		rec.ShardsReassigned += reassigned
+	}
+	ms.shards = nil
+	if m.pr != nil {
+		m.pr.ranksLost.Inc()
+		m.pr.grantsReclaimed.Add(reclaimed)
+		m.pr.pairsRequeued.Add(requeuedNow)
+		m.pr.shardsReassigned.Add(reassigned)
+	}
+	m.cfg.logger().Warn("slave rank lost; recovering",
+		"rank", s, "survivors", len(surv), "grants_reclaimed", reclaimed,
+		"pairs_requeued", requeuedNow, "shards_reassigned", reassigned)
+	// Hand shards to parked survivors right away; busy ones collect theirs
+	// attached to the reply to their next report.
+	for _, r := range surv {
+		if !m.states[r].idle || m.states[r].owes > 0 {
+			continue
+		}
+		sh := m.takeShard(r)
+		if sh == nil {
+			break
+		}
+		if err := m.dispatch(r, work{e: int32(m.grantFor(0, 0)), recover: sh}); err != nil {
+			return err
+		}
+	}
+	return m.reactivate()
+}
+
+// collect gathers every rank's final report into the run's Stats, the
+// master's own row first. The reports travel point-to-point (tagPhase)
+// rather than in a gather so dead ranks can be skipped; they appear as
+// zeroed "lost" rows.
+func (m *master) collect(mine RankStats) error {
+	m.st.PerRank = make([]RankStats, 0, m.c.Size())
+	m.st.addRank(mine)
+	for r := 1; r <= m.slaves; r++ {
+		row := RankStats{Rank: r, Role: "lost"}
+		if !m.states[r].dead {
+			pm, err := m.c.Recv(r, tagPhase)
+			var rf *mp.RankFailedError
+			if err == nil {
+				row, err = decodePhase(pm.Data)
+				row.Rank, row.Role = r, "slave"
+			} else if m.cfg.Recover && errors.As(err, &rf) {
+				// Died after its protocol work was complete; only its
+				// stats are lost.
+				err = nil
+			}
+			if err != nil {
+				return err
+			}
+		}
+		m.st.addRank(row)
+	}
+	for _, rs := range m.st.PerRank {
+		m.pr.recordComm(rs)
+	}
+	return nil
 }

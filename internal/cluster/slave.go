@@ -2,14 +2,12 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"pace/internal/align"
 	"pace/internal/mp"
 	"pace/internal/pairgen"
 	"pace/internal/seq"
 	"pace/internal/suffix"
-	"pace/internal/unionfind"
 )
 
 // The slave ranks (paper §3.1, §3.3): each builds the GST subtrees of its
@@ -163,74 +161,50 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 	if err != nil {
 		return err
 	}
-	// The replica starts from the seed partition, as the master's does; a
-	// run without the same-cluster filter keeps none and filters nothing.
-	var replica *unionfind.UF
-	if cfg.SkipSameCluster {
-		replica = unionfind.New(set.NumESTs())
-		if _, err := seedClusters(replica, cfg.InitialLabels, set.NumESTs()); err != nil {
-			return err
-		}
+	// The replica starts from the seed partition, as the master's does.
+	replica, err := newClusters(cfg, set.NumESTs())
+	if err != nil {
+		return err
 	}
 
-	var alignTime time.Duration
-	var processed, accepted, skipped int64
-	alignBatch := func(pairs []pairgen.Pair) ([]alignResult, error) {
+	// n tallies the slave's pairs; results is the verdict buffer each batch
+	// reuses once the previous report has been sent.
+	var n batchCounts
+	var results []alignResult
+	alignNext := func(pairs []pairgen.Pair) error {
 		tA := c.Elapsed()
-		out, skip, err := alignPairs(set, ext, cfg, replica, pairs)
-		dA := c.Elapsed() - tA
-		alignTime += dA
-		processed += int64(len(out))
-		skipped += skip
-		var acc int64
-		for _, r := range out {
-			if r.accepted {
-				acc++
-			}
+		var b batchCounts
+		var err error
+		results, b, err = alignBatch(set, ext, cfg, replica, c.Elapsed, pairs, results[:0])
+		n.add(b)
+		pr.countBatch(b)
+		if tw != nil && len(results) > 0 {
+			tw.Span(cfg.TracePID, c.Rank(), "align", "cluster", tA, b.align)
 		}
-		accepted += acc
-		if pr != nil {
-			pr.processed.Add(int64(len(out)))
-			pr.accepted.Add(acc)
-			pr.skipped.Add(skip)
-		}
-		if tw != nil && len(out) > 0 {
-			tw.Span(cfg.TracePID, c.Rank(), "align", "cluster", tA, dA)
-		}
-		return out, err
+		return err
 	}
 
 	// PAIRBUF holds generated pairs the replica did not join when they
-	// entered it. prune drops those it joins now from pairbuf[from:], in
-	// place; grow generates up to n more and prunes them; fill grows PAIRBUF
-	// to n pairs or until the chain runs dry.
+	// entered it. prune drops those it joins now from pairbuf[from:]; grow
+	// generates up to k more and prunes them; fill grows PAIRBUF to k pairs
+	// or until the chain runs dry.
 	var pairbuf []pairgen.Pair
 	prune := func(from int) {
-		if replica == nil {
-			return
-		}
-		kept := pairbuf[:from]
-		for _, p := range pairbuf[from:] {
-			i, j := p.ESTs()
-			if !replica.Same(int32(i), int32(j)) {
-				kept = append(kept, p)
-			}
-		}
-		skip := int64(len(pairbuf) - len(kept))
-		skipped += skip
+		var d int64
+		pairbuf, d = dropJoined(cfg, replica, pairbuf, from)
+		n.skipped += d
 		if pr != nil {
-			pr.skipped.Add(skip)
+			pr.skipped.Add(d)
 		}
-		pairbuf = kept
 	}
-	grow := func(n int) {
+	grow := func(k int) {
 		from := len(pairbuf)
-		pairbuf = chain.Next(pairbuf, n)
+		pairbuf = chain.Next(pairbuf, k)
 		prune(from)
 	}
-	fill := func(n int) {
-		for len(pairbuf) < n && chain.Remaining() {
-			grow(n - len(pairbuf))
+	fill := func(k int) {
+		for len(pairbuf) < k && chain.Remaining() {
+			grow(k - len(pairbuf))
 		}
 	}
 	prunedAt := 0 // the replica's cluster count when PAIRBUF was last pruned whole
@@ -250,8 +224,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 	// after the first batch's verdicts, so the replica filters them.
 	b1 := chain.Next(nil, cfg.BatchSize)
 	b2 := chain.Next(nil, cfg.BatchSize)
-	results, err := alignBatch(b1)
-	if err != nil {
+	if err := alignNext(b1); err != nil {
 		return err
 	}
 	fill(bootstrapGrant(cfg, c.Size()))
@@ -280,8 +253,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		// in-flight FIFO (bootstrap batches are self-generated and must
 		// not acknowledge anything).
 		ackThis := nextFromMaster
-		results, err = alignBatch(next)
-		if err != nil {
+		if err := alignNext(next); err != nil {
 			return err
 		}
 		next = nil
@@ -322,14 +294,12 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		if err := checkEdgeIDs(w.edges, set); err != nil {
 			return err
 		}
-		if replica != nil {
-			for _, e := range w.edges {
-				replica.Union(e[0], e[1])
-			}
-			if replica.Count() != prunedAt {
-				prune(0)
-				prunedAt = replica.Count()
-			}
+		for _, e := range w.edges {
+			replica.Union(e[0], e[1])
+		}
+		if replica.Count() != prunedAt {
+			prune(0)
+			prunedAt = replica.Count()
 		}
 
 		// Rebuild any dead slave's shards assigned to us: every rank
@@ -373,18 +343,14 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		}
 	}
 
-	total := c.Elapsed() - tStart
-	mine := phaseReport{
-		partitionNs: int64(tPart),
-		constructNs: int64(tConstruct),
-		sortNs:      int64(tSort),
-		alignNs:     int64(alignTime),
-		totalNs:     int64(total),
-		generated:   chain.Generated(),
-		processed:   processed,
-		accepted:    accepted,
-		stale:       chain.Stale(),
-		skipped:     skipped,
+	mine := RankStats{
+		Partition: tPart, Construct: tConstruct, Sort: tSort, Align: n.align,
+		Total:          c.Elapsed() - tStart,
+		PairsProcessed: n.processed, PairsAccepted: n.accepted, PairsSkipped: n.skipped,
+	}
+	for _, g := range chain.gens {
+		mine.PairsGenerated += g.Stats().Generated
+		mine.StaleSuppressed += g.Stats().DiscardedStale
 	}
 	fillComm(&mine, c.Stats())
 	// Point-to-point phase report: a collective here would wedge the
@@ -437,25 +403,6 @@ func (g *genChain) Remaining() bool {
 		}
 	}
 	return false
-}
-
-// Generated sums the pairs produced across the chain.
-func (g *genChain) Generated() int64 {
-	var n int64
-	for _, gen := range g.gens {
-		n += gen.Stats().Generated
-	}
-	return n
-}
-
-// Stale sums the old×old pairs the chain's generators suppressed in
-// fresh-only mode.
-func (g *genChain) Stale() int64 {
-	var n int64
-	for _, gen := range g.gens {
-		n += gen.Stats().DiscardedStale
-	}
-	return n
 }
 
 // rebuildShard reconstructs a dead slave's bucket shard on a survivor. The

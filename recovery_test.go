@@ -4,14 +4,28 @@ package pace
 // slave-failure recovery, and checkpoint/restart through Options.
 
 import (
+	"math/bits"
 	"testing"
 )
 
+// TestClusterSurvivesSlaveCrash runs on five genes with a paralog each, 10 %
+// diverged: paralog pairs are generated but never merge, so no slave's
+// replica joins them and every slave keeps reporting late into the run. Its
+// crash plan then fires whatever the schedule; without them a slave can
+// finish before its third report.
 func TestClusterSurvivesSlaveCrash(t *testing.T) {
-	b := testBenchmark(t, 80, 5, 41)
+	b, err := Simulate(SimOptions{
+		NumESTs: 80, NumGenes: 5, Seed: 41,
+		MeanLength: 400, SDLength: 40, MinLength: 200, TranscriptLen: [2]int{450, 540},
+		ParalogFamilies: 5, ParalogDivergence: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 4
 	opt := DefaultOptions()
 	opt.Window, opt.MinMatch = 6, 18
-	opt.Processors = 4
+	opt.Processors = p
 	opt.Simulated = true
 	opt.BatchSize = 8
 
@@ -20,9 +34,15 @@ func TestClusterSurvivesSlaveCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill slave 2 on its 3rd report; tag 1 is the slave-report tag.
+	// Kill slave 2 on its 3rd report; tag 1 is the slave-report tag. On the
+	// failure-free run it sent more: all its sends but the prologue's
+	// allreduce steps (one reduce, at most ⌈log₂ p⌉ broadcast) and one suffix
+	// message per peer slave were reports.
 	chaos := opt
 	chaos.Fault = &FaultPlan{Seed: 1, CrashRank: 2, CrashAfter: 3, CrashTag: 1}
+	if n := baseline.Stats.PerRank[2].MsgsSent - int64(1+bits.Len(uint(p-1))+p-2); n <= 3 {
+		t.Fatalf("slave 2 sent at least %d reports on the failure-free run; a crash after 3 need not fire", n)
+	}
 	cl, err := Cluster(b.ESTs, chaos)
 	if err != nil {
 		t.Fatalf("run did not survive the crash: %v", err)
