@@ -103,18 +103,9 @@ func writeReport(path, scale string, seed int64, pt *telemetry.PhaseTimer, wall 
 		rep.Phases = append(rep.Phases, telemetry.PhaseEntry{Name: t.Name, Seconds: t.Total.Seconds()})
 	}
 	rep.Phases = append(rep.Phases, telemetry.PhaseEntry{Name: "total", Seconds: wall.Seconds()})
-	if stamp.IsZero() {
-		rep.Stamp()
-	} else {
-		rep.StampAt(stamp)
-		rep.WallSeconds = 0
-	}
+	rep.StampAt(stamp)
 	if path == "auto" {
-		now := stamp
-		if now.IsZero() {
-			now = time.Now()
-		}
-		path = telemetry.BenchFileName("experiments", now)
+		path = telemetry.BenchFileName("experiments", stamp)
 	}
 	if err := rep.WriteJSON(path); err != nil {
 		return err
@@ -300,12 +291,7 @@ func incrementalStudy(sc experiments.Scale, seed int64) error {
 	rep.Counters["incremental_buckets_rebuilt"] = float64(incr.BucketsRebuilt)
 	rep.Counters["incremental_buckets_reused"] = float64(incr.BucketsReused)
 	rep.Counters["incremental_stale_suppressed"] = float64(incr.StaleSuppressed)
-	if repStamp.IsZero() {
-		rep.Stamp()
-	} else {
-		rep.StampAt(repStamp)
-		rep.WallSeconds = 0
-	}
+	rep.StampAt(repStamp)
 	if err := rep.WriteJSON(incrementalBench); err != nil {
 		return err
 	}

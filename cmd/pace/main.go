@@ -31,15 +31,16 @@ import (
 )
 
 func main() {
+	def := pace.DefaultOptions()
 	in := flag.String("in", "", "input FASTA file (required)")
 	out := flag.String("out", "", "output TSV file (default stdout)")
 	procs := flag.Int("p", 1, "number of ranks (1 = sequential, >=2 = master+slaves)")
 	sim := flag.Bool("sim", false, "run on the simulated parallel machine (virtual time)")
-	window := flag.Int("w", 8, "suffix bucketing window w")
-	psi := flag.Int("psi", 20, "promising pair threshold ψ (min maximal common substring)")
-	batch := flag.Int("batch", 60, "pairs per master-slave interaction")
-	minOverlap := flag.Int("min-overlap", 40, "minimum accepted overlap columns")
-	minIdentity := flag.Float64("min-identity", 0.90, "minimum accepted overlap identity")
+	window := flag.Int("w", def.Window, "suffix bucketing window w")
+	psi := flag.Int("psi", def.MinMatch, "promising pair threshold ψ (min maximal common substring)")
+	batch := flag.Int("batch", def.BatchSize, "pairs per master-slave interaction")
+	minOverlap := flag.Int("min-overlap", def.MinOverlap, "minimum accepted overlap columns")
+	minIdentity := flag.Float64("min-identity", def.MinIdentity, "minimum accepted overlap identity")
 	doTrim := flag.Bool("trim", false, "trim poly(A)/poly(T) tails before clustering")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, expvar and pprof on this address (e.g. :9090)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event file here (chrome://tracing, Perfetto)")
@@ -58,17 +59,43 @@ func main() {
 	flag.Parse()
 
 	if err := validateFlags(flagValues{
-		in: *in, procs: *procs, sim: *sim,
-		window: *window, psi: *psi, batch: *batch,
-		minOverlap: *minOverlap, minIdentity: *minIdentity,
+		in: *in, sim: *sim,
 		ckptDir: *ckptDir, ckptInterval: *ckptInterval, ckptEvery: *ckptEvery,
-		slaveTimeout: *slaveTimeout, resume: *resume,
-		session: *sessionDir, add: *addBatch,
+		resume: *resume, session: *sessionDir, add: *addBatch,
 		simDeterministic: *simDet, stamp: *stampStr,
 	}); err != nil {
-		fmt.Fprintln(os.Stderr, "pace:", err)
-		flag.Usage()
-		os.Exit(2)
+		usage(err)
+	}
+
+	opt := def
+	opt.Processors = *procs
+	opt.Simulated = *sim
+	opt.SimDeterministic = *simDet
+	if *stampStr != "" {
+		opt.Stamp, _ = time.Parse(time.RFC3339, *stampStr) // validated above
+	}
+	opt.Window = *window
+	opt.MinMatch = *psi
+	opt.BatchSize = *batch
+	opt.MinOverlap = *minOverlap
+	opt.MinIdentity = *minIdentity
+	opt.Recover = !*noRecover
+	opt.SlaveTimeout = *slaveTimeout
+	opt.CheckpointDir = *ckptDir
+	opt.CheckpointInterval = *ckptInterval
+	opt.CheckpointEvery = *ckptEvery
+	// The library owns every range check; a value it refuses is a usage
+	// error, reported before any input is read.
+	if _, err := pace.NewSession(opt); err != nil {
+		usage(err)
+	}
+	if *chaosSpec != "" {
+		plan, err := parseChaos(*chaosSpec)
+		if err != nil {
+			fatal(err)
+		}
+		opt.Fault = plan
+		fmt.Fprintf(os.Stderr, "pace: chaos plan active: %s\n", *chaosSpec)
 	}
 
 	f, err := os.Open(*in)
@@ -95,31 +122,6 @@ func main() {
 			st.Trimmed, st.Reads, st.CharsRemoved)
 	}
 
-	opt := pace.DefaultOptions()
-	opt.Processors = *procs
-	opt.Simulated = *sim
-	opt.SimDeterministic = *simDet
-	if *stampStr != "" {
-		opt.Stamp, _ = time.Parse(time.RFC3339, *stampStr) // validated above
-	}
-	opt.Window = *window
-	opt.MinMatch = *psi
-	opt.BatchSize = *batch
-	opt.MinOverlap = *minOverlap
-	opt.MinIdentity = *minIdentity
-	opt.Recover = !*noRecover
-	opt.SlaveTimeout = *slaveTimeout
-	if *chaosSpec != "" {
-		plan, err := parseChaos(*chaosSpec)
-		if err != nil {
-			fatal(err)
-		}
-		opt.Fault = plan
-		fmt.Fprintf(os.Stderr, "pace: chaos plan active: %s\n", *chaosSpec)
-	}
-	opt.CheckpointDir = *ckptDir
-	opt.CheckpointInterval = *ckptInterval
-	opt.CheckpointEvery = *ckptEvery
 	if *resume {
 		ck, err := pace.LoadCheckpoint(*ckptDir)
 		if err != nil {
@@ -220,17 +222,21 @@ func main() {
 	if *reportPath != "" {
 		path := *reportPath
 		if path == "auto" {
-			now := opt.Stamp
-			if now.IsZero() {
-				now = time.Now()
-			}
-			path = pace.BenchFileName("pace", now)
+			path = pace.BenchFileName("pace", opt.Stamp)
 		}
 		if err := rep.WriteJSON(path); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "pace: wrote run report to %s\n", path)
 	}
+}
+
+// usage reports a flag error the way flag does: the message, the usage
+// text, exit status 2.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "pace:", err)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -69,6 +69,7 @@ import (
 )
 
 func main() {
+	def := pace.DefaultOptions()
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	dataDir := flag.String("data", "", "state root directory; each session persists under <data>/<id> (empty = in-memory only)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, expvar and pprof on this address")
@@ -77,9 +78,9 @@ func main() {
 	logFormat := flag.String("log-format", "json", "log encoding on stderr: json or text")
 	procs := flag.Int("p", 1, "ranks per session run (1 = sequential, >=2 = master+slaves)")
 	sim := flag.Bool("sim", false, "run sessions on the simulated parallel machine")
-	window := flag.Int("w", 8, "suffix bucketing window w")
-	psi := flag.Int("psi", 20, "promising pair threshold ψ")
-	batch := flag.Int("batch", 60, "pairs per master-slave interaction")
+	window := flag.Int("w", def.Window, "suffix bucketing window w")
+	psi := flag.Int("psi", def.MinMatch, "promising pair threshold ψ")
+	batch := flag.Int("batch", def.BatchSize, "pairs per master-slave interaction")
 	maxSessions := flag.Int("max-sessions", 64, "server-wide live session quota")
 	maxPerTenant := flag.Int("max-per-tenant", 16, "per-tenant live session quota")
 	maxESTs := flag.Int("max-ests", 0, "per-session EST capacity (0 = unlimited)")
@@ -105,7 +106,8 @@ func main() {
 		fatal(err)
 	}
 
-	opt := pace.DefaultOptions()
+	opt := def
+	opt.Logger = logger
 	opt.Processors = *procs
 	opt.Simulated = *sim
 	opt.Window = *window
@@ -119,23 +121,20 @@ func main() {
 		opt.Fault = plan
 		logger.Warn("engine chaos plan active", "spec", *chaosSpec)
 	}
-	fsys := pace.OSFS()
 	if *chaosFSSpec != "" {
 		plan, err := pace.ParseFSFaultPlan(*chaosFSSpec)
 		if err != nil {
 			fatal(err)
 		}
-		fsys = pace.NewFaultyFS(fsys, plan)
+		opt.FS = pace.NewFaultyFS(pace.OSFS(), plan)
 		logger.Warn("filesystem chaos plan active", "spec", *chaosFSSpec)
 	}
 
-	var metrics *pace.MetricsRegistry
 	var metricsSrv *pace.MetricsServer
 	if *metricsAddr != "" {
-		metrics = pace.NewMetricsRegistry()
-		telemetry.RegisterBuildInfo(metrics)
-		opt.Metrics = metrics
-		srv, err := pace.ServeMetrics(*metricsAddr, metrics)
+		opt.Metrics = pace.NewMetricsRegistry()
+		telemetry.RegisterBuildInfo(opt.Metrics)
+		srv, err := pace.ServeMetrics(*metricsAddr, opt.Metrics)
 		if err != nil {
 			fatal(err)
 		}
@@ -143,14 +142,13 @@ func main() {
 		logger.Info("metrics serving", "url", fmt.Sprintf("http://%s/metrics", srv.Addr()))
 	}
 
-	var trace *telemetry.TraceWriter
 	var traceFile *os.File
 	if *tracePath != "" {
 		traceFile, err = os.Create(*tracePath)
 		if err != nil {
 			fatal(err)
 		}
-		trace = telemetry.NewTraceWriter(traceFile)
+		opt.Trace = telemetry.NewTraceWriter(traceFile)
 		logger.Info("trace streaming", "file", *tracePath)
 	}
 
@@ -163,10 +161,6 @@ func main() {
 		MaxBatchBytes:        *maxBatchBytes,
 		Admission:            serve.AdmissionConfig{Grants: *admit, Queue: *queue},
 		RequestTimeout:       *requestTimeout,
-		FS:                   fsys,
-		Metrics:              metrics,
-		Logger:               logger,
-		Trace:                trace,
 	})
 	if err != nil {
 		fatal(err)
@@ -259,7 +253,7 @@ func main() {
 		logger.Error("shutdown failed", "err", err.Error())
 		defer os.Exit(1)
 	}
-	closeTrace(logger, trace, traceFile)
+	closeTrace(logger, opt.Trace, traceFile)
 	if metricsSrv != nil {
 		if err := metricsSrv.Shutdown(ctx); err != nil {
 			logger.Error("metrics shutdown failed", "err", err.Error())

@@ -155,4 +155,20 @@ func DefaultCriteria() Criteria {
 	return Criteria{MinScoreRatio: 0.70, MinIdentity: 0.90, MinOverlap: 40}
 }
 
+// Validate reports whether the acceptance rule can both accept and reject:
+// a ratio or identity above 1 (or NaN) accepts nothing, and zero thresholds
+// accept every alignment with an overlap pattern.
+func (c Criteria) Validate() error {
+	if !(c.MinScoreRatio > 0 && c.MinScoreRatio <= 1) {
+		return fmt.Errorf("align: MinScoreRatio must be in (0,1], got %g", c.MinScoreRatio)
+	}
+	if !(c.MinIdentity > 0 && c.MinIdentity <= 1) {
+		return fmt.Errorf("align: MinIdentity must be in (0,1], got %g", c.MinIdentity)
+	}
+	if c.MinOverlap < 1 {
+		return fmt.Errorf("align: MinOverlap must be >= 1, got %d", c.MinOverlap)
+	}
+	return nil
+}
+
 const negInf = int32(-1 << 29)

@@ -69,19 +69,17 @@ func (ck *Checkpoint) Validate(numESTs, window, psi int) error {
 	return nil
 }
 
-func appendU64le(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
 func (ck *Checkpoint) encode() []byte {
 	b := append([]byte{}, checkpointMagic...)
 	b = binary.LittleEndian.AppendUint32(b, checkpointVersion)
 	b = binary.LittleEndian.AppendUint32(b, uint32(ck.NumESTs))
 	b = binary.LittleEndian.AppendUint32(b, uint32(ck.Window))
 	b = binary.LittleEndian.AppendUint32(b, uint32(ck.Psi))
-	b = appendU64le(b, ck.Seq)
-	b = appendU64le(b, uint64(ck.PairsProcessed))
-	b = appendU64le(b, uint64(ck.PairsAccepted))
-	b = appendU64le(b, uint64(ck.PairsSkipped))
-	b = appendU64le(b, uint64(ck.Merges))
+	b = binary.LittleEndian.AppendUint64(b, ck.Seq)
+	b = binary.LittleEndian.AppendUint64(b, uint64(ck.PairsProcessed))
+	b = binary.LittleEndian.AppendUint64(b, uint64(ck.PairsAccepted))
+	b = binary.LittleEndian.AppendUint64(b, uint64(ck.PairsSkipped))
+	b = binary.LittleEndian.AppendUint64(b, uint64(ck.Merges))
 	uf := ck.UF.AppendBinary(nil)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(uf)))
 	b = append(b, uf...)

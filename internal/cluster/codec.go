@@ -36,18 +36,13 @@ type shard struct {
 // triples, little-endian — what each slave ships to every bucket owner.
 //
 // All encoders come in append form (appendX) so hot paths can reuse one
-// scratch buffer across sends — safe because the mp layer copies on send —
-// plus allocate-fresh encodeX wrappers for one-shot use.
+// scratch buffer across sends — safe because the mp layer copies on send.
 
 func appendU32s(b []byte, vals []uint32) []byte {
 	for _, v := range vals {
-		b = appendU32(b, v)
+		b = binary.LittleEndian.AppendUint32(b, v)
 	}
 	return b
-}
-
-func encodeU32s(vals []uint32) []byte {
-	return appendU32s(make([]byte, 0, 4*len(vals)), vals)
 }
 
 func decodeU32s(b []byte) ([]uint32, error) {
@@ -99,18 +94,12 @@ type work struct {
 	edges   [][2]int32
 }
 
-func appendU32(b []byte, v uint32) []byte {
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], v)
-	return append(b, tmp[:]...)
-}
-
 func appendPair(b []byte, p pairgen.Pair) []byte {
-	b = appendU32(b, uint32(p.S1))
-	b = appendU32(b, uint32(p.S2))
-	b = appendU32(b, uint32(p.Pos1))
-	b = appendU32(b, uint32(p.Pos2))
-	return appendU32(b, uint32(p.MatchLen))
+	b = binary.LittleEndian.AppendUint32(b, uint32(p.S1))
+	b = binary.LittleEndian.AppendUint32(b, uint32(p.S2))
+	b = binary.LittleEndian.AppendUint32(b, uint32(p.Pos1))
+	b = binary.LittleEndian.AppendUint32(b, uint32(p.Pos2))
+	return binary.LittleEndian.AppendUint32(b, uint32(p.MatchLen))
 }
 
 type reader struct {
@@ -152,10 +141,6 @@ func (r *reader) done() error {
 	return nil
 }
 
-func encodeReport(rep report) []byte {
-	return appendReport(make([]byte, 0, 12+12*len(rep.results)+20*len(rep.pairs)), rep)
-}
-
 func appendReport(b []byte, rep report) []byte {
 	var flags uint32
 	if rep.passive {
@@ -167,18 +152,18 @@ func appendReport(b []byte, rep report) []byte {
 	if rep.ackWork {
 		flags |= 4
 	}
-	b = appendU32(b, flags)
-	b = appendU32(b, uint32(len(rep.results)))
+	b = binary.LittleEndian.AppendUint32(b, flags)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(rep.results)))
 	for _, res := range rep.results {
-		b = appendU32(b, uint32(res.estI))
-		b = appendU32(b, uint32(res.estJ))
+		b = binary.LittleEndian.AppendUint32(b, uint32(res.estI))
+		b = binary.LittleEndian.AppendUint32(b, uint32(res.estJ))
 		acc := uint32(0)
 		if res.accepted {
 			acc = 1
 		}
-		b = appendU32(b, acc)
+		b = binary.LittleEndian.AppendUint32(b, acc)
 	}
-	b = appendU32(b, uint32(len(rep.pairs)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(rep.pairs)))
 	for _, p := range rep.pairs {
 		b = appendPair(b, p)
 	}
@@ -218,10 +203,6 @@ func decodeReport(b []byte) (report, error) {
 	return rep, nil
 }
 
-func encodeWork(w work) []byte {
-	return appendWork(make([]byte, 0, 12+20*len(w.pairs)), w)
-}
-
 func appendWork(b []byte, w work) []byte {
 	var flags uint32
 	if w.stop {
@@ -233,25 +214,25 @@ func appendWork(b []byte, w work) []byte {
 	if len(w.edges) > 0 {
 		flags |= 4
 	}
-	b = appendU32(b, flags)
-	b = appendU32(b, uint32(w.e))
-	b = appendU32(b, uint32(len(w.pairs)))
+	b = binary.LittleEndian.AppendUint32(b, flags)
+	b = binary.LittleEndian.AppendUint32(b, uint32(w.e))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(w.pairs)))
 	for _, p := range w.pairs {
 		b = appendPair(b, p)
 	}
 	if len(w.recover) > 0 {
-		b = appendU32(b, uint32(len(w.recover)))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(w.recover)))
 		for _, sh := range w.recover {
-			b = appendU32(b, uint32(sh.part))
-			b = appendU32(b, uint32(sh.idx))
-			b = appendU32(b, uint32(sh.of))
+			b = binary.LittleEndian.AppendUint32(b, uint32(sh.part))
+			b = binary.LittleEndian.AppendUint32(b, uint32(sh.idx))
+			b = binary.LittleEndian.AppendUint32(b, uint32(sh.of))
 		}
 	}
 	if len(w.edges) > 0 {
-		b = appendU32(b, uint32(len(w.edges)))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(w.edges)))
 		for _, e := range w.edges {
-			b = appendU32(b, uint32(e[0]))
-			b = appendU32(b, uint32(e[1]))
+			b = binary.LittleEndian.AppendUint32(b, uint32(e[0]))
+			b = binary.LittleEndian.AppendUint32(b, uint32(e[1]))
 		}
 	}
 	return b

@@ -27,7 +27,7 @@ func TestReportRoundTrip(t *testing.T) {
 		passive:     true,
 		hasNextWork: false,
 	}
-	got, err := decodeReport(encodeReport(rep))
+	got, err := decodeReport(appendReport(nil, rep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestReportRoundTrip(t *testing.T) {
 }
 
 func TestReportRoundTripEmpty(t *testing.T) {
-	got, err := decodeReport(encodeReport(report{hasNextWork: true}))
+	got, err := decodeReport(appendReport(nil, report{hasNextWork: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestWorkRoundTrip(t *testing.T) {
 		},
 		e: 44,
 	}
-	got, err := decodeWork(encodeWork(w))
+	got, err := decodeWork(appendWork(nil, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestWorkRoundTrip(t *testing.T) {
 			t.Errorf("pair %d: %+v", i, got.pairs[i])
 		}
 	}
-	stop, err := decodeWork(encodeWork(work{stop: true}))
+	stop, err := decodeWork(appendWork(nil, work{stop: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +82,14 @@ func TestWorkRoundTrip(t *testing.T) {
 }
 
 func TestReportAckWorkRoundTrip(t *testing.T) {
-	got, err := decodeReport(encodeReport(report{ackWork: true}))
+	got, err := decodeReport(appendReport(nil, report{ackWork: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.ackWork || got.passive || got.hasNextWork {
 		t.Errorf("ackWork report: %+v", got)
 	}
-	got, err = decodeReport(encodeReport(report{passive: true}))
+	got, err = decodeReport(appendReport(nil, report{passive: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestWorkRecoverShardsRoundTrip(t *testing.T) {
 			{part: 3, idx: 2, of: 6},
 		},
 	}
-	got, err := decodeWork(encodeWork(w))
+	got, err := decodeWork(appendWork(nil, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestWorkRecoverShardsRoundTrip(t *testing.T) {
 	}
 	// Shards and pairs coexist on the wire.
 	w.pairs = []pairgen.Pair{{S1: seq.Forward(2), S2: seq.Forward(5), MatchLen: 25}}
-	got, err = decodeWork(encodeWork(w))
+	got, err = decodeWork(appendWork(nil, w))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestWorkRecoverShardsRoundTrip(t *testing.T) {
 		t.Errorf("mixed work: %+v", got)
 	}
 	// No shards → no flag, no trailing bytes.
-	got, err = decodeWork(encodeWork(work{e: 1}))
+	got, err = decodeWork(appendWork(nil, work{e: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestWorkEdgesRoundTrip(t *testing.T) {
 		{e: 3, pairs: []pairgen.Pair{{S1: seq.Forward(2), S2: seq.Forward(5), MatchLen: 25}}, edges: edges},
 		{e: 1, recover: []shard{{part: 1, idx: 0, of: 2}}, edges: edges[:1]},
 	} {
-		enc := encodeWork(w)
+		enc := appendWork(nil, w)
 		if binary.LittleEndian.Uint32(enc)&4 == 0 {
 			t.Errorf("%+v: edge flag not set", w)
 		}
@@ -157,7 +157,7 @@ func TestWorkEdgesRoundTrip(t *testing.T) {
 		}
 	}
 	// No edges → no flag, no section.
-	enc := encodeWork(work{e: 1})
+	enc := appendWork(nil, work{e: 1})
 	if binary.LittleEndian.Uint32(enc)&4 != 0 || len(enc) != 12 {
 		t.Errorf("edgeless work encodes the edge section: %x", enc)
 	}
@@ -165,22 +165,22 @@ func TestWorkEdgesRoundTrip(t *testing.T) {
 
 func TestDecodeRejectsMalformedEdges(t *testing.T) {
 	head := func(flags uint32) []byte {
-		b := appendU32(nil, flags)
-		b = appendU32(b, 0)    // e
-		return appendU32(b, 0) // no pairs
+		b := binary.LittleEndian.AppendUint32(nil, flags)
+		b = binary.LittleEndian.AppendUint32(b, 0)    // e
+		return binary.LittleEndian.AppendUint32(b, 0) // no pairs
 	}
-	valid := encodeWork(work{edges: [][2]int32{{1, 2}}})
+	valid := appendWork(nil, work{edges: [][2]int32{{1, 2}}})
 	for _, tc := range []struct {
 		name string
 		b    []byte
 		want string
 	}{
-		{"flag set, zero edges", appendU32(head(4), 0), "zero edges"},
-		{"count past the message", append(appendU32(head(4), 1<<20), make([]byte, 16)...), "exceeds message size"},
-		{"count one past the words", appendU32(appendU32(appendU32(head(4), 2), 1), 2), "truncated"},
+		{"flag set, zero edges", binary.LittleEndian.AppendUint32(head(4), 0), "zero edges"},
+		{"count past the message", append(binary.LittleEndian.AppendUint32(head(4), 1<<20), make([]byte, 16)...), "exceeds message size"},
+		{"count one past the words", binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(head(4), 2), 1), 2), "truncated"},
 		{"edge cut short", valid[:len(valid)-2], "truncated"},
 		{"trailing bytes", append(append([]byte{}, valid...), 0, 0, 0, 0), "trailing bytes"},
-		{"section without the flag", appendU32(appendU32(appendU32(head(0), 1), 1), 2), "trailing bytes"},
+		{"section without the flag", binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(head(0), 1), 1), 2), "trailing bytes"},
 	} {
 		_, err := decodeWork(tc.b)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -198,13 +198,13 @@ func TestDecodeRejectsMalformedShard(t *testing.T) {
 		{part: 1, idx: 3, of: 3},  // idx >= of
 		{part: 1, idx: -1, of: 2}, // idx < 0
 	} {
-		b := appendU32(nil, 2) // flags: recover present
-		b = appendU32(b, 0)    // e
-		b = appendU32(b, 0)    // no pairs
-		b = appendU32(b, 1)    // one shard
-		b = appendU32(b, uint32(bad.part))
-		b = appendU32(b, uint32(bad.idx))
-		b = appendU32(b, uint32(bad.of))
+		b := binary.LittleEndian.AppendUint32(nil, 2) // flags: recover present
+		b = binary.LittleEndian.AppendUint32(b, 0)    // e
+		b = binary.LittleEndian.AppendUint32(b, 0)    // no pairs
+		b = binary.LittleEndian.AppendUint32(b, 1)    // one shard
+		b = binary.LittleEndian.AppendUint32(b, uint32(bad.part))
+		b = binary.LittleEndian.AppendUint32(b, uint32(bad.idx))
+		b = binary.LittleEndian.AppendUint32(b, uint32(bad.of))
 		if _, err := decodeWork(b); err == nil {
 			t.Errorf("malformed shard %+v accepted", bad)
 		}
@@ -212,18 +212,18 @@ func TestDecodeRejectsMalformedShard(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncated(t *testing.T) {
-	b := encodeReport(report{results: []alignResult{{estI: 1, estJ: 2}}})
+	b := appendReport(nil, report{results: []alignResult{{estI: 1, estJ: 2}}})
 	if _, err := decodeReport(b[:len(b)-2]); err == nil {
 		t.Error("truncated report accepted")
 	}
-	wb := encodeWork(work{pairs: []pairgen.Pair{{MatchLen: 3}}})
+	wb := appendWork(nil, work{pairs: []pairgen.Pair{{MatchLen: 3}}})
 	if _, err := decodeWork(wb[:5]); err == nil {
 		t.Error("truncated work accepted")
 	}
 }
 
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
-	b := append(encodeWork(work{e: 1}), 0xFF)
+	b := append(appendWork(nil, work{e: 1}), 0xFF)
 	if _, err := decodeWork(b); err == nil {
 		t.Error("trailing garbage accepted")
 	}
@@ -231,7 +231,7 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 
 func TestDecodeRejectsAbsurdCounts(t *testing.T) {
 	// A corrupt count field must not cause a huge allocation.
-	b := encodeReport(report{})
+	b := appendReport(nil, report{})
 	b[4] = 0xFF
 	b[5] = 0xFF
 	b[6] = 0xFF
@@ -304,13 +304,13 @@ func TestPhaseReportLayout(t *testing.T) {
 // malformed shard.
 func TestDecodeRejectsNegativeGrant(t *testing.T) {
 	for _, word := range []uint32{1 << 31, math.MaxUint32} {
-		b := encodeWork(work{e: 1})
+		b := appendWork(nil, work{e: 1})
 		binary.LittleEndian.PutUint32(b[4:], word)
 		if _, err := decodeWork(b); err == nil || !strings.Contains(err.Error(), "grant") {
 			t.Errorf("grant word %#x: error %v, want a grant error", word, err)
 		}
 	}
-	w, err := decodeWork(encodeWork(work{e: math.MaxInt32}))
+	w, err := decodeWork(appendWork(nil, work{e: math.MaxInt32}))
 	if err != nil || w.e != math.MaxInt32 {
 		t.Errorf("largest grant: %+v, %v", w, err)
 	}
@@ -337,7 +337,7 @@ func TestReportRoundTripQuick(t *testing.T) {
 				MatchLen: int32(pairRaw[i+4] % (1 << 12)),
 			})
 		}
-		got, err := decodeReport(encodeReport(rep))
+		got, err := decodeReport(appendReport(nil, rep))
 		if err != nil {
 			return false
 		}
@@ -412,9 +412,9 @@ func TestAppendEncodersReuseBuffer(t *testing.T) {
 	// Interleave the kinds so each reuse starts from a differently-sized,
 	// differently-filled buffer.
 	for i := 0; i < 3; i++ {
-		check("report", encodeReport(rep))
-		check("work", encodeWork(w))
-		check("u32s", encodeU32s(u))
+		check("report", appendReport(nil, rep))
+		check("work", appendWork(nil, w))
+		check("u32s", appendU32s(nil, u))
 	}
 
 	// And the reused bytes still decode to the original messages.
@@ -439,7 +439,7 @@ func TestAppendEncodersReuseBuffer(t *testing.T) {
 // Flag bits above ackWork are unknown, bit 8 included: it once marked a merge
 // delta and is rejected like any other, never read as a per-pair report.
 func TestDecodeRejectsUnknownReportFlags(t *testing.T) {
-	valid := encodeReport(report{results: []alignResult{{estI: 1, estJ: 2, accepted: true}}, passive: true, hasNextWork: true, ackWork: true})
+	valid := appendReport(nil, report{results: []alignResult{{estI: 1, estJ: 2, accepted: true}}, passive: true, hasNextWork: true, ackWork: true})
 	if _, err := decodeReport(valid); err != nil {
 		t.Fatalf("all three known flags: %v", err)
 	}

@@ -20,6 +20,7 @@ import (
 	"pace/internal/align"
 	"pace/internal/mp"
 	"pace/internal/seq"
+	"pace/internal/suffix"
 	"pace/internal/telemetry"
 	"pace/internal/vfs"
 )
@@ -218,8 +219,8 @@ func (c CheckpointConfig) interval() time.Duration {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Window < 1 || c.Window > 12 {
-		return fmt.Errorf("cluster: Window %d out of [1,12]", c.Window)
+	if err := suffix.ValidateWindow(c.Window); err != nil {
+		return err
 	}
 	if c.Psi < c.Window {
 		return fmt.Errorf("cluster: Psi %d < Window %d would lose pairs with short anchors", c.Psi, c.Window)
@@ -251,6 +252,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: Cache requires the sequential engine (MP.Procs == 1)")
 	}
 	if err := c.Scoring.Validate(); err != nil {
+		return err
+	}
+	if err := c.Criteria.Validate(); err != nil {
 		return err
 	}
 	if c.MP.Procs < 1 {

@@ -49,6 +49,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.WorkBufCap = c.BatchSize - 1 },
 		func(c *Config) { c.Band = 0 },
 		func(c *Config) { c.Scoring.Match = 0 },
+		func(c *Config) { c.Criteria.MinIdentity = 1.5 },
 		func(c *Config) { c.MP.Procs = 0 },
 		func(c *Config) { c.MP.Procs = c.WorkBufCap + 1 },
 	}

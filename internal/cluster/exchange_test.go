@@ -336,7 +336,7 @@ func TestMasterRefusesOutOfRangeReport(t *testing.T) {
 			if _, _, err := prologue(set, cfg, c); err != nil {
 				return err
 			}
-			return c.Send(0, tagReport, encodeReport(tc.rep))
+			return c.Send(0, tagReport, appendReport(nil, tc.rep))
 		})
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("run error %v, want %q", err, tc.want)

@@ -43,11 +43,11 @@ func fuzzSeedReports() []report {
 
 func FuzzDecodeReport(f *testing.F) {
 	for _, rep := range fuzzSeedReports() {
-		f.Add(encodeReport(rep))
+		f.Add(appendReport(nil, rep))
 	}
 	// Truncated, trailing and unknown-flag mutants of a valid message; flag
 	// bit 8 once marked a merge delta.
-	enc := encodeReport(fuzzSeedReports()[3])
+	enc := appendReport(nil, fuzzSeedReports()[3])
 	f.Add(enc[:len(enc)-1])
 	f.Add(append(append([]byte{}, enc...), 0xAA))
 	f.Add(append([]byte{enc[0] | 8}, enc[1:]...))
@@ -56,7 +56,7 @@ func FuzzDecodeReport(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := encodeReport(rep); !bytes.Equal(got, b) {
+		if got := appendReport(nil, rep); !bytes.Equal(got, b) {
 			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", b, got)
 		}
 	})
@@ -79,17 +79,17 @@ func FuzzDecodeWork(f *testing.F) {
 		},
 	}
 	for _, w := range seeds {
-		f.Add(encodeWork(w))
+		f.Add(appendWork(nil, w))
 	}
-	enc := encodeWork(seeds[2])
+	enc := appendWork(nil, seeds[2])
 	f.Add(enc[:7])
 	f.Add(append(append([]byte{}, enc...), 0, 0))
 	// Edge flag with no section, and an edge section cut short.
 	f.Add(append([]byte{enc[0] | 4}, enc[1:]...))
-	enc = encodeWork(seeds[5])
+	enc = appendWork(nil, seeds[5])
 	f.Add(enc[:len(enc)-3])
 	// A grant word of 2³¹, which would decode to a negative E.
-	enc = encodeWork(seeds[2])
+	enc = appendWork(nil, seeds[2])
 	binary.LittleEndian.PutUint32(enc[4:], 1<<31)
 	f.Add(enc)
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -100,7 +100,7 @@ func FuzzDecodeWork(f *testing.F) {
 		if w.e < 0 {
 			t.Fatalf("negative grant %d accepted", w.e)
 		}
-		if got := encodeWork(w); !bytes.Equal(got, b) {
+		if got := appendWork(nil, w); !bytes.Equal(got, b) {
 			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", b, got)
 		}
 	})
@@ -136,8 +136,8 @@ func FuzzDecodePhase(f *testing.F) {
 }
 
 func FuzzDecodeU32s(f *testing.F) {
-	f.Add(encodeU32s(nil))
-	f.Add(encodeU32s([]uint32{1, 2, 3}))
+	f.Add(appendU32s(nil, nil))
+	f.Add(appendU32s(nil, []uint32{1, 2, 3}))
 	f.Add([]byte{1, 2, 3}) // not a multiple of 4
 	f.Fuzz(func(t *testing.T, b []byte) {
 		vals, err := decodeU32s(b)
@@ -147,7 +147,7 @@ func FuzzDecodeU32s(f *testing.F) {
 			}
 			return
 		}
-		if !bytes.Equal(encodeU32s(vals), b) {
+		if !bytes.Equal(appendU32s(nil, vals), b) {
 			t.Fatalf("round-trip mismatch")
 		}
 	})
@@ -187,7 +187,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 // engine is never invoked.
 func TestFuzzSeedsDecode(t *testing.T) {
 	for i, rep := range fuzzSeedReports() {
-		got, err := decodeReport(encodeReport(rep))
+		got, err := decodeReport(appendReport(nil, rep))
 		if err != nil {
 			t.Fatalf("seed report %d: %v", i, err)
 		}
@@ -195,7 +195,7 @@ func TestFuzzSeedsDecode(t *testing.T) {
 			t.Fatalf("seed report %d: round-trip mismatch: %+v vs %+v", i, got, rep)
 		}
 	}
-	enc := encodeReport(fuzzSeedReports()[3])
+	enc := appendReport(nil, fuzzSeedReports()[3])
 	if _, err := decodeReport(append(append([]byte{}, enc...), 0xAA)); err == nil {
 		t.Fatal("trailing byte accepted by decodeReport")
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pace/internal/pairgen"
+	"pace/internal/suffix"
 	"pace/internal/telemetry"
 )
 
@@ -189,7 +190,7 @@ func (pr *probes) observeBuckets(global []int64, loads []int64) {
 			pr.bucketSize.Observe(n)
 		}
 	}
-	pr.loadSkew.Set(skewOf(loads))
+	pr.loadSkew.Set(suffix.Skew(loads))
 }
 
 // recordComm publishes a rank's final communication stats as per-rank
@@ -206,22 +207,6 @@ func (pr *probes) recordComm(rs RankStats) {
 	pr.reg.Gauge("pace_mp_recv_wait_ns", l).Set(int64(rs.RecvWait))
 	pr.reg.Gauge("pace_mp_collective_ops", l).Set(rs.CollectiveOps)
 	pr.reg.Gauge("pace_mp_collective_ns", l).Set(int64(rs.CollectiveTime))
-}
-
-// skewOf duplicates suffix.Skew's formula over a loads slice already in
-// hand; kept here to avoid re-deriving loads at the call site.
-func skewOf(loads []int64) float64 {
-	var total, maxLoad int64
-	for _, l := range loads {
-		total += l
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	if total == 0 || len(loads) == 0 {
-		return 0
-	}
-	return float64(maxLoad) / (float64(total) / float64(len(loads)))
 }
 
 // traceThreadName labels a rank's trace timeline (nil-safe) on the run's

@@ -105,12 +105,15 @@ func engineConfig(p int) cluster.Config {
 	return cfg
 }
 
-// baselineOptions mirrors engineConfig for the comparators.
+// baselineOptions gives the comparators engineConfig's operating point.
 func baselineOptions(budget int64) baseline.Options {
+	cfg := engineConfig(1)
 	return baseline.Options{
-		Window:            8,
-		Psi:               20,
-		Band:              12,
+		Window:            cfg.Window,
+		Psi:               cfg.Psi,
+		Scoring:           cfg.Scoring,
+		Criteria:          cfg.Criteria,
+		Band:              cfg.Band,
 		MemoryBudgetPairs: budget,
 	}
 }
@@ -407,7 +410,9 @@ func Ablations(n int, seed int64) ([]AblationRow, error) {
 		return nil, err
 	}
 
-	arb, err := baseline.ArbitraryOrder(b.ESTs, baseline.Options{Window: 8, Psi: 20, Band: 12, Seed: seed})
+	bopt := baselineOptions(0)
+	bopt.Seed = seed
+	arb, err := baseline.ArbitraryOrder(b.ESTs, bopt)
 	if err != nil {
 		return nil, err
 	}
@@ -415,7 +420,7 @@ func Ablations(n int, seed int64) ([]AblationRow, error) {
 		return nil, err
 	}
 
-	full, err := baseline.AllPairs(b.ESTs, baseline.Options{Window: 8, Psi: 20, Seed: seed})
+	full, err := baseline.AllPairs(b.ESTs, bopt)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,9 @@ func TestManagerDegradedModeHeals(t *testing.T) {
 	control := fromScratchLabels(t, batches, opt)
 	fsys := &flakyFS{FS: vfs.OS{}}
 	dataDir := t.TempDir()
-	mgr, err := NewManager(Config{Options: opt, DataDir: dataDir, FS: fsys})
+	flaky := opt
+	flaky.FS = fsys
+	mgr, err := NewManager(Config{Options: flaky, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}

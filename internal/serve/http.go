@@ -40,7 +40,7 @@ const (
 // per-route latency, in-flight and response-class series land on the
 // manager's metrics registry.
 func NewHandler(m *Manager) http.Handler {
-	if r := m.cfg.Metrics; r != nil {
+	if r := m.cfg.Options.Metrics; r != nil {
 		r.Help(metricHTTPRequestNs, "HTTP request latency by route, nanoseconds.")
 		r.Help(metricHTTPResponses, "HTTP responses by route and status class.")
 		r.Help(metricHTTPInFlight, "HTTP requests currently being served.")
@@ -192,14 +192,14 @@ func (m *Manager) instrument(route string, h http.HandlerFunc) http.HandlerFunc 
 		dur := m.clock.Elapsed() - t0
 		m.gauge(metricHTTPInFlight).Add(-1)
 
-		if reg := m.cfg.Metrics; reg != nil {
+		if reg := m.cfg.Options.Metrics; reg != nil {
 			routeLbl := telemetry.Label{Key: "route", Value: route}
 			reg.Histogram(metricHTTPRequestNs, telemetry.ExpBounds(1000, 4, 12), routeLbl).Observe(int64(dur))
 			reg.Counter(metricHTTPResponses, routeLbl,
 				telemetry.Label{Key: "class", Value: classOf(sw.code)}).Inc()
 		}
 		sessionID := r.PathValue("id")
-		if tw := m.cfg.Trace; tw != nil {
+		if tw := m.cfg.Options.Trace; tw != nil {
 			lane := 0 // control lane; session lanes start at 1
 			if sessionID != "" {
 				if l := m.laneOf(sessionID); l > 0 {

@@ -67,7 +67,14 @@ const (
 type Config struct {
 	// Options is the clustering configuration every session runs with.
 	// Sessions created over HTTP all share it, so their checkpoints all
-	// validate against the same fingerprint at resume.
+	// validate against the same fingerprint at resume. Its sinks are the
+	// server's too: FS carries every durable write (state saves, metadata,
+	// the engine's checkpoints; nil is the real filesystem), Metrics
+	// receives the server's families beside the engine's, Logger its
+	// lifecycle and request events (each session's tagged with a session
+	// attribute), and Trace its request and batch spans on process lane
+	// serverTracePID beside each session's engine lane. The caller owns
+	// closing Trace.
 	Options pace.Options
 	// DataDir is the durability root: each session owns the state
 	// directory DataDir/<id>. Empty runs fully in memory.
@@ -90,38 +97,47 @@ type Config struct {
 	// back, and the request fails with 504. 0 disables the per-request
 	// deadline (client disconnect and drain still cancel).
 	RequestTimeout time.Duration
-	// FS is the filesystem seam every durable write goes through (state
-	// saves, metadata, checkpoints). nil uses the real filesystem; chaos
-	// runs inject a vfs.Faulty here.
-	FS vfs.FS
-	// Metrics, when non-nil, receives server gauges/counters (with
-	// per-session labels) alongside the engine's own families.
-	Metrics *telemetry.Registry
-	// Logger receives structured lifecycle and request events; nil
-	// discards them. Handlers built by telemetry.NewLogger stamp records
-	// from an injected clock, keeping deterministic runs reproducible.
-	Logger *slog.Logger
-	// Trace, when non-nil, receives the server's request and batch spans
-	// on process lane serverTracePID plus each session's engine spans on
-	// its own process lane. The caller owns Close.
-	Trace *telemetry.TraceWriter
 	// Clock is the server's time base for latency metrics, queue-wait
 	// accounting and trace timestamps; nil uses the wall clock.
 	Clock telemetry.Clock
 }
 
 func (c Config) logger() *slog.Logger {
-	if c.Logger != nil {
-		return c.Logger
+	if c.Options.Logger != nil {
+		return c.Options.Logger
 	}
 	return telemetry.NopLogger()
 }
 
 func (c Config) fs() vfs.FS {
-	if c.FS != nil {
-		return c.FS
+	if c.Options.FS != nil {
+		return c.Options.FS
 	}
 	return vfs.OS{}
+}
+
+// validateLimits rejects negative limits. Zero keeps each limit's documented
+// meaning (a default, unlimited, or derived); a negative value has none.
+func (c Config) validateLimits() error {
+	limits := []struct {
+		name string
+		neg  bool
+		val  any
+	}{
+		{"MaxSessions", c.MaxSessions < 0, c.MaxSessions},
+		{"MaxSessionsPerTenant", c.MaxSessionsPerTenant < 0, c.MaxSessionsPerTenant},
+		{"MaxESTsPerSession", c.MaxESTsPerSession < 0, c.MaxESTsPerSession},
+		{"MaxBatchBytes", c.MaxBatchBytes < 0, c.MaxBatchBytes},
+		{"Admission.Grants", c.Admission.Grants < 0, c.Admission.Grants},
+		{"Admission.Queue", c.Admission.Queue < 0, c.Admission.Queue},
+		{"RequestTimeout", c.RequestTimeout < 0, c.RequestTimeout},
+	}
+	for _, l := range limits {
+		if l.neg {
+			return fmt.Errorf("serve: %s must be >= 0, got %v", l.name, l.val)
+		}
+	}
+	return nil
 }
 
 func (c Config) maxSessions() int {
@@ -194,6 +210,9 @@ func NewManager(cfg Config) (*Manager, error) {
 	if _, err := pace.NewSession(cfg.Options); err != nil {
 		return nil, fmt.Errorf("serve: session options: %w", err)
 	}
+	if err := cfg.validateLimits(); err != nil {
+		return nil, err
+	}
 	if cfg.DataDir != "" {
 		if err := cfg.fs().MkdirAll(cfg.DataDir, 0o755); err != nil {
 			return nil, err
@@ -213,7 +232,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		nextLane: 1, // lane 0 is the control lane for non-session requests
 		inflight: make(map[int]context.CancelFunc),
 	}
-	if r := cfg.Metrics; r != nil {
+	if r := cfg.Options.Metrics; r != nil {
 		r.Help(metricSessions, "Live sessions owned by the manager.")
 		r.Help(metricAdmAdmitted, "Requests granted an admission slot.")
 		r.Help(metricAdmRejected, "Requests rejected with a full admission queue (HTTP 429).")
@@ -224,7 +243,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		r.Help(metricBatchNs, "End-to-end latency of one ingested batch (admitted to clustered+saved), nanoseconds.")
 		r.Help(metricDegraded, "Sessions in degraded read-only mode (persistence failing).")
 	}
-	if tw := cfg.Trace; tw != nil {
+	if tw := cfg.Options.Trace; tw != nil {
 		tw.ProcessName(serverTracePID, "paced server")
 		tw.ThreadName(serverTracePID, 0, "control")
 	}
@@ -337,7 +356,7 @@ func (m *Manager) Create(ctx context.Context, id, tenant string) (Info, error) {
 func (m *Manager) allocLaneLocked(id string) int {
 	lane := m.nextLane
 	m.nextLane++
-	if tw := m.cfg.Trace; tw != nil {
+	if tw := m.cfg.Options.Trace; tw != nil {
 		tw.ThreadName(serverTracePID, lane, "session "+id)
 	}
 	return lane
@@ -349,16 +368,10 @@ func (m *Manager) allocLaneLocked(id string) int {
 // its per-rank timelines don't interleave with other sessions'.
 func (m *Manager) sessionOptions(id string, lane int) pace.Options {
 	opts := m.cfg.Options
-	if opts.FS == nil {
-		// The engine's periodic checkpoints share the server's seam, so a
-		// chaos plan covers every durable write a session performs.
-		opts.FS = m.cfg.FS
+	if opts.Logger != nil {
+		opts.Logger = opts.Logger.With("session", id)
 	}
-	if m.cfg.Logger != nil {
-		opts.Logger = m.cfg.Logger.With("session", id)
-	}
-	if m.cfg.Trace != nil {
-		opts.Trace = m.cfg.Trace
+	if opts.Trace != nil {
 		opts.TracePID = enginePIDBase + lane
 		opts.TraceProcess = "engine " + id
 	}
@@ -548,13 +561,13 @@ func (m *Manager) Add(ctx context.Context, id string, recs []pace.Record) (*Batc
 		}
 	}
 	batchDur := m.clock.Elapsed() - tRun
-	if r := m.cfg.Metrics; r != nil {
+	if r := m.cfg.Options.Metrics; r != nil {
 		lbl := telemetry.Label{Key: "session", Value: id}
 		r.Gauge(metricSessionESTs, lbl).Set(int64(s.sess.NumESTs()))
 		r.Counter(metricSessionBatches, lbl).Inc()
 		r.Histogram(metricBatchNs, telemetry.ExpBounds(1000, 4, 12), lbl).Observe(int64(batchDur))
 	}
-	if tw := m.cfg.Trace; tw != nil {
+	if tw := m.cfg.Options.Trace; tw != nil {
 		tw.SpanArgs(serverTracePID, s.lane, fmt.Sprintf("batch %d", batch), "serve",
 			tRun, batchDur, map[string]any{
 				"request_id": reqID, "ests": len(recs),
@@ -658,7 +671,7 @@ func (m *Manager) ResumeAll() (int, error) {
 		m.sessions[meta.ID] = &session{meta: meta, dir: dir, lane: lane, sess: sess, recs: st.Recs}
 		m.gauge(metricSessions).Set(int64(len(m.sessions)))
 		m.mu.Unlock()
-		if r := m.cfg.Metrics; r != nil {
+		if r := m.cfg.Options.Metrics; r != nil {
 			r.Gauge(metricSessionESTs, telemetry.Label{Key: "session", Value: meta.ID}).Set(int64(sess.NumESTs()))
 		}
 		m.log.Info("session resumed", "session", meta.ID, "tenant", meta.Tenant,
@@ -849,26 +862,26 @@ func (m *Manager) Admission() *Admission { return m.adm }
 
 // gauge is a nil-safe registry accessor for unlabeled server gauges.
 func (m *Manager) gauge(family string) *telemetry.Gauge {
-	if m.cfg.Metrics == nil {
+	if m.cfg.Options.Metrics == nil {
 		return &telemetry.Gauge{}
 	}
-	return m.cfg.Metrics.Gauge(family)
+	return m.cfg.Options.Metrics.Gauge(family)
 }
 
 // counter is a nil-safe registry accessor for unlabeled server counters.
 func (m *Manager) counter(family string) *telemetry.Counter {
-	if m.cfg.Metrics == nil {
+	if m.cfg.Options.Metrics == nil {
 		return &telemetry.Counter{}
 	}
-	return m.cfg.Metrics.Counter(family)
+	return m.cfg.Options.Metrics.Counter(family)
 }
 
 // histogram is a nil-safe accessor for unlabeled server latency histograms.
 func (m *Manager) histogram(family string) *telemetry.Histogram {
-	if m.cfg.Metrics == nil {
+	if m.cfg.Options.Metrics == nil {
 		return telemetry.NewHistogram(nil)
 	}
-	return m.cfg.Metrics.Histogram(family, telemetry.ExpBounds(1000, 4, 12))
+	return m.cfg.Options.Metrics.Histogram(family, telemetry.ExpBounds(1000, 4, 12))
 }
 
 // laneOf reports a live session's thread lane on the server trace process
@@ -884,7 +897,7 @@ func (m *Manager) laneOf(id string) int {
 }
 
 func (m *Manager) pushAdmissionMetrics() {
-	r := m.cfg.Metrics
+	r := m.cfg.Options.Metrics
 	if r == nil {
 		return
 	}

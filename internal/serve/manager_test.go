@@ -103,12 +103,13 @@ func fromScratchLabels(t *testing.T, batches [][]pace.Record, opt pace.Options) 
 func TestManagerConcurrentSessions(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	const numSessions = 10
+	opt := testOptions()
+	opt.Metrics = pace.NewMetricsRegistry()
 	m, err := NewManager(Config{
-		Options:              testOptions(),
+		Options:              opt,
 		DataDir:              t.TempDir(),
 		MaxSessionsPerTenant: numSessions,
 		Admission:            AdmissionConfig{Grants: 4, Queue: 2 * numSessions},
-		Metrics:              pace.NewMetricsRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -528,6 +529,35 @@ func TestManagerQuotas(t *testing.T) {
 	}
 	if _, err := m.Add(context.Background(), "ghost", batches[0]); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown session: got %v, want ErrNotFound", err)
+	}
+}
+
+// TestManagerRejectsNegativeLimits: a negative limit has no documented
+// meaning, so NewManager refuses it rather than reading it as the default,
+// as unlimited or as the derived cap. Zero keeps its meaning.
+func TestManagerRejectsNegativeLimits(t *testing.T) {
+	if _, err := NewManager(Config{Options: testOptions()}); err != nil {
+		t.Fatalf("zero limits refused: %v", err)
+	}
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"MaxSessions", func(c *Config) { c.MaxSessions = -1 }},
+		{"MaxSessionsPerTenant", func(c *Config) { c.MaxSessionsPerTenant = -1 }},
+		{"MaxESTsPerSession", func(c *Config) { c.MaxESTsPerSession = -1 }},
+		{"MaxBatchBytes", func(c *Config) { c.MaxBatchBytes = -1 }},
+		{"Admission.Grants", func(c *Config) { c.Admission.Grants = -3 }},
+		{"Admission.Queue", func(c *Config) { c.Admission.Queue = -1 }},
+		{"RequestTimeout", func(c *Config) { c.RequestTimeout = -time.Second }},
+	}
+	for _, tc := range cases {
+		cfg := Config{Options: testOptions()}
+		tc.mut(&cfg)
+		m, err := NewManager(cfg)
+		if err == nil || !strings.Contains(err.Error(), "serve: "+tc.name+" must be >= 0") {
+			t.Errorf("%s negative: manager %v, error %v", tc.name, m != nil, err)
+		}
 	}
 }
 

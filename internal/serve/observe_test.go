@@ -63,11 +63,11 @@ func TestHTTPRequestObservability(t *testing.T) {
 	var traceBuf syncBuffer
 	tw := telemetry.NewTraceWriter(&traceBuf)
 	reg := telemetry.NewRegistry()
-	m, ts := newTestServer(t, Config{
-		Metrics: reg,
-		Logger:  logger,
-		Trace:   tw,
-	})
+	opt := testOptions()
+	opt.Metrics = reg
+	opt.Logger = logger
+	opt.Trace = tw
+	m, ts := newTestServer(t, Config{Options: opt})
 	_ = m
 
 	// Create with a client-supplied request id: adopted and echoed.
@@ -229,7 +229,9 @@ func findSpan(events []map[string]any, name, reqID string) map[string]any {
 // off either quota increment pace_server_quota_rejected_total.
 func TestQuotaRejectionCounter(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	m, err := NewManager(Config{Options: testOptions(), MaxSessions: 1, Metrics: reg})
+	opt := testOptions()
+	opt.Metrics = reg
+	m, err := NewManager(Config{Options: opt, MaxSessions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,3 +227,28 @@ func TestRunReportJSONAndTables(t *testing.T) {
 		t.Errorf("BenchFileName = %s", got)
 	}
 }
+
+// TestStampRule: a fixed stamp sets the timestamp and zeroes the wall time;
+// the zero stamp means now and keeps it, in the report and the file name.
+func TestStampRule(t *testing.T) {
+	fixed := time.Date(2002, 8, 20, 0, 0, 0, 0, time.UTC)
+	rep := &RunReport{WallSeconds: 2.5}
+	rep.StampAt(fixed)
+	if rep.Timestamp != "2002-08-20T00:00:00Z" || rep.WallSeconds != 0 {
+		t.Errorf("fixed stamp: timestamp %q, wall %v", rep.Timestamp, rep.WallSeconds)
+	}
+
+	before := time.Now().UTC().Truncate(time.Second)
+	rep = &RunReport{WallSeconds: 2.5}
+	rep.StampAt(time.Time{})
+	name := BenchFileName("pace", time.Time{})
+	after := time.Now().UTC()
+	got, err := time.Parse(time.RFC3339, rep.Timestamp)
+	if err != nil || got.Before(before) || got.After(after) || rep.WallSeconds != 2.5 {
+		t.Errorf("zero stamp: timestamp %q (%v), wall %v; want now, 2.5", rep.Timestamp, err, rep.WallSeconds)
+	}
+	got, err = time.Parse("BENCH_pace_20060102T150405Z.json", name)
+	if err != nil || got.Before(before) || got.After(after) {
+		t.Errorf("zero stamp: BenchFileName = %s (%v), want now", name, err)
+	}
+}

@@ -19,7 +19,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Label is one metric dimension (e.g. {Key: "rank", Value: "3"}).
@@ -331,8 +330,3 @@ func (r *Registry) Snapshot() map[string]float64 {
 
 func floatBits(v float64) uint64 { return math.Float64bits(v) }
 func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
-
-// Durations are recorded in nanoseconds throughout the registry.
-
-// ObserveDuration records d in a nanosecond histogram.
-func ObserveDuration(h *Histogram, d time.Duration) { h.Observe(int64(d)) }

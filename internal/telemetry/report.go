@@ -73,16 +73,23 @@ type RankEntry struct {
 	PairsAccepted  int64 `json:"pairs_accepted"`
 }
 
-// Seconds converts a duration for report fields.
-func Seconds(d time.Duration) float64 { return d.Seconds() }
+// StampAt applies the report's stamp rule. A fixed t sets Timestamp and
+// zeroes WallSeconds, so deterministic runs write byte-identical reports;
+// the zero t stamps the current time and keeps WallSeconds.
+func (r *RunReport) StampAt(t time.Time) {
+	if !t.IsZero() {
+		r.WallSeconds = 0
+	}
+	r.Timestamp = orNow(t).UTC().Format(time.RFC3339)
+}
 
-// Stamp fills Timestamp with the current UTC time.
-func (r *RunReport) Stamp() { r.StampAt(NewWallClock().Now()) }
-
-// StampAt fills Timestamp from an injected instant — the deterministic
-// variant: sim-mode runs pass a fixed stamp so reports are byte-identical
-// across reruns.
-func (r *RunReport) StampAt(now time.Time) { r.Timestamp = now.UTC().Format(time.RFC3339) }
+// orNow returns t, or the current time when t is zero.
+func orNow(t time.Time) time.Time {
+	if t.IsZero() {
+		return NewWallClock().Now()
+	}
+	return t
+}
 
 // AttachCounters snapshots reg into Counters (nil reg is a no-op). The
 // build-info gauge is excluded: its labels (VCS revision, module version)
@@ -115,9 +122,9 @@ func (r *RunReport) WriteJSON(path string) error {
 }
 
 // BenchFileName derives a BENCH_<tool>_<stamp>.json name for auto-named
-// reports.
-func BenchFileName(tool string, now time.Time) string {
-	return fmt.Sprintf("BENCH_%s_%s.json", tool, now.UTC().Format("20060102T150405Z"))
+// reports, stamped at t (the zero t means now).
+func BenchFileName(tool string, t time.Time) string {
+	return fmt.Sprintf("BENCH_%s_%s.json", tool, orNow(t).UTC().Format("20060102T150405Z"))
 }
 
 func fmtSeconds(s float64) string {

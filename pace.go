@@ -141,9 +141,10 @@ func ResumeLabels(ck *Checkpoint) []int {
 	return out
 }
 
-// BenchFileName derives the conventional BENCH_<tool>_<stamp>.json name.
-func BenchFileName(tool string, now time.Time) string {
-	return telemetry.BenchFileName(tool, now)
+// BenchFileName derives the conventional BENCH_<tool>_<stamp>.json name,
+// stamped at t (the zero t means now, as for Options.Stamp).
+func BenchFileName(tool string, t time.Time) string {
+	return telemetry.BenchFileName(tool, t)
 }
 
 // Options configures Cluster. Start from DefaultOptions.
@@ -249,23 +250,25 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// DefaultOptions returns the paper-like operating point with the sequential
+// DefaultOptions returns the paper's operating point (cluster.DefaultConfig
+// with align.DefaultScoring and align.DefaultCriteria) with the sequential
 // engine.
 func DefaultOptions() Options {
+	cfg := cluster.DefaultConfig(1)
 	return Options{
-		Processors:    1,
-		Recover:       true,
-		Window:        8,
-		MinMatch:      20,
-		BatchSize:     60,
-		Match:         2,
-		Mismatch:      -3,
-		GapOpen:       -4,
-		GapExtend:     -2,
-		Band:          12,
-		MinOverlap:    40,
-		MinIdentity:   0.90,
-		MinScoreRatio: 0.70,
+		Processors:    cfg.MP.Procs,
+		Recover:       cfg.Recover,
+		Window:        cfg.Window,
+		MinMatch:      cfg.Psi,
+		BatchSize:     cfg.BatchSize,
+		Match:         int(cfg.Scoring.Match),
+		Mismatch:      int(cfg.Scoring.Mismatch),
+		GapOpen:       int(cfg.Scoring.GapOpen),
+		GapExtend:     int(cfg.Scoring.GapExtend),
+		Band:          cfg.Band,
+		MinOverlap:    int(cfg.Criteria.MinOverlap),
+		MinIdentity:   cfg.Criteria.MinIdentity,
+		MinScoreRatio: cfg.Criteria.MinScoreRatio,
 	}
 }
 
@@ -284,9 +287,6 @@ type Clustering struct {
 
 // toConfig translates Options to the engine configuration.
 func (o Options) toConfig() (cluster.Config, error) {
-	if o.Processors < 1 {
-		return cluster.Config{}, fmt.Errorf("pace: Processors must be >= 1, got %d", o.Processors)
-	}
 	if o.Simulated && o.Processors < 2 {
 		// Processors == 1 selects the sequential engine, which has no
 		// simulated machine: its phases would be wall time reported as
@@ -435,11 +435,6 @@ func BuildReport(cl *Clustering, opt Options, tool, dataset string, numESTs int,
 		})
 	}
 	rep.AttachCounters(opt.Metrics)
-	if opt.Stamp.IsZero() {
-		rep.Stamp()
-	} else {
-		rep.StampAt(opt.Stamp)
-		rep.WallSeconds = 0
-	}
+	rep.StampAt(opt.Stamp)
 	return rep
 }
