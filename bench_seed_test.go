@@ -1,8 +1,10 @@
 package pace
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -11,8 +13,8 @@ import (
 
 // TestSeedReportMatchesCommitted reproduces, in-process, the deterministic-sim
 // report the CI perf job compares against BENCH_seed.json (`estsim -n 300
-// -genes 30 -seed 2002`, then `pace -p 4 -sim -sim-deterministic -stamp
-// 2002-08-20T00:00:00Z -report`) and requires the committed file's labels,
+// -genes 30 -seed 2002`, then `pace -p 4 -sim -stamp 2002-08-20T00:00:00Z
+// -report`) and requires the committed file's labels,
 // counters and virtual phase times to match it exactly. BENCH_seed.json is a
 // determinism-and-counter gate, not a speed baseline: a new counter family or
 // an engine change that moves a counter fails here, in plain `go test`,
@@ -27,24 +29,7 @@ func TestSeedReportMatchesCommitted(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-
-	// estsim's flag defaults, with the job's -n, -genes and -seed.
-	b, err := Simulate(SimOptions{
-		NumESTs: 300, NumGenes: 30, Seed: 2002,
-		ErrorRate: 0.02, MeanLength: 550, ParalogDivergence: 0.1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultOptions()
-	opt.Processors, opt.Simulated, opt.SimDeterministic = 4, true, true
-	opt.Stamp = time.Date(2002, 8, 20, 0, 0, 0, 0, time.UTC)
-	opt.Metrics = NewMetricsRegistry()
-	cl, err := Cluster(b.ESTs, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := BuildReport(cl, opt, "pace", "perf.fasta", len(b.ESTs), 0)
+	cl, got := runSeedRecipe(t)
 
 	// The waste bound holds whatever the committed file says: each slave
 	// skips the pairs its replica union-find already joins, so this run
@@ -84,5 +69,48 @@ func TestSeedReportMatchesCommitted(t *testing.T) {
 		case g != w:
 			t.Errorf("counter %s = %v, BENCH_seed.json has %v", k, g, w)
 		}
+	}
+}
+
+// runSeedRecipe runs BENCH_seed.json's recipe in-process: estsim's flag
+// defaults with the job's -n, -genes and -seed, then pace -p 4 -sim -stamp
+// with a metrics registry, as -report sets one.
+func runSeedRecipe(t *testing.T) (*Clustering, *RunReport) {
+	t.Helper()
+	b, err := Simulate(SimOptions{
+		NumESTs: 300, NumGenes: 30, Seed: 2002,
+		ErrorRate: 0.02, MeanLength: 550, ParalogDivergence: 0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Processors, opt.Simulated = 4, true
+	opt.Stamp = time.Date(2002, 8, 20, 0, 0, 0, 0, time.UTC)
+	opt.Metrics = NewMetricsRegistry()
+	cl, err := Cluster(b.ESTs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl, BuildReport(cl, opt, "pace", "perf.fasta", len(b.ESTs), 0)
+}
+
+// TestStampedSimReportReproducible: Stamp alone freezes a simulated run, so
+// two runs of the seed recipe write byte-identical report JSON.
+func TestStampedSimReportReproducible(t *testing.T) {
+	var out [2][]byte
+	for i := range out {
+		_, rep := runSeedRecipe(t)
+		path := filepath.Join(t.TempDir(), "report.json")
+		if err := rep.WriteJSON(path); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if out[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(out[0], out[1]) {
+		t.Errorf("two stamped sim runs wrote different reports:\n%s\n---\n%s", out[0], out[1])
 	}
 }

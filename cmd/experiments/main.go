@@ -69,12 +69,12 @@ func main() {
 	}
 
 	// Per-experiment wall times feed the run report's phase table.
-	pt := telemetry.NewPhaseTimer(nil)
+	var phases []telemetry.PhaseEntry
 	t0 := time.Now()
 	for _, name := range names {
-		pt.Start(name)
+		t := time.Now()
 		err := run[name](sc, *seed)
-		pt.End()
+		phases = append(phases, telemetry.PhaseEntry{Name: name, Seconds: time.Since(t).Seconds()})
 		if err != nil {
 			fatal(err)
 		}
@@ -82,14 +82,14 @@ func main() {
 	wall := time.Since(t0)
 
 	if *reportPath != "" {
-		if err := writeReport(*reportPath, *scaleName, *seed, pt, wall, stamp); err != nil {
+		if err := writeReport(*reportPath, *scaleName, *seed, phases, wall, stamp); err != nil {
 			fatal(err)
 		}
 	}
 }
 
 // writeReport emits the BENCH_*.json artifact for an experiments run.
-func writeReport(path, scale string, seed int64, pt *telemetry.PhaseTimer, wall time.Duration, stamp time.Time) error {
+func writeReport(path, scale string, seed int64, phases []telemetry.PhaseEntry, wall time.Duration, stamp time.Time) error {
 	rep := &telemetry.RunReport{
 		Tool: "experiments",
 		Params: map[string]string{
@@ -98,11 +98,8 @@ func writeReport(path, scale string, seed int64, pt *telemetry.PhaseTimer, wall 
 		},
 		Procs:       1,
 		WallSeconds: wall.Seconds(),
+		Phases:      append(phases, telemetry.PhaseEntry{Name: "total", Seconds: wall.Seconds()}),
 	}
-	for _, t := range pt.Totals() {
-		rep.Phases = append(rep.Phases, telemetry.PhaseEntry{Name: t.Name, Seconds: t.Total.Seconds()})
-	}
-	rep.Phases = append(rep.Phases, telemetry.PhaseEntry{Name: "total", Seconds: wall.Seconds()})
 	rep.StampAt(stamp)
 	if path == "auto" {
 		path = telemetry.BenchFileName("experiments", stamp)

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"pace"
@@ -54,15 +55,13 @@ func main() {
 	resume := flag.Bool("resume", false, "resume from the checkpoint in -checkpoint-dir, skipping completed merges")
 	sessionDir := flag.String("session", "", "persistent session directory (session.fasta + pace.ckpt) for incremental clustering")
 	addBatch := flag.Bool("add", false, "ingest -in as a new batch into the -session directory, re-clustering incrementally")
-	simDet := flag.Bool("sim-deterministic", false, "with -sim: disable the measured-compute bridge so two identical runs report identical virtual times")
-	stampStr := flag.String("stamp", "", "fix the report timestamp (RFC 3339) and zero wall_seconds, for byte-reproducible reports")
+	stampStr := flag.String("stamp", "", "fix the report timestamp (RFC 3339), zero wall_seconds and, with -sim, freeze the simulated clock, for byte-reproducible reports")
 	flag.Parse()
 
 	if err := validateFlags(flagValues{
-		in: *in, sim: *sim,
+		in: *in, stamp: *stampStr,
 		ckptDir: *ckptDir, ckptInterval: *ckptInterval, ckptEvery: *ckptEvery,
 		resume: *resume, session: *sessionDir, add: *addBatch,
-		simDeterministic: *simDet, stamp: *stampStr,
 	}); err != nil {
 		usage(err)
 	}
@@ -70,7 +69,6 @@ func main() {
 	opt := def
 	opt.Processors = *procs
 	opt.Simulated = *sim
-	opt.SimDeterministic = *simDet
 	if *stampStr != "" {
 		opt.Stamp, _ = time.Parse(time.RFC3339, *stampStr) // validated above
 	}
@@ -234,12 +232,22 @@ func main() {
 // usage reports a flag error the way flag does: the message, the usage
 // text, exit status 2.
 func usage(err error) {
-	fmt.Fprintln(os.Stderr, "pace:", err)
+	fmt.Fprintln(os.Stderr, errLine(err))
 	flag.Usage()
 	os.Exit(2)
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pace:", err)
+	fmt.Fprintln(os.Stderr, errLine(err))
 	os.Exit(1)
+}
+
+// errLine renders err under one "pace: " prefix; the library's errors
+// already carry it.
+func errLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "pace: ") {
+		msg = "pace: " + msg
+	}
+	return msg
 }

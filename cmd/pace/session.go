@@ -20,7 +20,9 @@ package main
 // hint instead of a confusing downstream error.
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 
 	"pace"
@@ -52,7 +54,7 @@ func runSession(dir string, add bool, recs []pace.Record, seqs []string, opt pac
 
 	st, err := serve.LoadState(dir, opt)
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil, nil, fmt.Errorf("open session store (did you initialize with -session without -add?): %w", err)
 		}
 		return nil, nil, err

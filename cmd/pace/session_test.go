@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pace"
@@ -102,7 +103,8 @@ func TestRunSessionRoundTrip(t *testing.T) {
 	}
 
 	// -add against a directory that was never initialized fails cleanly.
-	if _, _, err := runSession(filepath.Join(t.TempDir(), "nope"), true, recs[:1], b.ESTs[:1], opt); err == nil {
-		t.Error("add without initialized session: want error")
+	_, _, err = runSession(filepath.Join(t.TempDir(), "nope"), true, recs[:1], b.ESTs[:1], opt)
+	if err == nil || !strings.Contains(err.Error(), "did you initialize with -session without -add?") {
+		t.Errorf("add without initialized session: err = %v, want the initialization hint", err)
 	}
 }

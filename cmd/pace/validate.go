@@ -10,8 +10,7 @@ import (
 // any input is read, so misuse fails fast with a usage error instead of deep
 // inside the pipeline.
 type flagValues struct {
-	in  string
-	sim bool
+	in string
 
 	ckptDir      string
 	ckptInterval time.Duration
@@ -21,8 +20,7 @@ type flagValues struct {
 	session string
 	add     bool
 
-	simDeterministic bool
-	stamp            string
+	stamp string
 }
 
 // validateFlags performs the checks no library call can make: that -in is
@@ -46,9 +44,6 @@ func validateFlags(v flagValues) error {
 	}
 	if v.session != "" && v.ckptDir != "" {
 		return errors.New("-session and -checkpoint-dir are mutually exclusive (the session directory holds its own checkpoint)")
-	}
-	if v.simDeterministic && !v.sim {
-		return errors.New("-sim-deterministic needs -sim (the real transport cannot replay time)")
 	}
 	if v.stamp != "" {
 		if _, err := time.Parse(time.RFC3339, v.stamp); err != nil {

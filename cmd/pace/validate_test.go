@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"pace"
 )
 
 func okFlags() flagValues {
@@ -12,11 +15,6 @@ func okFlags() flagValues {
 func TestValidateFlags(t *testing.T) {
 	if err := validateFlags(okFlags()); err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
-	}
-	simOK := okFlags()
-	simOK.sim = true
-	if err := validateFlags(simOK); err != nil {
-		t.Fatalf("valid -sim flags rejected: %v", err)
 	}
 
 	cases := []struct {
@@ -48,6 +46,23 @@ func TestValidateFlags(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestErrLine: a CLI error carries exactly one "pace: " prefix, whether it
+// comes from the library (which already prefixes) or from the command.
+func TestErrLine(t *testing.T) {
+	opt := pace.DefaultOptions()
+	opt.Simulated = true
+	_, libErr := pace.NewSession(opt)
+	if libErr == nil {
+		t.Fatal("-sim -p 1 accepted")
+	}
+	for _, err := range []error{libErr, errors.New("no records in x.fasta")} {
+		got := errLine(err)
+		if !strings.HasPrefix(got, "pace: ") || strings.HasPrefix(got, "pace: pace:") {
+			t.Errorf("errLine(%q) = %q, want one \"pace: \" prefix", err, got)
 		}
 	}
 }

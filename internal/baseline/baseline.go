@@ -138,10 +138,7 @@ func AllPairs(ests []seq.Sequence, opts Options) (*Result, error) {
 		}
 		ov := align.Overlap(set.Str(p.S1), set.Str(p.S2), opts.Scoring)
 		res.PairsProcessed++
-		if ov.Pattern != align.PatternNone &&
-			ov.Cols >= opts.Criteria.MinOverlap &&
-			ov.Identity() >= opts.Criteria.MinIdentity &&
-			ov.ScoreRatio(opts.Scoring) >= opts.Criteria.MinScoreRatio {
+		if (align.Result{Stats: ov.Stats, Pattern: ov.Pattern}).Accept(opts.Scoring, opts.Criteria) {
 			res.PairsAccepted++
 			uf.Union(int32(i), int32(j))
 		}

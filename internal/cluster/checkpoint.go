@@ -215,11 +215,9 @@ func (ck *checkpointer) maybe(uf *unionfind.UF, processed, accepted, skipped, me
 	ck.st.Recovery.Checkpoints++
 	ck.st.Recovery.CheckpointBytes += int64(n)
 	ck.st.Recovery.CheckpointTime += d
-	if ck.pr != nil {
-		ck.pr.ckptWrites.Inc()
-		ck.pr.ckptBytes.Set(int64(n))
-		ck.pr.ckptNs.Observe(int64(d))
-	}
+	ck.pr.ckptWrites.Inc()
+	ck.pr.ckptBytes.Set(int64(n))
+	ck.pr.ckptNs.Observe(int64(d))
 	ck.log.Info("checkpoint written",
 		"dir", ck.cfg.Dir, "seq", ck.seq, "bytes", n,
 		"pairs_processed", processed, "merges", merges, "forced", force)

@@ -129,10 +129,8 @@ func dropJoined(cfg Config, uf *unionfind.UF, pairs []pairgen.Pair, from int) ([
 func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	pr := newProbes(cfg.Metrics)
 	tw := cfg.Trace
-	if tw != nil {
-		tw.ProcessName(cfg.TracePID, cfg.traceProcess())
-		traceThreadName(tw, cfg.TracePID, 0, "seq")
-	}
+	tw.ProcessName(cfg.TracePID, cfg.traceProcess())
+	traceThreadName(tw, cfg.TracePID, 0, "seq")
 	res := &Result{}
 	st := &res.Stats
 
@@ -147,18 +145,14 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	}
 	st.Phases.Partition = fb.partition
 	st.Phases.Construct = fb.construct
-	if pr != nil {
-		// One process owns every bucket: its load is the histogram total.
-		var total int64
-		for _, n := range fb.hist {
-			total += n
-		}
-		pr.observeBuckets(fb.hist, []int64{total})
+	// One process owns every bucket: its load is the histogram total.
+	var total int64
+	for _, n := range fb.hist {
+		total += n
 	}
-	if tw != nil {
-		tw.Span(cfg.TracePID, 0, "partition", "gst", 0, st.Phases.Partition)
-		tw.Span(cfg.TracePID, 0, "construct", "gst", st.Phases.Partition, st.Phases.Construct)
-	}
+	pr.observeBuckets(fb.hist, []int64{total})
+	tw.Span(cfg.TracePID, 0, "partition", "gst", 0, st.Phases.Partition)
+	tw.Span(cfg.TracePID, 0, "construct", "gst", st.Phases.Partition, st.Phases.Construct)
 
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
@@ -184,11 +178,9 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		return nil, err
 	}
 	st.Phases.Sort = clk() - t2
-	if tw != nil {
-		tw.Span(cfg.TracePID, 0, "sort", "pairgen", t2-t0, st.Phases.Sort)
-		for k := 1; k < len(ws); k++ {
-			tw.ThreadName(cfg.TracePID, k, fmt.Sprintf("rank 0 (seq worker %d)", k))
-		}
+	tw.Span(cfg.TracePID, 0, "sort", "pairgen", t2-t0, st.Phases.Sort)
+	for k := 1; k < len(ws); k++ {
+		tw.ThreadName(cfg.TracePID, k, fmt.Sprintf("rank 0 (seq worker %d)", k))
 	}
 
 	uf, err := seededClusters(cfg, set.NumESTs(), st, pr)
@@ -294,13 +286,11 @@ func (r *seqRun) loop(w *seqWorker) error {
 		w.n.add(n)
 		w.align += n.align
 		pr.countBatch(n)
-		if pr != nil {
-			pr.merges.Add(n.merges)
-		}
+		pr.merges.Add(n.merges)
 		if err != nil {
 			return err
 		}
-		if tw != nil && n.align > 0 {
+		if n.align > 0 {
 			tw.Span(cfg.TracePID, w.lane, "align", "cluster", tBatch, n.align)
 		}
 		if r.ck != nil {
@@ -385,9 +375,7 @@ func seededClusters(cfg Config, n int, st *Stats, pr *probes) (*unionfind.UF, er
 	}
 	merges := int64(n - uf.Count())
 	st.Recovery.SeedMerges = merges
-	if pr != nil {
-		pr.seedMerges.Set(merges)
-	}
+	pr.seedMerges.Set(merges)
 	if merges > 0 {
 		cfg.logger().Info("seeded prior partition", "merges", merges)
 	}

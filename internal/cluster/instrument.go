@@ -46,8 +46,8 @@ const (
 )
 
 // probes is the engine's live-instrumentation bundle: pointers resolved once
-// from the registry so hot paths update atomics only. A nil *probes disables
-// everything at the cost of one pointer test per site.
+// from the registry so hot paths update atomics only. Built over a nil
+// registry every handle is nil, which telemetry treats as a disabled sink.
 type probes struct {
 	reg *telemetry.Registry
 
@@ -85,9 +85,6 @@ type probes struct {
 }
 
 func newProbes(reg *telemetry.Registry) *probes {
-	if reg == nil {
-		return nil
-	}
 	reg.Help(mPairsGenerated, "Canonical promising pairs emitted by the generators.")
 	reg.Help(mPairsProcessed, "Pair alignments computed.")
 	reg.Help(mPairsAccepted, "Alignments passing the merge criteria.")
@@ -149,9 +146,6 @@ func newProbes(reg *telemetry.Registry) *probes {
 // recordIncremental publishes a batch run's incremental tallies (set once at
 // run end, outside the hot path).
 func (pr *probes) recordIncremental(inc IncrementalStats) {
-	if pr == nil {
-		return
-	}
 	pr.incrRebuilt.Set(inc.BucketsRebuilt)
 	pr.incrReused.Set(inc.BucketsReused)
 	pr.incrFresh.Add(inc.FreshPairs)
@@ -161,9 +155,6 @@ func (pr *probes) recordIncremental(inc IncrementalStats) {
 // countBatch adds one alignBatch call's pairs processed, accepted and
 // skipped to the live counters.
 func (pr *probes) countBatch(n batchCounts) {
-	if pr == nil {
-		return
-	}
 	pr.processed.Add(n.processed)
 	pr.accepted.Add(n.accepted)
 	pr.skipped.Add(n.skipped)
@@ -173,18 +164,12 @@ func (pr *probes) countBatch(n batchCounts) {
 // batches against clk (the engine's time base — virtual on ranks, wall on
 // the sequential path; nil falls back to wall time inside pairgen).
 func (pr *probes) observer(clk func() time.Duration) pairgen.Observer {
-	if pr == nil {
-		return pairgen.Observer{}
-	}
 	return pairgen.Observer{MCSLen: pr.mcsLen, BatchNs: pr.batchNs, Clock: clk, Generated: pr.generated}
 }
 
 // observeBuckets records the non-empty bucket sizes and the redistribution
 // skew of the global histogram (one-time, on the master).
 func (pr *probes) observeBuckets(global []int64, loads []int64) {
-	if pr == nil {
-		return
-	}
 	for _, n := range global {
 		if n > 0 {
 			pr.bucketSize.Observe(n)
@@ -196,9 +181,6 @@ func (pr *probes) observeBuckets(global []int64, loads []int64) {
 // recordComm publishes a rank's final communication stats as per-rank
 // gauges (set once at run end, outside the hot path).
 func (pr *probes) recordComm(rs RankStats) {
-	if pr == nil {
-		return
-	}
 	l := telemetry.Rank(rs.Rank)
 	pr.reg.Gauge("pace_mp_msgs_sent", l).Set(rs.MsgsSent)
 	pr.reg.Gauge("pace_mp_bytes_sent", l).Set(rs.BytesSent)
@@ -209,11 +191,8 @@ func (pr *probes) recordComm(rs RankStats) {
 	pr.reg.Gauge("pace_mp_collective_ns", l).Set(int64(rs.CollectiveTime))
 }
 
-// traceThreadName labels a rank's trace timeline (nil-safe) on the run's
-// trace process lane.
+// traceThreadName labels a rank's trace timeline on the run's trace process
+// lane.
 func traceThreadName(tw *telemetry.TraceWriter, pid, rank int, role string) {
-	if tw == nil {
-		return
-	}
 	tw.ThreadName(pid, rank, fmt.Sprintf("rank %d (%s)", rank, role))
 }

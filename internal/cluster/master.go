@@ -104,10 +104,8 @@ func checkReportIDs(s int, rep report, set *seq.SetS) error {
 func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 	pr := newProbes(cfg.Metrics)
 	tw := cfg.Trace
-	if tw != nil {
-		tw.ProcessName(cfg.TracePID, cfg.traceProcess())
-		traceThreadName(tw, cfg.TracePID, 0, "master")
-	}
+	tw.ProcessName(cfg.TracePID, cfg.traceProcess())
+	traceThreadName(tw, cfg.TracePID, 0, "master")
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
@@ -118,9 +116,7 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 	}
 	tPart := c.Elapsed() - tStart
 	pr.observeBuckets(global, suffix.Loads(global, owner, c.Size()-1))
-	if tw != nil {
-		tw.Span(cfg.TracePID, 0, "partition", "gst", tStart, tPart)
-	}
+	tw.Span(cfg.TracePID, 0, "partition", "gst", tStart, tPart)
 
 	res := &Result{}
 	st := &res.Stats
@@ -180,9 +176,7 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 	total := c.Elapsed() - tStart
 	cs := c.Stats()
 	st.MasterIdle = cs.RecvWait - rw0
-	if pr != nil {
-		pr.masterIdle.Set(int64(st.MasterIdle))
-	}
+	pr.masterIdle.Set(int64(st.MasterIdle))
 	mine := RankStats{Rank: 0, Role: "master", Partition: tPart, Total: total, PairsSkipped: m.skipped, Busy: st.MasterBusy}
 	fillComm(&mine, cs)
 	if err := m.collect(mine); err != nil {
@@ -305,7 +299,7 @@ func (m *master) onReport(msg mp.Msg) error {
 	e := 0
 	if !ms.generatorDone {
 		e = m.grantFor(len(rep.pairs), added)
-		if m.pr != nil && e > 0 {
+		if e > 0 {
 			m.pr.grantE.Observe(int64(e))
 		}
 	}
@@ -343,9 +337,7 @@ func (m *master) merge(results []alignResult) {
 			if m.cfg.SkipSameCluster {
 				m.edges = append(m.edges, [2]int32{int32(r.estI), int32(r.estJ)})
 			}
-			if m.pr != nil {
-				m.pr.merges.Inc()
-			}
+			m.pr.merges.Inc()
 		}
 	}
 	m.processed += int64(len(results))
@@ -360,13 +352,9 @@ func (m *master) admit(pairs []pairgen.Pair) int {
 	m.skip(d)
 	b := m.buffered()
 	m.st.WorkBufHighWater = max(m.st.WorkBufHighWater, b)
-	if m.pr != nil {
-		m.pr.workbuf.Set(int64(b))
-		m.pr.workbufHW.SetMax(int64(b))
-	}
-	if tw := m.cfg.Trace; tw != nil {
-		tw.Counter(m.cfg.TracePID, "workbuf", m.c.Elapsed(), int64(b))
-	}
+	m.pr.workbuf.Set(int64(b))
+	m.pr.workbufHW.SetMax(int64(b))
+	m.cfg.Trace.Counter(m.cfg.TracePID, "workbuf", m.c.Elapsed(), int64(b))
 	return len(m.workbuf) - from
 }
 
@@ -374,9 +362,7 @@ func (m *master) buffered() int { return len(m.workbuf) - m.head }
 
 func (m *master) skip(d int64) {
 	m.skipped += d
-	if m.pr != nil {
-		m.pr.skipped.Add(d)
-	}
+	m.pr.skipped.Add(d)
 }
 
 func (m *master) checkpoint(force bool) error {
@@ -549,12 +535,10 @@ func (m *master) onDeath(s int) error {
 		rec.ShardsReassigned += reassigned
 	}
 	ms.shards = nil
-	if m.pr != nil {
-		m.pr.ranksLost.Inc()
-		m.pr.grantsReclaimed.Add(reclaimed)
-		m.pr.pairsRequeued.Add(requeuedNow)
-		m.pr.shardsReassigned.Add(reassigned)
-	}
+	m.pr.ranksLost.Inc()
+	m.pr.grantsReclaimed.Add(reclaimed)
+	m.pr.pairsRequeued.Add(requeuedNow)
+	m.pr.shardsReassigned.Add(reassigned)
 	m.cfg.logger().Warn("slave rank lost; recovering",
 		"rank", s, "survivors", len(surv), "grants_reclaimed", reclaimed,
 		"pairs_requeued", requeuedNow, "shards_reassigned", reassigned)

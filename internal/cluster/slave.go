@@ -129,9 +129,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		return err
 	}
 	tPart := c.Elapsed() - tStart
-	if tw != nil {
-		tw.Span(cfg.TracePID, c.Rank(), "partition", "gst", tStart, tPart)
-	}
+	tw.Span(cfg.TracePID, c.Rank(), "partition", "gst", tStart, tPart)
 
 	t1 := c.Elapsed()
 	forest, err := suffix.BuildForest(set, table, cfg.Window)
@@ -139,9 +137,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		return err
 	}
 	tConstruct := c.Elapsed() - t1
-	if tw != nil {
-		tw.Span(cfg.TracePID, c.Rank(), "construct", "gst", t1, tConstruct)
-	}
+	tw.Span(cfg.TracePID, c.Rank(), "construct", "gst", t1, tConstruct)
 
 	t2 := c.Elapsed()
 	gen0, err := pairgen.NewFresh(set, forest, cfg.Psi, cfg.FreshGen)
@@ -153,9 +149,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 	// rebuilt dead-slave shards to it.
 	chain := &genChain{gens: []*pairgen.Generator{gen0}}
 	tSort := c.Elapsed() - t2
-	if tw != nil {
-		tw.Span(cfg.TracePID, c.Rank(), "sort", "pairgen", t2, tSort)
-	}
+	tw.Span(cfg.TracePID, c.Rank(), "sort", "pairgen", t2, tSort)
 
 	ext, err := align.NewExtender(cfg.Scoring, cfg.Band)
 	if err != nil {
@@ -178,7 +172,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		results, b, err = alignBatch(set, ext, cfg, replica, c.Elapsed, pairs, results[:0])
 		n.add(b)
 		pr.countBatch(b)
-		if tw != nil && len(results) > 0 {
+		if len(results) > 0 {
 			tw.Span(cfg.TracePID, c.Rank(), "align", "cluster", tA, b.align)
 		}
 		return err
@@ -193,9 +187,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		var d int64
 		pairbuf, d = dropJoined(cfg, replica, pairbuf, from)
 		n.skipped += d
-		if pr != nil {
-			pr.skipped.Add(d)
-		}
+		pr.skipped.Add(d)
 	}
 	grow := func(k int) {
 		from := len(pairbuf)
@@ -318,9 +310,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 			chain.add(g)
 			dR := c.Elapsed() - tR
 			tConstruct += dR
-			if tw != nil {
-				tw.Span(cfg.TracePID, c.Rank(), "rebuild", "recovery", tR, dR)
-			}
+			tw.Span(cfg.TracePID, c.Rank(), "rebuild", "recovery", tR, dR)
 		}
 
 		// Top PAIRBUF up to the requested E.

@@ -1,20 +1,5 @@
 package metrics
 
-import (
-	"fmt"
-	"sort"
-)
-
-// RandIndex returns (TP+TN)/(all pairs): the fraction of pair decisions the
-// two clusterings agree on.
-func (q Quality) RandIndex() float64 {
-	total := q.TP + q.FP + q.TN + q.FN
-	if total == 0 {
-		return 1
-	}
-	return float64(q.TP+q.TN) / float64(total)
-}
-
 // AdjustedRand computes the Hubert–Arabie adjusted Rand index directly from
 // the pair counts: agreement corrected for chance, 1 for identical
 // partitions, ~0 for independent ones.
@@ -37,68 +22,4 @@ func (q Quality) AdjustedRand() float64 {
 		return 0
 	}
 	return (a - expected) / (maxIdx - expected)
-}
-
-// Purity returns the weighted average, over predicted clusters, of the
-// fraction of members belonging to the cluster's dominant true class.
-func Purity(pred, truth []int32) (float64, error) {
-	if len(pred) != len(truth) {
-		return 0, fmt.Errorf("metrics: length mismatch %d vs %d", len(pred), len(truth))
-	}
-	if len(pred) == 0 {
-		return 1, nil
-	}
-	type key struct{ p, t int32 }
-	cells := map[key]int{}
-	for i := range pred {
-		cells[key{pred[i], truth[i]}]++
-	}
-	dominant := map[int32]int{}
-	for k, c := range cells {
-		if c > dominant[k.p] {
-			dominant[k.p] = c
-		}
-	}
-	correct := 0
-	for _, c := range dominant {
-		correct += c
-	}
-	return float64(correct) / float64(len(pred)), nil
-}
-
-// Summary captures the headline numbers of one clustering for reporting.
-type Summary struct {
-	N           int
-	NumClusters int
-	Largest     int
-	Singletons  int
-	MeanSize    float64
-	MedianSize  int
-}
-
-// Summarize computes cluster-size structure for a labeling.
-func Summarize(labels []int32) Summary {
-	s := Summary{N: len(labels)}
-	if len(labels) == 0 {
-		return s
-	}
-	hist := ClusterSizeHistogram(labels)
-	s.NumClusters = len(hist)
-	s.Largest = hist[0]
-	for _, sz := range hist {
-		if sz == 1 {
-			s.Singletons++
-		}
-	}
-	s.MeanSize = float64(len(labels)) / float64(len(hist))
-	sorted := append([]int(nil), hist...)
-	sort.Ints(sorted)
-	s.MedianSize = sorted[len(sorted)/2]
-	return s
-}
-
-// String renders a Summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d clusters=%d largest=%d singletons=%d mean=%.1f median=%d",
-		s.N, s.NumClusters, s.Largest, s.Singletons, s.MeanSize, s.MedianSize)
 }

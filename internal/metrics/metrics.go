@@ -9,7 +9,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Counts are the raw pair-classification tallies.
@@ -127,21 +126,6 @@ func matthews(c Counts) float64 {
 func (q Quality) String() string {
 	return fmt.Sprintf("OQ=%.2f%% OV=%.2f%% UN=%.2f%% CC=%.2f%%",
 		100*q.OQ, 100*q.OV, 100*q.UN, 100*q.CC)
-}
-
-// ClusterSizeHistogram returns the sorted (descending) cluster sizes of a
-// labeling — useful for eyeballing fragmentation.
-func ClusterSizeHistogram(labels []int32) []int {
-	sizes := map[int32]int{}
-	for _, l := range labels {
-		sizes[l]++
-	}
-	out := make([]int, 0, len(sizes))
-	for _, s := range sizes {
-		out = append(out, s)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }
 
 // NumClusters returns the number of distinct labels.

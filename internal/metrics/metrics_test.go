@@ -174,13 +174,6 @@ func TestMatthewsLargeCountsNoOverflow(t *testing.T) {
 	}
 }
 
-func TestClusterSizeHistogram(t *testing.T) {
-	h := ClusterSizeHistogram([]int32{1, 1, 1, 2, 2, 9})
-	if len(h) != 3 || h[0] != 3 || h[1] != 2 || h[2] != 1 {
-		t.Errorf("histogram: %v", h)
-	}
-}
-
 func TestNumClusters(t *testing.T) {
 	if NumClusters([]int32{3, 3, 1, 0, 1}) != 3 {
 		t.Error("NumClusters wrong")

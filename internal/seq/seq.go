@@ -296,17 +296,6 @@ func (s *SetS) GenStartString(g Gen) StringID {
 	return Forward(s.GenStart(g))
 }
 
-// Generation returns the batch generation EST e arrived in.
-func (s *SetS) Generation(e ESTID) Gen {
-	// Generations are few (one per Add); a linear scan is fine.
-	for g := len(s.genStart) - 1; g > 0; g-- {
-		if int32(e) >= s.genStart[g] {
-			return Gen(g)
-		}
-	}
-	return 0
-}
-
 // NumESTs returns n.
 func (s *SetS) NumESTs() int { return len(s.ests) }
 
@@ -336,9 +325,4 @@ func (s *SetS) LeftChar(id StringID, pos int32) Code {
 		return Lambda
 	}
 	return s.strs[id][pos-1]
-}
-
-// AvgLen returns l = N/n, the average EST length.
-func (s *SetS) AvgLen() float64 {
-	return float64(s.totN) / float64(len(s.ests))
 }

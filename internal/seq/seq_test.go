@@ -176,9 +176,6 @@ func TestSetSBasics(t *testing.T) {
 	if s.TotalChars() != 8 {
 		t.Errorf("N = %d, want 8", s.TotalChars())
 	}
-	if s.AvgLen() != 4 {
-		t.Errorf("l = %f, want 4", s.AvgLen())
-	}
 	if !s.Str(Forward(0)).Equal(e0) {
 		t.Error("forward string mismatch")
 	}
@@ -295,9 +292,9 @@ func TestSetSAppendGenerations(t *testing.T) {
 		t.Fatalf("TotalChars = %d, want 40", set.TotalChars())
 	}
 	wantGens := []Gen{0, 0, 1, 2, 2}
-	for e, want := range wantGens {
-		if got := set.Generation(ESTID(e)); got != want {
-			t.Errorf("Generation(%d) = %d, want %d", e, got, want)
+	for e, g := range wantGens {
+		if id := ESTID(e); id < set.GenStart(g) || id >= set.GenStart(g+1) {
+			t.Errorf("EST %d outside generation %d's range [%d, %d)", e, g, set.GenStart(g), set.GenStart(g+1))
 		}
 	}
 	if set.GenStart(0) != 0 || set.GenStart(1) != 2 || set.GenStart(2) != 3 || set.GenStart(3) != 5 {
@@ -387,8 +384,8 @@ func TestSetSTruncateMultipleGenerations(t *testing.T) {
 		t.Errorf("after Truncate(1): gens=%d n=%d N=%d, want 1 1 8",
 			set.NumGenerations(), set.NumESTs(), set.TotalChars())
 	}
-	if got := set.Generation(0); got != 0 {
-		t.Errorf("Generation(0) = %d, want 0", got)
+	if got := set.GenStart(1); got != 1 {
+		t.Errorf("GenStart(1) = %d, want 1", got)
 	}
 }
 
@@ -452,7 +449,7 @@ func TestSetSAppendDuplicateAcrossBatches(t *testing.T) {
 	if !set.EST(0).Equal(set.EST(1)) {
 		t.Error("duplicate ESTs should compare equal")
 	}
-	if set.Generation(0) == set.Generation(1) {
+	if set.GenStart(1) != 1 {
 		t.Error("duplicate ESTs across batches should differ in generation")
 	}
 	if !set.Str(Reverse(0)).Equal(set.Str(Reverse(1))) {

@@ -40,11 +40,10 @@ const (
 // per-route latency, in-flight and response-class series land on the
 // manager's metrics registry.
 func NewHandler(m *Manager) http.Handler {
-	if r := m.cfg.Options.Metrics; r != nil {
-		r.Help(metricHTTPRequestNs, "HTTP request latency by route, nanoseconds.")
-		r.Help(metricHTTPResponses, "HTTP responses by route and status class.")
-		r.Help(metricHTTPInFlight, "HTTP requests currently being served.")
-	}
+	r := m.cfg.Options.Metrics
+	r.Help(metricHTTPRequestNs, "HTTP request latency by route, nanoseconds.")
+	r.Help(metricHTTPResponses, "HTTP responses by route and status class.")
+	r.Help(metricHTTPInFlight, "HTTP requests currently being served.")
 	mux := http.NewServeMux()
 	handle := func(route string, h http.HandlerFunc) {
 		mux.HandleFunc(route, m.instrument(route, h))
@@ -185,19 +184,18 @@ func (m *Manager) instrument(route string, h http.HandlerFunc) http.HandlerFunc 
 		ctx := WithRequestID(r.Context(), reqID)
 		w.Header().Set(RequestIDHeader, reqID)
 
-		m.gauge(metricHTTPInFlight).Add(1)
+		reg := m.cfg.Options.Metrics
+		reg.Gauge(metricHTTPInFlight).Add(1)
 		t0 := m.clock.Elapsed()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r.WithContext(ctx))
 		dur := m.clock.Elapsed() - t0
-		m.gauge(metricHTTPInFlight).Add(-1)
+		reg.Gauge(metricHTTPInFlight).Add(-1)
 
-		if reg := m.cfg.Options.Metrics; reg != nil {
-			routeLbl := telemetry.Label{Key: "route", Value: route}
-			reg.Histogram(metricHTTPRequestNs, telemetry.ExpBounds(1000, 4, 12), routeLbl).Observe(int64(dur))
-			reg.Counter(metricHTTPResponses, routeLbl,
-				telemetry.Label{Key: "class", Value: classOf(sw.code)}).Inc()
-		}
+		routeLbl := telemetry.Label{Key: "route", Value: route}
+		reg.Histogram(metricHTTPRequestNs, latencyBounds, routeLbl).Observe(int64(dur))
+		reg.Counter(metricHTTPResponses, routeLbl,
+			telemetry.Label{Key: "class", Value: classOf(sw.code)}).Inc()
 		sessionID := r.PathValue("id")
 		if tw := m.cfg.Options.Trace; tw != nil {
 			lane := 0 // control lane; session lanes start at 1

@@ -53,6 +53,11 @@ const (
 	metricDegraded       = "pace_server_degraded"
 )
 
+// latencyBounds buckets the server's nanosecond latency histograms, 1µs
+// up ×4 per bucket. Held once so an update on a disabled registry allocates
+// nothing.
+var latencyBounds = telemetry.ExpBounds(1000, 4, 12)
+
 // Trace lanes. The server owns process lane 1 in the Chrome trace (pid 0 is
 // the standalone CLI pipeline): each session gets a thread lane there, so an
 // HTTP request span and the batch span it admitted nest on one timeline.
@@ -232,21 +237,18 @@ func NewManager(cfg Config) (*Manager, error) {
 		nextLane: 1, // lane 0 is the control lane for non-session requests
 		inflight: make(map[int]context.CancelFunc),
 	}
-	if r := cfg.Options.Metrics; r != nil {
-		r.Help(metricSessions, "Live sessions owned by the manager.")
-		r.Help(metricAdmAdmitted, "Requests granted an admission slot.")
-		r.Help(metricAdmRejected, "Requests rejected with a full admission queue (HTTP 429).")
-		r.Help(metricAdmQueueWaitNs, "Time a batch request waited for an admission grant, nanoseconds.")
-		r.Help(metricQuotaRejected, "Session creations rejected over quota.")
-		r.Help(metricSessionESTs, "ESTs held per session.")
-		r.Help(metricSessionBatches, "Batches ingested per session.")
-		r.Help(metricBatchNs, "End-to-end latency of one ingested batch (admitted to clustered+saved), nanoseconds.")
-		r.Help(metricDegraded, "Sessions in degraded read-only mode (persistence failing).")
-	}
-	if tw := cfg.Options.Trace; tw != nil {
-		tw.ProcessName(serverTracePID, "paced server")
-		tw.ThreadName(serverTracePID, 0, "control")
-	}
+	r := cfg.Options.Metrics
+	r.Help(metricSessions, "Live sessions owned by the manager.")
+	r.Help(metricAdmAdmitted, "Requests granted an admission slot.")
+	r.Help(metricAdmRejected, "Requests rejected with a full admission queue (HTTP 429).")
+	r.Help(metricAdmQueueWaitNs, "Time a batch request waited for an admission grant, nanoseconds.")
+	r.Help(metricQuotaRejected, "Session creations rejected over quota.")
+	r.Help(metricSessionESTs, "ESTs held per session.")
+	r.Help(metricSessionBatches, "Batches ingested per session.")
+	r.Help(metricBatchNs, "End-to-end latency of one ingested batch (admitted to clustered+saved), nanoseconds.")
+	r.Help(metricDegraded, "Sessions in degraded read-only mode (persistence failing).")
+	cfg.Options.Trace.ProcessName(serverTracePID, "paced server")
+	cfg.Options.Trace.ThreadName(serverTracePID, 0, "control")
 	return m, nil
 }
 
@@ -315,7 +317,7 @@ func (m *Manager) Create(ctx context.Context, id, tenant string) (Info, error) {
 		return Info{}, fmt.Errorf("%w: %s", ErrExists, id)
 	}
 	if len(m.sessions) >= m.cfg.maxSessions() {
-		m.counter(metricQuotaRejected).Inc()
+		m.cfg.Options.Metrics.Counter(metricQuotaRejected).Inc()
 		return Info{}, fmt.Errorf("%w: server holds %d sessions", ErrQuota, len(m.sessions))
 	}
 	own := 0
@@ -325,7 +327,7 @@ func (m *Manager) Create(ctx context.Context, id, tenant string) (Info, error) {
 		}
 	}
 	if own >= m.cfg.maxPerTenant() {
-		m.counter(metricQuotaRejected).Inc()
+		m.cfg.Options.Metrics.Counter(metricQuotaRejected).Inc()
 		return Info{}, fmt.Errorf("%w: tenant %s holds %d sessions", ErrQuota, tenant, own)
 	}
 
@@ -345,7 +347,7 @@ func (m *Manager) Create(ctx context.Context, id, tenant string) (Info, error) {
 		}
 	}
 	m.sessions[id] = s
-	m.gauge(metricSessions).Set(int64(len(m.sessions)))
+	m.cfg.Options.Metrics.Gauge(metricSessions).Set(int64(len(m.sessions)))
 	m.log.Info("session created", "session", id, "tenant", tenant,
 		"request_id", RequestID(ctx), "sessions", len(m.sessions))
 	return Info{ID: id, Tenant: tenant}, nil
@@ -356,9 +358,7 @@ func (m *Manager) Create(ctx context.Context, id, tenant string) (Info, error) {
 func (m *Manager) allocLaneLocked(id string) int {
 	lane := m.nextLane
 	m.nextLane++
-	if tw := m.cfg.Options.Trace; tw != nil {
-		tw.ThreadName(serverTracePID, lane, "session "+id)
-	}
+	m.cfg.Options.Trace.ThreadName(serverTracePID, lane, "session "+id)
 	return lane
 }
 
@@ -431,7 +431,7 @@ func (m *Manager) Delete(id string) error {
 	s, ok := m.sessions[id]
 	if ok {
 		delete(m.sessions, id)
-		m.gauge(metricSessions).Set(int64(len(m.sessions)))
+		m.cfg.Options.Metrics.Gauge(metricSessions).Set(int64(len(m.sessions)))
 	}
 	m.mu.Unlock()
 	if !ok {
@@ -443,7 +443,7 @@ func (m *Manager) Delete(id string) error {
 	if s.degraded {
 		// The session's state dies with it; don't leave the gauge stuck.
 		s.degraded = false
-		m.gauge(metricDegraded).Add(-1)
+		m.cfg.Options.Metrics.Gauge(metricDegraded).Add(-1)
 	}
 	m.log.Info("session deleted", "session", id, "tenant", s.meta.Tenant,
 		"ests", s.sess.NumESTs(), "batches", s.sess.Batches())
@@ -512,7 +512,7 @@ func (m *Manager) Add(ctx context.Context, id string, recs []pace.Record) (*Batc
 		return nil, err
 	}
 	queueWait := m.clock.Elapsed() - tAcq
-	m.histogram(metricAdmQueueWaitNs).Observe(int64(queueWait))
+	m.cfg.Options.Metrics.Histogram(metricAdmQueueWaitNs, latencyBounds).Observe(int64(queueWait))
 	defer func() {
 		m.adm.Release()
 		m.pushAdmissionMetrics()
@@ -553,7 +553,7 @@ func (m *Manager) Add(ctx context.Context, id string, recs []pace.Record) (*Batc
 		if err := SaveState(m.fs, s.dir, s.sess, s.recs); err != nil {
 			s.degraded = true
 			s.degradedCause = err
-			m.gauge(metricDegraded).Add(1)
+			m.cfg.Options.Metrics.Gauge(metricDegraded).Add(1)
 			m.log.Error("batch clustered but not persisted; session degraded read-only", "session", id,
 				"request_id", reqID, "batch", batch, "err", err.Error())
 			return nil, fmt.Errorf("%w: batch %d clustered in memory but not persisted; "+
@@ -561,12 +561,11 @@ func (m *Manager) Add(ctx context.Context, id string, recs []pace.Record) (*Batc
 		}
 	}
 	batchDur := m.clock.Elapsed() - tRun
-	if r := m.cfg.Options.Metrics; r != nil {
-		lbl := telemetry.Label{Key: "session", Value: id}
-		r.Gauge(metricSessionESTs, lbl).Set(int64(s.sess.NumESTs()))
-		r.Counter(metricSessionBatches, lbl).Inc()
-		r.Histogram(metricBatchNs, telemetry.ExpBounds(1000, 4, 12), lbl).Observe(int64(batchDur))
-	}
+	r := m.cfg.Options.Metrics
+	lbl := telemetry.Label{Key: "session", Value: id}
+	r.Gauge(metricSessionESTs, lbl).Set(int64(s.sess.NumESTs()))
+	r.Counter(metricSessionBatches, lbl).Inc()
+	r.Histogram(metricBatchNs, latencyBounds, lbl).Observe(int64(batchDur))
 	if tw := m.cfg.Options.Trace; tw != nil {
 		tw.SpanArgs(serverTracePID, s.lane, fmt.Sprintf("batch %d", batch), "serve",
 			tRun, batchDur, map[string]any{
@@ -669,11 +668,9 @@ func (m *Manager) ResumeAll() (int, error) {
 		}
 		m.mu.Lock()
 		m.sessions[meta.ID] = &session{meta: meta, dir: dir, lane: lane, sess: sess, recs: st.Recs}
-		m.gauge(metricSessions).Set(int64(len(m.sessions)))
+		m.cfg.Options.Metrics.Gauge(metricSessions).Set(int64(len(m.sessions)))
 		m.mu.Unlock()
-		if r := m.cfg.Options.Metrics; r != nil {
-			r.Gauge(metricSessionESTs, telemetry.Label{Key: "session", Value: meta.ID}).Set(int64(sess.NumESTs()))
-		}
+		m.cfg.Options.Metrics.Gauge(metricSessionESTs, telemetry.Label{Key: "session", Value: meta.ID}).Set(int64(sess.NumESTs()))
 		m.log.Info("session resumed", "session", meta.ID, "tenant", meta.Tenant,
 			"ests", sess.NumESTs(), "batches", sess.Batches())
 		n++
@@ -699,7 +696,7 @@ func (m *Manager) resumeEmpty(dir, name string) error {
 	}
 	m.mu.Lock()
 	m.sessions[meta.ID] = &session{meta: meta, dir: dir, lane: lane, sess: sess}
-	m.gauge(metricSessions).Set(int64(len(m.sessions)))
+	m.cfg.Options.Metrics.Gauge(metricSessions).Set(int64(len(m.sessions)))
 	m.mu.Unlock()
 	m.log.Info("session resumed", "session", meta.ID, "tenant", meta.Tenant, "ests", 0, "batches", 0)
 	return nil
@@ -827,7 +824,7 @@ func (m *Manager) ProbeDegraded() int {
 		s.mu.Unlock()
 	}
 	if healed > 0 {
-		m.gauge(metricDegraded).Add(int64(-healed))
+		m.cfg.Options.Metrics.Gauge(metricDegraded).Add(int64(-healed))
 	}
 	return healed
 }
@@ -860,30 +857,6 @@ func (m *Manager) isDraining() bool {
 // Admission exposes the admission controller (handler metrics, tests).
 func (m *Manager) Admission() *Admission { return m.adm }
 
-// gauge is a nil-safe registry accessor for unlabeled server gauges.
-func (m *Manager) gauge(family string) *telemetry.Gauge {
-	if m.cfg.Options.Metrics == nil {
-		return &telemetry.Gauge{}
-	}
-	return m.cfg.Options.Metrics.Gauge(family)
-}
-
-// counter is a nil-safe registry accessor for unlabeled server counters.
-func (m *Manager) counter(family string) *telemetry.Counter {
-	if m.cfg.Options.Metrics == nil {
-		return &telemetry.Counter{}
-	}
-	return m.cfg.Options.Metrics.Counter(family)
-}
-
-// histogram is a nil-safe accessor for unlabeled server latency histograms.
-func (m *Manager) histogram(family string) *telemetry.Histogram {
-	if m.cfg.Options.Metrics == nil {
-		return telemetry.NewHistogram(nil)
-	}
-	return m.cfg.Options.Metrics.Histogram(family, telemetry.ExpBounds(1000, 4, 12))
-}
-
 // laneOf reports a live session's thread lane on the server trace process
 // (-1 when unknown); the HTTP layer uses it to put a request's span on the
 // same timeline as the batch span it admits.
@@ -898,9 +871,6 @@ func (m *Manager) laneOf(id string) int {
 
 func (m *Manager) pushAdmissionMetrics() {
 	r := m.cfg.Options.Metrics
-	if r == nil {
-		return
-	}
 	st := m.adm.Stats()
 	r.Gauge(metricAdmInService).Set(int64(st.InService))
 	r.Gauge(metricAdmWaiting).Set(int64(st.Waiting))

@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/rand"
 
-	"pace/internal/fasta"
 	"pace/internal/seq"
 )
 
@@ -401,20 +400,6 @@ func Mutate(s seq.Sequence, rate float64, rng *rand.Rand) seq.Sequence {
 func DivergedCopy(g Gene, rate float64, rng *rand.Rand) Gene {
 	m := Mutate(g.MRNA, rate, rng)
 	return Gene{Genomic: m.Clone(), MRNA: m, ExonBounds: [][2]int{{0, len(m)}}, SkippedExon: -1}
-}
-
-// Records converts the benchmark to FASTA records. IDs encode the index and
-// the true gene for readability; the clusterer must not rely on them.
-func (b *Benchmark) Records() []*fasta.Record {
-	recs := make([]*fasta.Record, len(b.ESTs))
-	for i, e := range b.ESTs {
-		recs[i] = &fasta.Record{
-			ID:   fmt.Sprintf("est%06d", i),
-			Desc: fmt.Sprintf("gene=%d flipped=%v", b.Truth[i], b.Flipped[i]),
-			Seq:  e,
-		}
-	}
-	return recs
 }
 
 // TotalChars returns the total character count over all ESTs.

@@ -260,29 +260,6 @@ func TestDivergedCopy(t *testing.T) {
 	}
 }
 
-func TestRecords(t *testing.T) {
-	cfg := DefaultConfig(10)
-	cfg.Seed = 4
-	b, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := b.Records()
-	if len(recs) != 10 {
-		t.Fatal("record count")
-	}
-	ids := map[string]bool{}
-	for _, r := range recs {
-		if ids[r.ID] {
-			t.Fatalf("duplicate id %s", r.ID)
-		}
-		ids[r.ID] = true
-		if len(r.Seq) == 0 {
-			t.Fatal("empty record seq")
-		}
-	}
-}
-
 func TestTotalChars(t *testing.T) {
 	cfg := DefaultConfig(20)
 	cfg.Seed = 10

@@ -1,6 +1,6 @@
 // Package telemetry is the pipeline-wide observability layer: a race-clean,
-// allocation-light metrics registry (counters, gauges, bounded histograms,
-// phase timers) with three sinks — a Prometheus-text / expvar / pprof HTTP
+// allocation-light metrics registry (counters, gauges, bounded histograms)
+// with three sinks — a Prometheus-text / expvar / pprof HTTP
 // endpoint, a Chrome trace-event writer for per-rank timelines, and a
 // machine-readable run report that prints the paper's Table-2/3-style phase
 // and load-balance breakdowns.
@@ -10,6 +10,11 @@
 // read the same atomics. Hot paths hold *Counter / *Histogram pointers
 // obtained once at setup, so steady-state updates never touch the registry
 // map or allocate.
+//
+// A nil handle is a disabled sink, decided here and nowhere else: a nil
+// *Registry hands out nil handles, and a nil *Counter, *Gauge, *FloatGauge,
+// *Histogram or *TraceWriter ignores updates and reads 0, so call sites
+// need no guards.
 package telemetry
 
 import (
@@ -33,26 +38,47 @@ func Rank(r int) Label { return Label{Key: "rank", Value: fmt.Sprint(r)} }
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+func (c *Counter) Add(n int64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is an atomic instantaneous value.
 type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
+func (g *Gauge) Set(n int64) {
+	if g != nil {
+		g.v.Store(n)
+	}
+}
 
 // Add moves the gauge by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
+func (g *Gauge) Add(n int64) {
+	if g != nil {
+		g.v.Add(n)
+	}
+}
 
 // SetMax raises the gauge to n if n is larger (high-water marks).
 func (g *Gauge) SetMax(n int64) {
-	for {
+	for g != nil {
 		cur := g.v.Load()
 		if n <= cur || g.v.CompareAndSwap(cur, n) {
 			return
@@ -61,16 +87,30 @@ func (g *Gauge) SetMax(n int64) {
 }
 
 // Value returns the current gauge value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+func (g *Gauge) Value() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Load()
+}
 
 // FloatGauge is an atomic float64 value (ratios such as load skew).
 type FloatGauge struct{ bits atomic.Uint64 }
 
 // Set replaces the gauge value.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(floatBits(v)) }
+func (g *FloatGauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(floatBits(v))
+	}
+}
 
 // Value returns the current value.
-func (g *FloatGauge) Value() float64 { return bitsFloat(g.bits.Load()) }
+func (g *FloatGauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return bitsFloat(g.bits.Load())
+}
 
 // Histogram is a bounded histogram over int64 observations: counts per
 // bucket (upper-bound inclusive, last bucket unbounded) plus sum, count and
@@ -113,8 +153,15 @@ func ExpBounds(start int64, factor float64, n int) []int64 {
 	return out
 }
 
-// Observe records one value.
+// Observe records one value. The nil test is kept apart from the recording
+// so Observe stays small enough to inline into per-pair paths.
 func (h *Histogram) Observe(v int64) {
+	if h != nil {
+		h.observe(v)
+	}
+}
+
+func (h *Histogram) observe(v int64) {
 	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
 	h.counts[i].Add(1)
 	h.count.Add(1)
@@ -136,15 +183,6 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // Max returns the largest observation (0 before any observation).
 func (h *Histogram) Max() int64 { return h.max.Load() }
 
-// Mean returns the mean observation (0 before any observation).
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
 // Buckets returns (upper bound, count) pairs; the final pair has bound
 // math.MaxInt64 standing in for +Inf. Counts are non-cumulative.
 func (h *Histogram) Buckets() ([]int64, []int64) {
@@ -156,29 +194,6 @@ func (h *Histogram) Buckets() ([]int64, []int64) {
 		counts[i] = h.counts[i].Load()
 	}
 	return bounds, counts
-}
-
-// Quantile returns an upper-bound estimate of the q-quantile (q in [0,1]).
-func (h *Histogram) Quantile(q float64) int64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	var acc int64
-	for i := range h.counts {
-		acc += h.counts[i].Load()
-		if acc >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.Max()
-		}
-	}
-	return h.Max()
 }
 
 type metricKind int
@@ -217,6 +232,9 @@ func NewRegistry() *Registry {
 
 // Help attaches a Prometheus HELP string to a metric family.
 func (r *Registry) Help(family, text string) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	r.help[family] = text
 	r.mu.Unlock()
@@ -267,24 +285,37 @@ func (r *Registry) get(family string, kind metricKind, labels []Label, mk func(*
 }
 
 // Counter returns the counter for the family and labels, creating it on
-// first use.
+// first use. A nil registry returns a nil counter, which ignores updates;
+// the same holds for Gauge, FloatGauge and Histogram.
 func (r *Registry) Counter(family string, labels ...Label) *Counter {
+	if r == nil {
+		return nil
+	}
 	return r.get(family, kindCounter, labels, func(e *metricEntry) { e.c = &Counter{} }).c
 }
 
 // Gauge returns the gauge for the family and labels.
 func (r *Registry) Gauge(family string, labels ...Label) *Gauge {
+	if r == nil {
+		return nil
+	}
 	return r.get(family, kindGauge, labels, func(e *metricEntry) { e.g = &Gauge{} }).g
 }
 
 // FloatGauge returns the float gauge for the family and labels.
 func (r *Registry) FloatGauge(family string, labels ...Label) *FloatGauge {
+	if r == nil {
+		return nil
+	}
 	return r.get(family, kindFloatGauge, labels, func(e *metricEntry) { e.f = &FloatGauge{} }).f
 }
 
 // Histogram returns the histogram for the family and labels, creating it
 // with the given bounds on first use (later calls ignore bounds).
 func (r *Registry) Histogram(family string, bounds []int64, labels ...Label) *Histogram {
+	if r == nil {
+		return nil
+	}
 	return r.get(family, kindHistogram, labels, func(e *metricEntry) { e.h = NewHistogram(bounds) }).h
 }
 

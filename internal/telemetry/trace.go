@@ -18,6 +18,9 @@ import (
 // time for real runs, per-rank virtual clocks for simulated runs — encoded
 // in the format's microseconds. The conventional mapping in this repo:
 // pid 0 = the pace pipeline, tid = mp rank.
+//
+// A nil *TraceWriter is a disabled trace: every event method returns before
+// it builds the event.
 type TraceWriter struct {
 	mu      sync.Mutex
 	w       io.Writer
@@ -79,6 +82,9 @@ func (t *TraceWriter) emit(ev traceEvent) {
 // Span records a complete ("X") event covering [start, start+dur) on the
 // given pid/tid timeline.
 func (t *TraceWriter) Span(pid, tid int, name, cat string, start, dur time.Duration) {
+	if t == nil {
+		return
+	}
 	d := usec(dur)
 	t.emit(traceEvent{Name: name, Cat: cat, Ph: "X", TS: usec(start), Dur: &d, PID: pid, TID: tid})
 }
@@ -87,30 +93,45 @@ func (t *TraceWriter) Span(pid, tid int, name, cat string, start, dur time.Durat
 // the event's detail pane. The map is marshaled immediately; the caller may
 // reuse it.
 func (t *TraceWriter) SpanArgs(pid, tid int, name, cat string, start, dur time.Duration, args map[string]any) {
+	if t == nil {
+		return
+	}
 	d := usec(dur)
 	t.emit(traceEvent{Name: name, Cat: cat, Ph: "X", TS: usec(start), Dur: &d, PID: pid, TID: tid, Args: args})
 }
 
 // Instant records an instant ("i") event at ts.
 func (t *TraceWriter) Instant(pid, tid int, name string, ts time.Duration) {
+	if t == nil {
+		return
+	}
 	t.emit(traceEvent{Name: name, Ph: "i", TS: usec(ts), PID: pid, TID: tid,
 		Args: map[string]any{"s": "t"}})
 }
 
 // Counter records a counter ("C") event: the viewer plots value over time.
 func (t *TraceWriter) Counter(pid int, name string, ts time.Duration, value int64) {
+	if t == nil {
+		return
+	}
 	t.emit(traceEvent{Name: name, Ph: "C", TS: usec(ts), PID: pid, TID: 0,
 		Args: map[string]any{"value": value}})
 }
 
 // ThreadName labels a (pid, tid) timeline in the viewer.
 func (t *TraceWriter) ThreadName(pid, tid int, name string) {
+	if t == nil {
+		return
+	}
 	t.emit(traceEvent{Name: "thread_name", Ph: "M", TS: 0, PID: pid, TID: tid,
 		Args: map[string]any{"name": name}})
 }
 
 // ProcessName labels a pid in the viewer.
 func (t *TraceWriter) ProcessName(pid int, name string) {
+	if t == nil {
+		return
+	}
 	t.emit(traceEvent{Name: "process_name", Ph: "M", TS: 0, PID: pid, TID: 0,
 		Args: map[string]any{"name": name}})
 }

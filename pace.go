@@ -162,16 +162,12 @@ type Options struct {
 	// goroutine concurrency. Stats report virtual times. It needs
 	// Processors >= 2: the sequential engine has no simulated machine.
 	Simulated bool
-	// SimDeterministic makes a Simulated run fully reproducible by
-	// disabling the simulator's measured-compute bridge (which charges
-	// real CPU time into the virtual clocks): two identical runs then
-	// produce identical virtual times, stats and reports. Ignored unless
-	// Simulated.
-	SimDeterministic bool
 	// Stamp, when non-zero, replaces the report's wall-clock timestamp
-	// and zeroes the WallSeconds field in BuildReport, making sim-mode
-	// BENCH reports byte-identical across reruns. The zero value keeps
-	// the real clock.
+	// and zeroes the WallSeconds field in BuildReport. It also freezes the
+	// simulated clock: a Simulated run no longer charges measured compute
+	// time into its virtual clocks, so two identical stamped sim runs
+	// produce identical virtual times, stats and byte-identical reports.
+	// The zero value keeps the real clock.
 	Stamp time.Time
 
 	// Window is the suffix-bucketing prefix width w (paper: 8).
@@ -307,9 +303,7 @@ func (o Options) toConfig() (cluster.Config, error) {
 	cfg.Criteria.MinScoreRatio = o.MinScoreRatio
 	if o.Simulated {
 		cfg.MP = mp.DefaultSimConfig(o.Processors)
-		if o.SimDeterministic {
-			cfg.MP.MeasureCompute = false
-		}
+		cfg.MP.MeasureCompute = o.Stamp.IsZero()
 	} else {
 		cfg.MP = mp.Config{Procs: o.Processors, Mode: mp.ModeReal}
 	}
