@@ -34,7 +34,7 @@ type Checkpoint struct {
 	NumESTs int
 	Window  int
 	Psi     int
-	// Seq increments on every write, so observers can tell snapshots apart.
+	// Seq increments on every write, so readers can tell snapshots apart.
 	Seq uint64
 	// Pair counters as of the snapshot (high-water marks, monotonic).
 	PairsProcessed int64
@@ -159,7 +159,6 @@ type checkpointer struct {
 	window  int
 	psi     int
 	st      *Stats
-	pr      *probes
 	log     *slog.Logger
 
 	// clock is the engine's time base: the sequential wall clock or the
@@ -172,13 +171,13 @@ type checkpointer struct {
 	reports int
 }
 
-func newCheckpointer(cfg Config, numESTs int, st *Stats, pr *probes, clock func() time.Duration) *checkpointer {
+func newCheckpointer(cfg Config, numESTs int, st *Stats, clock func() time.Duration) *checkpointer {
 	if cfg.Checkpoint.Dir == "" {
 		return nil
 	}
 	return &checkpointer{
 		cfg: cfg.Checkpoint, numESTs: numESTs, window: cfg.Window, psi: cfg.Psi,
-		st: st, pr: pr, log: cfg.logger(), clock: clock, last: clock(),
+		st: st, log: cfg.logger(), clock: clock, last: clock(),
 	}
 }
 
@@ -215,9 +214,6 @@ func (ck *checkpointer) maybe(uf *unionfind.UF, processed, accepted, skipped, me
 	ck.st.Recovery.Checkpoints++
 	ck.st.Recovery.CheckpointBytes += int64(n)
 	ck.st.Recovery.CheckpointTime += d
-	ck.pr.ckptWrites.Inc()
-	ck.pr.ckptBytes.Set(int64(n))
-	ck.pr.ckptNs.Observe(int64(d))
 	ck.log.Info("checkpoint written",
 		"dir", ck.cfg.Dir, "seq", ck.seq, "bytes", n,
 		"pairs_processed", processed, "merges", merges, "forced", force)

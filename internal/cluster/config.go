@@ -107,11 +107,10 @@ type Config struct {
 	// state; see CheckpointConfig. A zero value disables checkpointing.
 	Checkpoint CheckpointConfig
 
-	// Metrics, when non-nil, receives live instrumentation from every
-	// pipeline layer: pair counters, the MCS-length and grant-E
-	// distributions, WORKBUF occupancy, bucket sizes, redistribution skew,
-	// and per-rank traffic. nil (the default) disables the probes at the
-	// cost of one pointer test per site.
+	// Metrics, when non-nil, receives live instrumentation: pair counters,
+	// the WORKBUF high water, bucket sizes, redistribution skew, master
+	// idle and incremental tallies. nil (the default) disables the probes
+	// at the cost of one pointer test per site.
 	Metrics *telemetry.Registry
 	// Trace, when non-nil, receives Chrome trace events: one timeline per
 	// rank (pid TracePID, tid = rank) with phase spans and a WORKBUF

@@ -166,7 +166,7 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		gen.Observe(pr.observer(clk))
+		gen.Observe(pr.generated)
 		ext, err := align.NewExtender(cfg.Scoring, cfg.Band)
 		if err != nil {
 			return err
@@ -183,13 +183,13 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		tw.ThreadName(cfg.TracePID, k, fmt.Sprintf("rank 0 (seq worker %d)", k))
 	}
 
-	uf, err := seededClusters(cfg, set.NumESTs(), st, pr)
+	uf, err := seededClusters(cfg, set.NumESTs(), st)
 	if err != nil {
 		return nil, err
 	}
 	run := &seqRun{
 		set: set, cfg: cfg, uf: uf, pr: pr, clk: clk, t0: t0, st: st,
-		ck: newCheckpointer(cfg, set.NumESTs(), st, pr, clk),
+		ck: newCheckpointer(cfg, set.NumESTs(), st, clk),
 	}
 	if err := fanout.Run(len(ws), func(k int) error { return run.drain(&ws[k]) }); err != nil {
 		return nil, err
@@ -285,8 +285,7 @@ func (r *seqRun) loop(w *seqWorker) error {
 		w.out, n, err = alignBatch(r.set, w.ext, cfg, r.uf, r.clk, w.buf, w.out[:0])
 		w.n.add(n)
 		w.align += n.align
-		pr.countBatch(n)
-		pr.merges.Add(n.merges)
+		pr.processed.Add(n.processed)
 		if err != nil {
 			return err
 		}
@@ -366,16 +365,15 @@ func newClusters(cfg Config, n int) (*unionfind.UF, error) {
 
 // seededClusters is newClusters for the rank that owns the run's partition.
 // It also records the merges the seed took — each joined two of the n
-// singletons — in st, the gauge and the log, so a resumed run can report how
+// singletons — in st and the log, so a resumed run can report how
 // much work the seed (e.g. a checkpoint) already covered.
-func seededClusters(cfg Config, n int, st *Stats, pr *probes) (*unionfind.UF, error) {
+func seededClusters(cfg Config, n int, st *Stats) (*unionfind.UF, error) {
 	uf, err := newClusters(cfg, n)
 	if err != nil {
 		return nil, err
 	}
 	merges := int64(n - uf.Count())
 	st.Recovery.SeedMerges = merges
-	pr.seedMerges.Set(merges)
 	if merges > 0 {
 		cfg.logger().Info("seeded prior partition", "merges", merges)
 	}

@@ -130,13 +130,13 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 		st.Incremental.BucketsRebuilt = rebuilt
 		st.Incremental.BucketsReused = nonEmptyBuckets(global) - rebuilt
 	}
-	uf, err := seededClusters(cfg, set.NumESTs(), st, pr)
+	uf, err := seededClusters(cfg, set.NumESTs(), st)
 	if err != nil {
 		return nil, err
 	}
 	m := &master{
 		set: set, cfg: cfg, c: c, pr: pr, st: st, uf: uf,
-		ck:     newCheckpointer(cfg, set.NumESTs(), st, pr, c.Elapsed),
+		ck:     newCheckpointer(cfg, set.NumESTs(), st, c.Elapsed),
 		slaves: c.Size() - 1,
 		states: make([]masterState, c.Size()),
 	}
@@ -299,9 +299,6 @@ func (m *master) onReport(msg mp.Msg) error {
 	e := 0
 	if !ms.generatorDone {
 		e = m.grantFor(len(rep.pairs), added)
-		if e > 0 {
-			m.pr.grantE.Observe(int64(e))
-		}
 	}
 	switch {
 	case len(batch) > 0 || e > 0 || len(rec) > 0:
@@ -337,7 +334,6 @@ func (m *master) merge(results []alignResult) {
 			if m.cfg.SkipSameCluster {
 				m.edges = append(m.edges, [2]int32{int32(r.estI), int32(r.estJ)})
 			}
-			m.pr.merges.Inc()
 		}
 	}
 	m.processed += int64(len(results))
@@ -349,21 +345,15 @@ func (m *master) admit(pairs []pairgen.Pair) int {
 	from := len(m.workbuf)
 	var d int64
 	m.workbuf, d = dropJoined(m.cfg, m.uf, append(m.workbuf, pairs...), from)
-	m.skip(d)
+	m.skipped += d
 	b := m.buffered()
 	m.st.WorkBufHighWater = max(m.st.WorkBufHighWater, b)
-	m.pr.workbuf.Set(int64(b))
 	m.pr.workbufHW.SetMax(int64(b))
 	m.cfg.Trace.Counter(m.cfg.TracePID, "workbuf", m.c.Elapsed(), int64(b))
 	return len(m.workbuf) - from
 }
 
 func (m *master) buffered() int { return len(m.workbuf) - m.head }
-
-func (m *master) skip(d int64) {
-	m.skipped += d
-	m.pr.skipped.Add(d)
-}
 
 func (m *master) checkpoint(force bool) error {
 	return m.ck.maybe(m.uf, m.processed, m.accepted, m.skipped, m.st.Merges, force)
@@ -394,7 +384,7 @@ func (m *master) takeInto(out *[]pairgen.Pair, src []pairgen.Pair) []pairgen.Pai
 		var d int64
 		*out, d = dropJoined(m.cfg, m.uf, append(*out, src[:k]...), from)
 		src = src[k:]
-		m.skip(d)
+		m.skipped += d
 	}
 	return src
 }
@@ -535,10 +525,6 @@ func (m *master) onDeath(s int) error {
 		rec.ShardsReassigned += reassigned
 	}
 	ms.shards = nil
-	m.pr.ranksLost.Inc()
-	m.pr.grantsReclaimed.Add(reclaimed)
-	m.pr.pairsRequeued.Add(requeuedNow)
-	m.pr.shardsReassigned.Add(reassigned)
 	m.cfg.logger().Warn("slave rank lost; recovering",
 		"rank", s, "survivors", len(surv), "grants_reclaimed", reclaimed,
 		"pairs_requeued", requeuedNow, "shards_reassigned", reassigned)
@@ -584,9 +570,6 @@ func (m *master) collect(mine RankStats) error {
 			}
 		}
 		m.st.addRank(row)
-	}
-	for _, rs := range m.st.PerRank {
-		m.pr.recordComm(rs)
 	}
 	return nil
 }

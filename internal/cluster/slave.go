@@ -144,7 +144,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 	if err != nil {
 		return err
 	}
-	gen0.Observe(pr.observer(c.Elapsed))
+	gen0.Observe(pr.generated)
 	// The chain starts with this slave's own partition; recovery appends
 	// rebuilt dead-slave shards to it.
 	chain := &genChain{gens: []*pairgen.Generator{gen0}}
@@ -171,7 +171,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		var err error
 		results, b, err = alignBatch(set, ext, cfg, replica, c.Elapsed, pairs, results[:0])
 		n.add(b)
-		pr.countBatch(b)
+		pr.processed.Add(b.processed)
 		if len(results) > 0 {
 			tw.Span(cfg.TracePID, c.Rank(), "align", "cluster", tA, b.align)
 		}
@@ -187,7 +187,6 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		var d int64
 		pairbuf, d = dropJoined(cfg, replica, pairbuf, from)
 		n.skipped += d
-		pr.skipped.Add(d)
 	}
 	grow := func(k int) {
 		from := len(pairbuf)
@@ -306,7 +305,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 			if err != nil {
 				return err
 			}
-			g.Observe(pr.observer(c.Elapsed))
+			g.Observe(pr.generated)
 			chain.add(g)
 			dR := c.Elapsed() - tR
 			tConstruct += dR

@@ -80,8 +80,8 @@ func TestParallelTelemetry(t *testing.T) {
 	if snap[mLoadSkew] < 1 {
 		t.Errorf("load skew = %v, want >= 1", snap[mLoadSkew])
 	}
-	if snap[`pace_mp_msgs_sent{rank="1"}`] == 0 {
-		t.Error("per-rank comm gauge missing")
+	if got := snap[mMasterIdle]; int64(got) != int64(st.MasterIdle) {
+		t.Errorf("registry %s = %v, want MasterIdle %d", mMasterIdle, got, int64(st.MasterIdle))
 	}
 
 	var events []map[string]any

@@ -90,22 +90,31 @@ func TestMetricCatalog(t *testing.T) {
 }
 
 // TestMetricCatalogGlobal exercises the reverse direction: the fixture
-// catalog lists pace_stale_total, which nothing registers.
+// catalog lists pace_stale_total, which nothing registers, and
+// pace_unread_total, whose "read by" cell is empty.
 func TestMetricCatalogGlobal(t *testing.T) {
 	pkgs, err := lint.LoadPackages(fixtureDir(t), "./metriccatalog")
 	if err != nil {
 		t.Fatal(err)
 	}
 	diags := analyzers.MetricCatalog.RunGlobal(pkgs)
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
+	if len(diags) != 2 {
+		t.Fatalf("got %d diagnostics, want 2: %v", len(diags), diags)
 	}
-	d := diags[0]
-	if !strings.Contains(d.Message, "pace_stale_total") || !strings.Contains(d.Message, "no code registers it") {
-		t.Errorf("unexpected message: %s", d.Message)
+	for i, want := range []string{"pace_stale_total", "pace_unread_total"} {
+		d := diags[i]
+		if !strings.Contains(d.Message, want) {
+			t.Errorf("diagnostic %d: want one about %s, got %s", i, want, d.Message)
+		}
+		if filepath.Base(d.Pos.Filename) != "DESIGN.md" {
+			t.Errorf("diagnostic should point into the catalog file, got %s", d.Pos.Filename)
+		}
 	}
-	if filepath.Base(d.Pos.Filename) != "DESIGN.md" {
-		t.Errorf("diagnostic should point into the catalog file, got %s", d.Pos.Filename)
+	if !strings.Contains(diags[0].Message, "no code registers it") {
+		t.Errorf("unexpected stale message: %s", diags[0].Message)
+	}
+	if !strings.Contains(diags[1].Message, "names no reader") {
+		t.Errorf("unexpected reader message: %s", diags[1].Message)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 
@@ -14,14 +15,16 @@ import (
 
 // MetricCatalog keeps the telemetry surface and its documentation in
 // lockstep: every `pace_*` metric name registered in code must appear (as
-// a full name — wildcard families like `pace_recovery_*` don't count) in
+// a full name — wildcard families like `pace_wild_*` don't count) in
 // the DESIGN.md metric catalog, and — in full runs, which see the whole
 // program — every full name the catalog lists must be registered by some
-// package. The catalog file is the DESIGN.md next to the module's go.mod,
-// so fixture modules bring their own.
+// package, and every catalog row must name its reader (a test or a CI step)
+// in its "read by" cell: a family nobody reads is deleted, not catalogued.
+// The catalog file is the DESIGN.md next to the module's go.mod, so fixture
+// modules bring their own.
 var MetricCatalog = &lint.Analyzer{
 	Name:      "metriccatalog",
-	Doc:       "every pace_* metric registered in code is listed in the DESIGN.md catalog, and vice versa",
+	Doc:       "every pace_* metric registered in code is listed in the DESIGN.md catalog with a reader, and vice versa",
 	Run:       runMetricCatalog,
 	RunGlobal: runMetricCatalogGlobal,
 }
@@ -29,7 +32,7 @@ var MetricCatalog = &lint.Analyzer{
 var metricNameRE = regexp.MustCompile(`^pace_[a-z0-9_]+$`)
 
 // catalogTokenRE extracts candidate names from DESIGN.md. Tokens ending
-// in "_" are prefixes from wildcard or brace notation (`pace_recovery_*`,
+// in "_" are prefixes from wildcard or brace notation (`pace_wild_*`,
 // `pace_x_{a,b}_total`) — not full names — and are dropped.
 var catalogTokenRE = regexp.MustCompile(`pace_[a-z0-9_]+`)
 
@@ -95,7 +98,25 @@ func runMetricCatalogGlobal(pkgs []*lint.Package) []lint.Diagnostic {
 		return nil
 	}
 	var out []lint.Diagnostic
+	readBy := -1 // the "read by" column of the table being scanned
 	for i, line := range strings.Split(string(data), "\n") {
+		cells := strings.Split(line, "|")
+		for j := range cells {
+			cells[j] = strings.TrimSpace(cells[j])
+		}
+		switch {
+		case !strings.HasPrefix(line, "|"):
+			readBy = -1
+		case slices.Contains(cells, "read by"):
+			readBy = slices.Index(cells, "read by")
+		case metricNameRE.MatchString(strings.Trim(cells[1], "`")) &&
+			(readBy < 0 || readBy >= len(cells) || cells[readBy] == ""):
+			out = append(out, lint.Diagnostic{
+				Pos:      token.Position{Filename: path, Line: i + 1, Column: 1},
+				Analyzer: "metriccatalog",
+				Message:  "catalog row " + cells[1] + " names no reader; name the test or CI step that reads it in its \"read by\" cell, or delete the family",
+			})
+		}
 		for _, tok := range catalogTokenRE.FindAllString(line, -1) {
 			if strings.HasSuffix(tok, "_") || registered[tok] || seriesSuffixOf(tok, registered) {
 				continue

@@ -11,7 +11,8 @@ func register() []string {
 	return []string{
 		counterName,
 		histName,
-		"pace_rogue_total", // want "not in the catalog"
+		"pace_unread_total", // catalogued without a reader: a RunGlobal finding
+		"pace_rogue_total",  // want "not in the catalog"
 	}
 }
 

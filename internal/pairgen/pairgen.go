@@ -44,7 +44,6 @@ package pairgen
 
 import (
 	"fmt"
-	"time"
 
 	"pace/internal/seq"
 	"pace/internal/suffix"
@@ -168,35 +167,16 @@ type Generator struct {
 	ii, jj   int32
 	active   bool
 
-	stats Stats
-	obs   Observer
+	stats     Stats
+	generated *telemetry.Counter
 }
 
-// Observer carries optional live telemetry hooks; the zero value disables
-// them. A nil handle ignores updates behind an inlined nil test, so a
-// generator without an observer pays (nearly) nothing, and an attached
-// observer pays only atomic updates — cheap enough to leave on even with no
-// sink draining the metrics (see BenchmarkNextInstrumented).
-type Observer struct {
-	// MCSLen observes the maximal-common-substring length of every
-	// canonical pair emitted — the paper's pairs-by-length distribution.
-	MCSLen *telemetry.Histogram
-	// BatchNs observes the latency of each Next call, in nanoseconds.
-	BatchNs *telemetry.Histogram
-	// Clock supplies the elapsed time base for BatchNs; nil means wall
-	// time. Deterministic sim runs inject the engine's clock so latency
-	// observations replay identically.
-	Clock func() time.Duration
-	// Generated counts canonical pairs emitted.
-	Generated *telemetry.Counter
-}
-
-// Observe installs (or replaces) the generator's telemetry hooks.
-func (g *Generator) Observe(o Observer) {
-	if o.BatchNs != nil && o.Clock == nil {
-		o.Clock = telemetry.NewWallClock().Elapsed
-	}
-	g.obs = o
+// Observe installs (or replaces) the live counter of canonical pairs
+// emitted. A nil counter ignores updates behind an inlined nil test, so an
+// unobserved generator pays (nearly) nothing, and an observed one pays one
+// atomic add per pair (see BenchmarkNextInstrumented).
+func (g *Generator) Observe(generated *telemetry.Counter) {
+	g.generated = generated
 }
 
 // New builds a generator over the given forest. psi is the promising-pair
@@ -357,10 +337,6 @@ func (g *Generator) Remaining() bool {
 // Next appends up to max pairs to dst and returns the extended slice.
 // A return with no appended pairs means the generator is exhausted.
 func (g *Generator) Next(dst []Pair, max int) []Pair {
-	var start time.Duration
-	if g.obs.BatchNs != nil {
-		start = g.obs.Clock()
-	}
 	want := len(dst) + max
 	for len(dst) < want && g.Remaining() {
 		if g.active {
@@ -369,9 +345,6 @@ func (g *Generator) Next(dst []Pair, max int) []Pair {
 		}
 		g.processNode(g.order[g.cursor])
 		g.cursor++
-	}
-	if g.obs.BatchNs != nil {
-		g.obs.BatchNs.Observe((g.obs.Clock() - start).Nanoseconds())
 	}
 	return dst
 }
@@ -513,8 +486,7 @@ func (g *Generator) emit(dst []Pair, want int) []Pair {
 		if p, ok := g.canonical(a, b); ok {
 			dst = append(dst, p)
 			g.stats.Generated++
-			g.obs.MCSLen.Observe(int64(p.MatchLen))
-			g.obs.Generated.Inc()
+			g.generated.Inc()
 		}
 	}
 	return dst

@@ -7,7 +7,6 @@ import (
 
 	"pace/internal/seq"
 	"pace/internal/suffix"
-	"pace/internal/telemetry"
 )
 
 // buildForest builds the complete forest (single worker) for a set.
@@ -497,37 +496,6 @@ func TestAllocationsIndependentOfForestSize(t *testing.T) {
 	// itemsBuf and groups double as they grow: a few dozen appends at most.
 	if drainAllocs[0] > 40 || drainAllocs[1] > 40 {
 		t.Errorf("full drain allocations %v for 50 and 500 ESTs, want <= 40", drainAllocs)
-	}
-}
-
-// A BatchNs observer without a Clock times every Next call against a wall
-// clock resolved once, when it is attached — not once per call.
-func TestBatchObserverRecordsEveryCallWithoutAllocating(t *testing.T) {
-	set, forest := allocWorkload(t, 50)
-	g, err := New(set, forest, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := telemetry.NewRegistry().Histogram("pace_pairgen_batch_ns", telemetry.ExpBounds(1000, 4, 12))
-	g.Observe(Observer{BatchNs: h})
-	buf := make([]Pair, 0, 60)
-	calls := int64(0)
-	// AllocsPerRun's warm-up run drains the generator; the measured run is
-	// one observed call on the exhausted generator.
-	allocs := testing.AllocsPerRun(1, func() {
-		for {
-			buf = g.Next(buf[:0], 60)
-			calls++
-			if len(buf) == 0 {
-				return
-			}
-		}
-	})
-	if h.Count() != calls {
-		t.Errorf("observed %d batches over %d Next calls", h.Count(), calls)
-	}
-	if allocs != 0 {
-		t.Errorf("an observed Next on an exhausted generator allocates %v times", allocs)
 	}
 }
 

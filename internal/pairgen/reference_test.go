@@ -10,7 +10,6 @@ import (
 
 	"pace/internal/seq"
 	"pace/internal/suffix"
-	"pace/internal/telemetry"
 )
 
 // refItem is the oracle's unpacked snapshot entry.
@@ -66,7 +65,6 @@ type refGenerator struct {
 	active   bool
 
 	stats Stats
-	obs   Observer
 }
 
 func newRefFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*refGenerator, error) {
@@ -167,14 +165,6 @@ func (g *refGenerator) Remaining() bool {
 // Next appends up to max pairs to dst and returns the extended slice.
 // A return with no appended pairs means the generator is exhausted.
 func (g *refGenerator) Next(dst []Pair, max int) []Pair {
-	if g.obs.BatchNs != nil {
-		clk := g.obs.Clock
-		if clk == nil {
-			clk = telemetry.NewWallClock().Elapsed
-		}
-		start := clk()
-		defer func() { g.obs.BatchNs.Observe((clk() - start).Nanoseconds()) }()
-	}
 	want := len(dst) + max
 	for len(dst) < want {
 		if !g.active {
@@ -322,12 +312,6 @@ func (g *refGenerator) emit(dst []Pair, want int) []Pair {
 		if p, ok := g.canonical(a, b); ok {
 			dst = append(dst, p)
 			g.stats.Generated++
-			if g.obs.MCSLen != nil {
-				g.obs.MCSLen.Observe(int64(p.MatchLen))
-			}
-			if g.obs.Generated != nil {
-				g.obs.Generated.Inc()
-			}
 		}
 	}
 	return dst

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"sync"
+
+	"pace/internal/telemetry"
 )
 
 // ErrBusy is returned when the admission queue is full: every grant is in
@@ -52,11 +54,30 @@ type Admission struct {
 	highWater int
 	admitted  int64
 	rejected  int64
+
+	// Live views of the accounting, set on every unlock so a request queued
+	// inside Acquire shows while it waits; nil is a disabled sink.
+	inServiceG, waitingG *telemetry.Gauge
+	rejectedC            *telemetry.Counter
 }
 
 // NewAdmission returns an admission controller for the given bounds.
 func NewAdmission(cfg AdmissionConfig) *Admission {
 	return &Admission{grants: cfg.grants(), queueCap: cfg.queue()}
+}
+
+// observe attaches the live occupancy gauges and the rejection counter.
+func (a *Admission) observe(inService, waiting *telemetry.Gauge, rejected *telemetry.Counter) {
+	a.mu.Lock()
+	a.inServiceG, a.waitingG, a.rejectedC = inService, waiting, rejected
+	a.unlock()
+}
+
+// unlock publishes the occupancy gauges and releases mu.
+func (a *Admission) unlock() {
+	a.inServiceG.Set(int64(a.inService))
+	a.waitingG.Set(int64(len(a.waiters)))
+	a.mu.Unlock()
 }
 
 // Acquire obtains a grant, waiting in the bounded queue if none is free.
@@ -71,17 +92,18 @@ func (a *Admission) Acquire(ctx context.Context) error {
 			a.highWater = a.inService
 		}
 		a.admitted++
-		a.mu.Unlock()
+		a.unlock()
 		return nil
 	}
 	if len(a.waiters) >= a.queueCap {
 		a.rejected++
-		a.mu.Unlock()
+		a.rejectedC.Inc()
+		a.unlock()
 		return ErrBusy
 	}
 	ch := make(chan struct{})
 	a.waiters = append(a.waiters, ch)
-	a.mu.Unlock()
+	a.unlock()
 
 	select {
 	case <-ch:
@@ -91,11 +113,11 @@ func (a *Admission) Acquire(ctx context.Context) error {
 		for i, c := range a.waiters {
 			if c == ch {
 				a.waiters = append(a.waiters[:i], a.waiters[i+1:]...)
-				a.mu.Unlock()
+				a.unlock()
 				return ctx.Err()
 			}
 		}
-		a.mu.Unlock()
+		a.unlock()
 		// Release transferred the grant to us concurrently with
 		// cancellation; give it back so it is not leaked.
 		a.Release()
@@ -111,14 +133,14 @@ func (a *Admission) Release() {
 		ch := a.waiters[0]
 		a.waiters = a.waiters[1:]
 		a.admitted++
-		a.mu.Unlock()
+		a.unlock()
 		close(ch)
 		return
 	}
 	if a.inService > 0 {
 		a.inService--
 	}
-	a.mu.Unlock()
+	a.unlock()
 }
 
 // Idle reports whether no request holds or awaits a grant — the drain

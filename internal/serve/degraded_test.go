@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pace/internal/telemetry"
 	"pace/internal/vfs"
 )
 
@@ -40,6 +41,9 @@ func TestManagerDegradedModeHeals(t *testing.T) {
 	dataDir := t.TempDir()
 	flaky := opt
 	flaky.FS = fsys
+	reg := telemetry.NewRegistry()
+	flaky.Metrics = reg
+	degraded := func() int64 { return reg.Gauge(metricDegraded).Value() }
 	mgr, err := NewManager(Config{Options: flaky, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +90,9 @@ func TestManagerDegradedModeHeals(t *testing.T) {
 	if n := mgr.DegradedCount(); n != 1 {
 		t.Fatalf("DegradedCount after failed probe = %d, want 1", n)
 	}
+	if g := degraded(); g != 1 {
+		t.Fatalf("%s = %d while persistence is down, want 1", metricDegraded, g)
+	}
 
 	fsys.down.Store(false)
 	if healed := mgr.ProbeDegraded(); healed != 1 {
@@ -93,6 +100,9 @@ func TestManagerDegradedModeHeals(t *testing.T) {
 	}
 	if n := mgr.DegradedCount(); n != 0 {
 		t.Fatalf("DegradedCount after heal = %d, want 0", n)
+	}
+	if g := degraded(); g != 0 {
+		t.Fatalf("%s = %d after the heal, want 0", metricDegraded, g)
 	}
 	// Ingest re-armed; do NOT re-send batch 2 — it was clustered in memory
 	// and the heal persisted it.

@@ -39,16 +39,11 @@ var (
 
 // Server-level metric families. Per-session series carry a session label.
 const (
-	metricSessions       = "pace_server_sessions"
 	metricAdmInService   = "pace_server_admission_in_service"
 	metricAdmWaiting     = "pace_server_admission_waiting"
-	metricAdmHighWater   = "pace_server_admission_high_water"
-	metricAdmAdmitted    = "pace_server_admitted_total"
 	metricAdmRejected    = "pace_server_rejected_total"
 	metricAdmQueueWaitNs = "pace_server_admission_queue_wait_ns"
 	metricQuotaRejected  = "pace_server_quota_rejected_total"
-	metricSessionESTs    = "pace_server_session_ests"
-	metricSessionBatches = "pace_server_session_batches_total"
 	metricBatchNs        = "pace_server_batch_ns"
 	metricDegraded       = "pace_server_degraded"
 )
@@ -198,6 +193,8 @@ type Manager struct {
 	clock telemetry.Clock
 	log   *slog.Logger
 	fs    vfs.FS
+	// degraded counts sessions in degraded read-only mode.
+	degraded *telemetry.Gauge
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -238,15 +235,15 @@ func NewManager(cfg Config) (*Manager, error) {
 		inflight: make(map[int]context.CancelFunc),
 	}
 	r := cfg.Options.Metrics
-	r.Help(metricSessions, "Live sessions owned by the manager.")
-	r.Help(metricAdmAdmitted, "Requests granted an admission slot.")
+	r.Help(metricAdmInService, "Batch requests holding an admission grant.")
+	r.Help(metricAdmWaiting, "Batch requests queued for an admission grant.")
 	r.Help(metricAdmRejected, "Requests rejected with a full admission queue (HTTP 429).")
 	r.Help(metricAdmQueueWaitNs, "Time a batch request waited for an admission grant, nanoseconds.")
 	r.Help(metricQuotaRejected, "Session creations rejected over quota.")
-	r.Help(metricSessionESTs, "ESTs held per session.")
-	r.Help(metricSessionBatches, "Batches ingested per session.")
 	r.Help(metricBatchNs, "End-to-end latency of one ingested batch (admitted to clustered+saved), nanoseconds.")
 	r.Help(metricDegraded, "Sessions in degraded read-only mode (persistence failing).")
+	m.adm.observe(r.Gauge(metricAdmInService), r.Gauge(metricAdmWaiting), r.Counter(metricAdmRejected))
+	m.degraded = r.Gauge(metricDegraded)
 	cfg.Options.Trace.ProcessName(serverTracePID, "paced server")
 	cfg.Options.Trace.ThreadName(serverTracePID, 0, "control")
 	return m, nil
@@ -347,7 +344,6 @@ func (m *Manager) Create(ctx context.Context, id, tenant string) (Info, error) {
 		}
 	}
 	m.sessions[id] = s
-	m.cfg.Options.Metrics.Gauge(metricSessions).Set(int64(len(m.sessions)))
 	m.log.Info("session created", "session", id, "tenant", tenant,
 		"request_id", RequestID(ctx), "sessions", len(m.sessions))
 	return Info{ID: id, Tenant: tenant}, nil
@@ -431,7 +427,6 @@ func (m *Manager) Delete(id string) error {
 	s, ok := m.sessions[id]
 	if ok {
 		delete(m.sessions, id)
-		m.cfg.Options.Metrics.Gauge(metricSessions).Set(int64(len(m.sessions)))
 	}
 	m.mu.Unlock()
 	if !ok {
@@ -443,7 +438,7 @@ func (m *Manager) Delete(id string) error {
 	if s.degraded {
 		// The session's state dies with it; don't leave the gauge stuck.
 		s.degraded = false
-		m.cfg.Options.Metrics.Gauge(metricDegraded).Add(-1)
+		m.degraded.Add(-1)
 	}
 	m.log.Info("session deleted", "session", id, "tenant", s.meta.Tenant,
 		"ests", s.sess.NumESTs(), "batches", s.sess.Batches())
@@ -506,18 +501,13 @@ func (m *Manager) Add(ctx context.Context, id string, recs []pace.Record) (*Batc
 	reqID := RequestID(ctx)
 	tAcq := m.clock.Elapsed()
 	if err := m.adm.Acquire(ctx); err != nil {
-		m.pushAdmissionMetrics()
 		m.log.Warn("batch rejected at admission", "session", id,
 			"request_id", reqID, "ests", len(recs), "err", err.Error())
 		return nil, err
 	}
 	queueWait := m.clock.Elapsed() - tAcq
 	m.cfg.Options.Metrics.Histogram(metricAdmQueueWaitNs, latencyBounds).Observe(int64(queueWait))
-	defer func() {
-		m.adm.Release()
-		m.pushAdmissionMetrics()
-	}()
-	m.pushAdmissionMetrics()
+	defer m.adm.Release()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -553,7 +543,7 @@ func (m *Manager) Add(ctx context.Context, id string, recs []pace.Record) (*Batc
 		if err := SaveState(m.fs, s.dir, s.sess, s.recs); err != nil {
 			s.degraded = true
 			s.degradedCause = err
-			m.cfg.Options.Metrics.Gauge(metricDegraded).Add(1)
+			m.degraded.Add(1)
 			m.log.Error("batch clustered but not persisted; session degraded read-only", "session", id,
 				"request_id", reqID, "batch", batch, "err", err.Error())
 			return nil, fmt.Errorf("%w: batch %d clustered in memory but not persisted; "+
@@ -561,11 +551,8 @@ func (m *Manager) Add(ctx context.Context, id string, recs []pace.Record) (*Batc
 		}
 	}
 	batchDur := m.clock.Elapsed() - tRun
-	r := m.cfg.Options.Metrics
-	lbl := telemetry.Label{Key: "session", Value: id}
-	r.Gauge(metricSessionESTs, lbl).Set(int64(s.sess.NumESTs()))
-	r.Counter(metricSessionBatches, lbl).Inc()
-	r.Histogram(metricBatchNs, latencyBounds, lbl).Observe(int64(batchDur))
+	m.cfg.Options.Metrics.Histogram(metricBatchNs, latencyBounds,
+		telemetry.Label{Key: "session", Value: id}).Observe(int64(batchDur))
 	if tw := m.cfg.Options.Trace; tw != nil {
 		tw.SpanArgs(serverTracePID, s.lane, fmt.Sprintf("batch %d", batch), "serve",
 			tRun, batchDur, map[string]any{
@@ -668,9 +655,7 @@ func (m *Manager) ResumeAll() (int, error) {
 		}
 		m.mu.Lock()
 		m.sessions[meta.ID] = &session{meta: meta, dir: dir, lane: lane, sess: sess, recs: st.Recs}
-		m.cfg.Options.Metrics.Gauge(metricSessions).Set(int64(len(m.sessions)))
 		m.mu.Unlock()
-		m.cfg.Options.Metrics.Gauge(metricSessionESTs, telemetry.Label{Key: "session", Value: meta.ID}).Set(int64(sess.NumESTs()))
 		m.log.Info("session resumed", "session", meta.ID, "tenant", meta.Tenant,
 			"ests", sess.NumESTs(), "batches", sess.Batches())
 		n++
@@ -696,7 +681,6 @@ func (m *Manager) resumeEmpty(dir, name string) error {
 	}
 	m.mu.Lock()
 	m.sessions[meta.ID] = &session{meta: meta, dir: dir, lane: lane, sess: sess}
-	m.cfg.Options.Metrics.Gauge(metricSessions).Set(int64(len(m.sessions)))
 	m.mu.Unlock()
 	m.log.Info("session resumed", "session", meta.ID, "tenant", meta.Tenant, "ests", 0, "batches", 0)
 	return nil
@@ -824,7 +808,7 @@ func (m *Manager) ProbeDegraded() int {
 		s.mu.Unlock()
 	}
 	if healed > 0 {
-		m.cfg.Options.Metrics.Gauge(metricDegraded).Add(int64(-healed))
+		m.degraded.Add(int64(-healed))
 	}
 	return healed
 }
@@ -867,23 +851,6 @@ func (m *Manager) laneOf(id string) int {
 		return s.lane
 	}
 	return -1
-}
-
-func (m *Manager) pushAdmissionMetrics() {
-	r := m.cfg.Options.Metrics
-	st := m.adm.Stats()
-	r.Gauge(metricAdmInService).Set(int64(st.InService))
-	r.Gauge(metricAdmWaiting).Set(int64(st.Waiting))
-	r.Gauge(metricAdmHighWater).Set(int64(st.HighWater))
-	setCounter(r.Counter(metricAdmAdmitted), st.Admitted)
-	setCounter(r.Counter(metricAdmRejected), st.Rejected)
-}
-
-// setCounter advances a monotonic counter to an absolute value.
-func setCounter(c *telemetry.Counter, want int64) {
-	if d := want - c.Value(); d > 0 {
-		c.Add(d)
-	}
 }
 
 func unmarshalMeta(data []byte, m *Meta) error {

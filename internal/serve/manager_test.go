@@ -13,6 +13,7 @@ import (
 
 	"pace"
 
+	"pace/internal/telemetry"
 	"pace/internal/testutil"
 )
 
@@ -247,8 +248,11 @@ func TestManagerAdmissionBackpressure(t *testing.T) {
 // TestManagerBusyMapsToErrBusy exercises backpressure through Manager.Add:
 // with one grant and no queue, a second concurrent batch gets ErrBusy.
 func TestManagerBusyMapsToErrBusy(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	opt := testOptions()
+	opt.Metrics = reg
 	m, err := NewManager(Config{
-		Options:   testOptions(),
+		Options:   opt,
 		Admission: AdmissionConfig{Grants: 1, Queue: 1},
 	})
 	if err != nil {
@@ -256,6 +260,17 @@ func TestManagerBusyMapsToErrBusy(t *testing.T) {
 	}
 	if _, err := m.Create(context.Background(), "s", ""); err != nil {
 		t.Fatal(err)
+	}
+	// The admission gauges are live: they show a request queued inside
+	// Acquire while it waits, not only once Add has been granted.
+	gauges := func(wantInService, wantWaiting int64) {
+		t.Helper()
+		if got := reg.Gauge(metricAdmInService).Value(); got != wantInService {
+			t.Errorf("%s = %d, want %d", metricAdmInService, got, wantInService)
+		}
+		if got := reg.Gauge(metricAdmWaiting).Value(); got != wantWaiting {
+			t.Errorf("%s = %d, want %d", metricAdmWaiting, got, wantWaiting)
+		}
 	}
 	// Occupy the single grant and the single queue slot directly, then
 	// prove a real Add bounces.
@@ -270,15 +285,20 @@ func TestManagerBusyMapsToErrBusy(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	gauges(1, 1)
 	batch := testCorpus(t, 10, 1, 10)[0]
 	if _, err := m.Add(context.Background(), "s", batch); !errors.Is(err, ErrBusy) {
 		t.Fatalf("Add with full queue: got %v, want ErrBusy", err)
+	}
+	if got := reg.Counter(metricAdmRejected).Value(); got != 1 {
+		t.Errorf("%s = %d after one rejected Add, want 1", metricAdmRejected, got)
 	}
 	m.Admission().Release()
 	if err := <-blocked; err != nil {
 		t.Fatal(err)
 	}
 	m.Admission().Release()
+	gauges(0, 0)
 }
 
 // TestManagerRestartResume kills a manager (by abandoning it — the state

@@ -42,8 +42,8 @@ func goldenRegistry() *Registry {
 	reg := NewRegistry()
 	reg.Help("pace_pairs_generated_total", "Canonical promising pairs emitted by the generators.")
 	reg.Counter("pace_pairs_generated_total").Add(1234)
-	reg.Counter("pace_mp_msgs_sent_total", Rank(0)).Add(17)
-	reg.Counter("pace_mp_msgs_sent_total", Rank(1)).Add(23)
+	reg.Counter("pace_mp_msgs_sent_total", Label{Key: "rank", Value: "0"}).Add(17)
+	reg.Counter("pace_mp_msgs_sent_total", Label{Key: "rank", Value: "1"}).Add(23)
 	reg.Gauge("pace_workbuf_occupancy").Set(87)
 	reg.FloatGauge("pace_suffix_skew").Set(1.5)
 	h := reg.Histogram("pace_grant_e", []int64{1, 8, 64})
@@ -70,7 +70,6 @@ func TestTraceGolden(t *testing.T) {
 	tw.Span(0, 1, "partition", "phase", 0, 1500*time.Microsecond)
 	tw.Span(0, 1, "construct", "phase", 1500*time.Microsecond, 2*time.Millisecond)
 	tw.Counter(0, "workbuf", 2*time.Millisecond, 42)
-	tw.Instant(0, 0, "stop", 4*time.Millisecond)
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +80,8 @@ func TestTraceGolden(t *testing.T) {
 	if err := json.Unmarshal(got, &events); err != nil {
 		t.Fatalf("trace output is not valid JSON: %v\n%s", err, got)
 	}
-	if len(events) != 7 {
-		t.Fatalf("got %d events, want 7", len(events))
+	if len(events) != 6 {
+		t.Fatalf("got %d events, want 6", len(events))
 	}
 	// …and line-oriented: every event line parses on its own once the
 	// array punctuation is stripped (the JSONL property).

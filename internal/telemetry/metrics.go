@@ -31,9 +31,6 @@ type Label struct {
 	Key, Value string
 }
 
-// Rank is shorthand for the per-rank label used throughout the pipeline.
-func Rank(r int) Label { return Label{Key: "rank", Value: fmt.Sprint(r)} }
-
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ v atomic.Int64 }
 

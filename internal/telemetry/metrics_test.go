@@ -100,7 +100,7 @@ func TestFloatGauge(t *testing.T) {
 
 func TestSnapshotFlattens(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("pace_c", Rank(2)).Add(7)
+	reg.Counter("pace_c", Label{Key: "rank", Value: "2"}).Add(7)
 	reg.Histogram("pace_h", []int64{10}).Observe(4)
 	snap := reg.Snapshot()
 	if snap[`pace_c{rank="2"}`] != 7 {
@@ -136,7 +136,6 @@ func TestNilSinkIsOff(t *testing.T) {
 		{"Histogram.Observe", func() { h.Observe(3) }},
 		{"TraceWriter.Span", func() { tw.Span(0, 1, "s", "c", 0, 1) }},
 		{"TraceWriter.SpanArgs", func() { tw.SpanArgs(0, 1, "s", "c", 0, 1, nil) }},
-		{"TraceWriter.Instant", func() { tw.Instant(0, 1, "i", 0) }},
 		{"TraceWriter.Counter", func() { tw.Counter(0, "c", 0, 1) }},
 		{"TraceWriter.ThreadName", func() { tw.ThreadName(0, 1, "t") }},
 		{"TraceWriter.ProcessName", func() { tw.ProcessName(0, "p") }},

@@ -100,15 +100,6 @@ func (t *TraceWriter) SpanArgs(pid, tid int, name, cat string, start, dur time.D
 	t.emit(traceEvent{Name: name, Cat: cat, Ph: "X", TS: usec(start), Dur: &d, PID: pid, TID: tid, Args: args})
 }
 
-// Instant records an instant ("i") event at ts.
-func (t *TraceWriter) Instant(pid, tid int, name string, ts time.Duration) {
-	if t == nil {
-		return
-	}
-	t.emit(traceEvent{Name: name, Ph: "i", TS: usec(ts), PID: pid, TID: tid,
-		Args: map[string]any{"s": "t"}})
-}
-
 // Counter records a counter ("C") event: the viewer plots value over time.
 func (t *TraceWriter) Counter(pid int, name string, ts time.Duration, value int64) {
 	if t == nil {

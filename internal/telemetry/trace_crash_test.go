@@ -138,7 +138,7 @@ func TestTraceWriterConcurrentMixedKinds(t *testing.T) {
 					tw.SpanArgs(1, r, "req", "http", ts, time.Microsecond,
 						map[string]any{"request_id": r})
 				case 2:
-					tw.Instant(0, r, "mark", ts)
+					tw.ThreadName(0, r, "mark")
 				case 3:
 					tw.Counter(0, "depth", ts, int64(i))
 				}

@@ -20,8 +20,8 @@ import (
 type Options struct {
 	// MinRun is the minimum homopolymer run length that counts as a tail.
 	MinRun int
-	// MaxMiss is the number of interrupting non-run characters tolerated
-	// inside a tail (sequencing errors inside poly(A) stretches).
+	// MaxMiss bounds the density of interrupting non-run characters inside
+	// a tail (sequencing errors in poly(A) stretches); see tailLen.
 	MaxMiss int
 	// MinRemain guards against trimming a read away entirely: trimming
 	// stops once the remaining sequence would fall below this length.
@@ -48,40 +48,43 @@ func (o Options) Validate() error {
 }
 
 // trailingRun returns how many characters to cut from the end of s to remove
-// a homopolymer tail of character c, tolerating maxMiss interruptions.
-// The cut never splits an interruption: it always ends on a run character.
+// a homopolymer tail of character c.
 func trailingRun(s seq.Sequence, c seq.Code, minRun, maxMiss int) int {
-	run, miss, cut := 0, 0, 0
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == c {
-			run++
-			if run >= minRun {
-				cut = len(s) - i
-			}
-		} else {
-			miss++
-			if miss > maxMiss {
-				break
-			}
-		}
-	}
-	return cut
+	return tailLen(len(s), func(k int) seq.Code { return s[len(s)-1-k] }, c, minRun, maxMiss)
 }
 
 // leadingRun mirrors trailingRun at the front of s.
 func leadingRun(s seq.Sequence, c seq.Code, minRun, maxMiss int) int {
-	run, miss, cut := 0, 0, 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			run++
-			if run >= minRun {
-				cut = i + 1
-			}
-		} else {
+	return tailLen(len(s), func(k int) seq.Code { return s[k] }, c, minRun, maxMiss)
+}
+
+// tailLen scans the n characters at(0), at(1), … inward from one end and
+// returns the length of the homopolymer tail of c to cut there.
+//
+// The interruption tolerance is a density: the scan goes on while the
+// interruptions seen stay within maxMiss plus one per minRun run characters
+// seen, so a long tail with scattered sequencing errors is cut whole. The
+// cut is as strict as the scan is loose: it advances only to a run
+// character, at least minRun run characters in, whose last minRun scanned
+// characters hold at most maxMiss interruptions. So the cut never ends on an
+// interruption, nor takes in body characters that merely lie near the tail.
+func tailLen(n int, at func(int) seq.Code, c seq.Code, minRun, maxMiss int) int {
+	run, miss, window, cut := 0, 0, 0, 0
+	for k := 0; k < n; k++ {
+		if k >= minRun && at(k-minRun) != c {
+			window-- // it leaves the last minRun scanned characters
+		}
+		if at(k) != c {
 			miss++
-			if miss > maxMiss {
+			window++
+			if miss > maxMiss+run/minRun {
 				break
 			}
+			continue
+		}
+		run++
+		if run >= minRun && window <= maxMiss {
+			cut = k + 1
 		}
 	}
 	return cut

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pace/internal/seq"
+	"pace/internal/simulate"
 )
 
 func mustSeq(t testing.TB, s string) seq.Sequence {
@@ -128,5 +129,33 @@ func TestBatch(t *testing.T) {
 	}
 	if len(out[0]) != len(body) || len(out[1]) != len(body) {
 		t.Errorf("lengths: %d %d", len(out[0]), len(out[1]))
+	}
+}
+
+// TestLongTailsRemoved runs estsim's -polya 300 input (its defaults, n =
+// 2000, seed 1): 150–300-base tails at 2 % sequencing error carry several
+// interruptions each, and a tolerance counted over the whole tail left their
+// inner part behind. No trimmed read above MinRemain may keep a
+// homopolymer A or T run of ψ, the engine's default promising-pair length.
+func TestLongTailsRemoved(t *testing.T) {
+	const psi = 20
+	cfg := simulate.DefaultConfig(2000)
+	cfg.Seed = 1
+	cfg.PolyATail = [2]int{150, 300}
+	b, err := simulate.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	out, _ := Batch(b.ESTs, o)
+	runA, runT := strings.Repeat("A", psi), strings.Repeat("T", psi)
+	bad := 0
+	for _, r := range out {
+		if s := r.String(); len(s) > o.MinRemain && (strings.Contains(s, runA) || strings.Contains(s, runT)) {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d trimmed reads keep an A^%d or T^%d run", bad, len(out), psi, psi)
 	}
 }

@@ -224,10 +224,10 @@ type Options struct {
 	// chaos runs); nil uses the real filesystem.
 	FS FS
 
-	// Metrics, when non-nil, receives live instrumentation from every
-	// pipeline layer: pair counters, MCS-length / grant-E / bucket-size
-	// distributions, WORKBUF occupancy, and per-rank traffic. nil (the
-	// default) leaves only per-site pointer tests in the hot paths.
+	// Metrics, when non-nil, receives live instrumentation: pair counters,
+	// the WORKBUF high water, bucket sizes, redistribution skew, master
+	// idle and incremental tallies. nil (the default) leaves only per-site
+	// pointer tests in the hot paths.
 	Metrics *MetricsRegistry
 	// Trace, when non-nil, receives Chrome trace events with one timeline
 	// per rank (virtual timestamps when Simulated). The caller owns Close.

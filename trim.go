@@ -7,8 +7,9 @@ type TrimOptions struct {
 	// MinRun is the minimum homopolymer run that counts as a tail
 	// (default 10).
 	MinRun int
-	// MaxMiss tolerates that many interruptions inside a tail
-	// (default 2).
+	// MaxMiss bounds the density of interruptions inside a tail (default
+	// 2): MaxMiss plus one per MinRun run characters overall, and at most
+	// MaxMiss in the MinRun characters at the tail's inner edge.
 	MaxMiss int
 	// MinRemain stops trimming before a read shrinks below this length
 	// (default 50).
