@@ -84,11 +84,11 @@ func generateAll(set *seq.SetS, opts Options) ([]pairgen.Pair, bool, error) {
 	hi := seq.StringID(set.NumStrings())
 	owner := suffix.Assign(suffix.Histogram(set, opts.Window, 0, hi), 1)
 	byBucket := suffix.CollectOwned(set, opts.Window, owner, 0, 0, hi)
-	forest, err := suffix.BuildForest(set, byBucket, opts.Window)
+	forest, err := suffix.BuildBuckets(set, byBucket, byBucket.NonEmpty(), 1)
 	if err != nil {
 		return nil, false, err
 	}
-	gen, err := pairgen.New(set, forest, opts.Psi)
+	gen, err := pairgen.NewFresh(set, forest, opts.Psi, 0)
 	if err != nil {
 		return nil, false, err
 	}

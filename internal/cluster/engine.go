@@ -5,8 +5,9 @@ package cluster
 //	engine.go — entry points, the batch step every aligning rank runs
 //	            (filter → align → merge), the stale-pair filter, cluster
 //	            seeding, the sequential engine and its workers, and the
-//	            phases every rank shares (prologue, suffix redistribution
-//	            ranges, the per-rank report)
+//	            phases every rank shares (prologue, the bucket set-up and
+//	            its worker count, suffix redistribution ranges, the
+//	            per-rank report)
 //	master.go — the master rank: dispatch, flow control, merging the
 //	            slaves' per-pair verdicts, failure recovery
 //	slave.go  — the slave rank: GST share, pair generation, its replica
@@ -15,6 +16,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,11 +116,49 @@ func dropJoined(cfg Config, uf *unionfind.UF, pairs []pairgen.Pair, from int) ([
 	return kept, int64(len(pairs) - len(kept))
 }
 
-// runSequential is the single-process engine. Forest construction fans out
-// over up to workers goroutines. Then the forest is cut into at most workers
-// contiguous chunks of near-equal node count, as the paper spreads buckets
-// over its processors, and each chunk gets a worker: a generator over the
-// chunk, an Extender, and a loop that takes the chunk's next batch, skips
+// rankWorkers is how many cores a rank sets up its buckets on. The
+// sequential engine is the whole machine and keeps every core; the p−1
+// slaves of the real transport share them. A simulated rank gets one: the
+// DES charges a rank's compute to one modelled processor, which a rank on
+// four cores would make four times faster than the one it stands for.
+func rankWorkers(cfg Config) int {
+	if cfg.MP.Procs > 1 && cfg.MP.Mode == mp.ModeSim {
+		return 1
+	}
+	return max(1, runtime.GOMAXPROCS(0)/max(1, cfg.MP.Procs-1))
+}
+
+// setUp is every rank's job on its buckets (§3.1–3.2): build the listed
+// buckets of table on up to workers goroutines, cut the forest into at most
+// workers contiguous chunks of near-equal node count, and set up one
+// generator per chunk, concurrently, observed by generated. The chunks
+// partition the forest's nodes, so the generators together emit the whole
+// forest's pairs. It also returns the build (construct) and the set-up
+// (sort) times on clk.
+func setUp(set *seq.SetS, cfg Config, table *suffix.Buckets, ids []int32, workers int, generated *telemetry.Counter, clk func() time.Duration) (gens []*pairgen.Generator, construct, sort time.Duration, err error) {
+	t0 := clk()
+	forest, err := suffix.BuildBuckets(set, table, ids, workers)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	t1 := clk()
+	cuts := fanout.Cuts(len(forest), workers, func(i int) int { return len(forest[i].Nodes) })
+	gens = make([]*pairgen.Generator, len(cuts)-1)
+	err = fanout.Run(len(gens), func(k int) error {
+		gen, err := pairgen.NewFresh(set, forest[cuts[k]:cuts[k+1]], cfg.Psi, cfg.FreshGen)
+		if err != nil {
+			return err
+		}
+		gen.Observe(generated)
+		gens[k] = gen
+		return nil
+	})
+	return gens, t1 - t0, clk() - t1, err
+}
+
+// runSequential is the single-process engine. It sets up over up to workers
+// goroutines (setUp), and each chunk of the forest gets a worker: the chunk's
+// generator, an Extender, and a loop that takes the chunk's next batch, skips
 // same-cluster pairs, aligns the rest and merges the accepted ones into the
 // one union-find every worker shares. Chunk 0 runs on this goroutine, so one
 // worker is the inline loop and starts no goroutine. Every accepted pair is
@@ -139,48 +179,44 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	}
 	clk := telemetry.NewWallClock().Elapsed
 	t0 := clk()
-	fb, err := buildSequentialForest(set, cfg, st, clk, workers)
+	table, touched, err := sequentialTable(set, cfg)
 	if err != nil {
 		return nil, err
 	}
-	st.Phases.Partition = fb.partition
-	st.Phases.Construct = fb.construct
+	hist := table.Histogram()
+	st.Phases.Partition = clk() - t0
 	// One process owns every bucket: its load is the histogram total.
 	var total int64
-	for _, n := range fb.hist {
+	for _, n := range hist {
 		total += n
 	}
-	pr.observeBuckets(fb.hist, []int64{total})
-	tw.Span(cfg.TracePID, 0, "partition", "gst", 0, st.Phases.Partition)
-	tw.Span(cfg.TracePID, 0, "construct", "gst", st.Phases.Partition, st.Phases.Construct)
+	pr.observeBuckets(hist, []int64{total})
+	if cfg.Cache != nil || cfg.FreshGen > 0 {
+		st.Incremental.BucketsRebuilt = int64(len(touched))
+		st.Incremental.BucketsReused = nonEmptyBuckets(hist) - int64(len(touched))
+	}
 
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
-	t2 := clk()
-	forest := fb.forest
-	cuts := fanout.Cuts(len(forest), workers, func(i int) int { return len(forest[i].Nodes) })
-	ws := make([]seqWorker, len(cuts)-1)
-	err = fanout.Run(len(ws), func(k int) error {
-		gen, err := pairgen.NewFresh(set, forest[cuts[k]:cuts[k+1]], cfg.Psi, cfg.FreshGen)
-		if err != nil {
-			return err
-		}
-		gen.Observe(pr.generated)
-		ext, err := align.NewExtender(cfg.Scoring, cfg.Band)
-		if err != nil {
-			return err
-		}
-		ws[k] = seqWorker{lane: k, gen: gen, ext: ext, buf: make([]pairgen.Pair, 0, cfg.BatchSize)}
-		return nil
-	})
+	gens, construct, sort, err := setUp(set, cfg, table, touched, workers, pr.generated, clk)
 	if err != nil {
 		return nil, err
 	}
-	st.Phases.Sort = clk() - t2
-	tw.Span(cfg.TracePID, 0, "sort", "pairgen", t2-t0, st.Phases.Sort)
-	for k := 1; k < len(ws); k++ {
-		tw.ThreadName(cfg.TracePID, k, fmt.Sprintf("rank 0 (seq worker %d)", k))
+	st.Phases.Construct, st.Phases.Sort = construct, sort
+	tw.Span(cfg.TracePID, 0, "partition", "gst", 0, st.Phases.Partition)
+	tw.Span(cfg.TracePID, 0, "construct", "gst", st.Phases.Partition, construct)
+	tw.Span(cfg.TracePID, 0, "sort", "pairgen", st.Phases.Partition+construct, sort)
+	ws := make([]seqWorker, len(gens))
+	for k, gen := range gens {
+		ext, err := align.NewExtender(cfg.Scoring, cfg.Band)
+		if err != nil {
+			return nil, err
+		}
+		ws[k] = seqWorker{lane: k, gen: gen, ext: ext, buf: make([]pairgen.Pair, 0, cfg.BatchSize)}
+		if k > 0 {
+			tw.ThreadName(cfg.TracePID, k, fmt.Sprintf("rank 0 (seq worker %d)", k))
+		}
 	}
 
 	uf, err := seededClusters(cfg, set.NumESTs(), st)

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"pace/internal/seq"
 	"pace/internal/suffix"
@@ -92,55 +90,28 @@ func (bc *BucketCache) Warm(set *seq.SetS, w int) error {
 	return err
 }
 
-// forestBuild is the outcome of the sequential partition+construct phases.
-type forestBuild struct {
-	forest    []*suffix.Tree
-	hist      []int64
-	partition time.Duration
-	construct time.Duration
-}
-
-// buildSequentialForest runs the partition and construction phases for the
-// sequential engine. It scans the strings the bucket table has not seen and
-// builds exactly the buckets they touch. Without a Cache the table is
-// run-local: it first absorbs the strings before FreshGen, so the second
-// absorb touches exactly the buckets the fresh generations reach (every
-// non-empty bucket in a one-shot run, FreshGen == 0). An untouched bucket
-// cannot contain a fresh pair, so it is not built.
-//
-// Construction runs on up to workers goroutines; the forest is the same
-// whatever their number. Incremental runs (a Cache or FreshGen > 0) count
-// their bucket reuse in st.Incremental.
-func buildSequentialForest(set *seq.SetS, cfg Config, st *Stats, clk func() time.Duration, workers int) (*forestBuild, error) {
-	fb := &forestBuild{}
-	t0 := clk()
+// sequentialTable is the sequential engine's partition phase. It scans the
+// strings the bucket table has not seen and returns the table and the ids,
+// ascending, of the buckets they touched — the buckets to build. Without a
+// Cache the table is run-local: it first absorbs the strings before
+// FreshGen, so the second absorb touches exactly the buckets the fresh
+// generations reach (every non-empty bucket in a one-shot run, FreshGen ==
+// 0). An untouched bucket cannot contain a fresh pair, so it is not built.
+func sequentialTable(set *seq.SetS, cfg Config) (*suffix.Buckets, []int32, error) {
 	bc := cfg.Cache
 	if bc == nil {
 		bc = NewBucketCache()
 		if old := set.GenStartString(cfg.FreshGen); old > 0 {
 			if _, err := bc.absorb(set, cfg.Window, old); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 	}
 	touched, err := bc.absorb(set, cfg.Window, seq.StringID(set.NumStrings()))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	fb.hist = bc.table.Histogram()
-	fb.partition = clk() - t0
-
-	t1 := clk()
-	fb.forest, err = suffix.BuildBuckets(set, bc.table, touched, workers)
-	if err != nil {
-		return nil, err
-	}
-	fb.construct = clk() - t1
-	if cfg.Cache != nil || cfg.FreshGen > 0 {
-		st.Incremental.BucketsRebuilt = int64(len(fb.forest))
-		st.Incremental.BucketsReused = nonEmptyBuckets(fb.hist) - int64(len(fb.forest))
-	}
-	return fb, nil
+	return bc.table, touched, nil
 }
 
 func nonEmptyBuckets(hist []int64) int64 {
@@ -186,13 +157,7 @@ func RunSet(set *seq.SetS, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("cluster: full run (FreshGen == 0) over a non-empty cache; set FreshGen to the batch generation")
 	}
 	if cfg.MP.Procs == 1 {
-		// The sequential engine is the whole machine, so it builds its forest
-		// on every core and runs one worker per core, each draining and
-		// aligning its own chunk of the forest. A rank of the parallel engine
-		// does both on one goroutine (slave.go): the simulator charges a
-		// rank's measured compute to one modelled processor, and on the real
-		// transport the slaves already fill the cores.
-		return runSequential(set, cfg, runtime.GOMAXPROCS(0))
+		return runSequential(set, cfg, rankWorkers(cfg))
 	}
 	return runParallel(set, cfg)
 }

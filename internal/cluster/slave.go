@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"pace/internal/align"
 	"pace/internal/mp"
 	"pace/internal/pairgen"
 	"pace/internal/seq"
 	"pace/internal/suffix"
+	"pace/internal/telemetry"
 )
 
 // The slave ranks (paper §3.1, §3.3): each builds the GST subtrees of its
@@ -132,24 +134,14 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 	tw.Span(cfg.TracePID, c.Rank(), "partition", "gst", tStart, tPart)
 
 	t1 := c.Elapsed()
-	forest, err := suffix.BuildForest(set, table, cfg.Window)
+	workers := rankWorkers(cfg)
+	gens, tConstruct, tSort, err := setUp(set, cfg, table, table.NonEmpty(), workers, pr.generated, c.Elapsed)
 	if err != nil {
 		return err
 	}
-	tConstruct := c.Elapsed() - t1
 	tw.Span(cfg.TracePID, c.Rank(), "construct", "gst", t1, tConstruct)
-
-	t2 := c.Elapsed()
-	gen0, err := pairgen.NewFresh(set, forest, cfg.Psi, cfg.FreshGen)
-	if err != nil {
-		return err
-	}
-	gen0.Observe(pr.generated)
-	// The chain starts with this slave's own partition; recovery appends
-	// rebuilt dead-slave shards to it.
-	chain := &genChain{gens: []*pairgen.Generator{gen0}}
-	tSort := c.Elapsed() - t2
-	tw.Span(cfg.TracePID, c.Rank(), "sort", "pairgen", t2, tSort)
+	tw.Span(cfg.TracePID, c.Rank(), "sort", "pairgen", t1+tConstruct, tSort)
+	chain := &genChain{gens: gens}
 
 	ext, err := align.NewExtender(cfg.Scoring, cfg.Band)
 	if err != nil {
@@ -295,18 +287,17 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 
 		// Rebuild any dead slave's shards assigned to us: every rank
 		// holds the full string set, so a survivor can rescan it, keep
-		// exactly the shard's buckets, and chain a fresh generator over
+		// exactly the shard's buckets, and chain fresh generators over
 		// them. Regenerated pairs may duplicate work the dead slave
 		// already reported; the master's same-cluster filter and the
 		// idempotence of merges absorb that.
 		for _, sh := range w.recover {
 			tR := c.Elapsed()
-			g, err := rebuildShard(set, cfg, owner, sh)
+			gs, err := rebuildShard(set, cfg, owner, sh, workers, pr.generated, c.Elapsed)
 			if err != nil {
 				return err
 			}
-			g.Observe(pr.generated)
-			chain.add(g)
+			chain.gens = append(chain.gens, gs...)
 			dR := c.Elapsed() - tR
 			tConstruct += dR
 			tw.Span(cfg.TracePID, c.Rank(), "rebuild", "recovery", tR, dR)
@@ -363,23 +354,27 @@ func checkEdgeIDs(edges [][2]int32, set *seq.SetS) error {
 	return nil
 }
 
-// genChain concatenates pair generators: the slave's own partition plus any
-// dead-slave shards it rebuilt during recovery.
+// genChain is the slave's pair source: its own chunks' generators, then
+// those of the dead-slave shards it rebuilt during recovery.
 type genChain struct {
 	gens []*pairgen.Generator
 }
 
-func (g *genChain) add(gen *pairgen.Generator) { g.gens = append(g.gens, gen) }
-
-// Next appends up to max more pairs to dst, draining the generators in
-// order.
+// Next appends up to max more pairs to dst, in passes over the generators:
+// each takes an equal share, ⌈lacking ÷ generators left⌉, of what the pass
+// still lacks, so every chunk's longest pairs stay near the front of PAIRBUF.
+// Over one generator this is that generator's stream.
 func (g *genChain) Next(dst []pairgen.Pair, max int) []pairgen.Pair {
 	want := len(dst) + max
-	for _, gen := range g.gens {
-		if len(dst) >= want {
+	for len(dst) < want {
+		from := len(dst)
+		for i, gen := range g.gens {
+			left := len(g.gens) - i
+			dst = gen.Next(dst, (want-len(dst)+left-1)/left)
+		}
+		if len(dst) == from {
 			break
 		}
-		dst = gen.Next(dst, want-len(dst))
 	}
 	return dst
 }
@@ -394,11 +389,11 @@ func (g *genChain) Remaining() bool {
 	return false
 }
 
-// rebuildShard reconstructs a dead slave's bucket shard on a survivor. The
-// rescan visits every string (ascending id, ascending position — the same
-// order exchangeSuffixes produces), so the rebuilt buckets and therefore the
-// regenerated pair stream are identical to what the dead slave held.
-func rebuildShard(set *seq.SetS, cfg Config, owner []int32, sh shard) (*pairgen.Generator, error) {
+// rebuildShard sets a dead slave's bucket shard up on a survivor, as the
+// survivor set up its own. The rescan visits every string (ascending id and
+// position, the order exchangeSuffixes produces), so the rebuilt buckets and
+// therefore the regenerated pairs are identical to what the dead slave held.
+func rebuildShard(set *seq.SetS, cfg Config, owner []int32, sh shard, workers int, generated *telemetry.Counter, clk func() time.Duration) ([]*pairgen.Generator, error) {
 	// The shard as an assignment of its own: worker 0 owns its buckets.
 	mine := make([]int32, len(owner))
 	for b, o := range owner {
@@ -407,11 +402,8 @@ func rebuildShard(set *seq.SetS, cfg Config, owner []int32, sh shard) (*pairgen.
 		}
 	}
 	table := suffix.CollectOwned(set, cfg.Window, mine, 0, 0, seq.StringID(set.NumStrings()))
-	forest, err := suffix.BuildForest(set, table, cfg.Window)
-	if err != nil {
-		return nil, err
-	}
 	// Fresh-only mode must survive recovery: a rebuilt shard regenerates the
 	// dead slave's restricted pair stream, not the full one.
-	return pairgen.NewFresh(set, forest, cfg.Psi, cfg.FreshGen)
+	gens, _, _, err := setUp(set, cfg, table, table.NonEmpty(), workers, generated, clk)
+	return gens, err
 }

@@ -1,7 +1,8 @@
 // Package fanout runs a pass over a sequence of independent items on several
 // goroutines: the items are cut into contiguous chunks of near-equal weight,
-// and one call per chunk runs concurrently with the others. The sequential
-// engine builds its forest and sets up its pair generator this way
+// and one call per chunk runs concurrently with the others. Every rank
+// builds its forest and sets up its pair generators this way: the sequential
+// engine on every core, a slave of the real transport on its share of them
 // (DESIGN.md §1). Because the chunks are contiguous, each item's output still
 // lands where a single pass over the items would put it, so the result does
 // not depend on the number of chunks.

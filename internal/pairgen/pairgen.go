@@ -184,7 +184,8 @@ func (g *Generator) Observe(generated *telemetry.Counter) {
 // window w used to build the forest must satisfy w <= psi, otherwise pairs
 // whose maximal common substring is shorter than w would be silently lost;
 // the caller is responsible for that invariant (it is validated by the
-// clustering layer).
+// clustering layer). Only bench/shadow.go calls it outside tests, and
+// ROADMAP item 11 deletes it with the shadow.
 func New(set *seq.SetS, forest []*suffix.Tree, psi int) (*Generator, error) {
 	return NewFresh(set, forest, psi, 0)
 }

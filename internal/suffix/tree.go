@@ -227,7 +227,8 @@ func (b *builder) build(group []SuffixRef, depth int32) {
 }
 
 // BuildForest builds the subtree of every non-empty bucket of the table, in
-// ascending bucket order, on the calling goroutine alone.
+// ascending bucket order, on one goroutine. Only bench/shadow.go calls it
+// outside tests, and ROADMAP item 11 deletes it with the shadow.
 func BuildForest(set *seq.SetS, t *Buckets, w int) ([]*Tree, error) {
 	if t.w != w {
 		return nil, fmt.Errorf("suffix: table collected with window %d, build asked for %d", t.w, w)
