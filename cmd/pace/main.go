@@ -47,11 +47,9 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace-event file here (chrome://tracing, Perfetto)")
 	reportPath := flag.String("report", "", "write a run-report JSON here ('auto' derives BENCH_pace_<stamp>.json)")
 	chaosSpec := flag.String("chaos", "", "inject faults, e.g. 'crash=2:5,delay=0.1:2ms,seed=7' (see cmd docs)")
-	noRecover := flag.Bool("no-recover", false, "fail the whole run when a slave rank dies instead of recovering")
 	slaveTimeout := flag.Duration("slave-timeout", 0, "master watchdog: fail if no slave reports within this window (0 = wait forever)")
 	ckptDir := flag.String("checkpoint-dir", "", "periodically checkpoint clustering state into this directory")
-	ckptInterval := flag.Duration("checkpoint-interval", 0, "wall-clock time between checkpoints (default 30s)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint every N slave reports instead of on a timer")
+	ckptInterval := flag.Duration("checkpoint-interval", 0, "time between checkpoints, virtual under -sim (default 30s)")
 	resume := flag.Bool("resume", false, "resume from the checkpoint in -checkpoint-dir, skipping completed merges")
 	sessionDir := flag.String("session", "", "persistent session directory (session.fasta + pace.ckpt) for incremental clustering")
 	addBatch := flag.Bool("add", false, "ingest -in as a new batch into the -session directory, re-clustering incrementally")
@@ -60,7 +58,7 @@ func main() {
 
 	if err := validateFlags(flagValues{
 		in: *in, stamp: *stampStr,
-		ckptDir: *ckptDir, ckptInterval: *ckptInterval, ckptEvery: *ckptEvery,
+		ckptDir: *ckptDir, ckptInterval: *ckptInterval,
 		resume: *resume, session: *sessionDir, add: *addBatch,
 	}); err != nil {
 		usage(err)
@@ -77,18 +75,16 @@ func main() {
 	opt.BatchSize = *batch
 	opt.MinOverlap = *minOverlap
 	opt.MinIdentity = *minIdentity
-	opt.Recover = !*noRecover
 	opt.SlaveTimeout = *slaveTimeout
 	opt.CheckpointDir = *ckptDir
 	opt.CheckpointInterval = *ckptInterval
-	opt.CheckpointEvery = *ckptEvery
 	// The library owns every range check; a value it refuses is a usage
 	// error, reported before any input is read.
 	if _, err := pace.NewSession(opt); err != nil {
 		usage(err)
 	}
 	if *chaosSpec != "" {
-		plan, err := parseChaos(*chaosSpec)
+		plan, err := pace.ParseFaultPlan(*chaosSpec)
 		if err != nil {
 			fatal(err)
 		}

@@ -14,7 +14,6 @@ type flagValues struct {
 
 	ckptDir      string
 	ckptInterval time.Duration
-	ckptEvery    int
 	resume       bool
 
 	session string
@@ -30,8 +29,8 @@ func validateFlags(v flagValues) error {
 	if v.in == "" {
 		return errors.New("-in is required")
 	}
-	if (v.ckptInterval > 0 || v.ckptEvery > 0) && v.ckptDir == "" {
-		return errors.New("-checkpoint-interval/-checkpoint-every need -checkpoint-dir")
+	if v.ckptInterval > 0 && v.ckptDir == "" {
+		return errors.New("-checkpoint-interval needs -checkpoint-dir")
 	}
 	if v.resume && v.ckptDir == "" {
 		return errors.New("-resume needs -checkpoint-dir")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"pace"
 )
@@ -23,7 +24,7 @@ func TestValidateFlags(t *testing.T) {
 		want string
 	}{
 		{"missing in", func(v *flagValues) { v.in = "" }, "-in is required"},
-		{"cadence without dir", func(v *flagValues) { v.ckptEvery = 5 }, "need -checkpoint-dir"},
+		{"interval without dir", func(v *flagValues) { v.ckptInterval = time.Second }, "-checkpoint-interval needs -checkpoint-dir"},
 		{"resume without dir", func(v *flagValues) { v.resume = true }, "-resume needs -checkpoint-dir"},
 		{"add without session", func(v *flagValues) { v.add = true }, "-add needs -session"},
 		{"session with resume", func(v *flagValues) {

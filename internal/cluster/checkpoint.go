@@ -166,9 +166,8 @@ type checkpointer struct {
 	// in simulation.
 	clock func() time.Duration
 
-	seq     uint64
-	last    time.Duration
-	reports int
+	seq  uint64
+	last time.Duration
 }
 
 func newCheckpointer(cfg Config, numESTs int, st *Stats, clock func() time.Duration) *checkpointer {
@@ -181,27 +180,18 @@ func newCheckpointer(cfg Config, numESTs int, st *Stats, clock func() time.Durat
 	}
 }
 
-// maybe writes a snapshot when the cadence (EveryReports if set, else
-// Interval) says so, or unconditionally with force (the final snapshot).
+// maybe writes a snapshot when Interval has passed on the engine's clock
+// since the last one, or unconditionally with force (the final snapshot).
 // uf is serialized before maybe returns, so the caller keeps mutating it.
 func (ck *checkpointer) maybe(uf *unionfind.UF, processed, accepted, skipped, merges int64, force bool) error {
 	if ck == nil {
 		return nil
 	}
-	ck.reports++
-	if !force {
-		if ck.cfg.EveryReports > 0 {
-			if ck.reports < ck.cfg.EveryReports {
-				return nil
-			}
-		} else if ck.clock()-ck.last < ck.cfg.interval() {
-			return nil
-		}
+	if !force && ck.clock()-ck.last < ck.cfg.interval() {
+		return nil
 	}
-	ck.reports = 0
 	ck.last = ck.clock()
 	ck.seq++
-	t0 := ck.clock()
 	n, err := WriteCheckpointFS(ck.cfg.fs(), ck.cfg.Dir, &Checkpoint{
 		NumESTs: ck.numESTs, Window: ck.window, Psi: ck.psi, Seq: ck.seq,
 		PairsProcessed: processed, PairsAccepted: accepted,
@@ -210,10 +200,8 @@ func (ck *checkpointer) maybe(uf *unionfind.UF, processed, accepted, skipped, me
 	if err != nil {
 		return err
 	}
-	d := ck.clock() - t0
 	ck.st.Recovery.Checkpoints++
 	ck.st.Recovery.CheckpointBytes += int64(n)
-	ck.st.Recovery.CheckpointTime += d
 	ck.log.Info("checkpoint written",
 		"dir", ck.cfg.Dir, "seq", ck.seq, "bytes", n,
 		"pairs_processed", processed, "merges", merges, "forced", force)

@@ -8,6 +8,7 @@ package cluster
 import (
 	"path/filepath"
 	"testing"
+	"time"
 
 	"pace/internal/mp"
 	"pace/internal/unionfind"
@@ -123,7 +124,7 @@ func TestResumeFromFinalCheckpoint(t *testing.T) {
 
 	cfg := DefaultConfig(1)
 	cfg.Window, cfg.Psi = 6, 18
-	cfg.Checkpoint = CheckpointConfig{Dir: dir, EveryReports: 2}
+	cfg.Checkpoint = CheckpointConfig{Dir: dir, Interval: time.Nanosecond}
 	baseline, err := Run(b.ESTs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -189,9 +190,10 @@ func TestResumeAfterMasterCrash(t *testing.T) {
 	}
 	want := normalizeLabels(baseline.Labels)
 
-	// Crash the master on its 12th report receive; snapshots every report.
+	// Crash the master on its 12th report receive; a 1ns interval snapshots
+	// after every report.
 	crashed := base
-	crashed.Checkpoint = CheckpointConfig{Dir: dir, EveryReports: 1}
+	crashed.Checkpoint = CheckpointConfig{Dir: dir, Interval: time.Nanosecond}
 	crashed.MP.Fault = &mp.FaultPlan{Seed: 5, CrashRank: 0, CrashAfter: 12, CrashTag: tagReport}
 	if _, err := Run(b.ESTs, crashed); err == nil {
 		t.Fatal("master crash must fail the run")
@@ -234,7 +236,7 @@ func TestSequentialCheckpointing(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DefaultConfig(1)
 	cfg.Window, cfg.Psi = 6, 18
-	cfg.Checkpoint = CheckpointConfig{Dir: dir, EveryReports: 1}
+	cfg.Checkpoint = CheckpointConfig{Dir: dir, Interval: time.Nanosecond}
 	res, err := Run(b.ESTs, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -90,14 +90,6 @@ type Config struct {
 	// the parallel engine re-collects per run.
 	Cache *BucketCache
 
-	// Recover enables slave-failure recovery: when a slave rank dies
-	// mid-protocol the master reclaims its outstanding grants, requeues its
-	// in-flight batches, and reassigns its bucket shards to the surviving
-	// slaves, which rebuild the partitions locally and regenerate the
-	// remaining pairs. The final clusters are equivalent to a failure-free
-	// run because re-aligned pairs merge idempotently. Disabled, any rank
-	// failure aborts the run (the seed behavior).
-	Recover bool
 	// SlaveTimeout bounds how long the master waits for the next slave
 	// report; on expiry the run aborts with a descriptive error instead of
 	// hanging on a silently-wedged (rather than crashed) slave. 0 disables
@@ -179,7 +171,6 @@ func DefaultConfig(p int) Config {
 		Criteria:        align.DefaultCriteria(),
 		Band:            12,
 		SkipSameCluster: true,
-		Recover:         true,
 		MP:              mp.Config{Procs: p, Mode: mp.ModeReal},
 	}
 }
@@ -189,12 +180,10 @@ type CheckpointConfig struct {
 	// Dir is where snapshots land (one file, CheckpointFile, replaced
 	// atomically). Empty disables checkpointing.
 	Dir string
-	// Interval is the minimum wall-clock time between snapshots; 0 derives
-	// 30s. Ignored when EveryReports is set.
+	// Interval is the minimum time between snapshots on the engine's own
+	// clock: wall time in the sequential and real engines, virtual time
+	// under the simulator. 0 derives 30s.
 	Interval time.Duration
-	// EveryReports snapshots every N master interactions instead of on a
-	// timer — a deterministic cadence for tests. 0 selects time-based.
-	EveryReports int
 	// FS is the filesystem seam snapshots are written through; nil means
 	// the real filesystem. Servers thread their (possibly fault-injecting)
 	// vfs.FS here so the periodic checkpoint shares the session's chaos
@@ -238,7 +227,7 @@ func (c Config) Validate() error {
 	if c.SlaveTimeout < 0 {
 		return fmt.Errorf("cluster: SlaveTimeout must be >= 0")
 	}
-	if c.Checkpoint.Interval < 0 || c.Checkpoint.EveryReports < 0 {
+	if c.Checkpoint.Interval < 0 {
 		return fmt.Errorf("cluster: checkpoint cadence must be >= 0")
 	}
 	if c.Band < 1 {
@@ -391,10 +380,9 @@ type RecoveryStats struct {
 	// a resumed run's Merges should equal a failure-free run's Merges minus
 	// this.
 	SeedMerges int64
-	// Checkpoints / CheckpointBytes / CheckpointTime tally snapshot writes.
+	// Checkpoints / CheckpointBytes tally snapshot writes.
 	Checkpoints     int64
 	CheckpointBytes int64
-	CheckpointTime  time.Duration
 }
 
 // RankStats is one rank's row of the load-balance table: where its time went

@@ -352,9 +352,9 @@ func (r *seqRun) fold(w *seqWorker) {
 	w.n = batchCounts{}
 }
 
-// runParallel launches the master–slave machine. Under cfg.Recover a
-// successful master is authoritative: slave ranks that died mid-run were
-// recovered from, so their errors do not fail the run.
+// runParallel launches the master–slave machine. A successful master is
+// authoritative: slave ranks that died mid-run were recovered from, so
+// their errors do not fail the run.
 func runParallel(set *seq.SetS, cfg Config) (*Result, error) {
 	var result *Result
 	errs, err := mp.RunRanks(cfg.MP, func(c *mp.Comm) error {
@@ -368,7 +368,7 @@ func runParallel(set *seq.SetS, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if errs[0] != nil || !cfg.Recover {
+	if errs[0] != nil {
 		if first := mp.FirstError(errs); first != nil {
 			return nil, first
 		}

@@ -231,8 +231,8 @@ type master struct {
 	skipped, processed, accepted int64
 }
 
-// step waits for the next slave event — a report, or under Recover a slave's
-// death — and handles it. The handling is master busy time.
+// step waits for the next slave event — a report or a slave's death — and
+// handles it. The handling is master busy time.
 func (m *master) step() error {
 	// Cancellation poll, once per slave interaction. The master is the
 	// protocol's hub: returning the error here fails rank 0, which the
@@ -252,7 +252,7 @@ func (m *master) step() error {
 	switch {
 	case err == nil:
 		err = m.onReport(msg)
-	case m.cfg.Recover && errors.As(err, &rf) && rf.Rank >= 1 && rf.Rank <= m.slaves && !m.states[rf.Rank].dead:
+	case errors.As(err, &rf) && rf.Rank >= 1 && rf.Rank <= m.slaves && !m.states[rf.Rank].dead:
 		err = m.onDeath(rf.Rank)
 	}
 	m.st.MasterBusy += m.c.Elapsed() - busy
@@ -560,7 +560,7 @@ func (m *master) collect(mine RankStats) error {
 			if err == nil {
 				row, err = decodePhase(pm.Data)
 				row.Rank, row.Role = r, "slave"
-			} else if m.cfg.Recover && errors.As(err, &rf) {
+			} else if errors.As(err, &rf) {
 				// Died after its protocol work was complete; only its
 				// stats are lost.
 				err = nil

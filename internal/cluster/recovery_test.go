@@ -143,19 +143,6 @@ func TestSlaveCrashManySurvivors(t *testing.T) {
 	}
 }
 
-// Recover=false restores the seed fail-stop behavior: a slave crash fails
-// the whole run.
-func TestRecoverDisabledFailsStop(t *testing.T) {
-	b := recoveryBench(t)
-	const p = 3
-	cfg := recoveryConfig(p, mp.DefaultSimConfig(p))
-	cfg.Recover = false
-	cfg.MP.Fault = &mp.FaultPlan{Seed: 3, CrashRank: 2, CrashAfter: 2, CrashTag: tagReport}
-	if _, err := Run(b.ESTs, cfg); err == nil {
-		t.Fatal("crash with Recover=false must fail the run")
-	}
-}
-
 // When the only slave dies there is no survivor to reassign to; the run must
 // fail with a clear error rather than hang.
 func TestAllSlavesDeadFails(t *testing.T) {

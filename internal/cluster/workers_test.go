@@ -125,7 +125,7 @@ func TestSequentialCheckpointsRefine(t *testing.T) {
 	for _, workers := range workerCounts {
 		fsys := &snapshotFS{FS: vfs.OS{}}
 		ckCfg := cfg
-		ckCfg.Checkpoint = CheckpointConfig{Dir: t.TempDir(), EveryReports: 1, FS: fsys}
+		ckCfg.Checkpoint = CheckpointConfig{Dir: t.TempDir(), Interval: time.Nanosecond, FS: fsys}
 		res, err := runSequential(set, ckCfg, workers)
 		if err != nil {
 			t.Fatal(err)

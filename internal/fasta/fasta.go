@@ -1,8 +1,8 @@
 // Package fasta reads and writes FASTA-formatted DNA sequence files, the
 // interchange format used by EST repositories such as dbEST. The reader is
 // streaming (suitable for multi-million-record files), tolerates Windows line
-// endings and blank lines, and can either reject or repair non-ACGT
-// characters.
+// endings and blank lines, replaces non-ACGT characters with A and skips
+// records whose sequence is empty.
 package fasta
 
 import (
@@ -25,40 +25,39 @@ type Record struct {
 	Seq seq.Sequence
 }
 
-// Options controls parsing behaviour.
-type Options struct {
-	// AllowAmbiguous replaces non-ACGT sequence characters with Filler
-	// instead of failing. dbEST records routinely contain N runs.
-	AllowAmbiguous bool
-	// Filler is the replacement code used when AllowAmbiguous is set.
-	Filler seq.Code
-	// SkipEmpty drops records with empty sequences instead of failing.
-	SkipEmpty bool
-}
-
 // Reader streams records from a FASTA file.
 type Reader struct {
 	s       *bufio.Scanner
-	opts    Options
 	line    int
 	pending string // header line read ahead, "" if none
 	done    bool
 }
 
-// NewReader wraps r. The options value may be the zero value for strict
-// parsing.
-func NewReader(r io.Reader, opts Options) *Reader {
+// NewReader wraps r.
+func NewReader(r io.Reader) *Reader {
 	s := bufio.NewScanner(r)
 	s.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &Reader{s: s, opts: opts}
+	return &Reader{s: s}
 }
 
 func trimLine(b []byte) string {
 	return string(bytes.TrimRight(b, "\r"))
 }
 
-// Next returns the next record, or io.EOF when the input is exhausted.
+// Next returns the next record with a non-empty sequence, or io.EOF when
+// the input is exhausted. Non-ACGT characters (dbEST records routinely
+// contain N runs) are replaced with A.
 func (r *Reader) Next() (*Record, error) {
+	for {
+		rec, err := r.record()
+		if err != nil || len(rec.Seq) > 0 {
+			return rec, err
+		}
+	}
+}
+
+// record parses the next record, whose sequence may be empty.
+func (r *Reader) record() (*Record, error) {
 	header := r.pending
 	r.pending = ""
 	for header == "" {
@@ -113,22 +112,7 @@ func (r *Reader) Next() (*Record, error) {
 		}
 		raw.WriteString(strings.TrimSpace(line))
 	}
-
-	var err error
-	if r.opts.AllowAmbiguous {
-		rec.Seq, _ = seq.ParseLossy(raw.String(), r.opts.Filler)
-	} else {
-		rec.Seq, err = seq.Parse(raw.String())
-		if err != nil {
-			return nil, fmt.Errorf("fasta: record %q: %w", rec.ID, err)
-		}
-	}
-	if len(rec.Seq) == 0 && !r.opts.SkipEmpty {
-		return nil, fmt.Errorf("fasta: record %q has empty sequence", rec.ID)
-	}
-	if len(rec.Seq) == 0 {
-		return r.Next()
-	}
+	rec.Seq, _ = seq.ParseLossy(raw.String(), seq.A)
 	return rec, nil
 }
 
@@ -147,9 +131,9 @@ func (r *Reader) ReadAll() ([]*Record, error) {
 	}
 }
 
-// ReadAll parses all records from r with the given options.
-func ReadAll(r io.Reader, opts Options) ([]*Record, error) {
-	return NewReader(r, opts).ReadAll()
+// ReadAll parses all records from r.
+func ReadAll(r io.Reader) ([]*Record, error) {
+	return NewReader(r).ReadAll()
 }
 
 // Sequences extracts just the sequences from records, in order.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 
 func TestReadSimple(t *testing.T) {
 	in := ">e1 first EST\nACGT\nACGT\n>e2\nGGTT\n"
-	recs, err := ReadAll(strings.NewReader(in), Options{})
+	recs, err := ReadAll(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestReadSimple(t *testing.T) {
 
 func TestReadCRLFAndBlankLines(t *testing.T) {
 	in := ">a\r\nAC\r\n\r\nGT\r\n\r\n>b\r\nTT\r\n"
-	recs, err := ReadAll(strings.NewReader(in), Options{})
+	recs, err := ReadAll(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestReadCRLFAndBlankLines(t *testing.T) {
 
 func TestReadComments(t *testing.T) {
 	in := "; a comment\n>a\nAC\n; mid comment\nGT\n"
-	recs, err := ReadAll(strings.NewReader(in), Options{})
+	recs, err := ReadAll(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,19 +54,13 @@ func TestReadComments(t *testing.T) {
 }
 
 func TestReadRejectsGarbagePrefix(t *testing.T) {
-	if _, err := ReadAll(strings.NewReader("ACGT\n>a\nAC\n"), Options{}); err == nil {
+	if _, err := ReadAll(strings.NewReader("ACGT\n>a\nAC\n")); err == nil {
 		t.Error("want error for sequence before header")
 	}
 }
 
-func TestReadRejectsAmbiguousByDefault(t *testing.T) {
-	if _, err := ReadAll(strings.NewReader(">a\nACNT\n"), Options{}); err == nil {
-		t.Error("want error for N")
-	}
-}
-
 func TestReadAllowAmbiguous(t *testing.T) {
-	recs, err := ReadAll(strings.NewReader(">a\nACNT\n"), Options{AllowAmbiguous: true, Filler: seq.A})
+	recs, err := ReadAll(strings.NewReader(">a\nACNT\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,33 +70,45 @@ func TestReadAllowAmbiguous(t *testing.T) {
 }
 
 func TestReadEmptySequence(t *testing.T) {
-	if _, err := ReadAll(strings.NewReader(">a\n>b\nAC\n"), Options{}); err == nil {
-		t.Error("want error for empty record")
-	}
-	recs, err := ReadAll(strings.NewReader(">a\n>b\nAC\n"), Options{SkipEmpty: true})
+	recs, err := ReadAll(strings.NewReader(">a\n>b\nAC\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 || recs[0].ID != "b" {
-		t.Fatalf("SkipEmpty wrong: %+v", recs)
+		t.Fatalf("empty record not skipped: %+v", recs)
+	}
+}
+
+// A run of empty records is skipped in a loop, not by recursion: with the
+// stack ceiling lowered, 200,000 of them must not overflow it.
+func TestReadSkipsManyEmptyRecords(t *testing.T) {
+	old := debug.SetMaxStack(32 << 20)
+	t.Cleanup(func() { debug.SetMaxStack(old) })
+	in := strings.Repeat(">a\n", 200000) + ">x\nACGTACGT\n"
+	recs, err := ReadAll(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].ID != "x" || recs[0].Seq.String() != "ACGTACGT" {
+		t.Fatalf("want only record x, got %d records", len(recs))
 	}
 }
 
 func TestReadEmptyInput(t *testing.T) {
-	recs, err := ReadAll(strings.NewReader(""), Options{})
+	recs, err := ReadAll(strings.NewReader(""))
 	if err != nil || len(recs) != 0 {
 		t.Errorf("empty input: %v %v", recs, err)
 	}
 }
 
 func TestReadEmptyID(t *testing.T) {
-	if _, err := ReadAll(strings.NewReader(">\nAC\n"), Options{}); err == nil {
+	if _, err := ReadAll(strings.NewReader(">\nAC\n")); err == nil {
 		t.Error("want error for empty id")
 	}
 }
 
 func TestNextEOF(t *testing.T) {
-	r := NewReader(strings.NewReader(">a\nAC\n"), Options{})
+	r := NewReader(strings.NewReader(">a\nAC\n"))
 	if _, err := r.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +156,7 @@ func TestRoundTripRandom(t *testing.T) {
 	if err := WriteAll(&buf, recs, 60); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf, Options{})
+	got, err := ReadAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +197,7 @@ func BenchmarkRead(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadAll(strings.NewReader(data), Options{}); err != nil {
+		if _, err := ReadAll(strings.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

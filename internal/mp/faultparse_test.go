@@ -1,4 +1,4 @@
-package main
+package mp
 
 import (
 	"strings"
@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-func TestParseChaos(t *testing.T) {
-	plan, err := parseChaos("crash=2:5,delay=0.1:2ms,seed=7")
+func TestParsePlan(t *testing.T) {
+	plan, err := ParsePlan("crash=2:5,delay=0.1:2ms,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,8 +22,8 @@ func TestParseChaos(t *testing.T) {
 	}
 }
 
-func TestParseChaosExplicitTag(t *testing.T) {
-	plan, err := parseChaos("crash=1:3:0")
+func TestParsePlanExplicitTag(t *testing.T) {
+	plan, err := ParsePlan("crash=1:3:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestParseChaosExplicitTag(t *testing.T) {
 	}
 }
 
-func TestParseChaosRejectsBadSpecs(t *testing.T) {
+func TestParsePlanRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{
 		"crash",          // no value
 		"crash=2",        // missing after
@@ -45,26 +45,26 @@ func TestParseChaosRejectsBadSpecs(t *testing.T) {
 		"warp=0.5",       // unknown directive
 		"seed=abc",       // bad seed
 	} {
-		if _, err := parseChaos(spec); err == nil {
+		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
 	}
 }
 
-// TestParseChaosRejectsUnreliableDelivery: the engine's protocol assumes
+// TestParsePlanRejectsUnreliableDelivery: the engine's protocol assumes
 // reliable delivery, so lost, duplicated and transiently failed messages are
 // not fault classes the spec can ask for.
-func TestParseChaosRejectsUnreliableDelivery(t *testing.T) {
+func TestParsePlanRejectsUnreliableDelivery(t *testing.T) {
 	for _, spec := range []string{"drop=0.1", "dup=0.1", "transient=0.1"} {
-		_, err := parseChaos(spec)
+		_, err := ParsePlan(spec)
 		if err == nil || !strings.Contains(err.Error(), "unknown chaos directive") {
 			t.Errorf("spec %q: want the unknown-directive error, got %v", spec, err)
 		}
 	}
 }
 
-func TestParseChaosEmptyPartsIgnored(t *testing.T) {
-	plan, err := parseChaos("delay=0.1:1ms,, ,")
+func TestParsePlanEmptyPartsIgnored(t *testing.T) {
+	plan, err := ParsePlan("delay=0.1:1ms,, ,")
 	if err != nil {
 		t.Fatal(err)
 	}

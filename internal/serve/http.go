@@ -29,10 +29,10 @@ const (
 //	GET    /v1/sessions/{id}/labels     current labels (?format=tsv|json)
 //	GET    /healthz                     liveness + drain state
 //
-// A batch body is either JSON {"ests":[{"id":"...","seq":"ACGT..."},...]}
-// or raw FASTA when Content-Type is text/x-fasta (or the body starts
-// with '>'). Backpressure surfaces as 429 (admission queue full), drain
-// as 503.
+// A batch body is JSON {"ests":[{"id":"...","seq":"ACGT..."},...]} when
+// its Content-Type contains "json", and FASTA otherwise (e.g.
+// text/x-fasta). Backpressure surfaces as 429 (admission queue full),
+// drain as 503.
 //
 // Every route is instrumented: the request adopts (or is minted) an
 // X-Request-ID echoed on the response, carried through the context into

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -302,5 +303,30 @@ func TestHTTPDrainRejects(t *testing.T) {
 	resp, _ = doJSON(t, "GET", base+"/v1/sessions/d/labels", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("labels while draining: %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPAllEmptyFASTABatchRefused: a FASTA body of nothing but empty
+// records is refused as an empty batch, and the server stays up. The reader
+// skips the records in a loop, so a lowered stack ceiling is never reached.
+func TestHTTPAllEmptyFASTABatchRefused(t *testing.T) {
+	old := debug.SetMaxStack(32 << 20)
+	t.Cleanup(func() { debug.SetMaxStack(old) })
+	_, ts := newTestServer(t, Config{})
+	base := ts.URL
+	doJSON(t, "POST", base+"/v1/sessions", map[string]string{"id": "e"})
+
+	body := strings.Repeat(">a\n", 200000)
+	resp, err := http.Post(base+"/v1/sessions/e/batches", "text/x-fasta", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "serve: empty batch") {
+		t.Fatalf("all-empty batch: %d %s, want 400 serve: empty batch", resp.StatusCode, data)
+	}
+	if resp, body := doJSON(t, "GET", base+"/healthz", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the batch: %d %s", resp.StatusCode, body)
 	}
 }

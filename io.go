@@ -21,11 +21,7 @@ type Record struct {
 // replaced with A — the conservative treatment EST tools apply to ambiguity
 // codes — and records with empty sequences are skipped.
 func ReadFASTA(r io.Reader) ([]Record, error) {
-	recs, err := fasta.ReadAll(r, fasta.Options{
-		AllowAmbiguous: true,
-		Filler:         seq.A,
-		SkipEmpty:      true,
-	})
+	recs, err := fasta.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}

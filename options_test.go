@@ -15,7 +15,6 @@ import (
 func TestDefaultOptionsOperatingPoint(t *testing.T) {
 	want := Options{
 		Processors:    1,
-		Recover:       true,
 		Window:        8,
 		MinMatch:      20,
 		BatchSize:     60,
@@ -62,7 +61,6 @@ func TestNewSessionRejectsBadValues(t *testing.T) {
 		{"zero identity", func(o *Options) { o.MinIdentity = 0 }, "align: MinIdentity must be in (0,1]"},
 		{"identity above one", func(o *Options) { o.MinIdentity = 1.5 }, "align: MinIdentity must be in (0,1]"},
 		{"negative checkpoint interval", func(o *Options) { o.CheckpointInterval = -1 }, "cluster: checkpoint cadence must be >= 0"},
-		{"negative checkpoint every", func(o *Options) { o.CheckpointEvery = -1 }, "cluster: checkpoint cadence must be >= 0"},
 		{"negative slave timeout", func(o *Options) { o.SlaveTimeout = -1 }, "cluster: SlaveTimeout must be >= 0"},
 
 		{"window above twelve", func(o *Options) { o.Window = 13; o.MinMatch = 20 }, "suffix: window 13 out of [1,12]"},

@@ -196,11 +196,6 @@ type Options struct {
 	// unconstrained.
 	InitialLabels []int
 
-	// Recover keeps a parallel run alive when a slave rank dies
-	// mid-protocol: the master reclaims the dead rank's outstanding work
-	// and reassigns its generator shards to survivors. Disabled, any rank
-	// failure fails the whole run.
-	Recover bool
 	// SlaveTimeout bounds how long the master waits for any slave report
 	// before declaring the run wedged; 0 waits forever.
 	SlaveTimeout time.Duration
@@ -213,12 +208,9 @@ type Options struct {
 	// killed run, reload with LoadCheckpoint and seed InitialLabels with
 	// ResumeLabels.
 	CheckpointDir string
-	// CheckpointInterval is the wall-clock cadence between snapshots;
-	// 0 means 30s.
+	// CheckpointInterval is the minimum time between snapshots on the
+	// engine's clock (virtual time when Simulated); 0 means 30s.
 	CheckpointInterval time.Duration
-	// CheckpointEvery snapshots every N slave reports instead of on a
-	// timer (useful for tests; 0 uses CheckpointInterval).
-	CheckpointEvery int
 	// FS routes the engine's periodic checkpoint writes through an
 	// explicit filesystem seam (OSFS for the real disk, NewFaultyFS for
 	// chaos runs); nil uses the real filesystem.
@@ -253,7 +245,6 @@ func DefaultOptions() Options {
 	cfg := cluster.DefaultConfig(1)
 	return Options{
 		Processors:    cfg.MP.Procs,
-		Recover:       cfg.Recover,
 		Window:        cfg.Window,
 		MinMatch:      cfg.Psi,
 		BatchSize:     cfg.BatchSize,
@@ -308,13 +299,11 @@ func (o Options) toConfig() (cluster.Config, error) {
 		cfg.MP = mp.Config{Procs: o.Processors, Mode: mp.ModeReal}
 	}
 	cfg.MP.Fault = o.Fault
-	cfg.Recover = o.Recover
 	cfg.SlaveTimeout = o.SlaveTimeout
 	cfg.Checkpoint = cluster.CheckpointConfig{
-		Dir:          o.CheckpointDir,
-		Interval:     o.CheckpointInterval,
-		EveryReports: o.CheckpointEvery,
-		FS:           o.FS,
+		Dir:      o.CheckpointDir,
+		Interval: o.CheckpointInterval,
+		FS:       o.FS,
 	}
 	if o.InitialLabels != nil {
 		cfg.InitialLabels = make([]int32, len(o.InitialLabels))

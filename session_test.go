@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pace/internal/cluster"
 	"pace/internal/seq"
@@ -294,7 +295,7 @@ func TestSessionAddCheckpointFailureRollsBack(t *testing.T) {
 	opt := sessionOptions(t, "seq")
 	ckptPath := filepath.Join(t.TempDir(), "ckpt")
 	opt.CheckpointDir = ckptPath
-	opt.CheckpointEvery = 1
+	opt.CheckpointInterval = time.Nanosecond
 
 	control, err := NewSession(sessionOptions(t, "seq"))
 	if err != nil {
