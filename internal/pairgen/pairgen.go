@@ -28,9 +28,9 @@
 // or λ, occur (two groups pair only when their characters differ or are both
 // λ) and, in fresh-only mode, a leaf of the current batch. A scheduled node
 // costs the length of its leaf range, dead entries included, where the lists
-// cost the survivors: the total is bounded by the sum over leaves of their
-// deep ancestors — no more than the character work the suffix builder has
-// paid — and long homopolymer runs approach it (DESIGN.md §1). Storage is
+// cost the survivors: the total is bounded by the sum over deep leaves of
+// their deep-ancestor counts — at most d − ψ + 1 for a leaf at depth d — and
+// long homopolymer runs approach it (DESIGN.md §1). Storage is
 // 1 B per leaf and 12 B per scheduled node, allocated once per forest.
 // Subtrees are independent, so generators over disjoint chunks of a forest
 // together emit exactly the whole forest's pairs and counters; the

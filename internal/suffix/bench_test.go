@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pace/internal/seq"
+	"pace/internal/simulate"
 )
 
 // benchInput is the microbenchmarks' input: n random ESTs of 400–700 bases
@@ -61,6 +62,32 @@ func BenchmarkBuildForestSparse(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildForestDeep is the seq_deep shape at a fifth of its size: 400
+// ESTs from 20 genes, so reads of one gene share runs of hundreds of bases
+// and most of the build is path compression, which random reads never reach.
+func BenchmarkBuildForestDeep(b *testing.B) {
+	const w = 8
+	cfg := simulate.DefaultConfig(400)
+	cfg.NumGenes, cfg.Seed = 20, 1
+	sim, err := simulate.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := seq.NewSetS(sim.ESTs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n2 := seq.StringID(set.NumStrings())
+	table := CollectOwned(set, w, Assign(Histogram(set, w, 0, n2), 1), 0, 0, n2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildForest(set, table, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBuildForestFanOut is BenchmarkBuildForestSparse built the way the
 // sequential engine builds it, over GOMAXPROCS workers: run it at -cpu 1,2 to
 // record both widths.
@@ -78,8 +105,10 @@ func BenchmarkBuildForestFanOut(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheAbsorb is the ingest_paced shape: twelve batches of 20 ESTs
-// absorbed into one growing table, the touched buckets rebuilt after each.
+// BenchmarkCacheAbsorb is ingest_paced's batching over random reads: twelve
+// batches of 20 ESTs absorbed into one growing table, the touched buckets
+// rebuilt after each. ingest_paced's reads cover their genes 20 times over;
+// these share nothing, so it times the cache, not path compression.
 func BenchmarkCacheAbsorb(b *testing.B) {
 	const w, batches = 8, 12
 	set, _ := benchInput(b, 20*batches, w)

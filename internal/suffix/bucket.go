@@ -17,9 +17,10 @@
 // a slave lays it out from the global histogram and fills it as messages
 // arrive. The build (tree.go) partitions a group in place by its next
 // character with a stable five-way scatter (terminator, A, C, G, T) through
-// one scratch buffer, the path-compression test riding on the same counting
-// pass, and appends nodes at the tail of fixed-size slabs shared by the whole
-// forest. Stability is what makes the result canonical: a bucket's range is
+// one scratch buffer; a counting pass that finds no branch hands the rest of
+// the shared run to a word-at-a-time compare, a group of two is finished by
+// one such compare without a pass, and nodes are appended at the tail of
+// fixed-size slabs shared by the whole forest. Stability is what makes the result canonical: a bucket's range is
 // in (string id, position) order, every class keeps that order, so equal
 // tables give node-for-node equal trees whichever collector filled them.
 // Subtrees are independent, so BuildBuckets may build contiguous chunks of

@@ -45,6 +45,7 @@ const (
 	shapeOneLetter
 	shapeShort
 	shapePolyA
+	shapeDeep
 	numShapes
 )
 
@@ -56,8 +57,11 @@ var workerCounts = []int{1, 2, 3, 8}
 // diffSet returns a three-generation set of n ESTs per generation in the
 // given shape: random reads, reads drawn from a few templates (so whole
 // suffixes repeat and terminator leaves abound), runs of a single letter,
-// reads mostly shorter than any window the tests use, or random heads with
-// poly(A) tails longer than any window (some reads all tail).
+// reads mostly shorter than any window the tests use, random heads with
+// poly(A) tails longer than any window (some reads all tail), or reads cut
+// from one 200-base template at spread offsets and lengths with 2 %
+// substitutions, so shared runs span several 8-base words and break, and
+// reads end, at every offset within a word.
 func diffSet(t testing.TB, seed int64, n, shape int) *seq.SetS {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -69,6 +73,10 @@ func diffSet(t testing.TB, seed int64, n, shape int) *seq.SetS {
 		return s
 	}
 	templates := []seq.Sequence{random(60), random(45), random(30)}
+	var deep seq.Sequence // drawn only for shapeDeep, so the other shapes keep their inputs
+	if shape == shapeDeep {
+		deep = random(200)
+	}
 	next := func() seq.Sequence {
 		switch shape {
 		case shapeDuplicates:
@@ -90,6 +98,15 @@ func diffSet(t testing.TB, seed int64, n, shape int) *seq.SetS {
 				return tail
 			}
 			return append(random(rng.Intn(20)), tail...)
+		case shapeDeep:
+			lo := rng.Intn(len(deep) / 2)
+			s := deep[lo : lo+1+rng.Intn(len(deep)-lo)].Clone()
+			for i := range s {
+				if rng.Intn(50) == 0 {
+					s[i] = (s[i] + 1 + seq.Code(rng.Intn(3))) % seq.AlphabetSize
+				}
+			}
+			return s
 		default:
 			return random(20 + rng.Intn(50))
 		}
@@ -311,6 +328,7 @@ func FuzzBuildMatchesReference(f *testing.F) {
 		{6, 30, 6, shapeRandom},
 		{7, 16, 12, shapeDuplicates},
 		{8, 7, 5, shapeOneLetter},
+		{9, 24, 8, shapeDeep},
 	} {
 		f.Add(s.seed, s.n, s.w, s.sh)
 	}
@@ -340,7 +358,8 @@ func lcp(a, b seq.Sequence) int32 {
 // The reference-free statement of what a bucket tree is: its leaves, read in
 // preorder, are the bucket's suffixes in lexicographic order with equal
 // suffixes in (SID, Pos) order, and an internal node's depth is the longest
-// common prefix of the leaves it spans.
+// common prefix of the leaves it spans and its representative the smallest
+// (SID, Pos) among them.
 func TestPreorderLeavesAreTheSortedSuffixes(t *testing.T) {
 	for shape := 0; shape < numShapes; shape++ {
 		for _, w := range []int{1, 4, 8} {
@@ -373,6 +392,15 @@ func TestPreorderLeavesAreTheSortedSuffixes(t *testing.T) {
 					if d := lcp(set.Suffix(a.SID, a.Pos), set.Suffix(b.SID, b.Pos)); d != n.Depth {
 						t.Fatalf("shape %d w %d bucket %d node %d: depth %d, leaves share %d", shape, w, tr.Bucket, i, n.Depth, d)
 					}
+					least := a
+					for k := first; k <= n.RML; k++ {
+						if l := tr.Nodes[k]; tr.IsLeaf(k) && (l.SID < least.SID || l.SID == least.SID && l.Pos < least.Pos) {
+							least = l
+						}
+					}
+					if n.SID != least.SID || n.Pos != least.Pos {
+						t.Fatalf("shape %d w %d bucket %d node %d: represented by (%d,%d), smallest leaf is (%d,%d)", shape, w, tr.Bucket, i, n.SID, n.Pos, least.SID, least.Pos)
+					}
 				}
 				if len(got) != len(want) {
 					t.Fatalf("shape %d w %d bucket %d: %d leaves for %d suffixes", shape, w, tr.Bucket, len(got), len(want))
@@ -385,6 +413,57 @@ func TestPreorderLeavesAreTheSortedSuffixes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// commonPrefix agrees with a byte loop on every pair of lengths 0–17: equal
+// strings, a proper prefix either way, and a mismatch at every offset, so
+// the word loop, the byte tail and the hand-over between them are all met.
+func TestCommonPrefix(t *testing.T) {
+	const longest = 17
+	rng := rand.New(rand.NewSource(1))
+	base := make(seq.Sequence, longest)
+	for i := range base {
+		base[i] = seq.Code(rng.Intn(seq.AlphabetSize))
+	}
+	check := func(a, b seq.Sequence) {
+		t.Helper()
+		if got, want := commonPrefix(a, b), int(lcp(a, b)); got != want {
+			t.Fatalf("commonPrefix(%v, %v) = %d, want %d", a, b, got, want)
+		}
+	}
+	for la := 0; la <= longest; la++ {
+		for lb := 0; lb <= longest; lb++ {
+			a, b := base[:la], base[:lb].Clone()
+			check(a, b)
+			for k := 0; k < min(la, lb); k++ {
+				b[k] ^= 1
+				check(a, b)
+				b[k] ^= 1
+			}
+		}
+	}
+}
+
+// FuzzCommonPrefix holds commonPrefix to the byte loop on any two byte
+// strings; CI's fuzz-smoke job runs it beyond the pinned seeds.
+func FuzzCommonPrefix(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte("ACGTACGTACGTACGT"), []byte("ACGTACGTACGTACGA"))
+	f.Add([]byte("ACGTACGTA"), []byte("ACGTACGTACGTACGTAC"))
+	f.Add([]byte("ACGTACGT"), []byte("TCGTACGT"))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		codes := func(p []byte) seq.Sequence {
+			s := make(seq.Sequence, len(p))
+			for i, c := range p {
+				s[i] = seq.Code(c)
+			}
+			return s
+		}
+		x, y := codes(a), codes(b)
+		if got, want := commonPrefix(x, y), int(lcp(x, y)); got != want {
+			t.Fatalf("commonPrefix(%v, %v) = %d, want %d", a, b, got, want)
+		}
+	})
 }
 
 // Truncate is the inverse of Absorb at the table level too: whatever was

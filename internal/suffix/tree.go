@@ -2,6 +2,7 @@ package suffix
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pace/internal/fanout"
 	"pace/internal/seq"
@@ -135,10 +136,11 @@ func (b *builder) suffixLen(r SuffixRef) int32 {
 // tree builds one bucket's subtree at the tail of the current slab and
 // returns its nodes, capped at their length so that no append through one
 // tree can reach its neighbour. suffixes, which all share their first w
-// characters, is left unmodified. Construction is the paper's simple
-// character-at-a-time recursive bucketing: O(sum of suffix lengths) for the
-// bucket, i.e. O(N·l/p) per worker overall — efficient in practice because
-// the average EST length l is independent of n.
+// characters, is left unmodified. Construction is the paper's recursive
+// bucketing, one character per branching level and a word-wise compare across
+// each shared run: O(sum of suffix lengths) for the bucket, i.e. O(N·l/p) per
+// worker overall — efficient in practice because the average EST length l is
+// independent of n.
 func (b *builder) tree(suffixes []SuffixRef) ([]Node, error) {
 	n := len(suffixes)
 	work := b.work[:n]
@@ -169,15 +171,22 @@ func (b *builder) emitLeaf(r SuffixRef, depth int32) {
 // a unique terminator, so identical suffixes from different strings split at
 // an internal node whose leaf children they become.
 //
-// One pass over the group reads each suffix's next character into cls and
-// counts the five classes. While every suffix continues with the same
-// character the pass repeats one character deeper (path compression);
+// Two suffixes are finished in one step: their common prefix is the node's
+// depth and the first to end or the smaller next character is the first leaf.
+// A larger group is classified by one pass that reads each suffix's next
+// character into cls and counts the five classes. When every suffix continues
+// with the same character, extension measures the rest of the shared run a
+// word at a time and the pass runs once more past it (path compression);
 // otherwise the counts are the offsets of a stable scatter that leaves the
 // group ordered terminators, A, C, G, T with the (SID, Pos) order kept inside
 // each class — the order per-class appends would have produced.
 func (b *builder) build(group []SuffixRef, depth int32) {
 	if len(group) == 1 {
 		b.emitLeaf(group[0], b.suffixLen(group[0]))
+		return
+	}
+	if len(group) == 2 {
+		b.pair(group[0], group[1], depth)
 		return
 	}
 	cls := b.cls[:len(group)]
@@ -196,7 +205,7 @@ func (b *builder) build(group []SuffixRef, depth int32) {
 		if c := cls[0]; c == 0 || int(cnt[c]) < len(group) {
 			break
 		}
-		depth++
+		depth += 1 + b.extension(group, depth+1)
 	}
 	self := len(b.slab)
 	b.slab = append(b.slab, Node{Depth: depth, SID: group[0].SID, Pos: group[0].Pos})
@@ -224,6 +233,59 @@ func (b *builder) build(group []SuffixRef, depth int32) {
 		}
 	}
 	b.slab[self].RML = int32(len(b.slab)-b.base) - 1
+}
+
+// pair adds the subtree of two suffixes sharing their first depth characters:
+// a node at their common prefix, represented by r as every node is by its
+// group's first suffix, and their leaves in class order. Identical suffixes
+// both end there and keep their order.
+func (b *builder) pair(r, q SuffixRef, depth int32) {
+	rs, qs := b.set.Suffix(r.SID, r.Pos), b.set.Suffix(q.SID, q.Pos)
+	d := depth + int32(commonPrefix(rs[depth:], qs[depth:]))
+	i := int32(len(b.slab) - b.base)
+	b.slab = append(b.slab, Node{Depth: d, RML: i + 2, SID: r.SID, Pos: r.Pos})
+	if int(d) < len(rs) && (int(d) == len(qs) || qs[d] < rs[d]) {
+		r, q = q, r
+	}
+	b.emitLeaf(r, b.suffixLen(r))
+	b.emitLeaf(q, b.suffixLen(q))
+}
+
+// extension returns how many characters from depth on every suffix of group
+// shares with group[0]'s.
+func (b *builder) extension(group []SuffixRef, depth int32) int32 {
+	s := b.set.Suffix(group[0].SID, group[0].Pos+depth)
+	for _, r := range group[1:] {
+		s = s[:commonPrefix(s, b.set.Suffix(r.SID, r.Pos+depth))]
+		if len(s) == 0 {
+			break
+		}
+	}
+	return int32(len(s))
+}
+
+// commonPrefix returns the length of the longest common prefix of a and b,
+// comparing eight characters at a time.
+func commonPrefix(a, b seq.Sequence) int {
+	n := min(len(a), len(b))
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		if x := load8(a[i:]) ^ load8(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// load8 reads s[0:8] as a little-endian word; the compiler turns it into one
+// load.
+func load8(s seq.Sequence) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // BuildForest builds the subtree of every non-empty bucket of the table, in
