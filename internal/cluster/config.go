@@ -83,7 +83,7 @@ type Config struct {
 	// run over the whole set. 0 (the default) clusters everything.
 	FreshGen seq.Gen
 
-	// Cache, when non-nil, carries the flat suffix table across the
+	// Cache, when non-nil, carries the sorted suffix table across the
 	// sequential runs of a session: a batch's suffixes are merged in as it
 	// arrives and only the buckets it touches are built, so batch k+1
 	// scans only its own strings. Sequential engine only (MP.Procs == 1);
@@ -336,13 +336,13 @@ type Stats struct {
 	PerRank []RankStats
 	// Recovery tallies fault-recovery and checkpoint activity.
 	Recovery RecoveryStats
-	// Incremental tallies batch-ingest activity; zero unless Config.FreshGen
-	// or Config.Cache was set.
+	// Incremental tallies batch-ingest activity: always on the sequential
+	// engine (a one-shot run rebuilds every bucket), with FreshGen otherwise.
 	Incremental IncrementalStats
 }
 
 // IncrementalStats counts what the incremental machinery saved and did
-// during one batch run (Config.FreshGen > 0 or Config.Cache != nil).
+// during one batch run.
 type IncrementalStats struct {
 	// BucketsRebuilt is the number of GST buckets the batch touched — the
 	// ones whose subtrees were (re)built this run.

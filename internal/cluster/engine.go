@@ -191,10 +191,8 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		total += n
 	}
 	pr.observeBuckets(hist, []int64{total})
-	if cfg.Cache != nil || cfg.FreshGen > 0 {
-		st.Incremental.BucketsRebuilt = int64(len(touched))
-		st.Incremental.BucketsReused = nonEmptyBuckets(hist) - int64(len(touched))
-	}
+	st.Incremental.BucketsRebuilt = int64(len(touched))
+	st.Incremental.BucketsReused = nonEmptyBuckets(hist) - int64(len(touched))
 
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
@@ -243,9 +241,7 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		st.Incremental.FreshPairs = st.PairsGenerated
 		st.Incremental.StaleSuppressed = stale
 	}
-	if cfg.FreshGen > 0 || cfg.Cache != nil {
-		pr.recordIncremental(st.Incremental)
-	}
+	pr.recordIncremental(st.Incremental)
 	st.Phases.Total = clk() - t0
 	st.PerRank = []RankStats{{
 		Rank: 0, Role: "seq",

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 
 	"pace/internal/seq"
 	"pace/internal/suffix"
@@ -17,13 +18,14 @@ import (
 // final partition is identical to a from-scratch run over the union.
 
 // BucketCache carries the suffix table across the sequential runs of a
-// session: every suffix seen so far, in one flat suffix.Buckets. The table
-// grows as generations arrive — strings are scanned exactly once, in
-// ascending id order, so each bucket's range is byte-for-byte what a
-// from-scratch collection would produce and rebuilt subtrees are identical
-// to scratch-built ones. Only the table is kept. No subtree outlives the run
-// that built it: a bucket a batch does not touch cannot yield a fresh pair
-// and is not built at all, and a touched bucket is rebuilt from its range.
+// session: every suffix seen so far, in one sorted suffix.Buckets, each
+// bucket in suffix order with one LCP byte per suffix. The table grows as
+// generations arrive — each batch's strings are scanned once, and only
+// their suffixes are ordered and merged in — and its trees, written from
+// (refs, LCP) in one pass, are node for node those a from-scratch build
+// makes. Only the table is kept. No subtree outlives the run that built it:
+// a bucket a batch does not touch cannot yield a fresh pair and is not built
+// at all, and a touched bucket is written anew from its merged range.
 //
 // The cache is single-goroutine state owned by its session; it is not safe
 // for concurrent runs.
@@ -53,7 +55,7 @@ func (bc *BucketCache) Buckets() int {
 func (bc *BucketCache) absorb(set *seq.SetS, w int, hi seq.StringID) ([]int32, error) {
 	if bc.w == 0 {
 		bc.w = w
-		bc.table = suffix.NewBuckets(w)
+		bc.table = suffix.NewSortedBuckets(w)
 	}
 	if bc.w != w {
 		return nil, fmt.Errorf("cluster: bucket cache was built with window %d, run uses %d", bc.w, w)
@@ -61,7 +63,8 @@ func (bc *BucketCache) absorb(set *seq.SetS, w int, hi seq.StringID) ([]int32, e
 	if hi < bc.scanned {
 		return nil, fmt.Errorf("cluster: bucket cache covers %d strings but the run has only %d", bc.scanned, hi)
 	}
-	touched, err := bc.table.Absorb(set, bc.scanned, hi)
+	// The sequential engine's rankWorkers: every core.
+	touched, err := bc.table.Absorb(set, bc.scanned, hi, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}
@@ -82,8 +85,8 @@ func (bc *BucketCache) Truncate(hi seq.StringID) {
 	bc.scanned = hi
 }
 
-// Warm scans every string of set into the cache without building any
-// subtrees — the state a resumed session needs so that its next batch
+// Warm scans and sorts every string of set into the cache without building
+// any subtrees — the state a resumed session needs so that its next batch
 // rebuilds only the buckets the batch touches.
 func (bc *BucketCache) Warm(set *seq.SetS, w int) error {
 	_, err := bc.absorb(set, w, seq.StringID(set.NumStrings()))
@@ -93,14 +96,15 @@ func (bc *BucketCache) Warm(set *seq.SetS, w int) error {
 // sequentialTable is the sequential engine's partition phase. It scans the
 // strings the bucket table has not seen and returns the table and the ids,
 // ascending, of the buckets they touched — the buckets to build. Without a
-// Cache the table is run-local: it first absorbs the strings before
-// FreshGen, so the second absorb touches exactly the buckets the fresh
-// generations reach (every non-empty bucket in a one-shot run, FreshGen ==
-// 0). An untouched bucket cannot contain a fresh pair, so it is not built.
+// Cache the table is run-local and in scan order: it first absorbs the
+// strings before FreshGen, so the second absorb touches exactly the buckets
+// the fresh generations reach (every non-empty bucket in a one-shot run,
+// FreshGen == 0). An untouched bucket cannot contain a fresh pair, so it is
+// not built.
 func sequentialTable(set *seq.SetS, cfg Config) (*suffix.Buckets, []int32, error) {
 	bc := cfg.Cache
 	if bc == nil {
-		bc = NewBucketCache()
+		bc = &BucketCache{w: cfg.Window, table: suffix.NewBuckets(cfg.Window)}
 		if old := set.GenStartString(cfg.FreshGen); old > 0 {
 			if _, err := bc.absorb(set, cfg.Window, old); err != nil {
 				return nil, nil, err

@@ -106,18 +106,44 @@ func BenchmarkBuildForestFanOut(b *testing.B) {
 }
 
 // BenchmarkCacheAbsorb is ingest_paced's batching over random reads: twelve
-// batches of 20 ESTs absorbed into one growing table, the touched buckets
-// rebuilt after each. ingest_paced's reads cover their genes 20 times over;
-// these share nothing, so it times the cache, not path compression.
+// batches of 20 ESTs absorbed into one growing sorted table, the touched
+// buckets built after each. ingest_paced's reads cover their genes 20 times
+// over; these share nothing, so it times the cache, not path compression
+// (BenchmarkCacheAbsorbDeep does).
 func BenchmarkCacheAbsorb(b *testing.B) {
 	const w, batches = 8, 12
 	set, _ := benchInput(b, 20*batches, w)
+	benchAbsorb(b, set, w, batches)
+}
+
+// BenchmarkCacheAbsorbDeep is BenchmarkCacheAbsorb over ingest_paced's kind of
+// reads: 240 ESTs from 12 genes, seq_deep's 20 reads per gene, so each batch's suffixes
+// land among old ones sharing long runs with them.
+func BenchmarkCacheAbsorbDeep(b *testing.B) {
+	const w, batches = 8, 12
+	cfg := simulate.DefaultConfig(20 * batches)
+	cfg.NumGenes, cfg.Seed = 12, 1
+	sim, err := simulate.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := seq.NewSetS(sim.ESTs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchAbsorb(b, set, w, batches)
+}
+
+// benchAbsorb absorbs set's strings into a sorted table in equal batches on
+// one worker and builds the touched buckets after each.
+func benchAbsorb(b *testing.B, set *seq.SetS, w, batches int) {
+	per := set.NumStrings() / batches
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table := NewBuckets(w)
+		table := NewSortedBuckets(w)
 		for k := 0; k < batches; k++ {
-			touched, err := table.Absorb(set, seq.StringID(40*k), seq.StringID(40*(k+1)))
+			touched, err := table.Absorb(set, seq.StringID(per*k), seq.StringID(per*(k+1)), 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -13,19 +13,23 @@
 // Both steps are counting sorts over flat arrays. The partition (table.go)
 // is one Buckets table — every suffix in a single slice ordered by bucket,
 // then string id, then position, with an offset per bucket — filled by a
-// counting scan and a scattering scan; a session merges each batch into it,
-// a slave lays it out from the global histogram and fills it as messages
-// arrive. The build (tree.go) partitions a group in place by its next
-// character with a stable five-way scatter (terminator, A, C, G, T) through
-// one scratch buffer; a counting pass that finds no branch hands the rest of
-// the shared run to a word-at-a-time compare, a group of two is finished by
-// one such compare without a pass, and nodes are appended at the tail of
-// fixed-size slabs shared by the whole forest. Stability is what makes the result canonical: a bucket's range is
+// counting scan and a scattering scan; a slave lays it out from the global
+// histogram and fills it as messages arrive. The build (tree.go) partitions
+// a group in place by its next character with a stable five-way scatter
+// (terminator, A, C, G, T) through one scratch buffer; a counting pass that
+// finds no branch hands the rest of the shared run to a word-at-a-time
+// compare, a group of two is finished by one such compare without a pass,
+// and nodes are appended at the tail of fixed-size slabs shared by the whole
+// forest. Stability is what makes the result canonical: a bucket's range is
 // in (string id, position) order, every class keeps that order, so equal
 // tables give node-for-node equal trees whichever collector filled them.
 // Subtrees are independent, so BuildBuckets may build contiguous chunks of
 // buckets concurrently, each with a builder and slabs of its own, and still
 // return the one-builder forest.
+//
+// A session's table is sorted instead (sorted.go): each bucket in preorder
+// leaf order with an LCP byte per suffix, a batch merged in, and a touched
+// tree written from (refs, LCP) in one stack pass — the same nodes.
 package suffix
 
 import (

@@ -244,7 +244,7 @@ func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 		table := NewBuckets(w)
 		lo := seq.StringID(0)
 		for _, hi := range cuts {
-			touched, err := table.Absorb(set, lo, hi)
+			touched, err := table.Absorb(set, lo, hi, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -477,14 +477,14 @@ func TestTruncateIsInverseOfAbsorb(t *testing.T) {
 		table := NewBuckets(w)
 		lo := seq.StringID(0)
 		for _, hi := range []seq.StringID{cut, (cut + n2) / 2 &^ 1, n2} {
-			if _, err := table.Absorb(set, lo, hi); err != nil {
+			if _, err := table.Absorb(set, lo, hi, 1); err != nil {
 				t.Fatal(err)
 			}
 			lo = hi
 		}
 		table.Truncate(cut)
 		want := NewBuckets(w)
-		if _, err := want.Absorb(set, 0, cut); err != nil {
+		if _, err := want.Absorb(set, 0, cut, 1); err != nil {
 			t.Fatal(err)
 		}
 		requireSameTable(t, "truncated", table, want)

@@ -16,6 +16,11 @@ import (
 type Buckets struct {
 	w    int
 	refs []SuffixRef
+	// sorted marks a table from NewSortedBuckets, whose buckets are in suffix
+	// order with lcp[i] the saturated LCP of refs[i] with the suffix before it
+	// in its bucket (sorted.go). A scan-order table has no lcp.
+	sorted bool
+	lcp    []uint8
 	// off has NumBuckets(w)+1 entries; bucket b is refs[off[b]:off[b+1]].
 	// int32 offsets cap one table at math.MaxInt32 suffixes.
 	off []int32
@@ -56,8 +61,8 @@ func offsets(nb int, size func(b int) int64) ([]int32, error) {
 // Len returns the number of suffixes in the table.
 func (t *Buckets) Len() int { return len(t.refs) }
 
-// Refs returns bucket b's suffixes in (SID, Pos) order. The slice aliases the
-// table: it is read-only, and valid until the next Absorb or Truncate.
+// Refs returns bucket b's suffixes in (SID, Pos) order, or suffix order if
+// sorted: read-only, aliasing the table until the next Absorb or Truncate.
 func (t *Buckets) Refs(b int) []SuffixRef {
 	lo, hi := t.off[b], t.off[b+1]
 	return t.refs[lo:hi:hi]
@@ -110,10 +115,14 @@ func CollectOwned(set *seq.SetS, w int, owner []int32, me int32, lo, hi seq.Stri
 
 // Absorb merges the suffixes of strings [lo,hi) into the table and returns,
 // in ascending order, the ids of the buckets that received any. Every string
-// already in the table must have an id below lo, so that each bucket's fresh
-// suffixes belong behind its old ones: a table grown batch by batch is then
-// equal to one collected in a single scan.
-func (t *Buckets) Absorb(set *seq.SetS, lo, hi seq.StringID) ([]int32, error) {
+// already in the table must have an id below lo, so that in a scan-order
+// table a bucket's fresh suffixes belong behind its old ones: a table grown
+// batch by batch is then equal to one collected in a single scan. A sorted
+// table merges them in on up to workers goroutines (absorbSorted).
+func (t *Buckets) Absorb(set *seq.SetS, lo, hi seq.StringID, workers int) ([]int32, error) {
+	if t.sorted {
+		return t.absorbSorted(set, lo, hi, workers)
+	}
 	fresh, err := t.merge(set, nil, 0, lo, hi)
 	if err != nil {
 		return nil, err
@@ -169,21 +178,34 @@ func (t *Buckets) merge(set *seq.SetS, owner []int32, me int32, lo, hi seq.Strin
 }
 
 // Truncate drops every suffix of strings with id >= hi — the inverse of the
-// Absorb calls that brought them in. Strings arrive in ascending id order,
-// so the dropped refs are the tail of each bucket's range; the kept prefixes
-// are compacted to the front in place.
+// Absorb calls that brought them in — by a stable filter that compacts the
+// kept suffixes to the front in place. In a sorted table a kept suffix's LCP
+// with the kept one before it is the minimum of the LCPs from there to it;
+// saturation commutes with min, so the bytes stay exact.
 func (t *Buckets) Truncate(hi seq.StringID) {
 	var w int32
 	for b := 0; b+1 < len(t.off); b++ {
 		lo, end := t.off[b], t.off[b+1]
-		for end > lo && t.refs[end-1].SID >= hi {
-			end--
-		}
 		t.off[b] = w
-		w += int32(copy(t.refs[w:], t.refs[lo:end]))
+		run := uint8(maxLCP)
+		for i := lo; i < end; i++ {
+			if t.sorted {
+				run = min(run, t.lcp[i])
+			}
+			if t.refs[i].SID < hi {
+				t.refs[w] = t.refs[i]
+				if t.sorted {
+					t.lcp[w], run = run, maxLCP
+				}
+				w++
+			}
+		}
 	}
 	t.off[len(t.off)-1] = w
 	t.refs = t.refs[:w]
+	if t.sorted {
+		t.lcp = t.lcp[:w]
+	}
 }
 
 // NewSizedBuckets returns a table laid out for hist[b] suffixes in every

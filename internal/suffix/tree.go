@@ -115,6 +115,13 @@ type builder struct {
 	// cls the class (0 terminator, 1+c character c) of each of its suffixes.
 	work, tmp []SuffixRef
 	cls       []uint8
+	// A non-nil order makes the builder sort: it writes no node, order gets
+	// each leaf and lcps its LCP with the leaf before, seam, the depth of the
+	// node whose next child it starts. stack holds sortedTree's open nodes.
+	order []SuffixRef
+	lcps  []uint8
+	seam  int32
+	stack []open
 }
 
 // newBuilder returns a builder for trees totalling pending suffixes, none
@@ -162,6 +169,11 @@ func (b *builder) tree(suffixes []SuffixRef) ([]Node, error) {
 
 // emitLeaf appends a leaf for suffix r, whose length is depth.
 func (b *builder) emitLeaf(r SuffixRef, depth int32) {
+	if b.order != nil {
+		b.order = append(b.order, r)
+		b.lcps = append(b.lcps, uint8(min(b.seam, maxLCP)))
+		return
+	}
 	i := int32(len(b.slab) - b.base)
 	b.slab = append(b.slab, Node{Depth: depth, RML: i, SID: r.SID, Pos: r.Pos})
 }
@@ -208,7 +220,9 @@ func (b *builder) build(group []SuffixRef, depth int32) {
 		depth += 1 + b.extension(group, depth+1)
 	}
 	self := len(b.slab)
-	b.slab = append(b.slab, Node{Depth: depth, SID: group[0].SID, Pos: group[0].Pos})
+	if b.order == nil {
+		b.slab = append(b.slab, Node{Depth: depth, SID: group[0].SID, Pos: group[0].Pos})
+	}
 
 	tmp := b.tmp[:len(group)]
 	copy(tmp, group)
@@ -224,15 +238,19 @@ func (b *builder) build(group []SuffixRef, depth int32) {
 	// cls and tmp are free again: the recursion below reuses them.
 	for _, r := range group[:cnt[0]] {
 		b.emitLeaf(r, depth) // terminator edge: leaf at the same string-depth
+		b.seam = depth
 	}
 	lo := cnt[0]
 	for _, n := range cnt[1:] {
 		if n > 0 {
 			b.build(group[lo:lo+n], depth+1)
+			b.seam = depth
 			lo += n
 		}
 	}
-	b.slab[self].RML = int32(len(b.slab)-b.base) - 1
+	if b.order == nil {
+		b.slab[self].RML = int32(len(b.slab)-b.base) - 1
+	}
 }
 
 // pair adds the subtree of two suffixes sharing their first depth characters:
@@ -242,12 +260,15 @@ func (b *builder) build(group []SuffixRef, depth int32) {
 func (b *builder) pair(r, q SuffixRef, depth int32) {
 	rs, qs := b.set.Suffix(r.SID, r.Pos), b.set.Suffix(q.SID, q.Pos)
 	d := depth + int32(commonPrefix(rs[depth:], qs[depth:]))
-	i := int32(len(b.slab) - b.base)
-	b.slab = append(b.slab, Node{Depth: d, RML: i + 2, SID: r.SID, Pos: r.Pos})
+	if b.order == nil {
+		i := int32(len(b.slab) - b.base)
+		b.slab = append(b.slab, Node{Depth: d, RML: i + 2, SID: r.SID, Pos: r.Pos})
+	}
 	if int(d) < len(rs) && (int(d) == len(qs) || qs[d] < rs[d]) {
 		r, q = q, r
 	}
 	b.emitLeaf(r, b.suffixLen(r))
+	b.seam = d
 	b.emitLeaf(q, b.suffixLen(q))
 }
 
@@ -353,8 +374,11 @@ func buildRange(set *seq.SetS, t *Buckets, ids []int32, forest []*Tree, headers 
 		if len(refs) == 0 {
 			continue
 		}
-		nodes, err := b.tree(refs)
-		if err != nil {
+		var nodes []Node
+		var err error
+		if t.sorted {
+			nodes = b.sortedTree(refs, t.lcps(int(id)))
+		} else if nodes, err = b.tree(refs); err != nil {
 			return err
 		}
 		headers[i] = Tree{Bucket: int(id), Nodes: nodes, leaves: len(refs)}

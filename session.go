@@ -61,16 +61,13 @@ func NewSession(opt Options) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Session{opt: opt}
-	if opt.Processors == 1 {
-		s.cache = cluster.NewBucketCache()
-	}
-	return s, nil
+	return &Session{opt: opt}, nil
 }
 
 // ResumeSession rebuilds a session from previously clustered ESTs and their
 // saved labels (e.g. SaveCheckpoint + LoadCheckpoint + ResumeLabels) without
-// re-clustering them: the next Add is incremental from the start.
+// re-clustering them: the next Add is incremental from the start, and sorts
+// the saved ESTs' suffix table once before it runs.
 func ResumeSession(opt Options, ests []string, labels []int) (*Session, error) {
 	s, err := NewSession(opt)
 	if err != nil {
@@ -92,12 +89,23 @@ func ResumeSession(opt Options, ests []string, labels []int) (*Session, error) {
 	for i, l := range labels {
 		s.labels[i] = int32(l)
 	}
-	if s.cache != nil {
-		if err := s.cache.Warm(set, opt.Window); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
+}
+
+// warm gives a sequential session holding ESTs its bucket cache, sorted once
+// for every later batch to merge into. A first batch runs without one, like
+// any one-shot run, so a Cluster call never pays for the sort, and a resumed
+// session pays for it at its next Add, not when a server restarts.
+func (s *Session) warm() error {
+	if s.cache != nil || s.opt.Processors != 1 || s.set == nil {
+		return nil
+	}
+	cache := cluster.NewBucketCache()
+	err := cache.Warm(s.set, s.opt.Window)
+	if err == nil {
+		s.cache = cache
+	}
+	return err
 }
 
 // runSet is swappable in tests to inject a failure at the latest possible
@@ -138,6 +146,9 @@ func (s *Session) AddContext(ctx context.Context, ests []string) (*Clustering, e
 		return nil, err
 	}
 	cfg.Ctx = ctx
+	if err := s.warm(); err != nil {
+		return nil, err
+	}
 	prevESTs := 0
 	if s.set == nil {
 		s.set, err = seq.NewSetS(parsed)
@@ -181,11 +192,11 @@ func (s *Session) AddContext(ctx context.Context, ests []string) (*Clustering, e
 }
 
 // rollback undoes a failed batch: the sequence set is truncated to its
-// pre-Add EST count and the bucket cache forgets every suffix (and every
-// subtree rebuilt over a suffix) of the discarded generation. Labels, the
-// last clustering and the batch counter were never touched — they move
-// only after a successful run — so the session is exactly its pre-Add
-// self and the next Add re-runs the batch as if the failure never happened.
+// pre-Add EST count and the bucket cache forgets every suffix of the
+// discarded generation. Labels, the last clustering and the batch counter
+// were never touched — they move only after a successful run — so the
+// session is exactly its pre-Add self and the next Add re-runs the batch as
+// if the failure never happened.
 func (s *Session) rollback(prevESTs int) {
 	if prevESTs == 0 {
 		// The failed batch was the session's first: back to empty.
