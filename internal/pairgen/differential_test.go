@@ -3,6 +3,7 @@ package pairgen
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -111,56 +112,137 @@ func freshForest(t testing.TB, set *seq.SetS, w int, gen seq.Gen) []*suffix.Tree
 	return forest
 }
 
-// requireSameAsReference drains the production generator and the
-// linked-list oracle over one forest at every batch size in diffBatches, in
-// lockstep, and requires the identical pair sequence, Remaining and counters
-// after every call.
+// repeatFree reports whether no string of set holds a label of length psi
+// (and so none longer) at two positions. On such input a node's lsets are
+// exact mirrors of its twin's, so scheduling one twin and mirroring its
+// pairs gives the oracle's pairs exactly.
+func repeatFree(set *seq.SetS, psi int) bool {
+	for id := 0; id < set.NumStrings(); id++ {
+		s := set.Str(seq.StringID(id))
+		seen := map[string]bool{}
+		for p := 0; p+psi <= len(s); p++ {
+			k := s[p : p+psi].String()
+			if seen[k] {
+				return false
+			}
+			seen[k] = true
+		}
+	}
+	return true
+}
+
+// longestByStrings returns each string pair's longest MatchLen.
+func longestByStrings(pairs []Pair) map[stringPair]int32 {
+	out := map[stringPair]int32{}
+	for _, p := range pairs {
+		k := stringPair{p.S1, p.S2}
+		out[k] = max(out[k], p.MatchLen)
+	}
+	return out
+}
+
+// requireSameAsReference drains the production generator at every batch
+// size in diffBatches and the linked-list oracle over one forest. Where no
+// string holds a label twice (repeatFree) it requires the oracle's pair
+// multiset, positions included, and its Generated count; elsewhere it
+// requires the same string pairs, each with the same longest MatchLen (a
+// twin may keep another occurrence of a repeated label, so anchors and
+// counts may move). Either way the sequence must not depend on the batch
+// size, match lengths must not increase, Remaining must turn false exactly
+// when a call comes back short, and the node and entry counts must equal
+// the oracle's.
 func requireSameAsReference(t testing.TB, set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) {
 	t.Helper()
+	ref, err := newRefFresh(set, forest, psi, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Next(nil, math.MaxInt)
+	exact := repeatFree(set, psi)
+	var first []Pair
 	for _, batch := range diffBatches {
+		what := fmt.Sprintf("fresh=%d batch=%d", fresh, batch)
 		g, err := NewFresh(set, forest, psi, fresh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := newRefFresh(set, forest, psi, fresh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got, want []Pair
+		var got []Pair
 		for {
-			n := len(want)
-			want = ref.Next(want, batch)
+			n := len(got)
 			got = g.Next(got, batch)
-			what := fmt.Sprintf("fresh=%d batch=%d", fresh, batch)
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d pairs after a call, reference has %d", what, len(got), len(want))
+			if short := len(got)-n < batch; g.Remaining() == short {
+				t.Fatalf("%s: Remaining %v after a call that appended %d", what, g.Remaining(), len(got)-n)
 			}
-			for i := n; i < len(want); i++ {
-				if got[i] != want[i] {
-					t.Fatalf("%s: pair %d is %+v, reference %+v", what, i, got[i], want[i])
-				}
-			}
-			// Slaves report themselves passive off Remaining, so it must
-			// flip on the same call as the reference's.
-			if g.Remaining() != ref.Remaining() {
-				t.Fatalf("%s: Remaining %v, reference %v after %d pairs", what, g.Remaining(), ref.Remaining(), len(want))
-			}
-			// The oracle counts nodes and entries as it visits them, the
-			// generator at construction: those two agree once drained.
-			if s, r := g.Stats(), ref.Stats(); (len(want) == n && s != r) || emitted(s) != emitted(r) {
-				t.Fatalf("%s: stats %+v, reference %+v after %d pairs", what, s, r, len(want))
-			}
-			if len(want) == n {
+			if len(got) == n {
 				break
 			}
 		}
+		for i := 1; i < len(got); i++ {
+			if got[i].MatchLen > got[i-1].MatchLen {
+				t.Fatalf("%s: pair %d is longer than the one before", what, i)
+			}
+		}
+		if batch == diffBatches[0] {
+			first = got
+		} else if !slices.Equal(got, first) {
+			t.Fatalf("%s: the pair sequence depends on the batch size", what)
+		}
+		s, r := g.Stats(), ref.Stats()
+		if s.NodesProcessed != r.NodesProcessed || s.Entries != r.Entries {
+			t.Fatalf("%s: stats %+v, reference %+v", what, s, r)
+		}
+		if exact && (s.Generated != r.Generated || s.DiscardedSelf > r.DiscardedSelf || s.DiscardedStale > r.DiscardedStale) {
+			t.Fatalf("%s: repeat-free input: stats %+v, reference %+v", what, s, r)
+		}
+	}
+	if exact {
+		got, sorted := slices.Clone(first), slices.Clone(want)
+		slices.SortFunc(got, comparePairs)
+		slices.SortFunc(sorted, comparePairs)
+		if !slices.Equal(got, sorted) {
+			t.Fatalf("fresh=%d: repeat-free input: %d pairs against the reference's %d, or another multiset", fresh, len(got), len(sorted))
+		}
+		return
+	}
+	if g, r := longestByStrings(first), longestByStrings(want); !maps.Equal(g, r) {
+		t.Fatalf("fresh=%d: %d string pairs with their longest matches, reference %d, or other ones", fresh, len(g), len(r))
 	}
 }
 
-// emitted returns the counters Next moves pair by pair.
-func emitted(s Stats) Stats {
-	s.NodesProcessed, s.Entries = 0, 0
-	return s
+// TestBenchShapesMatchReference runs the bench workloads' shapes at reduced
+// size — 20x coverage, singletons, paralog families at 8 % divergence, all
+// at w = 8 and ψ = 20 — full and fresh-only. They hold no label of length ψ
+// twice in one string, so the pair multiset must be the oracle's, positions
+// included.
+func TestBenchShapesMatchReference(t *testing.T) {
+	shapes := map[string]func(*simulate.Config){
+		"deep":    func(*simulate.Config) {},
+		"sparse":  func(c *simulate.Config) { c.NumGenes = c.NumESTs },
+		"paralog": func(c *simulate.Config) { c.NumGenes, c.ParalogFamilies, c.ParalogDivergence = 24, 24, 0.08 },
+	}
+	for name, shape := range shapes {
+		cfg := simulate.DefaultConfig(240)
+		cfg.Seed = 1
+		shape(&cfg)
+		bm, err := simulate.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := seq.NewSetS(bm.ESTs[:200])
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := set.Append(bm.ESTs[200:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !repeatFree(set, 20) {
+			t.Fatalf("%s: a string holds a 20-base label twice; the multiset check would not run", name)
+		}
+		forest := buildForest(t, set, 8)
+		requireSameAsReference(t, set, forest, 20, 0)
+		requireSameAsReference(t, set, forest, 20, gen)
+	}
 }
 
 // checkMatchesReference is the differential property: over every generation
@@ -304,12 +386,34 @@ func lsetLeaves(tr *suffix.Tree, v int32) [][]int32 {
 	return out
 }
 
-// TestUnscheduledNodesHaveNoProducts is the scheduling rule's soundness: a
-// deep internal node left out of order has, under the brute-force lsets, no
-// two entries in different children whose left characters differ or are both
-// λ — and in fresh-only mode it may also be left out because no leaf beneath
-// it belongs to the current batch.
-func TestUnscheduledNodesHaveNoProducts(t *testing.T) {
+// hasProducts reports whether, under the brute-force lsets, node v has two
+// entries in different children whose left characters differ or are both λ.
+func hasProducts(set *seq.SetS, tr *suffix.Tree, v int32) bool {
+	children := lsetLeaves(tr, v)
+	for i, a := range children {
+		for _, b := range children[i+1:] {
+			for _, la := range a {
+				for _, lb := range b {
+					ca := set.LeftChar(tr.Nodes[la].SID, tr.Nodes[la].Pos)
+					cb := set.LeftChar(tr.Nodes[lb].SID, tr.Nodes[lb].Pos)
+					if ca != cb || ca == seq.Lambda {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestUnscheduledNodesWithProductsHaveScheduledTwins is the scheduling
+// rule's soundness: a deep internal node left out of order either has, under
+// the brute-force lsets, no two entries in different children whose left
+// characters differ or are both λ, or its label is not a palindrome and the
+// node labelled with its reverse complement — its twin, whose pairs are its
+// pairs mirrored — is scheduled. In fresh-only mode a node may also be left
+// out because no leaf beneath it belongs to the current batch.
+func TestUnscheduledNodesWithProductsHaveScheduledTwins(t *testing.T) {
 	invariantForests(t, func(name string, set *seq.SetS, forest []*suffix.Tree, psi int, gen seq.Gen) {
 		for _, fresh := range []seq.Gen{0, gen} {
 			g, err := NewFresh(set, forest, psi, fresh)
@@ -317,10 +421,12 @@ func TestUnscheduledNodesHaveNoProducts(t *testing.T) {
 				t.Fatal(err)
 			}
 			inOrder := map[[2]int32]bool{}
+			labels := map[string]bool{}
 			for _, ref := range g.order {
 				inOrder[[2]int32{ref.tree, ref.node}] = true
+				labels[forest[ref.tree].PathLabel(set, ref.node).String()] = true
 			}
-			dropped := 0
+			dropped, twinned := 0, 0
 			for ti, tr := range forest {
 				for v := int32(0); v < int32(tr.Len()); v++ {
 					if tr.IsLeaf(v) || tr.Nodes[v].Depth < int32(psi) || inOrder[[2]int32{int32(ti), v}] {
@@ -333,30 +439,52 @@ func TestUnscheduledNodesHaveNoProducts(t *testing.T) {
 							stale = false
 						}
 					}
-					if fresh > 0 && stale {
+					if fresh > 0 && stale || !hasProducts(set, tr, v) {
 						continue
 					}
-					children := lsetLeaves(tr, v)
-					for i, a := range children {
-						for _, b := range children[i+1:] {
-							for _, la := range a {
-								for _, lb := range b {
-									ca := set.LeftChar(tr.Nodes[la].SID, tr.Nodes[la].Pos)
-									cb := set.LeftChar(tr.Nodes[lb].SID, tr.Nodes[lb].Pos)
-									if ca != cb || ca == seq.Lambda {
-										t.Fatalf("%s fresh=%d: tree %d node %d is not scheduled but pairs leaves %d and %d", name, fresh, ti, v, la, lb)
-									}
-								}
-							}
-						}
+					label := tr.PathLabel(set, v)
+					rc := label.ReverseComplement()
+					if label.Equal(rc) || !labels[rc.String()] {
+						t.Fatalf("%s fresh=%d: tree %d node %d (%v) has products, is not scheduled, and neither is its twin", name, fresh, ti, v, label)
 					}
+					twinned++
 				}
 			}
-			if dropped == 0 {
-				t.Errorf("%s fresh=%d: every deep internal node is scheduled; the input exercises nothing", name, fresh)
+			if dropped == 0 || twinned == 0 {
+				t.Errorf("%s fresh=%d: %d deep internal nodes unscheduled, %d of them for their twin; the input exercises too little", name, fresh, dropped, twinned)
 			}
 		}
 	})
+}
+
+// TestScheduledNodesAreBalanced holds the choice between twins to its
+// purpose: setUp cuts the forest into chunks of near-equal node count, and
+// each chunk's generator must then get a near-equal share of the scheduled
+// nodes, within ±15 % of the mean at 2 and 4 workers. A choice that kept
+// the smaller of L and rc(L) would give A-prefixed buckets 7/8 of their
+// nodes and T-prefixed ones 1/8.
+func TestScheduledNodesAreBalanced(t *testing.T) {
+	set, forest := deepCoverage(t, 400)
+	for _, workers := range []int{2, 4} {
+		cuts := fanout.Cuts(len(forest), workers, func(i int) int { return len(forest[i].Nodes) })
+		counts := make([]int, len(cuts)-1)
+		total := 0
+		for k := range counts {
+			g, err := NewFresh(set, forest[cuts[k]:cuts[k+1]], 20, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts[k] = len(g.order)
+			total += counts[k]
+		}
+		mean := float64(total) / float64(len(counts))
+		t.Logf("%d workers: scheduled nodes per chunk %v", workers, counts)
+		for k, c := range counts {
+			if math.Abs(float64(c)-mean) > 0.15*mean {
+				t.Errorf("%d workers: chunk %d schedules %d nodes, mean %.0f (all %v)", workers, k, c, mean, counts)
+			}
+		}
+	}
 }
 
 // TestGroupsAreLeafRangeCuts is the layout's other leg: the groups the
@@ -463,7 +591,6 @@ func requireChunksCover(t *testing.T, what string, set *seq.SetS, forest []*suff
 			s := g.Stats()
 			sum.NodesProcessed += s.NodesProcessed
 			sum.Generated += s.Generated
-			sum.DiscardedOrientation += s.DiscardedOrientation
 			sum.DiscardedSelf += s.DiscardedSelf
 			sum.DiscardedStale += s.DiscardedStale
 			sum.Entries += s.Entries

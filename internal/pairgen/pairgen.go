@@ -19,8 +19,8 @@
 // child by child, keep the first leaf of each string, stable-sort each
 // child's survivors by left character — the order list concatenation gave,
 // so the emitted pair sequence is the linked version's (reference_test.go
-// keeps that version as the oracle). The only per-leaf state is the left
-// character, one byte.
+// keeps that version as the oracle). The only per-node state is one byte:
+// the left characters beneath the node, and a leaf's own.
 //
 // Nothing is maintained for a node's ancestors, so a node that cannot emit is
 // not visited. Construction ORs the left characters beneath every node from
@@ -31,10 +31,24 @@
 // cost the survivors: the total is bounded by the sum over deep leaves of
 // their deep-ancestor counts — at most d − ψ + 1 for a leaf at depth d — and
 // long homopolymer runs approach it (DESIGN.md §1). Storage is
-// 1 B per leaf and 12 B per scheduled node, allocated once per forest.
+// 1 B per node and 8 B per scheduled node, allocated once per forest.
 // Subtrees are independent, so generators over disjoint chunks of a forest
 // together emit exactly the whole forest's pairs and counters; the
 // sequential engine gives each of its workers one.
+//
+// The forest indexes every EST and its reverse complement, so a maximal
+// match with label L between strings x and y reappears as rc(L) between
+// rc(x) and rc(y): the node's twin, at the same depth. The paper generates
+// both and drops at emit time the copy in which the lower EST's string is
+// the reverse one. This package schedules one node of each twin pair
+// instead (chosen, below) and emits every pair of it, mirroring a pair whose
+// lower EST's string is the reverse one onto the other strands. A
+// palindromic label (L = rc(L)) is its own twin and keeps the paper's rule.
+// Which twin is chosen is a function of the label alone, so the generators
+// of disjoint chunks, ranks or shards still emit each pair once. Where a
+// string holds a label more than once, the twin may keep another occurrence
+// and so pair other anchors; each pair of strings with a common substring
+// of length >= ψ is still generated, first at its longest (DESIGN.md §1).
 //
 // The generator is resumable: it remembers its position inside a node's
 // cartesian products, so callers pull pairs in batches without ever
@@ -43,7 +57,9 @@
 package pairgen
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"pace/internal/seq"
 	"pace/internal/suffix"
@@ -73,39 +89,34 @@ type Stats struct {
 	NodesProcessed int64
 	// Generated counts canonical pairs emitted.
 	Generated int64
-	// DiscardedOrientation counts pairs dropped by the canonical-
-	// orientation rule (the equivalent reverse-complemented duplicate is
-	// emitted elsewhere).
-	DiscardedOrientation int64
 	// DiscardedSelf counts pairs of a string with its own EST's other
-	// orientation (or itself), which carry no clustering information.
+	// orientation (or itself), which carry no clustering information. Only
+	// scheduled nodes count them, so a twin's are counted once.
 	DiscardedSelf int64
 	// DiscardedStale counts pairs suppressed by the fresh-only mode because
 	// both strings predate the current batch: their maximal common substring
 	// is a property of the two strings alone, so the pair was already
 	// generated — and judged — in the generation that introduced the younger
-	// of the two.
+	// of the two. Only scheduled nodes count them.
 	DiscardedStale int64
 	// Entries is the number of lset entries (leaves of depth >= ψ) — the
 	// generator's O(N) working set.
 	Entries int64
 }
 
-// treeState locates one tree's share of the generator's leaf array.
+// treeState locates one tree's share of the generator's flags.
 type treeState struct {
 	// nodes is the tree's node array, held directly so that reaching a node
 	// costs no load of the Tree in between.
 	nodes []suffix.Node
-	// leaf is the tree's base into chars; int, so a forest of more than 2³¹
-	// leaves cannot wrap.
-	leaf int
+	// base is the tree's offset into flags; int, so a forest of more than
+	// 2³¹ nodes cannot wrap.
+	base int
 }
 
-// nodeRef addresses one internal node in the forest. leavesBefore is the
-// number of leaves preceding it in its tree's preorder — where its leaf range
-// starts.
+// nodeRef addresses one internal node in the forest.
 type nodeRef struct {
-	tree, node, leavesBefore int32
+	tree, node int32
 }
 
 // group is one (child, left-character) lset cut from the leaf range of the
@@ -129,9 +140,10 @@ type item struct {
 	char seq.Code
 }
 
-// Per-node bits of NewFresh's scratch: the left characters beneath the node
-// in the low seq.NumLeftChars bits, then whether a leaf of the current batch
-// is beneath it, whether the node goes into order, and whether it is a leaf.
+// Per-node flags: the left characters beneath the node in the low
+// seq.NumLeftChars bits — for a leaf its own, once its parent is deep —
+// then whether a leaf of the current batch is beneath it, whether the node
+// goes into order, and whether it is a leaf.
 const (
 	charMask  = 1<<seq.NumLeftChars - 1
 	freshBit  = 1 << seq.NumLeftChars
@@ -141,6 +153,8 @@ const (
 
 // Generator produces promising pairs on demand.
 type Generator struct {
+	// set gives string lengths, which mirroring a pair needs.
+	set   *seq.SetS
 	psi   int32
 	trees []treeState
 	// freshID is the fresh-only threshold: pairs whose strings both have an
@@ -148,8 +162,8 @@ type Generator struct {
 	// monotone in string id, so freshness is a single comparison.
 	freshID seq.StringID
 
-	// chars holds the left-extension character of every leaf, in preorder.
-	chars []seq.Code
+	// flags holds every node's flags, tree after tree in preorder.
+	flags []uint8
 
 	// order lists the internal nodes of depth >= ψ that can emit a pair,
 	// deepest first.
@@ -163,9 +177,12 @@ type Generator struct {
 	groups   []group
 	itemsBuf []item
 	curDepth int32
-	gi, gj   int
-	ii, jj   int32
-	active   bool
+	// palindrome reports that the current node's label is its own reverse
+	// complement, so that a pair and its mirror are both among its products.
+	palindrome bool
+	gi, gj     int
+	ii, jj     int32
+	active     bool
 
 	stats     Stats
 	generated *telemetry.Counter
@@ -202,6 +219,7 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 		return nil, fmt.Errorf("pairgen: psi must be >= 1, got %d", psi)
 	}
 	g := &Generator{
+		set:   set,
 		psi:   int32(psi),
 		mark:  make([]int32, set.NumStrings()),
 		trees: make([]treeState, len(forest)),
@@ -213,22 +231,20 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 	if fresh > 0 {
 		g.freshID = set.GenStartString(fresh)
 	}
-	leaves, nodes := 0, 0
+	nodes := 0
 	for ti, t := range forest {
-		g.trees[ti] = treeState{nodes: t.Nodes, leaf: leaves}
-		leaves += t.NumLeaves()
+		g.trees[ti] = treeState{nodes: t.Nodes, base: nodes}
 		nodes += len(t.Nodes)
 	}
-	g.chars = make([]seq.Code, leaves)
+	g.flags = make([]uint8, nodes)
 	// A path label is a substring, so no node is deeper than the longest
 	// string is long.
 	longest := 0
 	for id := 0; id < set.NumStrings(); id++ {
 		longest = max(longest, len(set.Str(seq.StringID(id))))
 	}
-	bits := make([]uint8, nodes)
 	byDepth := make([]int, longest+1)
-	total, err := g.mask(set, bits, byDepth)
+	total, err := g.mask(byDepth)
 	if err != nil {
 		return nil, err
 	}
@@ -244,33 +260,28 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 	for d := longest; d >= 0; d-- {
 		acc, byDepth[d] = acc+byDepth[d], acc
 	}
-	g.place(bits, byDepth)
+	g.place(byDepth)
 	return g, nil
 }
 
-// mask is construction's reverse pass — children before parents: it records
-// every deep leaf's left character, ORs the characters beneath each deep
-// internal node out of its children's bytes into bits, and marks and
+// mask is construction's reverse pass — children before parents: it ORs
+// the characters beneath each deep internal node out of its children's
+// flags, reading a leaf child's own left character there, and marks and
 // histograms by depth the nodes to schedule, returning how many there are.
-// With no fresh generation every string id is >= freshID, so every leaf
-// counts as fresh and the second condition is vacuous.
-func (g *Generator) mask(set *seq.SetS, bits []uint8, byDepth []int) (int, error) {
+// A leaf under a shallow parent is under no deep node, so its character is
+// never read. With no fresh generation every string id is >= freshID, so
+// every leaf counts as fresh and the second condition is vacuous.
+func (g *Generator) mask(byDepth []int) (int, error) {
 	total := 0
-	base, leaf := len(bits), len(g.chars)
 	for ti := len(g.trees) - 1; ti >= 0; ti-- {
 		ns := g.trees[ti].nodes
-		base -= len(ns)
-		b := bits[base : base+len(ns)]
+		b := g.flags[g.trees[ti].base:][:len(ns)]
 		for i := len(ns) - 1; i >= 0; i-- {
 			n := ns[i]
 			if n.RML == int32(i) {
-				leaf--
 				b[i] = leafBit
 				if n.Depth >= g.psi {
 					g.stats.Entries++
-					ch := set.LeftChar(n.SID, n.Pos)
-					g.chars[leaf] = ch
-					b[i] |= 1 << ch
 					if n.SID >= g.freshID {
 						b[i] |= freshBit
 					}
@@ -283,21 +294,32 @@ func (g *Generator) mask(set *seq.SetS, bits []uint8, byDepth []int) (int, error
 			g.stats.NodesProcessed++
 			var or uint8
 			for child := int32(i) + 1; ; child = ns[child].RML + 1 {
+				c := &ns[child]
+				if c.RML == child {
+					b[child] |= 1 << g.set.LeftChar(c.SID, c.Pos)
+				}
 				or |= b[child]
-				if ns[child].RML == n.RML {
+				if c.RML == n.RML {
 					break
 				}
 			}
 			or &= charMask | freshBit
 			// Two groups pair only when their characters differ or are both
-			// λ: a range holding one non-λ character has no product.
+			// λ: a range holding one non-λ character has no product. Of a
+			// twin pair, only the chosen node is scheduled.
 			if ch := or & charMask; (ch&(ch-1) != 0 || ch == 1<<seq.Lambda) && or&freshBit != 0 {
 				if int(n.Depth) >= len(byDepth) {
 					return 0, fmt.Errorf("pairgen: node of depth %d over strings no longer than %d", n.Depth, len(byDepth)-1)
 				}
-				or |= scheduled
-				byDepth[n.Depth]++
-				total++
+				s := g.set.Str(n.SID)
+				if int(n.Pos)+int(n.Depth) > len(s) {
+					return 0, fmt.Errorf("pairgen: node of depth %d at position %d of a string of length %d", n.Depth, n.Pos, len(s))
+				}
+				if keep, _ := chosen(s[n.Pos : n.Pos+n.Depth]); keep {
+					or |= scheduled
+					byDepth[n.Depth]++
+					total++
+				}
 			}
 			b[i] = or
 		}
@@ -306,22 +328,53 @@ func (g *Generator) mask(set *seq.SetS, bits []uint8, byDepth []int) (int, error
 	return total, nil
 }
 
+// chosen reports whether a node with label l is the one of l and rc(l) that
+// is scheduled, and whether l is its own reverse complement (a palindrome,
+// which is chosen). It compares l with rc(l), which nearly always ends at
+// the first character, and keeps the smaller or, when the parity of
+// l[d/2−1] + l[d−d/2] is odd, the larger. The two positions mirror each
+// other and differ, and complementing both keeps the parity, so twins
+// agree on the direction; it is what balances the choice across buckets,
+// where a plain l <= rc(l) would keep about 7/8 of the nodes of A-prefixed
+// buckets and 1/8 of T-prefixed ones.
+func chosen(l seq.Sequence) (keep, palindrome bool) {
+	d := len(l)
+	i, j := 0, d-1
+	for ; i <= j; i, j = i+1, j-1 {
+		if a, b := l[i], seq.Complement(l[j]); a != b {
+			flip := d >= 2 && (l[d/2-1]+l[d-d/2])&1 == 1
+			return (a < b) != flip, false
+		}
+	}
+	return true, true
+}
+
 // place writes the scheduled nodes into order at the cursors byDepth holds,
-// walking the forest in reverse so that, within a depth, higher positions
-// come first.
-func (g *Generator) place(bits []uint8, byDepth []int) {
-	base, leaf := len(bits), len(g.chars)
-	for ti := len(g.trees) - 1; ti >= 0; ti-- {
-		ts := g.trees[ti]
-		base -= len(ts.nodes)
-		for i := len(ts.nodes) - 1; i >= 0; i-- {
-			if b := bits[base+i]; b&leafBit != 0 {
-				leaf--
-			} else if b&scheduled != 0 {
-				at := &byDepth[ts.nodes[i].Depth]
-				g.order[*at] = nodeRef{tree: int32(ti), node: int32(i), leavesBefore: int32(leaf - ts.leaf)}
-				*at++
-			}
+// scanning flags in reverse so that, within a depth, higher positions come
+// first. It tests eight flags a load and reads a node only if scheduled.
+func (g *Generator) place(byDepth []int) {
+	const lanes = 0x0101010101010101
+	ti := len(g.trees) - 1
+	put := func(j int) {
+		for g.trees[ti].base > j {
+			ti--
+		}
+		ts := &g.trees[ti]
+		slot := &byDepth[ts.nodes[j-ts.base].Depth]
+		g.order[*slot] = nodeRef{tree: int32(ti), node: int32(j - ts.base)}
+		*slot++
+	}
+	j := len(g.flags)
+	for ; j >= 8; j -= 8 {
+		for w := binary.LittleEndian.Uint64(g.flags[j-8:j]) & (scheduled * lanes); w != 0; {
+			k := 63 - bits.LeadingZeros64(w)
+			put(j - 8 + k/8)
+			w &^= 1 << k
+		}
+	}
+	for j--; j >= 0; j-- {
+		if g.flags[j]&scheduled != 0 {
+			put(j)
 		}
 	}
 }
@@ -356,7 +409,7 @@ func (g *Generator) processNode(ref nodeRef) {
 	ts := &g.trees[ref.tree]
 	nodes := ts.nodes
 	v := ref.node
-	chars := g.chars[ts.leaf+int(ref.leavesBefore):]
+	flags := g.flags[ts.base:][:len(nodes)]
 
 	// The children's ranges tile nodes[v+1 .. RML(v)]. Within each, the first
 	// leaf of a string no earlier child has shown survives: the mark array
@@ -364,7 +417,6 @@ func (g *Generator) processNode(ref nodeRef) {
 	g.token++
 	g.groups = g.groups[:0]
 	g.itemsBuf = g.itemsBuf[:0]
-	leaf := 0
 	last := nodes[v].RML
 	for c, child := v+1, int32(0); c <= last; child++ {
 		lo := int32(len(g.itemsBuf))
@@ -372,18 +424,14 @@ func (g *Generator) processNode(ref nodeRef) {
 		fresh := false
 		for end := nodes[c].RML; c <= end; c++ {
 			n := &nodes[c]
-			if n.RML != c {
-				continue
-			}
-			ch := chars[leaf]
-			leaf++
-			if g.mark[n.SID] == g.token {
+			if n.RML != c || g.mark[n.SID] == g.token {
 				continue
 			}
 			g.mark[n.SID] = g.token
-			seen |= 1 << ch
+			ch := flags[c] & charMask
+			seen |= ch
 			fresh = fresh || n.SID >= g.freshID
-			g.itemsBuf = append(g.itemsBuf, item{sid: n.SID, pos: n.Pos, char: ch})
+			g.itemsBuf = append(g.itemsBuf, item{sid: n.SID, pos: n.Pos, char: seq.Code(bits.TrailingZeros8(ch))})
 		}
 		switch hi := int32(len(g.itemsBuf)); {
 		case hi == lo:
@@ -395,6 +443,7 @@ func (g *Generator) processNode(ref nodeRef) {
 	}
 
 	g.curDepth = nodes[v].Depth
+	_, g.palindrome = chosen(g.set.Str(nodes[v].SID)[nodes[v].Pos : nodes[v].Pos+g.curDepth])
 	g.gi, g.gj, g.ii, g.jj = 0, 1, 0, 0
 	g.active = len(g.groups) >= 2
 }
@@ -493,10 +542,13 @@ func (g *Generator) emit(dst []Pair, want int) []Pair {
 	return dst
 }
 
-// canonical applies the paper's duplicate-avoidance rule: a pair is reported
-// only when the string of the lower-numbered EST appears in forward
-// orientation (its reverse-complemented twin is generated — and discarded —
-// elsewhere). Pairs within a single EST are meaningless and dropped.
+// canonical puts a pair into canonical orientation, the lower-numbered
+// EST's string forward. A pair whose lower EST's string is the reverse one
+// stands for its mirror, which the unscheduled twin would have emitted: it
+// is moved onto the other strand of each string, where an anchor at pos
+// becomes one at len − pos − MatchLen. At a palindromic node that mirror is
+// a product of the node itself, so the pair is dropped (the paper's rule).
+// Pairs within a single EST are meaningless and dropped.
 func (g *Generator) canonical(a, b item) (Pair, bool) {
 	ea, eb := a.sid.EST(), b.sid.EST()
 	if ea == eb {
@@ -507,8 +559,11 @@ func (g *Generator) canonical(a, b item) (Pair, bool) {
 		a, b = b, a
 	}
 	if a.sid.IsReverse() {
-		g.stats.DiscardedOrientation++
-		return Pair{}, false
+		if g.palindrome {
+			return Pair{}, false
+		}
+		a.sid, a.pos = a.sid.Mate(), int32(len(g.set.Str(a.sid)))-a.pos-g.curDepth
+		b.sid, b.pos = b.sid.Mate(), int32(len(g.set.Str(b.sid)))-b.pos-g.curDepth
 	}
 	return Pair{
 		S1: a.sid, S2: b.sid,

@@ -108,6 +108,15 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(set, []*suffix.Tree{deep}, 5); err == nil {
 		t.Error("a scheduled node of depth 100 over an 8-base string must fail")
 	}
+	// A label running past the end of its string cannot be read.
+	past := &suffix.Tree{Nodes: []suffix.Node{
+		{Depth: 6, RML: 2, Pos: 5},
+		{Depth: 7, RML: 1, Pos: 0},
+		{Depth: 7, RML: 2, Pos: 1},
+	}}
+	if _, err := New(set, []*suffix.Tree{past}, 5); err == nil {
+		t.Error("a scheduled node labelled past the end of its string must fail")
+	}
 }
 
 func TestEmptyForest(t *testing.T) {
@@ -385,17 +394,11 @@ func TestStatsAccounting(t *testing.T) {
 	if st.NodesProcessed == 0 || st.Entries == 0 {
 		t.Errorf("stats not counting: %+v", st)
 	}
-	// Each canonical emission has a mirrored discard elsewhere
-	// (orientation rule), so discards should be of similar magnitude.
-	if st.DiscardedOrientation == 0 && st.Generated > 0 {
-		t.Error("expected orientation discards")
-	}
 }
 
 // Storage must stay linear: entries == number of deep leaves, and the
-// generator holds one byte per leaf and one order entry per scheduled node —
-// nothing per internal node, and nothing that grows with the pairs
-// generated. On deep coverage most deep internal nodes hold a single left
+// generator holds one byte per node and one order entry per scheduled node —
+// nothing that grows with the pairs generated. On deep coverage most deep internal nodes hold a single left
 // character, so fewer than half of them are scheduled.
 func TestEntriesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
@@ -407,15 +410,12 @@ func TestEntriesLinear(t *testing.T) {
 	w := 5
 	psi := 5 // every suffix-bearing node is deep
 	forest := buildForest(t, set, w)
-	// Hand-assembled trees report no cached leaf count; the generator must
-	// size its arrays from the nodes themselves.
-	bare := make([]*suffix.Tree, len(forest))
-	leaves := 0
-	for i, tr := range forest {
-		bare[i] = &suffix.Tree{Bucket: tr.Bucket, Nodes: tr.Nodes}
+	leaves, nodes := 0, 0
+	for _, tr := range forest {
 		leaves += tr.NumLeaves()
+		nodes += tr.Len()
 	}
-	g, err := New(set, bare, psi)
+	g, err := New(set, forest, psi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,9 +423,9 @@ func TestEntriesLinear(t *testing.T) {
 	if g.Stats().Entries != int64(leaves) {
 		t.Errorf("entries %d != deep leaves %d", g.Stats().Entries, leaves)
 	}
-	held := cap(g.chars) + int(unsafe.Sizeof(nodeRef{}))*cap(g.order)
-	if bound := leaves + int(unsafe.Sizeof(nodeRef{}))*len(g.order); held > bound {
-		t.Errorf("generator holds %d bytes for %d leaves and %d scheduled nodes, bound %d", held, leaves, len(g.order), bound)
+	held := cap(g.flags) + int(unsafe.Sizeof(nodeRef{}))*cap(g.order)
+	if bound := nodes + int(unsafe.Sizeof(nodeRef{}))*len(g.order); held > bound {
+		t.Errorf("generator holds %d bytes for %d nodes and %d scheduled nodes, bound %d", held, nodes, len(g.order), bound)
 	}
 
 	set, forest = deepCoverage(t, 100)

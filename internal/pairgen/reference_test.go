@@ -2,8 +2,10 @@ package pairgen
 
 // The linked-list generator the leaf-range arenas replaced, kept verbatim
 // (types renamed ref*) as the differential oracle: TestMatchesReference and
-// FuzzGeneratorMatchesReference require the production generator to emit
-// the same pair sequence and the same counters.
+// FuzzGeneratorMatchesReference hold the production generator to its pairs
+// and counters. It visits both nodes of a twin pair and drops, at emit time,
+// the copy of a pair whose lower EST's string is the reverse one; refStats
+// keeps the count of those the production generator has no counter for.
 
 import (
 	"fmt"
@@ -40,6 +42,12 @@ type refTreeState struct {
 	pool    []entry
 }
 
+// refStats is Stats plus the oracle's orientation discards.
+type refStats struct {
+	Stats
+	DiscardedOrientation int64
+}
+
 // refGenerator produces promising pairs on demand.
 type refGenerator struct {
 	set   *seq.SetS
@@ -64,7 +72,7 @@ type refGenerator struct {
 	ii, jj   int32
 	active   bool
 
-	stats Stats
+	stats refStats
 }
 
 func newRefFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*refGenerator, error) {
@@ -154,7 +162,7 @@ func (g *refGenerator) buildOrder() {
 }
 
 // Stats returns a copy of the activity counters.
-func (g *refGenerator) Stats() Stats { return g.stats }
+func (g *refGenerator) Stats() Stats { return g.stats.Stats }
 
 // Remaining reports whether more pairs may still be produced (conservative:
 // true until the final node is exhausted).

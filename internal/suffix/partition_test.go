@@ -1,0 +1,128 @@
+package suffix
+
+import (
+	"fmt"
+	"testing"
+
+	"pace/internal/seq"
+	"pace/internal/testutil"
+)
+
+// mergeOneScan is the one-goroutine merge the part-wise one replaced, kept
+// verbatim as its oracle (TestPartitionWorkerCounts): scan 1 counts the
+// fresh suffixes of each bucket (owner == nil keeps every bucket), the new
+// offsets follow by prefix sum, each bucket's old range is copied to its new
+// place, and scan 2 drops every fresh suffix behind it. It returns the fresh
+// counts. On error the table is unchanged.
+func (t *Buckets) mergeOneScan(set *seq.SetS, owner []int32, me int32, lo, hi seq.StringID) ([]int64, error) {
+	fresh := Histogram(set, t.w, lo, hi)
+	if owner != nil {
+		for b := range fresh {
+			if owner[b] != me {
+				fresh[b] = 0
+			}
+		}
+	}
+	nb := len(fresh)
+	off, err := offsets(nb, func(b int) int64 { return int64(t.off[b+1]-t.off[b]) + fresh[b] })
+	if err != nil {
+		return nil, err
+	}
+	refs := make([]SuffixRef, off[nb])
+	// From here off[b] is bucket b's write cursor: it starts behind the old
+	// range and ends, after scan 2, at the start of bucket b+1.
+	if len(t.refs) > 0 {
+		for b := 0; b < nb; b++ {
+			off[b] += int32(copy(refs[off[b]:], t.refs[t.off[b]:t.off[b+1]]))
+		}
+	}
+	for id := lo; id < hi; id++ {
+		BucketEach(set.Str(id), t.w, func(b int, pos int32) {
+			if owner != nil && owner[b] != me {
+				return
+			}
+			refs[off[b]] = SuffixRef{SID: id, Pos: pos}
+			off[b]++
+		})
+	}
+	copy(off[1:], off[:nb])
+	off[0] = 0
+	t.refs, t.off = refs, off
+	return fresh, nil
+}
+
+// The part-wise merge gives the one-scan oracle's table at every worker
+// count, batch by batch: the same refs and offsets in a scan-order table,
+// and in a sorted table the same refs, offsets and LCP bytes as at one
+// worker, where each bucket is in preorder with exact saturated LCPs. With an owner
+// mask it keeps exactly the owned buckets. The leak guard holds every part
+// to exiting.
+func TestPartitionWorkerCounts(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	for _, shape := range []int{shapeRandom, shapeDuplicates, shapeShort, shapePolyA, shapeDeep} {
+		set := diffSet(t, 43, 14, shape)
+		n2 := seq.StringID(set.NumStrings())
+		for _, w := range []int{1, 3, 5} {
+			splits := prefixSplits(int(n2))
+			for _, name := range []string{"50-25-25", "tail-by-one"} {
+				cuts := splits[name]
+				want := NewBuckets(w)
+				one := NewSortedBuckets(w)
+				scans := make([]*Buckets, len(workerCounts))
+				sorts := make([]*Buckets, len(workerCounts))
+				for i := range scans {
+					scans[i], sorts[i] = NewBuckets(w), NewSortedBuckets(w)
+				}
+				lo := seq.StringID(0)
+				for _, hi := range cuts {
+					old := want.off
+					if _, err := want.mergeOneScan(set, nil, 0, lo, hi); err != nil {
+						t.Fatal(err)
+					}
+					ids := grown(old, want.off)
+					if _, err := one.Absorb(set, lo, hi, 1); err != nil {
+						t.Fatal(err)
+					}
+					requireSortedTable(t, set, fmt.Sprintf("shape %d w %d split %s at %d, one worker", shape, w, name, hi), one, want)
+					for i, workers := range workerCounts {
+						what := fmt.Sprintf("shape %d w %d split %s at %d, %d workers", shape, w, name, hi, workers)
+						got, err := scans[i].Absorb(set, lo, hi, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if fmt.Sprint(got) != fmt.Sprint(ids) {
+							t.Fatalf("%s: touched %v, want %v", what, got, ids)
+						}
+						requireSameTable(t, what, scans[i], want)
+						if got, err = sorts[i].Absorb(set, lo, hi, workers); err != nil {
+							t.Fatal(err)
+						}
+						if fmt.Sprint(got) != fmt.Sprint(ids) {
+							t.Fatalf("%s: sorted table touched %v, want %v", what, got, ids)
+						}
+						requireSameTable(t, what+", sorted", sorts[i], one)
+						if string(sorts[i].lcp) != string(one.lcp) {
+							t.Fatalf("%s: sorted table's LCPs differ from one worker's", what)
+						}
+					}
+					lo = hi
+				}
+			}
+			// An owner mask: three owners over the whole range at once.
+			owner := Assign(Histogram(set, w, 0, n2), 3)
+			for me := int32(0); me < 3; me++ {
+				want := NewBuckets(w)
+				if _, err := want.mergeOneScan(set, owner, me, 0, n2); err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range workerCounts {
+					got := NewBuckets(w)
+					if err := got.merge(set, owner, me, 0, n2, workers); err != nil {
+						t.Fatal(err)
+					}
+					requireSameTable(t, fmt.Sprintf("shape %d w %d owner %d, %d workers", shape, w, me, workers), got, want)
+				}
+			}
+		}
+	}
+}

@@ -68,7 +68,7 @@ func refBuild(set *seq.SetS, bucket int, suffixes []SuffixRef, w int) (*Tree, er
 		}
 	}
 	b.build(suffixes, int32(w))
-	return &Tree{Bucket: bucket, Nodes: b.nodes, leaves: len(suffixes)}, nil
+	return &Tree{Bucket: bucket, Nodes: b.nodes}, nil
 }
 
 func (b *refBuilder) emitLeaf(r SuffixRef) {

@@ -16,28 +16,28 @@ func NewSortedBuckets(w int) *Buckets {
 }
 
 // absorbSorted is Absorb on a sorted table. merge lays the batch out behind
-// each bucket's old range in new arrays; each touched bucket's batch suffixes
-// are then ordered by the builder's partition, which yields their LCPs, and
-// merged with the old range (mergeInto), on a builder per chunk of at most
-// workers. On error the table is unchanged.
+// each bucket's old range in new arrays, on up to workers goroutines; each
+// touched bucket's batch suffixes are then ordered by the builder's
+// partition, which yields their LCPs, and merged with the old range
+// (mergeInto), on a builder per chunk of at most workers. On error the table
+// is unchanged.
 func (t *Buckets) absorbSorted(set *seq.SetS, lo, hi seq.StringID, workers int) ([]int32, error) {
 	next := &Buckets{w: t.w, refs: t.refs, off: t.off, sorted: true}
-	fresh, err := next.merge(set, nil, 0, lo, hi)
-	if err != nil {
+	if err := next.merge(set, nil, 0, lo, hi, workers); err != nil {
 		return nil, err
 	}
 	next.lcp = make([]uint8, len(next.refs))
-	for b := range fresh {
+	for b := 0; b+1 < len(t.off); b++ {
 		copy(next.lcp[next.off[b]:], t.lcps(b))
 	}
-	touched := bucketsWhere(len(fresh), func(b int) bool { return fresh[b] > 0 })
+	touched := grown(t.off, next.off)
 	cuts := fanout.Cuts(len(touched), workers, func(i int) int { return len(next.Refs(int(touched[i]))) })
 	// A chunk cannot fail: every check that could was passed above.
 	_ = fanout.Run(len(cuts)-1, func(k int) error {
 		ids := touched[cuts[k]:cuts[k+1]]
 		largest := 0
 		for _, b := range ids {
-			largest = max(largest, int(fresh[b]))
+			largest = max(largest, len(next.Refs(int(b)))-len(t.Refs(int(b))))
 		}
 		bld := newBuilder(set, t.w, 0, largest)
 		bld.order, bld.lcps = make([]SuffixRef, 0, largest), make([]uint8, 0, largest)

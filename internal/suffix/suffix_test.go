@@ -416,18 +416,16 @@ func TestBuildForestSkipsEmptyBuckets(t *testing.T) {
 	}
 }
 
-func TestNumLeavesCached(t *testing.T) {
+func TestNumLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	set := randomSet(t, rng, 8, 20, 60)
-	for _, tr := range buildAll(t, set, 3) {
-		if tr.leaves == 0 {
-			t.Fatalf("bucket %d: leaf count not cached at build", tr.Bucket)
-		}
-		if got, want := tr.NumLeaves(), tr.countLeaves(); got != want {
-			t.Fatalf("bucket %d: cached NumLeaves %d != scan %d", tr.Bucket, got, want)
+	const w = 3
+	table := CollectOwned(set, w, make([]int32, NumBuckets(w)), 0, 0, seq.StringID(set.NumStrings()))
+	for _, tr := range buildAll(t, set, w) {
+		if got, want := tr.NumLeaves(), len(table.Refs(tr.Bucket)); got != want {
+			t.Fatalf("bucket %d: NumLeaves %d, the bucket holds %d suffixes", tr.Bucket, got, want)
 		}
 	}
-	// A hand-assembled tree (no cache) still answers by scanning.
 	hand := &Tree{Nodes: []Node{{Depth: 3, RML: 0, SID: 0, Pos: 0}}}
 	if hand.NumLeaves() != 1 {
 		t.Errorf("hand-made tree NumLeaves = %d, want 1", hand.NumLeaves())

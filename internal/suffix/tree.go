@@ -33,9 +33,6 @@ type Tree struct {
 	// Nodes are the tree nodes in depth-first (preorder) order; Nodes[0]
 	// is the subtree root.
 	Nodes []Node
-	// leaves caches the leaf count; BuildBuckets fills it so NumLeaves need
-	// not rescan the node array on every stats call.
-	leaves int
 }
 
 // Len returns the number of nodes.
@@ -73,17 +70,8 @@ func (t *Tree) PathLabel(set *seq.SetS, i int32) seq.Sequence {
 	return set.Str(n.SID)[n.Pos : n.Pos+n.Depth]
 }
 
-// NumLeaves returns the number of leaves (i.e. suffixes) in the tree. Trees
-// from BuildBuckets answer from a count cached at construction; a tree
-// assembled by hand falls back to a scan.
+// NumLeaves returns the number of leaves (i.e. suffixes) in the tree.
 func (t *Tree) NumLeaves() int {
-	if t.leaves > 0 || len(t.Nodes) == 0 {
-		return t.leaves
-	}
-	return t.countLeaves()
-}
-
-func (t *Tree) countLeaves() int {
 	c := 0
 	for i := range t.Nodes {
 		if t.IsLeaf(int32(i)) {
@@ -381,7 +369,7 @@ func buildRange(set *seq.SetS, t *Buckets, ids []int32, forest []*Tree, headers 
 		} else if nodes, err = b.tree(refs); err != nil {
 			return err
 		}
-		headers[i] = Tree{Bucket: int(id), Nodes: nodes, leaves: len(refs)}
+		headers[i] = Tree{Bucket: int(id), Nodes: nodes}
 		forest[i] = &headers[i]
 	}
 	return nil
