@@ -128,13 +128,13 @@ func rankWorkers(cfg Config) int {
 	return max(1, runtime.GOMAXPROCS(0)/max(1, cfg.MP.Procs-1))
 }
 
-// setUp is every rank's job on its buckets (§3.1–3.2): build the listed
-// buckets of table on up to workers goroutines, cut the forest into at most
-// workers contiguous chunks of near-equal node count, and set up one
-// generator per chunk, concurrently, observed by generated. The chunks
-// partition the forest's nodes, so the generators together emit the whole
-// forest's pairs. It also returns the build (construct) and the set-up
-// (sort) times on clk.
+// setUp is every rank's job on its buckets (§3.1–3.2): order the listed
+// buckets of table on up to workers goroutines (construct), cut the forest
+// into at most workers contiguous chunks of near-equal suffix count, and set
+// up one generator per chunk, concurrently, observed by generated (sort).
+// The chunks partition the forest's suffixes, so the generators together
+// emit the whole forest's pairs. It also returns the construct and the sort
+// times on clk.
 func setUp(set *seq.SetS, cfg Config, table *suffix.Buckets, ids []int32, workers int, generated *telemetry.Counter, clk func() time.Duration) (gens []*pairgen.Generator, construct, sort time.Duration, err error) {
 	t0 := clk()
 	forest, err := suffix.BuildBuckets(set, table, ids, workers)
@@ -142,7 +142,7 @@ func setUp(set *seq.SetS, cfg Config, table *suffix.Buckets, ids []int32, worker
 		return nil, 0, 0, err
 	}
 	t1 := clk()
-	cuts := fanout.Cuts(len(forest), workers, func(i int) int { return len(forest[i].Nodes) })
+	cuts := fanout.Cuts(len(forest), workers, func(i int) int { return len(forest[i].Refs()) })
 	gens = make([]*pairgen.Generator, len(cuts)-1)
 	err = fanout.Run(len(gens), func(k int) error {
 		gen, err := pairgen.NewFresh(set, forest[cuts[k]:cuts[k+1]], cfg.Psi, cfg.FreshGen)

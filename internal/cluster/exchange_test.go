@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ import (
 )
 
 // sameForest fails unless the two forests hold the same buckets with the same
-// nodes, element for element.
+// suffixes and LCP bytes, element for element.
 func sameForest(t *testing.T, what string, got, want []*suffix.Tree) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -25,13 +26,8 @@ func sameForest(t *testing.T, what string, got, want []*suffix.Tree) {
 	}
 	for i, g := range got {
 		w := want[i]
-		if g.Bucket != w.Bucket || len(g.Nodes) != len(w.Nodes) {
-			t.Fatalf("%s: tree %d is bucket %d with %d nodes, want bucket %d with %d", what, i, g.Bucket, len(g.Nodes), w.Bucket, len(w.Nodes))
-		}
-		for k := range g.Nodes {
-			if g.Nodes[k] != w.Nodes[k] {
-				t.Fatalf("%s: bucket %d node %d = %+v, want %+v", what, g.Bucket, k, g.Nodes[k], w.Nodes[k])
-			}
+		if g.Bucket != w.Bucket || !slices.Equal(g.Refs(), w.Refs()) || !slices.Equal(g.LCP(), w.LCP()) {
+			t.Fatalf("%s: tree %d is bucket %d with %d suffixes, want bucket %d with %d, or other suffixes or LCPs", what, i, g.Bucket, len(g.Refs()), w.Bucket, len(w.Refs()))
 		}
 	}
 }
@@ -39,7 +35,7 @@ func sameForest(t *testing.T, what string, got, want []*suffix.Tree) {
 // TestExchangeSuffixesMatchesLocalCollection runs the real redistribution —
 // prologue, sends, scatter on arrival — at 2 and 3 slaves on both transports
 // and requires every slave's forest to be the one a local scan of the whole
-// set collects for that slave (which internal/suffix checks node for node
+// set collects for that slave (which internal/suffix checks leaf for leaf
 // against the map-based oracle). On the real transport the slaves scatter
 // concurrently, so `go test -race` watches the tables being filled.
 func TestExchangeSuffixesMatchesLocalCollection(t *testing.T) {

@@ -18,14 +18,11 @@ import (
 // final partition is identical to a from-scratch run over the union.
 
 // BucketCache carries the suffix table across the sequential runs of a
-// session: every suffix seen so far, in one sorted suffix.Buckets, each
-// bucket in suffix order with one LCP byte per suffix. The table grows as
-// generations arrive — each batch's strings are scanned once, and only
-// their suffixes are ordered and merged in — and its trees, written from
-// (refs, LCP) in one pass, are node for node those a from-scratch build
-// makes. Only the table is kept. No subtree outlives the run that built it:
-// a bucket a batch does not touch cannot yield a fresh pair and is not built
-// at all, and a touched bucket is written anew from its merged range.
+// session: every suffix seen so far in one suffix.Buckets, each bucket in
+// suffix order with one LCP byte per suffix. A batch's strings are scanned
+// once and laid out behind the buckets they touch; the run's construction
+// phase orders them in, and only those buckets are read. A bucket a batch
+// does not touch cannot yield a fresh pair and is not read at all.
 //
 // The cache is single-goroutine state owned by its session; it is not safe
 // for concurrent runs.
@@ -50,12 +47,12 @@ func (bc *BucketCache) Buckets() int {
 	return len(bc.table.NonEmpty())
 }
 
-// absorb merges the suffixes of strings [bc.scanned, hi) into the table and
+// absorb lays the suffixes of strings [bc.scanned, hi) out in the table and
 // returns, in ascending order, the ids of buckets that received any.
 func (bc *BucketCache) absorb(set *seq.SetS, w int, hi seq.StringID) ([]int32, error) {
 	if bc.w == 0 {
 		bc.w = w
-		bc.table = suffix.NewSortedBuckets(w)
+		bc.table = suffix.NewBuckets(w)
 	}
 	if bc.w != w {
 		return nil, fmt.Errorf("cluster: bucket cache was built with window %d, run uses %d", bc.w, w)
@@ -73,10 +70,10 @@ func (bc *BucketCache) absorb(set *seq.SetS, w int, hi seq.StringID) ([]int32, e
 }
 
 // Truncate rolls the cache back so it covers only strings with id < hi —
-// the inverse of absorb for a failed batch run: the table is left equal to
-// one that never saw the dropped strings, so the retried batch rebuilds the
-// same subtrees a first attempt would. A no-op when hi >= the scanned high
-// mark.
+// the inverse of absorb for a failed batch run, whether it failed before or
+// after ordering the batch: the table is left equal to one that never saw
+// the dropped strings, so the retried batch orders the same buckets a first
+// attempt would. A no-op when hi >= the scanned high mark.
 func (bc *BucketCache) Truncate(hi seq.StringID) {
 	if hi >= bc.scanned {
 		return
@@ -85,22 +82,25 @@ func (bc *BucketCache) Truncate(hi seq.StringID) {
 	bc.scanned = hi
 }
 
-// Warm scans and sorts every string of set into the cache without building
-// any subtrees — the state a resumed session needs so that its next batch
-// rebuilds only the buckets the batch touches.
+// Warm scans every string of set into the cache and orders every bucket —
+// the state a resumed session needs so that its next batch orders only the
+// buckets the batch touches.
 func (bc *BucketCache) Warm(set *seq.SetS, w int) error {
-	_, err := bc.absorb(set, w, seq.StringID(set.NumStrings()))
+	if _, err := bc.absorb(set, w, seq.StringID(set.NumStrings())); err != nil {
+		return err
+	}
+	_, err := suffix.BuildBuckets(set, bc.table, bc.table.NonEmpty(), runtime.GOMAXPROCS(0))
 	return err
 }
 
-// sequentialTable is the sequential engine's partition phase. It scans the
-// strings the bucket table has not seen and returns the table and the ids,
-// ascending, of the buckets they touched — the buckets to build. Without a
-// Cache the table is run-local and in scan order: it first absorbs the
-// strings before FreshGen, so the second absorb touches exactly the buckets
-// the fresh generations reach (every non-empty bucket in a one-shot run,
+// sequentialTable is the sequential engine's partition phase. It lays out
+// the strings the bucket table has not seen and returns the table and the
+// ids, ascending, of the buckets they touched — the buckets to order and
+// read. Without a Cache the table is run-local: it first absorbs the strings
+// before FreshGen, so the second absorb touches exactly the buckets the
+// fresh generations reach (every non-empty bucket in a one-shot run,
 // FreshGen == 0). An untouched bucket cannot contain a fresh pair, so it is
-// not built.
+// never ordered.
 func sequentialTable(set *seq.SetS, cfg Config) (*suffix.Buckets, []int32, error) {
 	bc := cfg.Cache
 	if bc == nil {

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"pace/internal/seq"
+	"pace/internal/suffix"
 	"pace/internal/testutil"
 )
 
@@ -335,49 +337,62 @@ func sameCacheTable(t *testing.T, what string, got, want *BucketCache) {
 // TestCacheTruncateIsInverseOfAbsorb checks the rollback at the table level:
 // absorb A, absorb B, truncate to A leaves exactly the table of a cache that
 // only ever saw A — for an empty A, for an A so short that the cut empties
-// buckets, and for a B of one EST.
+// buckets, and for a B of one EST — whether or not each absorb's buckets
+// were ordered, as a run's construction phase orders them, before the cut.
 func TestCacheTruncateIsInverseOfAbsorb(t *testing.T) {
 	b := benchSet(t, 40, 4, 17)
 	const w = 5
-	for _, cutESTs := range []int{0, 1, len(b.ESTs) / 2, len(b.ESTs) - 1} {
-		set, err := seq.NewSetS(b.ESTs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cut := seq.Forward(seq.ESTID(cutESTs))
-		n2 := seq.StringID(set.NumStrings())
-
-		onlyA := NewBucketCache()
-		if _, err := onlyA.absorb(set, w, cut); err != nil {
-			t.Fatal(err)
-		}
-		cache := NewBucketCache()
-		var fresh int
-		for _, hi := range []seq.StringID{cut, (cut + n2) / 2, n2} {
-			touched, err := cache.absorb(set, w, hi)
+	for _, ordered := range []bool{false, true} {
+		for _, cutESTs := range []int{0, 1, len(b.ESTs) / 2, len(b.ESTs) - 1} {
+			set, err := seq.NewSetS(b.ESTs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh = len(touched)
-		}
-		if fresh == 0 || cache.table.Len() <= onlyA.table.Len() {
-			t.Fatalf("cut %d: the batches after the cut added nothing (%d suffixes vs %d)", cutESTs, cache.table.Len(), onlyA.table.Len())
-		}
-		cache.Truncate(cut)
-		sameCacheTable(t, "truncated", cache, onlyA)
+			cut := seq.Forward(seq.ESTID(cutESTs))
+			n2 := seq.StringID(set.NumStrings())
+			// absorb is a run's partition phase and, if ordered, its
+			// construction phase.
+			absorb := func(c *BucketCache, hi seq.StringID) []int32 {
+				t.Helper()
+				touched, err := c.absorb(set, w, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ordered {
+					if _, err := suffix.BuildBuckets(set, c.table, touched, 2); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return touched
+			}
 
-		// The rolled-back cache absorbs the batch again as if for the first time.
-		again, err := cache.absorb(set, w, n2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		whole := NewBucketCache()
-		if err := whole.Warm(set, w); err != nil {
-			t.Fatal(err)
-		}
-		sameCacheTable(t, "re-absorbed", cache, whole)
-		if cutESTs == 0 && len(again) != whole.Buckets() {
-			t.Errorf("re-absorbing everything touched %d of %d buckets", len(again), whole.Buckets())
+			onlyA := NewBucketCache()
+			absorb(onlyA, cut)
+			cache := NewBucketCache()
+			var fresh int
+			for _, hi := range []seq.StringID{cut, (cut + n2) / 2, n2} {
+				fresh = len(absorb(cache, hi))
+			}
+			if fresh == 0 || cache.table.Len() <= onlyA.table.Len() {
+				t.Fatalf("cut %d: the batches after the cut added nothing (%d suffixes vs %d)", cutESTs, cache.table.Len(), onlyA.table.Len())
+			}
+			cache.Truncate(cut)
+			sameCacheTable(t, fmt.Sprintf("ordered=%v truncated", ordered), cache, onlyA)
+
+			// The rolled-back cache absorbs the batch again as if for the
+			// first time, and orders into the table Warm makes.
+			again := absorb(cache, n2)
+			if _, err := suffix.BuildBuckets(set, cache.table, cache.table.NonEmpty(), 1); err != nil {
+				t.Fatal(err)
+			}
+			whole := NewBucketCache()
+			if err := whole.Warm(set, w); err != nil {
+				t.Fatal(err)
+			}
+			sameCacheTable(t, fmt.Sprintf("ordered=%v re-absorbed", ordered), cache, whole)
+			if cutESTs == 0 && len(again) != whole.Buckets() {
+				t.Errorf("re-absorbing everything touched %d of %d buckets", len(again), whole.Buckets())
+			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"pace/internal/fanout"
@@ -142,18 +141,21 @@ func longestByStrings(pairs []Pair) map[stringPair]int32 {
 }
 
 // requireSameAsReference drains the production generator at every batch
-// size in diffBatches and the linked-list oracle over one forest. Where no
-// string holds a label twice (repeatFree) it requires the oracle's pair
-// multiset, positions included, and its Generated count; elsewhere it
-// requires the same string pairs, each with the same longest MatchLen (a
-// twin may keep another occurrence of a repeated label, so anchors and
-// counts may move). Either way the sequence must not depend on the batch
-// size, match lengths must not increase, Remaining must turn false exactly
-// when a call comes back short, and the node and entry counts must equal
-// the oracle's.
+// size in diffBatches and both oracles over one forest, the oracles over its
+// node trees. The node-array generator's pair sequence and counters must be
+// the production generator's exactly, pair for pair. Against the linked-list
+// oracle, where no string holds a label twice (repeatFree), it requires the
+// oracle's pair multiset, positions included, and its Generated count;
+// elsewhere it requires the same string pairs, each with the same longest
+// MatchLen (a twin may keep another occurrence of a repeated label, so
+// anchors and counts may move). Either way the sequence must not depend on
+// the batch size, match lengths must not increase, Remaining must turn false
+// exactly when a call comes back short, and the node and entry counts must
+// equal the oracle's.
 func requireSameAsReference(t testing.TB, set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) {
 	t.Helper()
-	ref, err := newRefFresh(set, forest, psi, fresh)
+	nodes := nodesOf(set, forest)
+	ref, err := newRefFresh(set, nodes, psi, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +186,7 @@ func requireSameAsReference(t testing.TB, set *seq.SetS, forest []*suffix.Tree, 
 		}
 		if batch == diffBatches[0] {
 			first = got
+			requireSameAsNodeGenerator(t, set, nodes, psi, fresh, got, g.Stats())
 		} else if !slices.Equal(got, first) {
 			t.Fatalf("%s: the pair sequence depends on the batch size", what)
 		}
@@ -206,6 +209,28 @@ func requireSameAsReference(t testing.TB, set *seq.SetS, forest []*suffix.Tree, 
 	}
 	if g, r := longestByStrings(first), longestByStrings(want); !maps.Equal(g, r) {
 		t.Fatalf("fresh=%d: %d string pairs with their longest matches, reference %d, or other ones", fresh, len(g), len(r))
+	}
+}
+
+// requireSameAsNodeGenerator fails unless the node-array generator, drained
+// over the node trees, emits got, pair for pair, and counts stats.
+func requireSameAsNodeGenerator(t testing.TB, set *seq.SetS, nodes []*nodeTree, psi int, fresh seq.Gen, got []Pair, stats Stats) {
+	t.Helper()
+	ng, err := newNodeFresh(set, nodes, psi, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ng.Next(nil, math.MaxInt)
+	if len(got) != len(want) {
+		t.Fatalf("fresh=%d: %d pairs, the node-array generator %d", fresh, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("fresh=%d: pair %d is %+v, the node-array generator's is %+v", fresh, i, got[i], want[i])
+		}
+	}
+	if stats != ng.Stats() {
+		t.Fatalf("fresh=%d: stats %+v, the node-array generator's %+v", fresh, stats, ng.Stats())
 	}
 }
 
@@ -270,9 +295,11 @@ func checkMatchesReference(t testing.TB, seed int64, n, w, extraPsi, shape uint8
 	}
 }
 
-// TestMatchesReference sweeps every input shape through the differential
-// property: the leaf-range generator must reproduce the linked-list
-// generator's pair sequence and counters exactly, full and fresh mode.
+// TestMatchesReference sweeps every input shape, and reads whose LCPs
+// saturate, through the differential property: the generator must emit the
+// node-array generator's pair sequence and counters exactly and agree with
+// the linked-list generator as requireSameAsReference says, full and fresh
+// mode.
 func TestMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2002))
 	trials := 40
@@ -281,6 +308,29 @@ func TestMatchesReference(t *testing.T) {
 	}
 	for i := 0; i < trials; i++ {
 		checkMatchesReference(t, rng.Int63(), uint8(6+rng.Intn(30)), uint8(rng.Intn(4)), uint8(rng.Intn(12)), uint8(i%numShapes))
+	}
+	// Reads sharing runs past the 255 at which LCP bytes saturate: copies
+	// of one 600-base read, windows of it, copies with one substitution near
+	// position 255, and 300-base poly(A) tails.
+	base := randomESTs(rng, 1, 600, 600)[0]
+	mutated := func(at int) seq.Sequence {
+		s := base.Clone()
+		s[at] = (s[at] + 1) % seq.AlphabetSize
+		return s
+	}
+	tail := make(seq.Sequence, 300) // all seq.A
+	set, err := seq.NewSetS([]seq.Sequence{base, base[100:].Clone(), mutated(254), append(base[:40].Clone(), tail...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := set.Append([]seq.Sequence{base.Clone(), mutated(255), mutated(256), append(base[500:].Clone(), tail...), tail.Clone()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest := buildForest(t, set, 6)
+	for _, psi := range []int{20, 256, 300} {
+		requireSameAsReference(t, set, forest, psi, 0)
+		requireSameAsReference(t, set, forest, psi, gen)
 	}
 }
 
@@ -361,11 +411,37 @@ func invariantForests(t *testing.T, visit func(name string, set *seq.SetS, fores
 	visit("20x coverage", set, buildForest(t, set, 8), 20, gen)
 }
 
+// scheduledNodes maps every node g schedules to the node of its node tree:
+// the internal node whose second child starts at the scheduled leaf.
+func scheduledNodes(g *Generator, nodes []*nodeTree) map[treeNodeRef]nodeRef {
+	out := map[treeNodeRef]nodeRef{}
+	second := make([]map[int32]int32, len(nodes)) // per tree: leaf -> node
+	for ti, tr := range nodes {
+		before := make([]int32, tr.Len()+1) // leaves among Nodes[:k]
+		for k := range tr.Nodes {
+			before[k+1] = before[k]
+			if tr.IsLeaf(int32(k)) {
+				before[k+1]++
+			}
+		}
+		second[ti] = map[int32]int32{}
+		for v := int32(0); v < int32(tr.Len()); v++ {
+			if !tr.IsLeaf(v) {
+				second[ti][before[tr.NextSibling(v+1, v)]] = v
+			}
+		}
+	}
+	for _, r := range g.order {
+		out[treeNodeRef{tree: r.tree, node: second[r.tree][r.at]}] = r
+	}
+	return out
+}
+
 // lsetLeaves computes the lsets of node v by Algorithm 1's own definition,
 // bottom-up: a leaf's is itself, an internal node's the concatenation of its
 // children's with every string kept once, first child first. It returns the
 // surviving leaves child by child.
-func lsetLeaves(tr *suffix.Tree, v int32) [][]int32 {
+func lsetLeaves(tr *nodeTree, v int32) [][]int32 {
 	if tr.IsLeaf(v) {
 		return [][]int32{{v}}
 	}
@@ -388,7 +464,7 @@ func lsetLeaves(tr *suffix.Tree, v int32) [][]int32 {
 
 // hasProducts reports whether, under the brute-force lsets, node v has two
 // entries in different children whose left characters differ or are both λ.
-func hasProducts(set *seq.SetS, tr *suffix.Tree, v int32) bool {
+func hasProducts(set *seq.SetS, tr *nodeTree, v int32) bool {
 	children := lsetLeaves(tr, v)
 	for i, a := range children {
 		for _, b := range children[i+1:] {
@@ -420,16 +496,19 @@ func TestUnscheduledNodesWithProductsHaveScheduledTwins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inOrder := map[[2]int32]bool{}
+			nodes := nodesOf(set, forest)
+			inOrder := scheduledNodes(g, nodes)
 			labels := map[string]bool{}
-			for _, ref := range g.order {
-				inOrder[[2]int32{ref.tree, ref.node}] = true
-				labels[forest[ref.tree].PathLabel(set, ref.node).String()] = true
+			for ref := range inOrder {
+				labels[nodes[ref.tree].PathLabel(set, ref.node).String()] = true
+			}
+			if len(inOrder) != len(g.order) {
+				t.Fatalf("%s fresh=%d: %d scheduled nodes name %d tree nodes", name, fresh, len(g.order), len(inOrder))
 			}
 			dropped, twinned := 0, 0
-			for ti, tr := range forest {
+			for ti, tr := range nodes {
 				for v := int32(0); v < int32(tr.Len()); v++ {
-					if tr.IsLeaf(v) || tr.Nodes[v].Depth < int32(psi) || inOrder[[2]int32{int32(ti), v}] {
+					if _, ok := inOrder[treeNodeRef{int32(ti), v}]; ok || tr.IsLeaf(v) || tr.Nodes[v].Depth < int32(psi) {
 						continue
 					}
 					dropped++
@@ -458,7 +537,7 @@ func TestUnscheduledNodesWithProductsHaveScheduledTwins(t *testing.T) {
 }
 
 // TestScheduledNodesAreBalanced holds the choice between twins to its
-// purpose: setUp cuts the forest into chunks of near-equal node count, and
+// purpose: setUp cuts the forest into chunks of near-equal suffix count, and
 // each chunk's generator must then get a near-equal share of the scheduled
 // nodes, within ±15 % of the mean at 2 and 4 workers. A choice that kept
 // the smaller of L and rc(L) would give A-prefixed buckets 7/8 of their
@@ -466,7 +545,7 @@ func TestUnscheduledNodesWithProductsHaveScheduledTwins(t *testing.T) {
 func TestScheduledNodesAreBalanced(t *testing.T) {
 	set, forest := deepCoverage(t, 400)
 	for _, workers := range []int{2, 4} {
-		cuts := fanout.Cuts(len(forest), workers, func(i int) int { return len(forest[i].Nodes) })
+		cuts := fanout.Cuts(len(forest), workers, func(i int) int { return len(forest[i].Refs()) })
 		counts := make([]int, len(cuts)-1)
 		total := 0
 		for k := range counts {
@@ -498,17 +577,15 @@ func TestGroupsAreLeafRangeCuts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := newRefFresh(set, forest, psi, fresh)
+			nodes := nodesOf(set, forest)
+			ref, err := newRefFresh(set, nodes, psi, fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scheduled := map[[2]int32]nodeRef{}
-			for _, r := range g.order {
-				scheduled[[2]int32{r.tree, r.node}] = r
-			}
+			scheduled := scheduledNodes(g, nodes)
 			for _, r := range ref.order {
 				ref.processNode(r) // every node, in order: the oracle's lsets are built bottom-up
-				at, ok := scheduled[[2]int32{r.tree, r.node}]
+				at, ok := scheduled[r]
 				if !ok {
 					continue
 				}
@@ -573,7 +650,7 @@ func requireChunksCover(t *testing.T, what string, set *seq.SetS, forest []*suff
 	want := whole.Next(nil, math.MaxInt)
 	slices.SortFunc(want, comparePairs)
 	for _, chunks := range chunkCounts {
-		cuts := fanout.Cuts(len(forest), chunks, func(i int) int { return len(forest[i].Nodes) })
+		cuts := fanout.Cuts(len(forest), chunks, func(i int) int { return len(forest[i].Refs()) })
 		var got []Pair
 		var sum Stats
 		for k := 0; k+1 < len(cuts); k++ {
@@ -609,22 +686,4 @@ func requireChunksCover(t *testing.T, what string, set *seq.SetS, forest []*suff
 func comparePairs(a, b Pair) int {
 	return cmp.Or(cmp.Compare(a.S1, b.S1), cmp.Compare(a.S2, b.S2), cmp.Compare(a.Pos1, b.Pos1),
 		cmp.Compare(a.Pos2, b.Pos2), cmp.Compare(a.MatchLen, b.MatchLen))
-}
-
-// A forest with several malformed trees fails with the error the reverse
-// pass meets first: the last tree's.
-func TestSetupFailsAtLastMalformedTree(t *testing.T) {
-	set := mustSet(t, "ACGTACGT")
-	bad := func(depth int32) *suffix.Tree {
-		return &suffix.Tree{Nodes: []suffix.Node{
-			{Depth: depth, RML: 2},
-			{Depth: depth + 1, RML: 1, Pos: 0},
-			{Depth: depth + 1, RML: 2, Pos: 1},
-		}}
-	}
-	leaf := &suffix.Tree{Nodes: []suffix.Node{{Depth: 8, RML: 0}}}
-	forest := []*suffix.Tree{bad(100), leaf, bad(200), leaf, bad(300), leaf}
-	if _, err := NewFresh(set, forest, 5, 0); err == nil || !strings.Contains(err.Error(), "depth 300 ") {
-		t.Fatalf("got %v, want the last malformed tree's error", err)
-	}
 }

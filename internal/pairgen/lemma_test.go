@@ -40,7 +40,8 @@ func longestCommon(set *seq.SetS, psi int32, freshID seq.StringID) map[stringPai
 // length >= psi (Lemma 1); every canonical string pair with a common
 // substring of length >= psi is generated (Lemma 3), and its first pair
 // carries the longest one; and match lengths never increase along the drain
-// (the greedy order).
+// (the greedy order). The drain is also the node-array generator's, pair for
+// pair.
 func checkLemmas(t testing.TB, seed int64, n, w, extraPsi, shape uint8) {
 	t.Helper()
 	window := 3 + int(w%4)
@@ -55,6 +56,7 @@ func checkLemmas(t testing.TB, seed int64, n, w, extraPsi, shape uint8) {
 		t.Fatal(err)
 	}
 	forest := buildForest(t, set, window)
+	nodes := nodesOf(set, forest)
 	for _, fresh := range []seq.Gen{0, gen} {
 		what := fmt.Sprintf("seed=%d n=%d w=%d psi=%d shape=%d fresh=%d", seed, n%40, window, psi, shape%numShapes, fresh)
 		g, err := NewFresh(set, forest, psi, fresh)
@@ -65,6 +67,7 @@ func checkLemmas(t testing.TB, seed int64, n, w, extraPsi, shape uint8) {
 		want := longestCommon(set, int32(psi), freshID)
 		first := map[stringPair]int32{}
 		pairs := g.Next(nil, math.MaxInt)
+		requireSameAsNodeGenerator(t, set, nodes, psi, fresh, pairs, g.Stats())
 		for i, p := range pairs {
 			if i > 0 && p.MatchLen > pairs[i-1].MatchLen {
 				t.Fatalf("%s: pair %d is %d long after one of %d", what, i, p.MatchLen, pairs[i-1].MatchLen)

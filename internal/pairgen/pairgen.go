@@ -11,27 +11,30 @@
 // maximal common substring is the node's path label (Lemma 1).
 //
 // The paper keeps lsets as linked lists, concatenated bottom-up in O(1).
-// This package keeps no lsets. In the DFS array a node's leaves are a
-// contiguous preorder range that never moves, and an entry survives the
-// dedup of every node from its leaf up to v exactly when it is the
-// preorder-first leaf of its string inside v's range. So v's groups are cut
-// from nodes[v+1 .. RML(v)] at the moment v is processed: walk the range
-// child by child, keep the first leaf of each string, stable-sort each
-// child's survivors by left character — the order list concatenation gave,
-// so the emitted pair sequence is the linked version's (reference_test.go
-// keeps that version as the oracle). The only per-node state is one byte:
-// the left characters beneath the node, and a leaf's own.
+// This package keeps no lsets, and no nodes either: a tree is its bucket's
+// suffixes in suffix order with their LCPs (package suffix), and an internal
+// node is an LCP interval, whose leaves are a contiguous range that never
+// moves. An entry survives the dedup of every node from its leaf up to v
+// exactly when it is the first leaf of its string inside v's range. So v's
+// groups are cut from the range at the moment v is processed: walk it child
+// by child, a child ending where the LCP equals v's depth, keep the first
+// leaf of each string, stable-sort each child's survivors by left
+// character — the order list concatenation gave, so the emitted pair
+// sequence is the linked version's (reference_test.go keeps that version,
+// and the node-array generator this one replaced, as oracles). The only
+// per-suffix state is one byte: the leaf's left character.
 //
 // Nothing is maintained for a node's ancestors, so a node that cannot emit is
-// not visited. Construction ORs the left characters beneath every node from
-// children into parents and schedules only nodes under which two characters,
-// or λ, occur (two groups pair only when their characters differ or are both
-// λ) and, in fresh-only mode, a leaf of the current batch. A scheduled node
-// costs the length of its leaf range, dead entries included, where the lists
-// cost the survivors: the total is bounded by the sum over deep leaves of
-// their deep-ancestor counts — at most d − ψ + 1 for a leaf at depth d — and
-// long homopolymer runs approach it (DESIGN.md §1). Storage is
-// 1 B per node and 8 B per scheduled node, allocated once per forest.
+// not visited. Construction finds the intervals of depth >= ψ in one stack
+// pass per tree, ORs the left characters beneath each from its children,
+// and schedules only those under which two characters, or λ, occur (two
+// groups pair only when their characters differ or are both λ) and, in
+// fresh-only mode, a leaf of the current batch. A scheduled node costs the
+// length of its leaf range, dead entries included, where the lists cost the
+// survivors: the total is bounded by the sum over deep leaves of their deep-
+// ancestor counts — at most d − ψ + 1 for a leaf at depth d — and long
+// homopolymer runs approach it (DESIGN.md §1). Storage is 1 B per suffix,
+// 8 B per scheduled node and 4 B per tree, allocated once per forest.
 // Subtrees are independent, so generators over disjoint chunks of a forest
 // together emit exactly the whole forest's pairs and counters; the
 // sequential engine gives each of its workers one.
@@ -104,19 +107,22 @@ type Stats struct {
 	Entries int64
 }
 
-// treeState locates one tree's share of the generator's flags.
-type treeState struct {
-	// nodes is the tree's node array, held directly so that reaching a node
-	// costs no load of the Tree in between.
-	nodes []suffix.Node
-	// base is the tree's offset into flags; int, so a forest of more than
-	// 2³¹ nodes cannot wrap.
-	base int
+// depthCmp compares the exact LCP at leaf i of t, whose LCP bytes are lcp,
+// with d: negative, zero or positive. A saturated byte is finished only when
+// d could equal it.
+func depthCmp(t *suffix.Tree, lcp []uint8, i, d int32) int32 {
+	h := int32(lcp[i])
+	if h == suffix.MaxLCP && d >= suffix.MaxLCP {
+		h = t.LCPAt(int(i))
+	}
+	return h - d
 }
 
-// nodeRef addresses one internal node in the forest.
+// nodeRef addresses one scheduled node: the first leaf after its first
+// child, which is where the LCP first equals its depth. No other node
+// starts a second child there, so the leaf names the node.
 type nodeRef struct {
-	tree, node int32
+	tree, at int32
 }
 
 // group is one (child, left-character) lset cut from the leaf range of the
@@ -140,29 +146,39 @@ type item struct {
 	char seq.Code
 }
 
-// Per-node flags: the left characters beneath the node in the low
-// seq.NumLeftChars bits — for a leaf its own, once its parent is deep —
-// then whether a leaf of the current batch is beneath it, whether the node
-// goes into order, and whether it is a leaf.
+// Per-leaf flags: the leaf's left character in the low seq.NumLeftChars
+// bits, once its parent is deep, and whether a scheduled node starts its
+// second child at the leaf. On the construction pass's stack the same low
+// bits hold the left characters beneath an open node, and freshBit whether
+// a leaf of the current batch is beneath it.
 const (
 	charMask  = 1<<seq.NumLeftChars - 1
 	freshBit  = 1 << seq.NumLeftChars
 	scheduled = freshBit << 1
-	leafBit   = scheduled << 1
 )
+
+// open is a node the construction pass has entered and not yet left.
+type open struct {
+	depth int32
+	at    int32 // the leaf its second child starts at
+	below uint8 // charMask and freshBit bits of the children closed so far
+}
 
 // Generator produces promising pairs on demand.
 type Generator struct {
 	// set gives string lengths, which mirroring a pair needs.
 	set   *seq.SetS
 	psi   int32
-	trees []treeState
+	trees []*suffix.Tree
+	// base[t] is where tree t's leaves start in flags. A table holds at most
+	// math.MaxInt32 suffixes, so int32 offsets cannot wrap.
+	base []int32
 	// freshID is the fresh-only threshold: pairs whose strings both have an
 	// id below it are suppressed (0 emits everything). Generations are
 	// monotone in string id, so freshness is a single comparison.
 	freshID seq.StringID
 
-	// flags holds every node's flags, tree after tree in preorder.
+	// flags holds every leaf's flags, tree after tree in suffix order.
 	flags []uint8
 
 	// order lists the internal nodes of depth >= ψ that can emit a pair,
@@ -202,7 +218,7 @@ func (g *Generator) Observe(generated *telemetry.Counter) {
 // whose maximal common substring is shorter than w would be silently lost;
 // the caller is responsible for that invariant (it is validated by the
 // clustering layer). Only bench/shadow.go calls it outside tests, and
-// ROADMAP item 11 deletes it with the shadow.
+// ROADMAP item 22(b) deletes it with the shadow.
 func New(set *seq.SetS, forest []*suffix.Tree, psi int) (*Generator, error) {
 	return NewFresh(set, forest, psi, 0)
 }
@@ -222,7 +238,8 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 		set:   set,
 		psi:   int32(psi),
 		mark:  make([]int32, set.NumStrings()),
-		trees: make([]treeState, len(forest)),
+		trees: forest,
+		base:  make([]int32, len(forest)),
 		// Sized past their first doublings, which would otherwise be most of
 		// a drain's allocations.
 		groups:   make([]group, 0, 16),
@@ -231,30 +248,32 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 	if fresh > 0 {
 		g.freshID = set.GenStartString(fresh)
 	}
-	nodes := 0
+	leaves := 0
 	for ti, t := range forest {
-		g.trees[ti] = treeState{nodes: t.Nodes, base: nodes}
-		nodes += len(t.Nodes)
+		g.base[ti] = int32(leaves)
+		leaves += len(t.Refs())
 	}
-	g.flags = make([]uint8, nodes)
-	// A path label is a substring, so no node is deeper than the longest
+	g.flags = make([]uint8, leaves)
+	// A node's label is a substring, so no node is deeper than the longest
 	// string is long.
 	longest := 0
 	for id := 0; id < set.NumStrings(); id++ {
 		longest = max(longest, len(set.Str(seq.StringID(id))))
 	}
 	byDepth := make([]int, longest+1)
-	total, err := g.mask(byDepth)
-	if err != nil {
-		return nil, err
+	var stack []open
+	total := 0
+	for ti, t := range forest {
+		total += g.mask(t, g.flags[g.base[ti]:][:len(t.Refs())], &stack, byDepth)
 	}
+	g.stats.NodesProcessed += g.stats.Entries
 
 	// Counting-sort the scheduled nodes by decreasing string-depth, breaking
-	// ties by descending position in the forest so that children (which
-	// follow their parent in preorder and are deeper) come before their
-	// parent. The sort is the O(sorting) term of the paper's Lemma 4.
-	// Prefix-sum from the deepest down so larger depths come first; place
-	// then walks the forest in reverse, putting higher positions first.
+	// ties by descending position in the forest. Two nodes of equal depth
+	// are disjoint, so this is descending (tree, left boundary): the
+	// preorder tie order. The sort is the O(sorting) term of the paper's
+	// Lemma 4. Prefix-sum from the deepest down so larger depths come first;
+	// place then walks the forest in reverse, putting higher positions first.
 	g.order = make([]nodeRef, total)
 	acc := 0
 	for d := longest; d >= 0; d-- {
@@ -264,68 +283,74 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 	return g, nil
 }
 
-// mask is construction's reverse pass — children before parents: it ORs
-// the characters beneath each deep internal node out of its children's
-// flags, reading a leaf child's own left character there, and marks and
-// histograms by depth the nodes to schedule, returning how many there are.
-// A leaf under a shallow parent is under no deep node, so its character is
-// never read. With no fresh generation every string id is >= freshID, so
-// every leaf counts as fresh and the second condition is vacuous.
-func (g *Generator) mask(byDepth []int) (int, error) {
+// mask is construction's pass over one tree, left to right with a stack of
+// the open nodes of depth >= ψ: an LCP deeper than the top opens a node, one
+// shallower closes the nodes deeper than it, and one below ψ closes them all
+// and opens none, since no shallow node is ever scheduled. A leaf's bits go
+// to the node its LCP with the next leaf opens or continues and a closing
+// node's to its parent, so each node leaves with the left characters and
+// the freshness of everything beneath it. mask stores each leaf's left
+// character if the leaf's parent — the deeper of its two LCPs — is deep,
+// since no other leaf is ever grouped, marks and histograms by depth the
+// nodes to schedule, and returns how many there are. With no fresh
+// generation every string id is >= freshID, so every leaf counts as fresh
+// and the second condition is vacuous.
+func (g *Generator) mask(t *suffix.Tree, flags []uint8, stack *[]open, byDepth []int) int {
+	refs, lcp := t.Refs(), t.LCP()
+	deep := uint8(min(g.psi, suffix.MaxLCP))
 	total := 0
-	for ti := len(g.trees) - 1; ti >= 0; ti-- {
-		ns := g.trees[ti].nodes
-		b := g.flags[g.trees[ti].base:][:len(ns)]
-		for i := len(ns) - 1; i >= 0; i-- {
-			n := ns[i]
-			if n.RML == int32(i) {
-				b[i] = leafBit
-				if n.Depth >= g.psi {
-					g.stats.Entries++
-					if n.SID >= g.freshID {
-						b[i] |= freshBit
+	st := (*stack)[:0]
+	var below uint8 // the bits of the subtree left of leaf i
+	for i := 0; ; i++ {
+		if i > 0 {
+			h := int32(0) // past the last leaf every node closes
+			if i < len(refs) {
+				if h = int32(lcp[i]); h == suffix.MaxLCP {
+					h = t.LCPAt(i)
+				}
+			}
+			for len(st) > 0 && st[len(st)-1].depth > h {
+				v := st[len(st)-1]
+				st = st[:len(st)-1]
+				v.below |= below
+				below = v.below
+				g.stats.NodesProcessed++
+				// Two groups pair only when their characters differ or are
+				// both λ: a range holding one non-λ character has no
+				// product. Of a twin pair, only the chosen node is scheduled.
+				if ch := v.below & charMask; (ch&(ch-1) != 0 || ch == 1<<seq.Lambda) && v.below&freshBit != 0 {
+					r := refs[v.at]
+					if keep, _ := chosen(g.set.Str(r.SID)[r.Pos : r.Pos+v.depth]); keep {
+						flags[v.at] |= scheduled
+						byDepth[v.depth]++
+						total++
 					}
 				}
-				continue
 			}
-			if n.Depth < g.psi {
-				continue
+			if i == len(refs) {
+				break
 			}
-			g.stats.NodesProcessed++
-			var or uint8
-			for child := int32(i) + 1; ; child = ns[child].RML + 1 {
-				c := &ns[child]
-				if c.RML == child {
-					b[child] |= 1 << g.set.LeftChar(c.SID, c.Pos)
-				}
-				or |= b[child]
-				if c.RML == n.RML {
-					break
-				}
+			if top := len(st) - 1; top >= 0 && st[top].depth == h {
+				st[top].below |= below
+			} else if h >= g.psi {
+				st = append(st, open{depth: h, at: int32(i), below: below})
 			}
-			or &= charMask | freshBit
-			// Two groups pair only when their characters differ or are both
-			// λ: a range holding one non-λ character has no product. Of a
-			// twin pair, only the chosen node is scheduled.
-			if ch := or & charMask; (ch&(ch-1) != 0 || ch == 1<<seq.Lambda) && or&freshBit != 0 {
-				if int(n.Depth) >= len(byDepth) {
-					return 0, fmt.Errorf("pairgen: node of depth %d over strings no longer than %d", n.Depth, len(byDepth)-1)
-				}
-				s := g.set.Str(n.SID)
-				if int(n.Pos)+int(n.Depth) > len(s) {
-					return 0, fmt.Errorf("pairgen: node of depth %d at position %d of a string of length %d", n.Depth, n.Pos, len(s))
-				}
-				if keep, _ := chosen(s[n.Pos : n.Pos+n.Depth]); keep {
-					or |= scheduled
-					byDepth[n.Depth]++
-					total++
-				}
-			}
-			b[i] = or
+		}
+		r := refs[i]
+		below = 0
+		if int32(len(g.set.Str(r.SID)))-r.Pos >= g.psi {
+			g.stats.Entries++
+		}
+		if r.SID >= g.freshID {
+			below = freshBit
+		}
+		if lcp[i] >= deep || i+1 < len(lcp) && lcp[i+1] >= deep {
+			flags[i] = 1 << g.set.LeftChar(r.SID, r.Pos)
+			below |= flags[i]
 		}
 	}
-	g.stats.NodesProcessed += g.stats.Entries
-	return total, nil
+	*stack = st
+	return total
 }
 
 // chosen reports whether a node with label l is the one of l and rc(l) that
@@ -356,12 +381,12 @@ func (g *Generator) place(byDepth []int) {
 	const lanes = 0x0101010101010101
 	ti := len(g.trees) - 1
 	put := func(j int) {
-		for g.trees[ti].base > j {
+		for int(g.base[ti]) > j {
 			ti--
 		}
-		ts := &g.trees[ti]
-		slot := &byDepth[ts.nodes[j-ts.base].Depth]
-		g.order[*slot] = nodeRef{tree: int32(ti), node: int32(j - ts.base)}
+		at := int32(j) - g.base[ti]
+		slot := &byDepth[g.trees[ti].LCPAt(int(at))]
+		g.order[*slot] = nodeRef{tree: int32(ti), at: at}
 		*slot++
 	}
 	j := len(g.flags)
@@ -406,44 +431,58 @@ func (g *Generator) Next(dst []Pair, max int) []Pair {
 // processNode cuts an internal node's (child, character) groups out of its
 // leaf range and arms pair iteration over them.
 func (g *Generator) processNode(ref nodeRef) {
-	ts := &g.trees[ref.tree]
-	nodes := ts.nodes
-	v := ref.node
-	flags := g.flags[ts.base:][:len(nodes)]
+	t := g.trees[ref.tree]
+	refs, lcp := t.Refs(), t.LCP()
+	flags := g.flags[g.base[ref.tree]:][:len(refs)]
+	d := t.LCPAt(int(ref.at))
+	// The first child is the run of deeper LCPs before ref.at.
+	lo := ref.at - 1
+	for lo > 0 && depthCmp(t, lcp, lo, d) > 0 {
+		lo--
+	}
 
-	// The children's ranges tile nodes[v+1 .. RML(v)]. Within each, the first
-	// leaf of a string no earlier child has shown survives: the mark array
-	// with a fresh token per node is the dedup.
+	// The children's ranges tile the node's. Within each, the first leaf of
+	// a string no earlier child has shown survives: the mark array with a
+	// fresh token per node is the dedup.
 	g.token++
 	g.groups = g.groups[:0]
 	g.itemsBuf = g.itemsBuf[:0]
-	last := nodes[v].RML
-	for c, child := v+1, int32(0); c <= last; child++ {
-		lo := int32(len(g.itemsBuf))
+	for c, child := lo, int32(0); ; child++ {
+		first := int32(len(g.itemsBuf))
 		var seen uint8 // left characters among the child's survivors
 		fresh := false
-		for end := nodes[c].RML; c <= end; c++ {
-			n := &nodes[c]
-			if n.RML != c || g.mark[n.SID] == g.token {
-				continue
+		var next int32 // the next leaf's LCP against d: < 0 ends the node
+		for {
+			if r := refs[c]; g.mark[r.SID] != g.token {
+				g.mark[r.SID] = g.token
+				ch := flags[c] & charMask
+				seen |= ch
+				fresh = fresh || r.SID >= g.freshID
+				g.itemsBuf = append(g.itemsBuf, item{sid: r.SID, pos: r.Pos, char: seq.Code(bits.TrailingZeros8(ch))})
 			}
-			g.mark[n.SID] = g.token
-			ch := flags[c] & charMask
-			seen |= ch
-			fresh = fresh || n.SID >= g.freshID
-			g.itemsBuf = append(g.itemsBuf, item{sid: n.SID, pos: n.Pos, char: seq.Code(bits.TrailingZeros8(ch))})
+			if c++; c == int32(len(refs)) {
+				next = -1
+				break
+			}
+			if next = depthCmp(t, lcp, c, d); next <= 0 {
+				break
+			}
 		}
-		switch hi := int32(len(g.itemsBuf)); {
-		case hi == lo:
+		switch last := int32(len(g.itemsBuf)); {
+		case last == first:
 		case seen&(seen-1) == 0: // one character, the common case: one group
-			g.groups = append(g.groups, group{child: child, char: g.itemsBuf[lo].char, lo: lo, hi: hi, fresh: fresh})
+			g.groups = append(g.groups, group{child: child, char: g.itemsBuf[first].char, lo: first, hi: last, fresh: fresh})
 		default:
-			g.sortByChar(child, lo)
+			g.sortByChar(child, first)
+		}
+		if next < 0 {
+			break
 		}
 	}
 
-	g.curDepth = nodes[v].Depth
-	_, g.palindrome = chosen(g.set.Str(nodes[v].SID)[nodes[v].Pos : nodes[v].Pos+g.curDepth])
+	g.curDepth = d
+	r := refs[ref.at]
+	_, g.palindrome = chosen(g.set.Str(r.SID)[r.Pos : r.Pos+d])
 	g.gi, g.gj, g.ii, g.jj = 0, 1, 0, 0
 	g.active = len(g.groups) >= 2
 }

@@ -98,24 +98,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(set, nil, 0); err == nil {
 		t.Error("psi=0 must fail")
 	}
-	// A node deeper than any string is long: the depth histogram has no slot
-	// for it.
-	deep := &suffix.Tree{Nodes: []suffix.Node{
-		{Depth: 100, RML: 2},
-		{Depth: 101, RML: 1, Pos: 0},
-		{Depth: 101, RML: 2, Pos: 1},
-	}}
-	if _, err := New(set, []*suffix.Tree{deep}, 5); err == nil {
-		t.Error("a scheduled node of depth 100 over an 8-base string must fail")
-	}
-	// A label running past the end of its string cannot be read.
-	past := &suffix.Tree{Nodes: []suffix.Node{
-		{Depth: 6, RML: 2, Pos: 5},
-		{Depth: 7, RML: 1, Pos: 0},
-		{Depth: 7, RML: 2, Pos: 1},
-	}}
-	if _, err := New(set, []*suffix.Tree{past}, 5); err == nil {
-		t.Error("a scheduled node labelled past the end of its string must fail")
+	if _, err := NewFresh(set, buildForest(t, set, 4), -3, 0); err == nil {
+		t.Error("psi=-3 must fail")
 	}
 }
 
@@ -397,9 +381,10 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 // Storage must stay linear: entries == number of deep leaves, and the
-// generator holds one byte per node and one order entry per scheduled node —
-// nothing that grows with the pairs generated. On deep coverage most deep internal nodes hold a single left
-// character, so fewer than half of them are scheduled.
+// generator holds one byte per suffix and one order entry per scheduled node —
+// nothing that grows with the pairs generated. On deep coverage most deep
+// internal nodes hold a single left character, so fewer than half of them
+// are scheduled.
 func TestEntriesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	ests := randomESTs(rng, 10, 50, 80)
@@ -410,22 +395,21 @@ func TestEntriesLinear(t *testing.T) {
 	w := 5
 	psi := 5 // every suffix-bearing node is deep
 	forest := buildForest(t, set, w)
-	leaves, nodes := 0, 0
-	for _, tr := range forest {
-		leaves += tr.NumLeaves()
-		nodes += tr.Len()
-	}
+	st := suffix.Stats(forest)
 	g, err := New(set, forest, psi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drain(g, 1000)
-	if g.Stats().Entries != int64(leaves) {
-		t.Errorf("entries %d != deep leaves %d", g.Stats().Entries, leaves)
+	if g.Stats().Entries != st.Leaves {
+		t.Errorf("entries %d != deep leaves %d", g.Stats().Entries, st.Leaves)
+	}
+	if g.Stats().NodesProcessed != st.Nodes {
+		t.Errorf("nodes processed %d != nodes %d", g.Stats().NodesProcessed, st.Nodes)
 	}
 	held := cap(g.flags) + int(unsafe.Sizeof(nodeRef{}))*cap(g.order)
-	if bound := nodes + int(unsafe.Sizeof(nodeRef{}))*len(g.order); held > bound {
-		t.Errorf("generator holds %d bytes for %d nodes and %d scheduled nodes, bound %d", held, nodes, len(g.order), bound)
+	if bound := int(st.Leaves) + int(unsafe.Sizeof(nodeRef{}))*len(g.order); held > bound {
+		t.Errorf("generator holds %d bytes for %d suffixes and %d scheduled nodes, bound %d", held, st.Leaves, len(g.order), bound)
 	}
 
 	set, forest = deepCoverage(t, 100)
@@ -433,15 +417,8 @@ func TestEntriesLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep := 0
-	for _, tr := range forest {
-		for i, n := range tr.Nodes {
-			if n.Depth >= 20 && !tr.IsLeaf(int32(i)) {
-				deep++
-			}
-		}
-	}
-	if len(g.order) == 0 || 2*len(g.order) >= deep {
+	deep := g.Stats().NodesProcessed - g.Stats().Entries
+	if len(g.order) == 0 || 2*int64(len(g.order)) >= deep {
 		t.Errorf("%d of %d deep internal nodes scheduled on 20x coverage, want fewer than half", len(g.order), deep)
 	}
 }

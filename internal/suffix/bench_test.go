@@ -3,6 +3,7 @@ package suffix
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"pace/internal/seq"
@@ -31,19 +32,16 @@ func BenchmarkCollectOwned(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildForest times the build alone, over a table collected once:
+// BenchmarkBuildForest times the ordering alone, over a table collected once:
 // 200 ESTs in 65 536 buckets of three or four suffixes.
 func BenchmarkBuildForest(b *testing.B) {
 	const w = 8
 	set, owner := benchInput(b, 200, w)
 	table := CollectOwned(set, w, owner, 0, 0, seq.StringID(set.NumStrings()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildForest(set, table, w); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBuild(b, set, table, func(t *Buckets) error {
+		_, err := BuildForest(set, t, w)
+		return err
+	})
 }
 
 // BenchmarkBuildForestSparse is the seq_sparse shape at a fraction of its
@@ -53,13 +51,10 @@ func BenchmarkBuildForestSparse(b *testing.B) {
 	const w = 6
 	set, owner := benchInput(b, 300, w)
 	table := CollectOwned(set, w, owner, 0, 0, seq.StringID(set.NumStrings()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildForest(set, table, w); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBuild(b, set, table, func(t *Buckets) error {
+		_, err := BuildForest(set, t, w)
+		return err
+	})
 }
 
 // BenchmarkBuildForestDeep is the seq_deep shape at a fifth of its size: 400
@@ -79,13 +74,10 @@ func BenchmarkBuildForestDeep(b *testing.B) {
 	}
 	n2 := seq.StringID(set.NumStrings())
 	table := CollectOwned(set, w, Assign(Histogram(set, w, 0, n2), 1), 0, 0, n2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildForest(set, table, w); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBuild(b, set, table, func(t *Buckets) error {
+		_, err := BuildForest(set, t, w)
+		return err
+	})
 }
 
 // BenchmarkBuildForestFanOut is BenchmarkBuildForestSparse built the way the
@@ -96,18 +88,32 @@ func BenchmarkBuildForestFanOut(b *testing.B) {
 	set, owner := benchInput(b, 300, w)
 	table := CollectOwned(set, w, owner, 0, 0, seq.StringID(set.NumStrings()))
 	ids := table.NonEmpty()
+	benchBuild(b, set, table, func(t *Buckets) error {
+		_, err := BuildBuckets(set, t, ids, runtime.GOMAXPROCS(0))
+		return err
+	})
+}
+
+// benchBuild times order on a copy of the collected table per iteration:
+// ordering is in place, and an ordered bucket costs nothing. The copy is
+// off the clock.
+func benchBuild(b *testing.B, set *seq.SetS, table *Buckets, order func(*Buckets) error) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildBuckets(set, table, ids, runtime.GOMAXPROCS(0)); err != nil {
+		b.StopTimer()
+		t := *table
+		t.refs, t.lcp, t.ordered = slices.Clone(table.refs), slices.Clone(table.lcp), slices.Clone(table.ordered)
+		b.StartTimer()
+		if err := order(&t); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkCacheAbsorb is ingest_paced's batching over random reads: twelve
-// batches of 20 ESTs absorbed into one growing sorted table, the touched
-// buckets built after each. ingest_paced's reads cover their genes 20 times
+// batches of 20 ESTs absorbed into one growing table, the touched buckets
+// ordered after each. ingest_paced's reads cover their genes 20 times
 // over; these share nothing, so it times the cache, not path compression
 // (BenchmarkCacheAbsorbDeep does).
 func BenchmarkCacheAbsorb(b *testing.B) {
@@ -134,14 +140,14 @@ func BenchmarkCacheAbsorbDeep(b *testing.B) {
 	benchAbsorb(b, set, w, batches)
 }
 
-// benchAbsorb absorbs set's strings into a sorted table in equal batches on
-// one worker and builds the touched buckets after each.
+// benchAbsorb absorbs set's strings into a table in equal batches on one
+// worker and orders the touched buckets after each.
 func benchAbsorb(b *testing.B, set *seq.SetS, w, batches int) {
 	per := set.NumStrings() / batches
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table := NewSortedBuckets(w)
+		table := NewBuckets(w)
 		for k := 0; k < batches; k++ {
 			touched, err := table.Absorb(set, seq.StringID(per*k), seq.StringID(per*(k+1)), 1)
 			if err != nil {

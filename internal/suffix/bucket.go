@@ -5,31 +5,34 @@
 // each bucket's suffixes form an independent subtree of the conceptual GST
 // (the top portion of the GST, with string-depth < w, is never materialized).
 // Buckets are assigned to workers by a load-balancing heuristic, and each
-// subtree is built by recursive character-wise bucketing, then stored in a
-// space-efficient depth-first-search array in which every node carries only
-// its string-depth, a pointer to the rightmost leaf of its subtree, and a
-// representative suffix (leaves: the suffix itself).
+// subtree is built by recursive character-wise bucketing. The paper stores a
+// subtree as a depth-first-search array of nodes; this package stores it as
+// its leaves alone, the bucket's suffixes in suffix order, with one byte per
+// suffix for its longest common prefix (LCP) with the one before, saturated
+// at 255. That is the enhanced-suffix-array view of a tree (Abouelhoda,
+// Kurtz & Ohlebusch, 2004): an internal node is an LCP interval and its
+// children split where the LCP equals its depth, so a node's string-depth,
+// leaf range and child boundaries — everything pair generation reads — come
+// from 9 bytes per suffix and no node is ever written.
 //
 // Both steps are counting sorts over flat arrays. The partition (table.go)
-// is one Buckets table — every suffix in a single slice ordered by bucket,
-// then string id, then position, with an offset per bucket — filled by a
-// counting scan and a scattering scan; a slave lays it out from the global
-// histogram and fills it as messages arrive. The build (tree.go) partitions
-// a group in place by its next character with a stable five-way scatter
-// (terminator, A, C, G, T) through one scratch buffer; a counting pass that
+// is one Buckets table — every suffix in a single slice grouped by bucket,
+// with an offset per bucket — filled by a counting scan and a scattering
+// scan, or, on a slave, laid out from the global histogram and filled as
+// messages arrive. Every collector only lays suffixes out, in (string id,
+// position) order behind each bucket's ordered front. The build (tree.go)
+// orders them: it partitions a group in place by its next character with a
+// stable five-way scatter (terminator, A, C, G, T) through one scratch
+// buffer, emitting leaves and their LCPs as it goes; a counting pass that
 // finds no branch hands the rest of the shared run to a word-at-a-time
-// compare, a group of two is finished by one such compare without a pass,
-// and nodes are appended at the tail of fixed-size slabs shared by the whole
-// forest. Stability is what makes the result canonical: a bucket's range is
-// in (string id, position) order, every class keeps that order, so equal
-// tables give node-for-node equal trees whichever collector filled them.
-// Subtrees are independent, so BuildBuckets may build contiguous chunks of
-// buckets concurrently, each with a builder and slabs of its own, and still
-// return the one-builder forest.
-//
-// A session's table is sorted instead (sorted.go): each bucket in preorder
-// leaf order with an LCP byte per suffix, a batch merged in, and a touched
-// tree written from (refs, LCP) in one stack pass — the same nodes.
+// compare, and a group of two is finished by one such compare without a
+// pass. The sorted suffixes are then merged with the bucket's ordered front,
+// which is empty except in a session's table, where a batch is merged into
+// what earlier batches ordered. Stability is what makes the result
+// canonical: equal suffixes end in (string id, position) order, so equal
+// tables order into equal buckets whichever collector filled them. Buckets
+// are independent, so BuildBuckets orders contiguous chunks of them
+// concurrently, each with a builder of its own.
 package suffix
 
 import (

@@ -1,10 +1,12 @@
 package suffix
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -130,9 +132,66 @@ func diffSet(t testing.TB, seed int64, n, shape int) *seq.SetS {
 	return set
 }
 
-// requireSameForest fails unless the two forests hold the same buckets with
-// the same nodes, element for element, and every tree verifies.
-func requireSameForest(t testing.TB, set *seq.SetS, what string, got, want []*Tree) {
+// interval is an internal node as the leaves it spans: its string-depth
+// and its first and last leaf.
+type interval struct{ depth, lb, rb int32 }
+
+// intervalsOf returns an ordered bucket's LCP intervals, found by the
+// textbook stack pass, in (depth, lb) order.
+func intervalsOf(tr *Tree) []interval {
+	var out, stack []interval
+	n := len(tr.Refs())
+	for i := 1; i <= n; i++ {
+		h := int32(0)
+		if i < n {
+			h = tr.LCPAt(i)
+		}
+		lb := int32(i - 1)
+		for len(stack) > 0 && stack[len(stack)-1].depth > h {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			v.rb = int32(i - 1)
+			out = append(out, v)
+			lb = v.lb
+		}
+		if i < n && (len(stack) == 0 || stack[len(stack)-1].depth < h) {
+			stack = append(stack, interval{depth: h, lb: lb})
+		}
+	}
+	slices.SortFunc(out, compareIntervals)
+	return out
+}
+
+// nodeIntervals returns a node tree's internal nodes as the leaves they
+// span, in (depth, lb) order.
+func nodeIntervals(tr *nodeTree) []interval {
+	before := make([]int32, len(tr.Nodes)+1) // leaves among Nodes[:k]
+	for k := range tr.Nodes {
+		before[k+1] = before[k]
+		if tr.IsLeaf(int32(k)) {
+			before[k+1]++
+		}
+	}
+	var out []interval
+	for k, n := range tr.Nodes {
+		if !tr.IsLeaf(int32(k)) {
+			out = append(out, interval{depth: n.Depth, lb: before[k], rb: before[n.RML+1] - 1})
+		}
+	}
+	slices.SortFunc(out, compareIntervals)
+	return out
+}
+
+func compareIntervals(a, b interval) int {
+	return cmp.Or(cmp.Compare(a.depth, b.depth), cmp.Compare(a.lb, b.lb), cmp.Compare(a.rb, b.rb))
+}
+
+// requireSameForest fails unless got holds want's buckets, each ordered as
+// its reference tree's preorder leaves with every LCP byte min(MaxLCP, the
+// true LCP with the leaf before) and LCPAt the true LCP, its LCP intervals
+// the tree's internal nodes, and its slices capped at their length so that
+// no append through one tree can reach the next.
+func requireSameForest(t testing.TB, set *seq.SetS, what string, got []*Tree, want []*nodeTree) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d trees, reference has %d", what, len(got), len(want))
@@ -142,16 +201,44 @@ func requireSameForest(t testing.TB, set *seq.SetS, what string, got, want []*Tr
 		if g.Bucket != r.Bucket {
 			t.Fatalf("%s: tree %d is bucket %d, reference has %d", what, i, g.Bucket, r.Bucket)
 		}
-		if len(g.Nodes) != len(r.Nodes) {
-			t.Fatalf("%s: bucket %d has %d nodes, reference has %d", what, g.Bucket, len(g.Nodes), len(r.Nodes))
+		if len(g.Refs()) != r.NumLeaves() || len(g.LCP()) != len(g.Refs()) || cap(g.Refs()) != len(g.Refs()) || cap(g.LCP()) != len(g.LCP()) {
+			t.Fatalf("%s: bucket %d has %d suffixes (capacity %d) and %d LCPs (capacity %d), reference %d leaves", what, g.Bucket, len(g.Refs()), cap(g.Refs()), len(g.LCP()), cap(g.LCP()), r.NumLeaves())
 		}
-		for k := range g.Nodes {
-			if g.Nodes[k] != r.Nodes[k] {
-				t.Fatalf("%s: bucket %d node %d = %+v, reference has %+v", what, g.Bucket, k, g.Nodes[k], r.Nodes[k])
+		k := 0
+		for v, n := range r.Nodes {
+			if !r.IsLeaf(int32(v)) {
+				continue
 			}
+			if leaf := (SuffixRef{SID: n.SID, Pos: n.Pos}); g.Refs()[k] != leaf {
+				t.Fatalf("%s: bucket %d suffix %d is %+v, preorder leaf is %+v", what, g.Bucket, k, g.Refs()[k], leaf)
+			}
+			var want int32
+			if k > 0 {
+				p := g.Refs()[k-1]
+				want = lcp(set.Suffix(p.SID, p.Pos), set.Suffix(n.SID, n.Pos))
+			}
+			if g.LCP()[k] != uint8(min(want, MaxLCP)) || g.LCPAt(k) != want {
+				t.Fatalf("%s: bucket %d suffix %d has LCP byte %d and LCP %d, want %d", what, g.Bucket, k, g.LCP()[k], g.LCPAt(k), want)
+			}
+			k++
 		}
-		if g.NumLeaves() != r.NumLeaves() {
-			t.Fatalf("%s: bucket %d counts %d leaves, reference %d", what, g.Bucket, g.NumLeaves(), r.NumLeaves())
+		if gi, ri := intervalsOf(g), nodeIntervals(r); !slices.Equal(gi, ri) {
+			t.Fatalf("%s: bucket %d has LCP intervals %v, the tree's internal nodes are %v", what, g.Bucket, gi, ri)
+		}
+	}
+}
+
+// requireSameNodes fails unless the two node forests hold the same buckets
+// with the same nodes, element for element, and every tree verifies.
+func requireSameNodes(t testing.TB, set *seq.SetS, what string, got, want []*nodeTree) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d trees, reference has %d", what, len(got), len(want))
+	}
+	for i, g := range got {
+		r := want[i]
+		if g.Bucket != r.Bucket || !slices.Equal(g.Nodes, r.Nodes) {
+			t.Fatalf("%s: tree %d is bucket %d with nodes %+v, reference has bucket %d with %+v", what, i, g.Bucket, g.Nodes, r.Bucket, r.Nodes)
 		}
 		if err := g.Verify(set); err != nil {
 			t.Fatalf("%s: bucket %d: %v", what, g.Bucket, err)
@@ -160,13 +247,20 @@ func requireSameForest(t testing.TB, set *seq.SetS, what string, got, want []*Tr
 }
 
 // refForest is the oracle's forest over strings [0,hi), restricted to the
-// buckets that owner gives to me.
-func refForest(t testing.TB, set *seq.SetS, w int, owner []int32, me int32, hi seq.StringID) []*Tree {
+// buckets that owner gives to me. The node builder the sort replaced must
+// write it node for node.
+func refForest(t testing.TB, set *seq.SetS, w int, owner []int32, me int32, hi seq.StringID) []*nodeTree {
 	t.Helper()
-	forest, err := refBuildForest(set, refCollectOwned(set, w, owner, me, 0, hi), w)
+	byBucket := refCollectOwned(set, w, owner, me, 0, hi)
+	forest, err := refBuildForest(set, byBucket, w)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nodes, err := nodeBuildForest(set, byBucket, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameNodes(t, set, "node builder", nodes, forest)
 	return forest
 }
 
@@ -200,8 +294,24 @@ func prefixSplits(n2 int) map[string][]seq.StringID {
 	}
 }
 
-// checkBuildMatchesReference runs every production path that builds a forest
-// over one input and requires each to match the oracle node for node.
+// maskTo returns an owner array giving worker 0 exactly the listed buckets.
+func maskTo(nb int, ids []int32) []int32 {
+	mask := make([]int32, nb)
+	for b := range mask {
+		mask[b] = -1
+	}
+	for _, b := range ids {
+		mask[b] = 0
+	}
+	return mask
+}
+
+// checkBuildMatchesReference fills a table over one input by every
+// collector — CollectOwned over every bucket, over a fresh-only assignment
+// and over one shard of three; Absorb batch by batch under every split of
+// the incremental-equivalence suite; and the slave's sized table at two and
+// three slaves — orders it at every fan-out width the engine may use, and
+// requires each to match the oracle's trees.
 func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 	t.Helper()
 	set := diffSet(t, seed, n, shape)
@@ -209,63 +319,70 @@ func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 	hist := Histogram(set, w, 0, n2)
 	all := Assign(hist, 1)
 
-	// One-shot: collect everything, build everything; and the fresh-only
-	// assignment a cache-less incremental run makes. Both at every fan-out
-	// width the sequential engine may use, and through BuildForest.
-	whole := CollectOwned(set, w, all, 0, 0, n2)
+	// One-shot: collect everything, order everything; the fresh-only
+	// assignment a cache-less incremental run makes; and one shard of three,
+	// as a survivor rebuilding a dead slave's collects it. Each through
+	// BuildForest and at every width, each width on a table of its own,
+	// since ordering happens in place.
 	touchedOnly := AssignFresh(hist, HistogramFrom(set, w, 2, 0, n2), 1)
-	fresh := CollectOwned(set, w, touchedOnly, 0, 0, n2)
 	for _, c := range []struct {
 		name  string
-		table *Buckets
-		want  []*Tree
+		owner []int32
+		me    int32
 	}{
-		{"one-shot", whole, refForest(t, set, w, all, 0, n2)},
-		{"fresh-assigned", fresh, refForest(t, set, w, touchedOnly, 0, n2)},
+		{"one-shot", all, 0},
+		{"fresh-assigned", touchedOnly, 0},
+		{"shard", Assign(hist, 3), 1},
 	} {
-		forest, err := BuildForest(set, c.table, w)
+		want := refForest(t, set, w, c.owner, c.me, n2)
+		collect := func() *Buckets { return CollectOwned(set, w, c.owner, c.me, 0, n2) }
+		forest, err := BuildForest(set, collect(), w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameForest(t, set, c.name, forest, c.want)
+		requireSameForest(t, set, c.name, forest, want)
 		for _, workers := range workerCounts {
-			forest, err := BuildBuckets(set, c.table, c.table.NonEmpty(), workers)
+			table := collect()
+			forest, err := BuildBuckets(set, table, table.NonEmpty(), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameForest(t, set, fmt.Sprintf("%s, %d workers", c.name, workers), forest, c.want)
+			requireSameForest(t, set, fmt.Sprintf("%s, %d workers", c.name, workers), forest, want)
+			// Ordering an ordered table again changes nothing.
+			again, err := BuildBuckets(set, table, table.NonEmpty(), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameForest(t, set, fmt.Sprintf("%s, %d workers, again", c.name, workers), again, want)
 		}
 	}
+	whole := CollectOwned(set, w, all, 0, 0, n2)
+	if _, err := BuildBuckets(set, whole, whole.NonEmpty(), 1); err != nil {
+		t.Fatal(err)
+	}
 
-	// Cache path: after every batch the touched buckets, built from the
-	// grown table at every fan-out width, are what the oracle builds from
-	// scratch over the prefix; the fully grown table is the one-shot table.
+	// Cache path: after every batch the touched buckets, ordered in the
+	// grown table at every fan-out width, are the oracle's trees over the
+	// prefix; the fully grown table is the one-shot table.
 	for name, cuts := range prefixSplits(int(n2)) {
-		table := NewBuckets(w)
-		lo := seq.StringID(0)
-		for _, hi := range cuts {
-			touched, err := table.Absorb(set, lo, hi, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mask := make([]int32, len(hist))
-			for b := range mask {
-				mask[b] = -1
-			}
-			for _, b := range touched {
-				mask[b] = 0
-			}
-			want := refForest(t, set, w, mask, 0, hi)
-			for _, workers := range workerCounts {
+		for _, workers := range workerCounts {
+			table := NewBuckets(w)
+			lo := seq.StringID(0)
+			for _, hi := range cuts {
+				touched, err := table.Absorb(set, lo, hi, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
 				forest, err := BuildBuckets(set, table, touched, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameForest(t, set, fmt.Sprintf("split %s, %d workers", name, workers), forest, want)
+				want := refForest(t, set, w, maskTo(len(hist), touched), 0, hi)
+				requireSameForest(t, set, fmt.Sprintf("split %s at %d, %d workers", name, hi, workers), forest, want)
+				lo = hi
 			}
-			lo = hi
+			requireSameTable(t, fmt.Sprintf("split %s, %d workers", name, workers), table, whole)
 		}
-		requireSameTable(t, "split "+name, table, whole)
 	}
 
 	// Slave path: every source scans its share and the owner places the
@@ -274,29 +391,31 @@ func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 	for _, slaves := range []int{2, 3} {
 		owner := Assign(hist, slaves)
 		for me := int32(0); me < int32(slaves); me++ {
-			table, err := NewSizedBuckets(w, hist, owner, me)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for s := 0; s < slaves; s++ {
-				lo, hi := seq.StringID(s*int(n2)/slaves), seq.StringID((s+1)*int(n2)/slaves)
-				for id := lo; id < hi; id++ {
-					BucketEach(set.Str(id), w, func(b int, pos int32) {
-						if owner[b] == me && !table.Put(b, SuffixRef{SID: id, Pos: pos}) {
-							t.Fatalf("bucket %d full before its last suffix", b)
-						}
-					})
+			for _, workers := range workerCounts {
+				table, err := NewSizedBuckets(w, hist, owner, me)
+				if err != nil {
+					t.Fatal(err)
 				}
+				for s := 0; s < slaves; s++ {
+					lo, hi := seq.StringID(s*int(n2)/slaves), seq.StringID((s+1)*int(n2)/slaves)
+					for id := lo; id < hi; id++ {
+						BucketEach(set.Str(id), w, func(b int, pos int32) {
+							if owner[b] == me && !table.Put(b, SuffixRef{SID: id, Pos: pos}) {
+								t.Fatalf("bucket %d full before its last suffix", b)
+							}
+						})
+					}
+				}
+				if err := table.Seal(); err != nil {
+					t.Fatal(err)
+				}
+				requireSameTable(t, "exchanged", table, CollectOwned(set, w, owner, me, 0, n2))
+				forest, err := BuildBuckets(set, table, table.NonEmpty(), workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameForest(t, set, fmt.Sprintf("exchanged, %d slaves, %d workers", slaves, workers), forest, refForest(t, set, w, owner, me, n2))
 			}
-			if err := table.Seal(); err != nil {
-				t.Fatal(err)
-			}
-			requireSameTable(t, "exchanged", table, CollectOwned(set, w, owner, me, 0, n2))
-			forest, err := BuildForest(set, table, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameForest(t, set, "exchanged", forest, refForest(t, set, w, owner, me, n2))
 		}
 	}
 }
@@ -355,60 +474,30 @@ func lcp(a, b seq.Sequence) int32 {
 	return n
 }
 
-// The reference-free statement of what a bucket tree is: its leaves, read in
-// preorder, are the bucket's suffixes in lexicographic order with equal
-// suffixes in (SID, Pos) order, and an internal node's depth is the longest
-// common prefix of the leaves it spans and its representative the smallest
-// (SID, Pos) among them.
+// The reference-free statement of what an ordered bucket is: its
+// suffixes in lexicographic order with equal suffixes in (SID, Pos) order,
+// which are the reference tree's preorder leaves, each with its LCP byte
+// min(MaxLCP, the true LCP with the one before).
 func TestPreorderLeavesAreTheSortedSuffixes(t *testing.T) {
 	for shape := 0; shape < numShapes; shape++ {
 		for _, w := range []int{1, 4, 8} {
 			set := diffSet(t, int64(10+shape), 8, shape)
 			n2 := seq.StringID(set.NumStrings())
-			table := CollectOwned(set, w, Assign(Histogram(set, w, 0, n2), 1), 0, 0, n2)
-			forest, err := BuildForest(set, table, w)
+			all := Assign(Histogram(set, w, 0, n2), 1)
+			scan := CollectOwned(set, w, all, 0, 0, n2)
+			forest, err := BuildForest(set, CollectOwned(set, w, all, 0, 0, n2), w)
 			if err != nil {
 				t.Fatal(err)
 			}
+			what := fmt.Sprintf("shape %d w %d", shape, w)
+			requireSameForest(t, set, what, forest, refForest(t, set, w, all, 0, n2))
 			for _, tr := range forest {
-				want := append([]SuffixRef(nil), table.Refs(tr.Bucket)...)
+				want := slices.Clone(scan.Refs(tr.Bucket))
 				sort.SliceStable(want, func(i, j int) bool {
 					return lessSuffix(set.Suffix(want[i].SID, want[i].Pos), set.Suffix(want[j].SID, want[j].Pos))
 				})
-				var got []SuffixRef
-				for i, n := range tr.Nodes {
-					if tr.IsLeaf(int32(i)) {
-						got = append(got, SuffixRef{SID: n.SID, Pos: n.Pos})
-						continue
-					}
-					// Leaves are sorted, so the span's LCP is that of its
-					// first and last leaf; the first leaf is the leftmost
-					// descendant, found by walking first children.
-					first := int32(i)
-					for !tr.IsLeaf(first) {
-						first = tr.FirstChild(first)
-					}
-					a, b := tr.Nodes[first], tr.Nodes[n.RML]
-					if d := lcp(set.Suffix(a.SID, a.Pos), set.Suffix(b.SID, b.Pos)); d != n.Depth {
-						t.Fatalf("shape %d w %d bucket %d node %d: depth %d, leaves share %d", shape, w, tr.Bucket, i, n.Depth, d)
-					}
-					least := a
-					for k := first; k <= n.RML; k++ {
-						if l := tr.Nodes[k]; tr.IsLeaf(k) && (l.SID < least.SID || l.SID == least.SID && l.Pos < least.Pos) {
-							least = l
-						}
-					}
-					if n.SID != least.SID || n.Pos != least.Pos {
-						t.Fatalf("shape %d w %d bucket %d node %d: represented by (%d,%d), smallest leaf is (%d,%d)", shape, w, tr.Bucket, i, n.SID, n.Pos, least.SID, least.Pos)
-					}
-				}
-				if len(got) != len(want) {
-					t.Fatalf("shape %d w %d bucket %d: %d leaves for %d suffixes", shape, w, tr.Bucket, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("shape %d w %d bucket %d: leaf %d is %+v, sorted order has %+v", shape, w, tr.Bucket, i, got[i], want[i])
-					}
+				if !slices.Equal(tr.Refs(), want) {
+					t.Fatalf("%s bucket %d: suffixes %+v, sorted order %+v", what, tr.Bucket, tr.Refs(), want)
 				}
 			}
 		}
@@ -467,28 +556,49 @@ func FuzzCommonPrefix(f *testing.F) {
 }
 
 // Truncate is the inverse of Absorb at the table level too: whatever was
-// absorbed after a cut, truncating to the cut leaves the table a single scan
-// of the prefix produces — including a cut that empties buckets and cut 0.
+// absorbed after a cut, and whether or not it was ordered since — every
+// batch, none, or all but the last, which leaves an ordered front to cut
+// into behind a tail as laid out — truncating to the cut leaves the table
+// the prefix's batches leave, including a cut that empties buckets and cut 0.
 func TestTruncateIsInverseOfAbsorb(t *testing.T) {
 	set := diffSet(t, 21, 10, shapeDuplicates)
 	n2 := seq.StringID(set.NumStrings())
 	const w = 3
-	for _, cut := range []seq.StringID{0, 2, n2 / 2 &^ 1, n2 - 2, n2} {
-		table := NewBuckets(w)
-		lo := seq.StringID(0)
-		for _, hi := range []seq.StringID{cut, (cut + n2) / 2 &^ 1, n2} {
-			if _, err := table.Absorb(set, lo, hi, 1); err != nil {
-				t.Fatal(err)
+	for _, mode := range []string{"none", "all", "all but the last"} {
+		for _, cut := range []seq.StringID{0, 2, n2 / 2 &^ 1, n2 - 2, n2} {
+			table, want := NewBuckets(w), NewBuckets(w)
+			lo := seq.StringID(0)
+			cuts := []seq.StringID{cut, (cut + n2) / 2 &^ 1, n2}
+			for i, hi := range cuts {
+				absorbInto(t, set, table, lo, hi, mode == "all" || mode == "all but the last" && i+1 < len(cuts))
+				lo = hi
 			}
-			lo = hi
+			table.Truncate(cut)
+			absorbInto(t, set, want, 0, cut, mode != "none")
+			what := fmt.Sprintf("ordered %s, cut %d", mode, cut)
+			requireSameTable(t, what, table, want)
+			if !slices.Equal(table.lcp, want.lcp) || !slices.Equal(table.ordered, want.ordered) {
+				t.Fatalf("%s: LCPs or ordered fronts differ", what)
+			}
 		}
-		table.Truncate(cut)
-		want := NewBuckets(w)
-		if _, err := want.Absorb(set, 0, cut, 1); err != nil {
+	}
+}
+
+// absorbInto absorbs strings [lo,hi) into table on two workers and, if
+// ordered, orders the buckets they touched, as a run's partition and
+// construction phases do.
+func absorbInto(t testing.TB, set *seq.SetS, table *Buckets, lo, hi seq.StringID, ordered bool) []int32 {
+	t.Helper()
+	touched, err := table.Absorb(set, lo, hi, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ordered {
+		if _, err := BuildBuckets(set, table, touched, 2); err != nil {
 			t.Fatal(err)
 		}
-		requireSameTable(t, "truncated", table, want)
 	}
+	return touched
 }
 
 // The table's int32 offsets cap it at MaxInt32 suffixes. The limit is hit in
@@ -556,9 +666,9 @@ func TestSizedTableRejectsOverflowAndShortfall(t *testing.T) {
 	}
 }
 
-// Collecting and building cost a fixed number of allocations plus one per
-// node slab, whatever the number of ESTs, buckets and trees; and a tree's
-// Nodes cannot be appended into the next tree of its slab.
+// Collecting and ordering cost a fixed number of allocations whatever the
+// number of ESTs, buckets and trees; and a tree's slices cannot be appended
+// into the next tree.
 func TestForestAllocationsIndependentOfSize(t *testing.T) {
 	const w = 6
 	for _, n := range []int{50, 500} {
@@ -573,18 +683,18 @@ func TestForestAllocationsIndependentOfSize(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		nodes := Stats(forest).Nodes
-		if limit := float64(16 + nodes/slabNodes); allocs > limit {
-			t.Errorf("%d ESTs: %v allocations for %d trees and %d nodes, want at most %v", n, allocs, len(forest), nodes, limit)
+		if allocs > 16 {
+			t.Errorf("%d ESTs: %v allocations for %d trees, want at most 16", n, allocs, len(forest))
 		}
 		for i, tr := range forest {
-			if cap(tr.Nodes) != len(tr.Nodes) {
-				t.Fatalf("%d ESTs: bucket %d has %d nodes in capacity %d", n, tr.Bucket, len(tr.Nodes), cap(tr.Nodes))
+			if cap(tr.Refs()) != len(tr.Refs()) || cap(tr.LCP()) != len(tr.LCP()) {
+				t.Fatalf("%d ESTs: bucket %d has %d suffixes in capacity %d", n, tr.Bucket, len(tr.Refs()), cap(tr.Refs()))
 			}
 			if i+1 < len(forest) {
-				next := forest[i+1].Nodes[0]
-				_ = append(tr.Nodes, Node{Depth: -1})
-				if forest[i+1].Nodes[0] != next {
+				next, nextLCP := forest[i+1].Refs()[0], forest[i+1].LCP()[0]
+				_ = append(tr.Refs(), SuffixRef{SID: -1})
+				_ = append(tr.LCP(), 7)
+				if forest[i+1].Refs()[0] != next || forest[i+1].LCP()[0] != nextLCP {
 					t.Fatalf("%d ESTs: append to bucket %d overwrote bucket %d", n, tr.Bucket, forest[i+1].Bucket)
 				}
 			}
@@ -593,27 +703,28 @@ func TestForestAllocationsIndependentOfSize(t *testing.T) {
 }
 
 // The fan-out's edges: one tree, fewer trees than workers and no tree at all
-// build what one builder builds; a table a failed collect returned fails at
-// every width, and a bad suffix fails with the error a single pass over the
-// ids meets first. The leak guard holds every worker to exiting, on the error
-// paths too.
+// order as one builder does, and every collector's table orders into the
+// oracle's trees at 1, 2, 3 and 8 workers; a table a failed collect returned
+// fails at every width, and a bad suffix fails with the error a single pass
+// over the ids meets first. The leak guard holds every worker to exiting,
+// on the error paths too.
 func TestBuildWorkerCounts(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	for _, shape := range []int{shapeRandom, shapeDeep, shapePolyA} {
+		checkBuildMatchesReference(t, 5, 9, 4, shape)
+	}
 	set := diffSet(t, 31, 6, shapePolyA)
 	n2 := seq.StringID(set.NumStrings())
 	const w = 4
-	whole := CollectOwned(set, w, Assign(Histogram(set, w, 0, n2), 1), 0, 0, n2)
-	ids := whole.NonEmpty()
+	all := Assign(Histogram(set, w, 0, n2), 1)
+	ids := CollectOwned(set, w, all, 0, 0, n2).NonEmpty()
 	for name, ids := range map[string][]int32{"one tree": ids[:1], "three trees": ids[:3], "no tree": nil} {
-		want, err := BuildBuckets(set, whole, ids, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refForest(t, set, w, maskTo(len(all), ids), 0, n2)
 		if len(want) != len(ids) {
 			t.Fatalf("%s: %d trees for %d buckets", name, len(want), len(ids))
 		}
 		for _, workers := range workerCounts {
-			got, err := BuildBuckets(set, whole, ids, workers)
+			got, err := BuildBuckets(set, CollectOwned(set, w, all, 0, 0, n2), ids, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

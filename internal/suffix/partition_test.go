@@ -47,16 +47,16 @@ func (t *Buckets) mergeOneScan(set *seq.SetS, owner []int32, me int32, lo, hi se
 	}
 	copy(off[1:], off[:nb])
 	off[0] = 0
-	t.refs, t.off = refs, off
+	t.refs, t.lcp, t.off = refs, make([]uint8, len(refs)), off
 	return fresh, nil
 }
 
 // The part-wise merge gives the one-scan oracle's table at every worker
-// count, batch by batch: the same refs and offsets in a scan-order table,
-// and in a sorted table the same refs, offsets and LCP bytes as at one
-// worker, where each bucket is in preorder with exact saturated LCPs. With an owner
-// mask it keeps exactly the owned buckets. The leak guard holds every part
-// to exiting.
+// count, batch by batch: the same refs and offsets as laid out, and, with
+// each batch's buckets ordered, the same refs, offsets and LCP bytes as at
+// one worker, where each bucket is in preorder with exact saturated LCPs.
+// With an owner mask it keeps exactly the owned buckets. The leak guard
+// holds every part to exiting.
 func TestPartitionWorkerCounts(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	for _, shape := range []int{shapeRandom, shapeDuplicates, shapeShort, shapePolyA, shapeDeep} {
@@ -67,11 +67,11 @@ func TestPartitionWorkerCounts(t *testing.T) {
 			for _, name := range []string{"50-25-25", "tail-by-one"} {
 				cuts := splits[name]
 				want := NewBuckets(w)
-				one := NewSortedBuckets(w)
+				one := NewBuckets(w)
 				scans := make([]*Buckets, len(workerCounts))
 				sorts := make([]*Buckets, len(workerCounts))
 				for i := range scans {
-					scans[i], sorts[i] = NewBuckets(w), NewSortedBuckets(w)
+					scans[i], sorts[i] = NewBuckets(w), NewBuckets(w)
 				}
 				lo := seq.StringID(0)
 				for _, hi := range cuts {
@@ -80,7 +80,10 @@ func TestPartitionWorkerCounts(t *testing.T) {
 						t.Fatal(err)
 					}
 					ids := grown(old, want.off)
-					if _, err := one.Absorb(set, lo, hi, 1); err != nil {
+					if got, err := one.Absorb(set, lo, hi, 1); err != nil || fmt.Sprint(got) != fmt.Sprint(ids) {
+						t.Fatalf("one worker: touched %v, want %v (err %v)", got, ids, err)
+					}
+					if _, err := BuildBuckets(set, one, ids, 1); err != nil {
 						t.Fatal(err)
 					}
 					requireSortedTable(t, set, fmt.Sprintf("shape %d w %d split %s at %d, one worker", shape, w, name, hi), one, want)
@@ -97,12 +100,12 @@ func TestPartitionWorkerCounts(t *testing.T) {
 						if got, err = sorts[i].Absorb(set, lo, hi, workers); err != nil {
 							t.Fatal(err)
 						}
-						if fmt.Sprint(got) != fmt.Sprint(ids) {
-							t.Fatalf("%s: sorted table touched %v, want %v", what, got, ids)
+						if _, err := BuildBuckets(set, sorts[i], got, workers); err != nil {
+							t.Fatal(err)
 						}
-						requireSameTable(t, what+", sorted", sorts[i], one)
+						requireSameTable(t, what+", ordered", sorts[i], one)
 						if string(sorts[i].lcp) != string(one.lcp) {
-							t.Fatalf("%s: sorted table's LCPs differ from one worker's", what)
+							t.Fatalf("%s: ordered table's LCPs differ from one worker's", what)
 						}
 					}
 					lo = hi

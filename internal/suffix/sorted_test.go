@@ -3,62 +3,51 @@ package suffix
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pace/internal/seq"
 	"pace/internal/testutil"
 )
 
+// treeOf returns bucket b of table as a tree, without ordering it.
+func treeOf(set *seq.SetS, table *Buckets, b int) *Tree {
+	return &Tree{Bucket: b, table: table, set: set}
+}
+
 // requireSortedTable fails unless the sorted table holds the scan-order
-// table's buckets, each in the order of its tree's preorder leaves, with
-// every LCP byte min(maxLCP, the true LCP with the suffix before it).
+// table's buckets, each wholly ordered as its reference tree's preorder
+// leaves with every LCP byte min(MaxLCP, the true LCP with the suffix
+// before it).
 func requireSortedTable(t testing.TB, set *seq.SetS, what string, sorted, scan *Buckets) {
 	t.Helper()
-	if len(sorted.off) != len(scan.off) || len(sorted.refs) != len(scan.refs) || len(sorted.lcp) != len(sorted.refs) {
-		t.Fatalf("%s: %d suffixes and %d LCPs in %d buckets, want %d suffixes in %d", what, len(sorted.refs), len(sorted.lcp), len(sorted.off)-1, len(scan.refs), len(scan.off)-1)
+	if !slices.Equal(sorted.off, scan.off) || len(sorted.lcp) != len(sorted.refs) {
+		t.Fatalf("%s: %d suffixes and %d LCPs in %d buckets, want %d suffixes in %d, or other offsets", what, len(sorted.refs), len(sorted.lcp), len(sorted.off)-1, len(scan.refs), len(scan.off)-1)
 	}
-	for b := range scan.off {
-		if sorted.off[b] != scan.off[b] {
-			t.Fatalf("%s: offset of bucket %d is %d, want %d", what, b, sorted.off[b], scan.off[b])
+	for _, b := range scan.NonEmpty() {
+		if n := len(sorted.Refs(int(b))); int(sorted.ordered[b]) != n {
+			t.Fatalf("%s: bucket %d has %d of %d suffixes ordered", what, b, sorted.ordered[b], n)
 		}
-	}
-	forest, err := BuildBuckets(set, scan, scan.NonEmpty(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range forest {
-		refs, lcps := sorted.Refs(tr.Bucket), sorted.lcps(tr.Bucket)
-		k := 0
-		for i, n := range tr.Nodes {
-			if !tr.IsLeaf(int32(i)) {
-				continue
-			}
-			if leaf := (SuffixRef{SID: n.SID, Pos: n.Pos}); refs[k] != leaf {
-				t.Fatalf("%s: bucket %d suffix %d is %+v, preorder leaf is %+v", what, tr.Bucket, k, refs[k], leaf)
-			}
-			want := uint8(0)
-			if k > 0 {
-				p := refs[k-1]
-				want = uint8(min(lcp(set.Suffix(p.SID, p.Pos), set.Suffix(n.SID, n.Pos)), maxLCP))
-			}
-			if lcps[k] != want {
-				t.Fatalf("%s: bucket %d suffix %d has LCP byte %d, want %d", what, tr.Bucket, k, lcps[k], want)
-			}
-			k++
+		want, err := refBuild(set, int(b), scan.Refs(int(b)), scan.w)
+		if err != nil {
+			t.Fatal(err)
 		}
+		requireSameForest(t, set, what, []*Tree{treeOf(set, sorted, int(b))}, []*nodeTree{want})
 	}
 }
 
-// checkSortedMatchesScan grows a sorted and a scan-order table batch by batch
-// over one input, for every split of the incremental-equivalence suite, and
-// after every Absorb requires the sorted table's touched trees to be the
-// scan-order table's, node for node, and the sorted table to be its forest's
-// preorder leaves with exact saturated LCPs.
+// checkSortedMatchesScan grows a table batch by batch over one input, for
+// every split of the incremental-equivalence suite, ordering the touched
+// buckets after every Absorb as a run does, and requires the touched trees
+// to be the oracle's over the prefix and the table to be the scan-order
+// table's buckets as their trees' preorder leaves with exact saturated
+// LCPs.
 func checkSortedMatchesScan(t testing.TB, seed int64, n, w, shape int) {
 	t.Helper()
 	set := diffSet(t, seed, n, shape)
+	nb := NumBuckets(w)
 	for name, cuts := range prefixSplits(set.NumStrings()) {
-		sorted, scan := NewSortedBuckets(w), NewBuckets(w)
+		sorted, scan := NewBuckets(w), NewBuckets(w)
 		lo := seq.StringID(0)
 		for _, hi := range cuts {
 			touched, err := sorted.Absorb(set, lo, hi, 2)
@@ -77,20 +66,18 @@ func checkSortedMatchesScan(t testing.TB, seed int64, n, w, shape int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := BuildBuckets(set, scan, touched, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameForest(t, set, what, got, ref)
+			requireSameForest(t, set, what, got, refForest(t, set, w, maskTo(nb, touched), 0, hi))
 			requireSortedTable(t, set, what, sorted, scan)
 			lo = hi
 		}
 	}
 }
 
-// TestSortedTableBuildsTheSameForest is the sorted table's differential
-// oracle: the scan-order table and its builder, over TestBuildMatchesReference's
-// random, duplicate-heavy, one-letter, deep and shorter-than-w inputs.
+// TestSortedTableBuildsTheSameForest is the batch-by-batch table's
+// differential oracle: every touched bucket, merged into what earlier
+// batches ordered, equals the reference tree's preorder leaves, over
+// TestBuildMatchesReference's random, duplicate-heavy, one-letter, deep and
+// shorter-than-w inputs.
 func TestSortedTableBuildsTheSameForest(t *testing.T) {
 	for _, shape := range []int{shapeRandom, shapeDuplicates, shapeOneLetter, shapeDeep, shapeShort} {
 		for _, w := range []int{1, 4, 8} {
@@ -121,7 +108,7 @@ func FuzzSortedAbsorbMatchesScan(f *testing.F) {
 }
 
 // saturatedSet returns a three-generation set whose reads share runs of
-// maxLCP bases and more: copies of one 600-base read, reads cut from it at
+// MaxLCP bases and more: copies of one 600-base read, reads cut from it at
 // offsets so that they overlap it by 255 to 600 bases, reads that copy it
 // with one substitution near position 255 (LCPs of exactly 254, 255 and
 // 256), and reads ending in 300-base poly(A) tails.
@@ -155,58 +142,47 @@ func saturatedSet(t testing.TB) *seq.SetS {
 	return set
 }
 
-// LCPs of maxLCP and more are stored as maxLCP and finished from there where
-// a tree is written: through Absorb, BuildBuckets and Truncate the sorted
-// table matches the scan-order one on reads that share runs far past the
-// saturation point.
+// LCPs of MaxLCP and more are stored as MaxLCP and finished from there by
+// LCPAt: through Absorb, BuildBuckets and Truncate, ordered or not before
+// the cut, the table matches the oracle on reads that share runs far past
+// the saturation point.
 func TestSortedTableSaturatedLCPs(t *testing.T) {
 	set := saturatedSet(t)
 	n2 := seq.StringID(set.NumStrings())
 	for _, w := range []int{1, 4, 8} {
 		saturated := false
 		for name, cuts := range prefixSplits(int(n2)) {
-			sorted, scan := NewSortedBuckets(w), NewBuckets(w)
-			lo := seq.StringID(0)
-			for _, hi := range cuts {
-				touched, err := sorted.Absorb(set, lo, hi, 2)
-				if err != nil {
+			for _, ordered := range []bool{false, true} {
+				sorted, scan := NewBuckets(w), NewBuckets(w)
+				lo := seq.StringID(0)
+				for i, hi := range cuts {
+					touched := absorbInto(t, set, sorted, lo, hi, false)
+					if _, err := scan.Absorb(set, lo, hi, 1); err != nil {
+						t.Fatal(err)
+					}
+					lo = hi
+					if i+1 == len(cuts) && !ordered {
+						break // the last batch stays as laid out, as if its run were canceled
+					}
+					what := fmt.Sprintf("w %d split %s at %d", w, name, hi)
+					got, err := BuildBuckets(set, sorted, touched, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameForest(t, set, what, got, refForest(t, set, w, maskTo(NumBuckets(w), touched), 0, hi))
+					requireSortedTable(t, set, what, sorted, scan)
+				}
+				for _, l := range sorted.lcp {
+					saturated = saturated || l == MaxLCP
+				}
+				cut := cuts[len(cuts)-2]
+				sorted.Truncate(cut)
+				want := NewBuckets(w)
+				if _, err := want.Absorb(set, 0, cut, 1); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := scan.Absorb(set, lo, hi, 1); err != nil {
-					t.Fatal(err)
-				}
-				what := fmt.Sprintf("w %d split %s at %d", w, name, hi)
-				got, err := BuildBuckets(set, sorted, touched, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := BuildBuckets(set, scan, touched, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameForest(t, set, what, got, ref)
-				requireSortedTable(t, set, what, sorted, scan)
-				lo = hi
+				requireSortedTable(t, set, fmt.Sprintf("w %d split %s ordered=%v truncated to %d", w, name, ordered, cut), sorted, want)
 			}
-			for _, l := range sorted.lcp {
-				saturated = saturated || l == maxLCP
-			}
-			cut := cuts[0]
-			sorted.Truncate(cut)
-			want := NewBuckets(w)
-			if _, err := want.Absorb(set, 0, cut, 1); err != nil {
-				t.Fatal(err)
-			}
-			requireSortedTable(t, set, fmt.Sprintf("w %d split %s truncated to %d", w, name, cut), sorted, want)
-			got, err := BuildBuckets(set, sorted, sorted.NonEmpty(), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := BuildBuckets(set, want, want.NonEmpty(), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameForest(t, set, fmt.Sprintf("w %d split %s truncated", w, name), got, ref)
 		}
 		if !saturated {
 			t.Fatalf("w %d: no LCP saturated; the input no longer reaches the case", w)
@@ -214,9 +190,9 @@ func TestSortedTableSaturatedLCPs(t *testing.T) {
 	}
 }
 
-// Truncate is the inverse of Absorb on a sorted table: after cutting 0 ESTs,
-// 1 EST, half of them or all but one, its refs and LCPs are those of a sorted
-// table that never saw the dropped strings.
+// Truncate is the inverse of Absorb on an ordered table: after cutting 0
+// ESTs, 1 EST, half of them or all but one, its refs and LCPs are those of
+// an ordered table that never saw the dropped strings.
 func TestSortedTruncateIsInverseOfAbsorb(t *testing.T) {
 	for _, shape := range []int{shapeDuplicates, shapeDeep, shapePolyA} {
 		set := diffSet(t, 23, 10, shape)
@@ -224,45 +200,44 @@ func TestSortedTruncateIsInverseOfAbsorb(t *testing.T) {
 		const w = 3
 		for _, cutESTs := range []int{0, 1, int(n2) / 4, int(n2)/2 - 1} {
 			cut := seq.StringID(2 * cutESTs)
-			table := NewSortedBuckets(w)
+			table := NewBuckets(w)
 			lo := seq.StringID(0)
 			for _, hi := range []seq.StringID{cut, (cut + n2) / 2 &^ 1, n2} {
-				if _, err := table.Absorb(set, lo, hi, 2); err != nil {
-					t.Fatal(err)
-				}
+				absorbInto(t, set, table, lo, hi, true)
 				lo = hi
 			}
 			table.Truncate(cut)
-			want := NewSortedBuckets(w)
-			if _, err := want.Absorb(set, 0, cut, 1); err != nil {
-				t.Fatal(err)
-			}
+			want := NewBuckets(w)
+			absorbInto(t, set, want, 0, cut, true)
 			what := fmt.Sprintf("shape %d cut %d ESTs", shape, cutESTs)
 			requireSameTable(t, what, table, want)
-			if string(table.lcp) != string(want.lcp) {
-				t.Fatalf("%s: LCPs %v, want %v", what, table.lcp, want.lcp)
+			if !slices.Equal(table.lcp, want.lcp) || !slices.Equal(table.ordered, want.ordered) {
+				t.Fatalf("%s: LCPs %v, want %v, or other ordered fronts", what, table.lcp, want.lcp)
 			}
 		}
 	}
 }
 
-// The fanned-out merge gives the one-worker table at every width, batch by
-// batch, and leaves no goroutine behind.
+// The fanned-out layout and ordering give the one-worker table at every
+// width, batch by batch, and leave no goroutine behind.
 func TestSortedAbsorbWorkerCounts(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	for _, shape := range []int{shapeRandom, shapeDeep, shapePolyA} {
 		set := diffSet(t, 41, 12, shape)
 		cuts := prefixSplits(set.NumStrings())["50-25-25"]
 		for _, w := range []int{1, 4} {
-			want := NewSortedBuckets(w)
+			want := NewBuckets(w)
 			tables := make([]*Buckets, len(workerCounts))
 			for i := range tables {
-				tables[i] = NewSortedBuckets(w)
+				tables[i] = NewBuckets(w)
 			}
 			lo := seq.StringID(0)
 			for _, hi := range cuts {
 				ids, err := want.Absorb(set, lo, hi, 1)
 				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := BuildBuckets(set, want, ids, 1); err != nil {
 					t.Fatal(err)
 				}
 				for i, workers := range workerCounts {
@@ -274,8 +249,11 @@ func TestSortedAbsorbWorkerCounts(t *testing.T) {
 					if fmt.Sprint(got) != fmt.Sprint(ids) {
 						t.Fatalf("%s: touched %v, want %v", what, got, ids)
 					}
+					if _, err := BuildBuckets(set, tables[i], got, workers); err != nil {
+						t.Fatal(err)
+					}
 					requireSameTable(t, what, tables[i], want)
-					if string(tables[i].lcp) != string(want.lcp) {
+					if !slices.Equal(tables[i].lcp, want.lcp) {
 						t.Fatalf("%s: LCPs differ", what)
 					}
 				}

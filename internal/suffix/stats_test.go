@@ -41,10 +41,19 @@ func TestStats(t *testing.T) {
 	if st.Leaves != want {
 		t.Errorf("leaves %d want %d", st.Leaves, want)
 	}
-	if st.Bytes != 16*st.Nodes {
-		t.Errorf("bytes accounting")
+	// The node counts are the reference trees'.
+	hi := seq.StringID(set.NumStrings())
+	var nodes, longest int64
+	for _, tr := range refForest(t, set, 4, Assign(Histogram(set, 4, 0, hi), 1), 0, hi) {
+		nodes += int64(tr.Len())
 	}
-	if st.MaxDepth < 30 {
-		t.Errorf("max depth %d implausible for strings up to 70", st.MaxDepth)
+	for id := seq.StringID(0); id < hi; id++ {
+		longest = max(longest, int64(len(set.Str(id))))
+	}
+	if st.Nodes != nodes {
+		t.Errorf("nodes %d, the reference trees have %d", st.Nodes, nodes)
+	}
+	if int64(st.MaxDepth) != longest {
+		t.Errorf("max depth %d, longest string %d", st.MaxDepth, longest)
 	}
 }

@@ -1,7 +1,9 @@
 package suffix
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pace/internal/seq"
@@ -235,11 +237,11 @@ func TestBuildSingleSuffixBucket(t *testing.T) {
 		t.Fatalf("forest = %v, want exactly bucket 1", forest)
 	}
 	tr := forest[0]
-	if tr.Len() != 1 || !tr.IsLeaf(0) {
-		t.Fatalf("singleton bucket tree: %+v", tr.Nodes)
+	if len(tr.Refs()) != 1 || len(tr.LCP()) != 1 || tr.LCP()[0] != 0 {
+		t.Fatalf("singleton bucket tree: %+v %v", tr.Refs(), tr.LCP())
 	}
-	if tr.Nodes[0].Depth != 3 {
-		t.Errorf("leaf depth %d want 3", tr.Nodes[0].Depth)
+	if st := Stats(forest); st.Nodes != 1 || st.MaxDepth != 3 {
+		t.Errorf("singleton bucket: %d nodes of depth up to %d, want one leaf of depth 3", st.Nodes, st.MaxDepth)
 	}
 }
 
@@ -255,22 +257,42 @@ func TestBuildRejectsEmptyAndShort(t *testing.T) {
 	}
 }
 
+// verifyTree checks an ordered bucket against the sequence set: its
+// suffixes ascend, equal ones in (SID, Pos) order, and every LCP byte is
+// min(MaxLCP, the true LCP with the suffix before) and LCPAt the true LCP.
+func verifyTree(set *seq.SetS, tr *Tree) error {
+	if len(tr.Refs()) == 0 || len(tr.LCP()) != len(tr.Refs()) || tr.LCP()[0] != 0 {
+		return fmt.Errorf("%d suffixes with %d LCPs, the first %v", len(tr.Refs()), len(tr.LCP()), tr.LCP())
+	}
+	for i := 1; i < len(tr.Refs()); i++ {
+		p, r := tr.Refs()[i-1], tr.Refs()[i]
+		a, b := set.Suffix(p.SID, p.Pos), set.Suffix(r.SID, r.Pos)
+		if lessSuffix(b, a) || a.Equal(b) && (r.SID < p.SID || r.SID == p.SID && r.Pos < p.Pos) {
+			return fmt.Errorf("suffix %d %+v sorts before suffix %d %+v", i, r, i-1, p)
+		}
+		if d := lcp(a, b); tr.LCP()[i] != uint8(min(d, MaxLCP)) || tr.LCPAt(i) != d {
+			return fmt.Errorf("suffix %d: LCP byte %d and LCP %d, want %d", i, tr.LCP()[i], tr.LCPAt(i), d)
+		}
+	}
+	return nil
+}
+
 func TestBuildIdenticalSuffixes(t *testing.T) {
 	// Two identical ESTs: every suffix appears twice; identical suffixes
-	// must split at an internal node with terminator leaves.
+	// must split at an internal node whose leaves they all are.
 	set := mustSet(t, "ACGT", "ACGT")
 	forest := buildAll(t, set, 2)
-	leaves := 0
 	for _, tr := range forest {
-		if err := tr.Verify(set); err != nil {
+		if err := verifyTree(set, tr); err != nil {
 			t.Fatalf("bucket %d: %v", tr.Bucket, err)
 		}
-		leaves += tr.NumLeaves()
 	}
 	// 4 strings (two ESTs + two rc) of length 4, w=2 → 3 suffixes each.
-	if leaves != 12 {
+	if leaves := Stats(forest).Leaves; leaves != 12 {
 		t.Errorf("leaves %d want 12", leaves)
 	}
+	hi := seq.StringID(set.NumStrings())
+	requireSameForest(t, set, "identical", forest, refForest(t, set, 2, Assign(Histogram(set, 2, 0, hi), 1), 0, hi))
 }
 
 func TestForestLeafCountsMatchSuffixCounts(t *testing.T) {
@@ -278,25 +300,24 @@ func TestForestLeafCountsMatchSuffixCounts(t *testing.T) {
 	set := randomSet(t, rng, 12, 30, 80)
 	w := 3
 	forest := buildAll(t, set, w)
-	leaves := 0
 	for _, tr := range forest {
-		if err := tr.Verify(set); err != nil {
+		if err := verifyTree(set, tr); err != nil {
 			t.Fatalf("bucket %d: %v", tr.Bucket, err)
 		}
-		leaves += tr.NumLeaves()
 	}
 	want := 0
 	for id := 0; id < set.NumStrings(); id++ {
 		want += len(set.Str(seq.StringID(id))) - w + 1
 	}
-	if leaves != want {
+	if leaves := Stats(forest).Leaves; leaves != int64(want) {
 		t.Errorf("forest leaves %d want %d", leaves, want)
 	}
 }
 
 func TestTreeNavigation(t *testing.T) {
 	// Strings chosen so bucket "AC" holds suffixes ACA, ACC (from two
-	// strings) giving one internal node with two leaf children.
+	// strings) giving one internal node, the interval of both leaves at
+	// depth 2, with two leaf children.
 	set := mustSet(t, "ACAG", "ACCG")
 	w := 2
 	m := CollectOwned(set, w, Assign(Histogram(set, w, 0, 4), 1), 0, 0, 4)
@@ -313,26 +334,22 @@ func TestTreeNavigation(t *testing.T) {
 		t.Fatalf("%d trees, want 1", len(forest))
 	}
 	tr := forest[0]
-	if err := tr.Verify(set); err != nil {
+	if err := verifyTree(set, tr); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 3 || tr.IsLeaf(0) {
-		t.Fatalf("shape: %+v", tr.Nodes)
+	if got := intervalsOf(tr); !slices.Equal(got, []interval{{depth: 2, lb: 0, rb: 1}}) {
+		t.Fatalf("intervals %v, want the root over both leaves at depth 2", got)
 	}
-	if tr.Nodes[0].Depth != 2 {
-		t.Errorf("root depth %d want 2 (label AC)", tr.Nodes[0].Depth)
+	if st := Stats(forest); st.Nodes != 3 || st.InternalNodes != 1 {
+		t.Errorf("%d nodes, %d internal, want 3 and 1", st.Nodes, st.InternalNodes)
 	}
-	kids := tr.Children(0, nil)
-	if len(kids) != 2 || kids[0] != 1 || kids[1] != 2 {
-		t.Errorf("children: %v", kids)
-	}
-	if tr.PathLabel(set, 0).String() != "AC" {
-		t.Errorf("root label %q", tr.PathLabel(set, 0).String())
+	r := tr.Refs()[0]
+	if label := set.Str(r.SID)[r.Pos : r.Pos+tr.LCPAt(1)].String(); label != "AC" {
+		t.Errorf("root label %q", label)
 	}
 }
 
-// Every suffix must appear as exactly one leaf across the forest, and each
-// leaf's path label must equal its suffix.
+// Every suffix must appear as exactly one leaf across the forest.
 func TestForestLeavesAreExactlyTheSuffixes(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	set := randomSet(t, rng, 8, 25, 60)
@@ -340,19 +357,11 @@ func TestForestLeavesAreExactlyTheSuffixes(t *testing.T) {
 	forest := buildAll(t, set, w)
 	seen := map[SuffixRef]bool{}
 	for _, tr := range forest {
-		for i := range tr.Nodes {
-			if !tr.IsLeaf(int32(i)) {
-				continue
-			}
-			n := tr.Nodes[i]
-			r := SuffixRef{SID: n.SID, Pos: n.Pos}
+		for _, r := range tr.Refs() {
 			if seen[r] {
 				t.Fatalf("suffix %v appears twice", r)
 			}
 			seen[r] = true
-			if !tr.PathLabel(set, int32(i)).Equal(set.Suffix(n.SID, n.Pos)) {
-				t.Fatalf("leaf label != suffix for %v", r)
-			}
 		}
 	}
 	for id := 0; id < set.NumStrings(); id++ {
@@ -365,21 +374,19 @@ func TestForestLeavesAreExactlyTheSuffixes(t *testing.T) {
 	}
 }
 
-// Internal nodes must be branching: no child may carry the subtree's whole
-// leaf set (checked by Verify's >=2-children rule across random inputs). A
-// built tree's Nodes are also capped at their length, so an append through
-// one tree cannot write into the next tree of the slab.
+// Random forests verify, and their trees' slices are capped at their
+// length, so an append through one tree cannot write into the next.
 func TestVerifyRandomForests(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 10; trial++ {
 		set := randomSet(t, rng, 3+rng.Intn(10), 15, 50)
 		w := 2 + rng.Intn(4)
 		for _, tr := range buildAll(t, set, w) {
-			if err := tr.Verify(set); err != nil {
+			if err := verifyTree(set, tr); err != nil {
 				t.Fatalf("trial %d bucket %d: %v", trial, tr.Bucket, err)
 			}
-			if cap(tr.Nodes) != len(tr.Nodes) {
-				t.Fatalf("trial %d bucket %d: %d nodes in capacity %d", trial, tr.Bucket, len(tr.Nodes), cap(tr.Nodes))
+			if cap(tr.Refs()) != len(tr.Refs()) || cap(tr.LCP()) != len(tr.LCP()) {
+				t.Fatalf("trial %d bucket %d: %d suffixes in capacity %d", trial, tr.Bucket, len(tr.Refs()), cap(tr.Refs()))
 			}
 		}
 	}
@@ -416,19 +423,16 @@ func TestBuildForestSkipsEmptyBuckets(t *testing.T) {
 	}
 }
 
+// A tree's leaves are its bucket's suffixes, every one of them.
 func TestNumLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	set := randomSet(t, rng, 8, 20, 60)
 	const w = 3
 	table := CollectOwned(set, w, make([]int32, NumBuckets(w)), 0, 0, seq.StringID(set.NumStrings()))
 	for _, tr := range buildAll(t, set, w) {
-		if got, want := tr.NumLeaves(), len(table.Refs(tr.Bucket)); got != want {
-			t.Fatalf("bucket %d: NumLeaves %d, the bucket holds %d suffixes", tr.Bucket, got, want)
+		if got, want := len(tr.Refs()), len(table.Refs(tr.Bucket)); got != want {
+			t.Fatalf("bucket %d: %d leaves, the bucket holds %d suffixes", tr.Bucket, got, want)
 		}
-	}
-	hand := &Tree{Nodes: []Node{{Depth: 3, RML: 0, SID: 0, Pos: 0}}}
-	if hand.NumLeaves() != 1 {
-		t.Errorf("hand-made tree NumLeaves = %d, want 1", hand.NumLeaves())
 	}
 }
 

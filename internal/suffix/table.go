@@ -9,22 +9,23 @@ import (
 )
 
 // Buckets is the flat bucket table: every collected suffix in one slice,
-// ordered by bucket, then string id, then position, with one offset per
-// bucket. The (SID, Pos) order inside a bucket is the order a single
-// ascending scan of the strings produces; every collector keeps it, and
-// because the builder's partition is stable it fixes the node order of the
-// bucket's subtree, so equal tables build byte-identical forests.
+// grouped by bucket, with one offset per bucket and one LCP byte per suffix.
+// A bucket's front is in suffix order — its subtree's preorder leaves — with
+// lcp[i] the saturated LCP of refs[i] with the suffix before it (0 for the
+// first); behind it are the suffixes collected since, in (SID, Pos) order,
+// the order a single ascending scan of the strings produces. BuildBuckets
+// orders them in, so every collector fills a table the same way and equal
+// tables order into equal buckets.
 type Buckets struct {
 	w    int
 	refs []SuffixRef
-	// sorted marks a table from NewSortedBuckets, whose buckets are in suffix
-	// order with lcp[i] the saturated LCP of refs[i] with the suffix before it
-	// in its bucket (sorted.go). A scan-order table has no lcp.
-	sorted bool
-	lcp    []uint8
+	lcp  []uint8
 	// off has NumBuckets(w)+1 entries; bucket b is refs[off[b]:off[b+1]].
 	// int32 offsets cap one table at math.MaxInt32 suffixes.
 	off []int32
+	// ordered[b] counts the suffixes at the front of bucket b that are in
+	// suffix order.
+	ordered []int32
 	// next[b] is where Put writes bucket b's next suffix. Only a table from
 	// NewSizedBuckets has it, and Seal drops it.
 	next []int32
@@ -35,7 +36,8 @@ type Buckets struct {
 
 // NewBuckets returns an empty table for window w, to be grown by Absorb.
 func NewBuckets(w int) *Buckets {
-	return &Buckets{w: w, off: make([]int32, NumBuckets(w)+1)}
+	nb := NumBuckets(w)
+	return &Buckets{w: w, off: make([]int32, nb+1), ordered: make([]int32, nb)}
 }
 
 // offsets lays out a table with size(b) suffixes in bucket b. A negative
@@ -62,8 +64,8 @@ func offsets(nb int, size func(b int) int64) ([]int32, error) {
 // Len returns the number of suffixes in the table.
 func (t *Buckets) Len() int { return len(t.refs) }
 
-// Refs returns bucket b's suffixes in (SID, Pos) order, or suffix order if
-// sorted: read-only, aliasing the table until the next Absorb or Truncate.
+// Refs returns bucket b's suffixes, its ordered front first: read-only,
+// aliasing the table until the next Absorb or Truncate.
 func (t *Buckets) Refs(b int) []SuffixRef {
 	lo, hi := t.off[b], t.off[b+1]
 	return t.refs[lo:hi:hi]
@@ -114,16 +116,13 @@ func CollectOwned(set *seq.SetS, w int, owner []int32, me int32, lo, hi seq.Stri
 	return t
 }
 
-// Absorb merges the suffixes of strings [lo,hi) into the table on up to
-// workers goroutines and returns, in ascending order, the ids of the buckets
-// that received any. Every string already in the table must have an id below
-// lo, so that in a scan-order table a bucket's fresh suffixes belong behind
-// its old ones: a table grown batch by batch is then equal to one collected
-// in a single scan. A sorted table then orders them in (absorbSorted).
+// Absorb lays the suffixes of strings [lo,hi) out behind each bucket's
+// suffixes on up to workers goroutines and returns, in ascending order, the
+// ids of the buckets that received any: the ones BuildBuckets must order.
+// Every string already in the table must have an id below lo, so that a
+// bucket's new suffixes, in (SID, Pos) order, are those a single scan would
+// put behind its old ones.
 func (t *Buckets) Absorb(set *seq.SetS, lo, hi seq.StringID, workers int) ([]int32, error) {
-	if t.sorted {
-		return t.absorbSorted(set, lo, hi, workers)
-	}
 	old := t.off
 	if err := t.merge(set, nil, 0, lo, hi, workers); err != nil {
 		return nil, err
@@ -186,18 +185,18 @@ func (t *Buckets) merge(set *seq.SetS, owner []int32, me int32, lo, hi seq.Strin
 			at, cur[k] = at+cur[k], at
 		}
 	}
-	refs := make([]SuffixRef, off[nb])
+	refs, lcp := make([]SuffixRef, off[nb]), make([]uint8, off[nb])
 	if parts == 1 {
-		t.copyOld(refs, off, 0, nb)
+		t.copyOld(refs, lcp, off, 0, nb)
 		t.scatter(set, owner, me, lo, hi, cur, refs)
 	} else {
 		_ = fanout.Run(parts, func(k int) error {
-			t.copyOld(refs, off, k*nb/parts, (k+1)*nb/parts)
+			t.copyOld(refs, lcp, off, k*nb/parts, (k+1)*nb/parts)
 			t.scatter(set, owner, me, lo+seq.StringID(cuts[k]), lo+seq.StringID(cuts[k+1]), cur[k*nb:(k+1)*nb], refs)
 			return nil
 		})
 	}
-	t.refs, t.off = refs, off
+	t.refs, t.lcp, t.off = refs, lcp, off
 	return nil
 }
 
@@ -243,51 +242,51 @@ func (t *Buckets) scatter(set *seq.SetS, owner []int32, me int32, lo, hi seq.Str
 	}
 }
 
-// copyOld copies the table's buckets [from,to) into refs, laid out by off,
-// each to the front of its new range.
-func (t *Buckets) copyOld(refs []SuffixRef, off []int32, from, to int) {
+// copyOld copies the table's buckets [from,to) and their LCP bytes into refs
+// and lcp, laid out by off, each to the front of its new range.
+func (t *Buckets) copyOld(refs []SuffixRef, lcp []uint8, off []int32, from, to int) {
 	if len(t.refs) == 0 {
 		return
 	}
 	for b := from; b < to; b++ {
 		copy(refs[off[b]:], t.refs[t.off[b]:t.off[b+1]])
+		copy(lcp[off[b]:], t.lcp[t.off[b]:t.off[b+1]])
 	}
 }
 
 // Truncate drops every suffix of strings with id >= hi — the inverse of the
-// Absorb calls that brought them in — by a stable filter that compacts the
-// kept suffixes to the front in place. In a sorted table a kept suffix's LCP
-// with the kept one before it is the minimum of the LCPs from there to it;
+// Absorb calls that brought them in, whether or not BuildBuckets has ordered
+// them since — by a stable filter that compacts the kept suffixes to the
+// front in place. In a bucket's ordered front a kept suffix's LCP with the
+// kept one before it is the minimum of the LCPs from there to it;
 // saturation commutes with min, so the bytes stay exact.
 func (t *Buckets) Truncate(hi seq.StringID) {
 	var w int32
 	for b := 0; b+1 < len(t.off); b++ {
-		lo, end := t.off[b], t.off[b+1]
+		lo, mid, end := t.off[b], t.off[b]+t.ordered[b], t.off[b+1]
 		t.off[b] = w
-		run := uint8(maxLCP)
+		run := uint8(MaxLCP)
 		for i := lo; i < end; i++ {
-			if t.sorted {
-				run = min(run, t.lcp[i])
+			if i == mid {
+				t.ordered[b] = w - t.off[b]
 			}
+			run = min(run, t.lcp[i])
 			if t.refs[i].SID < hi {
-				t.refs[w] = t.refs[i]
-				if t.sorted {
-					t.lcp[w], run = run, maxLCP
-				}
+				t.refs[w], t.lcp[w], run = t.refs[i], run, MaxLCP
 				w++
 			}
 		}
+		if mid == end {
+			t.ordered[b] = w - t.off[b]
+		}
 	}
 	t.off[len(t.off)-1] = w
-	t.refs = t.refs[:w]
-	if t.sorted {
-		t.lcp = t.lcp[:w]
-	}
+	t.refs, t.lcp = t.refs[:w], t.lcp[:w]
 }
 
 // NewSizedBuckets returns a table laid out for hist[b] suffixes in every
 // bucket owned by me and none elsewhere, to be filled by Put in arrival
-// order and closed by Seal. This is the receiving side of the parallel
+// order, closed by Seal and ordered by BuildBuckets. This is the receiving side of the parallel
 // redistribution: the global histogram fixes every offset before the first
 // message arrives.
 func NewSizedBuckets(w int, hist []int64, owner []int32, me int32) (*Buckets, error) {
@@ -306,7 +305,7 @@ func NewSizedBuckets(w int, hist []int64, owner []int32, me int32) (*Buckets, er
 	}
 	next := make([]int32, nb)
 	copy(next, off)
-	return &Buckets{w: w, refs: make([]SuffixRef, off[nb]), off: off, next: next}, nil
+	return &Buckets{w: w, refs: make([]SuffixRef, off[nb]), lcp: make([]uint8, off[nb]), off: off, ordered: make([]int32, nb), next: next}, nil
 }
 
 // Put appends r to bucket b of a sized table. It reports false, storing

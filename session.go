@@ -92,20 +92,23 @@ func ResumeSession(opt Options, ests []string, labels []int) (*Session, error) {
 	return s, nil
 }
 
-// warm gives a sequential session holding ESTs its bucket cache, sorted once
-// for every later batch to merge into. A first batch runs without one, like
-// any one-shot run, so a Cluster call never pays for the sort, and a resumed
-// session pays for it at its next Add, not when a server restarts.
+// warm gives a sequential session its bucket cache before its first run:
+// an empty one for a new session, which the first batch fills like any
+// one-shot run and every later batch merges into, and for a resumed one the
+// saved ESTs' table, ordered once (Warm), so that a resumed session pays for
+// it at its next Add, not when a server restarts.
 func (s *Session) warm() error {
-	if s.cache != nil || s.opt.Processors != 1 || s.set == nil {
+	if s.cache != nil || s.opt.Processors != 1 {
 		return nil
 	}
 	cache := cluster.NewBucketCache()
-	err := cache.Warm(s.set, s.opt.Window)
-	if err == nil {
-		s.cache = cache
+	if s.set != nil {
+		if err := cache.Warm(s.set, s.opt.Window); err != nil {
+			return err
+		}
 	}
-	return err
+	s.cache = cache
+	return nil
 }
 
 // runSet is swappable in tests to inject a failure at the latest possible
