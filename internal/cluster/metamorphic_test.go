@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -71,10 +72,65 @@ func longestARun(s seq.Sequence) int {
 	return best
 }
 
+// TestDuplicatesAndPermutationSamePartition is the metamorphic net's
+// duplicate and permutation legs, on the default profile and on
+// TestPolyATailFlipsSamePartition's poly(A) profile: a duplicated EST meets
+// its original in every bucket with identical suffixes, and a permutation
+// changes every (string id, position) tie, so the GST orders every bucket
+// differently. The partition must stay the same up to relabelling, with
+// each duplicate in its original's cluster.
+func TestDuplicatesAndPermutationSamePartition(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	cfg := DefaultConfig(1)
+	cfg.Window, cfg.Psi = 6, 18
+	requireDuplicatesKeepPartition(t, benchSet(t, 100, 6, 7).ESTs, cfg)
+	sim := benchConfig(100, 6, 9)
+	sim.PolyATail = [2]int{150, 300}
+	sim.ErrorRate = 0.002
+	b, err := simulate.Generate(sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireDuplicatesKeepPartition(t, b.ESTs, cfg)
+}
+
+// requireDuplicatesKeepPartition clusters ests sequentially at one worker,
+// then duplicates a tenth of them, permutes them, and permutes the
+// duplicated input, and requires the same partition of each.
+func requireDuplicatesKeepPartition(t *testing.T, ests []seq.Sequence, cfg Config) {
+	t.Helper()
+	ref, err := Run(ests, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := normalizeLabels(ref.Labels)
+	rng := rand.New(rand.NewSource(13))
+	duplicated := identity(len(ests))
+	for i := range ests {
+		if rng.Intn(10) == 0 {
+			duplicated = append(duplicated, i)
+		}
+	}
+	permuted := rng.Perm(len(ests))
+	both := make([]int, len(duplicated))
+	for i, k := range rng.Perm(len(duplicated)) {
+		both[i] = duplicated[k]
+	}
+	for _, c := range []struct {
+		what string
+		from []int
+	}{{"duplicated", duplicated}, {"permuted", permuted}, {"duplicated and permuted", both}} {
+		variant := make([]seq.Sequence, len(c.from))
+		for i, j := range c.from {
+			variant[i] = ests[j]
+		}
+		requireSamePartition(t, c.what, variant, c.from, cfg, want)
+	}
+}
+
 // requireFlipsKeepPartition clusters ests sequentially at one worker, then
 // reverse-complements 10 %, 50 % and all of them and requires the same
-// partition sequentially at 1 and 8 workers and on the real transport at
-// p = 3. It returns the unflipped run.
+// partition of each. It returns the unflipped run.
 func requireFlipsKeepPartition(t *testing.T, ests []seq.Sequence, cfg Config) *Result {
 	t.Helper()
 	ref, err := Run(ests, cfg)
@@ -90,28 +146,56 @@ func requireFlipsKeepPartition(t *testing.T, ests []seq.Sequence, cfg Config) *R
 				flipped[i] = flipped[i].ReverseComplement()
 			}
 		}
-		set, err := seq.NewSetS(flipped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 8} {
-			res, err := runSequential(set, cfg, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := normalizeLabels(res.Labels); !slices.Equal(got, want) {
-				t.Errorf("%.0f %% flipped, sequential at %d workers: %d clusters, the unflipped input %d, or another partition", 100*frac, workers, res.NumClusters, ref.NumClusters)
-			}
-		}
-		real := cfg
-		real.MP = mp.Config{Procs: 3, Mode: mp.ModeReal}
-		res, err := Run(flipped, real)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := normalizeLabels(res.Labels); !slices.Equal(got, want) {
-			t.Errorf("%.0f %% flipped, p = 3 real: %d clusters, the unflipped input %d, or another partition", 100*frac, res.NumClusters, ref.NumClusters)
-		}
+		requireSamePartition(t, fmt.Sprintf("%.0f %% flipped", 100*frac), flipped, identity(len(ests)), cfg, want)
 	}
 	return ref
+}
+
+// identity returns 0, 1, …, n-1.
+func identity(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
+// requireSamePartition clusters variant, whose EST i is original EST
+// from[i] or its reverse complement, sequentially at 1 and 8 workers and on
+// the real transport at p = 3. Each run must put every copy of an original
+// in one cluster and partition the originals as want does.
+func requireSamePartition(t *testing.T, what string, variant []seq.Sequence, from []int, cfg Config, want []int32) {
+	t.Helper()
+	check := func(how string, res *Result) {
+		t.Helper()
+		got := make([]int32, len(want))
+		seen := make([]bool, len(want))
+		for i, j := range from {
+			if seen[j] && got[j] != res.Labels[i] {
+				t.Errorf("%s, %s: EST %d and its copy at %d are in different clusters", what, how, j, i)
+			}
+			got[j], seen[j] = res.Labels[i], true
+		}
+		if !slices.Equal(normalizeLabels(got), want) {
+			t.Errorf("%s, %s: %d clusters, another partition of the originals", what, how, res.NumClusters)
+		}
+	}
+	set, err := seq.NewSetS(variant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		res, err := runSequential(set, cfg, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("sequential at %d workers", workers), res)
+	}
+	real := cfg
+	real.MP = mp.Config{Procs: 3, Mode: mp.ModeReal}
+	res, err := Run(variant, real)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("p = 3 real", res)
 }

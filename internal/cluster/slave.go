@@ -104,10 +104,13 @@ func scatterSuffixes(table *suffix.Buckets, set *seq.SetS, w int, owner []int32,
 		if int64(sid) >= int64(set.NumStrings()) {
 			return fmt.Errorf("cluster: string %d of %d", sid, set.NumStrings())
 		}
-		if int64(pos)+int64(w) > int64(len(set.Str(seq.StringID(sid)))) {
+		s := set.Str(seq.StringID(sid))
+		if int64(pos)+int64(w) > int64(len(s)) {
 			return fmt.Errorf("cluster: string %d has no suffix of %d characters at %d", sid, w, pos)
 		}
-		if !table.Put(int(b), suffix.SuffixRef{SID: seq.StringID(sid), Pos: int32(pos)}) {
+		// The code comes from the local strings, never off the wire: a
+		// wrong one would misorder the bucket without an error.
+		if !table.Put(int(b), suffix.SuffixRef{SID: seq.StringID(sid), Pos: int32(pos)}, suffix.LookAhead(s[int(pos)+w:])) {
 			return fmt.Errorf("cluster: bucket %d overflows the size the global histogram announced", b)
 		}
 	}

@@ -20,19 +20,22 @@
 // with an offset per bucket — filled by a counting scan and a scattering
 // scan, or, on a slave, laid out from the global histogram and filled as
 // messages arrive. Every collector only lays suffixes out, in (string id,
-// position) order behind each bucket's ordered front. The build (tree.go)
-// orders them: it partitions a group in place by its next character with a
-// stable five-way scatter (terminator, A, C, G, T) through one scratch
-// buffer, emitting leaves and their LCPs as it goes; a counting pass that
-// finds no branch hands the rest of the shared run to a word-at-a-time
-// compare, and a group of two is finished by one such compare without a
-// pass. The sorted suffixes are then merged with the bucket's ordered front,
-// which is empty except in a session's table, where a batch is merged into
-// what earlier batches ordered. Stability is what makes the result
-// canonical: equal suffixes end in (string id, position) order, so equal
-// tables order into equal buckets whichever collector filled them. Buckets
-// are independent, so BuildBuckets orders contiguous chunks of them
-// concurrently, each with a builder of its own.
+// position) order behind each bucket's ordered front, with its next four
+// characters (look-ahead code) in its LCP byte, read by the scan that finds
+// its bucket. The build (tree.go) orders them: two stable 16-way passes sort
+// by code, which orders suffixes whose codes differ without a string read;
+// in a run of equal code the suffixes that end within it come first,
+// shortest first, and the rest are partitioned in place from depth w+4 by
+// their next character with a stable five-way scatter (terminator, A, C, G,
+// T) through one scratch buffer, emitting leaves and their LCPs as it goes;
+// a counting pass that finds no branch hands the rest of the shared run to
+// a word-at-a-time compare, and a group of two is finished by one such
+// compare without a pass. The sorted suffixes are copied in, or merged with
+// what a session's earlier batches ordered. Stability makes the result
+// canonical: every pass keeps (string id, position) order among equals, so
+// equal tables order into equal buckets whichever collector filled them.
+// Buckets are independent, so BuildBuckets orders chunks of them
+// concurrently, a builder per chunk.
 package suffix
 
 import (

@@ -15,8 +15,18 @@ import (
 	"pace/internal/testutil"
 )
 
+// codeOf returns the look-ahead code of suffix r in a table of window w, or
+// 0 for a suffix shorter than the window.
+func codeOf(set *seq.SetS, w int, r SuffixRef) uint8 {
+	s := set.Suffix(r.SID, r.Pos)
+	if len(s) < w {
+		return 0
+	}
+	return LookAhead(s[w:])
+}
+
 // tableFromMap lays a hand-written bucket map out as a flat table.
-func tableFromMap(t testing.TB, w int, m map[int][]SuffixRef) *Buckets {
+func tableFromMap(t testing.TB, set *seq.SetS, w int, m map[int][]SuffixRef) *Buckets {
 	t.Helper()
 	nb := NumBuckets(w)
 	hist := make([]int64, nb)
@@ -29,7 +39,7 @@ func tableFromMap(t testing.TB, w int, m map[int][]SuffixRef) *Buckets {
 	}
 	for b, refs := range m {
 		for _, r := range refs {
-			if !table.Put(b, r) {
+			if !table.Put(b, r, codeOf(set, w, r)) {
 				t.Fatalf("bucket %d full", b)
 			}
 		}
@@ -48,6 +58,7 @@ const (
 	shapeShort
 	shapePolyA
 	shapeDeep
+	shapeLookAhead
 	numShapes
 )
 
@@ -63,7 +74,10 @@ var workerCounts = []int{1, 2, 3, 8}
 // poly(A) tails longer than any window (some reads all tail), or reads cut
 // from one 200-base template at spread offsets and lengths with 2 %
 // substitutions, so shared runs span several 8-base words and break, and
-// reads end, at every offset within a word.
+// reads end, at every offset within a word; or template tails followed by 0
+// to 7 A's, with a fifth of the reads all A, so suffixes end 0 to 3
+// characters past any window in buckets where other strings hold real A's
+// in the look-ahead code's padded positions, and identical suffixes abound.
 func diffSet(t testing.TB, seed int64, n, shape int) *seq.SetS {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -100,6 +114,12 @@ func diffSet(t testing.TB, seed int64, n, shape int) *seq.SetS {
 				return tail
 			}
 			return append(random(rng.Intn(20)), tail...)
+		case shapeLookAhead:
+			if rng.Intn(5) == 0 {
+				return make(seq.Sequence, 1+rng.Intn(20))
+			}
+			tpl := templates[rng.Intn(len(templates))]
+			return append(tpl[rng.Intn(len(tpl)):].Clone(), make(seq.Sequence, rng.Intn(8))...)
 		case shapeDeep:
 			lo := rng.Intn(len(deep) / 2)
 			s := deep[lo : lo+1+rng.Intn(len(deep)-lo)].Clone()
@@ -400,7 +420,8 @@ func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 					lo, hi := seq.StringID(s*int(n2)/slaves), seq.StringID((s+1)*int(n2)/slaves)
 					for id := lo; id < hi; id++ {
 						BucketEach(set.Str(id), w, func(b int, pos int32) {
-							if owner[b] == me && !table.Put(b, SuffixRef{SID: id, Pos: pos}) {
+							r := SuffixRef{SID: id, Pos: pos}
+							if owner[b] == me && !table.Put(b, r, codeOf(set, w, r)) {
 								t.Fatalf("bucket %d full before its last suffix", b)
 							}
 						})
@@ -448,12 +469,117 @@ func FuzzBuildMatchesReference(f *testing.F) {
 		{7, 16, 12, shapeDuplicates},
 		{8, 7, 5, shapeOneLetter},
 		{9, 24, 8, shapeDeep},
+		{10, 12, 0, shapeLookAhead},
+		{11, 12, 1, shapeLookAhead},
+		{12, 12, 7, shapeLookAhead},
 	} {
 		f.Add(s.seed, s.n, s.w, s.sh)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n, w, shape uint8) {
 		checkBuildMatchesReference(t, seed, 1+int(n%32), 1+int(w%8), int(shape%numShapes))
 	})
+}
+
+// TestLookAheadWorkerCounts runs every fill path over input whose suffixes
+// end 0 to 3 characters past the window where other strings hold real A's:
+// every bucket must order into the oracle's tree, and every suffix behind an
+// ordered front must hold its look-ahead code after each fill and after
+// Truncate, also in a sized table filled out of string order. At w = 1, 2
+// and 8 each path runs at 1, 2, 3 and 8 workers; at MaxWindow, where every
+// table has 4^12 buckets and the full matrix takes most of a minute, each
+// runs once, at two workers.
+func TestLookAheadWorkerCounts(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	for s, want := range map[string]uint8{"": 0, "C": 0x40, "AC": 0x10, "ACGT": 0x1b, "TTTTA": 0xff} {
+		if got := LookAhead(mustSeq(t, s)); got != want {
+			t.Errorf("LookAhead(%q) = %#x, want %#x", s, got, want)
+		}
+	}
+	for _, w := range []int{1, 2, 8} {
+		for seed := int64(1); seed <= 2; seed++ {
+			checkBuildMatchesReference(t, seed, 12, w, shapeLookAhead)
+			checkCodes(t, diffSet(t, seed, 12, shapeLookAhead), w, workerCounts)
+		}
+	}
+	checkCodes(t, diffSet(t, 3, 12, shapeLookAhead), MaxWindow, []int{2})
+}
+
+// checkCodes fills tables of window w over set by every collector at each
+// of the given widths and requires every unordered byte to be its suffix's
+// code after each fill and after Truncate, and the truncated tables to order
+// into the oracle's trees.
+func checkCodes(t *testing.T, set *seq.SetS, w int, widths []int) {
+	t.Helper()
+	n2 := seq.StringID(set.NumStrings())
+	hist := Histogram(set, w, 0, n2)
+	all := Assign(hist, 1)
+	collected := CollectOwned(set, w, all, 0, 0, n2)
+	requireCodes(t, set, fmt.Sprintf("w %d, collected", w), collected)
+	forest, err := BuildBuckets(set, collected, collected.NonEmpty(), widths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameForest(t, set, fmt.Sprintf("w %d, collected", w), forest, refForest(t, set, w, all, 0, n2))
+	for _, split := range []string{"70-30", "tail-by-one"} {
+		for _, workers := range widths {
+			what := fmt.Sprintf("w %d, split %s, %d workers", w, split, workers)
+			table, lo := NewBuckets(w), seq.StringID(0)
+			for _, hi := range prefixSplits(int(n2))[split] {
+				if _, err := table.Absorb(set, lo, hi, workers); err != nil {
+					t.Fatal(err)
+				}
+				requireCodes(t, set, what, table)
+				lo = hi
+			}
+			// The cut drops the last EST from behind the fronts.
+			table.Truncate(n2 - 2)
+			requireCodes(t, set, what+", truncated", table)
+			forest, err := BuildBuckets(set, table, table.NonEmpty(), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameForest(t, set, what+", truncated", forest, refForest(t, set, w, all, 0, n2-2))
+		}
+	}
+	// A sized table filled from its sources in reverse order keeps each
+	// suffix's code through a cut, whatever the suffixes the cut drops in
+	// front of it hold.
+	for _, slaves := range []int{2, 3} {
+		owner := Assign(hist, slaves)
+		table, err := NewSizedBuckets(w, hist, owner, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for src := slaves - 1; src >= 0; src-- {
+			for id := seq.StringID(src * int(n2) / slaves); id < seq.StringID((src+1)*int(n2)/slaves); id++ {
+				BucketEach(set.Str(id), w, func(b int, pos int32) {
+					if r := (SuffixRef{SID: id, Pos: pos}); owner[b] == 0 {
+						table.Put(b, r, codeOf(set, w, r))
+					}
+				})
+			}
+		}
+		if err := table.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("w %d, %d slaves, sources reversed", w, slaves)
+		requireCodes(t, set, what, table)
+		table.Truncate(n2 / 2)
+		requireCodes(t, set, what+", truncated", table)
+	}
+}
+
+// requireCodes fails unless every suffix behind a bucket's ordered front
+// holds its look-ahead code in its byte.
+func requireCodes(t testing.TB, set *seq.SetS, what string, table *Buckets) {
+	t.Helper()
+	for b := 0; b+1 < len(table.off); b++ {
+		for i := table.off[b] + table.ordered[b]; i < table.off[b+1]; i++ {
+			if r, want := table.refs[i], codeOf(set, table.w, table.refs[i]); table.lcp[i] != want {
+				t.Fatalf("%s: suffix (%d,%d) in bucket %d holds %#x, want its code %#x", what, r.SID, r.Pos, b, table.lcp[i], want)
+			}
+		}
+	}
 }
 
 // lessSuffix orders suffixes lexicographically, a proper prefix first.
@@ -643,19 +769,19 @@ func TestSizedTableRejectsOverflowAndShortfall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !table.Put(0, SuffixRef{SID: 0, Pos: 0}) || !table.Put(2, SuffixRef{SID: 0, Pos: 1}) {
+	if !table.Put(0, SuffixRef{SID: 0, Pos: 0}, 0) || !table.Put(2, SuffixRef{SID: 0, Pos: 1}, 0) {
 		t.Fatal("Put into a bucket with room failed")
 	}
-	if table.Put(2, SuffixRef{SID: 1, Pos: 1}) {
+	if table.Put(2, SuffixRef{SID: 1, Pos: 1}, 0) {
 		t.Error("Put beyond the announced size succeeded")
 	}
-	if table.Put(1, SuffixRef{SID: 1, Pos: 1}) {
+	if table.Put(1, SuffixRef{SID: 1, Pos: 1}, 0) {
 		t.Error("Put into a bucket announced empty succeeded")
 	}
 	if err := table.Seal(); err == nil || !strings.Contains(err.Error(), "bucket 0 received 1 of 2") {
 		t.Errorf("Seal of a short table: %v", err)
 	}
-	if !table.Put(0, SuffixRef{SID: 1, Pos: 0}) {
+	if !table.Put(0, SuffixRef{SID: 1, Pos: 0}, 0) {
 		t.Fatal("Put of the last suffix failed")
 	}
 	if err := table.Seal(); err != nil {
@@ -761,7 +887,7 @@ func TestBuildWorkerCounts(t *testing.T) {
 	last := int32(len(set.Str(0)))
 	bad[5] = append(bad[5], SuffixRef{SID: 0, Pos: last - 2})
 	bad[12] = append(bad[12], SuffixRef{SID: 0, Pos: last - 1})
-	table := tableFromMap(t, w, bad)
+	table := tableFromMap(t, set, w, bad)
 	_, first := BuildBuckets(set, table, table.NonEmpty(), 1)
 	if first == nil || !strings.Contains(first.Error(), fmt.Sprintf("(0,%d)", last-2)) {
 		t.Fatalf("one worker: got %v, want bucket 5's short suffix", first)

@@ -9,13 +9,14 @@ import (
 )
 
 // Buckets is the flat bucket table: every collected suffix in one slice,
-// grouped by bucket, with one offset per bucket and one LCP byte per suffix.
+// grouped by bucket, with one offset per bucket and one byte per suffix.
 // A bucket's front is in suffix order — its subtree's preorder leaves — with
 // lcp[i] the saturated LCP of refs[i] with the suffix before it (0 for the
 // first); behind it are the suffixes collected since, in (SID, Pos) order,
-// the order a single ascending scan of the strings produces. BuildBuckets
-// orders them in, so every collector fills a table the same way and equal
-// tables order into equal buckets.
+// the order a single ascending scan of the strings produces, and there the
+// byte is the suffix's look-ahead code (LookAhead). BuildBuckets orders them
+// in, so every collector fills a table the same way and equal tables order
+// into equal buckets.
 type Buckets struct {
 	w    int
 	refs []SuffixRef
@@ -188,11 +189,11 @@ func (t *Buckets) merge(set *seq.SetS, owner []int32, me int32, lo, hi seq.Strin
 	refs, lcp := make([]SuffixRef, off[nb]), make([]uint8, off[nb])
 	if parts == 1 {
 		t.copyOld(refs, lcp, off, 0, nb)
-		t.scatter(set, owner, me, lo, hi, cur, refs)
+		t.scatter(set, owner, me, lo, hi, cur, refs, lcp)
 	} else {
 		_ = fanout.Run(parts, func(k int) error {
 			t.copyOld(refs, lcp, off, k*nb/parts, (k+1)*nb/parts)
-			t.scatter(set, owner, me, lo+seq.StringID(cuts[k]), lo+seq.StringID(cuts[k+1]), cur[k*nb:(k+1)*nb], refs)
+			t.scatter(set, owner, me, lo+seq.StringID(cuts[k]), lo+seq.StringID(cuts[k+1]), cur[k*nb:(k+1)*nb], refs, lcp)
 			return nil
 		})
 	}
@@ -230,20 +231,44 @@ func (t *Buckets) count(set *seq.SetS, owner []int32, me int32, lo, hi seq.Strin
 }
 
 // scatter writes the suffixes of strings [lo,hi) in the buckets owned by me
-// into refs at the cursors c, advancing them.
-func (t *Buckets) scatter(set *seq.SetS, owner []int32, me int32, lo, hi seq.StringID, c []int32, refs []SuffixRef) {
+// into refs at the cursors c, advancing them, and each one's look-ahead code
+// into lcp. A register of the last w+4 characters read holds the bucket and
+// the code of the suffix that starts w+4 characters back.
+func (t *Buckets) scatter(set *seq.SetS, owner []int32, me int32, lo, hi seq.StringID, c []int32, refs []SuffixRef, lcp []uint8) {
+	mask := uint64(NumBuckets(t.w))<<8 - 1
 	for id := lo; id < hi; id++ {
-		BucketEach(set.Str(id), t.w, func(b int, pos int32) {
-			if owner == nil || owner[b] == me {
-				refs[c[b]] = SuffixRef{SID: id, Pos: pos}
+		s, reg := set.Str(id), uint64(0)
+		for i := 0; i < len(s)+4; i++ {
+			reg = roll(reg, s, i, mask)
+			if pos, b := i-t.w-3, int(reg>>8); pos >= 0 && (owner == nil || owner[b] == me) {
+				refs[c[b]], lcp[c[b]] = SuffixRef{SID: id, Pos: int32(pos)}, uint8(reg)
 				c[b]++
 			}
-		})
+		}
 	}
 }
 
-// copyOld copies the table's buckets [from,to) and their LCP bytes into refs
-// and lcp, laid out by off, each to the front of its new range.
+// LookAhead packs the look-ahead code of a suffix whose characters past the
+// window are s: the first four, two bits each, first highest, zero past end.
+func LookAhead(s seq.Sequence) uint8 {
+	var code uint64
+	for i := 0; i < 4; i++ {
+		code = roll(code, s, i, 0xff)
+	}
+	return uint8(code)
+}
+
+// roll shifts s[i], or a zero past the end of s, into reg, under mask.
+func roll(reg uint64, s seq.Sequence, i int, mask uint64) uint64 {
+	var c uint64
+	if i < len(s) {
+		c = uint64(s[i])
+	}
+	return (reg<<2 | c) & mask
+}
+
+// copyOld copies the table's buckets [from,to) and their bytes, codes
+// included, into refs and lcp, laid out by off, each to its new range's front.
 func (t *Buckets) copyOld(refs []SuffixRef, lcp []uint8, off []int32, from, to int) {
 	if len(t.refs) == 0 {
 		return
@@ -259,7 +284,8 @@ func (t *Buckets) copyOld(refs []SuffixRef, lcp []uint8, off []int32, from, to i
 // them since — by a stable filter that compacts the kept suffixes to the
 // front in place. In a bucket's ordered front a kept suffix's LCP with the
 // kept one before it is the minimum of the LCPs from there to it;
-// saturation commutes with min, so the bytes stay exact.
+// saturation commutes with min, so the bytes stay exact. Behind the front a
+// kept suffix keeps its byte, its look-ahead code, as it is.
 func (t *Buckets) Truncate(hi seq.StringID) {
 	var w int32
 	for b := 0; b+1 < len(t.off); b++ {
@@ -270,7 +296,9 @@ func (t *Buckets) Truncate(hi seq.StringID) {
 			if i == mid {
 				t.ordered[b] = w - t.off[b]
 			}
-			run = min(run, t.lcp[i])
+			if run = min(run, t.lcp[i]); i >= mid {
+				run = t.lcp[i]
+			}
 			if t.refs[i].SID < hi {
 				t.refs[w], t.lcp[w], run = t.refs[i], run, MaxLCP
 				w++
@@ -286,9 +314,9 @@ func (t *Buckets) Truncate(hi seq.StringID) {
 
 // NewSizedBuckets returns a table laid out for hist[b] suffixes in every
 // bucket owned by me and none elsewhere, to be filled by Put in arrival
-// order, closed by Seal and ordered by BuildBuckets. This is the receiving side of the parallel
-// redistribution: the global histogram fixes every offset before the first
-// message arrives.
+// order, closed by Seal and ordered by BuildBuckets. This is the receiving
+// side of the parallel redistribution: the global histogram fixes every
+// offset before the first message arrives.
 func NewSizedBuckets(w int, hist []int64, owner []int32, me int32) (*Buckets, error) {
 	nb := NumBuckets(w)
 	if len(hist) != nb || len(owner) != nb {
@@ -308,14 +336,14 @@ func NewSizedBuckets(w int, hist []int64, owner []int32, me int32) (*Buckets, er
 	return &Buckets{w: w, refs: make([]SuffixRef, off[nb]), lcp: make([]uint8, off[nb]), off: off, ordered: make([]int32, nb), next: next}, nil
 }
 
-// Put appends r to bucket b of a sized table. It reports false, storing
-// nothing, when b already holds every suffix it was sized for.
-func (t *Buckets) Put(b int, r SuffixRef) bool {
+// Put appends r, with its look-ahead code, to bucket b of a sized table, or
+// reports false, storing nothing, when b holds every suffix it was sized for.
+func (t *Buckets) Put(b int, r SuffixRef, code uint8) bool {
 	i := t.next[b]
 	if i == t.off[b+1] {
 		return false
 	}
-	t.refs[i] = r
+	t.refs[i], t.lcp[i] = r, code
 	t.next[b] = i + 1
 	return true
 }

@@ -61,9 +61,9 @@ func BuildForest(set *seq.SetS, t *Buckets, w int) ([]*Tree, error) {
 // of the table in suffix order, in place, and returns their trees in the
 // order given, skipping the empty ones; a table a failed CollectOwned
 // returned yields that collect's error. A bucket's suffixes behind its
-// ordered front are sorted by the builder's recursive bucketing, which
-// yields their LCPs, and merged with the front (mergeInto); a bucket that is
-// ordered already costs nothing.
+// ordered front are sorted (builder.sort), which yields their LCPs, and
+// merged with the front (mergeInto) or, with no front, copied in; a bucket
+// that is ordered already costs nothing.
 //
 // The ids are cut into at most workers contiguous chunks of near-equal
 // suffix count, each ordered by a builder of its own, the first on the
@@ -113,19 +113,22 @@ func (t *Buckets) order(set *seq.SetS, ids []int32, forest []*Tree, headers []Tr
 			continue
 		}
 		if s := int(t.ordered[id]); s < len(refs) {
-			for _, r := range refs[s:] {
-				if b.suffixLen(r) < b.w {
-					return fmt.Errorf("suffix: suffix (%d,%d) shorter than window %d", r.SID, r.Pos, b.w)
-				}
+			order, orderLCP, err := b.sort(refs[s:], lcp[s:])
+			if err != nil {
+				return err
 			}
-			// sort copies the new suffixes out, so the front moves behind
-			// the room they leave and is merged back from there: merge
-			// output never overtakes its unread input.
-			order, orderLCP := b.sort(refs[s:])
-			f := len(order)
-			copy(refs[f:], refs[:s])
-			copy(lcp[f:], lcp[:s])
-			b.mergeInto(refs, lcp, refs[f:], lcp[f:], order, orderLCP)
+			if s == 0 {
+				copy(refs, order)
+				copy(lcp, orderLCP)
+			} else {
+				// sort copies the new suffixes out, so the front moves
+				// behind the room they leave and is merged back from there:
+				// merge output never overtakes its unread input.
+				f := len(order)
+				copy(refs[f:], refs[:s])
+				copy(lcp[f:], lcp[:s])
+				b.mergeInto(refs, lcp, refs[f:], lcp[f:], order, orderLCP)
+			}
 			t.ordered[id] = int32(len(refs))
 		}
 		headers[i] = Tree{Bucket: int(id), table: t, set: set}
@@ -140,29 +143,34 @@ func (t *Buckets) order(set *seq.SetS, ids []int32, forest []*Tree, headers []Tr
 type builder struct {
 	set *seq.SetS
 	w   int32
-	// work holds the suffixes being sorted, partitioned in place level by
-	// level; tmp is the source copy of the group a scatter is moving, and
-	// cls the class (0 terminator, 1+c character c) of each of its suffixes.
-	work, tmp []SuffixRef
-	cls       []uint8
+	// work holds the suffixes being sorted, in code order (codes), then
+	// partitioned in place level by level; tmp is the source copy of the
+	// group a scatter is moving, and cls the class (0 terminator, 1+c
+	// character c) of each of its suffixes.
+	work, tmp  []SuffixRef
+	cls, codes []uint8
 	// order gets each leaf in turn and lcps its LCP with the leaf before;
 	// seam is the depth of the node whose next child the next leaf starts.
 	order []SuffixRef
 	lcps  []uint8
 	seam  int32
+	// code and past are the leaf emitted last's code and characters past
+	// the window, at most four.
+	code, past uint8
 }
 
 // newBuilder returns a builder for buckets of at most largest suffixes. Its
 // buffers are cut from two arrays.
 func newBuilder(set *seq.SetS, w, largest int) *builder {
-	refs, bytes := make([]SuffixRef, 3*largest), make([]uint8, 2*largest)
+	refs, bytes := make([]SuffixRef, 3*largest), make([]uint8, 3*largest)
 	return &builder{
 		set: set, w: int32(w),
 		work:  refs[:largest:largest],
 		tmp:   refs[largest : 2*largest : 2*largest],
 		order: refs[2*largest : 2*largest],
 		cls:   bytes[:largest:largest],
-		lcps:  bytes[largest:largest],
+		codes: bytes[largest : 2*largest : 2*largest],
+		lcps:  bytes[2*largest : 2*largest],
 	}
 }
 
@@ -171,18 +179,96 @@ func (b *builder) suffixLen(r SuffixRef) int32 {
 	return int32(len(b.set.Str(r.SID))) - r.Pos
 }
 
-// sort orders suffixes, which share their first w characters and come in
-// (SID, Pos) order, as their subtree's preorder leaves, and returns them with
-// each one's saturated LCP with the one before it, both valid until the next
-// call. It costs O(sum of suffix lengths) for the bucket, i.e. O(N·l/p) per
-// worker overall — efficient in practice because the average EST length l
-// is independent of n.
-func (b *builder) sort(suffixes []SuffixRef) ([]SuffixRef, []uint8) {
+// sort orders suffixes, which share their first w characters, come in
+// (SID, Pos) order and carry their look-ahead codes in codes, as their
+// subtree's preorder leaves, and returns them with each one's saturated LCP
+// with the one before it, both valid until the next call. A suffix shorter
+// than the window is an error.
+//
+// Past two suffixes, two stable 16-way passes order them by code, equal
+// codes in (SID, Pos) order; codes that differ give the LCP (follow), and
+// strings are read only in a run of equal code, by shortFirst and by build
+// from depth w+4. It costs O(sum of suffix lengths) for the bucket, i.e.
+// O(N·l/p) per worker, as the average EST length l is independent of n.
+func (b *builder) sort(suffixes []SuffixRef, codes []uint8) ([]SuffixRef, []uint8, error) {
+	n := len(suffixes)
+	tmp, cls, work, key := b.tmp[:n], b.cls[:n], b.work[:n], b.codes[:n]
+	var low, high [16]int32
+	for i, r := range suffixes {
+		if b.suffixLen(r) < b.w {
+			return nil, nil, fmt.Errorf("suffix: suffix (%d,%d) shorter than window %d", r.SID, r.Pos, b.w)
+		}
+		low[codes[i]&15]++
+		high[codes[i]>>4]++
+	}
 	b.order, b.lcps, b.seam = b.order[:0], b.lcps[:0], 0
-	work := b.work[:len(suffixes)]
-	copy(work, suffixes)
-	b.build(work, b.w)
-	return b.order, b.lcps
+	if n <= 2 { // one compare orders two suffixes, faster than the passes
+		copy(work, suffixes)
+		b.build(work, b.w)
+		return b.order, b.lcps, nil
+	}
+	scatterBy(suffixes, codes, tmp, cls, &low, 0)
+	scatterBy(tmp, cls, work, key, &high, 4)
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		c := key[lo]
+		for hi = lo + 1; hi < n && key[hi] == c; hi++ {
+		}
+		run := work[lo:hi]
+		if c&3 == 0 {
+			run = b.shortFirst(run, c)
+		}
+		if len(run) > 0 {
+			b.follow(c, 4)
+			b.build(run, b.w+4)
+		}
+	}
+	b.lcps[0] = 0
+	return b.order, b.lcps, nil
+}
+
+// scatterBy moves src and its codes into dst and dstCodes, stably ordered by
+// the half-byte of each code at shift; at holds the count of each half-byte
+// value and is spent.
+func scatterBy(src []SuffixRef, codes []uint8, dst []SuffixRef, dstCodes []uint8, at *[16]int32, shift uint) {
+	for k, sum := 0, int32(0); k < len(at); k++ {
+		at[k], sum = sum, sum+at[k]
+	}
+	for i, r := range src {
+		k := &at[codes[i]>>shift&15]
+		dst[*k], dstCodes[*k] = r, codes[i]
+		*k++
+	}
+}
+
+// shortFirst reads the lengths of a run of code c, which ends in A and so
+// may hide suffixes with fewer than four characters past the window. It
+// emits those, shortest first and equal ones in run order, each a prefix of
+// all after it, and returns the rest, compacted in order to run's front.
+func (b *builder) shortFirst(run []SuffixRef, c uint8) []SuffixRef {
+	past := b.cls[:len(run)]
+	for i, r := range run {
+		past[i] = uint8(min(4, b.suffixLen(r)-b.w))
+	}
+	rest := run[:0]
+	for n := uint8(0); n <= 4; n++ {
+		for i, r := range run {
+			if past[i] == n && n < 4 {
+				b.follow(c, n)
+				b.emitLeaf(r)
+			} else if past[i] == n {
+				rest = append(rest, r)
+			}
+		}
+	}
+	return rest
+}
+
+// follow sets the seam for the next leaf, of code c and n ≤ 4 characters
+// past the window: its LCP with the leaf emitted last is w plus the
+// characters their codes share, unless either ends first.
+func (b *builder) follow(c, n uint8) {
+	b.seam = b.w + int32(min(bits.LeadingZeros8(b.code^c)/2, int(b.past), int(n)))
+	b.code, b.past = c, n
 }
 
 // emitLeaf appends suffix r as the next leaf.
