@@ -13,12 +13,12 @@ import (
 // hand-rolled little-endian codec: the paper's implementation moves flat C
 // structs over MPI, and flat buffers keep the simulated byte counts honest.
 
-// Message tags, 1–4 and distinct by construction. mp's collective tags
-// live at 1<<28, so they never collide with these.
+// Message tags, 1–3 and distinct by construction. mp's collective tags
+// live at 1<<28, so they never collide with these. Slaves send nothing to
+// each other.
 const (
 	tagReport = iota + 1 // slave → master: results + fresh pairs + status
 	tagWork              // master → slave: work batch + pair request (or stop)
-	tagSuffix            // slave → slave: suffix redistribution triples
 	tagPhase             // rank → master: final phase/timing report (point-to-point
 	// rather than a collective, so the master can skip dead ranks)
 )
@@ -32,29 +32,8 @@ type shard struct {
 	part, idx, of int32
 }
 
-// Suffix redistribution payload: flat (bucket, string id, position) uint32
-// triples, little-endian — what each slave ships to every bucket owner.
-//
 // All encoders come in append form (appendX) so hot paths can reuse one
 // scratch buffer across sends — safe because the mp layer copies on send.
-
-func appendU32s(b []byte, vals []uint32) []byte {
-	for _, v := range vals {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	return b
-}
-
-func decodeU32s(b []byte) ([]uint32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("cluster: u32 buffer length %d not a multiple of 4", len(b))
-	}
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out, nil
-}
 
 // alignResult is a slave's verdict on one dispatched or self-generated pair.
 type alignResult struct {

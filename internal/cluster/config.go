@@ -100,9 +100,9 @@ type Config struct {
 	Checkpoint CheckpointConfig
 
 	// Metrics, when non-nil, receives live instrumentation: pair counters,
-	// the WORKBUF high water, bucket sizes, redistribution skew, master
-	// idle and incremental tallies. nil (the default) disables the probes
-	// at the cost of one pointer test per site.
+	// the WORKBUF high water, bucket sizes, load skew, master idle and
+	// incremental tallies. nil (the default) disables the probes at the
+	// cost of one pointer test per site.
 	Metrics *telemetry.Registry
 	// Trace, when non-nil, receives Chrome trace events: one timeline per
 	// rank (pid TracePID, tid = rank) with phase spans and a WORKBUF

@@ -5,8 +5,8 @@ package cluster
 //	engine.go — entry points, the batch step every aligning rank runs
 //	            (filter → align → merge), the stale-pair filter, cluster
 //	            seeding, the sequential engine and its workers, and the
-//	            phases every rank shares (prologue, the bucket set-up and
-//	            its worker count, suffix redistribution ranges, the
+//	            phases every rank shares (prologue and its histogram
+//	            shares, the bucket set-up and its worker count, the
 //	            per-rank report)
 //	master.go — the master rank: dispatch, flow control, merging the
 //	            slaves' per-pair verdicts, failure recovery
@@ -423,7 +423,7 @@ func shareRange(si, slaves, total int) (seq.StringID, seq.StringID) {
 // prologue is the partitioning phase run by every rank: per-share histogram,
 // global summation (O(log p) allreduce), and the deterministic bucket-to-
 // slave assignment. It also returns the global histogram so the master can
-// publish the bucket-size distribution and redistribution skew.
+// publish the bucket-size distribution and load skew.
 func prologue(set *seq.SetS, cfg Config, c *mp.Comm) ([]int32, []int64, error) {
 	slaves := c.Size() - 1
 	// sum is the global histogram of the suffixes of strings of generation

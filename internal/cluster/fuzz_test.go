@@ -135,24 +135,6 @@ func FuzzDecodePhase(f *testing.F) {
 	})
 }
 
-func FuzzDecodeU32s(f *testing.F) {
-	f.Add(appendU32s(nil, nil))
-	f.Add(appendU32s(nil, []uint32{1, 2, 3}))
-	f.Add([]byte{1, 2, 3}) // not a multiple of 4
-	f.Fuzz(func(t *testing.T, b []byte) {
-		vals, err := decodeU32s(b)
-		if err != nil {
-			if len(b)%4 == 0 {
-				t.Fatalf("rejected aligned buffer: %v", err)
-			}
-			return
-		}
-		if !bytes.Equal(appendU32s(nil, vals), b) {
-			t.Fatalf("round-trip mismatch")
-		}
-	})
-}
-
 func fuzzCheckpoint() *Checkpoint {
 	uf := unionfind.New(6)
 	uf.Union(0, 1)

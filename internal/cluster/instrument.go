@@ -9,9 +9,9 @@ import (
 
 // Metric families exported by the clustering engine: the live views of a
 // run's progress (pairs generated and processed), of the §3.3 flow control
-// (WORKBUF's high-water mark), of the §3.1 redistribution (bucket sizes and
-// load skew), of the §4.2 master-utilization argument (master idle) and of
-// an incremental batch. Every other tally is a Stats field.
+// (WORKBUF's high-water mark), of the §3.1 bucket assignment (bucket sizes
+// and load skew), of the §4.2 master-utilization argument (master idle) and
+// of an incremental batch. Every other tally is a Stats field.
 const (
 	mPairsGenerated = "pace_pairs_generated_total"
 	mPairsProcessed = "pace_pairs_processed_total"
@@ -49,7 +49,7 @@ func newProbes(reg *telemetry.Registry) *probes {
 	reg.Help(mPairsProcessed, "Pair alignments computed.")
 	reg.Help(mWorkbufHW, "High-water mark of WORKBUF occupancy.")
 	reg.Help(mBucketSize, "Suffixes per non-empty GST bucket.")
-	reg.Help(mLoadSkew, "Redistribution skew: max worker load / mean worker load.")
+	reg.Help(mLoadSkew, "Load skew after bucket assignment: max worker load / mean worker load.")
 	reg.Help(mIncrBucketsRebuilt, "GST buckets the latest incremental batch touched and rebuilt.")
 	reg.Help(mIncrFreshPairs, "Promising pairs emitted by fresh-only incremental runs.")
 	reg.Help(mIncrStale, "Old-by-old pairs suppressed inside rebuilt buckets (already judged).")
@@ -77,8 +77,8 @@ func (pr *probes) recordIncremental(inc IncrementalStats) {
 	pr.incrStale.Add(inc.StaleSuppressed)
 }
 
-// observeBuckets records the non-empty bucket sizes and the redistribution
-// skew of the global histogram (one-time, on the master).
+// observeBuckets records the non-empty bucket sizes and the load skew of
+// the global histogram's assignment (one-time, on the master).
 func (pr *probes) observeBuckets(global []int64, loads []int64) {
 	for _, n := range global {
 		if n > 0 {

@@ -199,3 +199,47 @@ func requireSamePartition(t *testing.T, what string, variant []seq.Sequence, fro
 	}
 	check("p = 3 real", res)
 }
+
+// TestSkewedAndNoisyProfilesKeepPartition runs the flip, duplicate and
+// permutation legs on zipf-skewed profiles, ExpressionSkew 0 and 2.0 against
+// the default 0.8, and on a high-error one, ErrorRate 0.06 against 0.02. A
+// steep skew piles most reads onto one gene, so the buckets of its shared
+// runs are deep and the p = 3 slaves' owner masks uneven; errors break the
+// shared runs that join reads, so more of the partition rests on short
+// maximal pairs.
+func TestSkewedAndNoisyProfilesKeepPartition(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	cfg := DefaultConfig(1)
+	cfg.Window, cfg.Psi = 6, 18
+	for _, p := range []struct {
+		skew, errors float64
+		// The share of reads on the most expressed gene, and the clusters
+		// the reference run finds, must fall in these ranges, or the
+		// profile no longer differs from the default as described.
+		topShare [2]float64
+		clusters [2]int
+	}{
+		{0, 0.02, [2]float64{0, 0.3}, [2]int{2, 6}},
+		{2, 0.02, [2]float64{0.5, 1}, [2]int{2, 6}},
+		{0.8, 0.06, [2]float64{0, 1}, [2]int{7, 50}},
+	} {
+		sim := benchConfig(100, 6, 7)
+		sim.ExpressionSkew, sim.ErrorRate = p.skew, p.errors
+		b, err := simulate.Generate(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := make(map[int32]int)
+		top := 0
+		for _, g := range b.Truth {
+			reads[g]++
+			top = max(top, reads[g])
+		}
+		ref := requireFlipsKeepPartition(t, b.ESTs, cfg)
+		share := float64(top) / float64(len(b.ESTs))
+		if share < p.topShare[0] || share > p.topShare[1] || ref.NumClusters < p.clusters[0] || ref.NumClusters > p.clusters[1] {
+			t.Fatalf("skew %v error %v: top gene %.2f of reads and %d clusters, want %v and %v", p.skew, p.errors, share, ref.NumClusters, p.topShare, p.clusters)
+		}
+		requireDuplicatesKeepPartition(t, b.ESTs, cfg)
+	}
+}

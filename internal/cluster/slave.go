@@ -27,96 +27,6 @@ import (
 // verdict the filtering of its own contents relied on, so the master already
 // joins whatever the slave skipped by the time it reads the report.
 
-// exchangeSuffixes is the redistribution step of §3.1: each slave scans its
-// own share of the strings, groups every suffix by its bucket's owner, and
-// ships the (bucket, string, position) triples to that owner. Each slave
-// ends up holding exactly the suffixes of its buckets while having scanned
-// only 1/(p-1) of the input. The global histogram fixes the receiving table's
-// layout before the first message, so every triple goes to its final place
-// as it arrives.
-func exchangeSuffixes(set *seq.SetS, cfg Config, c *mp.Comm, owner []int32, hist []int64) (*suffix.Buckets, error) {
-	slaves := c.Size() - 1
-	me := c.Rank() - 1
-	table, err := suffix.NewSizedBuckets(cfg.Window, hist, owner, int32(me))
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := shareRange(me, slaves, set.NumStrings())
-	perDest := make([][]uint32, slaves)
-	for id := lo; id < hi; id++ {
-		suffix.BucketEach(set.Str(id), cfg.Window, func(b int, pos int32) {
-			o := owner[b]
-			if o >= 0 {
-				perDest[o] = append(perDest[o], uint32(b), uint32(id), uint32(pos))
-			}
-		})
-	}
-	var wire []byte // reused across destinations; mp copies on send
-	for s := 0; s < slaves; s++ {
-		if s == me {
-			continue
-		}
-		wire = appendU32s(wire[:0], perDest[s])
-		if err := c.Send(s+1, tagSuffix, wire); err != nil {
-			return nil, err
-		}
-	}
-	// Scatter in fixed source order: sources hold ascending string ranges,
-	// so every bucket fills in (SID, Pos) order.
-	for s := 0; s < slaves; s++ {
-		flat := perDest[s]
-		if s != me {
-			m, err := c.Recv(s+1, tagSuffix)
-			if err != nil {
-				return nil, err
-			}
-			if flat, err = decodeU32s(m.Data); err != nil {
-				return nil, err
-			}
-		}
-		if err := scatterSuffixes(table, set, cfg.Window, owner, int32(me), flat); err != nil {
-			return nil, fmt.Errorf("cluster: suffixes from slave %d: %w", s, err)
-		}
-	}
-	if err := table.Seal(); err != nil {
-		return nil, fmt.Errorf("cluster: suffix exchange fell short of the global histogram: %w", err)
-	}
-	return table, nil
-}
-
-// scatterSuffixes puts one suffix message's (bucket, string, position)
-// triples into the slave's table. The words come off the wire, so each is
-// checked before it indexes anything: a fragment, a bucket this slave does
-// not own, a suffix no string has, or more suffixes than the global histogram
-// announced for a bucket is an error.
-func scatterSuffixes(table *suffix.Buckets, set *seq.SetS, w int, owner []int32, me int32, flat []uint32) error {
-	if len(flat)%3 != 0 {
-		return fmt.Errorf("cluster: %d words are not (bucket, string, position) triples", len(flat))
-	}
-	for i := 0; i < len(flat); i += 3 {
-		b, sid, pos := flat[i], flat[i+1], flat[i+2]
-		if int64(b) >= int64(len(owner)) {
-			return fmt.Errorf("cluster: bucket %d out of range for window %d", b, w)
-		}
-		if owner[b] != me {
-			return fmt.Errorf("cluster: bucket %d belongs to slave %d, not %d", b, owner[b], me)
-		}
-		if int64(sid) >= int64(set.NumStrings()) {
-			return fmt.Errorf("cluster: string %d of %d", sid, set.NumStrings())
-		}
-		s := set.Str(seq.StringID(sid))
-		if int64(pos)+int64(w) > int64(len(s)) {
-			return fmt.Errorf("cluster: string %d has no suffix of %d characters at %d", sid, w, pos)
-		}
-		// The code comes from the local strings, never off the wire: a
-		// wrong one would misorder the bucket without an error.
-		if !table.Put(int(b), suffix.SuffixRef{SID: seq.StringID(sid), Pos: int32(pos)}, suffix.LookAhead(s[int(pos)+w:])) {
-			return fmt.Errorf("cluster: bucket %d overflows the size the global histogram announced", b)
-		}
-	}
-	return nil
-}
-
 func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 	pr := newProbes(cfg.Metrics)
 	tw := cfg.Trace
@@ -125,25 +35,22 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		return err
 	}
 	tStart := c.Elapsed()
-	owner, hist, err := prologue(set, cfg, c)
+	owner, _, err := prologue(set, cfg, c)
 	if err != nil {
 		return err
 	}
-	table, err := exchangeSuffixes(set, cfg, c, owner, hist)
-	if err != nil {
-		return err
-	}
-	tPart := c.Elapsed() - tStart
-	tw.Span(cfg.TracePID, c.Rank(), "partition", "gst", tStart, tPart)
-
-	t1 := c.Elapsed()
+	// Every rank holds the whole set, so the slave collects its own buckets
+	// from it, as a survivor collects a dead slave's: partitioning is the
+	// prologue and that scan.
 	workers := rankWorkers(cfg)
-	gens, tConstruct, tSort, err := setUp(set, cfg, table, table.NonEmpty(), workers, pr.generated, c.Elapsed)
+	gens, tConstruct, tSort, err := rebuildShard(set, cfg, owner, shard{part: int32(c.Rank() - 1), idx: 0, of: 1}, workers, pr.generated, c.Elapsed)
 	if err != nil {
 		return err
 	}
-	tw.Span(cfg.TracePID, c.Rank(), "construct", "gst", t1, tConstruct)
-	tw.Span(cfg.TracePID, c.Rank(), "sort", "pairgen", t1+tConstruct, tSort)
+	tPart := c.Elapsed() - tStart - tConstruct - tSort
+	tw.Span(cfg.TracePID, c.Rank(), "partition", "gst", tStart, tPart)
+	tw.Span(cfg.TracePID, c.Rank(), "construct", "gst", tStart+tPart, tConstruct)
+	tw.Span(cfg.TracePID, c.Rank(), "sort", "pairgen", tStart+tPart+tConstruct, tSort)
 	chain := &genChain{gens: gens}
 
 	ext, err := align.NewExtender(cfg.Scoring, cfg.Band)
@@ -296,7 +203,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		// idempotence of merges absorb that.
 		for _, sh := range w.recover {
 			tR := c.Elapsed()
-			gs, err := rebuildShard(set, cfg, owner, sh, workers, pr.generated, c.Elapsed)
+			gs, _, _, err := rebuildShard(set, cfg, owner, sh, workers, pr.generated, c.Elapsed)
 			if err != nil {
 				return err
 			}
@@ -392,11 +299,12 @@ func (g *genChain) Remaining() bool {
 	return false
 }
 
-// rebuildShard sets a dead slave's bucket shard up on a survivor, as the
-// survivor set up its own. The rescan visits every string (ascending id and
-// position, the order exchangeSuffixes produces), so the rebuilt buckets and
-// therefore the regenerated pairs are identical to what the dead slave held.
-func rebuildShard(set *seq.SetS, cfg Config, owner []int32, sh shard, workers int, generated *telemetry.Counter, clk func() time.Duration) ([]*pairgen.Generator, error) {
+// rebuildShard collects a bucket shard from the whole string set and sets it
+// up: a slave's own shard at the start of its run, and a dead slave's on a
+// survivor. The scan visits every string in ascending id and position, so
+// the rebuilt buckets and therefore the regenerated pairs are identical to
+// what the dead slave held. It also returns setUp's construct and sort times.
+func rebuildShard(set *seq.SetS, cfg Config, owner []int32, sh shard, workers int, generated *telemetry.Counter, clk func() time.Duration) ([]*pairgen.Generator, time.Duration, time.Duration, error) {
 	// The shard as an assignment of its own: worker 0 owns its buckets.
 	mine := make([]int32, len(owner))
 	for b, o := range owner {
@@ -407,6 +315,5 @@ func rebuildShard(set *seq.SetS, cfg Config, owner []int32, sh shard, workers in
 	table := suffix.CollectOwned(set, cfg.Window, mine, 0, 0, seq.StringID(set.NumStrings()))
 	// Fresh-only mode must survive recovery: a rebuilt shard regenerates the
 	// dead slave's restricted pair stream, not the full one.
-	gens, _, _, err := setUp(set, cfg, table, table.NonEmpty(), workers, generated, clk)
-	return gens, err
+	return setUp(set, cfg, table, table.NonEmpty(), workers, generated, clk)
 }

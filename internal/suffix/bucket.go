@@ -18,9 +18,8 @@
 // Both steps are counting sorts over flat arrays. The partition (table.go)
 // is one Buckets table — every suffix in a single slice grouped by bucket,
 // with an offset per bucket — filled by a counting scan and a scattering
-// scan, or, on a slave, laid out from the global histogram and filled as
-// messages arrive. Every collector only lays suffixes out, in (string id,
-// position) order behind each bucket's ordered front, with its next four
+// scan over the strings. Every collector only lays suffixes out, in (string
+// id, position) order behind each bucket's ordered front, with its next four
 // characters (look-ahead code) in its LCP byte, read by the scan that finds
 // its bucket. The build (tree.go) orders them: two stable 16-way passes sort
 // by code, which orders suffixes whose codes differ without a string read;

@@ -16,36 +16,36 @@ import (
 )
 
 // codeOf returns the look-ahead code of suffix r in a table of window w, or
-// 0 for a suffix shorter than the window.
+// 0 for a suffix shorter than the window: the oracle for the codes the
+// partition scan writes.
 func codeOf(set *seq.SetS, w int, r SuffixRef) uint8 {
 	s := set.Suffix(r.SID, r.Pos)
 	if len(s) < w {
 		return 0
 	}
-	return LookAhead(s[w:])
+	return lookAhead(s[w:])
 }
 
-// tableFromMap lays a hand-written bucket map out as a flat table.
-func tableFromMap(t testing.TB, set *seq.SetS, w int, m map[int][]SuffixRef) *Buckets {
-	t.Helper()
-	nb := NumBuckets(w)
-	hist := make([]int64, nb)
-	for b, refs := range m {
-		hist[b] = int64(len(refs))
+// lookAhead packs the look-ahead code of a suffix whose characters past the
+// window are s: the first four, two bits each, first highest, zero past end.
+func lookAhead(s seq.Sequence) uint8 {
+	var code uint64
+	for i := 0; i < 4; i++ {
+		code = roll(code, s, i, 0xff)
 	}
-	table, err := NewSizedBuckets(w, hist, make([]int32, nb), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, refs := range m {
-		for _, r := range refs {
-			if !table.Put(b, r, codeOf(set, w, r)) {
-				t.Fatalf("bucket %d full", b)
-			}
+	return uint8(code)
+}
+
+// tableFromMap lays a hand-written bucket map out as a flat table, each
+// suffix behind its bucket's empty ordered front with its code.
+func tableFromMap(set *seq.SetS, w int, m map[int][]SuffixRef) *Buckets {
+	table := NewBuckets(w)
+	for b := 0; b < NumBuckets(w); b++ {
+		for _, r := range m[b] {
+			table.refs = append(table.refs, r)
+			table.lcp = append(table.lcp, codeOf(set, w, r))
 		}
-	}
-	if err := table.Seal(); err != nil {
-		t.Fatal(err)
+		table.off[b+1] = int32(len(table.refs))
 	}
 	return table
 }
@@ -328,10 +328,9 @@ func maskTo(nb int, ids []int32) []int32 {
 
 // checkBuildMatchesReference fills a table over one input by every
 // collector — CollectOwned over every bucket, over a fresh-only assignment
-// and over one shard of three; Absorb batch by batch under every split of
-// the incremental-equivalence suite; and the slave's sized table at two and
-// three slaves — orders it at every fan-out width the engine may use, and
-// requires each to match the oracle's trees.
+// and over one shard of three; and Absorb batch by batch under every split
+// of the incremental-equivalence suite — orders it at every fan-out width
+// the engine may use, and requires each to match the oracle's trees.
 func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 	t.Helper()
 	set := diffSet(t, seed, n, shape)
@@ -341,9 +340,9 @@ func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 
 	// One-shot: collect everything, order everything; the fresh-only
 	// assignment a cache-less incremental run makes; and one shard of three,
-	// as a survivor rebuilding a dead slave's collects it. Each through
-	// BuildForest and at every width, each width on a table of its own,
-	// since ordering happens in place.
+	// as a slave, or a survivor rebuilding a dead slave's, collects it. Each
+	// through BuildForest and at every width, each width on a table of its
+	// own, since ordering happens in place.
 	touchedOnly := AssignFresh(hist, HistogramFrom(set, w, 2, 0, n2), 1)
 	for _, c := range []struct {
 		name  string
@@ -404,41 +403,6 @@ func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 			requireSameTable(t, fmt.Sprintf("split %s, %d workers", name, workers), table, whole)
 		}
 	}
-
-	// Slave path: every source scans its share and the owner places the
-	// suffixes as they arrive, in source order, into a table laid out from
-	// the global histogram.
-	for _, slaves := range []int{2, 3} {
-		owner := Assign(hist, slaves)
-		for me := int32(0); me < int32(slaves); me++ {
-			for _, workers := range workerCounts {
-				table, err := NewSizedBuckets(w, hist, owner, me)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for s := 0; s < slaves; s++ {
-					lo, hi := seq.StringID(s*int(n2)/slaves), seq.StringID((s+1)*int(n2)/slaves)
-					for id := lo; id < hi; id++ {
-						BucketEach(set.Str(id), w, func(b int, pos int32) {
-							r := SuffixRef{SID: id, Pos: pos}
-							if owner[b] == me && !table.Put(b, r, codeOf(set, w, r)) {
-								t.Fatalf("bucket %d full before its last suffix", b)
-							}
-						})
-					}
-				}
-				if err := table.Seal(); err != nil {
-					t.Fatal(err)
-				}
-				requireSameTable(t, "exchanged", table, CollectOwned(set, w, owner, me, 0, n2))
-				forest, err := BuildBuckets(set, table, table.NonEmpty(), workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameForest(t, set, fmt.Sprintf("exchanged, %d slaves, %d workers", slaves, workers), forest, refForest(t, set, w, owner, me, n2))
-			}
-		}
-	}
 }
 
 func TestBuildMatchesReference(t *testing.T) {
@@ -484,15 +448,14 @@ func FuzzBuildMatchesReference(f *testing.F) {
 // end 0 to 3 characters past the window where other strings hold real A's:
 // every bucket must order into the oracle's tree, and every suffix behind an
 // ordered front must hold its look-ahead code after each fill and after
-// Truncate, also in a sized table filled out of string order. At w = 1, 2
-// and 8 each path runs at 1, 2, 3 and 8 workers; at MaxWindow, where every
-// table has 4^12 buckets and the full matrix takes most of a minute, each
-// runs once, at two workers.
+// Truncate. At w = 1, 2 and 8 each path runs at 1, 2, 3 and 8 workers; at
+// MaxWindow, where every table has 4^12 buckets and the full matrix takes
+// most of a minute, each runs once, at two workers.
 func TestLookAheadWorkerCounts(t *testing.T) {
 	testutil.CheckGoroutines(t)
 	for s, want := range map[string]uint8{"": 0, "C": 0x40, "AC": 0x10, "ACGT": 0x1b, "TTTTA": 0xff} {
-		if got := LookAhead(mustSeq(t, s)); got != want {
-			t.Errorf("LookAhead(%q) = %#x, want %#x", s, got, want)
+		if got := lookAhead(mustSeq(t, s)); got != want {
+			t.Errorf("lookAhead(%q) = %#x, want %#x", s, got, want)
 		}
 	}
 	for _, w := range []int{1, 2, 8} {
@@ -540,32 +503,6 @@ func checkCodes(t *testing.T, set *seq.SetS, w int, widths []int) {
 			}
 			requireSameForest(t, set, what+", truncated", forest, refForest(t, set, w, all, 0, n2-2))
 		}
-	}
-	// A sized table filled from its sources in reverse order keeps each
-	// suffix's code through a cut, whatever the suffixes the cut drops in
-	// front of it hold.
-	for _, slaves := range []int{2, 3} {
-		owner := Assign(hist, slaves)
-		table, err := NewSizedBuckets(w, hist, owner, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for src := slaves - 1; src >= 0; src-- {
-			for id := seq.StringID(src * int(n2) / slaves); id < seq.StringID((src+1)*int(n2)/slaves); id++ {
-				BucketEach(set.Str(id), w, func(b int, pos int32) {
-					if r := (SuffixRef{SID: id, Pos: pos}); owner[b] == 0 {
-						table.Put(b, r, codeOf(set, w, r))
-					}
-				})
-			}
-		}
-		if err := table.Seal(); err != nil {
-			t.Fatal(err)
-		}
-		what := fmt.Sprintf("w %d, %d slaves, sources reversed", w, slaves)
-		requireCodes(t, set, what, table)
-		table.Truncate(n2 / 2)
-		requireCodes(t, set, what+", truncated", table)
 	}
 }
 
@@ -728,67 +665,26 @@ func absorbInto(t testing.TB, set *seq.SetS, table *Buckets, lo, hi seq.StringID
 }
 
 // The table's int32 offsets cap it at MaxInt32 suffixes. The limit is hit in
-// the layout pass, before anything is allocated for the suffixes, so a
-// synthetic histogram reaches it.
+// the layout pass, before anything is allocated for the suffixes, so
+// synthetic counts reach it.
 func TestTableSizeLimit(t *testing.T) {
-	hist := []int64{1 << 30, 1 << 30, 1 << 30, 1 << 30}
-	owner := make([]int32, 4)
-	_, err := NewSizedBuckets(1, hist, owner, 0)
+	layout := func(sizes []int64) ([]int32, error) {
+		return offsets(len(sizes), func(b int) int64 { return sizes[b] })
+	}
+	_, err := layout([]int64{1 << 30, 1 << 30, 1 << 30, 1 << 30})
 	if err == nil || !strings.Contains(err.Error(), "bucket 1's 1073741824 suffixes behind 1073741824 others") {
 		t.Fatalf("2^32 suffixes: got %v, want an error naming the counts that cross the limit", err)
 	}
 	// Counts whose int64 sum would wrap negative are refused before they are
 	// summed, not laid out.
 	for _, huge := range [][]int64{{1 << 62, 1 << 62, 0, 0}, {1, math.MaxInt64, 0, 0}, {math.MaxInt32, 1, 0, 0}} {
-		if _, err := NewSizedBuckets(1, huge, owner, 0); err == nil || !strings.Contains(err.Error(), "exceed") {
-			t.Errorf("histogram %v: got %v, want the size-limit error", huge, err)
+		if _, err := layout(huge); err == nil || !strings.Contains(err.Error(), "exceed") {
+			t.Errorf("sizes %v: got %v, want the size-limit error", huge, err)
 		}
 	}
 	// Exactly MaxInt32 is still a table (laid out only: no refs allocated).
-	atLimit := []int64{math.MaxInt32 - 1, 0, 1, 0}
-	if off, err := offsets(4, func(b int) int64 { return atLimit[b] }); err != nil || off[4] != math.MaxInt32 {
+	if off, err := layout([]int64{math.MaxInt32 - 1, 0, 1, 0}); err != nil || off[4] != math.MaxInt32 {
 		t.Errorf("MaxInt32 suffixes: offsets %v, err %v", off, err)
-	}
-	// Buckets of other workers do not count against this worker's table.
-	owner = []int32{0, 1, 1, 1}
-	table, err := NewSizedBuckets(1, []int64{3, 1 << 40, 1 << 40, 1 << 40}, owner, 0)
-	if err != nil || table.Len() != 3 {
-		t.Fatalf("3 owned suffixes: table %v, err %v", table, err)
-	}
-	if _, err := NewSizedBuckets(1, []int64{1, -1, 0, 0}, make([]int32, 4), 0); err == nil {
-		t.Error("negative bucket size must fail")
-	}
-	if _, err := NewSizedBuckets(2, hist, owner, 0); err == nil {
-		t.Error("histogram of the wrong window must fail")
-	}
-}
-
-func TestSizedTableRejectsOverflowAndShortfall(t *testing.T) {
-	hist := []int64{2, 0, 1, 0}
-	table, err := NewSizedBuckets(1, hist, make([]int32, 4), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !table.Put(0, SuffixRef{SID: 0, Pos: 0}, 0) || !table.Put(2, SuffixRef{SID: 0, Pos: 1}, 0) {
-		t.Fatal("Put into a bucket with room failed")
-	}
-	if table.Put(2, SuffixRef{SID: 1, Pos: 1}, 0) {
-		t.Error("Put beyond the announced size succeeded")
-	}
-	if table.Put(1, SuffixRef{SID: 1, Pos: 1}, 0) {
-		t.Error("Put into a bucket announced empty succeeded")
-	}
-	if err := table.Seal(); err == nil || !strings.Contains(err.Error(), "bucket 0 received 1 of 2") {
-		t.Errorf("Seal of a short table: %v", err)
-	}
-	if !table.Put(0, SuffixRef{SID: 1, Pos: 0}, 0) {
-		t.Fatal("Put of the last suffix failed")
-	}
-	if err := table.Seal(); err != nil {
-		t.Error(err)
-	}
-	if got := table.Refs(0); len(got) != 2 || got[1].SID != 1 || cap(got) != 2 {
-		t.Errorf("bucket 0 = %v (cap %d)", got, cap(got))
 	}
 }
 
@@ -887,7 +783,7 @@ func TestBuildWorkerCounts(t *testing.T) {
 	last := int32(len(set.Str(0)))
 	bad[5] = append(bad[5], SuffixRef{SID: 0, Pos: last - 2})
 	bad[12] = append(bad[12], SuffixRef{SID: 0, Pos: last - 1})
-	table := tableFromMap(t, set, w, bad)
+	table := tableFromMap(set, w, bad)
 	_, first := BuildBuckets(set, table, table.NonEmpty(), 1)
 	if first == nil || !strings.Contains(first.Error(), fmt.Sprintf("(0,%d)", last-2)) {
 		t.Fatalf("one worker: got %v, want bucket 5's short suffix", first)

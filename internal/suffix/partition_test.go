@@ -2,8 +2,11 @@ package suffix
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"pace/internal/fanout"
 	"pace/internal/seq"
 	"pace/internal/testutil"
 )
@@ -127,5 +130,47 @@ func TestPartitionWorkerCounts(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Each of merge's parts takes a write cursor in all 4^w buckets, so a fill
+// gets no more parts than the table it lays out, held and new suffixes
+// together, has suffixes per 4^w: one for a few ESTs at MaxWindow, whatever
+// the workers, and at w = 8 every worker on a table of eight times 65,536
+// suffixes or more. The cap counts the held suffixes too.
+func TestMergePartsCappedByTableSize(t *testing.T) {
+	few := diffSet(t, 5, 6, shapeRandom)
+	if cuts := NewBuckets(MaxWindow).mergeCuts(few, 0, seq.StringID(few.NumStrings()), 8); cuts != nil {
+		t.Errorf("%d strings at MaxWindow: cuts %v, want one part", few.NumStrings(), cuts)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	ests := make([]seq.Sequence, 8)
+	for i := range ests {
+		ests[i] = make(seq.Sequence, 40000)
+		for j := range ests[i] {
+			ests[i][j] = seq.Code(rng.Intn(seq.AlphabetSize))
+		}
+	}
+	set, err := seq.NewSetS(ests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2 := seq.StringID(set.NumStrings())
+	const w = 8
+	if got, want := NewBuckets(w).mergeCuts(set, 0, n2, 8), fanout.Cuts(int(n2), 8, func(i int) int { return len(set.Str(seq.StringID(i))) }); !slices.Equal(got, want) {
+		t.Errorf("%d strings at w %d: cuts %v, want every worker's %v", n2, w, got, want)
+	}
+	// The last two strings alone, 79,986 suffixes, get one part; behind the
+	// 559,902 the table holds they get two.
+	held := NewBuckets(w)
+	if _, err := held.Absorb(set, 0, n2-2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := NewBuckets(w).mergeCuts(set, n2-2, n2, 8), []int(nil); !slices.Equal(got, want) {
+		t.Errorf("two strings into an empty table: cuts %v, want one part", got)
+	}
+	if got, want := held.mergeCuts(set, n2-2, n2, 8), []int{0, 1, 2}; !slices.Equal(got, want) {
+		t.Errorf("two strings behind %d suffixes: cuts %v, want two parts %v", held.Len(), got, want)
 	}
 }

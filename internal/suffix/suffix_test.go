@@ -223,7 +223,7 @@ func buildAll(t testing.TB, set *seq.SetS, w int) []*Tree {
 // buildBucket builds one hand-made bucket of window w through BuildBuckets.
 func buildBucket(t testing.TB, set *seq.SetS, w, bucket int, refs []SuffixRef) ([]*Tree, error) {
 	t.Helper()
-	table := tableFromMap(t, set, w, map[int][]SuffixRef{bucket: refs})
+	table := tableFromMap(set, w, map[int][]SuffixRef{bucket: refs})
 	return BuildBuckets(set, table, []int32{int32(bucket)}, 1)
 }
 
@@ -401,7 +401,7 @@ func TestNumBuckets(t *testing.T) {
 func TestBuildForestSkipsEmptyBuckets(t *testing.T) {
 	set := mustSet(t, "ACGT")
 	// Buckets 0 and 9 hold nothing, as a rollback can leave them.
-	m := tableFromMap(t, set, 2, map[int][]SuffixRef{1: {{SID: 0, Pos: 0}}})
+	m := tableFromMap(set, 2, map[int][]SuffixRef{1: {{SID: 0, Pos: 0}}})
 	forest, err := BuildForest(set, m, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -14,9 +14,10 @@ import (
 // lcp[i] the saturated LCP of refs[i] with the suffix before it (0 for the
 // first); behind it are the suffixes collected since, in (SID, Pos) order,
 // the order a single ascending scan of the strings produces, and there the
-// byte is the suffix's look-ahead code (LookAhead). BuildBuckets orders them
-// in, so every collector fills a table the same way and equal tables order
-// into equal buckets.
+// byte is the suffix's look-ahead code: its first four characters past the
+// window, two bits each, first highest, zero past its end. BuildBuckets
+// orders them in, so every collector fills a table the same way and equal
+// tables order into equal buckets.
 type Buckets struct {
 	w    int
 	refs []SuffixRef
@@ -27,9 +28,6 @@ type Buckets struct {
 	// ordered[b] counts the suffixes at the front of bucket b that are in
 	// suffix order.
 	ordered []int32
-	// next[b] is where Put writes bucket b's next suffix. Only a table from
-	// NewSizedBuckets has it, and Seal drops it.
-	next []int32
 	// err is a failed CollectOwned's error, which BuildBuckets returns: the
 	// collector has a single result.
 	err error
@@ -41,17 +39,14 @@ func NewBuckets(w int) *Buckets {
 	return &Buckets{w: w, off: make([]int32, nb+1), ordered: make([]int32, nb)}
 }
 
-// offsets lays out a table with size(b) suffixes in bucket b. A negative
-// size, or the first bucket that takes the running total beyond
-// math.MaxInt32, is an error naming the counts; sizes may come off the wire.
+// offsets lays out a table with size(b) suffixes in bucket b. The first
+// bucket that takes the running total beyond math.MaxInt32 is an error
+// naming the counts.
 func offsets(nb int, size func(b int) int64) ([]int32, error) {
 	off := make([]int32, nb+1)
 	var total int64
 	for b := 0; b < nb; b++ {
 		n := size(b)
-		if n < 0 {
-			return nil, fmt.Errorf("suffix: bucket %d announced with %d suffixes", b, n)
-		}
 		// Tested before the sum is formed, so no count can wrap it.
 		if n > math.MaxInt32-total {
 			return nil, fmt.Errorf("suffix: bucket %d's %d suffixes behind %d others exceed the %d one bucket table can index", b, n, total, math.MaxInt32)
@@ -154,7 +149,7 @@ func grown(old, off []int32) []int32 {
 // layout never rests on a caller's counts.
 func (t *Buckets) merge(set *seq.SetS, owner []int32, me int32, lo, hi seq.StringID, workers int) error {
 	nb := NumBuckets(t.w)
-	cuts := mergeCuts(set, lo, hi, workers)
+	cuts := t.mergeCuts(set, lo, hi, workers)
 	parts := max(1, len(cuts)-1)
 	// cur[k*nb+b] is part k's count in bucket b, then its write cursor there.
 	// One part is called inline, so that it allocates no closure.
@@ -202,9 +197,19 @@ func (t *Buckets) merge(set *seq.SetS, owner []int32, me int32, lo, hi seq.Strin
 }
 
 // mergeCuts cuts strings [lo,hi) into at most workers parts of near-equal
-// length for merge, or returns nil for one part.
-func mergeCuts(set *seq.SetS, lo, hi seq.StringID, workers int) []int {
+// length for merge, or returns nil for one part. Each part takes a write
+// cursor in all 4^w buckets, so the parts are also capped at the number
+// whose cursors do not outnumber the suffixes of the table being laid out:
+// the table's and those of the strings (an upper bound under an owner mask).
+func (t *Buckets) mergeCuts(set *seq.SetS, lo, hi seq.StringID, workers int) []int {
 	if workers <= 1 || hi-lo <= 1 {
+		return nil
+	}
+	n := int64(len(t.refs))
+	for id := lo; id < hi; id++ {
+		n += int64(max(0, len(set.Str(id))-t.w+1))
+	}
+	if workers = int(min(int64(workers), n/int64(NumBuckets(t.w)))); workers <= 1 {
 		return nil
 	}
 	return fanout.Cuts(int(hi-lo), workers, func(i int) int { return len(set.Str(lo + seq.StringID(i))) })
@@ -246,16 +251,6 @@ func (t *Buckets) scatter(set *seq.SetS, owner []int32, me int32, lo, hi seq.Str
 			}
 		}
 	}
-}
-
-// LookAhead packs the look-ahead code of a suffix whose characters past the
-// window are s: the first four, two bits each, first highest, zero past end.
-func LookAhead(s seq.Sequence) uint8 {
-	var code uint64
-	for i := 0; i < 4; i++ {
-		code = roll(code, s, i, 0xff)
-	}
-	return uint8(code)
 }
 
 // roll shifts s[i], or a zero past the end of s, into reg, under mask.
@@ -310,52 +305,4 @@ func (t *Buckets) Truncate(hi seq.StringID) {
 	}
 	t.off[len(t.off)-1] = w
 	t.refs, t.lcp = t.refs[:w], t.lcp[:w]
-}
-
-// NewSizedBuckets returns a table laid out for hist[b] suffixes in every
-// bucket owned by me and none elsewhere, to be filled by Put in arrival
-// order, closed by Seal and ordered by BuildBuckets. This is the receiving
-// side of the parallel redistribution: the global histogram fixes every
-// offset before the first message arrives.
-func NewSizedBuckets(w int, hist []int64, owner []int32, me int32) (*Buckets, error) {
-	nb := NumBuckets(w)
-	if len(hist) != nb || len(owner) != nb {
-		return nil, fmt.Errorf("suffix: histogram of %d and assignment of %d buckets for window %d", len(hist), len(owner), w)
-	}
-	off, err := offsets(nb, func(b int) int64 {
-		if owner[b] != me {
-			return 0
-		}
-		return hist[b]
-	})
-	if err != nil {
-		return nil, err
-	}
-	next := make([]int32, nb)
-	copy(next, off)
-	return &Buckets{w: w, refs: make([]SuffixRef, off[nb]), lcp: make([]uint8, off[nb]), off: off, ordered: make([]int32, nb), next: next}, nil
-}
-
-// Put appends r, with its look-ahead code, to bucket b of a sized table, or
-// reports false, storing nothing, when b holds every suffix it was sized for.
-func (t *Buckets) Put(b int, r SuffixRef, code uint8) bool {
-	i := t.next[b]
-	if i == t.off[b+1] {
-		return false
-	}
-	t.refs[i], t.lcp[i] = r, code
-	t.next[b] = i + 1
-	return true
-}
-
-// Seal ends the filling of a sized table. A bucket still short of the size
-// it was laid out for is an error: its unfilled slots are not suffixes.
-func (t *Buckets) Seal() error {
-	for b, i := range t.next {
-		if i != t.off[b+1] {
-			return fmt.Errorf("suffix: bucket %d received %d of %d suffixes", b, i-t.off[b], t.off[b+1]-t.off[b])
-		}
-	}
-	t.next = nil
-	return nil
 }

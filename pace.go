@@ -217,9 +217,9 @@ type Options struct {
 	FS FS
 
 	// Metrics, when non-nil, receives live instrumentation: pair counters,
-	// the WORKBUF high water, bucket sizes, redistribution skew, master
-	// idle and incremental tallies. nil (the default) leaves only per-site
-	// pointer tests in the hot paths.
+	// the WORKBUF high water, bucket sizes, load skew, master idle and
+	// incremental tallies. nil (the default) leaves only per-site pointer
+	// tests in the hot paths.
 	Metrics *MetricsRegistry
 	// Trace, when non-nil, receives Chrome trace events with one timeline
 	// per rank (virtual timestamps when Simulated). The caller owns Close.
