@@ -13,7 +13,7 @@ import (
 // hand-rolled little-endian codec: the paper's implementation moves flat C
 // structs over MPI, and flat buffers keep the simulated byte counts honest.
 
-// Message tags, 1–3 and distinct by construction. mp's collective tags
+// Message tags, 1–3 and distinct by construction. mp's allreduce tags
 // live at 1<<28, so they never collide with these. Slaves send nothing to
 // each other.
 const (
@@ -277,7 +277,7 @@ func decodeWork(b []byte) (work, error) {
 // itself is not included — uniformly across ranks.
 
 // phaseReportWords is the fixed number of int64 words on the wire.
-const phaseReportWords = 18
+const phaseReportWords = 15
 
 // words lists rs's wire fields in wire order, as int64 pointers so one list
 // serves the encoder and the decoder.
@@ -286,7 +286,7 @@ func (rs *RankStats) words() [phaseReportWords]*int64 {
 		(*int64)(&rs.Partition), (*int64)(&rs.Construct), (*int64)(&rs.Sort), (*int64)(&rs.Align), (*int64)(&rs.Total),
 		&rs.PairsGenerated, &rs.PairsProcessed, &rs.PairsAccepted, &rs.StaleSuppressed, &rs.PairsSkipped,
 		&rs.MsgsSent, &rs.BytesSent, &rs.MsgsRecv, &rs.BytesRecv,
-		(*int64)(&rs.RecvWait), &rs.CollectiveOps, (*int64)(&rs.CollectiveTime), (*int64)(&rs.Busy),
+		(*int64)(&rs.RecvWait),
 	}
 }
 

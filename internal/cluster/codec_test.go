@@ -268,7 +268,7 @@ func TestPhaseReportLayout(t *testing.T) {
 		"Partition", "Construct", "Sort", "Align", "Total",
 		"PairsGenerated", "PairsProcessed", "PairsAccepted", "StaleSuppressed", "PairsSkipped",
 		"MsgsSent", "BytesSent", "MsgsRecv", "BytesRecv",
-		"RecvWait", "CollectiveOps", "CollectiveTime", "Busy",
+		"RecvWait",
 	}
 	b := make([]byte, 8*phaseReportWords)
 	for i := 0; i < phaseReportWords; i++ {

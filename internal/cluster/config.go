@@ -323,7 +323,7 @@ type Stats struct {
 	// MasterIdle is the time the master's dispatch loop spent blocked in
 	// Recv waiting for slave reports (zero in sequential runs); merge
 	// application is MasterBusy. Prologue waits (the bucket-count
-	// allreduces) are excluded: they are collective synchronization, not
+	// allreduce) are excluded: they are collective synchronization, not
 	// dispatch-loop idling, and would drown the signal at large p.
 	MasterIdle time.Duration
 	// Phases is the per-phase breakdown.
@@ -408,10 +408,6 @@ type RankStats struct {
 	// RecvWait is time blocked in receives — idle time for the master, a
 	// load-imbalance signal for slaves.
 	RecvWait time.Duration
-	// CollectiveOps / CollectiveTime tally collective calls and their
-	// latency (composites count constituents; see mp.CollectiveStats).
-	CollectiveOps  int64
-	CollectiveTime time.Duration
 
 	PairsGenerated int64
 	PairsProcessed int64
@@ -420,9 +416,6 @@ type RankStats struct {
 	// Stats.PairsSkipped and Stats.Incremental.StaleSuppressed.
 	PairsSkipped    int64
 	StaleSuppressed int64
-	// Busy is meaningful on the master only: time spent processing
-	// messages rather than waiting.
-	Busy time.Duration
 }
 
 // Result is the outcome of a clustering run.

@@ -421,36 +421,34 @@ func shareRange(si, slaves, total int) (seq.StringID, seq.StringID) {
 }
 
 // prologue is the partitioning phase run by every rank: per-share histogram,
-// global summation (O(log p) allreduce), and the deterministic bucket-to-
-// slave assignment. It also returns the global histogram so the master can
-// publish the bucket-size distribution and load skew.
+// global summation (the one O(log p) allreduce, on every path), and the
+// deterministic bucket-to-slave assignment. It also returns the global
+// histogram so the master can publish the bucket-size distribution and load
+// skew.
 func prologue(set *seq.SetS, cfg Config, c *mp.Comm) ([]int32, []int64, error) {
 	slaves := c.Size() - 1
-	// sum is the global histogram of the suffixes of strings of generation
-	// from or later: each slave counts its share, the master none.
-	sum := func(from seq.Gen) ([]int64, error) {
-		if c.Rank() == 0 {
-			return c.AllreduceSumInt64(make([]int64, suffix.NumBuckets(cfg.Window)))
-		}
+	// Each slave counts its share of the strings, the master none.
+	var share []int64
+	if c.Rank() == 0 {
+		share = make([]int64, suffix.NumBuckets(cfg.Window))
+	} else {
 		lo, hi := shareRange(c.Rank()-1, slaves, set.NumStrings())
-		return c.AllreduceSumInt64(suffix.HistogramFrom(set, cfg.Window, from, lo, hi))
+		share = suffix.Histogram(set, cfg.Window, lo, hi)
 	}
-	global, err := sum(0)
+	global, err := c.AllreduceSumInt64(share)
 	if err != nil {
 		return nil, nil, err
 	}
 	if cfg.FreshGen == 0 {
 		return suffix.Assign(global, slaves), global, nil
 	}
-	// Incremental run: a second allreduce sums the fresh-suffix histogram,
-	// and only touched buckets get an owner — every pair involving a fresh
-	// string lands in a bucket some fresh suffix falls into, so untouched
-	// buckets are neither shipped nor rebuilt.
-	globalFresh, err := sum(cfg.FreshGen)
-	if err != nil {
-		return nil, nil, err
-	}
-	return suffix.AssignFresh(global, globalFresh, slaves), global, nil
+	// Incremental run: only buckets the fresh batch touches get an owner —
+	// every pair involving a fresh string lands in a bucket some fresh
+	// suffix falls into, so untouched buckets are neither collected nor
+	// rebuilt. Every rank holds the batch and counts it itself, so all
+	// derive the same owners.
+	fresh := suffix.Histogram(set, cfg.Window, set.GenStartString(cfg.FreshGen), seq.StringID(set.NumStrings()))
+	return suffix.AssignFresh(global, fresh, slaves), global, nil
 }
 
 // fillComm snapshots a rank's communication counters into its report row,
@@ -459,8 +457,6 @@ func fillComm(rs *RankStats, s mp.CommStats) {
 	rs.MsgsSent, rs.BytesSent = s.MsgsSent, s.BytesSent
 	rs.MsgsRecv, rs.BytesRecv = s.MsgsRecv, s.BytesRecv
 	rs.RecvWait = s.RecvWait
-	rs.CollectiveOps = s.Collectives.Ops()
-	rs.CollectiveTime = s.Collectives.Time
 }
 
 // addRank folds one rank's row into the run's totals — each phase is the

@@ -111,7 +111,7 @@ func FuzzDecodePhase(f *testing.F) {
 		Partition: 1, Construct: 2, Sort: 3, Align: 4, Total: 5,
 		PairsGenerated: 6, PairsProcessed: 7, PairsAccepted: 8, StaleSuppressed: 9, PairsSkipped: 17,
 		MsgsSent: 10, BytesSent: 11, MsgsRecv: 12, BytesRecv: 13,
-		RecvWait: 14, CollectiveOps: 15, CollectiveTime: 16, Busy: -1,
+		RecvWait: -1,
 	}
 	enc := encodePhase(p)
 	f.Add(enc)
@@ -187,7 +187,7 @@ func TestFuzzSeedsDecode(t *testing.T) {
 	if _, err := decodePhase(make([]byte, 8)); err == nil {
 		t.Fatal("truncated phase report accepted")
 	}
-	p := RankStats{Busy: 42, Total: 7}
+	p := RankStats{RecvWait: 42, Total: 7}
 	rt, err := decodePhase(encodePhase(p))
 	if err != nil || rt != p {
 		t.Fatalf("phase round-trip: %+v, %v", rt, err)

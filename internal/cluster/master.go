@@ -150,7 +150,7 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 
 	// Master idle is measured over the dispatch loop only: recv wait
 	// accumulated up to here is the prologue's collective synchronization
-	// (the bucket-count allreduces), not a master-bottleneck signal.
+	// (the bucket-count allreduce), not a master-bottleneck signal.
 	// Snapshotting the baseline makes MasterIdle exactly "time the dispatch
 	// loop spent blocked on slave reports".
 	rw0 := c.Stats().RecvWait
@@ -177,7 +177,7 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 	cs := c.Stats()
 	st.MasterIdle = cs.RecvWait - rw0
 	pr.masterIdle.Set(int64(st.MasterIdle))
-	mine := RankStats{Rank: 0, Role: "master", Partition: tPart, Total: total, PairsSkipped: m.skipped, Busy: st.MasterBusy}
+	mine := RankStats{Rank: 0, Role: "master", Partition: tPart, Total: total, PairsSkipped: m.skipped}
 	fillComm(&mine, cs)
 	if err := m.collect(mine); err != nil {
 		return nil, err

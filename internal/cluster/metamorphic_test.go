@@ -243,3 +243,122 @@ func TestSkewedAndNoisyProfilesKeepPartition(t *testing.T) {
 		requireDuplicatesKeepPartition(t, b.ESTs, cfg)
 	}
 }
+
+// TestResplitBatchesSamePartition is the metamorphic net's re-splitting
+// leg: ingesting the same ESTs in batches, whatever the cuts, must give the
+// one-batch partition up to relabelling, and the batches' generated pairs
+// must sum to the one-batch run's, since each pair is generated once, in
+// the batch that brings its younger string. Each profile — the default,
+// ExpressionSkew 2.0 and TestPolyATailFlipsSamePartition's poly(A) one — is
+// cut at seeded random points into 2 to 5 batches, and every batch runs
+// through RunSet as pace.Session drives it: Append, then FreshGen and the
+// last partition as InitialLabels, with a BucketCache on the sequential
+// engine. The sequential engine runs at 1 and 8 workers; the p = 3 legs, on
+// the simulated and the real transport, run the incremental prologue.
+func TestResplitBatchesSamePartition(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	cfg := DefaultConfig(1)
+	cfg.Window, cfg.Psi = 6, 18
+	skewed := benchConfig(100, 6, 7)
+	skewed.ExpressionSkew = 2
+	polyA := benchConfig(100, 6, 9)
+	polyA.PolyATail = [2]int{150, 300}
+	polyA.ErrorRate = 0.002
+	engines := []struct {
+		name    string
+		mp      mp.Config
+		workers int
+	}{
+		{"sequential at 1 worker", mp.Config{Procs: 1}, 1},
+		{"sequential at 8 workers", mp.Config{Procs: 1}, 8},
+		{"p = 3 sim", mp.DefaultSimConfig(3), 0},
+		{"p = 3 real", mp.Config{Procs: 3, Mode: mp.ModeReal}, 0},
+	}
+	rng := rand.New(rand.NewSource(17))
+	for _, p := range []struct {
+		name string
+		sim  simulate.Config
+	}{{"default", benchConfig(100, 6, 7)}, {"skew 2.0", skewed}, {"poly(A)", polyA}} {
+		b, err := simulate.Generate(p.sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Run(b.ESTs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := normalizeLabels(ref.Labels)
+		for range 2 {
+			ends := randomSplit(rng, len(b.ESTs))
+			for _, e := range engines {
+				c := cfg
+				c.MP = e.mp
+				labels, generated := ingestBatches(t, b.ESTs, ends, c, e.workers)
+				if !slices.Equal(normalizeLabels(labels), want) {
+					t.Errorf("%s, batches ending at %v, %s: another partition than one batch's", p.name, ends, e.name)
+				}
+				if generated != ref.Stats.PairsGenerated {
+					t.Errorf("%s, batches ending at %v, %s: batches generated %d pairs, one batch %d",
+						p.name, ends, e.name, generated, ref.Stats.PairsGenerated)
+				}
+			}
+		}
+	}
+}
+
+// randomSplit cuts n ESTs into 2 to 5 non-empty batches at random points
+// and returns the batches' ends, ascending; the last is n.
+func randomSplit(rng *rand.Rand, n int) []int {
+	k := 2 + rng.Intn(4)
+	ends := rng.Perm(n - 1)[:k-1]
+	for i := range ends {
+		ends[i]++
+	}
+	slices.Sort(ends)
+	return append(ends, n)
+}
+
+// ingestBatches clusters ests batch by batch, each batch ending at the next
+// of ends, and returns the last partition and the pairs generated over all
+// batches. A sequential run (cfg.MP.Procs == 1) keeps one BucketCache across
+// batches and runs at the given worker count.
+func ingestBatches(t *testing.T, ests []seq.Sequence, ends []int, cfg Config, workers int) ([]int32, int64) {
+	t.Helper()
+	var set *seq.SetS
+	if cfg.MP.Procs == 1 {
+		cfg.Cache = NewBucketCache()
+	}
+	var labels []int32
+	var generated int64
+	start := 0
+	for _, end := range ends {
+		batch := ests[start:end]
+		start = end
+		c := cfg
+		if set == nil {
+			var err error
+			if set, err = seq.NewSetS(batch); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			gen, err := set.Append(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.FreshGen, c.InitialLabels = gen, labels
+		}
+		var res *Result
+		var err error
+		if workers > 0 {
+			res, err = runSequential(set, c, workers)
+		} else {
+			res, err = RunSet(set, c)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels = res.Labels
+		generated += res.Stats.PairsGenerated
+	}
+	return labels, generated
+}

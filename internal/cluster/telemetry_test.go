@@ -49,9 +49,6 @@ func TestParallelTelemetry(t *testing.T) {
 		if rs.MsgsSent == 0 || rs.MsgsRecv == 0 {
 			t.Errorf("rank %d comm counters empty: %+v", i, rs)
 		}
-		if rs.CollectiveOps == 0 {
-			t.Errorf("rank %d CollectiveOps = 0 (prologue allreduce + final gather)", i)
-		}
 		genSum += rs.PairsGenerated
 		procSum += rs.PairsProcessed
 		accSum += rs.PairsAccepted
@@ -59,9 +56,6 @@ func TestParallelTelemetry(t *testing.T) {
 	if genSum != st.PairsGenerated || procSum != st.PairsProcessed || accSum != st.PairsAccepted {
 		t.Errorf("per-rank sums gen=%d proc=%d acc=%d != totals gen=%d proc=%d acc=%d",
 			genSum, procSum, accSum, st.PairsGenerated, st.PairsProcessed, st.PairsAccepted)
-	}
-	if st.PerRank[0].Busy != st.MasterBusy {
-		t.Errorf("master row Busy = %v, want MasterBusy %v", st.PerRank[0].Busy, st.MasterBusy)
 	}
 	if st.MasterIdle <= 0 {
 		t.Errorf("MasterIdle = %v, want > 0", st.MasterIdle)

@@ -1,6 +1,6 @@
 package mp
 
-// Every collective must unblock with an error wrapping ErrRankFailed when a
+// The allreduce must unblock with an error wrapping ErrRankFailed when a
 // participating rank dies mid-collective, in both modes. The mechanism is cascade unblocking: the rank directly
 // blocked on the dead peer errors out, its own failure is recorded, and the
 // next rank in the tree observes that, until no one is left hanging.
@@ -52,34 +52,18 @@ func expectPeerFailure(err error) error {
 	return err
 }
 
-func TestBcastUnblocksOnRankFailure(t *testing.T) {
-	// Kill the root: every other rank waits (directly or transitively) on it.
-	runCollectiveFailure(t, 0, func(c *Comm) error {
-		_, err := c.Bcast(0, []byte("payload"))
-		return expectPeerFailure(err)
-	})
-}
-
-func TestReduceSumInt64UnblocksOnRankFailure(t *testing.T) {
-	// Kill an inner tree node: the root blocks on its partial sum, while the
-	// leaf below it only sends and may complete.
-	runCollectiveFailure(t, 2, func(c *Comm) error {
-		_, err := c.ReduceSumInt64(0, []int64{int64(c.Rank()), 1})
-		if c.Rank() != 0 && err == nil {
-			return nil
-		}
-		return expectPeerFailure(err)
-	})
-}
-
 func TestAllreduceSumInt64UnblocksOnRankFailure(t *testing.T) {
 	// The broadcast half needs the root's total, which needs every rank, so
 	// every survivor must observe the failure — the engine's prologue
-	// histogram sum relies on this to fail cleanly instead of hanging.
-	runCollectiveFailure(t, 2, func(c *Comm) error {
-		_, err := c.AllreduceSumInt64([]int64{int64(c.Rank()), 1})
-		return expectPeerFailure(err)
-	})
+	// histogram sum relies on this to fail cleanly instead of hanging. Kill
+	// an inner tree node, then the root, whose leaves only send before
+	// they wait on the broadcast.
+	for _, dead := range []int{2, 0} {
+		runCollectiveFailure(t, dead, func(c *Comm) error {
+			_, err := c.AllreduceSumInt64([]int64{int64(c.Rank()), 1})
+			return expectPeerFailure(err)
+		})
+	}
 }
 
 // A point-to-point receive from a specific dead rank reports the failure

@@ -1,9 +1,9 @@
 // Package mp is a message-passing runtime — the substrate standing in for
 // the MPI / IBM SP environment the paper's software ran on. It provides
 // ranks, tagged point-to-point messaging with any-source receives and
-// probing, and the O(log p) tree collectives the engine's prologue needs:
-// Bcast, ReduceSumInt64 and AllreduceSumInt64 (the paper's "parallel
-// summation algorithm in O(log p) communication steps").
+// probing, and the one collective the engine's prologue needs:
+// AllreduceSumInt64, the paper's "parallel summation algorithm in O(log p)
+// communication steps".
 //
 // Two execution modes share one API:
 //
@@ -156,9 +156,9 @@ type transport interface {
 	stats(rank int) CommStats
 }
 
-// CommStats counts a rank's point-to-point traffic (collectives included,
-// since they are built from point-to-point sends) plus receive-wait time and
-// collective-operation tallies.
+// CommStats counts a rank's point-to-point traffic (the allreduce's
+// included, since it is built from point-to-point sends) plus receive-wait
+// time.
 type CommStats struct {
 	MsgsSent  int64
 	BytesSent int64
@@ -169,33 +169,6 @@ type CommStats struct {
 	// virtual time under ModeSim, wall time under ModeReal. For the paper's
 	// master it is idle time; for slaves it measures load imbalance.
 	RecvWait time.Duration
-
-	// Collectives tallies the collective operations this rank entered.
-	// Counts are recorded at the Comm layer — the same code path for both
-	// transports — so sim and real runs of the same program report
-	// identical tallies by construction (the per-message byte counts above
-	// already agree because collectives decompose into the same
-	// deterministic point-to-point sends in both modes).
-	Collectives CollectiveStats
-}
-
-// CollectiveStats counts collective-operation entries and their total
-// latency. Composite collectives tally their constituents too: an
-// AllreduceSumInt64 bumps Allreduces, Reduces and Bcasts.
-type CollectiveStats struct {
-	Bcasts     int64
-	Reduces    int64
-	Allreduces int64
-	// Time is the summed latency across all collective calls (virtual
-	// under ModeSim). Nested constituents double-count here by design:
-	// Time answers "how long was this rank inside collective code".
-	Time time.Duration
-}
-
-// Ops returns the total number of collective entries (constituents of
-// composite collectives included).
-func (c CollectiveStats) Ops() int64 {
-	return c.Bcasts + c.Reduces + c.Allreduces
 }
 
 // add records one message.
@@ -214,20 +187,6 @@ type Comm struct {
 	rank int
 	size int
 	tr   transport
-
-	// coll accumulates collective tallies (Stats is called by the owning
-	// goroutine too).
-	coll CollectiveStats
-}
-
-// collTimer marks the start of a collective; the returned func records one
-// entry of the given kind plus the elapsed latency on this rank's clock.
-func (c *Comm) collTimer() func(n *int64) {
-	start := c.tr.elapsed(c.rank)
-	return func(n *int64) {
-		*n++
-		c.coll.Time += c.tr.elapsed(c.rank) - start
-	}
 }
 
 // Rank returns this endpoint's rank in [0, Size()).
@@ -289,118 +248,79 @@ func (c *Comm) Elapsed() time.Duration { return c.tr.elapsed(c.rank) }
 // and for modeling work not actually executed.
 func (c *Comm) ChargeCompute(d time.Duration) { c.tr.charge(c.rank, d) }
 
-// Stats returns this rank's traffic counters, receive-wait time and
-// collective tallies so far.
-func (c *Comm) Stats() CommStats {
-	s := c.tr.stats(c.rank)
-	s.Collectives = c.coll
-	return s
-}
+// Stats returns this rank's traffic counters and receive-wait time so far.
+func (c *Comm) Stats() CommStats { return c.tr.stats(c.rank) }
 
-// Collective tags live in their own space so they can never match
+// The allreduce's tags live in their own space so they can never match
 // application receives.
 const (
 	tagBcast  = 1 << 28
 	tagReduce = 1<<28 + 1
 )
 
-// Bcast distributes root's buffer to all ranks along a binomial tree and
-// returns each rank's copy.
-func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	defer c.collTimer()(&c.coll.Bcasts)
-	if c.size == 1 {
-		return data, nil
-	}
-	vrank := (c.rank - root + c.size) % c.size
+// AllreduceSumInt64 sums each position of vals across ranks and returns the
+// total on every rank — the paper's parallel summation in 2·O(log p)
+// communication steps: a binomial-tree reduce to rank 0, then a
+// binomial-tree broadcast from it.
+func (c *Comm) AllreduceSumInt64(vals []int64) ([]int64, error) {
+	acc := make([]int64, len(vals))
+	copy(acc, vals)
+	// Reduce: a rank sums its children's vectors until it reaches its
+	// lowest set bit, then sends to the parent that bit names; rank 0
+	// sums them all. On leaving the loop, mask is that bit (the parent
+	// the broadcast arrives from) or, on rank 0, the tree's span.
 	mask := 1
-	for mask < c.size {
-		if vrank&mask != 0 {
-			src := (c.rank - mask + c.size) % c.size
-			m, err := c.Recv(src, tagBcast)
+	for ; mask < c.size; mask <<= 1 {
+		if c.rank&mask != 0 {
+			// The encoded vector is freshly allocated and never touched
+			// again, so it goes to the transport without the Send copy.
+			if err := c.tr.send(c.rank, c.rank^mask, tagReduce, encodeInt64s(acc)); err != nil {
+				return nil, err
+			}
+			break
+		}
+		if src := c.rank | mask; src < c.size {
+			m, err := c.Recv(src, tagReduce)
 			if err != nil {
 				return nil, err
 			}
-			data = m.Data
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < c.size {
-			dst := (c.rank + mask) % c.size
-			// Send copies: data is also returned to this rank's caller.
-			if err := c.Send(dst, tagBcast, data); err != nil {
+			part, err := decodeInt64s(m.Data)
+			if err != nil {
 				return nil, err
 			}
-		}
-		mask >>= 1
-	}
-	return data, nil
-}
-
-// ReduceSumInt64 sums each position of vals across ranks along a binomial
-// tree; the total lands on root (other ranks get nil).
-func (c *Comm) ReduceSumInt64(root int, vals []int64) ([]int64, error) {
-	defer c.collTimer()(&c.coll.Reduces)
-	acc := make([]int64, len(vals))
-	copy(acc, vals)
-	vrank := (c.rank - root + c.size) % c.size
-	for mask := 1; mask < c.size; mask <<= 1 {
-		if vrank&mask == 0 {
-			srcV := vrank | mask
-			if srcV < c.size {
-				src := (srcV + root) % c.size
-				m, err := c.Recv(src, tagReduce)
-				if err != nil {
-					return nil, err
-				}
-				part, err := DecodeInt64s(m.Data)
-				if err != nil {
-					return nil, err
-				}
-				if len(part) != len(acc) {
-					return nil, fmt.Errorf("mp: reduce length mismatch %d vs %d", len(part), len(acc))
-				}
-				for i := range acc {
-					acc[i] += part[i]
-				}
+			if len(part) != len(acc) {
+				return nil, fmt.Errorf("mp: reduce length mismatch %d vs %d", len(part), len(acc))
 			}
-		} else {
-			dst := ((vrank ^ mask) + root) % c.size
-			// The encoded vector is freshly allocated and never touched
-			// again, so it goes to the transport without the Send copy.
-			buf := EncodeInt64s(acc)
-			if err := c.tr.send(c.rank, dst, tagReduce, buf); err != nil {
-				return nil, err
+			for i := range acc {
+				acc[i] += part[i]
 			}
-			return nil, nil
 		}
 	}
-	return acc, nil
-}
-
-// AllreduceSumInt64 is ReduceSumInt64 to rank 0 followed by a Bcast —
-// 2·O(log p) communication steps.
-func (c *Comm) AllreduceSumInt64(vals []int64) ([]int64, error) {
-	defer c.collTimer()(&c.coll.Allreduces)
-	acc, err := c.ReduceSumInt64(0, vals)
-	if err != nil {
-		return nil, err
-	}
+	// Broadcast: the total flows back down the same tree.
 	var buf []byte
 	if c.rank == 0 {
-		buf = EncodeInt64s(acc)
+		buf = encodeInt64s(acc)
+	} else {
+		m, err := c.Recv(c.rank^mask, tagBcast)
+		if err != nil {
+			return nil, err
+		}
+		buf = m.Data
 	}
-	buf, err = c.Bcast(0, buf)
-	if err != nil {
-		return nil, err
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if c.rank+mask < c.size {
+			// Send copies: each child owns its Msg.Data, and buf goes to
+			// several children.
+			if err := c.Send(c.rank+mask, tagBcast, buf); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return DecodeInt64s(buf)
+	return decodeInt64s(buf)
 }
 
-// EncodeInt64s packs a vector little-endian.
-func EncodeInt64s(vals []int64) []byte {
+// encodeInt64s packs a vector little-endian.
+func encodeInt64s(vals []int64) []byte {
 	out := make([]byte, 8*len(vals))
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(out[8*i:], uint64(v))
@@ -408,8 +328,8 @@ func EncodeInt64s(vals []int64) []byte {
 	return out
 }
 
-// DecodeInt64s unpacks a vector packed by EncodeInt64s.
-func DecodeInt64s(b []byte) ([]int64, error) {
+// decodeInt64s unpacks a vector packed by encodeInt64s.
+func decodeInt64s(b []byte) ([]int64, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("mp: int64 buffer length %d not a multiple of 8", len(b))
 	}

@@ -103,7 +103,7 @@ func diffInput(seed int64, n int, shape uint8) [][]seq.Sequence {
 func freshForest(t testing.TB, set *seq.SetS, w int, gen seq.Gen) []*suffix.Tree {
 	t.Helper()
 	hi := seq.StringID(set.NumStrings())
-	owner := suffix.AssignFresh(suffix.Histogram(set, w, 0, hi), suffix.HistogramFrom(set, w, gen, 0, hi), 1)
+	owner := suffix.AssignFresh(suffix.Histogram(set, w, 0, hi), suffix.Histogram(set, w, set.GenStartString(gen), hi), 1)
 	forest, err := suffix.BuildForest(set, suffix.CollectOwned(set, w, owner, 0, 0, hi), w)
 	if err != nil {
 		t.Fatal(err)

@@ -139,7 +139,7 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		writeJSON(w, code, map[string]any{
 			"status":    status,
-			"sessions":  len(m.List()),
+			"sessions":  m.sessionCount(),
 			"degraded":  degraded,
 			"admission": m.Admission().Stats(),
 		})

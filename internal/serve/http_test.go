@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"pace"
+	"pace/internal/vfs"
 )
 
 func testCtx(t *testing.T) context.Context {
@@ -303,6 +305,52 @@ func TestHTTPDrainRejects(t *testing.T) {
 	resp, _ = doJSON(t, "GET", base+"/v1/sessions/d/labels", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("labels while draining: %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPHealthzAnswersDuringABatch: a liveness probe must not wait on a
+// session's lock, which Manager.Add holds for a whole engine run. One
+// session is degraded, the other's lock is held as a running batch holds
+// it, and /healthz must still answer at once with both counts.
+func TestHTTPHealthzAnswersDuringABatch(t *testing.T) {
+	fsys := &flakyFS{FS: vfs.OS{}}
+	opt := testOptions()
+	opt.FS = fsys
+	m, ts := newTestServer(t, Config{Options: opt, DataDir: t.TempDir()})
+	ctx := testCtx(t)
+	for _, id := range []string{"sick", "busy"} {
+		if _, err := m.Create(ctx, id, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fsys.down.Store(true)
+	if _, err := m.Add(ctx, "sick", testCorpus(t, 20, 3, 20)[0]); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("Add with failing persistence: got %v, want ErrDegraded", err)
+	}
+	fsys.down.Store(false)
+
+	busy, err := m.lookup("busy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy.mu.Lock()
+	defer busy.mu.Unlock()
+	client := &http.Client{Timeout: time.Second}
+	resp, err := client.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz while a session is locked: %v", err)
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Status   string `json:"status"`
+		Sessions int    `json:"sessions"`
+		Degraded int    `json:"degraded"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || got.Status != "degraded" || got.Sessions != 2 || got.Degraded != 1 {
+		t.Fatalf("healthz: %d %+v, want 200 degraded with 2 sessions, 1 degraded", resp.StatusCode, got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pace"
@@ -193,8 +194,10 @@ type Manager struct {
 	clock telemetry.Clock
 	log   *slog.Logger
 	fs    vfs.FS
-	// degraded counts sessions in degraded read-only mode.
-	degraded *telemetry.Gauge
+	// nDegraded counts sessions in degraded read-only mode, and degraded
+	// publishes it; addDegraded moves both.
+	nDegraded atomic.Int64
+	degraded  *telemetry.Gauge
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -385,14 +388,31 @@ func (m *Manager) lookup(id string) (*session, error) {
 	return s, nil
 }
 
-// List returns every live session's info, sorted by id.
-func (m *Manager) List() []Info {
+// snapshot copies the session map under m.mu, so that the caller can then
+// lock each session in turn without holding the manager's lock.
+func (m *Manager) snapshot() []*session {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	all := make([]*session, 0, len(m.sessions))
 	for _, s := range m.sessions {
 		all = append(all, s)
 	}
-	m.mu.Unlock()
+	return all
+}
+
+// sessionCount reports how many sessions are live without taking any
+// session's lock, so that it never waits on a running batch. Delete removes
+// a session from the map before it marks it gone, so the map holds exactly
+// the live ones.
+func (m *Manager) sessionCount() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.sessions)
+}
+
+// List returns every live session's info, sorted by id.
+func (m *Manager) List() []Info {
+	all := m.snapshot()
 	out := make([]Info, 0, len(all))
 	for _, s := range all {
 		s.mu.Lock()
@@ -438,7 +458,7 @@ func (m *Manager) Delete(id string) error {
 	if s.degraded {
 		// The session's state dies with it; don't leave the gauge stuck.
 		s.degraded = false
-		m.degraded.Add(-1)
+		m.addDegraded(-1)
 	}
 	m.log.Info("session deleted", "session", id, "tenant", s.meta.Tenant,
 		"ests", s.sess.NumESTs(), "batches", s.sess.Batches())
@@ -543,7 +563,7 @@ func (m *Manager) Add(ctx context.Context, id string, recs []pace.Record) (*Batc
 		if err := SaveState(m.fs, s.dir, s.sess, s.recs); err != nil {
 			s.degraded = true
 			s.degradedCause = err
-			m.degraded.Add(1)
+			m.addDegraded(1)
 			m.log.Error("batch clustered but not persisted; session degraded read-only", "session", id,
 				"request_id", reqID, "batch", batch, "err", err.Error())
 			return nil, fmt.Errorf("%w: batch %d clustered in memory but not persisted; "+
@@ -699,11 +719,10 @@ const drainCancelGrace = 2 * time.Second
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	m.draining = true
-	all := make([]*session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		all = append(all, s)
-	}
 	m.mu.Unlock()
+	// Create refuses new sessions from here on, so the snapshot is the
+	// whole set to save.
+	all := m.snapshot()
 	m.log.Info("drain started", "sessions", len(all))
 
 	const tick = 5 * time.Millisecond
@@ -784,14 +803,8 @@ func (m *Manager) cancelInflight() int {
 // ahead by). It returns how many sessions healed. cmd/paced calls it on a
 // timer; tests call it directly after repairing the fault plan.
 func (m *Manager) ProbeDegraded() int {
-	m.mu.Lock()
-	all := make([]*session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		all = append(all, s)
-	}
-	m.mu.Unlock()
 	healed := 0
-	for _, s := range all {
+	for _, s := range m.snapshot() {
 		s.mu.Lock()
 		if !s.gone && s.degraded {
 			if err := s.saveLocked(m.fs); err != nil {
@@ -808,28 +821,19 @@ func (m *Manager) ProbeDegraded() int {
 		s.mu.Unlock()
 	}
 	if healed > 0 {
-		m.degraded.Add(int64(-healed))
+		m.addDegraded(int64(-healed))
 	}
 	return healed
 }
 
 // DegradedCount reports how many sessions are in degraded read-only mode.
-func (m *Manager) DegradedCount() int {
-	m.mu.Lock()
-	all := make([]*session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		all = append(all, s)
-	}
-	m.mu.Unlock()
-	n := 0
-	for _, s := range all {
-		s.mu.Lock()
-		if !s.gone && s.degraded {
-			n++
-		}
-		s.mu.Unlock()
-	}
-	return n
+// It takes no lock, so that /healthz never waits on a running batch.
+func (m *Manager) DegradedCount() int { return int(m.nDegraded.Load()) }
+
+// addDegraded moves the degraded-session count and its gauge by n.
+func (m *Manager) addDegraded(n int64) {
+	m.nDegraded.Add(n)
+	m.degraded.Add(n)
 }
 
 func (m *Manager) isDraining() bool {

@@ -94,20 +94,6 @@ func Histogram(set *seq.SetS, w int, lo, hi seq.StringID) []int64 {
 	return hist
 }
 
-// HistogramFrom is Histogram restricted to suffixes of strings with
-// generation >= from: the per-batch contribution an incremental run uses to
-// find the buckets a new batch touches. Generations are monotone in string
-// id, so the restriction is a clamp of the scan range.
-func HistogramFrom(set *seq.SetS, w int, from seq.Gen, lo, hi seq.StringID) []int64 {
-	if s := set.GenStartString(from); s > lo {
-		lo = s
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return Histogram(set, w, lo, hi)
-}
-
 // Assign maps each non-empty bucket to one of p workers such that worker
 // loads (total suffixes) are near-balanced: buckets are taken in decreasing
 // size order and each goes to the currently least-loaded worker (LPT).

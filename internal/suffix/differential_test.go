@@ -343,7 +343,7 @@ func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 	// as a slave, or a survivor rebuilding a dead slave's, collects it. Each
 	// through BuildForest and at every width, each width on a table of its
 	// own, since ordering happens in place.
-	touchedOnly := AssignFresh(hist, HistogramFrom(set, w, 2, 0, n2), 1)
+	touchedOnly := AssignFresh(hist, Histogram(set, w, set.GenStartString(2), n2), 1)
 	for _, c := range []struct {
 		name  string
 		owner []int32

@@ -436,7 +436,10 @@ func TestNumLeaves(t *testing.T) {
 	}
 }
 
-func TestHistogramFromCountsOnlyFreshSuffixes(t *testing.T) {
+// TestHistogramOfFreshRangeCountsOnlyFreshSuffixes checks the range clamp an
+// incremental run counts its batch with: generations are monotone in string
+// id, so the strings from GenStartString(gen) on are exactly the fresh ones.
+func TestHistogramOfFreshRangeCountsOnlyFreshSuffixes(t *testing.T) {
 	set := mustSet(t, "ACGTAC", "GGTTAA")
 	gen, err := set.Append([]seq.Sequence{mustSeq(t, "ACACAC")})
 	if err != nil {
@@ -446,7 +449,15 @@ func TestHistogramFromCountsOnlyFreshSuffixes(t *testing.T) {
 	n2 := seq.StringID(set.NumStrings())
 	all := Histogram(set, w, 0, n2)
 	old := Histogram(set, w, 0, set.GenStartString(gen))
-	fresh := HistogramFrom(set, w, gen, 0, n2)
+	fresh := Histogram(set, w, set.GenStartString(gen), n2)
+	// The batch's one EST and its reverse complement: 2·(6−w+1) suffixes.
+	var nFresh int64
+	for _, h := range fresh {
+		nFresh += h
+	}
+	if nFresh != 10 {
+		t.Errorf("fresh range holds %d suffixes, want 10", nFresh)
+	}
 	for b := range all {
 		if old[b]+fresh[b] != all[b] {
 			t.Fatalf("bucket %d: old %d + fresh %d != all %d", b, old[b], fresh[b], all[b])
