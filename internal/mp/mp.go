@@ -261,10 +261,9 @@ const (
 // AllreduceSumInt64 sums each position of vals across ranks and returns the
 // total on every rank — the paper's parallel summation in 2·O(log p)
 // communication steps: a binomial-tree reduce to rank 0, then a
-// binomial-tree broadcast from it.
+// binomial-tree broadcast from it. The sum accumulates in vals itself, so
+// the caller passes a vector it no longer needs; the result is vals.
 func (c *Comm) AllreduceSumInt64(vals []int64) ([]int64, error) {
-	acc := make([]int64, len(vals))
-	copy(acc, vals)
 	// Reduce: a rank sums its children's vectors until it reaches its
 	// lowest set bit, then sends to the parent that bit names; rank 0
 	// sums them all. On leaving the loop, mask is that bit (the parent
@@ -274,7 +273,7 @@ func (c *Comm) AllreduceSumInt64(vals []int64) ([]int64, error) {
 		if c.rank&mask != 0 {
 			// The encoded vector is freshly allocated and never touched
 			// again, so it goes to the transport without the Send copy.
-			if err := c.tr.send(c.rank, c.rank^mask, tagReduce, encodeInt64s(acc)); err != nil {
+			if err := c.tr.send(c.rank, c.rank^mask, tagReduce, encodeInt64s(vals)); err != nil {
 				return nil, err
 			}
 			break
@@ -284,22 +283,15 @@ func (c *Comm) AllreduceSumInt64(vals []int64) ([]int64, error) {
 			if err != nil {
 				return nil, err
 			}
-			part, err := decodeInt64s(m.Data)
-			if err != nil {
+			if err := addInt64s(vals, m.Data); err != nil {
 				return nil, err
-			}
-			if len(part) != len(acc) {
-				return nil, fmt.Errorf("mp: reduce length mismatch %d vs %d", len(part), len(acc))
-			}
-			for i := range acc {
-				acc[i] += part[i]
 			}
 		}
 	}
 	// Broadcast: the total flows back down the same tree.
 	var buf []byte
 	if c.rank == 0 {
-		buf = encodeInt64s(acc)
+		buf = encodeInt64s(vals)
 	} else {
 		m, err := c.Recv(c.rank^mask, tagBcast)
 		if err != nil {
@@ -316,7 +308,14 @@ func (c *Comm) AllreduceSumInt64(vals []int64) ([]int64, error) {
 			}
 		}
 	}
-	return decodeInt64s(buf)
+	if c.rank != 0 {
+		// vals holds this rank's subtree sum; the total replaces it.
+		clear(vals)
+		if err := addInt64s(vals, buf); err != nil {
+			return nil, err
+		}
+	}
+	return vals, nil
 }
 
 // encodeInt64s packs a vector little-endian.
@@ -328,16 +327,16 @@ func encodeInt64s(vals []int64) []byte {
 	return out
 }
 
-// decodeInt64s unpacks a vector packed by encodeInt64s.
-func decodeInt64s(b []byte) ([]int64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("mp: int64 buffer length %d not a multiple of 8", len(b))
+// addInt64s adds a vector packed by encodeInt64s into acc, position by
+// position; b must hold exactly len(acc) values.
+func addInt64s(acc []int64, b []byte) error {
+	if len(b) != 8*len(acc) {
+		return fmt.Errorf("mp: allreduce length mismatch: %d bytes for %d values", len(b), len(acc))
 	}
-	out := make([]int64, len(b)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+	for i := range acc {
+		acc[i] += int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return out, nil
+	return nil
 }
 
 // Run executes body on every rank under the configured mode and returns the

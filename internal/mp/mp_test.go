@@ -372,20 +372,20 @@ func TestSimSpeedupShape(t *testing.T) {
 
 func TestEncodeDecodeInt64s(t *testing.T) {
 	vals := []int64{0, -1, 1 << 40, -(1 << 50), 7}
-	got, err := decodeInt64s(encodeInt64s(vals))
-	if err != nil {
+	got := make([]int64, len(vals))
+	if err := addInt64s(got, encodeInt64s(vals)); err != nil {
 		t.Fatal(err)
-	}
-	if len(got) != len(vals) {
-		t.Fatal("length")
 	}
 	for i := range vals {
 		if got[i] != vals[i] {
 			t.Fatalf("at %d: %d != %d", i, got[i], vals[i])
 		}
 	}
-	if _, err := decodeInt64s(make([]byte, 9)); err == nil {
+	if err := addInt64s(make([]int64, 1), make([]byte, 9)); err == nil {
 		t.Error("ragged buffer must fail")
+	}
+	if err := addInt64s(make([]int64, 2), make([]byte, 8)); err == nil {
+		t.Error("short buffer must fail")
 	}
 }
 

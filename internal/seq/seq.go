@@ -91,25 +91,6 @@ func Parse(s string) (Sequence, error) {
 	return out, nil
 }
 
-// ParseLossy converts an ASCII string to a Sequence, replacing any
-// non-ACGT character with the given filler code. It reports how many
-// characters were replaced. Real EST data contains N and other IUPAC codes;
-// assemblers commonly treat them as mismatches against everything, which a
-// fixed filler approximates conservatively.
-func ParseLossy(s string, filler Code) (Sequence, int) {
-	out := make(Sequence, len(s))
-	replaced := 0
-	for i := 0; i < len(s); i++ {
-		c, ok := CodeOf(s[i])
-		if !ok {
-			c = filler
-			replaced++
-		}
-		out[i] = c
-	}
-	return out, replaced
-}
-
 // String renders the sequence as upper-case ASCII.
 func (s Sequence) String() string {
 	var b strings.Builder

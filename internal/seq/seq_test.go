@@ -63,16 +63,6 @@ func TestParseInvalid(t *testing.T) {
 	}
 }
 
-func TestParseLossy(t *testing.T) {
-	s, n := ParseLossy("ANNGT", A)
-	if n != 2 {
-		t.Errorf("replaced = %d, want 2", n)
-	}
-	if s.String() != "AAAGT" {
-		t.Errorf("got %q", s.String())
-	}
-}
-
 func TestParseEmpty(t *testing.T) {
 	s, err := Parse("")
 	if err != nil || len(s) != 0 {

@@ -354,6 +354,72 @@ func TestHTTPHealthzAnswersDuringABatch(t *testing.T) {
 	}
 }
 
+// TestHTTPSessionListAnswersDuringABatch: listing the sessions, or asking
+// for one, must not wait on a running batch. The test holds one session's
+// lock as Add does for a whole engine run, then lists while a batch on
+// another session publishes its info.
+func TestHTTPSessionListAnswersDuringABatch(t *testing.T) {
+	m, ts := newTestServer(t, Config{})
+	ctx := testCtx(t)
+	for _, id := range []string{"busy", "idle"} {
+		if _, err := m.Create(ctx, id, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batches := testCorpus(t, 40, 3, 20)
+	batch := batches[0]
+	if _, err := m.Add(ctx, "idle", batch); err != nil {
+		t.Fatal(err)
+	}
+
+	busy, err := m.lookup("busy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy.mu.Lock()
+	defer busy.mu.Unlock()
+	client := &http.Client{Timeout: time.Second}
+	resp, err := client.Get(ts.URL + "/v1/sessions")
+	if err != nil {
+		t.Fatalf("list while a session is locked: %v", err)
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Sessions []Info `json:"sessions"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(got.Sessions) != 2 ||
+		got.Sessions[0].ID != "busy" || got.Sessions[1].ID != "idle" ||
+		got.Sessions[1].NumESTs != len(batch) || got.Sessions[1].Batches != 1 {
+		t.Fatalf("list: %d %+v, want busy and idle with %d ESTs in 1 batch", resp.StatusCode, got.Sessions, len(batch))
+	}
+	if _, err := m.Info("busy"); err != nil {
+		t.Fatalf("info while the session is locked: %v", err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Add(ctx, "idle", batches[1])
+		done <- err
+	}()
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+			m.List()
+		}
+	}
+	if in, err := m.Info("idle"); err != nil || in.Batches != 2 || in.NumESTs != 40 {
+		t.Fatalf("info after the second batch: %+v, %v", in, err)
+	}
+}
+
 // TestHTTPAllEmptyFASTABatchRefused: a FASTA body of nothing but empty
 // records is refused as an empty batch, and the server stays up. The reader
 // skips the records in a loop, so a lowered stack ceiling is never reached.

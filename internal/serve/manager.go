@@ -174,6 +174,9 @@ type session struct {
 	degraded bool
 	// degradedCause is the save error that entered degraded mode.
 	degradedCause error
+	// info is the session's Info as of its last successful run, published
+	// so that listing never waits on a running batch for s.mu.
+	info atomic.Pointer[Info]
 }
 
 // saveLocked persists the session's state pair through fsys. Caller holds
@@ -272,7 +275,9 @@ type Info struct {
 	NumClusters int    `json:"num_clusters"`
 }
 
-func (s *session) infoLocked() Info {
+// publish stores the session's current Info for List and Info to read
+// without s.mu. Caller holds s.mu or has not shared s yet.
+func (s *session) publish() Info {
 	in := Info{
 		ID:      s.meta.ID,
 		Tenant:  s.meta.Tenant,
@@ -291,6 +296,7 @@ func (s *session) infoLocked() Info {
 		}
 		in.NumClusters = max + 1
 	}
+	s.info.Store(&in)
 	return in
 }
 
@@ -337,6 +343,7 @@ func (m *Manager) Create(ctx context.Context, id, tenant string) (Info, error) {
 		return Info{}, err
 	}
 	s := &session{meta: Meta{ID: id, Tenant: tenant}, lane: lane, sess: sess}
+	info := s.publish()
 	if m.cfg.DataDir != "" {
 		s.dir = filepath.Join(m.cfg.DataDir, id)
 		if err := m.fs.MkdirAll(s.dir, 0o755); err != nil {
@@ -349,7 +356,7 @@ func (m *Manager) Create(ctx context.Context, id, tenant string) (Info, error) {
 	m.sessions[id] = s
 	m.log.Info("session created", "session", id, "tenant", tenant,
 		"request_id", RequestID(ctx), "sessions", len(m.sessions))
-	return Info{ID: id, Tenant: tenant}, nil
+	return info, nil
 }
 
 // allocLaneLocked hands the session its server-trace thread lane and labels
@@ -410,33 +417,25 @@ func (m *Manager) sessionCount() int {
 	return len(m.sessions)
 }
 
-// List returns every live session's info, sorted by id.
+// List returns every live session's published info, sorted by id. It takes
+// no session's lock, so that it never waits on a running batch.
 func (m *Manager) List() []Info {
 	all := m.snapshot()
 	out := make([]Info, 0, len(all))
 	for _, s := range all {
-		s.mu.Lock()
-		if !s.gone {
-			out = append(out, s.infoLocked())
-		}
-		s.mu.Unlock()
+		out = append(out, *s.info.Load())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// Info returns one session's info.
+// Info returns one session's published info without taking its lock.
 func (m *Manager) Info(id string) (Info, error) {
 	s, err := m.lookup(id)
 	if err != nil {
 		return Info{}, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gone {
-		return Info{}, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return s.infoLocked(), nil
+	return *s.info.Load(), nil
 }
 
 // Delete removes a session and its state directory. An Add in flight on
@@ -559,6 +558,7 @@ func (m *Manager) Add(ctx context.Context, id string, recs []pace.Record) (*Batc
 		return nil, err
 	}
 	s.recs = append(s.recs, recs...)
+	info := s.publish()
 	if s.dir != "" {
 		if err := SaveState(m.fs, s.dir, s.sess, s.recs); err != nil {
 			s.degraded = true
@@ -587,7 +587,7 @@ func (m *Manager) Add(ctx context.Context, id string, recs []pace.Record) (*Batc
 		"pairs_accepted", cl.Stats.PairsAccepted,
 		"clusters", cl.NumClusters, "dur", batchDur)
 	return &BatchResult{
-		Info:            s.infoLocked(),
+		Info:            info,
 		BatchESTs:       len(recs),
 		PairsGenerated:  cl.Stats.PairsGenerated,
 		FreshPairs:      inc.FreshPairs,
@@ -673,8 +673,10 @@ func (m *Manager) ResumeAll() (int, error) {
 		if err != nil {
 			return n, fmt.Errorf("serve: resume %s: %w", ent.Name(), err)
 		}
+		s := &session{meta: meta, dir: dir, lane: lane, sess: sess, recs: st.Recs}
+		s.publish()
 		m.mu.Lock()
-		m.sessions[meta.ID] = &session{meta: meta, dir: dir, lane: lane, sess: sess, recs: st.Recs}
+		m.sessions[meta.ID] = s
 		m.mu.Unlock()
 		m.log.Info("session resumed", "session", meta.ID, "tenant", meta.Tenant,
 			"ests", sess.NumESTs(), "batches", sess.Batches())
@@ -699,8 +701,10 @@ func (m *Manager) resumeEmpty(dir, name string) error {
 	if err != nil {
 		return err
 	}
+	s := &session{meta: meta, dir: dir, lane: lane, sess: sess}
+	s.publish()
 	m.mu.Lock()
-	m.sessions[meta.ID] = &session{meta: meta, dir: dir, lane: lane, sess: sess}
+	m.sessions[meta.ID] = s
 	m.mu.Unlock()
 	m.log.Info("session resumed", "session", meta.ID, "tenant", meta.Tenant, "ests", 0, "batches", 0)
 	return nil

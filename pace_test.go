@@ -2,6 +2,11 @@ package pace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -198,34 +203,159 @@ func TestEvaluatePublic(t *testing.T) {
 }
 
 func TestFASTARoundTripPublic(t *testing.T) {
-	recs := []Record{
-		{ID: "a", Desc: "first", Seq: "ACGTACGT"},
-		{ID: "b", Seq: "GGGTTT"},
+	for _, tc := range []struct {
+		name string
+		recs []Record
+		want string
+	}{
+		{"simple", []Record{{ID: "a", Desc: "first", Seq: "ACGTACGT"}, {ID: "b", Seq: "GGGTTT"}},
+			">a first\nACGTACGT\n>b\nGGGTTT\n"},
+		{"wrap_60", []Record{{ID: "x", Desc: "d", Seq: strings.Repeat("ACGT", 32)}},
+			">x d\n" + strings.Repeat("ACGT", 15) + "\n" + strings.Repeat("ACGT", 15) + "\nACGTACGT\n"},
+		{"wrap_exact", []Record{{ID: "x", Seq: strings.Repeat("ACGTAC", 10)}},
+			">x\n" + strings.Repeat("ACGTAC", 10) + "\n"},
+		{"lower_case", []Record{{ID: "x", Seq: "acgtACGTtgca"}}, ">x\nACGTACGTTGCA\n"},
+		{"empty_sequence", []Record{{ID: "x"}, {ID: "y", Seq: "AC"}}, ">x\n>y\nAC\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteFASTA(&buf, tc.recs); err != nil {
+				t.Fatal(err)
+			}
+			if buf.String() != tc.want {
+				t.Fatalf("wrote %q, want %q", buf.String(), tc.want)
+			}
+			got, err := ReadFASTA(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []Record
+			for _, r := range tc.recs {
+				if r.Seq != "" {
+					want = append(want, Record{ID: r.ID, Desc: r.Desc, Seq: strings.ToUpper(r.Seq)})
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("read back %+v, want %+v", got, want)
+			}
+		})
 	}
-	var buf bytes.Buffer
-	if err := WriteFASTA(&buf, recs); err != nil {
-		t.Fatal(err)
+
+	// A refused record, even one after more than a buffer's worth of good
+	// ones, leaves the writer untouched.
+	good := make([]Record, 100)
+	for i := range good {
+		good[i] = Record{ID: fmt.Sprintf("e%d", i), Seq: strings.Repeat("ACGT", 25)}
 	}
-	got, err := ReadFASTA(&buf)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		bad  Record
+	}{
+		{"refuses_empty_id", Record{Seq: "ACGT"}},
+		{"refuses_non_acgt", Record{ID: "n", Seq: "ACNT"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteFASTA(&buf, append(good[:len(good):len(good)], tc.bad)); err == nil {
+				t.Fatal("want a refusal")
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("refused write left %d bytes", buf.Len())
+			}
+		})
 	}
-	if len(got) != 2 || got[0] != recs[0] || got[1] != recs[1] {
-		t.Fatalf("round trip: %+v", got)
+
+	t.Run("random", func(t *testing.T) {
+		// Enough records to fill the writer's buffer many times over.
+		rng := rand.New(rand.NewSource(7))
+		var recs []Record
+		for i := 0; i < 250; i++ {
+			b := make([]byte, 1+rng.Intn(300))
+			for j := range b {
+				b[j] = "ACGT"[rng.Intn(4)]
+			}
+			recs = append(recs, Record{ID: fmt.Sprintf("est%d", i), Seq: string(b)})
+		}
+		var buf bytes.Buffer
+		if err := WriteFASTA(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFASTA(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, recs) {
+			t.Fatal("random round trip differs")
+		}
+		if s := Sequences(got); len(s) != len(recs) || s[3] != recs[3].Seq {
+			t.Fatalf("Sequences: %v", s)
+		}
+	})
+}
+
+// TestWriteFASTAAllocs: writing allocates only the buffered writer, never
+// per record.
+func TestWriteFASTAAllocs(t *testing.T) {
+	recs := make([]Record, 100)
+	for i := range recs {
+		recs[i] = Record{ID: fmt.Sprintf("est%06d", i), Desc: "gene=7", Seq: strings.Repeat("ACGTTGCA", 50)}
 	}
-	if s := Sequences(got); len(s) != 2 || s[0] != "ACGTACGT" {
-		t.Fatalf("Sequences: %v", s)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := WriteFASTA(io.Discard, recs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("WriteFASTA of %d records: %.0f allocations, want at most 2", len(recs), allocs)
 	}
 }
 
 func TestReadFASTAAmbiguous(t *testing.T) {
-	got, err := ReadFASTA(strings.NewReader(">x\nACNNGT\n"))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name, in string
+		want     []Record
+		wantErr  string // substring of the refusal, "" if none
+	}{
+		{name: "ambiguous", in: ">x\nACNNGT\n", want: []Record{{ID: "x", Seq: "ACAAGT"}}},
+		{name: "simple", in: ">e1 first EST\nACGT\nACGT\n>e2\nGGTT\n",
+			want: []Record{{ID: "e1", Desc: "first EST", Seq: "ACGTACGT"}, {ID: "e2", Seq: "GGTT"}}},
+		{name: "crlf_and_blank_lines", in: ">a\r\nAC\r\n\r\nGT\r\n\r\n>b\r\nTT\r\n",
+			want: []Record{{ID: "a", Seq: "ACGT"}, {ID: "b", Seq: "TT"}}},
+		{name: "comments", in: "; a comment\n>a\nAC\n; mid comment\nGT\n",
+			want: []Record{{ID: "a", Seq: "ACGT"}}},
+		{name: "lower_case", in: ">a  some  desc \n acgtn \nRyK\n",
+			want: []Record{{ID: "a", Desc: "some  desc", Seq: "ACGTAAAA"}}},
+		{name: "empty_sequence", in: ">a\n>b\nAC\n>c\n\n",
+			want: []Record{{ID: "b", Seq: "AC"}}},
+		{name: "empty_input", in: "", want: []Record{}},
+		{name: "text_before_header", in: "ACGT\n>a\nAC\n", wantErr: "line 1: expected header"},
+		{name: "empty_id", in: ">a\nAC\n\n>  \nAC\n", wantErr: "line 4: empty record id"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := ReadFASTA(strings.NewReader(tc.in))
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("got %v, want a refusal naming %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("got %+v, %v; want %+v", got, err, tc.want)
+			}
+		})
 	}
-	if got[0].Seq != "ACAAGT" {
-		t.Errorf("ambiguity handling: %q", got[0].Seq)
-	}
+
+	// A run of empty records is skipped in a loop, not by recursion: with
+	// the stack ceiling lowered, 200,000 of them must not overflow it.
+	t.Run("many_empty_records", func(t *testing.T) {
+		old := debug.SetMaxStack(32 << 20)
+		t.Cleanup(func() { debug.SetMaxStack(old) })
+		in := strings.Repeat(">a\n", 200000) + ">x\nACGTACGT\n"
+		got, err := ReadFASTA(strings.NewReader(in))
+		if err != nil || !reflect.DeepEqual(got, []Record{{ID: "x", Seq: "ACGTACGT"}}) {
+			t.Fatalf("want only record x, got %d records, %v", len(got), err)
+		}
+	})
 }
 
 func TestTrimPublic(t *testing.T) {
