@@ -30,6 +30,7 @@ type BucketCache struct {
 	w       int
 	scanned seq.StringID
 	table   *suffix.Buckets // nil until the first absorb fixes the window
+	set     *seq.SetS       // the set absorbed last, whose text the table indexes
 }
 
 // NewBucketCache returns an empty cache, ready to be carried across a
@@ -65,7 +66,7 @@ func (bc *BucketCache) absorb(set *seq.SetS, w int, hi seq.StringID) ([]int32, e
 	if err != nil {
 		return nil, err
 	}
-	bc.scanned = hi
+	bc.scanned, bc.set = hi, set
 	return touched, nil
 }
 
@@ -78,7 +79,7 @@ func (bc *BucketCache) Truncate(hi seq.StringID) {
 	if hi >= bc.scanned {
 		return
 	}
-	bc.table.Truncate(hi)
+	bc.table.Truncate(bc.set.Start(hi))
 	bc.scanned = hi
 }
 

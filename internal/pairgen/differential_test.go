@@ -470,8 +470,8 @@ func hasProducts(set *seq.SetS, tr *nodeTree, v int32) bool {
 		for _, b := range children[i+1:] {
 			for _, la := range a {
 				for _, lb := range b {
-					ca := set.LeftChar(tr.Nodes[la].SID, tr.Nodes[la].Pos)
-					cb := set.LeftChar(tr.Nodes[lb].SID, tr.Nodes[lb].Pos)
+					ca := leftChar(set, tr.Nodes[la].SID, tr.Nodes[la].Pos)
+					cb := leftChar(set, tr.Nodes[lb].SID, tr.Nodes[lb].Pos)
 					if ca != cb || ca == seq.Lambda {
 						return true
 					}

@@ -18,8 +18,9 @@
 // exactly when it is the first leaf of its string inside v's range. So v's
 // groups are cut from the range at the moment v is processed: walk it child
 // by child, a child ending where the LCP equals v's depth, keep the first
-// leaf of each string, stable-sort each child's survivors by left
-// character — the order list concatenation gave, so the emitted pair
+// leaf of each string — a leaf is a text position, whose string the set's
+// directory names (seq.SetS.Locate) — stable-sort each child's survivors by
+// left character — the order list concatenation gave, so the emitted pair
 // sequence is the linked version's (reference_test.go keeps that version,
 // and the node-array generator this one replaced, as oracles). The only
 // per-suffix state is one byte: the leaf's left character.
@@ -166,7 +167,7 @@ type open struct {
 
 // Generator produces promising pairs on demand.
 type Generator struct {
-	// set gives string lengths, which mirroring a pair needs.
+	// set locates positions and gives string lengths, which mirroring needs.
 	set   *seq.SetS
 	psi   int32
 	trees []*suffix.Tree
@@ -175,8 +176,10 @@ type Generator struct {
 	base []int32
 	// freshID is the fresh-only threshold: pairs whose strings both have an
 	// id below it are suppressed (0 emits everything). Generations are
-	// monotone in string id, so freshness is a single comparison.
+	// monotone in string id, so freshness is a single comparison; freshAt
+	// is the string's start, the same test on a position.
 	freshID seq.StringID
+	freshAt int32
 
 	// flags holds every leaf's flags, tree after tree in suffix order.
 	flags []uint8
@@ -248,6 +251,7 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 	if fresh > 0 {
 		g.freshID = set.GenStartString(fresh)
 	}
+	g.freshAt = set.Start(g.freshID)
 	leaves := 0
 	for ti, t := range forest {
 		g.base[ti] = int32(leaves)
@@ -255,10 +259,25 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 	}
 	g.flags = make([]uint8, leaves)
 	// A node's label is a substring, so no node is deeper than the longest
-	// string is long.
+	// string is long. Every leaf is an entry but those shorter than ψ, at
+	// most ψ−w a string: the suffixes of a string's last ψ−1 characters
+	// whose buckets are the forest's, as a bucket holds every suffix of the
+	// set with its prefix.
+	g.stats.Entries = int64(leaves)
 	longest := 0
-	for id := 0; id < set.NumStrings(); id++ {
-		longest = max(longest, len(set.Str(seq.StringID(id))))
+	if len(forest) > 0 {
+		w := forest[0].Window()
+		in := make([]uint64, (suffix.NumBuckets(w)+63)/64) // the forest's buckets
+		for _, t := range forest {
+			in[t.Bucket/64] |= 1 << (t.Bucket % 64)
+		}
+		for id := 0; id < set.NumStrings(); id++ {
+			s := set.Str(seq.StringID(id))
+			longest = max(longest, len(s))
+			suffix.BucketEach(s[max(0, len(s)-psi+1):], w, func(b int, _ int32) {
+				g.stats.Entries -= int64(in[b/64] >> (b % 64) & 1)
+			})
+		}
 	}
 	byDepth := make([]int, longest+1)
 	var stack []open
@@ -293,7 +312,7 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 // character if the leaf's parent — the deeper of its two LCPs — is deep,
 // since no other leaf is ever grouped, marks and histograms by depth the
 // nodes to schedule, and returns how many there are. With no fresh
-// generation every string id is >= freshID, so every leaf counts as fresh
+// generation every position is >= freshAt, so every leaf counts as fresh
 // and the second condition is vacuous.
 func (g *Generator) mask(t *suffix.Tree, flags []uint8, stack *[]open, byDepth []int) int {
 	refs, lcp := t.Refs(), t.LCP()
@@ -320,7 +339,7 @@ func (g *Generator) mask(t *suffix.Tree, flags []uint8, stack *[]open, byDepth [
 				// product. Of a twin pair, only the chosen node is scheduled.
 				if ch := v.below & charMask; (ch&(ch-1) != 0 || ch == 1<<seq.Lambda) && v.below&freshBit != 0 {
 					r := refs[v.at]
-					if keep, _ := chosen(g.set.Str(r.SID)[r.Pos : r.Pos+v.depth]); keep {
+					if keep, _ := chosen(g.set.Text()[r : r+v.depth]); keep {
 						flags[v.at] |= scheduled
 						byDepth[v.depth]++
 						total++
@@ -338,14 +357,11 @@ func (g *Generator) mask(t *suffix.Tree, flags []uint8, stack *[]open, byDepth [
 		}
 		r := refs[i]
 		below = 0
-		if int32(len(g.set.Str(r.SID)))-r.Pos >= g.psi {
-			g.stats.Entries++
-		}
-		if r.SID >= g.freshID {
+		if r >= g.freshAt {
 			below = freshBit
 		}
 		if lcp[i] >= deep || i+1 < len(lcp) && lcp[i+1] >= deep {
-			flags[i] = 1 << g.set.LeftChar(r.SID, r.Pos)
+			flags[i] = 1 << g.set.LeftChar(r)
 			below |= flags[i]
 		}
 	}
@@ -453,12 +469,12 @@ func (g *Generator) processNode(ref nodeRef) {
 		fresh := false
 		var next int32 // the next leaf's LCP against d: < 0 ends the node
 		for {
-			if r := refs[c]; g.mark[r.SID] != g.token {
-				g.mark[r.SID] = g.token
+			if sid, pos := g.set.Locate(refs[c]); g.mark[sid] != g.token {
+				g.mark[sid] = g.token
 				ch := flags[c] & charMask
 				seen |= ch
-				fresh = fresh || r.SID >= g.freshID
-				g.itemsBuf = append(g.itemsBuf, item{sid: r.SID, pos: r.Pos, char: seq.Code(bits.TrailingZeros8(ch))})
+				fresh = fresh || sid >= g.freshID
+				g.itemsBuf = append(g.itemsBuf, item{sid: sid, pos: pos, char: seq.Code(bits.TrailingZeros8(ch))})
 			}
 			if c++; c == int32(len(refs)) {
 				next = -1
@@ -482,7 +498,7 @@ func (g *Generator) processNode(ref nodeRef) {
 
 	g.curDepth = d
 	r := refs[ref.at]
-	_, g.palindrome = chosen(g.set.Str(r.SID)[r.Pos : r.Pos+d])
+	_, g.palindrome = chosen(g.set.Text()[r : r+d])
 	g.gi, g.gj, g.ii, g.jj = 0, 1, 0, 0
 	g.active = len(g.groups) >= 2
 }

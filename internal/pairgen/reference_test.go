@@ -17,7 +17,9 @@ package pairgen
 // Both read node trees, which nodesOf writes from the ordered buckets in one
 // stack pass (sortedTree, the pass a session's table used to rebuild nodes
 // with). internal/suffix keeps the node builder itself and requires its
-// trees and the ordered buckets to agree.
+// trees and the ordered buckets to agree. The oracles name a suffix by its
+// (string id, offset) ref, the table's layout before a suffix was its
+// position in the set's text; refAt and leftChar adapt the two.
 
 import (
 	"encoding/binary"
@@ -74,6 +76,23 @@ func (t *nodeTree) PathLabel(set *seq.SetS, i int32) seq.Sequence {
 	return set.Str(n.SID)[n.Pos : n.Pos+n.Depth]
 }
 
+// suffixRef identifies one suffix: string id and start position.
+type suffixRef struct {
+	SID seq.StringID
+	Pos int32
+}
+
+// refAt is the suffixRef of the suffix at text position p.
+func refAt(set *seq.SetS, p int32) suffixRef {
+	id, pos := set.Locate(p)
+	return suffixRef{SID: id, Pos: pos}
+}
+
+// leftChar is the left character of string id's suffix at pos.
+func leftChar(set *seq.SetS, id seq.StringID, pos int32) seq.Code {
+	return set.LeftChar(set.Start(id) + pos)
+}
+
 // nodesOf writes the node tree of every ordered bucket of forest.
 func nodesOf(set *seq.SetS, forest []*suffix.Tree) []*nodeTree {
 	out := make([]*nodeTree, len(forest))
@@ -86,8 +105,8 @@ func nodesOf(set *seq.SetS, forest []*suffix.Tree) []*nodeTree {
 // openNode is an internal node sortedTree has met but not yet closed.
 type openNode struct {
 	depth int32
-	rml   int32            // slot of its rightmost leaf
-	rep   suffix.SuffixRef // the smallest (SID, Pos) beneath it so far
+	rml   int32     // slot of its rightmost leaf
+	rep   suffixRef // the smallest (SID, Pos) beneath it so far
 }
 
 // sortedTree writes the tree of an ordered bucket: a leaf per suffix at its
@@ -97,11 +116,14 @@ type openNode struct {
 // from the end of the 2n-1 slots reserved, which leaves them in preorder;
 // they are then moved to the front.
 func sortedTree(set *seq.SetS, tr *suffix.Tree) []node {
-	refs := tr.Refs()
+	refs := make([]suffixRef, len(tr.Refs()))
+	for i, p := range tr.Refs() {
+		refs[i] = refAt(set, p)
+	}
 	n := len(refs)
 	need := 2*n - 1
 	nodes := make([]node, need)
-	suffixLen := func(r suffix.SuffixRef) int32 { return int32(len(set.Str(r.SID))) - r.Pos }
+	suffixLen := func(r suffixRef) int32 { return int32(len(set.Str(r.SID))) - r.Pos }
 	// rep and rml are the smallest (SID, Pos) and the rightmost leaf of the
 	// subtree completed last. Its parent is the deepest open node no deeper
 	// than the next LCP, or a node opened at that depth.
@@ -144,7 +166,7 @@ func sortedTree(set *seq.SetS, tr *suffix.Tree) []node {
 }
 
 // least returns the smaller of two suffixes in (SID, Pos) order.
-func least(a, b suffix.SuffixRef) suffix.SuffixRef {
+func least(a, b suffixRef) suffixRef {
 	if b.SID < a.SID || b.SID == a.SID && b.Pos < a.Pos {
 		return b
 	}
@@ -334,7 +356,7 @@ func (g *refGenerator) processNode(ref treeNodeRef) {
 	g.stats.NodesProcessed++
 	if t.IsLeaf(ref.node) {
 		n := t.Nodes[ref.node]
-		c := g.set.LeftChar(n.SID, n.Pos)
+		c := leftChar(g.set, n.SID, n.Pos)
 		e := int32(len(ts.pool))
 		ts.pool = append(ts.pool, entry{sid: n.SID, pos: n.Pos, next: -1})
 		g.stats.Entries++
@@ -642,7 +664,7 @@ func (g *nodeGenerator) mask(byDepth []int) (int, error) {
 			for child := int32(i) + 1; ; child = ns[child].RML + 1 {
 				c := &ns[child]
 				if c.RML == child {
-					b[child] |= 1 << g.set.LeftChar(c.SID, c.Pos)
+					b[child] |= 1 << leftChar(g.set, c.SID, c.Pos)
 				}
 				or |= b[child]
 				if c.RML == n.RML {

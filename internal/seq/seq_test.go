@@ -1,7 +1,11 @@
 package seq
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -180,14 +184,18 @@ func TestSetSBasics(t *testing.T) {
 func TestSetSLeftChar(t *testing.T) {
 	e0, _ := Parse("ACGT")
 	s, _ := NewSetS([]Sequence{e0})
-	if s.LeftChar(Forward(0), 0) != Lambda {
+	at := s.Start(Forward(0))
+	if s.LeftChar(at) != Lambda {
 		t.Error("pos 0 must have left char λ")
 	}
-	if s.LeftChar(Forward(0), 1) != A {
+	if s.LeftChar(at+1) != A {
 		t.Error("pos 1 left char must be A")
 	}
-	if s.LeftChar(Forward(0), 3) != G {
+	if s.LeftChar(at+3) != G {
 		t.Error("pos 3 left char must be G")
+	}
+	if s.LeftChar(s.Start(Reverse(0))) != Lambda {
+		t.Error("the reverse string's pos 0 must have left char λ")
 	}
 }
 
@@ -498,4 +506,218 @@ func TestSetSAppendRejects(t *testing.T) {
 		t.Errorf("failed Append mutated the set: n=%d 2n=%d gens=%d",
 			set.NumESTs(), set.NumStrings(), set.NumGenerations())
 	}
+}
+
+// BenchmarkLocate maps random positions back to (StringID, pos), the lookup
+// the pair generator's drain makes for every leaf it walks, in a set the
+// size of the bench's seq_sparse input and in one of the paper's 81,414
+// ESTs, whose directory no longer fits a core's cache. ESTs are 300 to 640
+// bases long.
+func BenchmarkLocate(b *testing.B) {
+	for _, n := range []int{5000, 81414} {
+		b.Run(fmt.Sprintf("ests=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			ests := make([]Sequence, n)
+			for i := range ests {
+				ests[i] = make(Sequence, 300+rng.Intn(341))
+			}
+			set, err := NewSetS(ests)
+			if err != nil {
+				b.Fatal(err)
+			}
+			at := make([]int32, 1<<20)
+			for i := range at {
+				at[i] = set.Start(StringID(rng.Intn(set.NumStrings()))) + int32(rng.Intn(300))
+			}
+			b.ResetTimer()
+			var sum int32
+			for i := 0; i < b.N; i++ {
+				id, pos := set.Locate(at[i&(len(at)-1)])
+				sum += int32(id) + pos
+			}
+			located = sum
+		})
+	}
+}
+
+// located keeps BenchmarkLocate's lookups from being optimized away.
+var located int32
+
+// The text's positions are int32s, so a set refuses to grow past
+// math.MaxInt32 of them. fits is the check NewSetS and Append make before
+// they copy a byte: synthetic lengths reach the bound without a 2 GB text.
+func TestTextSizeLimit(t *testing.T) {
+	// One EST of c characters adds 2c+2 positions to the leading λ.
+	if err := fits(1, 1, math.MaxInt32/2-1); err != nil {
+		t.Errorf("a text of exactly MaxInt32 positions: %v", err)
+	}
+	if err := fits(1, 1, math.MaxInt32/2); err == nil || !strings.Contains(err.Error(), "past 2147483647") {
+		t.Errorf("one position past MaxInt32: got %v, want the size error", err)
+	}
+	for _, tc := range []struct {
+		have, n int
+		chars   int64
+	}{
+		{math.MaxInt32 - 3, 1, 1},
+		{1 << 30, 1 << 20, 1 << 29},
+		{1, 1, math.MaxInt64 / 4},
+	} {
+		if err := fits(tc.have, tc.n, tc.chars); err == nil {
+			t.Errorf("%d positions plus %d ESTs of %d characters: want the size error", tc.have, tc.n, tc.chars)
+		}
+	}
+}
+
+// requireSameLayout fails unless the two sets hold byte-identical texts,
+// starts, directories and generations.
+func requireSameLayout(t *testing.T, what string, got, want *SetS) {
+	t.Helper()
+	if !slices.Equal(got.text, want.text) || !slices.Equal(got.start, want.start) ||
+		!slices.Equal(got.dir, want.dir) || !slices.Equal(got.genStart, want.genStart) {
+		t.Fatalf("%s: text %v starts %v directory %v generations %v, want %v %v %v %v", what,
+			got.text, got.start, got.dir, got.genStart, want.text, want.start, want.dir, want.genStart)
+	}
+}
+
+// Append followed by Truncate leaves the text, the starts, the directory and
+// the generations byte-identical to a set that never saw the batch, which a
+// session's failure-atomic rollback rests on; and appending what a set holds
+// gives the layout of a set built from it in one go. The lengths put string
+// starts on, before and after 64-position block boundaries.
+func TestAppendTruncateRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ests := func(lens ...int) []Sequence {
+		out := make([]Sequence, len(lens))
+		for i, n := range lens {
+			out[i] = make(Sequence, n)
+			for j := range out[i] {
+				out[i][j] = Code(rng.Intn(AlphabetSize))
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct{ base, batch, later []int }{
+		{[]int{1}, []int{1}, []int{2}},
+		{[]int{30}, []int{31, 1}, []int{64}},
+		{[]int{31}, []int{63, 64, 65}, []int{1, 1, 1}},
+		{[]int{200, 7}, []int{129}, []int{500}},
+	} {
+		base, batch, later := ests(tc.base...), ests(tc.batch...), ests(tc.later...)
+		set, err := NewSetS(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pristine, _ := NewSetS(base)
+		if _, err := set.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := set.Append(later); err != nil {
+			t.Fatal(err)
+		}
+		whole, _ := NewSetS(slices.Concat(base, batch, later))
+		whole.genStart = set.genStart
+		requireSameLayout(t, fmt.Sprintf("%v appended", tc), set, whole)
+		if err := set.Truncate(len(base)); err != nil {
+			t.Fatal(err)
+		}
+		requireSameLayout(t, fmt.Sprintf("%v truncated", tc), set, pristine)
+		if _, err := set.Append([]Sequence{nil}); err == nil {
+			t.Fatal("an empty EST was appended")
+		}
+		requireSameLayout(t, fmt.Sprintf("%v after a refused append", tc), set, pristine)
+	}
+}
+
+// checkLocate fails unless set gives every string, every position's
+// (StringID, pos) and left character, the generations and N as the
+// per-string oracle does.
+func checkLocate(t *testing.T, what string, set *SetS, ref *refSetS) {
+	t.Helper()
+	if set.NumESTs() != ref.NumESTs() || set.NumStrings() != ref.NumStrings() ||
+		set.TotalChars() != ref.TotalChars() || set.NumGenerations() != ref.NumGenerations() {
+		t.Fatalf("%s: n %d 2n %d N %d generations %d, oracle %d %d %d %d", what, set.NumESTs(), set.NumStrings(),
+			set.TotalChars(), set.NumGenerations(), ref.NumESTs(), ref.NumStrings(), ref.TotalChars(), ref.NumGenerations())
+	}
+	for g := Gen(0); int(g) <= set.NumGenerations(); g++ {
+		if set.GenStart(g) != ref.GenStart(g) || set.GenStartString(g) != ref.GenStartString(g) {
+			t.Fatalf("%s: generation %d starts at EST %d, oracle %d", what, g, set.GenStart(g), ref.GenStart(g))
+		}
+	}
+	if int(set.Start(StringID(set.NumStrings()))) != len(set.Text()) {
+		t.Fatalf("%s: sentinel start %d, text of %d", what, set.Start(StringID(set.NumStrings())), len(set.Text()))
+	}
+	for id := StringID(0); int(id) < set.NumStrings(); id++ {
+		s := set.Str(id)
+		if !s.Equal(ref.Str(id)) || cap(s) != len(s) || !set.EST(id.EST()).Equal(ref.EST(id.EST())) {
+			t.Fatalf("%s: string %d is %v (capacity %d), oracle %v", what, id, s, cap(s), ref.Str(id))
+		}
+		for pos := int32(0); int(pos) < len(s); pos++ {
+			p := set.Start(id) + pos
+			if gid, gpos := set.Locate(p); gid != id || gpos != pos {
+				t.Fatalf("%s: position %d locates to (%d,%d), want (%d,%d)", what, p, gid, gpos, id, pos)
+			}
+			if set.LeftChar(p) != ref.LeftChar(id, pos) || set.Text()[p] != s[pos] {
+				t.Fatalf("%s: (%d,%d) has left character %d, oracle %d", what, id, pos, set.LeftChar(p), ref.LeftChar(id, pos))
+			}
+		}
+	}
+}
+
+// FuzzLocate drives a set and the per-string oracle through one sequence of
+// NewSetS, Append and Truncate read from the input, ESTs from 1 to 256
+// characters long, and holds every string, position and generation of the
+// set to the oracle after each step. CI's fuzz-smoke job runs it beyond the
+// pinned seeds.
+func FuzzLocate(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{3, 0, 63, 64, 65, 1, 2, 0, 0, 5, 2, 1, 0, 1, 127})
+	f.Add([]byte{1, 255, 0, 3, 0, 0, 0, 2, 0, 0, 2, 200, 7, 2, 3})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		next := func() int {
+			if len(in) == 0 {
+				return 0
+			}
+			b := in[0]
+			in = in[1:]
+			return int(b)
+		}
+		rng := rand.New(rand.NewSource(int64(len(in))))
+		batch := func() []Sequence {
+			ests := make([]Sequence, 1+next()%4)
+			for i := range ests {
+				ests[i] = make(Sequence, 1+next())
+				for j := range ests[i] {
+					ests[i][j] = Code(rng.Intn(AlphabetSize))
+				}
+			}
+			return ests
+		}
+		first := batch()
+		set, err := NewSetS(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := newRefSetS(first)
+		checkLocate(t, "NewSetS", set, ref)
+		for step := 0; step < 12 && len(in) > 0; step++ {
+			switch op := next() % 3; op {
+			case 0, 1:
+				ests := batch()
+				g, err := set.Append(ests)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rg, _ := ref.Append(ests); rg != g {
+					t.Fatalf("step %d: Append made generation %d, oracle %d", step, g, rg)
+				}
+			case 2:
+				n := 1 + next()%set.NumESTs()
+				if err := set.Truncate(n); err != nil {
+					t.Fatal(err)
+				}
+				_ = ref.Truncate(n)
+			}
+			checkLocate(t, fmt.Sprintf("step %d", step), set, ref)
+		}
+	})
 }

@@ -13,15 +13,16 @@
 // Kurtz & Ohlebusch, 2004): an internal node is an LCP interval and its
 // children split where the LCP equals its depth, so a node's string-depth,
 // leaf range and child boundaries — everything pair generation reads — come
-// from 9 bytes per suffix and no node is ever written.
+// from 5 bytes per suffix, its int32 position in the set's text and the LCP
+// byte, and no node is ever written.
 //
 // Both steps are counting sorts over flat arrays. The partition (table.go)
 // is one Buckets table — every suffix in a single slice grouped by bucket,
 // with an offset per bucket — filled by a counting scan and a scattering
-// scan over the strings. Every collector only lays suffixes out, in (string
-// id, position) order behind each bucket's ordered front, with its next four
-// characters (look-ahead code) in its LCP byte, read by the scan that finds
-// its bucket. The build (tree.go) orders them: two stable 16-way passes sort
+// scan over the strings. Every collector only lays suffixes out, in position
+// order, which is (string id, offset) order, behind each bucket's ordered
+// front, with its next four characters (look-ahead code) in its LCP byte,
+// read by the scan that finds its bucket. The build (tree.go) orders them: two stable 16-way passes sort
 // by code, which orders suffixes whose codes differ without a string read;
 // in a run of equal code the suffixes that end within it come first,
 // shortest first, and the rest are partitioned in place from depth w+4 by
@@ -29,10 +30,12 @@
 // T) through one scratch buffer, emitting leaves and their LCPs as it goes;
 // a counting pass that finds no branch hands the rest of the shared run to
 // a word-at-a-time compare, and a group of two is finished by one such
-// compare without a pass. The sorted suffixes are copied in, or merged with
-// what a session's earlier batches ordered. Stability makes the result
-// canonical: every pass keeps (string id, position) order among equals, so
-// equal tables order into equal buckets whichever collector filled them.
+// compare without a pass. Every read is of the text at a position plus a
+// depth, and a λ there ends the suffix, so no pass asks which string a
+// suffix belongs to. The sorted suffixes are copied in, or merged with what
+// a session's earlier batches ordered. Stability makes the result
+// canonical: every pass keeps position order among equals, so equal tables
+// order into equal buckets whichever collector filled them.
 // Buckets are independent, so BuildBuckets orders chunks of them
 // concurrently, a builder per chunk.
 package suffix
@@ -47,12 +50,6 @@ import (
 // MaxWindow bounds the bucket-prefix width: 4^12 = 16M buckets is already far
 // beyond what load balancing needs.
 const MaxWindow = 12
-
-// SuffixRef identifies one suffix: string id and start position.
-type SuffixRef struct {
-	SID seq.StringID
-	Pos int32
-}
 
 // NumBuckets returns 4^w.
 func NumBuckets(w int) int { return 1 << (2 * w) }

@@ -42,7 +42,7 @@ func tableFromMap(set *seq.SetS, w int, m map[int][]SuffixRef) *Buckets {
 	table := NewBuckets(w)
 	for b := 0; b < NumBuckets(w); b++ {
 		for _, r := range m[b] {
-			table.refs = append(table.refs, r)
+			table.refs = append(table.refs, posOf(set, r))
 			table.lcp = append(table.lcp, codeOf(set, w, r))
 		}
 		table.off[b+1] = int32(len(table.refs))
@@ -229,12 +229,12 @@ func requireSameForest(t testing.TB, set *seq.SetS, what string, got []*Tree, wa
 			if !r.IsLeaf(int32(v)) {
 				continue
 			}
-			if leaf := (SuffixRef{SID: n.SID, Pos: n.Pos}); g.Refs()[k] != leaf {
-				t.Fatalf("%s: bucket %d suffix %d is %+v, preorder leaf is %+v", what, g.Bucket, k, g.Refs()[k], leaf)
+			if leaf := (SuffixRef{SID: n.SID, Pos: n.Pos}); refAt(set, g.Refs()[k]) != leaf {
+				t.Fatalf("%s: bucket %d suffix %d is %+v, preorder leaf is %+v", what, g.Bucket, k, refAt(set, g.Refs()[k]), leaf)
 			}
 			var want int32
 			if k > 0 {
-				p := g.Refs()[k-1]
+				p := refAt(set, g.Refs()[k-1])
 				want = lcp(set.Suffix(p.SID, p.Pos), set.Suffix(n.SID, n.Pos))
 			}
 			if g.LCP()[k] != uint8(min(want, MaxLCP)) || g.LCPAt(k) != want {
@@ -298,7 +298,7 @@ func requireSameTable(t testing.TB, what string, got, want *Buckets) {
 	}
 	for i := range got.refs {
 		if got.refs[i] != want.refs[i] {
-			t.Fatalf("%s: ref %d is %+v, want %+v", what, i, got.refs[i], want.refs[i])
+			t.Fatalf("%s: suffix %d is at %d, want %d", what, i, got.refs[i], want.refs[i])
 		}
 	}
 }
@@ -495,7 +495,7 @@ func checkCodes(t *testing.T, set *seq.SetS, w int, widths []int) {
 				lo = hi
 			}
 			// The cut drops the last EST from behind the fronts.
-			table.Truncate(n2 - 2)
+			table.Truncate(set.Start(n2 - 2))
 			requireCodes(t, set, what+", truncated", table)
 			forest, err := BuildBuckets(set, table, table.NonEmpty(), workers)
 			if err != nil {
@@ -512,8 +512,8 @@ func requireCodes(t testing.TB, set *seq.SetS, what string, table *Buckets) {
 	t.Helper()
 	for b := 0; b+1 < len(table.off); b++ {
 		for i := table.off[b] + table.ordered[b]; i < table.off[b+1]; i++ {
-			if r, want := table.refs[i], codeOf(set, table.w, table.refs[i]); table.lcp[i] != want {
-				t.Fatalf("%s: suffix (%d,%d) in bucket %d holds %#x, want its code %#x", what, r.SID, r.Pos, b, table.lcp[i], want)
+			if r := refAt(set, table.refs[i]); table.lcp[i] != codeOf(set, table.w, r) {
+				t.Fatalf("%s: suffix (%d,%d) in bucket %d holds %#x, want its code %#x", what, r.SID, r.Pos, b, table.lcp[i], codeOf(set, table.w, r))
 			}
 		}
 	}
@@ -529,9 +529,11 @@ func lessSuffix(a, b seq.Sequence) bool {
 	return len(a) < len(b)
 }
 
+// lcp is the longest common prefix of a and b, which ends at the first λ:
+// the end of a suffix in the set's text.
 func lcp(a, b seq.Sequence) int32 {
 	n := int32(0)
-	for int(n) < len(a) && int(n) < len(b) && a[n] == b[n] {
+	for int(n) < len(a) && int(n) < len(b) && a[n] == b[n] && a[n] != seq.Lambda {
 		n++
 	}
 	return n
@@ -555,12 +557,12 @@ func TestPreorderLeavesAreTheSortedSuffixes(t *testing.T) {
 			what := fmt.Sprintf("shape %d w %d", shape, w)
 			requireSameForest(t, set, what, forest, refForest(t, set, w, all, 0, n2))
 			for _, tr := range forest {
-				want := slices.Clone(scan.Refs(tr.Bucket))
+				want := refsAt(set, scan.Refs(tr.Bucket))
 				sort.SliceStable(want, func(i, j int) bool {
 					return lessSuffix(set.Suffix(want[i].SID, want[i].Pos), set.Suffix(want[j].SID, want[j].Pos))
 				})
-				if !slices.Equal(tr.Refs(), want) {
-					t.Fatalf("%s bucket %d: suffixes %+v, sorted order %+v", what, tr.Bucket, tr.Refs(), want)
+				if got := refsAt(set, tr.Refs()); !slices.Equal(got, want) {
+					t.Fatalf("%s bucket %d: suffixes %+v, sorted order %+v", what, tr.Bucket, got, want)
 				}
 			}
 		}
@@ -568,8 +570,9 @@ func TestPreorderLeavesAreTheSortedSuffixes(t *testing.T) {
 }
 
 // commonPrefix agrees with a byte loop on every pair of lengths 0–17: equal
-// strings, a proper prefix either way, and a mismatch at every offset, so
-// the word loop, the byte tail and the hand-over between them are all met.
+// strings, a proper prefix either way, and a mismatch or a shared λ at every
+// offset, so the word loop, the byte tail and the hand-over between them
+// are all met.
 func TestCommonPrefix(t *testing.T) {
 	const longest = 17
 	rng := rand.New(rand.NewSource(1))
@@ -591,13 +594,17 @@ func TestCommonPrefix(t *testing.T) {
 				b[k] ^= 1
 				check(a, b)
 				b[k] ^= 1
+				a, b := a.Clone(), b.Clone()
+				a[k], b[k] = seq.Lambda, seq.Lambda
+				check(a, b)
 			}
 		}
 	}
 }
 
-// FuzzCommonPrefix holds commonPrefix to the byte loop on any two byte
-// strings; CI's fuzz-smoke job runs it beyond the pinned seeds.
+// FuzzCommonPrefix holds commonPrefix to the byte loop on any two strings
+// over Σ ∪ {λ}, the bytes a text holds; CI's fuzz-smoke job runs it beyond
+// the pinned seeds.
 func FuzzCommonPrefix(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte("ACGTACGTACGTACGT"), []byte("ACGTACGTACGTACGA"))
@@ -607,7 +614,7 @@ func FuzzCommonPrefix(f *testing.F) {
 		codes := func(p []byte) seq.Sequence {
 			s := make(seq.Sequence, len(p))
 			for i, c := range p {
-				s[i] = seq.Code(c)
+				s[i] = seq.Code(c % seq.NumLeftChars)
 			}
 			return s
 		}
@@ -636,7 +643,7 @@ func TestTruncateIsInverseOfAbsorb(t *testing.T) {
 				absorbInto(t, set, table, lo, hi, mode == "all" || mode == "all but the last" && i+1 < len(cuts))
 				lo = hi
 			}
-			table.Truncate(cut)
+			table.Truncate(set.Start(cut))
 			absorbInto(t, set, want, 0, cut, mode != "none")
 			what := fmt.Sprintf("ordered %s, cut %d", mode, cut)
 			requireSameTable(t, what, table, want)
@@ -714,7 +721,7 @@ func TestForestAllocationsIndependentOfSize(t *testing.T) {
 			}
 			if i+1 < len(forest) {
 				next, nextLCP := forest[i+1].Refs()[0], forest[i+1].LCP()[0]
-				_ = append(tr.Refs(), SuffixRef{SID: -1})
+				_ = append(tr.Refs(), -1)
 				_ = append(tr.LCP(), 7)
 				if forest[i+1].Refs()[0] != next || forest[i+1].LCP()[0] != nextLCP {
 					t.Fatalf("%d ESTs: append to bucket %d overwrote bucket %d", n, tr.Bucket, forest[i+1].Bucket)
@@ -785,7 +792,7 @@ func TestBuildWorkerCounts(t *testing.T) {
 	bad[12] = append(bad[12], SuffixRef{SID: 0, Pos: last - 1})
 	table := tableFromMap(set, w, bad)
 	_, first := BuildBuckets(set, table, table.NonEmpty(), 1)
-	if first == nil || !strings.Contains(first.Error(), fmt.Sprintf("(0,%d)", last-2)) {
+	if first == nil || !strings.Contains(first.Error(), fmt.Sprintf("at %d ", posOf(set, SuffixRef{SID: 0, Pos: last - 2}))) {
 		t.Fatalf("one worker: got %v, want bucket 5's short suffix", first)
 	}
 	for _, workers := range workerCounts {

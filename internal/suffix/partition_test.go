@@ -31,7 +31,7 @@ func (t *Buckets) mergeOneScan(set *seq.SetS, owner []int32, me int32, lo, hi se
 	if err != nil {
 		return nil, err
 	}
-	refs := make([]SuffixRef, off[nb])
+	refs := make([]int32, off[nb])
 	// From here off[b] is bucket b's write cursor: it starts behind the old
 	// range and ends, after scan 2, at the start of bucket b+1.
 	if len(t.refs) > 0 {
@@ -44,7 +44,7 @@ func (t *Buckets) mergeOneScan(set *seq.SetS, owner []int32, me int32, lo, hi se
 			if owner != nil && owner[b] != me {
 				return
 			}
-			refs[off[b]] = SuffixRef{SID: id, Pos: pos}
+			refs[off[b]] = set.Start(id) + pos
 			off[b]++
 		})
 	}

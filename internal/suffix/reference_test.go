@@ -8,7 +8,10 @@ package suffix
 //   - the node-writing builder the sort replaced (nodeBuilder), with the
 //     depth-first-search array of nodes it wrote (Node, nodeTree) — the
 //     paper's §3.1 layout, which a table's buckets and LCP bytes now stand
-//     for.
+//     for;
+//   - the 8-byte (string id, offset) ref a table held per suffix before a
+//     suffix was its position in the set's text (SuffixRef), which the
+//     oracles still speak, with the adapters to and from positions.
 //
 // TestBuildMatchesReference and FuzzBuildMatchesReference require the two
 // builders to write the same nodes, element for element, and every ordered
@@ -23,6 +26,30 @@ import (
 
 	"pace/internal/seq"
 )
+
+// SuffixRef identifies one suffix: string id and start position.
+type SuffixRef struct {
+	SID seq.StringID
+	Pos int32
+}
+
+// refAt is the SuffixRef of the suffix at text position p.
+func refAt(set *seq.SetS, p int32) SuffixRef {
+	id, pos := set.Locate(p)
+	return SuffixRef{SID: id, Pos: pos}
+}
+
+// refsAt is refAt over positions.
+func refsAt(set *seq.SetS, ps []int32) []SuffixRef {
+	out := make([]SuffixRef, len(ps))
+	for i, p := range ps {
+		out[i] = refAt(set, p)
+	}
+	return out
+}
+
+// posOf is the text position of suffix r, refAt's inverse.
+func posOf(set *seq.SetS, r SuffixRef) int32 { return set.Start(r.SID) + r.Pos }
 
 // Node is one GST node in the DFS-array representation (paper §3.1).
 // Sixteen bytes per node: space linear in the input with a small constant.

@@ -28,7 +28,7 @@ func requireSortedTable(t testing.TB, set *seq.SetS, what string, sorted, scan *
 		if n := len(sorted.Refs(int(b))); int(sorted.ordered[b]) != n {
 			t.Fatalf("%s: bucket %d has %d of %d suffixes ordered", what, b, sorted.ordered[b], n)
 		}
-		want, err := refBuild(set, int(b), scan.Refs(int(b)), scan.w)
+		want, err := refBuild(set, int(b), refsAt(set, scan.Refs(int(b))), scan.w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestSortedTableSaturatedLCPs(t *testing.T) {
 					saturated = saturated || l == MaxLCP
 				}
 				cut := cuts[len(cuts)-2]
-				sorted.Truncate(cut)
+				sorted.Truncate(set.Start(cut))
 				want := NewBuckets(w)
 				if _, err := want.Absorb(set, 0, cut, 1); err != nil {
 					t.Fatal(err)
@@ -206,7 +206,7 @@ func TestSortedTruncateIsInverseOfAbsorb(t *testing.T) {
 				absorbInto(t, set, table, lo, hi, true)
 				lo = hi
 			}
-			table.Truncate(cut)
+			table.Truncate(set.Start(cut))
 			want := NewBuckets(w)
 			absorbInto(t, set, want, 0, cut, true)
 			what := fmt.Sprintf("shape %d cut %d ESTs", shape, cutESTs)

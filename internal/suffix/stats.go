@@ -23,7 +23,8 @@ func Stats(forest []*Tree) TreeStats {
 		refs := t.Refs()
 		st.Leaves += int64(len(refs))
 		for _, r := range refs {
-			st.MaxDepth = max(st.MaxDepth, int32(len(t.set.Str(r.SID)))-r.Pos)
+			id, pos := t.set.Locate(r)
+			st.MaxDepth = max(st.MaxDepth, int32(len(t.set.Str(id)))-pos)
 		}
 		open = open[:0]
 		for i := 1; i < len(refs); i++ {

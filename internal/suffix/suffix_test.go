@@ -179,7 +179,7 @@ func TestCollectOwnedCoversEverySuffixExactlyOnce(t *testing.T) {
 	hist := Histogram(set, w, 0, seq.StringID(set.NumStrings()))
 	p := 3
 	owner := Assign(hist, p)
-	seen := map[SuffixRef]int{}
+	seen := map[int32]int{}
 	var total int
 	for me := int32(0); me < int32(p); me++ {
 		m := CollectOwned(set, w, owner, me, 0, seq.StringID(set.NumStrings()))
@@ -265,7 +265,7 @@ func verifyTree(set *seq.SetS, tr *Tree) error {
 		return fmt.Errorf("%d suffixes with %d LCPs, the first %v", len(tr.Refs()), len(tr.LCP()), tr.LCP())
 	}
 	for i := 1; i < len(tr.Refs()); i++ {
-		p, r := tr.Refs()[i-1], tr.Refs()[i]
+		p, r := refAt(set, tr.Refs()[i-1]), refAt(set, tr.Refs()[i])
 		a, b := set.Suffix(p.SID, p.Pos), set.Suffix(r.SID, r.Pos)
 		if lessSuffix(b, a) || a.Equal(b) && (r.SID < p.SID || r.SID == p.SID && r.Pos < p.Pos) {
 			return fmt.Errorf("suffix %d %+v sorts before suffix %d %+v", i, r, i-1, p)
@@ -326,7 +326,7 @@ func TestTreeNavigation(t *testing.T) {
 	if len(refs) != 2 {
 		t.Fatalf("AC bucket should hold 2 suffixes, got %v", refs)
 	}
-	forest, err := buildBucket(t, set, w, acBucket, refs)
+	forest, err := buildBucket(t, set, w, acBucket, refsAt(set, refs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestTreeNavigation(t *testing.T) {
 	if st := Stats(forest); st.Nodes != 3 || st.InternalNodes != 1 {
 		t.Errorf("%d nodes, %d internal, want 3 and 1", st.Nodes, st.InternalNodes)
 	}
-	r := tr.Refs()[0]
+	r := refAt(set, tr.Refs()[0])
 	if label := set.Str(r.SID)[r.Pos : r.Pos+tr.LCPAt(1)].String(); label != "AC" {
 		t.Errorf("root label %q", label)
 	}
@@ -357,7 +357,7 @@ func TestForestLeavesAreExactlyTheSuffixes(t *testing.T) {
 	forest := buildAll(t, set, w)
 	seen := map[SuffixRef]bool{}
 	for _, tr := range forest {
-		for _, r := range tr.Refs() {
+		for _, r := range refsAt(set, tr.Refs()) {
 			if seen[r] {
 				t.Fatalf("suffix %v appears twice", r)
 			}

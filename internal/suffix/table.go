@@ -8,19 +8,20 @@ import (
 	"pace/internal/seq"
 )
 
-// Buckets is the flat bucket table: every collected suffix in one slice,
-// grouped by bucket, with one offset per bucket and one byte per suffix.
+// Buckets is the flat bucket table: every collected suffix, as its int32
+// position in the set's text, in one slice grouped by bucket, with one
+// offset per bucket and one byte per suffix: five bytes per suffix.
 // A bucket's front is in suffix order — its subtree's preorder leaves — with
 // lcp[i] the saturated LCP of refs[i] with the suffix before it (0 for the
-// first); behind it are the suffixes collected since, in (SID, Pos) order,
-// the order a single ascending scan of the strings produces, and there the
+// first); behind it are the suffixes collected since, in position order, the
+// order a single ascending scan of the strings produces, and there the
 // byte is the suffix's look-ahead code: its first four characters past the
 // window, two bits each, first highest, zero past its end. BuildBuckets
 // orders them in, so every collector fills a table the same way and equal
 // tables order into equal buckets.
 type Buckets struct {
 	w    int
-	refs []SuffixRef
+	refs []int32
 	lcp  []uint8
 	// off has NumBuckets(w)+1 entries; bucket b is refs[off[b]:off[b+1]].
 	// int32 offsets cap one table at math.MaxInt32 suffixes.
@@ -60,9 +61,9 @@ func offsets(nb int, size func(b int) int64) ([]int32, error) {
 // Len returns the number of suffixes in the table.
 func (t *Buckets) Len() int { return len(t.refs) }
 
-// Refs returns bucket b's suffixes, its ordered front first: read-only,
-// aliasing the table until the next Absorb or Truncate.
-func (t *Buckets) Refs(b int) []SuffixRef {
+// Refs returns the positions of bucket b's suffixes, its ordered front
+// first: read-only, aliasing the table until the next Absorb or Truncate.
+func (t *Buckets) Refs(b int) []int32 {
 	lo, hi := t.off[b], t.off[b+1]
 	return t.refs[lo:hi:hi]
 }
@@ -116,7 +117,7 @@ func CollectOwned(set *seq.SetS, w int, owner []int32, me int32, lo, hi seq.Stri
 // suffixes on up to workers goroutines and returns, in ascending order, the
 // ids of the buckets that received any: the ones BuildBuckets must order.
 // Every string already in the table must have an id below lo, so that a
-// bucket's new suffixes, in (SID, Pos) order, are those a single scan would
+// bucket's new suffixes, in position order, are those a single scan would
 // put behind its old ones.
 func (t *Buckets) Absorb(set *seq.SetS, lo, hi seq.StringID, workers int) ([]int32, error) {
 	old := t.off
@@ -140,7 +141,7 @@ func grown(old, off []int32) []int32 {
 // and the earlier parts' suffixes. Then, concurrently, each part copies a
 // share of the old ranges to their new places and drops its suffixes at its
 // cursors. The parts are ascending string ranges, so every bucket ends in
-// (SID, Pos) order, the one-scan table, whatever the number of parts. On
+// position order, the one-scan table, whatever the number of parts. On
 // error the table is unchanged.
 //
 // merge always counts for itself. The callers that hold the range's histogram
@@ -181,7 +182,7 @@ func (t *Buckets) merge(set *seq.SetS, owner []int32, me int32, lo, hi seq.Strin
 			at, cur[k] = at+cur[k], at
 		}
 	}
-	refs, lcp := make([]SuffixRef, off[nb]), make([]uint8, off[nb])
+	refs, lcp := make([]int32, off[nb]), make([]uint8, off[nb])
 	if parts == 1 {
 		t.copyOld(refs, lcp, off, 0, nb)
 		t.scatter(set, owner, me, lo, hi, cur, refs, lcp)
@@ -235,18 +236,19 @@ func (t *Buckets) count(set *seq.SetS, owner []int32, me int32, lo, hi seq.Strin
 	return nil
 }
 
-// scatter writes the suffixes of strings [lo,hi) in the buckets owned by me
-// into refs at the cursors c, advancing them, and each one's look-ahead code
-// into lcp. A register of the last w+4 characters read holds the bucket and
-// the code of the suffix that starts w+4 characters back.
-func (t *Buckets) scatter(set *seq.SetS, owner []int32, me int32, lo, hi seq.StringID, c []int32, refs []SuffixRef, lcp []uint8) {
+// scatter writes the positions of the suffixes of strings [lo,hi) in the
+// buckets owned by me into refs at the cursors c, advancing them, and each
+// one's look-ahead code into lcp. A register of the last w+4 characters
+// read holds the bucket and the code of the suffix that starts w+4
+// characters back.
+func (t *Buckets) scatter(set *seq.SetS, owner []int32, me int32, lo, hi seq.StringID, c []int32, refs []int32, lcp []uint8) {
 	mask := uint64(NumBuckets(t.w))<<8 - 1
 	for id := lo; id < hi; id++ {
-		s, reg := set.Str(id), uint64(0)
+		s, reg, at := set.Str(id), uint64(0), set.Start(id)-int32(t.w)-3
 		for i := 0; i < len(s)+4; i++ {
 			reg = roll(reg, s, i, mask)
 			if pos, b := i-t.w-3, int(reg>>8); pos >= 0 && (owner == nil || owner[b] == me) {
-				refs[c[b]], lcp[c[b]] = SuffixRef{SID: id, Pos: int32(pos)}, uint8(reg)
+				refs[c[b]], lcp[c[b]] = at+int32(i), uint8(reg)
 				c[b]++
 			}
 		}
@@ -264,7 +266,7 @@ func roll(reg uint64, s seq.Sequence, i int, mask uint64) uint64 {
 
 // copyOld copies the table's buckets [from,to) and their bytes, codes
 // included, into refs and lcp, laid out by off, each to its new range's front.
-func (t *Buckets) copyOld(refs []SuffixRef, lcp []uint8, off []int32, from, to int) {
+func (t *Buckets) copyOld(refs []int32, lcp []uint8, off []int32, from, to int) {
 	if len(t.refs) == 0 {
 		return
 	}
@@ -274,14 +276,15 @@ func (t *Buckets) copyOld(refs []SuffixRef, lcp []uint8, off []int32, from, to i
 	}
 }
 
-// Truncate drops every suffix of strings with id >= hi — the inverse of the
+// Truncate drops every suffix at position cut or beyond — with cut the
+// Start of string hi, those of strings hi and later: the inverse of the
 // Absorb calls that brought them in, whether or not BuildBuckets has ordered
 // them since — by a stable filter that compacts the kept suffixes to the
 // front in place. In a bucket's ordered front a kept suffix's LCP with the
 // kept one before it is the minimum of the LCPs from there to it;
 // saturation commutes with min, so the bytes stay exact. Behind the front a
 // kept suffix keeps its byte, its look-ahead code, as it is.
-func (t *Buckets) Truncate(hi seq.StringID) {
+func (t *Buckets) Truncate(cut int32) {
 	var w int32
 	for b := 0; b+1 < len(t.off); b++ {
 		lo, mid, end := t.off[b], t.off[b]+t.ordered[b], t.off[b+1]
@@ -294,7 +297,7 @@ func (t *Buckets) Truncate(hi seq.StringID) {
 			if run = min(run, t.lcp[i]); i >= mid {
 				run = t.lcp[i]
 			}
-			if t.refs[i].SID < hi {
+			if t.refs[i] < cut {
 				t.refs[w], t.lcp[w], run = t.refs[i], run, MaxLCP
 				w++
 			}

@@ -3,6 +3,7 @@ package suffix
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"pace/internal/fanout"
 	"pace/internal/seq"
@@ -25,8 +26,11 @@ type Tree struct {
 	set    *seq.SetS
 }
 
-// Refs returns the leaves in preorder, read-only.
-func (t *Tree) Refs() []SuffixRef { return t.table.Refs(t.Bucket) }
+// Refs returns the leaves' text positions in preorder, read-only.
+func (t *Tree) Refs() []int32 { return t.table.Refs(t.Bucket) }
+
+// Window returns the width w of the bucket prefix every leaf shares.
+func (t *Tree) Window() int { return t.table.w }
 
 // LCP returns the leaves' LCP bytes, read-only: LCP()[i] is min(MaxLCP, the
 // longest common prefix of Refs()[i-1] and Refs()[i]), and LCP()[0] is 0.
@@ -40,9 +44,8 @@ func (t *Tree) LCP() []uint8 {
 func (t *Tree) LCPAt(i int) int32 {
 	h := int32(t.LCP()[i])
 	if h == MaxLCP {
-		refs := t.Refs()
-		x, y := refs[i-1], refs[i]
-		h += int32(commonPrefix(t.set.Suffix(x.SID, x.Pos+MaxLCP), t.set.Suffix(y.SID, y.Pos+MaxLCP)))
+		refs, text := t.Refs(), t.set.Text()
+		h += int32(commonPrefix(text[refs[i-1]+MaxLCP:], text[refs[i]+MaxLCP:]))
 	}
 	return h
 }
@@ -105,7 +108,7 @@ func (t *Buckets) order(set *seq.SetS, ids []int32, forest []*Tree, headers []Tr
 	for _, id := range ids {
 		largest = max(largest, len(t.Refs(int(id)))-int(t.ordered[id]))
 	}
-	b := newBuilder(set, t.w, largest)
+	b := newBuilder(set.Text(), t.w, largest)
 	for i, id := range ids {
 		lo, hi := t.off[id], t.off[id+1]
 		refs, lcp := t.refs[lo:hi:hi], t.lcp[lo:hi:hi]
@@ -141,17 +144,17 @@ func (t *Buckets) order(set *seq.SetS, ids []int32, forest []*Tree, headers []Tr
 // builder serves a whole chunk of buckets, so its buffers are allocated once
 // whatever the number of buckets.
 type builder struct {
-	set *seq.SetS
-	w   int32
+	text []seq.Code
+	w    int32
 	// work holds the suffixes being sorted, in code order (codes), then
 	// partitioned in place level by level; tmp is the source copy of the
 	// group a scatter is moving, and cls the class (0 terminator, 1+c
 	// character c) of each of its suffixes.
-	work, tmp  []SuffixRef
+	work, tmp  []int32
 	cls, codes []uint8
 	// order gets each leaf in turn and lcps its LCP with the leaf before;
 	// seam is the depth of the node whose next child the next leaf starts.
-	order []SuffixRef
+	order []int32
 	lcps  []uint8
 	seam  int32
 	// code and past are the leaf emitted last's code and characters past
@@ -161,10 +164,10 @@ type builder struct {
 
 // newBuilder returns a builder for buckets of at most largest suffixes. Its
 // buffers are cut from two arrays.
-func newBuilder(set *seq.SetS, w, largest int) *builder {
-	refs, bytes := make([]SuffixRef, 3*largest), make([]uint8, 3*largest)
+func newBuilder(text []seq.Code, w, largest int) *builder {
+	refs, bytes := make([]int32, 3*largest), make([]uint8, 3*largest)
 	return &builder{
-		set: set, w: int32(w),
+		text: text, w: int32(w),
 		work:  refs[:largest:largest],
 		tmp:   refs[largest : 2*largest : 2*largest],
 		order: refs[2*largest : 2*largest],
@@ -174,32 +177,33 @@ func newBuilder(set *seq.SetS, w, largest int) *builder {
 	}
 }
 
-// suffixLen returns the length of the suffix ref.
-func (b *builder) suffixLen(r SuffixRef) int32 {
-	return int32(len(b.set.Str(r.SID))) - r.Pos
-}
-
 // sort orders suffixes, which share their first w characters, come in
-// (SID, Pos) order and carry their look-ahead codes in codes, as their
+// position order and carry their look-ahead codes in codes, as their
 // subtree's preorder leaves, and returns them with each one's saturated LCP
 // with the one before it, both valid until the next call. A suffix shorter
 // than the window is an error.
 //
 // Past two suffixes, two stable 16-way passes order them by code, equal
-// codes in (SID, Pos) order; codes that differ give the LCP (follow), and
-// strings are read only in a run of equal code, by shortFirst and by build
-// from depth w+4. It costs O(sum of suffix lengths) for the bucket, i.e.
+// codes in position order; codes that differ give the LCP (follow), and
+// past the window strings are read only in a run of equal code, by
+// shortFirst and by build from depth w+4. It costs O(sum of suffix lengths) for the bucket, i.e.
 // O(N·l/p) per worker, as the average EST length l is independent of n.
-func (b *builder) sort(suffixes []SuffixRef, codes []uint8) ([]SuffixRef, []uint8, error) {
+func (b *builder) sort(suffixes []int32, codes []uint8) ([]int32, []uint8, error) {
 	n := len(suffixes)
 	tmp, cls, work, key := b.tmp[:n], b.cls[:n], b.work[:n], b.codes[:n]
 	var low, high [16]int32
+	var ends seq.Code // λ's bit if a suffix ends within the window
 	for i, r := range suffixes {
-		if b.suffixLen(r) < b.w {
-			return nil, nil, fmt.Errorf("suffix: suffix (%d,%d) shorter than window %d", r.SID, r.Pos, b.w)
+		for _, c := range b.text[r:min(int(r+b.w), len(b.text))] {
+			ends |= c & seq.Lambda
 		}
 		low[codes[i]&15]++
 		high[codes[i]>>4]++
+	}
+	for i := 0; ends != 0 && i < n; i++ {
+		if r := suffixes[i]; slices.Contains(b.text[r:min(int(r+b.w), len(b.text))], seq.Lambda) {
+			return nil, nil, fmt.Errorf("suffix: suffix at %d shorter than window %d", r, b.w)
+		}
 	}
 	b.order, b.lcps, b.seam = b.order[:0], b.lcps[:0], 0
 	if n <= 2 { // one compare orders two suffixes, faster than the passes
@@ -229,7 +233,7 @@ func (b *builder) sort(suffixes []SuffixRef, codes []uint8) ([]SuffixRef, []uint
 // scatterBy moves src and its codes into dst and dstCodes, stably ordered by
 // the half-byte of each code at shift; at holds the count of each half-byte
 // value and is spent.
-func scatterBy(src []SuffixRef, codes []uint8, dst []SuffixRef, dstCodes []uint8, at *[16]int32, shift uint) {
+func scatterBy(src []int32, codes []uint8, dst []int32, dstCodes []uint8, at *[16]int32, shift uint) {
 	for k, sum := 0, int32(0); k < len(at); k++ {
 		at[k], sum = sum, sum+at[k]
 	}
@@ -244,10 +248,14 @@ func scatterBy(src []SuffixRef, codes []uint8, dst []SuffixRef, dstCodes []uint8
 // may hide suffixes with fewer than four characters past the window. It
 // emits those, shortest first and equal ones in run order, each a prefix of
 // all after it, and returns the rest, compacted in order to run's front.
-func (b *builder) shortFirst(run []SuffixRef, c uint8) []SuffixRef {
+func (b *builder) shortFirst(run []int32, c uint8) []int32 {
 	past := b.cls[:len(run)]
 	for i, r := range run {
-		past[i] = uint8(min(4, b.suffixLen(r)-b.w))
+		n := uint8(0)
+		for n < 4 && b.text[r+b.w+int32(n)] != seq.Lambda {
+			n++
+		}
+		past[i] = n
 	}
 	rest := run[:0]
 	for n := uint8(0); n <= 4; n++ {
@@ -272,7 +280,7 @@ func (b *builder) follow(c, n uint8) {
 }
 
 // emitLeaf appends suffix r as the next leaf.
-func (b *builder) emitLeaf(r SuffixRef) {
+func (b *builder) emitLeaf(r int32) {
 	b.order = append(b.order, r)
 	b.lcps = append(b.lcps, uint8(min(b.seam, MaxLCP)))
 }
@@ -289,9 +297,9 @@ func (b *builder) emitLeaf(r SuffixRef) {
 // with the same character, extension measures the rest of the shared run a
 // word at a time and the pass runs once more past it (path compression);
 // otherwise the counts are the offsets of a stable scatter that leaves the
-// group ordered terminators, A, C, G, T with the (SID, Pos) order kept inside
-// each class, which is what makes equal suffixes leaves in (SID, Pos) order.
-func (b *builder) build(group []SuffixRef, depth int32) {
+// group ordered terminators, A, C, G, T with the position order kept inside
+// each class, which is what makes equal suffixes leaves in position order.
+func (b *builder) build(group []int32, depth int32) {
 	if len(group) == 1 {
 		b.emitLeaf(group[0])
 		return
@@ -305,11 +313,7 @@ func (b *builder) build(group []SuffixRef, depth int32) {
 	for {
 		cnt = [1 + seq.AlphabetSize]int32{}
 		for i, r := range group {
-			s := b.set.Str(r.SID)
-			var c uint8
-			if at := int(r.Pos + depth); at < len(s) {
-				c = 1 + uint8(s[at])
-			}
+			c := uint8(b.text[r+depth]+1) % (1 + seq.AlphabetSize) // λ 0, c 1+c
 			cls[i] = c
 			cnt[c]++
 		}
@@ -349,10 +353,9 @@ func (b *builder) build(group []SuffixRef, depth int32) {
 // characters, which meet at their common prefix: the first to end or the
 // smaller next character first. Identical suffixes both end there and keep
 // their order.
-func (b *builder) pair(r, q SuffixRef, depth int32) {
-	rs, qs := b.set.Suffix(r.SID, r.Pos), b.set.Suffix(q.SID, q.Pos)
-	d := depth + int32(commonPrefix(rs[depth:], qs[depth:]))
-	if int(d) < len(rs) && (int(d) == len(qs) || qs[d] < rs[d]) {
+func (b *builder) pair(r, q int32, depth int32) {
+	d := depth + int32(commonPrefix(b.text[r+depth:], b.text[q+depth:]))
+	if rc, qc := b.text[r+d], b.text[q+d]; rc != seq.Lambda && (qc == seq.Lambda || qc < rc) {
 		r, q = q, r
 	}
 	b.emitLeaf(r)
@@ -362,10 +365,10 @@ func (b *builder) pair(r, q SuffixRef, depth int32) {
 
 // extension returns how many characters from depth on every suffix of group
 // shares with group[0]'s.
-func (b *builder) extension(group []SuffixRef, depth int32) int32 {
-	s := b.set.Suffix(group[0].SID, group[0].Pos+depth)
+func (b *builder) extension(group []int32, depth int32) int32 {
+	s := b.text[group[0]+depth:]
 	for _, r := range group[1:] {
-		s = s[:commonPrefix(s, b.set.Suffix(r.SID, r.Pos+depth))]
+		s = s[:commonPrefix(s, b.text[r+depth:])]
 		if len(s) == 0 {
 			break
 		}
@@ -382,7 +385,7 @@ func (b *builder) extension(group []SuffixRef, depth int32) int32 {
 // may be the tail of refs and lcp: the suffix written at out = i+j comes
 // from old[i] or from fresh, whose length is the gap, so no write reaches an
 // old suffix before it is read.
-func (b *builder) mergeInto(refs []SuffixRef, lcp []uint8, old []SuffixRef, oldLCP []uint8, fresh []SuffixRef, freshLCP []uint8) {
+func (b *builder) mergeInto(refs []int32, lcp []uint8, old []int32, oldLCP []uint8, fresh []int32, freshLCP []uint8) {
 	// Before the first, the suffix written last stands for the bucket's
 	// w-character prefix, which every suffix of the bucket shares.
 	i, j, ho, hf := 0, 0, uint8(b.w), uint8(b.w)
@@ -390,9 +393,9 @@ func (b *builder) mergeInto(refs []SuffixRef, lcp []uint8, old []SuffixRef, oldL
 		takeOld := j == len(fresh)
 		if !takeOld && i < len(old) {
 			if takeOld = ho > hf; ho == hf {
-				o, f := b.set.Suffix(old[i].SID, old[i].Pos), b.set.Suffix(fresh[j].SID, fresh[j].Pos)
+				o, f := b.text[old[i]:], b.text[fresh[j]:]
 				c := int(ho) + commonPrefix(o[ho:], f[ho:])
-				if takeOld = c == len(o) || c < len(f) && o[c] < f[c]; takeOld {
+				if takeOld = o[c] == seq.Lambda || f[c] != seq.Lambda && o[c] < f[c]; takeOld {
 					hf = uint8(min(c, MaxLCP))
 				} else {
 					ho = uint8(min(c, MaxLCP))
@@ -415,16 +418,19 @@ func (b *builder) mergeInto(refs []SuffixRef, lcp []uint8, old []SuffixRef, oldL
 }
 
 // commonPrefix returns the length of the longest common prefix of a and b,
-// comparing eight characters at a time.
-func commonPrefix(a, b seq.Sequence) int {
+// which ends at the first λ, comparing eight characters at a time. λ is the
+// only byte with bit 2 set.
+func commonPrefix(a, b []seq.Code) int {
+	const lambdas = 0x0404040404040404
 	n := min(len(a), len(b))
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		if x := load8(a[i:]) ^ load8(b[i:]); x != 0 {
+		wa := load8(a[i:])
+		if x := wa ^ load8(b[i:]) | wa&lambdas; x != 0 {
 			return i + bits.TrailingZeros64(x)>>3
 		}
 	}
-	for i < n && a[i] == b[i] {
+	for i < n && a[i] == b[i] && a[i] != seq.Lambda {
 		i++
 	}
 	return i
@@ -432,7 +438,7 @@ func commonPrefix(a, b seq.Sequence) int {
 
 // load8 reads s[0:8] as a little-endian word; the compiler turns it into one
 // load.
-func load8(s seq.Sequence) uint64 {
+func load8(s []seq.Code) uint64 {
 	_ = s[7]
 	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56

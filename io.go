@@ -24,11 +24,12 @@ type Record struct {
 const fastaWidth = 60
 
 // ReadFASTA parses FASTA records from r: multi-line sequences, Windows line
-// endings, blank lines and ';' comment lines are accepted. Bases are
-// upper-cased and non-ACGT characters (e.g. N) are replaced with A — the
-// conservative treatment EST tools apply to ambiguity codes — and records
-// with empty sequences are skipped. Text before the first header and a
-// header with an empty id are refused.
+// endings, blank lines and ';' comment lines are accepted, and ASCII
+// whitespace inside a sequence line is skipped. Bases are upper-cased and
+// other non-ACGT characters (e.g. N) are replaced with A — the conservative
+// treatment EST tools apply to ambiguity codes — and records with empty
+// sequences are skipped. Text before the first header and a header with an
+// empty id are refused.
 func ReadFASTA(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -68,7 +69,11 @@ func ReadFASTA(r io.Reader) ([]Record, error) {
 		if cur.ID == "" {
 			return nil, fmt.Errorf("fasta: line %d: expected header, got %q", line, b)
 		}
-		for _, c := range bytes.TrimSpace(b) {
+		for _, c := range b {
+			switch c {
+			case ' ', '\t', '\v', '\f', '\r':
+				continue
+			}
 			code, ok := seq.CodeOf(c)
 			if !ok {
 				code = seq.A

@@ -319,18 +319,23 @@ func (o Options) toConfig() (cluster.Config, error) {
 	return cfg, nil
 }
 
-// parseESTs validates and converts the input sequences.
+// parseESTs validates and converts the input sequences, into one array:
+// a set copies them into its text, and then the array is freed whole.
 func parseESTs(ests []string) ([]seq.Sequence, error) {
-	out := make([]seq.Sequence, len(ests))
+	n := 0
+	for _, e := range ests {
+		n += len(e)
+	}
+	out, all := make([]seq.Sequence, len(ests)), make(seq.Sequence, 0, n)
 	for i, e := range ests {
-		s, err := seq.Parse(e)
-		if err != nil {
+		var err error
+		if all, err = seq.AppendParse(all, e); err != nil {
 			return nil, fmt.Errorf("pace: EST %d: %w", i, err)
 		}
-		if len(s) == 0 {
+		if len(e) == 0 {
 			return nil, fmt.Errorf("pace: EST %d is empty", i)
 		}
-		out[i] = s
+		out[i] = all[len(all)-len(e) : len(all) : len(all)]
 	}
 	return out, nil
 }

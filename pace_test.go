@@ -325,6 +325,10 @@ func TestReadFASTAAmbiguous(t *testing.T) {
 			want: []Record{{ID: "a", Seq: "ACGT"}}},
 		{name: "lower_case", in: ">a  some  desc \n acgtn \nRyK\n",
 			want: []Record{{ID: "a", Desc: "some  desc", Seq: "ACGTAAAA"}}},
+		{name: "inner_whitespace", in: ">a\nAC GT\nA\tC \t G\n\tT  T \n",
+			want: []Record{{ID: "a", Seq: "ACGTACGTT"}}},
+		{name: "whitespace_only_line", in: ">a\nAC\n \t \nGT\n",
+			want: []Record{{ID: "a", Seq: "ACGT"}}},
 		{name: "empty_sequence", in: ">a\n>b\nAC\n>c\n\n",
 			want: []Record{{ID: "b", Seq: "AC"}}},
 		{name: "empty_input", in: "", want: []Record{}},
