@@ -105,7 +105,7 @@ func TestChaos(t *testing.T) {
 // reportsAtLeast bounds from below the reports slave row rs sent on a
 // failure-free run of p ranks: its sends less the most a slave sends outside
 // its report loop — one reduce step and at most ⌈log₂ p⌉ broadcast steps of
-// the prologue's allreduce, and one suffix message per peer slave.
+// the prologue's allreduce.
 func reportsAtLeast(rs RankStats, p int) int64 {
-	return rs.MsgsSent - int64(1+bits.Len(uint(p-1))+p-2)
+	return rs.MsgsSent - int64(1+bits.Len(uint(p-1)))
 }

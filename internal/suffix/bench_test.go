@@ -59,7 +59,8 @@ func BenchmarkBuildForestSparse(b *testing.B) {
 
 // BenchmarkBuildForestDeep is the seq_deep shape at a fifth of its size: 400
 // ESTs from 20 genes, so reads of one gene share runs of hundreds of bases
-// and most of the build is path compression, which random reads never reach.
+// and most of the build is key sorts of groups that recurse a key width at a
+// time, which random reads rarely reach.
 func BenchmarkBuildForestDeep(b *testing.B) {
 	const w = 8
 	cfg := simulate.DefaultConfig(400)
@@ -114,7 +115,7 @@ func benchBuild(b *testing.B, set *seq.SetS, table *Buckets, order func(*Buckets
 // BenchmarkCacheAbsorb is ingest_paced's batching over random reads: twelve
 // batches of 20 ESTs absorbed into one growing table, the touched buckets
 // ordered after each. ingest_paced's reads cover their genes 20 times
-// over; these share nothing, so it times the cache, not path compression
+// over; these share nothing, so it times the cache, not the deep key sorts
 // (BenchmarkCacheAbsorbDeep does).
 func BenchmarkCacheAbsorb(b *testing.B) {
 	const w, batches = 8, 12

@@ -303,6 +303,17 @@ func requireSameTable(t testing.TB, what string, got, want *Buckets) {
 	}
 }
 
+// requireSameOrder is requireSameTable with the LCP bytes compared too.
+func requireSameOrder(t testing.TB, what string, got, want *Buckets) {
+	t.Helper()
+	requireSameTable(t, what, got, want)
+	for i := range got.lcp {
+		if got.lcp[i] != want.lcp[i] {
+			t.Fatalf("%s: suffix %d has LCP byte %d, want %d", what, i, got.lcp[i], want.lcp[i])
+		}
+	}
+}
+
 // prefixSplits are the batch splits of the incremental-equivalence suite, as
 // fractions of the strings absorbed after each batch.
 func prefixSplits(n2 int) map[string][]seq.StringID {
@@ -330,7 +341,8 @@ func maskTo(nb int, ids []int32) []int32 {
 // collector — CollectOwned over every bucket, over a fresh-only assignment
 // and over one shard of three; and Absorb batch by batch under every split
 // of the incremental-equivalence suite — orders it at every fan-out width
-// the engine may use, and requires each to match the oracle's trees.
+// the engine may use, and requires each to match the oracle's trees and the
+// class pass's refs and LCP bytes.
 func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 	t.Helper()
 	set := diffSet(t, seed, n, shape)
@@ -355,6 +367,7 @@ func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 	} {
 		want := refForest(t, set, w, c.owner, c.me, n2)
 		collect := func() *Buckets { return CollectOwned(set, w, c.owner, c.me, 0, n2) }
+		classes := classOrdered(t, set, collect())
 		forest, err := BuildForest(set, collect(), w)
 		if err != nil {
 			t.Fatal(err)
@@ -367,6 +380,7 @@ func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 				t.Fatal(err)
 			}
 			requireSameForest(t, set, fmt.Sprintf("%s, %d workers", c.name, workers), forest, want)
+			requireSameOrder(t, fmt.Sprintf("%s, %d workers, class pass", c.name, workers), table, classes)
 			// Ordering an ordered table again changes nothing.
 			again, err := BuildBuckets(set, table, table.NonEmpty(), workers)
 			if err != nil {
@@ -376,9 +390,11 @@ func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 		}
 	}
 	whole := CollectOwned(set, w, all, 0, 0, n2)
+	classes := classOrdered(t, set, whole)
 	if _, err := BuildBuckets(set, whole, whole.NonEmpty(), 1); err != nil {
 		t.Fatal(err)
 	}
+	requireSameOrder(t, "one-shot, class pass", whole, classes)
 
 	// Cache path: after every batch the touched buckets, ordered in the
 	// grown table at every fan-out width, are the oracle's trees over the
@@ -400,7 +416,7 @@ func checkBuildMatchesReference(t testing.TB, seed int64, n, w, shape int) {
 				requireSameForest(t, set, fmt.Sprintf("split %s at %d, %d workers", name, hi, workers), forest, want)
 				lo = hi
 			}
-			requireSameTable(t, fmt.Sprintf("split %s, %d workers", name, workers), table, whole)
+			requireSameOrder(t, fmt.Sprintf("split %s, %d workers", name, workers), table, whole)
 		}
 	}
 }
@@ -798,6 +814,79 @@ func TestBuildWorkerCounts(t *testing.T) {
 	for _, workers := range workerCounts {
 		if _, err := BuildBuckets(set, table, table.NonEmpty(), workers); err == nil || err.Error() != first.Error() {
 			t.Errorf("%d workers: got %v, want %v", workers, err, first)
+		}
+	}
+}
+
+// TestKeySortMatchesClassPass orders groups of 3, 4, 17 and 64 suffixes that
+// share w + 4 + k characters, for every k from 0 to 70, from depth w + 4 as
+// sort hands a run of equal code to build, and requires the key sort to emit
+// the class pass's leaves and LCP bytes, which must be the suffixes in
+// suffix order, equal ones in position order, with their true LCPs. The
+// groups key on 28, 28, 27 and 26 characters, so k spans each width K's
+// K − 1, K and K + 1 and 2K ± 1. Past the shared run, members end at every
+// offset, repeat another member's string (identical suffixes from different
+// strings), or share a further run of 70 characters cut at every length, so
+// full-key runs nest.
+func TestKeySortMatchesClassPass(t *testing.T) {
+	const w = 8
+	rng := rand.New(rand.NewSource(1))
+	random := func(l int) seq.Sequence {
+		s := make(seq.Sequence, l)
+		for i := range s {
+			s[i] = seq.Code(rng.Intn(4))
+		}
+		return s
+	}
+	for _, g := range []int{3, 4, 17, 64} {
+		for k := 0; k <= 70; k++ {
+			shared, run := random(w+4+k), random(70)
+			ests := make([]seq.Sequence, g)
+			for i := range ests {
+				var tail seq.Sequence
+				switch i % 5 {
+				case 0:
+					tail = random(rng.Intn(8))
+				case 1: // the member before's string again
+					ests[i] = ests[i-1]
+					continue
+				case 2:
+					tail = run[:rng.Intn(len(run)+1)]
+				case 3:
+					tail = append(run.Clone(), random(rng.Intn(30))...)
+				default:
+					tail = random(20 + rng.Intn(40))
+				}
+				ests[i] = append(shared.Clone(), tail...)
+			}
+			set, err := seq.NewSetS(ests)
+			if err != nil {
+				t.Fatal(err)
+			}
+			group := make([]int32, g)
+			for e := range group {
+				group[e] = set.Start(seq.Forward(seq.ESTID(e)))
+			}
+			b := newBuilder(set.Text(), w, g)
+			b.order, b.lcps, b.seam = b.order[:0], b.lcps[:0], 0
+			b.build(slices.Clone(group), b.keys[:g], w+4)
+			cb := classBuilder{newBuilder(set.Text(), w, g)}
+			cb.order, cb.lcps, cb.seam = cb.order[:0], cb.lcps[:0], 0
+			cb.build(slices.Clone(group), w+4)
+			what := fmt.Sprintf("group of %d sharing w+4+%d", g, k)
+			if !slices.Equal(b.order, cb.order) || !slices.Equal(b.lcps, cb.lcps) {
+				t.Fatalf("%s: key sort emits %v with LCPs %v, class pass %v with %v", what, b.order, b.lcps, cb.order, cb.lcps)
+			}
+			suffix := func(p int32) seq.Sequence { id, pos := set.Locate(p); return set.Suffix(id, pos) }
+			for i := 1; i < g; i++ {
+				p, q := suffix(cb.order[i-1]), suffix(cb.order[i])
+				if lessSuffix(q, p) || !lessSuffix(p, q) && cb.order[i-1] > cb.order[i] {
+					t.Fatalf("%s: leaves %d and %d out of order", what, i-1, i)
+				}
+				if want := min(lcp(p, q), MaxLCP); int32(cb.lcps[i]) != want {
+					t.Fatalf("%s: leaf %d has LCP byte %d, want %d", what, i, cb.lcps[i], want)
+				}
+			}
 		}
 	}
 }

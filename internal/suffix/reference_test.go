@@ -11,18 +11,24 @@ package suffix
 //     for;
 //   - the 8-byte (string id, offset) ref a table held per suffix before a
 //     suffix was its position in the set's text (SuffixRef), which the
-//     oracles still speak, with the adapters to and from positions.
+//     oracles still speak, with the adapters to and from positions;
+//   - the class pass the key sort replaced in groups of three or more
+//     (classBuilder): one pass per character, a five-way scatter, and
+//     extension's jump over a run every suffix shares.
 //
 // TestBuildMatchesReference and FuzzBuildMatchesReference require the two
-// builders to write the same nodes, element for element, and every ordered
+// node builders to write the same nodes, element for element, every ordered
 // bucket to be their tree's preorder leaves with every LCP byte
 // min(MaxLCP, the true LCP) and every LCP interval one of their internal
-// nodes.
+// nodes, and every ordered table to hold the class pass's refs and LCP
+// bytes.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"testing"
 
 	"pace/internal/seq"
 )
@@ -484,4 +490,170 @@ func nodeBuildForest(set *seq.SetS, byBucket map[int][]SuffixRef, w int) ([]*nod
 		forest = append(forest, &nodeTree{Bucket: id, Nodes: nodes})
 	}
 	return forest, nil
+}
+
+// classBuilder is the builder as it was before groups of three or more were
+// sorted on fetched keys. Its sort, build and extension are that builder's,
+// verbatim; the rest (shortFirst, follow, emitLeaf, pair and the buffers) is
+// the production builder's.
+type classBuilder struct{ *builder }
+
+// classOrdered returns a copy of a table whose buckets have no ordered front,
+// each bucket ordered by the class-pass builder.
+func classOrdered(t testing.TB, set *seq.SetS, table *Buckets) *Buckets {
+	t.Helper()
+	out := *table
+	out.refs, out.lcp, out.ordered = slices.Clone(table.refs), slices.Clone(table.lcp), slices.Clone(table.ordered)
+	largest := 0
+	for b := range out.ordered {
+		largest = max(largest, int(out.off[b+1]-out.off[b]))
+	}
+	cb := classBuilder{newBuilder(set.Text(), out.w, largest)}
+	for b := range out.ordered {
+		lo, hi := out.off[b], out.off[b+1]
+		if out.ordered[b] != 0 {
+			t.Fatalf("bucket %d has an ordered front of %d", b, out.ordered[b])
+		}
+		if lo == hi {
+			continue
+		}
+		order, lcp, err := cb.sort(out.refs[lo:hi], out.lcp[lo:hi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(out.refs[lo:hi], order)
+		copy(out.lcp[lo:hi], lcp)
+		out.ordered[b] = hi - lo
+	}
+	return &out
+}
+
+// sort orders suffixes, which share their first w characters, come in
+// position order and carry their look-ahead codes in codes, as their
+// subtree's preorder leaves, and returns them with each one's saturated LCP
+// with the one before it, both valid until the next call. A suffix shorter
+// than the window is an error.
+//
+// Past two suffixes, two stable 16-way passes order them by code, equal
+// codes in position order; codes that differ give the LCP (follow), and
+// past the window strings are read only in a run of equal code, by
+// shortFirst and by build from depth w+4. It costs O(sum of suffix lengths) for the bucket, i.e.
+// O(N·l/p) per worker, as the average EST length l is independent of n.
+func (b classBuilder) sort(suffixes []int32, codes []uint8) ([]int32, []uint8, error) {
+	n := len(suffixes)
+	tmp, cls, work, key := b.tmp[:n], b.cls[:n], b.work[:n], b.codes[:n]
+	var low, high [16]int32
+	var ends seq.Code // λ's bit if a suffix ends within the window
+	for i, r := range suffixes {
+		for _, c := range b.text[r:min(int(r+b.w), len(b.text))] {
+			ends |= c & seq.Lambda
+		}
+		low[codes[i]&15]++
+		high[codes[i]>>4]++
+	}
+	for i := 0; ends != 0 && i < n; i++ {
+		if r := suffixes[i]; slices.Contains(b.text[r:min(int(r+b.w), len(b.text))], seq.Lambda) {
+			return nil, nil, fmt.Errorf("suffix: suffix at %d shorter than window %d", r, b.w)
+		}
+	}
+	b.order, b.lcps, b.seam = b.order[:0], b.lcps[:0], 0
+	if n <= 2 { // one compare orders two suffixes, faster than the passes
+		copy(work, suffixes)
+		b.build(work, b.w)
+		return b.order, b.lcps, nil
+	}
+	scatterBy(suffixes, codes, tmp, cls, &low, 0)
+	scatterBy(tmp, cls, work, key, &high, 4)
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		c := key[lo]
+		for hi = lo + 1; hi < n && key[hi] == c; hi++ {
+		}
+		run := work[lo:hi]
+		if c&3 == 0 {
+			run = b.shortFirst(run, c)
+		}
+		if len(run) > 0 {
+			b.follow(c, 4)
+			b.build(run, b.w+4)
+		}
+	}
+	b.lcps[0] = 0
+	return b.order, b.lcps, nil
+}
+
+// build emits the leaves of the subtree of a group of suffixes sharing their
+// first `depth` characters, reordering group in place. Conceptually every
+// suffix ends with a unique terminator, so identical suffixes from different
+// strings split at an internal node whose leaf children they become.
+//
+// Two suffixes are finished in one step: their common prefix is the node's
+// depth and the first to end or the smaller next character is the first leaf.
+// A larger group is classified by one pass that reads each suffix's next
+// character into cls and counts the five classes. When every suffix continues
+// with the same character, extension measures the rest of the shared run a
+// word at a time and the pass runs once more past it (path compression);
+// otherwise the counts are the offsets of a stable scatter that leaves the
+// group ordered terminators, A, C, G, T with the position order kept inside
+// each class, which is what makes equal suffixes leaves in position order.
+func (b classBuilder) build(group []int32, depth int32) {
+	if len(group) == 1 {
+		b.emitLeaf(group[0])
+		return
+	}
+	if len(group) == 2 {
+		b.pair(group[0], group[1], depth)
+		return
+	}
+	cls := b.cls[:len(group)]
+	var cnt [1 + seq.AlphabetSize]int32
+	for {
+		cnt = [1 + seq.AlphabetSize]int32{}
+		for i, r := range group {
+			c := uint8(b.text[r+depth]+1) % (1 + seq.AlphabetSize) // λ 0, c 1+c
+			cls[i] = c
+			cnt[c]++
+		}
+		if c := cls[0]; c == 0 || int(cnt[c]) < len(group) {
+			break
+		}
+		depth += 1 + b.extension(group, depth+1)
+	}
+
+	tmp := b.tmp[:len(group)]
+	copy(tmp, group)
+	var at [1 + seq.AlphabetSize]int32
+	for c := 1; c < len(at); c++ {
+		at[c] = at[c-1] + cnt[c-1]
+	}
+	for i, r := range tmp {
+		c := cls[i]
+		group[at[c]] = r
+		at[c]++
+	}
+	// cls and tmp are free again: the recursion below reuses them.
+	for _, r := range group[:cnt[0]] {
+		b.emitLeaf(r) // terminator edge: leaf at the node's own depth
+		b.seam = depth
+	}
+	lo := cnt[0]
+	for _, n := range cnt[1:] {
+		if n > 0 {
+			b.build(group[lo:lo+n], depth+1)
+			b.seam = depth
+			lo += n
+		}
+	}
+}
+
+// extension returns how many characters from depth on every suffix of group
+// shares with group[0]'s.
+func (b classBuilder) extension(group []int32, depth int32) int32 {
+	s := b.text[group[0]+depth:]
+	for _, r := range group[1:] {
+		s = s[:commonPrefix(s, b.text[r+depth:])]
+		if len(s) == 0 {
+			break
+		}
+	}
+	return int32(len(s))
 }

@@ -146,12 +146,15 @@ func (t *Buckets) order(set *seq.SetS, ids []int32, forest []*Tree, headers []Tr
 type builder struct {
 	text []seq.Code
 	w    int32
-	// work holds the suffixes being sorted, in code order (codes), then
-	// partitioned in place level by level; tmp is the source copy of the
-	// group a scatter is moving, and cls the class (0 terminator, 1+c
-	// character c) of each of its suffixes.
+	// work holds the suffixes being sorted, in code order (codes), then each
+	// group sorted in place by its keys; tmp is the source copy of the
+	// suffixes a scatter or a key sort moves, cls holds the codes between the
+	// two scatters and then the lengths shortFirst reads, and keys holds one
+	// key per suffix of the groups build is sorting, a nested group's keys a
+	// stretch of its parent's.
 	work, tmp  []int32
 	cls, codes []uint8
+	keys       []uint64
 	// order gets each leaf in turn and lcps its LCP with the leaf before;
 	// seam is the depth of the node whose next child the next leaf starts.
 	order []int32
@@ -163,7 +166,7 @@ type builder struct {
 }
 
 // newBuilder returns a builder for buckets of at most largest suffixes. Its
-// buffers are cut from two arrays.
+// buffers are cut from three arrays.
 func newBuilder(text []seq.Code, w, largest int) *builder {
 	refs, bytes := make([]int32, 3*largest), make([]uint8, 3*largest)
 	return &builder{
@@ -174,6 +177,7 @@ func newBuilder(text []seq.Code, w, largest int) *builder {
 		cls:   bytes[:largest:largest],
 		codes: bytes[largest : 2*largest : 2*largest],
 		lcps:  bytes[2*largest : 2*largest],
+		keys:  make([]uint64, largest),
 	}
 }
 
@@ -208,7 +212,7 @@ func (b *builder) sort(suffixes []int32, codes []uint8) ([]int32, []uint8, error
 	b.order, b.lcps, b.seam = b.order[:0], b.lcps[:0], 0
 	if n <= 2 { // one compare orders two suffixes, faster than the passes
 		copy(work, suffixes)
-		b.build(work, b.w)
+		b.build(work, b.keys[:n], b.w)
 		return b.order, b.lcps, nil
 	}
 	scatterBy(suffixes, codes, tmp, cls, &low, 0)
@@ -223,7 +227,7 @@ func (b *builder) sort(suffixes []int32, codes []uint8) ([]int32, []uint8, error
 		}
 		if len(run) > 0 {
 			b.follow(c, 4)
-			b.build(run, b.w+4)
+			b.build(run, b.keys[:len(run)], b.w+4)
 		}
 	}
 	b.lcps[0] = 0
@@ -286,67 +290,99 @@ func (b *builder) emitLeaf(r int32) {
 }
 
 // build emits the leaves of the subtree of a group of suffixes sharing their
-// first `depth` characters, reordering group in place. Conceptually every
-// suffix ends with a unique terminator, so identical suffixes from different
-// strings split at an internal node whose leaf children they become.
+// first depth characters, which come in position order, reordering group in
+// place. Conceptually every suffix ends with a unique terminator, so
+// identical suffixes from different strings split at an internal node whose
+// leaf children they become, in position order.
 //
-// Two suffixes are finished in one step: their common prefix is the node's
-// depth and the first to end or the smaller next character is the first leaf.
-// A larger group is classified by one pass that reads each suffix's next
-// character into cls and counts the five classes. When every suffix continues
-// with the same character, extension measures the rest of the shared run a
-// word at a time and the pass runs once more past it (path compression);
-// otherwise the counts are the offsets of a stable scatter that leaves the
-// group ordered terminators, A, C, G, T with the position order kept inside
-// each class, which is what makes equal suffixes leaves in position order.
-func (b *builder) build(group []int32, depth int32) {
-	if len(group) == 1 {
+// One suffix is a leaf, and two are finished by one compare (pair). A larger
+// group keys each suffix on its next width characters, fetched at once
+// (fetch): the characters two bits each, first most significant and those
+// from the suffix's end on zero, then how many come before its end, then the
+// suffix's index in the group, so that keys are distinct and equal suffixes
+// keep position order. width is 28 characters for a group of up to 8, 27
+// up to 32 and one fewer per two more doublings, the index's room. One sort
+// of the keys orders the group, and keys equal but for the index form runs.
+// Neighbours in different runs meet at depth plus the characters their keys
+// share, cut at the first to end; a run that ends within the key is
+// identical suffixes, leaves at depth plus their count; and a run that
+// shares all width characters recurses at depth + width on its own stretch
+// of keys.
+func (b *builder) build(group []int32, keys []uint64, depth int32) {
+	n := len(group)
+	if n == 1 {
 		b.emitLeaf(group[0])
 		return
 	}
-	if len(group) == 2 {
+	if n == 2 {
 		b.pair(group[0], group[1], depth)
 		return
 	}
-	cls := b.cls[:len(group)]
-	var cnt [1 + seq.AlphabetSize]int32
-	for {
-		cnt = [1 + seq.AlphabetSize]int32{}
-		for i, r := range group {
-			c := uint8(b.text[r+depth]+1) % (1 + seq.AlphabetSize) // λ 0, c 1+c
-			cls[i] = c
-			cnt[c]++
-		}
-		if c := cls[0]; c == 0 || int(cnt[c]) < len(group) {
-			break
-		}
-		depth += 1 + b.extension(group, depth+1)
+	shift := bits.Len(uint(n - 1)) // the index's bits; the count's 5 sit above
+	width := (64 - 5 - shift) / 2
+	for i, r := range group {
+		chars, m := fetch(b.text[r+depth:])
+		m = min(m, width)
+		keys[i] = chars&^(^uint64(0)>>(2*m)) | uint64(m)<<shift | uint64(i)
 	}
-
-	tmp := b.tmp[:len(group)]
+	slices.Sort(keys)
+	tmp := b.tmp[:n]
 	copy(tmp, group)
-	var at [1 + seq.AlphabetSize]int32
-	for c := 1; c < len(at); c++ {
-		at[c] = at[c-1] + cnt[c-1]
+	for i, k := range keys {
+		group[i] = tmp[k&(1<<shift-1)]
 	}
-	for i, r := range tmp {
-		c := cls[i]
-		group[at[c]] = r
-		at[c]++
-	}
-	// cls and tmp are free again: the recursion below reuses them.
-	for _, r := range group[:cnt[0]] {
-		b.emitLeaf(r) // terminator edge: leaf at the node's own depth
-		b.seam = depth
-	}
-	lo := cnt[0]
-	for _, n := range cnt[1:] {
-		if n > 0 {
-			b.build(group[lo:lo+n], depth+1)
-			b.seam = depth
-			lo += n
+	prev := keys[0]
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		run := keys[lo] >> shift
+		for hi = lo + 1; hi < n && keys[hi]>>shift == run; hi++ {
+		}
+		if lo > 0 {
+			b.seam = depth + int32(min(bits.LeadingZeros64(prev^keys[lo])/2, int(prev>>shift&31), int(run&31)))
+		}
+		prev = keys[lo] // the recursion below rewrites keys[lo:hi]
+		if m := int32(run & 31); m == int32(width) {
+			b.build(group[lo:hi], keys[lo:hi], depth+m)
+		} else {
+			for _, r := range group[lo:hi] {
+				b.emitLeaf(r)
+				b.seam = depth + m
+			}
 		}
 	}
+}
+
+// fetch returns the first 32 characters of t packed two bits each, first
+// most significant (pack), and how many come before t's first λ, at most 32.
+// Characters from that λ on are not cut: the caller keeps only those before
+// it. Near the text's end, fewer than 32 bytes on, t is read from a padded
+// copy; the text ends in λ, so no padding byte is kept.
+func fetch(t []seq.Code) (uint64, int) {
+	if len(t) < 32 {
+		var pad [32]seq.Code
+		copy(pad[:], t)
+		t = pad[:]
+	}
+	var chars uint64
+	for i := 0; i < 32; i += 8 {
+		w := load8(t[i:])
+		chars = chars<<16 | pack(w)
+		if l := w & lambdas; l != 0 {
+			return chars << (48 - 2*i), i + bits.TrailingZeros64(l)>>3
+		}
+	}
+	return chars, 32
+}
+
+// pack packs the low two bits of w's eight bytes, characters in load8's
+// order, into 16 bits with the first character most significant (a λ byte
+// packs as A). The byte swap puts the first character on top, one shift
+// pairs neighbours into one nibble per 16-bit lane, and one multiply gathers
+// the four nibbles into the top 16 bits, where no other partial product
+// lands.
+func pack(w uint64) uint64 {
+	x := bits.ReverseBytes64(w) & 0x0303030303030303
+	x = (x | x>>6) & 0x000f000f000f000f
+	return x * (1<<48 | 1<<36 | 1<<24 | 1<<12) >> 48
 }
 
 // pair emits the leaves of two suffixes sharing their first depth
@@ -361,19 +397,6 @@ func (b *builder) pair(r, q int32, depth int32) {
 	b.emitLeaf(r)
 	b.seam = d
 	b.emitLeaf(q)
-}
-
-// extension returns how many characters from depth on every suffix of group
-// shares with group[0]'s.
-func (b *builder) extension(group []int32, depth int32) int32 {
-	s := b.text[group[0]+depth:]
-	for _, r := range group[1:] {
-		s = s[:commonPrefix(s, b.text[r+depth:])]
-		if len(s) == 0 {
-			break
-		}
-	}
-	return int32(len(s))
 }
 
 // mergeInto writes the LCP merge of old and fresh, each in suffix order with
@@ -421,7 +444,6 @@ func (b *builder) mergeInto(refs []int32, lcp []uint8, old []int32, oldLCP []uin
 // which ends at the first λ, comparing eight characters at a time. λ is the
 // only byte with bit 2 set.
 func commonPrefix(a, b []seq.Code) int {
-	const lambdas = 0x0404040404040404
 	n := min(len(a), len(b))
 	i := 0
 	for ; i+8 <= n; i += 8 {
@@ -435,6 +457,9 @@ func commonPrefix(a, b []seq.Code) int {
 	}
 	return i
 }
+
+// lambdas has the bit set in each byte of a word that only λ has.
+const lambdas = 0x0404040404040404
 
 // load8 reads s[0:8] as a little-endian word; the compiler turns it into one
 // load.
