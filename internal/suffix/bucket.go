@@ -16,25 +16,24 @@
 // from 5 bytes per suffix, its int32 position in the set's text and the LCP
 // byte, and no node is ever written.
 //
-// Both steps are counting sorts over flat arrays. The partition (table.go)
-// is one Buckets table — every suffix in a single slice grouped by bucket,
-// with an offset per bucket — filled by a counting scan and a scattering
-// scan over the strings. Every collector only lays suffixes out, in position
-// order, which is (string id, offset) order, behind each bucket's ordered
-// front, with its next four characters (look-ahead code) in its LCP byte,
-// read by the scan that finds its bucket. The build (tree.go) orders them: two stable 16-way passes sort
-// by code, which orders suffixes whose codes differ without a string read;
-// in a run of equal code the suffixes that end within it come first,
-// shortest first, and the rest are partitioned in place from depth w+4 by
-// their next character with a stable five-way scatter (terminator, A, C, G,
-// T) through one scratch buffer, emitting leaves and their LCPs as it goes;
-// a counting pass that finds no branch hands the rest of the shared run to
-// a word-at-a-time compare, and a group of two is finished by one such
-// compare without a pass. Every read is of the text at a position plus a
-// depth, and a λ there ends the suffix, so no pass asks which string a
-// suffix belongs to. The sorted suffixes are copied in, or merged with what
-// a session's earlier batches ordered. Stability makes the result
-// canonical: every pass keeps position order among equals, so equal tables
+// The partition (table.go) is a counting sort into one Buckets table —
+// every suffix in a single slice grouped by bucket, with an offset per
+// bucket — filled by a counting scan and a scattering scan over the strings.
+// Every collector only lays suffixes out, in position order, which is
+// (string id, offset) order, behind each bucket's ordered front, with its
+// next four characters (look-ahead code) in its LCP byte, read by the scan
+// that finds its bucket. The build (tree.go) orders them: two stable 16-way
+// passes sort by code, which orders suffixes whose codes differ without a
+// string read, and each run of equal code is sorted on fetched keys from the
+// depth its code settles: each member's next characters packed into one
+// word, with how many come before its end and its index in its group, one
+// sort per group and a recursion on the runs that share a whole key,
+// emitting leaves and their LCPs as it goes. Every read is of the text at a
+// position plus a depth, and a λ there ends the suffix, so no pass asks
+// which string a suffix belongs to. The sorted suffixes are copied in, or
+// merged with what a session's earlier batches ordered. The result is
+// canonical: the code passes are stable and a key's lowest bits are the
+// member's index, so equal suffixes keep position order and equal tables
 // order into equal buckets whichever collector filled them.
 // Buckets are independent, so BuildBuckets orders chunks of them
 // concurrently, a builder per chunk.

@@ -818,14 +818,16 @@ func TestBuildWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestKeySortMatchesClassPass orders groups of 3, 4, 17 and 64 suffixes that
-// share w + 4 + k characters, for every k from 0 to 70, from depth w + 4 as
-// sort hands a run of equal code to build, and requires the key sort to emit
-// the class pass's leaves and LCP bytes, which must be the suffixes in
-// suffix order, equal ones in position order, with their true LCPs. The
-// groups key on 28, 28, 27 and 26 characters, so k spans each width K's
-// K − 1, K and K + 1 and 2K ± 1. Past the shared run, members end at every
-// offset, repeat another member's string (identical suffixes from different
+// TestKeySortMatchesClassPass orders groups of 3, 4, 17 and 64 suffixes from
+// each depth w + 4 − t, t = 0…4, at which sort hands build a run of equal
+// code whose last t characters are A: the members share the depth's
+// characters, then t A's, then k more for every k from 0 to 70. It requires
+// the key sort to emit the class pass's leaves and LCP bytes, which must be
+// the suffixes in suffix order, equal ones in position order, with their
+// true LCPs. The groups key on 28, 28, 27 and 26 characters, so k spans each
+// width K's K − 1, K and K + 1 and 2K ± 1. Members end within the t A's or
+// right after them; past the shared characters they end at every offset,
+// repeat another member's string (identical suffixes from different
 // strings), or share a further run of 70 characters cut at every length, so
 // full-key runs nest.
 func TestKeySortMatchesClassPass(t *testing.T) {
@@ -838,53 +840,60 @@ func TestKeySortMatchesClassPass(t *testing.T) {
 		}
 		return s
 	}
-	for _, g := range []int{3, 4, 17, 64} {
-		for k := 0; k <= 70; k++ {
-			shared, run := random(w+4+k), random(70)
-			ests := make([]seq.Sequence, g)
-			for i := range ests {
-				var tail seq.Sequence
-				switch i % 5 {
-				case 0:
-					tail = random(rng.Intn(8))
-				case 1: // the member before's string again
-					ests[i] = ests[i-1]
-					continue
-				case 2:
-					tail = run[:rng.Intn(len(run)+1)]
-				case 3:
-					tail = append(run.Clone(), random(rng.Intn(30))...)
-				default:
-					tail = random(20 + rng.Intn(40))
+	for tA := 0; tA <= 4; tA++ {
+		depth := w + 4 - tA
+		for _, g := range []int{3, 4, 17, 64} {
+			for k := 0; k <= 70; k++ {
+				shared := append(append(random(depth), make(seq.Sequence, tA)...), random(k)...)
+				run := random(70)
+				ests := make([]seq.Sequence, g)
+				for i := range ests {
+					var tail seq.Sequence
+					switch i % 6 {
+					case 0:
+						tail = random(rng.Intn(8))
+					case 1: // the member before's string again
+						ests[i] = ests[i-1]
+						continue
+					case 2: // ends within the t A's, or right after them
+						ests[i] = shared[:depth+rng.Intn(tA+1)].Clone()
+						continue
+					case 3:
+						tail = run[:rng.Intn(len(run)+1)]
+					case 4:
+						tail = append(run.Clone(), random(rng.Intn(30))...)
+					default:
+						tail = random(20 + rng.Intn(40))
+					}
+					ests[i] = append(shared.Clone(), tail...)
 				}
-				ests[i] = append(shared.Clone(), tail...)
-			}
-			set, err := seq.NewSetS(ests)
-			if err != nil {
-				t.Fatal(err)
-			}
-			group := make([]int32, g)
-			for e := range group {
-				group[e] = set.Start(seq.Forward(seq.ESTID(e)))
-			}
-			b := newBuilder(set.Text(), w, g)
-			b.order, b.lcps, b.seam = b.order[:0], b.lcps[:0], 0
-			b.build(slices.Clone(group), b.keys[:g], w+4)
-			cb := classBuilder{newBuilder(set.Text(), w, g)}
-			cb.order, cb.lcps, cb.seam = cb.order[:0], cb.lcps[:0], 0
-			cb.build(slices.Clone(group), w+4)
-			what := fmt.Sprintf("group of %d sharing w+4+%d", g, k)
-			if !slices.Equal(b.order, cb.order) || !slices.Equal(b.lcps, cb.lcps) {
-				t.Fatalf("%s: key sort emits %v with LCPs %v, class pass %v with %v", what, b.order, b.lcps, cb.order, cb.lcps)
-			}
-			suffix := func(p int32) seq.Sequence { id, pos := set.Locate(p); return set.Suffix(id, pos) }
-			for i := 1; i < g; i++ {
-				p, q := suffix(cb.order[i-1]), suffix(cb.order[i])
-				if lessSuffix(q, p) || !lessSuffix(p, q) && cb.order[i-1] > cb.order[i] {
-					t.Fatalf("%s: leaves %d and %d out of order", what, i-1, i)
+				set, err := seq.NewSetS(ests)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if want := min(lcp(p, q), MaxLCP); int32(cb.lcps[i]) != want {
-					t.Fatalf("%s: leaf %d has LCP byte %d, want %d", what, i, cb.lcps[i], want)
+				group := make([]int32, g)
+				for e := range group {
+					group[e] = set.Start(seq.Forward(seq.ESTID(e)))
+				}
+				b := newBuilder(set.Text(), w, g)
+				b.order, b.lcps, b.seam = b.order[:0], b.lcps[:0], 0
+				b.build(slices.Clone(group), b.keys[:g], int32(depth))
+				cb := &classBuilder{builder: newBuilder(set.Text(), w, g)}
+				cb.order, cb.lcps, cb.seam = cb.order[:0], cb.lcps[:0], 0
+				cb.build(slices.Clone(group), int32(depth))
+				what := fmt.Sprintf("group of %d from depth w+4-%d sharing %d A's and %d more", g, tA, tA, k)
+				if !slices.Equal(b.order, cb.order) || !slices.Equal(b.lcps, cb.lcps) {
+					t.Fatalf("%s: key sort emits %v with LCPs %v, class pass %v with %v", what, b.order, b.lcps, cb.order, cb.lcps)
+				}
+				suffix := func(p int32) seq.Sequence { id, pos := set.Locate(p); return set.Suffix(id, pos) }
+				for i := 1; i < g; i++ {
+					p, q := suffix(cb.order[i-1]), suffix(cb.order[i])
+					if lessSuffix(q, p) || !lessSuffix(p, q) && cb.order[i-1] > cb.order[i] {
+						t.Fatalf("%s: leaves %d and %d out of order", what, i-1, i)
+					}
+					if want := min(lcp(p, q), MaxLCP); int32(cb.lcps[i]) != want {
+						t.Fatalf("%s: leaf %d has LCP byte %d, want %d", what, i, cb.lcps[i], want)
+					}
 				}
 			}
 		}

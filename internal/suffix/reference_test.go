@@ -14,7 +14,10 @@ package suffix
 //     oracles still speak, with the adapters to and from positions;
 //   - the class pass the key sort replaced in groups of three or more
 //     (classBuilder): one pass per character, a five-way scatter, and
-//     extension's jump over a run every suffix shares.
+//     extension's jump over a run every suffix shares; with it, the split
+//     of a run of equal code into the suffixes that end within the code and
+//     the rest, and the LCPs read off the codes (shortFirst, follow), which
+//     the key sort took over in whole runs.
 //
 // TestBuildMatchesReference and FuzzBuildMatchesReference require the two
 // node builders to write the same nodes, element for element, every ordered
@@ -26,6 +29,7 @@ package suffix
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"testing"
@@ -493,10 +497,15 @@ func nodeBuildForest(set *seq.SetS, byBucket map[int][]SuffixRef, w int) ([]*nod
 }
 
 // classBuilder is the builder as it was before groups of three or more were
-// sorted on fetched keys. Its sort, build and extension are that builder's,
-// verbatim; the rest (shortFirst, follow, emitLeaf, pair and the buffers) is
-// the production builder's.
-type classBuilder struct{ *builder }
+// sorted on fetched keys. Its sort, build, extension, shortFirst and follow,
+// with the code and past they keep, are that builder's, verbatim; the rest
+// (emitLeaf, pair and the buffers) is the production builder's.
+type classBuilder struct {
+	*builder
+	// code and past are the leaf emitted last's code and characters past
+	// the window, at most four.
+	code, past uint8
+}
 
 // classOrdered returns a copy of a table whose buckets have no ordered front,
 // each bucket ordered by the class-pass builder.
@@ -508,7 +517,7 @@ func classOrdered(t testing.TB, set *seq.SetS, table *Buckets) *Buckets {
 	for b := range out.ordered {
 		largest = max(largest, int(out.off[b+1]-out.off[b]))
 	}
-	cb := classBuilder{newBuilder(set.Text(), out.w, largest)}
+	cb := &classBuilder{builder: newBuilder(set.Text(), out.w, largest)}
 	for b := range out.ordered {
 		lo, hi := out.off[b], out.off[b+1]
 		if out.ordered[b] != 0 {
@@ -539,7 +548,7 @@ func classOrdered(t testing.TB, set *seq.SetS, table *Buckets) *Buckets {
 // past the window strings are read only in a run of equal code, by
 // shortFirst and by build from depth w+4. It costs O(sum of suffix lengths) for the bucket, i.e.
 // O(N·l/p) per worker, as the average EST length l is independent of n.
-func (b classBuilder) sort(suffixes []int32, codes []uint8) ([]int32, []uint8, error) {
+func (b *classBuilder) sort(suffixes []int32, codes []uint8) ([]int32, []uint8, error) {
 	n := len(suffixes)
 	tmp, cls, work, key := b.tmp[:n], b.cls[:n], b.work[:n], b.codes[:n]
 	var low, high [16]int32
@@ -595,7 +604,7 @@ func (b classBuilder) sort(suffixes []int32, codes []uint8) ([]int32, []uint8, e
 // otherwise the counts are the offsets of a stable scatter that leaves the
 // group ordered terminators, A, C, G, T with the position order kept inside
 // each class, which is what makes equal suffixes leaves in position order.
-func (b classBuilder) build(group []int32, depth int32) {
+func (b *classBuilder) build(group []int32, depth int32) {
 	if len(group) == 1 {
 		b.emitLeaf(group[0])
 		return
@@ -647,7 +656,7 @@ func (b classBuilder) build(group []int32, depth int32) {
 
 // extension returns how many characters from depth on every suffix of group
 // shares with group[0]'s.
-func (b classBuilder) extension(group []int32, depth int32) int32 {
+func (b *classBuilder) extension(group []int32, depth int32) int32 {
 	s := b.text[group[0]+depth:]
 	for _, r := range group[1:] {
 		s = s[:commonPrefix(s, b.text[r+depth:])]
@@ -656,4 +665,39 @@ func (b classBuilder) extension(group []int32, depth int32) int32 {
 		}
 	}
 	return int32(len(s))
+}
+
+// shortFirst reads the lengths of a run of code c, which ends in A and so
+// may hide suffixes with fewer than four characters past the window. It
+// emits those, shortest first and equal ones in run order, each a prefix of
+// all after it, and returns the rest, compacted in order to run's front.
+func (b *classBuilder) shortFirst(run []int32, c uint8) []int32 {
+	past := b.cls[:len(run)]
+	for i, r := range run {
+		n := uint8(0)
+		for n < 4 && b.text[r+b.w+int32(n)] != seq.Lambda {
+			n++
+		}
+		past[i] = n
+	}
+	rest := run[:0]
+	for n := uint8(0); n <= 4; n++ {
+		for i, r := range run {
+			if past[i] == n && n < 4 {
+				b.follow(c, n)
+				b.emitLeaf(r)
+			} else if past[i] == n {
+				rest = append(rest, r)
+			}
+		}
+	}
+	return rest
+}
+
+// follow sets the seam for the next leaf, of code c and n ≤ 4 characters
+// past the window: its LCP with the leaf emitted last is w plus the
+// characters their codes share, unless either ends first.
+func (b *classBuilder) follow(c, n uint8) {
+	b.seam = b.w + int32(min(bits.LeadingZeros8(b.code^c)/2, int(b.past), int(n)))
+	b.code, b.past = c, n
 }

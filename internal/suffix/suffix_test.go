@@ -1,9 +1,11 @@
 package suffix
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"pace/internal/seq"
@@ -246,14 +248,41 @@ func TestBuildSingleSuffixBucket(t *testing.T) {
 }
 
 // An empty bucket builds no tree; a suffix shorter than the window fails the
-// build.
+// build, which names it. At every window width a bucket holds long suffixes
+// and a short one, w − 1 characters before its string's λ, either mid-text,
+// where the window is read a word at a time, or at the text's end, where it
+// is read a byte at a time; with both short, the first in position order is
+// named.
 func TestBuildRejectsEmptyAndShort(t *testing.T) {
 	set := mustSet(t, "ACG")
 	if forest, err := buildBucket(t, set, 2, 1, nil); err != nil || len(forest) != 0 {
 		t.Errorf("empty bucket: forest %v, err %v; want no tree and no error", forest, err)
 	}
-	if _, err := buildBucket(t, set, 2, 3, []SuffixRef{{SID: 0, Pos: 2}}); err == nil {
-		t.Error("too-short suffix must fail")
+	const l = 24
+	set = mustSet(t, strings.Repeat("ACGT", l/4), strings.Repeat("GATTACA", l/7+1)[:l])
+	last := seq.StringID(set.NumStrings() - 1)
+	for _, w := range []int{1, 7, 8, 9, 12} {
+		mid, end := SuffixRef{SID: 0, Pos: int32(l - w + 1)}, SuffixRef{SID: last, Pos: int32(l - w + 1)}
+		if n := len(set.Text()) - int(posOf(set, end)); n >= 16 {
+			t.Fatalf("w = %d: the short suffix at the end has %d bytes to the text's end", w, n)
+		}
+		for _, c := range []struct {
+			name  string
+			short []SuffixRef
+		}{{"mid-text", []SuffixRef{mid}}, {"at the end", []SuffixRef{end}}, {"both", []SuffixRef{mid, end}}} {
+			refs := append([]SuffixRef{{SID: 0, Pos: 0}, {SID: 1, Pos: 3}, {SID: last, Pos: 0}}, c.short...)
+			slices.SortFunc(refs, func(a, b SuffixRef) int { return cmp.Compare(posOf(set, a), posOf(set, b)) })
+			_, err := buildBucket(t, set, w, 0, refs)
+			if want := fmt.Sprintf("suffix at %d shorter than window %d", posOf(set, c.short[0]), w); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("w = %d, short suffix %s: got %v, want %q", w, c.name, err, want)
+			}
+		}
+		// Suffixes of exactly w characters, mid-text and at the end, are not
+		// short: the λ just past the window is outside its mask.
+		exact := []SuffixRef{{SID: 0, Pos: int32(l - w)}, {SID: 1, Pos: 3}, {SID: last, Pos: int32(l - w)}}
+		if _, err := buildBucket(t, set, w, 0, exact); err != nil {
+			t.Errorf("w = %d, no short suffix: %v", w, err)
+		}
 	}
 }
 

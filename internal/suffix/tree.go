@@ -149,9 +149,8 @@ type builder struct {
 	// work holds the suffixes being sorted, in code order (codes), then each
 	// group sorted in place by its keys; tmp is the source copy of the
 	// suffixes a scatter or a key sort moves, cls holds the codes between the
-	// two scatters and then the lengths shortFirst reads, and keys holds one
-	// key per suffix of the groups build is sorting, a nested group's keys a
-	// stretch of its parent's.
+	// two scatters, and keys holds one key per suffix of the groups build is
+	// sorting, a nested group's keys a stretch of its parent's.
 	work, tmp  []int32
 	cls, codes []uint8
 	keys       []uint64
@@ -160,9 +159,6 @@ type builder struct {
 	order []int32
 	lcps  []uint8
 	seam  int32
-	// code and past are the leaf emitted last's code and characters past
-	// the window, at most four.
-	code, past uint8
 }
 
 // newBuilder returns a builder for buckets of at most largest suffixes. Its
@@ -187,47 +183,50 @@ func newBuilder(text []seq.Code, w, largest int) *builder {
 // with the one before it, both valid until the next call. A suffix shorter
 // than the window is an error.
 //
-// Past two suffixes, two stable 16-way passes order them by code, equal
-// codes in position order; codes that differ give the LCP (follow), and
-// past the window strings are read only in a run of equal code, by
-// shortFirst and by build from depth w+4. It costs O(sum of suffix lengths) for the bucket, i.e.
+// Two stable 16-way passes order the suffixes by code, equal codes in
+// position order, and build orders each run of equal code. A code is the
+// suffix's next four characters with those from its end on A, so every
+// member of a run whose code ends in t A's has the code's first 4 − t
+// characters, and build starts at depth w + 4 − t, where its keys put the
+// members that end within the A's first, shortest first. Neighbouring runs
+// part within their codes, so one compare from depth w gives the LCP at a
+// run's first leaf. It costs O(sum of suffix lengths) for the bucket, i.e.
 // O(N·l/p) per worker, as the average EST length l is independent of n.
 func (b *builder) sort(suffixes []int32, codes []uint8) ([]int32, []uint8, error) {
 	n := len(suffixes)
 	tmp, cls, work, key := b.tmp[:n], b.cls[:n], b.work[:n], b.codes[:n]
 	var low, high [16]int32
-	var ends seq.Code // λ's bit if a suffix ends within the window
+	// near and far mask the window's bytes in the two words at a suffix, and
+	// ends ors them: a λ among them sets a lambdas bit.
+	near, far := ^uint64(0)>>(64-8*min(b.w, 8)), ^uint64(0)>>(128-8*max(b.w, 8))
+	var ends uint64
 	for i, r := range suffixes {
-		for _, c := range b.text[r:min(int(r+b.w), len(b.text))] {
-			ends |= c & seq.Lambda
+		if t := b.text[r:]; len(t) >= 16 {
+			ends |= load8(t)&near | load8(t[8:])&far
+		} else {
+			for _, c := range t[:min(int(b.w), len(t))] {
+				ends |= uint64(c)
+			}
 		}
 		low[codes[i]&15]++
 		high[codes[i]>>4]++
 	}
-	for i := 0; ends != 0 && i < n; i++ {
+	for i := 0; ends&lambdas != 0 && i < n; i++ {
 		if r := suffixes[i]; slices.Contains(b.text[r:min(int(r+b.w), len(b.text))], seq.Lambda) {
 			return nil, nil, fmt.Errorf("suffix: suffix at %d shorter than window %d", r, b.w)
 		}
 	}
-	b.order, b.lcps, b.seam = b.order[:0], b.lcps[:0], 0
-	if n <= 2 { // one compare orders two suffixes, faster than the passes
-		copy(work, suffixes)
-		b.build(work, b.keys[:n], b.w)
-		return b.order, b.lcps, nil
-	}
+	b.order, b.lcps = b.order[:0], b.lcps[:0]
 	scatterBy(suffixes, codes, tmp, cls, &low, 0)
 	scatterBy(tmp, cls, work, key, &high, 4)
 	for lo, hi := 0, 0; lo < n; lo = hi {
 		c := key[lo]
 		for hi = lo + 1; hi < n && key[hi] == c; hi++ {
 		}
-		run := work[lo:hi]
-		if c&3 == 0 {
-			run = b.shortFirst(run, c)
-		}
-		if len(run) > 0 {
-			b.follow(c, 4)
-			b.build(run, b.keys[:len(run)], b.w+4)
+		b.build(work[lo:hi], b.keys[:hi-lo], b.w+4-int32(bits.TrailingZeros8(c)/2))
+		if lo > 0 {
+			prev, first := b.order[lo-1]+b.w, b.order[lo]+b.w
+			b.lcps[lo] = uint8(b.w + int32(commonPrefix(b.text[prev:], b.text[first:])))
 		}
 	}
 	b.lcps[0] = 0
@@ -246,41 +245,6 @@ func scatterBy(src []int32, codes []uint8, dst []int32, dstCodes []uint8, at *[1
 		dst[*k], dstCodes[*k] = r, codes[i]
 		*k++
 	}
-}
-
-// shortFirst reads the lengths of a run of code c, which ends in A and so
-// may hide suffixes with fewer than four characters past the window. It
-// emits those, shortest first and equal ones in run order, each a prefix of
-// all after it, and returns the rest, compacted in order to run's front.
-func (b *builder) shortFirst(run []int32, c uint8) []int32 {
-	past := b.cls[:len(run)]
-	for i, r := range run {
-		n := uint8(0)
-		for n < 4 && b.text[r+b.w+int32(n)] != seq.Lambda {
-			n++
-		}
-		past[i] = n
-	}
-	rest := run[:0]
-	for n := uint8(0); n <= 4; n++ {
-		for i, r := range run {
-			if past[i] == n && n < 4 {
-				b.follow(c, n)
-				b.emitLeaf(r)
-			} else if past[i] == n {
-				rest = append(rest, r)
-			}
-		}
-	}
-	return rest
-}
-
-// follow sets the seam for the next leaf, of code c and n ≤ 4 characters
-// past the window: its LCP with the leaf emitted last is w plus the
-// characters their codes share, unless either ends first.
-func (b *builder) follow(c, n uint8) {
-	b.seam = b.w + int32(min(bits.LeadingZeros8(b.code^c)/2, int(b.past), int(n)))
-	b.code, b.past = c, n
 }
 
 // emitLeaf appends suffix r as the next leaf.
