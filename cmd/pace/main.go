@@ -8,10 +8,9 @@
 // A run summary (cluster count, pair statistics, phase times, and the
 // paper-style phase / per-rank load-balance tables) goes to standard error.
 //
-// Observability: -metrics-addr serves Prometheus text, expvar and pprof over
-// HTTP during the run; -trace writes a Chrome trace-event file with one
-// timeline per rank; -report writes a machine-readable BENCH_*.json run
-// report.
+// Observability: -metrics-addr serves Prometheus text and pprof over HTTP
+// during the run; -trace writes a Chrome trace-event file with one timeline
+// per rank; -report writes a machine-readable BENCH_*.json run report.
 //
 // Incremental clustering: -session dir persists the ESTs and partition in a
 // directory; a later run with -session dir -in batch.fasta -add ingests the
@@ -43,7 +42,7 @@ func main() {
 	minOverlap := flag.Int("min-overlap", def.MinOverlap, "minimum accepted overlap columns")
 	minIdentity := flag.Float64("min-identity", def.MinIdentity, "minimum accepted overlap identity")
 	doTrim := flag.Bool("trim", false, "trim poly(A)/poly(T) tails before clustering")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, expvar and pprof on this address (e.g. :9090)")
+	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and pprof on this address (e.g. :9090)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event file here (chrome://tracing, Perfetto)")
 	reportPath := flag.String("report", "", "write a run-report JSON here ('auto' derives BENCH_pace_<stamp>.json)")
 	chaosSpec := flag.String("chaos", "", "inject faults, e.g. 'crash=2:5,delay=0.1:2ms,seed=7' (see cmd docs)")

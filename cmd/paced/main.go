@@ -72,7 +72,7 @@ func main() {
 	def := pace.DefaultOptions()
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	dataDir := flag.String("data", "", "state root directory; each session persists under <data>/<id> (empty = in-memory only)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, expvar and pprof on this address")
+	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and pprof on this address")
 	tracePath := flag.String("trace", "", "write a Chrome trace (request + engine spans) to this file")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "json", "log encoding on stderr: json or text")

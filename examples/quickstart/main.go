@@ -40,15 +40,14 @@ func main() {
 	}
 	fmt.Printf("quality: %s\n", q)
 
-	// 4. Peek at the three largest clusters.
-	for i, members := range cl.Clusters {
-		if i >= 3 {
-			break
+	// 4. Peek at clusters 0–2, gathering their members from the labels.
+	members := make([][]int, min(3, cl.NumClusters))
+	for i, l := range cl.Labels {
+		if l < len(members) {
+			members[l] = append(members[l], i)
 		}
-		limit := len(members)
-		if limit > 8 {
-			limit = 8
-		}
-		fmt.Printf("cluster %d (%d ESTs): %v...\n", i, len(members), members[:limit])
+	}
+	for l, m := range members {
+		fmt.Printf("cluster %d (%d ESTs): %v...\n", l, len(m), m[:min(8, len(m))])
 	}
 }

@@ -90,9 +90,6 @@ func NewExtender(sc Scoring, band int) (*Extender, error) {
 	}, nil
 }
 
-// Band returns the configured band half-width.
-func (e *Extender) Band() int { return e.band }
-
 // Extend aligns a and b by extending the exact match
 // a[posA:posA+anchorLen] == b[posB:posB+anchorLen] at both ends.
 // The caller guarantees the anchor is a genuine common substring; positions

@@ -64,88 +64,8 @@ func extendGap(p cell, sc Scoring, open bool) cell {
 	return p
 }
 
-// Global computes the optimal global (Needleman–Wunsch) alignment of a and b
-// with affine gap penalties and returns its statistics. It is the reference
-// aligner used to validate the banded production path.
-func Global(a, b seq.Sequence, sc Scoring) Stats {
-	n, m := len(a), len(b)
-	// Rolling two rows per layer.
-	mPrev := make([]cell, m+1)
-	mCur := make([]cell, m+1)
-	xPrev := make([]cell, m+1)
-	xCur := make([]cell, m+1)
-	yPrev := make([]cell, m+1)
-	yCur := make([]cell, m+1)
-
-	mPrev[0] = cell{}
-	xPrev[0], yPrev[0] = deadCell, deadCell
-	for j := 1; j <= m; j++ {
-		mPrev[j], xPrev[j] = deadCell, deadCell
-		yPrev[j] = extendGap(betterOf3(mPrev[j-1], xPrev[j-1], yPrev[j-1]), sc, j == 1)
-	}
-	for i := 1; i <= n; i++ {
-		mCur[0], yCur[0] = deadCell, deadCell
-		if i == 1 {
-			xCur[0] = extendGap(mPrev[0], sc, true)
-		} else {
-			xCur[0] = extendGap(xPrev[0], sc, false)
-		}
-		for j := 1; j <= m; j++ {
-			mCur[j] = extendDiag(betterOf3(mPrev[j-1], xPrev[j-1], yPrev[j-1]), sc, a[i-1], b[j-1])
-			xCur[j] = better(
-				extendGap(better(mPrev[j], yPrev[j]), sc, true),
-				extendGap(xPrev[j], sc, false))
-			yCur[j] = better(
-				extendGap(better(mCur[j-1], xCur[j-1]), sc, true),
-				extendGap(yCur[j-1], sc, false))
-		}
-		mPrev, mCur = mCur, mPrev
-		xPrev, xCur = xCur, xPrev
-		yPrev, yCur = yCur, yPrev
-	}
-	return betterOf3(mPrev[m], xPrev[m], yPrev[m]).stats()
-}
-
 func betterOf3(a, b, c cell) cell {
 	return better(a, better(b, c))
-}
-
-// Local computes the optimal local (Smith–Waterman) alignment statistics of
-// a and b with affine gap penalties.
-func Local(a, b seq.Sequence, sc Scoring) Stats {
-	n, m := len(a), len(b)
-	mPrev := make([]cell, m+1)
-	mCur := make([]cell, m+1)
-	xPrev := make([]cell, m+1)
-	xCur := make([]cell, m+1)
-	yPrev := make([]cell, m+1)
-	yCur := make([]cell, m+1)
-	for j := 0; j <= m; j++ {
-		mPrev[j], xPrev[j], yPrev[j] = cell{}, deadCell, deadCell
-	}
-	best := cell{}
-	for i := 1; i <= n; i++ {
-		mCur[0], xCur[0], yCur[0] = cell{}, deadCell, deadCell
-		for j := 1; j <= m; j++ {
-			// A local alignment may restart at any position.
-			start := better(betterOf3(mPrev[j-1], xPrev[j-1], yPrev[j-1]), cell{})
-			mCur[j] = extendDiag(start, sc, a[i-1], b[j-1])
-			xCur[j] = better(
-				extendGap(better(mPrev[j], yPrev[j]), sc, true),
-				extendGap(xPrev[j], sc, false))
-			yCur[j] = better(
-				extendGap(better(mCur[j-1], xCur[j-1]), sc, true),
-				extendGap(yCur[j-1], sc, false))
-			best = better(best, mCur[j])
-		}
-		mPrev, mCur = mCur, mPrev
-		xPrev, xCur = xCur, xPrev
-		yPrev, yCur = yCur, yPrev
-	}
-	if best.score < 0 {
-		return Stats{}
-	}
-	return best.stats()
 }
 
 // OverlapResult is the outcome of a free-end-gap (overlap) alignment.

@@ -59,7 +59,7 @@ func TestStatsDerived(t *testing.T) {
 func TestGlobalIdentical(t *testing.T) {
 	sc := DefaultScoring()
 	a := mustSeq(t, "ACGTACGTAC")
-	st := Global(a, a, sc)
+	st := global(a, a, sc)
 	if st.Score != int32(len(a))*sc.Match || st.Matches != int32(len(a)) || st.Cols != int32(len(a)) {
 		t.Errorf("identical global wrong: %+v", st)
 	}
@@ -69,7 +69,7 @@ func TestGlobalSingleMismatch(t *testing.T) {
 	sc := DefaultScoring()
 	a := mustSeq(t, "ACGTACGTAC")
 	b := mustSeq(t, "ACGTTCGTAC")
-	st := Global(a, b, sc)
+	st := global(a, b, sc)
 	want := 9*sc.Match + sc.Mismatch
 	if st.Score != want || st.Matches != 9 || st.Cols != 10 {
 		t.Errorf("got %+v want score %d", st, want)
@@ -80,7 +80,7 @@ func TestGlobalSingleInsertion(t *testing.T) {
 	sc := DefaultScoring()
 	a := mustSeq(t, "ACGTACGTAC")
 	b := mustSeq(t, "ACGTAACGTAC") // extra A in middle
-	st := Global(a, b, sc)
+	st := global(a, b, sc)
 	want := 10*sc.Match + sc.GapOpen + sc.GapExtend
 	if st.Score != want {
 		t.Errorf("score %d want %d (%+v)", st.Score, want, st)
@@ -96,7 +96,7 @@ func TestGlobalAffinePrefersOneLongGap(t *testing.T) {
 	sc := Scoring{Match: 1, Mismatch: -10, GapOpen: -5, GapExtend: -1}
 	a := mustSeq(t, "AAAACCCC")
 	b := mustSeq(t, "AAAAGGCCCC")
-	st := Global(a, b, sc)
+	st := global(a, b, sc)
 	want := 8*sc.Match + sc.GapOpen + 2*sc.GapExtend
 	if st.Score != want {
 		t.Errorf("score %d want %d", st.Score, want)
@@ -106,12 +106,12 @@ func TestGlobalAffinePrefersOneLongGap(t *testing.T) {
 func TestGlobalEmpty(t *testing.T) {
 	sc := DefaultScoring()
 	a := mustSeq(t, "ACGT")
-	st := Global(a, seq.Sequence{}, sc)
+	st := global(a, seq.Sequence{}, sc)
 	want := sc.GapOpen + 4*sc.GapExtend
 	if st.Score != want || st.Cols != 4 || st.Matches != 0 {
 		t.Errorf("empty-b global: %+v want score %d", st, want)
 	}
-	st = Global(seq.Sequence{}, seq.Sequence{}, sc)
+	st = global(seq.Sequence{}, seq.Sequence{}, sc)
 	if st.Score != 0 || st.Cols != 0 {
 		t.Errorf("empty-empty: %+v", st)
 	}
@@ -123,45 +123,8 @@ func TestGlobalSymmetry(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		a := randSeq(rng, 1+rng.Intn(60))
 		b := randSeq(rng, 1+rng.Intn(60))
-		if Global(a, b, sc).Score != Global(b, a, sc).Score {
+		if global(a, b, sc).Score != global(b, a, sc).Score {
 			t.Fatalf("global not symmetric at trial %d", i)
-		}
-	}
-}
-
-func TestLocalFindsPlantedSubstring(t *testing.T) {
-	sc := DefaultScoring()
-	rng := rand.New(rand.NewSource(9))
-	common := randSeq(rng, 25)
-	a := append(append(randSeq(rng, 30), common...), randSeq(rng, 30)...)
-	b := append(append(randSeq(rng, 20), common...), randSeq(rng, 40)...)
-	st := Local(a, b, sc)
-	if st.Score < 25*sc.Match {
-		t.Errorf("local score %d < planted %d", st.Score, 25*sc.Match)
-	}
-	if st.Identity() < 0.9 {
-		t.Errorf("local identity %f too low", st.Identity())
-	}
-}
-
-func TestLocalDisjointIsShort(t *testing.T) {
-	sc := DefaultScoring()
-	a := mustSeq(t, "AAAAAAAAAA")
-	b := mustSeq(t, "CCCCCCCCCC")
-	st := Local(a, b, sc)
-	if st.Score != 0 || st.Cols != 0 {
-		t.Errorf("disjoint local: %+v", st)
-	}
-}
-
-func TestLocalAtLeastGlobal(t *testing.T) {
-	sc := DefaultScoring()
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 30; i++ {
-		a := randSeq(rng, 1+rng.Intn(50))
-		b := randSeq(rng, 1+rng.Intn(50))
-		if Local(a, b, sc).Score < Global(a, b, sc).Score {
-			t.Fatalf("local < global at trial %d", i)
 		}
 	}
 }
@@ -213,7 +176,7 @@ func TestOverlapAtLeastGlobal(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		a := randSeq(rng, 1+rng.Intn(60))
 		b := randSeq(rng, 1+rng.Intn(60))
-		if Overlap(a, b, sc).Score < Global(a, b, sc).Score {
+		if Overlap(a, b, sc).Score < global(a, b, sc).Score {
 			t.Fatalf("overlap < global at trial %d", i)
 		}
 	}
@@ -263,17 +226,6 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-func BenchmarkGlobal600(b *testing.B) {
-	sc := DefaultScoring()
-	rng := rand.New(rand.NewSource(1))
-	x, y := randSeq(rng, 600), randSeq(rng, 600)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Global(x, y, sc)
-	}
-}
-
 func BenchmarkOverlap600(b *testing.B) {
 	sc := DefaultScoring()
 	rng := rand.New(rand.NewSource(1))
@@ -283,4 +235,46 @@ func BenchmarkOverlap600(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Overlap(x, y, sc)
 	}
+}
+
+// global computes the optimal global (Needleman–Wunsch) alignment of a and b
+// with affine gap penalties and returns its statistics: the floor that
+// Overlap, whose end gaps are free, never scores below.
+func global(a, b seq.Sequence, sc Scoring) Stats {
+	n, m := len(a), len(b)
+	// Rolling two rows per layer.
+	mPrev := make([]cell, m+1)
+	mCur := make([]cell, m+1)
+	xPrev := make([]cell, m+1)
+	xCur := make([]cell, m+1)
+	yPrev := make([]cell, m+1)
+	yCur := make([]cell, m+1)
+
+	mPrev[0] = cell{}
+	xPrev[0], yPrev[0] = deadCell, deadCell
+	for j := 1; j <= m; j++ {
+		mPrev[j], xPrev[j] = deadCell, deadCell
+		yPrev[j] = extendGap(betterOf3(mPrev[j-1], xPrev[j-1], yPrev[j-1]), sc, j == 1)
+	}
+	for i := 1; i <= n; i++ {
+		mCur[0], yCur[0] = deadCell, deadCell
+		if i == 1 {
+			xCur[0] = extendGap(mPrev[0], sc, true)
+		} else {
+			xCur[0] = extendGap(xPrev[0], sc, false)
+		}
+		for j := 1; j <= m; j++ {
+			mCur[j] = extendDiag(betterOf3(mPrev[j-1], xPrev[j-1], yPrev[j-1]), sc, a[i-1], b[j-1])
+			xCur[j] = better(
+				extendGap(better(mPrev[j], yPrev[j]), sc, true),
+				extendGap(xPrev[j], sc, false))
+			yCur[j] = better(
+				extendGap(better(mCur[j-1], xCur[j-1]), sc, true),
+				extendGap(yCur[j-1], sc, false))
+		}
+		mPrev, mCur = mCur, mPrev
+		xPrev, xCur = xCur, xPrev
+		yPrev, yCur = yCur, yPrev
+	}
+	return betterOf3(mPrev[m], xPrev[m], yPrev[m]).stats()
 }

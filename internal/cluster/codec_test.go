@@ -22,7 +22,7 @@ func TestReportRoundTrip(t *testing.T) {
 			{estI: 3, estJ: 4, accepted: false},
 		},
 		pairs: []pairgen.Pair{
-			{S1: seq.Forward(0), S2: seq.Reverse(7), Pos1: 12, Pos2: 0, MatchLen: 31},
+			{S1: seq.Forward(0), S2: seq.Forward(7).Mate(), Pos1: 12, Pos2: 0, MatchLen: 31},
 		},
 		passive:     true,
 		hasNextWork: false,
@@ -56,7 +56,7 @@ func TestWorkRoundTrip(t *testing.T) {
 	w := work{
 		pairs: []pairgen.Pair{
 			{S1: seq.Forward(2), S2: seq.Forward(5), Pos1: 1, Pos2: 2, MatchLen: 25},
-			{S1: seq.Forward(0), S2: seq.Reverse(1), Pos1: 0, Pos2: 9, MatchLen: 20},
+			{S1: seq.Forward(0), S2: seq.Forward(1).Mate(), Pos1: 0, Pos2: 9, MatchLen: 20},
 		},
 		e: 44,
 	}
@@ -388,7 +388,7 @@ func TestDecodeArbitraryBytesSafe(t *testing.T) {
 func TestAppendEncodersReuseBuffer(t *testing.T) {
 	rep := report{
 		results: []alignResult{{estI: 2, estJ: 7, accepted: true}},
-		pairs:   []pairgen.Pair{{S1: seq.Forward(1), S2: seq.Reverse(3), Pos1: 4, Pos2: 5, MatchLen: 22}},
+		pairs:   []pairgen.Pair{{S1: seq.Forward(1), S2: seq.Forward(3).Mate(), Pos1: 4, Pos2: 5, MatchLen: 22}},
 		passive: true,
 	}
 	w := work{pairs: rep.pairs, e: 17}

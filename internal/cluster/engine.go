@@ -131,11 +131,11 @@ func rankWorkers(cfg Config) int {
 // setUp is every rank's job on its buckets (§3.1–3.2): order the listed
 // buckets of table on up to workers goroutines (construct), cut the forest
 // into at most workers contiguous chunks of near-equal suffix count, and set
-// up one generator per chunk, concurrently, observed by generated (sort).
+// up one generator per chunk, concurrently (sort).
 // The chunks partition the forest's suffixes, so the generators together
 // emit the whole forest's pairs. It also returns the construct and the sort
 // times on clk.
-func setUp(set *seq.SetS, cfg Config, table *suffix.Buckets, ids []int32, workers int, generated *telemetry.Counter, clk func() time.Duration) (gens []*pairgen.Generator, construct, sort time.Duration, err error) {
+func setUp(set *seq.SetS, cfg Config, table *suffix.Buckets, ids []int32, workers int, clk func() time.Duration) (gens []*pairgen.Generator, construct, sort time.Duration, err error) {
 	t0 := clk()
 	forest, err := suffix.BuildBuckets(set, table, ids, workers)
 	if err != nil {
@@ -145,13 +145,9 @@ func setUp(set *seq.SetS, cfg Config, table *suffix.Buckets, ids []int32, worker
 	cuts := fanout.Cuts(len(forest), workers, func(i int) int { return len(forest[i].Refs()) })
 	gens = make([]*pairgen.Generator, len(cuts)-1)
 	err = fanout.Run(len(gens), func(k int) error {
-		gen, err := pairgen.NewFresh(set, forest[cuts[k]:cuts[k+1]], cfg.Psi, cfg.FreshGen)
-		if err != nil {
-			return err
-		}
-		gen.Observe(generated)
-		gens[k] = gen
-		return nil
+		var err error
+		gens[k], err = pairgen.NewFresh(set, forest[cuts[k]:cuts[k+1]], cfg.Psi, cfg.FreshGen)
+		return err
 	})
 	return gens, t1 - t0, clk() - t1, err
 }
@@ -197,7 +193,7 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
-	gens, construct, sort, err := setUp(set, cfg, table, touched, workers, pr.generated, clk)
+	gens, construct, sort, err := setUp(set, cfg, table, touched, workers, clk)
 	if err != nil {
 		return nil, err
 	}
@@ -311,6 +307,7 @@ func (r *seqRun) loop(w *seqWorker) error {
 		if len(w.buf) == 0 {
 			return nil
 		}
+		pr.generated.Add(int64(len(w.buf)))
 		tBatch := r.clk() - r.t0
 		var n batchCounts
 		var err error

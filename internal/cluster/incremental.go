@@ -37,17 +37,6 @@ type BucketCache struct {
 // session's runs via Config.Cache.
 func NewBucketCache() *BucketCache { return &BucketCache{} }
 
-// Strings reports how many strings the cache has scanned.
-func (bc *BucketCache) Strings() int { return int(bc.scanned) }
-
-// Buckets reports how many non-empty buckets the cache holds.
-func (bc *BucketCache) Buckets() int {
-	if bc.table == nil {
-		return 0
-	}
-	return len(bc.table.NonEmpty())
-}
-
 // absorb lays the suffixes of strings [bc.scanned, hi) out in the table and
 // returns, in ascending order, the ids of buckets that received any.
 func (bc *BucketCache) absorb(set *seq.SetS, w int, hi seq.StringID) ([]int32, error) {

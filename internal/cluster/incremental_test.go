@@ -40,8 +40,8 @@ func TestRunSetIncrementalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Strings() != 2*cut {
-		t.Fatalf("cache scanned %d strings, want %d", cache.Strings(), 2*cut)
+	if int(cache.scanned) != 2*cut {
+		t.Fatalf("cache scanned %d strings, want %d", int(cache.scanned), 2*cut)
 	}
 
 	gen, err := set.Append(b.ESTs[cut:])
@@ -80,9 +80,9 @@ func TestRunSetIncrementalEquivalence(t *testing.T) {
 		t.Errorf("BucketsRebuilt %d / BucketsReused %d, want both > 0",
 			inc.BucketsRebuilt, inc.BucketsReused)
 	}
-	if sum := inc.BucketsRebuilt + inc.BucketsReused; sum != int64(cache.Buckets()) {
+	if sum := inc.BucketsRebuilt + inc.BucketsReused; sum != int64(len(cache.table.NonEmpty())) {
 		t.Errorf("BucketsRebuilt %d + BucketsReused %d != %d cached buckets",
-			inc.BucketsRebuilt, inc.BucketsReused, cache.Buckets())
+			inc.BucketsRebuilt, inc.BucketsReused, len(cache.table.NonEmpty()))
 	}
 }
 
@@ -211,7 +211,7 @@ func TestBucketCacheConsistency(t *testing.T) {
 	if err := cache.Warm(small, 6); err == nil {
 		t.Error("cache ahead of set: want error")
 	}
-	if cache.Buckets() == 0 {
+	if len(cache.table.NonEmpty()) == 0 {
 		t.Error("warm cache reports zero buckets")
 	}
 }
@@ -243,7 +243,7 @@ func TestBucketCacheTruncateRollsBackAbsorb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bucketsBefore := cache.Buckets()
+	bucketsBefore := len(cache.table.NonEmpty())
 	lenBefore := cache.table.Histogram()
 
 	// Absorb the tail batch (as a failed run would have), then roll back.
@@ -264,11 +264,11 @@ func TestBucketCacheTruncateRollsBackAbsorb(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if cache.Strings() != 2*cut {
-		t.Fatalf("truncated cache scanned %d strings, want %d", cache.Strings(), 2*cut)
+	if int(cache.scanned) != 2*cut {
+		t.Fatalf("truncated cache scanned %d strings, want %d", int(cache.scanned), 2*cut)
 	}
-	if cache.Buckets() != bucketsBefore {
-		t.Errorf("truncated cache holds %d buckets, want %d", cache.Buckets(), bucketsBefore)
+	if len(cache.table.NonEmpty()) != bucketsBefore {
+		t.Errorf("truncated cache holds %d buckets, want %d", len(cache.table.NonEmpty()), bucketsBefore)
 	}
 	for bkt, n := range cache.table.Histogram() {
 		if n != lenBefore[bkt] {
@@ -312,14 +312,14 @@ func TestBucketCacheTruncateRollsBackAbsorb(t *testing.T) {
 // same buckets in the same order.
 func sameCacheTable(t *testing.T, what string, got, want *BucketCache) {
 	t.Helper()
-	if got.Strings() != want.Strings() || got.Buckets() != want.Buckets() {
-		t.Fatalf("%s: %d strings in %d buckets, want %d in %d", what, got.Strings(), got.Buckets(), want.Strings(), want.Buckets())
+	if int(got.scanned) != int(want.scanned) || len(got.table.NonEmpty()) != len(want.table.NonEmpty()) {
+		t.Fatalf("%s: %d strings in %d buckets, want %d in %d", what, int(got.scanned), len(got.table.NonEmpty()), int(want.scanned), len(want.table.NonEmpty()))
 	}
 	if want.table == nil {
 		return
 	}
-	if got.table.Len() != want.table.Len() {
-		t.Fatalf("%s: %d suffixes, want %d", what, got.table.Len(), want.table.Len())
+	if numSuffixes(got.table) != numSuffixes(want.table) {
+		t.Fatalf("%s: %d suffixes, want %d", what, numSuffixes(got.table), numSuffixes(want.table))
 	}
 	for _, b := range want.table.NonEmpty() {
 		g, w := got.table.Refs(int(b)), want.table.Refs(int(b))
@@ -373,8 +373,8 @@ func TestCacheTruncateIsInverseOfAbsorb(t *testing.T) {
 			for _, hi := range []seq.StringID{cut, (cut + n2) / 2, n2} {
 				fresh = len(absorb(cache, hi))
 			}
-			if fresh == 0 || cache.table.Len() <= onlyA.table.Len() {
-				t.Fatalf("cut %d: the batches after the cut added nothing (%d suffixes vs %d)", cutESTs, cache.table.Len(), onlyA.table.Len())
+			if fresh == 0 || numSuffixes(cache.table) <= numSuffixes(onlyA.table) {
+				t.Fatalf("cut %d: the batches after the cut added nothing (%d suffixes vs %d)", cutESTs, numSuffixes(cache.table), numSuffixes(onlyA.table))
 			}
 			cache.Truncate(cut)
 			sameCacheTable(t, fmt.Sprintf("ordered=%v truncated", ordered), cache, onlyA)
@@ -390,8 +390,8 @@ func TestCacheTruncateIsInverseOfAbsorb(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameCacheTable(t, fmt.Sprintf("ordered=%v re-absorbed", ordered), cache, whole)
-			if cutESTs == 0 && len(again) != whole.Buckets() {
-				t.Errorf("re-absorbing everything touched %d of %d buckets", len(again), whole.Buckets())
+			if cutESTs == 0 && len(again) != len(whole.table.NonEmpty()) {
+				t.Errorf("re-absorbing everything touched %d of %d buckets", len(again), len(whole.table.NonEmpty()))
 			}
 		}
 	}
@@ -530,4 +530,13 @@ func oneTranscript() []seq.Sequence {
 		ests[i] = e
 	}
 	return ests
+}
+
+// numSuffixes returns how many suffixes the table holds.
+func numSuffixes(t *suffix.Buckets) int64 {
+	var n int64
+	for _, k := range t.Histogram() {
+		n += k
+	}
+	return n
 }

@@ -548,7 +548,10 @@ func (m *master) onDeath(s int) error {
 // collect gathers every rank's final report into the run's Stats, the
 // master's own row first. The reports travel point-to-point (tagPhase)
 // rather than in a gather so dead ranks can be skipped; they appear as
-// zeroed "lost" rows.
+// zeroed "lost" rows. A slave's generated pairs reach the live counter
+// here, with its row, so that the counter is the run's PairsGenerated: the
+// pairs a slave pulled before it died, which a survivor regenerates, are in
+// neither.
 func (m *master) collect(mine RankStats) error {
 	m.st.PerRank = make([]RankStats, 0, m.c.Size())
 	m.st.addRank(mine)
@@ -569,6 +572,7 @@ func (m *master) collect(mine RankStats) error {
 				return err
 			}
 		}
+		m.pr.generated.Add(row.PairsGenerated)
 		m.st.addRank(row)
 	}
 	return nil

@@ -9,7 +9,6 @@ import (
 	"pace/internal/pairgen"
 	"pace/internal/seq"
 	"pace/internal/suffix"
-	"pace/internal/telemetry"
 )
 
 // The slave ranks (paper §3.1, §3.3): each builds the GST subtrees of its
@@ -43,7 +42,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 	// from it, as a survivor collects a dead slave's: partitioning is the
 	// prologue and that scan.
 	workers := rankWorkers(cfg)
-	gens, tConstruct, tSort, err := rebuildShard(set, cfg, owner, shard{part: int32(c.Rank() - 1), idx: 0, of: 1}, workers, pr.generated, c.Elapsed)
+	gens, tConstruct, tSort, err := rebuildShard(set, cfg, owner, shard{part: int32(c.Rank() - 1), idx: 0, of: 1}, workers, c.Elapsed)
 	if err != nil {
 		return err
 	}
@@ -203,7 +202,7 @@ func runSlave(set *seq.SetS, cfg Config, c *mp.Comm) error {
 		// idempotence of merges absorb that.
 		for _, sh := range w.recover {
 			tR := c.Elapsed()
-			gs, _, _, err := rebuildShard(set, cfg, owner, sh, workers, pr.generated, c.Elapsed)
+			gs, _, _, err := rebuildShard(set, cfg, owner, sh, workers, c.Elapsed)
 			if err != nil {
 				return err
 			}
@@ -304,7 +303,7 @@ func (g *genChain) Remaining() bool {
 // survivor. The scan visits every string in ascending id and position, so
 // the rebuilt buckets and therefore the regenerated pairs are identical to
 // what the dead slave held. It also returns setUp's construct and sort times.
-func rebuildShard(set *seq.SetS, cfg Config, owner []int32, sh shard, workers int, generated *telemetry.Counter, clk func() time.Duration) ([]*pairgen.Generator, time.Duration, time.Duration, error) {
+func rebuildShard(set *seq.SetS, cfg Config, owner []int32, sh shard, workers int, clk func() time.Duration) ([]*pairgen.Generator, time.Duration, time.Duration, error) {
 	// The shard as an assignment of its own: worker 0 owns its buckets.
 	mine := make([]int32, len(owner))
 	for b, o := range owner {
@@ -315,5 +314,5 @@ func rebuildShard(set *seq.SetS, cfg Config, owner []int32, sh shard, workers in
 	table := suffix.CollectOwned(set, cfg.Window, mine, 0, 0, seq.StringID(set.NumStrings()))
 	// Fresh-only mode must survive recovery: a rebuilt shard regenerates the
 	// dead slave's restricted pair stream, not the full one.
-	return setUp(set, cfg, table, table.NonEmpty(), workers, generated, clk)
+	return setUp(set, cfg, table, table.NonEmpty(), workers, clk)
 }

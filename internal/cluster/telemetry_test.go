@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"pace/internal/mp"
@@ -137,5 +139,38 @@ func TestSequentialTelemetry(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Error("sequential trace is empty")
+	}
+}
+
+// TestPairsGeneratedCounter: the live pace_pairs_generated_total, which the
+// sequential engine adds to per pulled batch and the master per collected
+// slave row, ends every run equal to Stats.PairsGenerated — on the
+// sequential engine at one and at eight workers, on the real transport, and
+// on a simulated run whose slave dies, so that a survivor rebuilds and
+// regenerates its shard.
+func TestPairsGeneratedCounter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	b := recoveryBench(t)
+	check := func(what string, cfg Config) *Result {
+		t.Helper()
+		cfg.Metrics = telemetry.NewRegistry()
+		res, err := Run(b.ESTs, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := cfg.Metrics.Snapshot()[mPairsGenerated]; int64(got) != res.Stats.PairsGenerated {
+			t.Errorf("%s: %s = %v, Stats.PairsGenerated = %d", what, mPairsGenerated, got, res.Stats.PairsGenerated)
+		}
+		return res
+	}
+	for _, workers := range []int{1, 8} {
+		runtime.GOMAXPROCS(workers)
+		check(fmt.Sprintf("sequential, %d workers", workers), recoveryConfig(1, mp.Config{Procs: 1}))
+	}
+	check("real transport, p=3", recoveryConfig(3, mp.Config{Procs: 3, Mode: mp.ModeReal}))
+	cfg := recoveryConfig(4, mp.DefaultSimConfig(4))
+	cfg.MP.Fault = &mp.FaultPlan{Seed: 1, CrashRank: 2, CrashAfter: 3, CrashTag: tagReport}
+	if res := check("simulated, slave 2 lost", cfg); res.Stats.Recovery.RanksLost != 1 {
+		t.Errorf("simulated, slave 2 lost: %d ranks lost, want 1", res.Stats.Recovery.RanksLost)
 	}
 }

@@ -275,7 +275,7 @@ func TestGenChain(t *testing.T) {
 			}
 			for _, workers := range workerCounts {
 				what := fmt.Sprintf("fresh=%d buckets=%d workers=%d", fresh, len(ids), workers)
-				gens, _, _, err := setUp(set, cfg, table, ids, workers, nil, noClock)
+				gens, _, _, err := setUp(set, cfg, table, ids, workers, noClock)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -171,9 +171,6 @@ func (g *Graph) Reach(direct func(ast.Node) bool) *Reach {
 	return r
 }
 
-// Fn reports whether the function object reaches the fact.
-func (r *Reach) Fn(obj types.Object) bool { return r.funcs[obj] }
-
 // Reaches reports whether executing root (e.g. a loop statement) reaches
 // the fact: a direct match under root, or a call to a reaching function.
 func (r *Reach) Reaches(root ast.Node) bool {

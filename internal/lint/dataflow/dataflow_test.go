@@ -140,8 +140,8 @@ func loops() {
 		"inline": true,
 	}
 	for name, want := range wantFn {
-		if got := r.Fn(lookupFunc(t, g, name)); got != want {
-			t.Errorf("Reach.Fn(%s) = %v, want %v", name, got, want)
+		if got := r.funcs[lookupFunc(t, g, name)]; got != want {
+			t.Errorf("Reach.funcs[%s] = %v, want %v", name, got, want)
 		}
 	}
 

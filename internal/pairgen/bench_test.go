@@ -7,7 +7,6 @@ import (
 	"pace/internal/seq"
 	"pace/internal/simulate"
 	"pace/internal/suffix"
-	"pace/internal/telemetry"
 )
 
 // benchWorkload builds a deterministic random EST set and its forest once;
@@ -48,13 +47,12 @@ func deepCoverage(t testing.TB, n int) (*seq.SetS, []*suffix.Tree) {
 
 // drainAll builds a generator and pulls every pair in BatchSize-like chunks
 // through Next; it returns the pairs emitted and the nodes scheduled.
-func drainAll(b *testing.B, set *seq.SetS, forest []*suffix.Tree, psi int, generated *telemetry.Counter) (pairs, nodes int) {
+func drainAll(b *testing.B, set *seq.SetS, forest []*suffix.Tree, psi int) (pairs, nodes int) {
 	b.Helper()
 	gen, err := New(set, forest, psi)
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen.Observe(generated)
 	buf := make([]Pair, 0, 60)
 	for {
 		buf = gen.Next(buf[:0], 60)
@@ -66,32 +64,21 @@ func drainAll(b *testing.B, set *seq.SetS, forest []*suffix.Tree, psi int, gener
 }
 
 // benchDrain reports a full New + drain per iteration.
-func benchDrain(b *testing.B, set *seq.SetS, forest []*suffix.Tree, psi int, generated *telemetry.Counter) {
+func benchDrain(b *testing.B, set *seq.SetS, forest []*suffix.Tree, psi int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	pairs, nodes := 0, 0
 	for i := 0; i < b.N; i++ {
-		pairs, nodes = drainAll(b, set, forest, psi, generated)
+		pairs, nodes = drainAll(b, set, forest, psi)
 	}
 	b.ReportMetric(float64(pairs), "pairs")
 	b.ReportMetric(float64(nodes), "nodes_scheduled/op")
 }
 
-// BenchmarkNext is the disabled-sink configuration: the generated-pair
-// counter is nil, so the per-pair cost is a pointer test. This is the
-// default production path; compare against BenchmarkNextInstrumented to see
-// the cost of attaching the live counter.
+// BenchmarkNext is a full New + drain on random ESTs at ψ = 12.
 func BenchmarkNext(b *testing.B) {
 	set, forest := benchWorkload(b)
-	benchDrain(b, set, forest, 12, nil)
-}
-
-// BenchmarkNextInstrumented attaches a live registry counter (one atomic add
-// per pair) to the same workload.
-func BenchmarkNextInstrumented(b *testing.B) {
-	set, forest := benchWorkload(b)
-	reg := telemetry.NewRegistry()
-	benchDrain(b, set, forest, 12, reg.Counter("pace_pairs_generated_total"))
+	benchDrain(b, set, forest, 12)
 }
 
 // BenchmarkNewFreshDeep is generator construction alone on seq_deep's shape
@@ -114,7 +101,7 @@ func BenchmarkNewFreshDeep(b *testing.B) {
 // BenchmarkNextDeep is construction plus a full drain on the same input.
 func BenchmarkNextDeep(b *testing.B) {
 	set, forest := deepCoverage(b, 400)
-	benchDrain(b, set, forest, 20, nil)
+	benchDrain(b, set, forest, 20)
 }
 
 // BenchmarkNextPolyA watches the shape the leaf-range walk loses on: 1,000
@@ -125,5 +112,5 @@ func BenchmarkNextPolyA(b *testing.B) {
 	cfg.PolyATail = [2]int{600, 1000}
 	cfg.Seed = 1
 	set, forest := simulated(b, cfg, 8)
-	benchDrain(b, set, forest, 20, nil)
+	benchDrain(b, set, forest, 20)
 }

@@ -191,10 +191,7 @@ func requireSameAsReference(t testing.TB, set *seq.SetS, forest []*suffix.Tree, 
 			t.Fatalf("%s: the pair sequence depends on the batch size", what)
 		}
 		s, r := g.Stats(), ref.Stats()
-		if s.NodesProcessed != r.NodesProcessed || s.Entries != r.Entries {
-			t.Fatalf("%s: stats %+v, reference %+v", what, s, r)
-		}
-		if exact && (s.Generated != r.Generated || s.DiscardedSelf > r.DiscardedSelf || s.DiscardedStale > r.DiscardedStale) {
+		if exact && (s.Generated != r.Generated || s.DiscardedStale > r.DiscardedStale) {
 			t.Fatalf("%s: repeat-free input: stats %+v, reference %+v", what, s, r)
 		}
 	}
@@ -523,7 +520,7 @@ func TestUnscheduledNodesWithProductsHaveScheduledTwins(t *testing.T) {
 					}
 					label := tr.PathLabel(set, v)
 					rc := label.ReverseComplement()
-					if label.Equal(rc) || !labels[rc.String()] {
+					if slices.Equal(label, rc) || !labels[rc.String()] {
 						t.Fatalf("%s fresh=%d: tree %d node %d (%v) has products, is not scheduled, and neither is its twin", name, fresh, ti, v, label)
 					}
 					twinned++
@@ -666,11 +663,8 @@ func requireChunksCover(t *testing.T, what string, set *seq.SetS, forest []*suff
 			}
 			got = append(got, mine...)
 			s := g.Stats()
-			sum.NodesProcessed += s.NodesProcessed
 			sum.Generated += s.Generated
-			sum.DiscardedSelf += s.DiscardedSelf
 			sum.DiscardedStale += s.DiscardedStale
-			sum.Entries += s.Entries
 		}
 		slices.SortFunc(got, comparePairs)
 		if !slices.Equal(got, want) {

@@ -3,6 +3,7 @@ package pairgen
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"pace/internal/seq"
@@ -21,7 +22,7 @@ func longestCommon(set *seq.SetS, psi int32, freshID seq.StringID) map[stringPai
 	for i := 0; i < set.NumESTs(); i++ {
 		for j := i + 1; j < set.NumESTs(); j++ {
 			fwd := seq.Forward(seq.ESTID(i))
-			for _, s2 := range []seq.StringID{seq.Forward(seq.ESTID(j)), seq.Reverse(seq.ESTID(j))} {
+			for _, s2 := range []seq.StringID{seq.Forward(seq.ESTID(j)), seq.Forward(seq.ESTID(j)).Mate()} {
 				if s2 < freshID {
 					continue
 				}
@@ -76,7 +77,7 @@ func checkLemmas(t testing.TB, seed int64, n, w, extraPsi, shape uint8) {
 				t.Fatalf("%s: pair %d %+v is not canonical and fresh", what, i, p)
 			}
 			s1, s2 := set.Str(p.S1), set.Str(p.S2)
-			if p.MatchLen < int32(psi) || !s1[p.Pos1:p.Pos1+p.MatchLen].Equal(s2[p.Pos2:p.Pos2+p.MatchLen]) {
+			if p.MatchLen < int32(psi) || !slices.Equal(s1[p.Pos1:p.Pos1+p.MatchLen], s2[p.Pos2:p.Pos2+p.MatchLen]) {
 				t.Fatalf("%s: pair %d %+v has no common anchor of length >= %d", what, i, p, psi)
 			}
 			r1, r2 := p.Pos1+p.MatchLen, p.Pos2+p.MatchLen

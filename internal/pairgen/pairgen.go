@@ -67,7 +67,6 @@ import (
 
 	"pace/internal/seq"
 	"pace/internal/suffix"
-	"pace/internal/telemetry"
 )
 
 // Pair is one promising pair in canonical orientation: S1 is the forward
@@ -86,26 +85,14 @@ func (p Pair) ESTs() (seq.ESTID, seq.ESTID) { return p.S1.EST(), p.S2.EST() }
 
 // Stats counts generator activity.
 type Stats struct {
-	// NodesProcessed is the number of tree nodes of depth >= ψ, leaves
-	// included: what a generator that visits every such node (the reference)
-	// has counted by the end of a drain. It is fixed at construction; only
-	// the nodes that can emit a pair are visited.
-	NodesProcessed int64
 	// Generated counts canonical pairs emitted.
 	Generated int64
-	// DiscardedSelf counts pairs of a string with its own EST's other
-	// orientation (or itself), which carry no clustering information. Only
-	// scheduled nodes count them, so a twin's are counted once.
-	DiscardedSelf int64
 	// DiscardedStale counts pairs suppressed by the fresh-only mode because
 	// both strings predate the current batch: their maximal common substring
 	// is a property of the two strings alone, so the pair was already
 	// generated — and judged — in the generation that introduced the younger
 	// of the two. Only scheduled nodes count them.
 	DiscardedStale int64
-	// Entries is the number of lset entries (leaves of depth >= ψ) — the
-	// generator's O(N) working set.
-	Entries int64
 }
 
 // depthCmp compares the exact LCP at leaf i of t, whose LCP bytes are lcp,
@@ -203,16 +190,7 @@ type Generator struct {
 	ii, jj     int32
 	active     bool
 
-	stats     Stats
-	generated *telemetry.Counter
-}
-
-// Observe installs (or replaces) the live counter of canonical pairs
-// emitted. A nil counter ignores updates behind an inlined nil test, so an
-// unobserved generator pays (nearly) nothing, and an observed one pays one
-// atomic add per pair (see BenchmarkNextInstrumented).
-func (g *Generator) Observe(generated *telemetry.Counter) {
-	g.generated = generated
+	stats Stats
 }
 
 // New builds a generator over the given forest. psi is the promising-pair
@@ -259,25 +237,10 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 	}
 	g.flags = make([]uint8, leaves)
 	// A node's label is a substring, so no node is deeper than the longest
-	// string is long. Every leaf is an entry but those shorter than ψ, at
-	// most ψ−w a string: the suffixes of a string's last ψ−1 characters
-	// whose buckets are the forest's, as a bucket holds every suffix of the
-	// set with its prefix.
-	g.stats.Entries = int64(leaves)
+	// string is long.
 	longest := 0
-	if len(forest) > 0 {
-		w := forest[0].Window()
-		in := make([]uint64, (suffix.NumBuckets(w)+63)/64) // the forest's buckets
-		for _, t := range forest {
-			in[t.Bucket/64] |= 1 << (t.Bucket % 64)
-		}
-		for id := 0; id < set.NumStrings(); id++ {
-			s := set.Str(seq.StringID(id))
-			longest = max(longest, len(s))
-			suffix.BucketEach(s[max(0, len(s)-psi+1):], w, func(b int, _ int32) {
-				g.stats.Entries -= int64(in[b/64] >> (b % 64) & 1)
-			})
-		}
+	for id := 0; id < set.NumStrings(); id++ {
+		longest = max(longest, len(set.Str(seq.StringID(id))))
 	}
 	byDepth := make([]int, longest+1)
 	var stack []open
@@ -285,7 +248,6 @@ func NewFresh(set *seq.SetS, forest []*suffix.Tree, psi int, fresh seq.Gen) (*Ge
 	for ti, t := range forest {
 		total += g.mask(t, g.flags[g.base[ti]:][:len(t.Refs())], &stack, byDepth)
 	}
-	g.stats.NodesProcessed += g.stats.Entries
 
 	// Counting-sort the scheduled nodes by decreasing string-depth, breaking
 	// ties by descending position in the forest. Two nodes of equal depth
@@ -333,7 +295,6 @@ func (g *Generator) mask(t *suffix.Tree, flags []uint8, stack *[]open, byDepth [
 				st = st[:len(st)-1]
 				v.below |= below
 				below = v.below
-				g.stats.NodesProcessed++
 				// Two groups pair only when their characters differ or are
 				// both λ: a range holding one non-λ character has no
 				// product. Of a twin pair, only the chosen node is scheduled.
@@ -591,7 +552,6 @@ func (g *Generator) emit(dst []Pair, want int) []Pair {
 		if p, ok := g.canonical(a, b); ok {
 			dst = append(dst, p)
 			g.stats.Generated++
-			g.generated.Inc()
 		}
 	}
 	return dst
@@ -607,7 +567,6 @@ func (g *Generator) emit(dst []Pair, want int) []Pair {
 func (g *Generator) canonical(a, b item) (Pair, bool) {
 	ea, eb := a.sid.EST(), b.sid.EST()
 	if ea == eb {
-		g.stats.DiscardedSelf++
 		return Pair{}, false
 	}
 	if eb < ea {

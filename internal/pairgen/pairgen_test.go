@@ -2,6 +2,7 @@ package pairgen
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -160,7 +161,7 @@ func TestReverseComplementPairDetected(t *testing.T) {
 	pairs := drain(g, 16)
 	found := false
 	for _, p := range pairs {
-		if p.S1 == seq.Forward(0) && p.S2 == seq.Reverse(1) {
+		if p.S1 == seq.Forward(0) && p.S2 == seq.Forward(1).Mate() {
 			found = true
 		}
 		if p.S1.IsReverse() {
@@ -198,7 +199,7 @@ func TestAnchorsAreMaximalCommonSubstrings(t *testing.T) {
 		if p.MatchLen < psi {
 			t.Fatalf("pair below threshold: %+v", p)
 		}
-		if !s1[p.Pos1 : p.Pos1+p.MatchLen].Equal(s2[p.Pos2 : p.Pos2+p.MatchLen]) {
+		if !slices.Equal(s1[p.Pos1:p.Pos1+p.MatchLen], s2[p.Pos2:p.Pos2+p.MatchLen]) {
 			t.Fatalf("anchor is not a common substring: %+v", p)
 		}
 		leftMax := p.Pos1 == 0 || p.Pos2 == 0 || s1[p.Pos1-1] != s2[p.Pos2-1]
@@ -245,9 +246,9 @@ func TestAgainstBruteForce(t *testing.T) {
 				if ff >= int32(psi) {
 					want[[2]seq.StringID{seq.Forward(seq.ESTID(i)), seq.Forward(seq.ESTID(j))}] = true
 				}
-				fr := lcsLen(set.Str(seq.Forward(seq.ESTID(i))), set.Str(seq.Reverse(seq.ESTID(j))))
+				fr := lcsLen(set.Str(seq.Forward(seq.ESTID(i))), set.Str(seq.Forward(seq.ESTID(j)).Mate()))
 				if fr >= int32(psi) {
-					want[[2]seq.StringID{seq.Forward(seq.ESTID(i)), seq.Reverse(seq.ESTID(j))}] = true
+					want[[2]seq.StringID{seq.Forward(seq.ESTID(i)), seq.Forward(seq.ESTID(j)).Mate()}] = true
 				}
 			}
 		}
@@ -353,9 +354,6 @@ func TestSelfPairsDiscarded(t *testing.T) {
 			t.Fatalf("self pair emitted: %+v", p)
 		}
 	}
-	if g.Stats().DiscardedSelf == 0 {
-		t.Error("expected self-pair discards for a self-overlapping EST")
-	}
 }
 
 func TestStatsAccounting(t *testing.T) {
@@ -375,16 +373,12 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Generated != int64(len(pairs)) {
 		t.Errorf("Generated %d != emitted %d", st.Generated, len(pairs))
 	}
-	if st.NodesProcessed == 0 || st.Entries == 0 {
-		t.Errorf("stats not counting: %+v", st)
-	}
 }
 
-// Storage must stay linear: entries == number of deep leaves, and the
-// generator holds one byte per suffix and one order entry per scheduled node —
-// nothing that grows with the pairs generated. On deep coverage most deep
-// internal nodes hold a single left character, so fewer than half of them
-// are scheduled.
+// Storage must stay linear: the generator holds one byte per suffix and one
+// order entry per scheduled node — nothing that grows with the pairs
+// generated. On deep coverage most deep internal nodes hold a single left
+// character, so fewer than half of them are scheduled.
 func TestEntriesLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	ests := randomESTs(rng, 10, 50, 80)
@@ -401,12 +395,6 @@ func TestEntriesLinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(g, 1000)
-	if g.Stats().Entries != st.Leaves {
-		t.Errorf("entries %d != deep leaves %d", g.Stats().Entries, st.Leaves)
-	}
-	if g.Stats().NodesProcessed != st.Nodes {
-		t.Errorf("nodes processed %d != nodes %d", g.Stats().NodesProcessed, st.Nodes)
-	}
 	held := cap(g.flags) + int(unsafe.Sizeof(nodeRef{}))*cap(g.order)
 	if bound := int(st.Leaves) + int(unsafe.Sizeof(nodeRef{}))*len(g.order); held > bound {
 		t.Errorf("generator holds %d bytes for %d suffixes and %d scheduled nodes, bound %d", held, st.Leaves, len(g.order), bound)
@@ -417,10 +405,36 @@ func TestEntriesLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep := g.Stats().NodesProcessed - g.Stats().Entries
+	deep := deepInternal(forest, 20)
 	if len(g.order) == 0 || 2*int64(len(g.order)) >= deep {
 		t.Errorf("%d of %d deep internal nodes scheduled on 20x coverage, want fewer than half", len(g.order), deep)
 	}
+}
+
+// deepInternal counts the internal nodes of string-depth >= psi in the
+// forest: the LCP intervals of that depth, each closed by the first LCP
+// below it.
+func deepInternal(forest []*suffix.Tree, psi int32) int64 {
+	var n int64
+	for _, t := range forest {
+		var open []int32
+		for i := 1; i <= len(t.Refs()); i++ {
+			h := int32(0)
+			if i < len(t.Refs()) {
+				h = t.LCPAt(i)
+			}
+			for len(open) > 0 && open[len(open)-1] > h {
+				if open[len(open)-1] >= psi {
+					n++
+				}
+				open = open[:len(open)-1]
+			}
+			if h > 0 && (len(open) == 0 || open[len(open)-1] < h) {
+				open = append(open, h)
+			}
+		}
+	}
+	return n
 }
 
 // allocWorkload builds n random ESTs threaded with overlaps, and their forest.

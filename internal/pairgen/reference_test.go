@@ -28,7 +28,6 @@ import (
 
 	"pace/internal/seq"
 	"pace/internal/suffix"
-	"pace/internal/telemetry"
 )
 
 // node is one GST node in the DFS-array representation (paper §3.1).
@@ -353,13 +352,11 @@ func (g *refGenerator) Next(dst []Pair, max int) []Pair {
 func (g *refGenerator) processNode(ref treeNodeRef) {
 	ts := g.trees[ref.tree]
 	t := ts.tree
-	g.stats.NodesProcessed++
 	if t.IsLeaf(ref.node) {
 		n := t.Nodes[ref.node]
 		c := leftChar(g.set, n.SID, n.Pos)
 		e := int32(len(ts.pool))
 		ts.pool = append(ts.pool, entry{sid: n.SID, pos: n.Pos, next: -1})
-		g.stats.Entries++
 		ts.lsets[ts.lsetIdx[ref.node]][c] = list{head: e, tail: e}
 		return
 	}
@@ -491,7 +488,6 @@ func (g *refGenerator) emit(dst []Pair, want int) []Pair {
 func (g *refGenerator) canonical(a, b refItem) (Pair, bool) {
 	ea, eb := a.sid.EST(), b.sid.EST()
 	if ea == eb {
-		g.stats.DiscardedSelf++
 		return Pair{}, false
 	}
 	if eb < ea {
@@ -563,16 +559,7 @@ type nodeGenerator struct {
 	ii, jj     int32
 	active     bool
 
-	stats     Stats
-	generated *telemetry.Counter
-}
-
-// Observe installs (or replaces) the live counter of canonical pairs
-// emitted. A nil counter ignores updates behind an inlined nil test, so an
-// unobserved generator pays (nearly) nothing, and an observed one pays one
-// atomic add per pair (see BenchmarkNextInstrumented).
-func (g *nodeGenerator) Observe(generated *telemetry.Counter) {
-	g.generated = generated
+	stats Stats
 }
 
 // newNodeFresh builds a generator restricted to pairs involving the current
@@ -649,7 +636,6 @@ func (g *nodeGenerator) mask(byDepth []int) (int, error) {
 			if n.RML == int32(i) {
 				b[i] = nodeLeafBit
 				if n.Depth >= g.psi {
-					g.stats.Entries++
 					if n.SID >= g.freshID {
 						b[i] |= freshBit
 					}
@@ -659,7 +645,6 @@ func (g *nodeGenerator) mask(byDepth []int) (int, error) {
 			if n.Depth < g.psi {
 				continue
 			}
-			g.stats.NodesProcessed++
 			var or uint8
 			for child := int32(i) + 1; ; child = ns[child].RML + 1 {
 				c := &ns[child]
@@ -692,7 +677,6 @@ func (g *nodeGenerator) mask(byDepth []int) (int, error) {
 			b[i] = or
 		}
 	}
-	g.stats.NodesProcessed += g.stats.Entries
 	return total, nil
 }
 
@@ -873,7 +857,6 @@ func (g *nodeGenerator) emit(dst []Pair, want int) []Pair {
 		if p, ok := g.canonical(a, b); ok {
 			dst = append(dst, p)
 			g.stats.Generated++
-			g.generated.Inc()
 		}
 	}
 	return dst
@@ -889,7 +872,6 @@ func (g *nodeGenerator) emit(dst []Pair, want int) []Pair {
 func (g *nodeGenerator) canonical(a, b item) (Pair, bool) {
 	ea, eb := a.sid.EST(), b.sid.EST()
 	if ea == eb {
-		g.stats.DiscardedSelf++
 		return Pair{}, false
 	}
 	if eb < ea {

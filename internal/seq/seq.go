@@ -125,19 +125,6 @@ func (s Sequence) ReverseComplement() Sequence {
 	return out
 }
 
-// Equal reports whether two sequences are identical.
-func (s Sequence) Equal(t Sequence) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ErrEmptySet is returned when constructing a SetS from zero ESTs.
 var ErrEmptySet = errors.New("seq: empty EST set")
 
@@ -152,9 +139,6 @@ type ESTID int32
 
 // Forward returns the StringID of EST e in forward orientation.
 func Forward(e ESTID) StringID { return StringID(2 * e) }
-
-// Reverse returns the StringID of EST e in reverse-complement orientation.
-func Reverse(e ESTID) StringID { return StringID(2*e + 1) }
 
 // EST returns the EST an s-string belongs to.
 func (id StringID) EST() ESTID { return ESTID(id / 2) }
@@ -328,10 +312,6 @@ func (s *SetS) NumESTs() int { return s.NumStrings() / 2 }
 // NumStrings returns 2n.
 func (s *SetS) NumStrings() int { return len(s.start) - 1 }
 
-// TotalChars returns N, the total number of characters across the n ESTs
-// (reverse complements not double-counted, matching the paper's N).
-func (s *SetS) TotalChars() int64 { return int64(len(s.text)-1-s.NumStrings()) / 2 }
-
 // Text returns the text, read-only: it aliases the set until the next
 // Append or Truncate.
 func (s *SetS) Text() []Code { return s.text[:len(s.text):len(s.text)] }
@@ -350,19 +330,11 @@ func (s *SetS) Locate(p int32) (StringID, int32) {
 	return id, p - s.start[id]
 }
 
-// EST returns the i-th input EST: a read-only view of the text.
-func (s *SetS) EST(e ESTID) Sequence { return s.Str(Forward(e)) }
-
 // Str returns the string with the given StringID: a read-only view of the
 // text, capped at the string's end.
 func (s *SetS) Str(id StringID) Sequence {
 	lo, hi := s.start[id], s.start[id+1]-1
 	return s.text[lo:hi:hi]
-}
-
-// Suffix returns the suffix of string id starting at pos.
-func (s *SetS) Suffix(id StringID, pos int32) Sequence {
-	return s.Str(id)[pos:]
 }
 
 // LeftChar returns the left-extension character of the suffix at position

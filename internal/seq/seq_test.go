@@ -87,7 +87,7 @@ func TestReverseComplementInvolutionProperty(t *testing.T) {
 		for i, b := range raw {
 			s[i] = Code(b % AlphabetSize)
 		}
-		return s.ReverseComplement().ReverseComplement().Equal(s)
+		return slices.Equal(s.ReverseComplement().ReverseComplement(), s)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -123,19 +123,9 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestEqual(t *testing.T) {
-	a, _ := Parse("ACGT")
-	b, _ := Parse("ACGT")
-	c, _ := Parse("ACGA")
-	d, _ := Parse("ACG")
-	if !a.Equal(b) || a.Equal(c) || a.Equal(d) {
-		t.Error("Equal misbehaves")
-	}
-}
-
 func TestStringIDMapping(t *testing.T) {
 	for e := ESTID(0); e < 100; e++ {
-		f, r := Forward(e), Reverse(e)
+		f, r := Forward(e), Forward(e).Mate()
 		if f.EST() != e || r.EST() != e {
 			t.Fatalf("EST mapping broken at %d", e)
 		}
@@ -167,16 +157,16 @@ func TestSetSBasics(t *testing.T) {
 	if s.NumESTs() != 2 || s.NumStrings() != 4 {
 		t.Fatalf("counts wrong: %d %d", s.NumESTs(), s.NumStrings())
 	}
-	if s.TotalChars() != 8 {
-		t.Errorf("N = %d, want 8", s.TotalChars())
+	if totalChars(s) != 8 {
+		t.Errorf("N = %d, want 8", totalChars(s))
 	}
-	if !s.Str(Forward(0)).Equal(e0) {
+	if !slices.Equal(s.Str(Forward(0)), e0) {
 		t.Error("forward string mismatch")
 	}
-	if got := s.Str(Reverse(0)).String(); got != "AACGT" {
+	if got := s.Str(Forward(0).Mate()).String(); got != "AACGT" {
 		t.Errorf("rc string = %q, want AACGT", got)
 	}
-	if !s.EST(1).Equal(e1) {
+	if !slices.Equal(s.Str(Forward(1)), e1) {
 		t.Error("EST accessor mismatch")
 	}
 }
@@ -194,7 +184,7 @@ func TestSetSLeftChar(t *testing.T) {
 	if s.LeftChar(at+3) != G {
 		t.Error("pos 3 left char must be G")
 	}
-	if s.LeftChar(s.Start(Reverse(0))) != Lambda {
+	if s.LeftChar(s.Start(Forward(0).Mate())) != Lambda {
 		t.Error("the reverse string's pos 0 must have left char λ")
 	}
 }
@@ -202,7 +192,13 @@ func TestSetSLeftChar(t *testing.T) {
 func TestSetSSuffix(t *testing.T) {
 	e0, _ := Parse("ACGT")
 	s, _ := NewSetS([]Sequence{e0})
-	if got := s.Suffix(Forward(0), 2).String(); got != "GT" {
+	// A suffix is a text position: the one two characters into EST 0 is
+	// located there and reads GT up to the string's end.
+	p := s.Start(Forward(0)) + 2
+	if id, pos := s.Locate(p); id != Forward(0) || pos != 2 {
+		t.Errorf("Locate(%d) = (%d, %d), want (0, 2)", p, id, pos)
+	}
+	if got := Sequence(s.Text()[p : s.Start(Forward(0).Mate())-1]).String(); got != "GT" {
 		t.Errorf("suffix = %q, want GT", got)
 	}
 }
@@ -221,7 +217,7 @@ func TestSetSOrientationConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !s.Str(Reverse(0)).Equal(e.ReverseComplement()) {
+		if !slices.Equal(s.Str(Forward(0).Mate()), e.ReverseComplement()) {
 			t.Fatal("reverse string is not the reverse complement")
 		}
 	}
@@ -286,8 +282,8 @@ func TestSetSAppendGenerations(t *testing.T) {
 	if set.NumESTs() != 5 || set.NumStrings() != 10 {
 		t.Fatalf("n = %d, 2n = %d, want 5, 10", set.NumESTs(), set.NumStrings())
 	}
-	if set.TotalChars() != 5*8 {
-		t.Fatalf("TotalChars = %d, want 40", set.TotalChars())
+	if totalChars(set) != 5*8 {
+		t.Fatalf("TotalChars = %d, want 40", totalChars(set))
 	}
 	wantGens := []Gen{0, 0, 1, 2, 2}
 	for e, g := range wantGens {
@@ -332,14 +328,14 @@ func TestSetSTruncateRollsBackAppend(t *testing.T) {
 		t.Fatalf("truncated set has n=%d 2n=%d, want %d %d",
 			set.NumESTs(), set.NumStrings(), pristine.NumESTs(), pristine.NumStrings())
 	}
-	if set.TotalChars() != pristine.TotalChars() {
-		t.Errorf("TotalChars = %d, want %d", set.TotalChars(), pristine.TotalChars())
+	if totalChars(set) != totalChars(pristine) {
+		t.Errorf("TotalChars = %d, want %d", totalChars(set), totalChars(pristine))
 	}
 	if set.NumGenerations() != pristine.NumGenerations() {
 		t.Errorf("NumGenerations = %d, want %d", set.NumGenerations(), pristine.NumGenerations())
 	}
 	for id := 0; id < set.NumStrings(); id++ {
-		if !set.Str(StringID(id)).Equal(pristine.Str(StringID(id))) {
+		if !slices.Equal(set.Str(StringID(id)), pristine.Str(StringID(id))) {
 			t.Errorf("string %d differs after rollback", id)
 		}
 	}
@@ -354,7 +350,7 @@ func TestSetSTruncateRollsBackAppend(t *testing.T) {
 	if set.NumESTs() != len(base)+len(batch) {
 		t.Errorf("NumESTs after re-Append = %d, want %d", set.NumESTs(), len(base)+len(batch))
 	}
-	if got := set.Str(Forward(ESTID(len(base)))); !got.Equal(batch[0]) {
+	if got := set.Str(Forward(ESTID(len(base)))); !slices.Equal(got, batch[0]) {
 		t.Errorf("re-appended string content differs: %v", got)
 	}
 	if set.GenStartString(g2) != Forward(ESTID(len(base))) {
@@ -378,9 +374,9 @@ func TestSetSTruncateMultipleGenerations(t *testing.T) {
 	if err := set.Truncate(1); err != nil {
 		t.Fatal(err)
 	}
-	if set.NumGenerations() != 1 || set.NumESTs() != 1 || set.TotalChars() != 8 {
+	if set.NumGenerations() != 1 || set.NumESTs() != 1 || totalChars(set) != 8 {
 		t.Errorf("after Truncate(1): gens=%d n=%d N=%d, want 1 1 8",
-			set.NumGenerations(), set.NumESTs(), set.TotalChars())
+			set.NumGenerations(), set.NumESTs(), totalChars(set))
 	}
 	if got := set.GenStart(1); got != 1 {
 		t.Errorf("GenStart(1) = %d, want 1", got)
@@ -419,14 +415,14 @@ func TestSetSAppendShortEST(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := ESTID(1)
-	if got := set.Str(Forward(short)); !got.Equal(mustParse(t, "ACG")) {
+	if got := set.Str(Forward(short)); !slices.Equal(got, mustParse(t, "ACG")) {
 		t.Errorf("short EST forward string = %v", got)
 	}
-	if got := set.Str(Reverse(short)); !got.Equal(mustParse(t, "CGT")) {
+	if got := set.Str(Forward(short).Mate()); !slices.Equal(got, mustParse(t, "CGT")) {
 		t.Errorf("short EST reverse string = %v, want CGT", got)
 	}
-	if set.TotalChars() != 12+3 {
-		t.Errorf("TotalChars = %d, want 15", set.TotalChars())
+	if totalChars(set) != 12+3 {
+		t.Errorf("TotalChars = %d, want 15", totalChars(set))
 	}
 }
 
@@ -444,13 +440,13 @@ func TestSetSAppendDuplicateAcrossBatches(t *testing.T) {
 	if set.NumESTs() != 2 {
 		t.Fatalf("NumESTs = %d, want 2", set.NumESTs())
 	}
-	if !set.EST(0).Equal(set.EST(1)) {
+	if !slices.Equal(set.Str(Forward(0)), set.Str(Forward(1))) {
 		t.Error("duplicate ESTs should compare equal")
 	}
 	if set.GenStart(1) != 1 {
 		t.Error("duplicate ESTs across batches should differ in generation")
 	}
-	if !set.Str(Reverse(0)).Equal(set.Str(Reverse(1))) {
+	if !slices.Equal(set.Str(Forward(0).Mate()), set.Str(Forward(1).Mate())) {
 		t.Error("duplicate ESTs should have equal reverse complements")
 	}
 }
@@ -479,12 +475,9 @@ func TestSetSAppendPairingInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for e := ESTID(0); int(e) < set.NumESTs(); e++ {
-			fwd, rev := set.Str(Forward(e)), set.Str(Reverse(e))
-			if !rev.Equal(fwd.ReverseComplement()) {
+			fwd, rev := set.Str(Forward(e)), set.Str(Forward(e).Mate())
+			if !slices.Equal(rev, fwd.ReverseComplement()) {
 				t.Fatalf("after batch %d: EST %d reverse string is not rc(forward)", batch, e)
-			}
-			if !fwd.Equal(set.EST(e)) {
-				t.Fatalf("after batch %d: EST %d forward string differs from EST()", batch, e)
 			}
 		}
 	}
@@ -634,9 +627,9 @@ func TestAppendTruncateRoundTrip(t *testing.T) {
 func checkLocate(t *testing.T, what string, set *SetS, ref *refSetS) {
 	t.Helper()
 	if set.NumESTs() != ref.NumESTs() || set.NumStrings() != ref.NumStrings() ||
-		set.TotalChars() != ref.TotalChars() || set.NumGenerations() != ref.NumGenerations() {
+		totalChars(set) != ref.TotalChars() || set.NumGenerations() != ref.NumGenerations() {
 		t.Fatalf("%s: n %d 2n %d N %d generations %d, oracle %d %d %d %d", what, set.NumESTs(), set.NumStrings(),
-			set.TotalChars(), set.NumGenerations(), ref.NumESTs(), ref.NumStrings(), ref.TotalChars(), ref.NumGenerations())
+			totalChars(set), set.NumGenerations(), ref.NumESTs(), ref.NumStrings(), ref.TotalChars(), ref.NumGenerations())
 	}
 	for g := Gen(0); int(g) <= set.NumGenerations(); g++ {
 		if set.GenStart(g) != ref.GenStart(g) || set.GenStartString(g) != ref.GenStartString(g) {
@@ -648,7 +641,7 @@ func checkLocate(t *testing.T, what string, set *SetS, ref *refSetS) {
 	}
 	for id := StringID(0); int(id) < set.NumStrings(); id++ {
 		s := set.Str(id)
-		if !s.Equal(ref.Str(id)) || cap(s) != len(s) || !set.EST(id.EST()).Equal(ref.EST(id.EST())) {
+		if !slices.Equal(s, ref.Str(id)) || cap(s) != len(s) || !slices.Equal(set.Str(Forward(id.EST())), ref.EST(id.EST())) {
 			t.Fatalf("%s: string %d is %v (capacity %d), oracle %v", what, id, s, cap(s), ref.Str(id))
 		}
 		for pos := int32(0); int(pos) < len(s); pos++ {
@@ -721,3 +714,7 @@ func FuzzLocate(f *testing.F) {
 		}
 	})
 }
+
+// totalChars returns N, the characters of the n ESTs, from the text's
+// layout: every string and its separator, and the leading separator.
+func totalChars(s *SetS) int64 { return int64(len(s.Text())-1-s.NumStrings()) / 2 }

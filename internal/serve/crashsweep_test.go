@@ -94,7 +94,7 @@ func TestCrashWindowSweep(t *testing.T) {
 	if err := SaveState(counter, countDir, sess, allRecs); err != nil {
 		t.Fatalf("counting pass: %v", err)
 	}
-	nops := counter.Ops()
+	nops := counter.Stats().Ops
 	if nops < 5 {
 		t.Fatalf("save issued only %d fs ops; the vfs seam lost coverage", nops)
 	}

@@ -645,69 +645,80 @@ func (m *Manager) ResumeAll() (int, error) {
 		if !ent.IsDir() {
 			continue
 		}
-		dir := filepath.Join(m.cfg.DataDir, ent.Name())
-		if _, err := os.Stat(filepath.Join(dir, FASTAFile)); errors.Is(err, os.ErrNotExist) {
-			// A created-but-never-fed session: resume it empty if it has
-			// metadata, otherwise it is not ours to manage.
-			if err := m.resumeEmpty(dir, ent.Name()); err != nil {
-				return n, err
-			}
+		ok, err := m.resume(filepath.Join(m.cfg.DataDir, ent.Name()), ent.Name())
+		if err != nil {
+			return n, err
+		}
+		if ok {
 			n++
-			continue
 		}
-		st, err := LoadState(dir, m.cfg.Options)
-		if err != nil {
-			return n, fmt.Errorf("serve: resume %s: %w", ent.Name(), err)
-		}
-		meta := st.Meta
-		if meta.ID == "" {
-			meta.ID = ent.Name()
-		}
-		if meta.Tenant == "" {
-			meta.Tenant = "default"
-		}
-		m.mu.Lock()
-		lane := m.allocLaneLocked(meta.ID)
-		m.mu.Unlock()
-		sess, err := st.Resume(m.sessionOptions(meta.ID, lane))
-		if err != nil {
-			return n, fmt.Errorf("serve: resume %s: %w", ent.Name(), err)
-		}
-		s := &session{meta: meta, dir: dir, lane: lane, sess: sess, recs: st.Recs}
-		s.publish()
-		m.mu.Lock()
-		m.sessions[meta.ID] = s
-		m.mu.Unlock()
-		m.log.Info("session resumed", "session", meta.ID, "tenant", meta.Tenant,
-			"ests", sess.NumESTs(), "batches", sess.Batches())
-		n++
 	}
 	return n, nil
 }
 
-func (m *Manager) resumeEmpty(dir, name string) error {
-	meta := Meta{ID: name, Tenant: "default"}
-	if data, err := os.ReadFile(filepath.Join(dir, MetaFile)); err == nil {
-		if err := unmarshalMeta(data, &meta); err != nil {
-			return fmt.Errorf("serve: resume %s: %w", name, err)
+// resume registers the session whose state directory is dir, named name
+// under DataDir, and reports whether there was one. A directory with an
+// EST store resumes from its state pair; one with only metadata is a
+// created-but-never-fed session and resumes empty; one with neither is not
+// ours to manage and is skipped. The session's id is its directory's name:
+// metadata naming another id, or a name Create would refuse, is an error.
+func (m *Manager) resume(dir, name string) (bool, error) {
+	var st *State
+	switch _, err := os.Stat(filepath.Join(dir, FASTAFile)); {
+	case err == nil:
+		if st, err = LoadState(dir, m.cfg.Options); err != nil {
+			return false, fmt.Errorf("serve: resume %s: %w", name, err)
 		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
+	case errors.Is(err, os.ErrNotExist):
+		st = &State{}
+		data, err := os.ReadFile(filepath.Join(dir, MetaFile))
+		if errors.Is(err, os.ErrNotExist) {
+			return false, nil
+		}
+		if err != nil {
+			return false, err
+		}
+		if err := unmarshalMeta(data, &st.Meta); err != nil {
+			return false, fmt.Errorf("serve: resume %s: %w", name, err)
+		}
+	default:
+		return false, err
+	}
+	meta := st.Meta
+	if meta.ID == "" {
+		meta.ID = name
+	}
+	if meta.ID != name {
+		return false, fmt.Errorf("serve: resume %s: metadata names session %q", dir, meta.ID)
+	}
+	if err := validateID("session id", meta.ID); err != nil {
+		return false, fmt.Errorf("serve: resume %s: %w", dir, err)
+	}
+	if meta.Tenant == "" {
+		meta.Tenant = "default"
 	}
 	m.mu.Lock()
 	lane := m.allocLaneLocked(meta.ID)
 	m.mu.Unlock()
-	sess, err := pace.NewSession(m.sessionOptions(meta.ID, lane))
-	if err != nil {
-		return err
+	opts := m.sessionOptions(meta.ID, lane)
+	var sess *pace.Session
+	var err error
+	if len(st.Recs) > 0 {
+		sess, err = st.Resume(opts)
+	} else {
+		sess, err = pace.NewSession(opts)
 	}
-	s := &session{meta: meta, dir: dir, lane: lane, sess: sess}
+	if err != nil {
+		return false, fmt.Errorf("serve: resume %s: %w", name, err)
+	}
+	s := &session{meta: meta, dir: dir, lane: lane, sess: sess, recs: st.Recs}
 	s.publish()
 	m.mu.Lock()
 	m.sessions[meta.ID] = s
 	m.mu.Unlock()
-	m.log.Info("session resumed", "session", meta.ID, "tenant", meta.Tenant, "ests", 0, "batches", 0)
-	return nil
+	m.log.Info("session resumed", "session", meta.ID, "tenant", meta.Tenant,
+		"ests", sess.NumESTs(), "batches", sess.Batches())
+	return true, nil
 }
 
 // drainCancelGrace bounds how long a drain waits, after canceling every

@@ -386,6 +386,67 @@ func TestManagerRestartResume(t *testing.T) {
 	}
 }
 
+// TestManagerResumeClaimsOnlyItsOwnDirectories: a directory under DataDir
+// with neither an EST store nor metadata (lost+found) is not a session, and
+// a session's metadata copied into another directory is refused, naming
+// that directory, instead of displacing the session it names.
+func TestManagerResumeClaimsOnlyItsOwnDirectories(t *testing.T) {
+	seed := func(t *testing.T) (Config, string) {
+		dir := t.TempDir()
+		cfg := Config{Options: testOptions(), DataDir: dir}
+		m, err := NewManager(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Create(context.Background(), "a", ""); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Add(context.Background(), "a", testCorpus(t, 20, 3, 20)[0]); err != nil {
+			t.Fatal(err)
+		}
+		return cfg, dir
+	}
+
+	t.Run("stray directory", func(t *testing.T) {
+		cfg, dir := seed(t)
+		if err := os.Mkdir(filepath.Join(dir, "lost+found"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewManager(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := m.ResumeAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if list := m.List(); n != 1 || len(list) != 1 || list[0].ID != "a" {
+			t.Fatalf("resumed %d sessions, listed %+v; want only a", n, list)
+		}
+	})
+
+	t.Run("copied metadata", func(t *testing.T) {
+		cfg, dir := seed(t)
+		data, err := os.ReadFile(filepath.Join(dir, "a", MetaFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Mkdir(filepath.Join(dir, "a-copy"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "a-copy", MetaFile), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewManager(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err = m.ResumeAll(); err == nil || !contains(err.Error(), "a-copy") {
+			t.Fatalf("got %v, want an error naming a-copy", err)
+		}
+	})
+}
+
 // TestManagerResumeDetectsMismatch desyncs a state directory both ways and
 // asserts ResumeAll fails with ErrStateMismatch naming the bad session —
 // the satellite bugfix for silently-torn -session directories.

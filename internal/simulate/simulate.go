@@ -401,12 +401,3 @@ func DivergedCopy(g Gene, rate float64, rng *rand.Rand) Gene {
 	m := Mutate(g.MRNA, rate, rng)
 	return Gene{Genomic: m.Clone(), MRNA: m, ExonBounds: [][2]int{{0, len(m)}}, SkippedExon: -1}
 }
-
-// TotalChars returns the total character count over all ESTs.
-func (b *Benchmark) TotalChars() int64 {
-	var n int64
-	for _, e := range b.ESTs {
-		n += int64(len(e))
-	}
-	return n
-}

@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pace/internal/align"
@@ -73,7 +74,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range b1.ESTs {
-		if !b1.ESTs[i].Equal(b2.ESTs[i]) || b1.Truth[i] != b2.Truth[i] {
+		if !slices.Equal(b1.ESTs[i], b2.ESTs[i]) || b1.Truth[i] != b2.Truth[i] {
 			t.Fatalf("nondeterministic at %d", i)
 		}
 	}
@@ -84,7 +85,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	same := 0
 	for i := range b1.ESTs {
-		if b1.ESTs[i].Equal(b3.ESTs[i]) {
+		if slices.Equal(b1.ESTs[i], b3.ESTs[i]) {
 			same++
 		}
 	}
@@ -133,7 +134,7 @@ func TestGeneStructure(t *testing.T) {
 			}
 			spliced = append(spliced, g.Genomic[bd[0]:bd[1]]...)
 		}
-		if !spliced.Equal(g.MRNA) {
+		if !slices.Equal(spliced, g.MRNA) {
 			t.Fatalf("gene %d: mRNA is not the exon concatenation", gi)
 		}
 	}
@@ -152,14 +153,14 @@ func TestESTsAlignToSource(t *testing.T) {
 	sc := align.DefaultScoring()
 	for i, e := range b.ESTs {
 		mrna := b.Genes[b.Truth[i]].MRNA
-		fwd := align.Local(e, mrna, sc)
-		rev := align.Local(e.ReverseComplement(), mrna, sc)
+		fwd := align.Overlap(e, mrna, sc)
+		rev := align.Overlap(e.ReverseComplement(), mrna, sc)
 		best := fwd
 		if rev.Score > best.Score {
 			best = rev
 		}
-		// A read of length L with ~1% error should locally align with
-		// score close to L*match.
+		// A read of length L with ~1% error lies within its transcript, so
+		// their overlap alignment scores close to L*match.
 		if float64(best.Score) < 0.8*float64(len(e))*float64(sc.Match) {
 			t.Fatalf("EST %d does not align to its source (score %d, len %d)", i, best.Score, len(e))
 		}
@@ -203,7 +204,7 @@ func TestMutateZeroRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := seq.Sequence{seq.A, seq.C, seq.G, seq.T}
 	m := Mutate(s, 0, rng)
-	if !m.Equal(s) {
+	if !slices.Equal(m, s) {
 		t.Error("zero-rate mutate must be identity")
 	}
 	m[0] = seq.T
@@ -250,29 +251,13 @@ func TestDivergedCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := synthesizeGene(DefaultConfig(10), rng)
 	p := DivergedCopy(g, 0.1, rng)
-	if p.MRNA.Equal(g.MRNA) {
+	if slices.Equal(p.MRNA, g.MRNA) {
 		t.Error("paralog should differ")
 	}
 	sc := align.DefaultScoring()
-	st := align.Global(g.MRNA, p.MRNA, sc)
+	st := align.Overlap(g.MRNA, p.MRNA, sc)
 	if st.Identity() < 0.75 {
 		t.Errorf("paralog diverged too far: %f", st.Identity())
-	}
-}
-
-func TestTotalChars(t *testing.T) {
-	cfg := DefaultConfig(20)
-	cfg.Seed = 10
-	b, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want int64
-	for _, e := range b.ESTs {
-		want += int64(len(e))
-	}
-	if b.TotalChars() != want {
-		t.Errorf("TotalChars %d want %d", b.TotalChars(), want)
 	}
 }
 

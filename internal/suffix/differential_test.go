@@ -19,7 +19,7 @@ import (
 // 0 for a suffix shorter than the window: the oracle for the codes the
 // partition scan writes.
 func codeOf(set *seq.SetS, w int, r SuffixRef) uint8 {
-	s := set.Suffix(r.SID, r.Pos)
+	s := set.Str(r.SID)[r.Pos:]
 	if len(s) < w {
 		return 0
 	}
@@ -235,7 +235,7 @@ func requireSameForest(t testing.TB, set *seq.SetS, what string, got []*Tree, wa
 			var want int32
 			if k > 0 {
 				p := refAt(set, g.Refs()[k-1])
-				want = lcp(set.Suffix(p.SID, p.Pos), set.Suffix(n.SID, n.Pos))
+				want = lcp(set.Str(p.SID)[p.Pos:], set.Str(n.SID)[n.Pos:])
 			}
 			if g.LCP()[k] != uint8(min(want, MaxLCP)) || g.LCPAt(k) != want {
 				t.Fatalf("%s: bucket %d suffix %d has LCP byte %d and LCP %d, want %d", what, g.Bucket, k, g.LCP()[k], g.LCPAt(k), want)
@@ -575,7 +575,7 @@ func TestPreorderLeavesAreTheSortedSuffixes(t *testing.T) {
 			for _, tr := range forest {
 				want := refsAt(set, scan.Refs(tr.Bucket))
 				sort.SliceStable(want, func(i, j int) bool {
-					return lessSuffix(set.Suffix(want[i].SID, want[i].Pos), set.Suffix(want[j].SID, want[j].Pos))
+					return lessSuffix(set.Str(want[i].SID)[want[i].Pos:], set.Str(want[j].SID)[want[j].Pos:])
 				})
 				if got := refsAt(set, tr.Refs()); !slices.Equal(got, want) {
 					t.Fatalf("%s bucket %d: suffixes %+v, sorted order %+v", what, tr.Bucket, got, want)
@@ -885,7 +885,7 @@ func TestKeySortMatchesClassPass(t *testing.T) {
 				if !slices.Equal(b.order, cb.order) || !slices.Equal(b.lcps, cb.lcps) {
 					t.Fatalf("%s: key sort emits %v with LCPs %v, class pass %v with %v", what, b.order, b.lcps, cb.order, cb.lcps)
 				}
-				suffix := func(p int32) seq.Sequence { id, pos := set.Locate(p); return set.Suffix(id, pos) }
+				suffix := func(p int32) seq.Sequence { id, pos := set.Locate(p); return set.Str(id)[pos:] }
 				for i := 1; i < g; i++ {
 					p, q := suffix(cb.order[i-1]), suffix(cb.order[i])
 					if lessSuffix(q, p) || !lessSuffix(p, q) && cb.order[i-1] > cb.order[i] {

@@ -171,6 +171,6 @@ func TestMergePartsCappedByTableSize(t *testing.T) {
 		t.Errorf("two strings into an empty table: cuts %v, want one part", got)
 	}
 	if got, want := held.mergeCuts(set, n2-2, n2, 8), []int{0, 1, 2}; !slices.Equal(got, want) {
-		t.Errorf("two strings behind %d suffixes: cuts %v, want two parts %v", held.Len(), got, want)
+		t.Errorf("two strings behind %d suffixes: cuts %v, want two parts %v", len(held.refs), got, want)
 	}
 }

@@ -167,7 +167,7 @@ func (t *nodeTree) Verify(set *seq.SetS) error {
 				return 0, fmt.Errorf("internal child %d at same depth as parent %d", c, i)
 			}
 			childPrefix := set.Str(cn.SID)[cn.Pos : cn.Pos+n.Depth]
-			if !childPrefix.Equal(label) {
+			if !slices.Equal(childPrefix, label) {
 				return 0, fmt.Errorf("child %d does not extend parent %d's label", c, i)
 			}
 			if _, err := walk(c); err != nil {
@@ -448,7 +448,7 @@ func (b *nodeBuilder) build(group []SuffixRef, depth int32) {
 // group's first suffix, and their leaves in class order. Identical suffixes
 // both end there and keep their order.
 func (b *nodeBuilder) pair(r, q SuffixRef, depth int32) {
-	rs, qs := b.set.Suffix(r.SID, r.Pos), b.set.Suffix(q.SID, q.Pos)
+	rs, qs := b.set.Str(r.SID)[r.Pos:], b.set.Str(q.SID)[q.Pos:]
 	d := depth + int32(commonPrefix(rs[depth:], qs[depth:]))
 	i := int32(len(b.slab) - b.base)
 	b.slab = append(b.slab, Node{Depth: d, RML: i + 2, SID: r.SID, Pos: r.Pos})
@@ -462,9 +462,9 @@ func (b *nodeBuilder) pair(r, q SuffixRef, depth int32) {
 // extension returns how many characters from depth on every suffix of group
 // shares with group[0]'s.
 func (b *nodeBuilder) extension(group []SuffixRef, depth int32) int32 {
-	s := b.set.Suffix(group[0].SID, group[0].Pos+depth)
+	s := b.set.Str(group[0].SID)[group[0].Pos+depth:]
 	for _, r := range group[1:] {
-		s = s[:commonPrefix(s, b.set.Suffix(r.SID, r.Pos+depth))]
+		s = s[:commonPrefix(s, b.set.Str(r.SID)[r.Pos+depth:])]
 		if len(s) == 0 {
 			break
 		}

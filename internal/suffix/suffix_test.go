@@ -295,8 +295,8 @@ func verifyTree(set *seq.SetS, tr *Tree) error {
 	}
 	for i := 1; i < len(tr.Refs()); i++ {
 		p, r := refAt(set, tr.Refs()[i-1]), refAt(set, tr.Refs()[i])
-		a, b := set.Suffix(p.SID, p.Pos), set.Suffix(r.SID, r.Pos)
-		if lessSuffix(b, a) || a.Equal(b) && (r.SID < p.SID || r.SID == p.SID && r.Pos < p.Pos) {
+		a, b := set.Str(p.SID)[p.Pos:], set.Str(r.SID)[r.Pos:]
+		if lessSuffix(b, a) || slices.Equal(a, b) && (r.SID < p.SID || r.SID == p.SID && r.Pos < p.Pos) {
 			return fmt.Errorf("suffix %d %+v sorts before suffix %d %+v", i, r, i-1, p)
 		}
 		if d := lcp(a, b); tr.LCP()[i] != uint8(min(d, MaxLCP)) || tr.LCPAt(i) != d {

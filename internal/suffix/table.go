@@ -58,9 +58,6 @@ func offsets(nb int, size func(b int) int64) ([]int32, error) {
 	return off, nil
 }
 
-// Len returns the number of suffixes in the table.
-func (t *Buckets) Len() int { return len(t.refs) }
-
 // Refs returns the positions of bucket b's suffixes, its ordered front
 // first: read-only, aliasing the table until the next Absorb or Truncate.
 func (t *Buckets) Refs(b int) []int32 {

@@ -29,9 +29,6 @@ type Tree struct {
 // Refs returns the leaves' text positions in preorder, read-only.
 func (t *Tree) Refs() []int32 { return t.table.Refs(t.Bucket) }
 
-// Window returns the width w of the bucket prefix every leaf shares.
-func (t *Tree) Window() int { return t.table.w }
-
 // LCP returns the leaves' LCP bytes, read-only: LCP()[i] is min(MaxLCP, the
 // longest common prefix of Refs()[i-1] and Refs()[i]), and LCP()[0] is 0.
 func (t *Tree) LCP() []uint8 {

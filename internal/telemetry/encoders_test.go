@@ -150,14 +150,6 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	if code != 200 || !strings.Contains(body, "pace_pairs_generated_total 1234") {
 		t.Errorf("/metrics = %d\n%s", code, body)
 	}
-	code, body = get("/debug/vars")
-	if code != 200 || !strings.Contains(body, `"pace"`) {
-		t.Errorf("/debug/vars = %d missing pace var", code)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Errorf("/debug/vars not JSON: %v", err)
-	}
 	code, _ = get("/debug/pprof/cmdline")
 	if code != 200 {
 		t.Errorf("/debug/pprof/cmdline = %d", code)

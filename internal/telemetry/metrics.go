@@ -1,9 +1,9 @@
 // Package telemetry is the pipeline-wide observability layer: a race-clean,
 // allocation-light metrics registry (counters, gauges, bounded histograms)
-// with three sinks — a Prometheus-text / expvar / pprof HTTP
-// endpoint, a Chrome trace-event writer for per-rank timelines, and a
-// machine-readable run report that prints the paper's Table-2/3-style phase
-// and load-balance breakdowns.
+// with three sinks — an HTTP endpoint serving Prometheus text and pprof, a
+// Chrome trace-event writer for per-rank timelines, and a machine-readable
+// run report that prints the paper's Table-2/3-style phase and
+// load-balance breakdowns.
 //
 // Design (after ddtxn's stats/dlog split): instrumentation points update
 // plain atomics and are safe to leave always-on; the sinks are opt-in and

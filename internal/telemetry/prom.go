@@ -3,15 +3,12 @@ package telemetry
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
-	"sync/atomic"
 	"time"
 )
 
@@ -115,37 +112,6 @@ func writeEntry(w io.Writer, e *metricEntry) error {
 	return nil
 }
 
-// expvarReg points expvar's single published "pace" var at the most recently
-// served registry (expvar.Publish panics on duplicates, so it runs once per
-// process).
-var (
-	expvarReg  atomic.Pointer[Registry]
-	expvarOnce atomic.Bool
-)
-
-func publishExpvar(r *Registry) {
-	expvarReg.Store(r)
-	if expvarOnce.CompareAndSwap(false, true) {
-		expvar.Publish("pace", expvar.Func(func() any {
-			reg := expvarReg.Load()
-			if reg == nil {
-				return nil
-			}
-			snap := reg.Snapshot()
-			keys := make([]string, 0, len(snap))
-			for k := range snap {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			ordered := make(map[string]float64, len(snap))
-			for _, k := range keys {
-				ordered[k] = snap[k]
-			}
-			return ordered
-		}))
-	}
-}
-
 // Server is a running metrics endpoint.
 type Server struct {
 	srv *http.Server
@@ -156,7 +122,6 @@ type Server struct {
 // Serve exposes the registry over HTTP on addr (e.g. "localhost:9090"):
 //
 //	/metrics        Prometheus text format
-//	/debug/vars     expvar JSON (registry snapshot under "pace")
 //	/debug/pprof/   the standard pprof handlers
 //
 // It listens immediately (so the caller learns about bad addresses) and
@@ -166,13 +131,11 @@ func Serve(addr string, r *Registry) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	publishExpvar(r)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -134,13 +134,6 @@ func (t *TraceWriter) Events() int {
 	return t.n
 }
 
-// Err returns the first write/encode error, if any.
-func (t *TraceWriter) Err() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.err
-}
-
 // Dropped returns how many events were discarded because a write/encode
 // error had already poisoned the stream (or it was closed). Callers should
 // log a non-zero count alongside Close's error instead of dropping it.

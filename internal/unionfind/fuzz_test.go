@@ -10,7 +10,7 @@ import (
 
 // FuzzUFv1 drives UnmarshalBinary with arbitrary bytes. Invariants: no
 // panic, every failure wraps ErrCorrupt, and every accepted input re-encodes
-// through MarshalBinary with the same header and parent bytes, zeroed rank
+// through AppendBinary with the same header and parent bytes, zeroed rank
 // bytes, and a partition that decodes to the input's.
 func FuzzUFv1(f *testing.F) {
 	small := New(4)
@@ -20,10 +20,10 @@ func FuzzUFv1(f *testing.F) {
 	merged.Union(1, 2)
 	merged.Union(5, 6)
 	for _, u := range []*UF{New(0), New(1), small, merged} {
-		enc, _ := u.MarshalBinary()
+		enc := u.AppendBinary(nil)
 		f.Add(enc)
 	}
-	enc, _ := merged.MarshalBinary()
+	enc := merged.AppendBinary(nil)
 	f.Add(enc[:len(enc)-3])                       // truncated mid-rank
 	f.Add(append(append([]byte{}, enc...), 0, 1)) // trailing bytes
 	f.Add([]byte("UFv2????????"))                 // wrong magic version
@@ -36,12 +36,12 @@ func FuzzUFv1(f *testing.F) {
 			}
 			return
 		}
-		got, _ := u.MarshalBinary()
-		ranks := 12 + 4*u.Len()
+		got := u.AppendBinary(nil)
+		ranks := 12 + 4*len(u.parent)
 		if !bytes.Equal(got[:ranks], b[:ranks]) {
 			t.Fatalf("header or parent bytes changed:\n in  %x\n out %x", b, got)
 		}
-		if !bytes.Equal(got[ranks:], make([]byte, u.Len())) {
+		if !bytes.Equal(got[ranks:], make([]byte, len(u.parent))) {
 			t.Fatalf("rank bytes not zeroed: %x", got[ranks:])
 		}
 		var back UF
@@ -73,7 +73,7 @@ func TestUFv1IgnoresRanks(t *testing.T) {
 	if got := u.Labels(); !slices.Equal(got, []int32{0, 1, 1, 0}) || u.Count() != 2 {
 		t.Fatalf("labels %v count %d, want [0 1 1 0] and 2", got, u.Count())
 	}
-	enc, _ := u.MarshalBinary()
+	enc := u.AppendBinary(nil)
 	if want := append(slices.Clone(byRankUFv1[:28]), 0, 0, 0, 0); !bytes.Equal(enc, want) {
 		t.Fatalf("re-encoded %x, want %x", enc, want)
 	}
@@ -87,7 +87,7 @@ func TestUFv1IgnoresRanks(t *testing.T) {
 func TestUFv1StrictLength(t *testing.T) {
 	u := New(3)
 	u.Union(0, 2)
-	enc, _ := u.MarshalBinary()
+	enc := u.AppendBinary(nil)
 
 	var dst UF
 	err := dst.UnmarshalBinary(append(append([]byte{}, enc...), 0xEE))

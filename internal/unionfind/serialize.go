@@ -45,11 +45,6 @@ func (u *UF) AppendBinary(dst []byte) []byte {
 	return append(dst, make([]byte, n)...)
 }
 
-// MarshalBinary serializes the forest.
-func (u *UF) MarshalBinary() ([]byte, error) {
-	return u.AppendBinary(make([]byte, 0, 12+5*len(u.parent))), nil
-}
-
 // UnmarshalBinary replaces u's state with the serialized forest. Corrupted or
 // truncated input, a parent chain that closes a cycle included, returns an
 // error wrapping ErrCorrupt and leaves u untouched; it never panics. It must

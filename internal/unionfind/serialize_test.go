@@ -22,17 +22,14 @@ func buildRandom(n int, seed int64) *UF {
 func TestSerializeRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 500} {
 		u := buildRandom(n, int64(n)+1)
-		data, err := u.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := u.AppendBinary(nil)
 		got := New(0)
 		if err := got.UnmarshalBinary(data); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if got.Len() != u.Len() || got.Count() != u.Count() {
+		if len(got.parent) != len(u.parent) || got.Count() != u.Count() {
 			t.Fatalf("n=%d: len/count mismatch: (%d,%d) vs (%d,%d)",
-				n, got.Len(), got.Count(), u.Len(), u.Count())
+				n, len(got.parent), got.Count(), len(u.parent), u.Count())
 		}
 		for i := 0; i < n; i++ {
 			if got.Find(int32(i)) != u.Find(int32(i)) {
@@ -84,8 +81,8 @@ func TestShardedSnapshotUFv1(t *testing.T) {
 	if err := u.UnmarshalBinary(blob); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if u.Len() != 24 || u.Count() != 8 {
-		t.Fatalf("len/count = %d/%d, want 24/8", u.Len(), u.Count())
+	if len(u.parent) != 24 || u.Count() != 8 {
+		t.Fatalf("len/count = %d/%d, want 24/8", len(u.parent), u.Count())
 	}
 	if got := u.Labels(); !slices.Equal(got, shardedUFv1Labels) {
 		t.Fatalf("labels %v, want %v", got, shardedUFv1Labels)
@@ -113,7 +110,7 @@ func TestShardedSnapshotUFv1(t *testing.T) {
 // never panic — and must leave the receiver untouched.
 func TestSerializeCorruptInput(t *testing.T) {
 	u := buildRandom(50, 9)
-	good, _ := u.MarshalBinary()
+	good := u.AppendBinary(nil)
 
 	mutate := func(name string, f func([]byte) []byte) {
 		data := f(append([]byte{}, good...))
@@ -123,7 +120,7 @@ func TestSerializeCorruptInput(t *testing.T) {
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
 		}
-		if got.Len() != 10 || got.Count() != wantCount {
+		if len(got.parent) != 10 || got.Count() != wantCount {
 			t.Errorf("%s: failed decode mutated the receiver", name)
 		}
 	}

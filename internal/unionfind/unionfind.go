@@ -27,9 +27,6 @@ func New(n int) *UF {
 	return u
 }
 
-// Len returns the number of elements.
-func (u *UF) Len() int { return len(u.parent) }
-
 // Count returns the current number of disjoint sets.
 func (u *UF) Count() int { return int(u.count.Load()) }
 
@@ -89,36 +86,17 @@ func (u *UF) Union(x, y int32) bool {
 	}
 }
 
-// Clusters materializes the current partition as a map from representative to
-// members. Member order within a cluster is ascending.
-func (u *UF) Clusters() map[int32][]int32 {
-	out := make(map[int32][]int32)
-	for i := range u.parent {
-		r := u.Find(int32(i))
-		out[r] = append(out[r], int32(i))
-	}
-	return out
-}
-
 // Labels returns, for each element, a dense cluster label in [0, Count()).
 // Labels are assigned in order of first appearance, so the output is
-// deterministic for a given structure state.
-func (u *UF) Labels() []int32 { return u.LabelsInto(nil) }
-
-// LabelsInto is Labels writing into dst (reused when its capacity suffices),
-// so per-phase label snapshots in hot loops stop allocating. It allocates
-// nothing when cap(dst) >= Len(): the dense relabeling runs in place over
-// dst using a sign-encoding pass instead of a root→label map. Pass 1 stores
-// each element's root id in dst; pass 2 walks ascending and, at the first
-// member of each set, stamps a new label (encoded negative) over the root's
-// own slot so later members find it without a map; pass 3 flips the
-// encoding.
-func (u *UF) LabelsInto(dst []int32) []int32 {
+// deterministic for a given structure state. The result is its only
+// allocation: the dense relabeling runs in place over it using a
+// sign-encoding pass instead of a root→label map. Pass 1 stores each
+// element's root id; pass 2 walks ascending and, at the first member of each
+// set, stamps a new label (encoded negative) over the root's own slot so
+// later members find it without a map; pass 3 flips the encoding.
+func (u *UF) Labels() []int32 {
 	n := len(u.parent)
-	if cap(dst) < n {
-		dst = make([]int32, n)
-	}
-	dst = dst[:n]
+	dst := make([]int32, n)
 	for i := 0; i < n; i++ {
 		dst[i] = u.Find(int32(i))
 	}

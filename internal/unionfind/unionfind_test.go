@@ -11,8 +11,8 @@ import (
 
 func TestSingletons(t *testing.T) {
 	u := New(5)
-	if u.Count() != 5 || u.Len() != 5 {
-		t.Fatalf("counts: %d %d", u.Count(), u.Len())
+	if u.Count() != 5 || len(u.parent) != 5 {
+		t.Fatalf("counts: %d %d", u.Count(), len(u.parent))
 	}
 	for i := int32(0); i < 5; i++ {
 		if u.Find(i) != i {
@@ -49,21 +49,8 @@ func TestClusters(t *testing.T) {
 	u := New(5)
 	u.Union(0, 2)
 	u.Union(3, 4)
-	cl := u.Clusters()
-	if len(cl) != 3 {
-		t.Fatalf("got %d clusters", len(cl))
-	}
-	total := 0
-	for _, members := range cl {
-		total += len(members)
-		for i := 1; i < len(members); i++ {
-			if members[i] <= members[i-1] {
-				t.Error("members not ascending")
-			}
-		}
-	}
-	if total != 5 {
-		t.Errorf("members total %d", total)
+	if got, want := u.Labels(), []int32{0, 1, 0, 2, 2}; !slices.Equal(got, want) || u.Count() != 3 {
+		t.Errorf("partition %v in %d clusters, want %v in 3", got, u.Count(), want)
 	}
 }
 
@@ -150,20 +137,15 @@ func TestCountInvariant(t *testing.T) {
 	}
 }
 
-// TestLabelsIntoReuse: LabelsInto writes into the provided buffer without
-// allocating when capacity suffices.
-func TestLabelsIntoReuse(t *testing.T) {
+// TestLabelsAllocatesOnlyItsResult: the dense relabeling runs in place over
+// the returned slice, with no root→label map.
+func TestLabelsAllocatesOnlyItsResult(t *testing.T) {
 	u := New(128)
 	for i := int32(0); i < 127; i += 3 {
 		u.Union(i, i+1)
 	}
-	buf := make([]int32, 0, 128)
-	out := u.LabelsInto(buf)
-	if &out[0] != &buf[:1][0] {
-		t.Error("LabelsInto did not reuse the buffer")
-	}
-	if allocs := testing.AllocsPerRun(20, func() { buf = u.LabelsInto(buf) }); allocs != 0 {
-		t.Errorf("LabelsInto allocated %v times with sufficient capacity", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { u.Labels() }); allocs != 1 {
+		t.Errorf("Labels allocated %v times, want 1", allocs)
 	}
 }
 

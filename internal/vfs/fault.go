@@ -133,20 +133,13 @@ func NewFaulty(under FS, plan Plan) *Faulty {
 	return &Faulty{under: under, plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
 }
 
-// Stats returns a snapshot of the fault counters.
+// Stats returns a snapshot of the fault counters. A counting pass (zero
+// plan) over a write sequence yields in Ops the op-index space a crash sweep
+// iterates over.
 func (f *Faulty) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.stats
-}
-
-// Ops returns the number of mutating operations attempted so far. A
-// counting pass (zero plan) over a write sequence yields the op-index
-// space a crash sweep iterates over.
-func (f *Faulty) Ops() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats.Ops
 }
 
 // step advances the op counter and decides this operation's fate:

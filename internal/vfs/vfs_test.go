@@ -55,7 +55,7 @@ func TestFaultyZeroPlanIsPassthrough(t *testing.T) {
 	if err := writeSequence(f, dir); err != nil {
 		t.Fatalf("writeSequence: %v", err)
 	}
-	if f.Ops() == 0 {
+	if f.Stats().Ops == 0 {
 		t.Fatal("op counter did not advance")
 	}
 	if st := f.Stats(); st.Injected != 0 || st.Crashed {
@@ -72,7 +72,7 @@ func TestCrashEveryOp(t *testing.T) {
 		if err := writeSequence(f, t.TempDir()); err != nil {
 			t.Fatalf("counting pass failed: %v", err)
 		}
-		return f.Ops()
+		return f.Stats().Ops
 	}()
 	if n < 6 {
 		t.Fatalf("sequence too short to sweep: %d ops", n)
@@ -86,8 +86,8 @@ func TestCrashEveryOp(t *testing.T) {
 		if got := f.Stats(); !got.Crashed {
 			t.Fatalf("crash at op %d: stats = %+v", k, got)
 		}
-		if f.Ops() < k {
-			t.Fatalf("crash at op %d: only %d ops attempted", k, f.Ops())
+		if f.Stats().Ops < k {
+			t.Fatalf("crash at op %d: only %d ops attempted", k, f.Stats().Ops)
 		}
 	}
 }
@@ -122,7 +122,7 @@ func TestDeterministicInjection(t *testing.T) {
 				if !errors.Is(err, ErrInjected) {
 					t.Fatalf("unexpected error class: %v", err)
 				}
-				trace = append(trace, f.Ops())
+				trace = append(trace, f.Stats().Ops)
 			} else {
 				trace = append(trace, 0)
 			}

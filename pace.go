@@ -116,8 +116,8 @@ func RegisterBuildInfo(r *MetricsRegistry) { telemetry.RegisterBuildInfo(r) }
 // NewTraceWriter starts a Chrome trace stream on w; call Close when done.
 func NewTraceWriter(w io.Writer) *TraceWriter { return telemetry.NewTraceWriter(w) }
 
-// ServeMetrics serves Prometheus text (/metrics), expvar (/debug/vars) and
-// pprof (/debug/pprof/) for the registry on addr.
+// ServeMetrics serves Prometheus text (/metrics) and pprof (/debug/pprof/)
+// for the registry on addr.
 func ServeMetrics(addr string, r *MetricsRegistry) (*MetricsServer, error) {
 	return telemetry.Serve(addr, r)
 }
@@ -266,8 +266,6 @@ type Clustering struct {
 	Labels []int
 	// NumClusters is the number of clusters found.
 	NumClusters int
-	// Clusters lists the member indices of every cluster, by label.
-	Clusters [][]int
 	// Stats carries counters and phase timings.
 	Stats Stats
 }
@@ -364,12 +362,10 @@ func convertResult(res *cluster.Result) *Clustering {
 	out := &Clustering{
 		Labels:      make([]int, len(res.Labels)),
 		NumClusters: res.NumClusters,
-		Clusters:    make([][]int, res.NumClusters),
 		Stats:       res.Stats,
 	}
 	for i, l := range res.Labels {
 		out.Labels[i] = int(l)
-		out.Clusters[l] = append(out.Clusters[l], i)
 	}
 	return out
 }

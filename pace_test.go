@@ -6,7 +6,9 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,20 +78,16 @@ func TestClusterQuickstartFlow(t *testing.T) {
 	if len(cl.Labels) != 120 {
 		t.Fatalf("labels: %d", len(cl.Labels))
 	}
-	if cl.NumClusters != len(cl.Clusters) {
-		t.Fatalf("clusters slice mismatch: %d vs %d", cl.NumClusters, len(cl.Clusters))
-	}
-	total := 0
-	for l, members := range cl.Clusters {
-		for _, m := range members {
-			if cl.Labels[m] != l {
-				t.Fatalf("member %d not labeled %d", m, l)
-			}
+	// Labels are dense: every label in [0, NumClusters) names a cluster.
+	sizes := make([]int, cl.NumClusters)
+	for i, l := range cl.Labels {
+		if l < 0 || l >= cl.NumClusters {
+			t.Fatalf("EST %d labeled %d, outside [0, %d)", i, l, cl.NumClusters)
 		}
-		total += len(members)
+		sizes[l]++
 	}
-	if total != 120 {
-		t.Fatalf("cluster membership covers %d ESTs", total)
+	if i := slices.Index(sizes, 0); i >= 0 {
+		t.Fatalf("label %d has no members", i)
 	}
 	q, err := Evaluate(cl.Labels, b.Truth)
 	if err != nil {
@@ -487,5 +485,34 @@ func TestPolyATailsHurtUntrimmed(t *testing.T) {
 	if dirty.Stats.PairsGenerated <= 3*clean.Stats.PairsGenerated/2 {
 		t.Errorf("tails did not inflate pair generation: %d vs %d",
 			dirty.Stats.PairsGenerated, clean.Stats.PairsGenerated)
+	}
+}
+
+// TestClusterAllocationsPerEST bounds what Cluster allocates per EST on
+// 2,000 singletons, where nothing aligns: the run is the suffix table, the
+// forest and the generators, whose storage is a few arrays per run, so the
+// allocations per EST stay a small fraction of one. Building anything per
+// cluster or per EST, such as a member list for each of the 2,000 clusters,
+// breaks the bound.
+func TestClusterAllocationsPerEST(t *testing.T) {
+	const n = 2000
+	b, err := Simulate(SimOptions{NumESTs: n, NumGenes: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cl, err := Cluster(b.ESTs, DefaultOptions())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.NumClusters < n*9/10 {
+		t.Fatalf("%d clusters of %d ESTs: the input is not mostly singletons", cl.NumClusters, n)
+	}
+	per := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.3f allocations per EST, %d clusters", per, cl.NumClusters)
+	if per > 0.2 {
+		t.Errorf("Cluster allocated %.3f times per EST on %d singletons, want <= 0.2", per, n)
 	}
 }

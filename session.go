@@ -65,7 +65,7 @@ func NewSession(opt Options) (*Session, error) {
 }
 
 // ResumeSession rebuilds a session from previously clustered ESTs and their
-// saved labels (e.g. SaveCheckpoint + LoadCheckpoint + ResumeLabels) without
+// saved labels (e.g. SaveCheckpointFS + LoadCheckpoint + ResumeLabels) without
 // re-clustering them: the next Add is incremental from the start, and sorts
 // the saved ESTs' suffix table once before it runs.
 func ResumeSession(opt Options, ests []string, labels []int) (*Session, error) {
@@ -230,8 +230,8 @@ func (s *Session) Labels() []int {
 }
 
 // Clustering returns the result of the most recent Add (nil before any).
-// Its Labels and Clusters cover every EST the session holds; its Stats
-// cover only the latest batch's run.
+// Its Labels cover every EST the session holds; its Stats cover only the
+// latest batch's run.
 func (s *Session) Clustering() *Clustering { return s.last }
 
 // NumESTs reports how many ESTs the session holds.
@@ -245,17 +245,11 @@ func (s *Session) NumESTs() int {
 // Batches reports how many batches have been ingested via Add.
 func (s *Session) Batches() int { return s.batches }
 
-// SaveCheckpoint persists the session's current partition to
-// dir/pace.ckpt using the engine's checkpoint format (atomic replace,
-// CRC-verified). Reload with LoadCheckpoint and re-enter with
-// ResumeSession(opt, ests, ResumeLabels(ck)).
-func (s *Session) SaveCheckpoint(dir string) error {
-	return s.SaveCheckpointFS(vfs.OS{}, dir)
-}
-
-// SaveCheckpointFS is SaveCheckpoint writing through an explicit filesystem
-// seam, so servers (and chaos tests) can route the snapshot through a
-// fault-injecting vfs.FS.
+// SaveCheckpointFS persists the session's current partition to
+// dir/pace.ckpt through fsys (OSFS for the real disk) using the engine's
+// checkpoint format (atomic replace, CRC-verified). Reload with
+// LoadCheckpoint and re-enter with ResumeSession(opt, ests,
+// ResumeLabels(ck)).
 func (s *Session) SaveCheckpointFS(fsys vfs.FS, dir string) error {
 	if s.set == nil {
 		return fmt.Errorf("pace: session holds no ESTs")

@@ -346,7 +346,7 @@ func TestSessionAddCheckpointFailureRollsBack(t *testing.T) {
 	}
 }
 
-// TestSessionCheckpointResume round-trips a session through SaveCheckpoint /
+// TestSessionCheckpointResume round-trips a session through SaveCheckpointFS /
 // LoadCheckpoint / ResumeSession and checks the resumed session's next batch
 // still matches a from-scratch run over the union.
 func TestSessionCheckpointResume(t *testing.T) {
@@ -362,8 +362,8 @@ func TestSessionCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := sess.SaveCheckpoint(dir); err != nil {
-		t.Fatalf("SaveCheckpoint: %v", err)
+	if err := sess.SaveCheckpointFS(OSFS(), dir); err != nil {
+		t.Fatalf("SaveCheckpointFS: %v", err)
 	}
 
 	ck, err := LoadCheckpoint(dir)
@@ -431,8 +431,8 @@ func TestSessionEmptyStates(t *testing.T) {
 	if _, err := sess.Add(nil); err == nil {
 		t.Error("Add(nil): want error")
 	}
-	if err := sess.SaveCheckpoint(t.TempDir()); err == nil {
-		t.Error("SaveCheckpoint before first Add: want error")
+	if err := sess.SaveCheckpointFS(OSFS(), t.TempDir()); err == nil {
+		t.Error("SaveCheckpointFS before first Add: want error")
 	}
 }
 
