@@ -19,42 +19,22 @@ import (
 	"time"
 
 	"pace/internal/align"
+	"pace/internal/cluster"
 	"pace/internal/pairgen"
 	"pace/internal/seq"
 	"pace/internal/suffix"
 	"pace/internal/unionfind"
 )
 
-// Options configures the baselines; zero values take the listed defaults.
+// Options configures a baseline run. Window, ψ, scoring, acceptance
+// criteria and band are the engine's (cluster.DefaultConfig), so the
+// comparators differ from PaCE only in pair order and aligner.
 type Options struct {
-	Window   int            // bucket width for the pair generator (default 6)
-	Psi      int            // promising-pair threshold (default 20)
-	Scoring  align.Scoring  // alignment scores (default align.DefaultScoring)
-	Criteria align.Criteria // acceptance rule (default align.DefaultCriteria)
-	Band     int            // band half-width for ArbitraryOrder (default 12)
-	Seed     int64          // shuffle seed
-	// MemoryBudgetPairs aborts AllPairs when the materialized pair list
+	Seed int64 // shuffle seed
+	// MemoryBudgetPairs aborts a run when the materialized pair list
 	// exceeds this count (0 = unlimited) — modeling Table 1's 'X' entries
 	// where 512 MB was insufficient.
 	MemoryBudgetPairs int64
-}
-
-func (o *Options) fill() {
-	if o.Window == 0 {
-		o.Window = 6
-	}
-	if o.Psi == 0 {
-		o.Psi = 20
-	}
-	if o.Scoring == (align.Scoring{}) {
-		o.Scoring = align.DefaultScoring()
-	}
-	if o.Criteria == (align.Criteria{}) {
-		o.Criteria = align.DefaultCriteria()
-	}
-	if o.Band == 0 {
-		o.Band = 12
-	}
 }
 
 // Result is a baseline run's outcome.
@@ -80,15 +60,15 @@ type Result struct {
 
 // generateAll drains the suffix-tree pair generator into one list — the
 // batch architecture's memory-intensive phase.
-func generateAll(set *seq.SetS, opts Options) ([]pairgen.Pair, bool, error) {
+func generateAll(set *seq.SetS, cfg cluster.Config, budget int64) ([]pairgen.Pair, bool, error) {
 	hi := seq.StringID(set.NumStrings())
-	owner := suffix.Assign(suffix.Histogram(set, opts.Window, 0, hi), 1)
-	byBucket := suffix.CollectOwned(set, opts.Window, owner, 0, 0, hi)
+	owner := suffix.Assign(suffix.Histogram(set, cfg.Window, 0, hi), 1)
+	byBucket := suffix.CollectOwned(set, cfg.Window, owner, 0, 0, hi)
 	forest, err := suffix.BuildBuckets(set, byBucket, byBucket.NonEmpty(), 1)
 	if err != nil {
 		return nil, false, err
 	}
-	gen, err := pairgen.NewFresh(set, forest, opts.Psi, 0)
+	gen, err := pairgen.NewFresh(set, forest, cfg.Psi, 0)
 	if err != nil {
 		return nil, false, err
 	}
@@ -99,22 +79,26 @@ func generateAll(set *seq.SetS, opts Options) ([]pairgen.Pair, bool, error) {
 		if len(all) == n {
 			return all, false, nil
 		}
-		if opts.MemoryBudgetPairs > 0 && int64(len(all)) > opts.MemoryBudgetPairs {
+		if budget > 0 && int64(len(all)) > budget {
 			return all, true, nil
 		}
 	}
 }
 
-// AllPairs is the batch comparator: materialize all pairs, then align each
-// surviving pair with full overlap dynamic programming.
-func AllPairs(ests []seq.Sequence, opts Options) (*Result, error) {
-	opts.fill()
+// aligner aligns one pair of strings; p locates the pair's maximal common
+// substring for an anchored aligner.
+type aligner func(s1, s2 seq.Sequence, p pairgen.Pair) (align.Result, error)
+
+// run is the comparators' one pipeline: materialize every pair, shuffle the
+// list with the seed, and align each pair whose ESTs are not yet joined,
+// joining them when the alignment passes cfg's criteria.
+func run(ests []seq.Sequence, opts Options, cfg cluster.Config, aln aligner) (*Result, error) {
 	start := time.Now()
 	set, err := seq.NewSetS(ests)
 	if err != nil {
 		return nil, err
 	}
-	pairs, oom, err := generateAll(set, opts)
+	pairs, oom, err := generateAll(set, cfg, opts.MemoryBudgetPairs)
 	if err != nil {
 		return nil, err
 	}
@@ -136,9 +120,12 @@ func AllPairs(ests []seq.Sequence, opts Options) (*Result, error) {
 		if uf.Same(int32(i), int32(j)) {
 			continue
 		}
-		ov := align.Overlap(set.Str(p.S1), set.Str(p.S2), opts.Scoring)
+		r, err := aln(set.Str(p.S1), set.Str(p.S2), p)
+		if err != nil {
+			return nil, err
+		}
 		res.PairsProcessed++
-		if (align.Result{Stats: ov.Stats, Pattern: ov.Pattern}).Accept(opts.Scoring, opts.Criteria) {
+		if r.Accept(cfg.Scoring, cfg.Criteria) {
 			res.PairsAccepted++
 			uf.Union(int32(i), int32(j))
 		}
@@ -149,53 +136,25 @@ func AllPairs(ests []seq.Sequence, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// AllPairs is the batch comparator: materialize all pairs, then align each
+// surviving pair with full overlap dynamic programming.
+func AllPairs(ests []seq.Sequence, opts Options) (*Result, error) {
+	cfg := cluster.DefaultConfig(1)
+	return run(ests, opts, cfg, func(s1, s2 seq.Sequence, _ pairgen.Pair) (align.Result, error) {
+		ov := align.Overlap(s1, s2, cfg.Scoring)
+		return align.Result{Stats: ov.Stats, Pattern: ov.Pattern}, nil
+	})
+}
+
 // ArbitraryOrder is the pair-order ablation: PaCE's generator and anchored
 // banded aligner, but pairs shuffled before processing.
 func ArbitraryOrder(ests []seq.Sequence, opts Options) (*Result, error) {
-	opts.fill()
-	start := time.Now()
-	set, err := seq.NewSetS(ests)
+	cfg := cluster.DefaultConfig(1)
+	ext, err := align.NewExtender(cfg.Scoring, cfg.Band)
 	if err != nil {
 		return nil, err
 	}
-	pairs, oom, err := generateAll(set, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		PairsMaterialized: int64(len(pairs)),
-		PairBytes:         20 * int64(len(pairs)),
-	}
-	if oom {
-		res.OutOfMemory = true
-		res.Elapsed = time.Since(start)
-		return res, nil
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
-
-	ext, err := align.NewExtender(opts.Scoring, opts.Band)
-	if err != nil {
-		return nil, err
-	}
-	uf := unionfind.New(set.NumESTs())
-	for _, p := range pairs {
-		i, j := p.ESTs()
-		if uf.Same(int32(i), int32(j)) {
-			continue
-		}
-		r, err := ext.Extend(set.Str(p.S1), set.Str(p.S2), p.Pos1, p.Pos2, p.MatchLen)
-		if err != nil {
-			return nil, err
-		}
-		res.PairsProcessed++
-		if r.Accept(opts.Scoring, opts.Criteria) {
-			res.PairsAccepted++
-			uf.Union(int32(i), int32(j))
-		}
-	}
-	res.Labels = uf.Labels()
-	res.NumClusters = uf.Count()
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return run(ests, opts, cfg, func(s1, s2 seq.Sequence, p pairgen.Pair) (align.Result, error) {
+		return ext.Extend(s1, s2, p.Pos1, p.Pos2, p.MatchLen)
+	})
 }

@@ -19,7 +19,6 @@ import (
 
 	"pace/internal/align"
 	"pace/internal/mp"
-	"pace/internal/seq"
 	"pace/internal/suffix"
 	"pace/internal/telemetry"
 	"pace/internal/vfs"
@@ -71,17 +70,6 @@ type Config struct {
 	// start merged, so pairs inside old clusters are skipped rather than
 	// re-aligned. Entries < 0 are unconstrained.
 	InitialLabels []int32
-
-	// FreshGen, when > 0, restricts the run to the pairs a new batch can
-	// affect: only strings of generation >= FreshGen (see seq.SetS.Append)
-	// count as fresh, buckets no fresh suffix falls into are skipped
-	// entirely, and old×old pairs inside rebuilt buckets are suppressed.
-	// A pair's maximal common substring is a property of the two strings
-	// alone, so every suppressed pair was generated — and judged — by the
-	// run that introduced the younger of its strings; with InitialLabels
-	// seeding that run's partition, the final clusters equal a from-scratch
-	// run over the whole set. 0 (the default) clusters everything.
-	FreshGen seq.Gen
 
 	// Cache, when non-nil, carries the sorted suffix table across the
 	// sequential runs of a session: a batch's suffixes are merged in as it
@@ -233,9 +221,6 @@ func (c Config) Validate() error {
 	if c.Band < 1 {
 		return fmt.Errorf("cluster: Band must be >= 1")
 	}
-	if c.FreshGen < 0 {
-		return fmt.Errorf("cluster: FreshGen must be >= 0")
-	}
 	if c.Cache != nil && c.MP.Procs != 1 {
 		return fmt.Errorf("cluster: Cache requires the sequential engine (MP.Procs == 1)")
 	}
@@ -297,15 +282,22 @@ type PhaseTimes struct {
 // Stats aggregates a run's counters (the series of Figure 7 among them).
 type Stats struct {
 	// PairsGenerated counts canonical promising pairs produced by the
-	// generators.
+	// generators. A parallel run sums the PerRank rows that reached the
+	// master, so it omits what a lost slave generated, even one that died
+	// only on its final report.
 	PairsGenerated int64
-	// PairsProcessed counts alignments actually computed.
+	// PairsProcessed counts alignments actually computed. A parallel run
+	// counts the verdicts the master received, so a lost final report
+	// changes nothing; a verdict a slave computed but never delivered is
+	// not counted, and its pair is aligned again by a survivor.
 	PairsProcessed int64
-	// PairsAccepted counts alignments passing the merge criteria.
+	// PairsAccepted counts alignments passing the merge criteria, from the
+	// same verdicts as PairsProcessed.
 	PairsAccepted int64
 	// PairsSkipped counts pairs pruned because their ESTs already shared
 	// a cluster: at the master on enqueue or dispatch, at a slave on its
-	// replica union-find's word.
+	// replica union-find's word. Like PairsGenerated it sums the PerRank
+	// rows that arrived.
 	PairsSkipped int64
 	// Merges counts union operations that actually joined two clusters.
 	Merges int64
@@ -337,7 +329,8 @@ type Stats struct {
 	// Recovery tallies fault-recovery and checkpoint activity.
 	Recovery RecoveryStats
 	// Incremental tallies batch-ingest activity: always on the sequential
-	// engine (a one-shot run rebuilds every bucket), with FreshGen otherwise.
+	// engine (a one-shot run rebuilds every bucket), on the parallel one
+	// when the set holds more than one generation.
 	Incremental IncrementalStats
 }
 
@@ -364,7 +357,8 @@ type IncrementalStats struct {
 // RecoveryStats counts what the fault-tolerance machinery did during a run.
 type RecoveryStats struct {
 	// RanksLost is the number of slave ranks that died mid-protocol and
-	// were recovered from.
+	// were recovered from. A slave that dies after its protocol work, on
+	// its final report, is not counted, though PerRank shows it as "lost".
 	RanksLost int64
 	// GrantsReclaimed counts outstanding WORKBUF grant slots returned by
 	// dead slaves.

@@ -146,7 +146,7 @@ func setUp(set *seq.SetS, cfg Config, table *suffix.Buckets, ids []int32, worker
 	gens = make([]*pairgen.Generator, len(cuts)-1)
 	err = fanout.Run(len(gens), func(k int) error {
 		var err error
-		gens[k], err = pairgen.NewFresh(set, forest[cuts[k]:cuts[k+1]], cfg.Psi, cfg.FreshGen)
+		gens[k], err = pairgen.NewFresh(set, forest[cuts[k]:cuts[k+1]], cfg.Psi, freshGen(set))
 		return err
 	})
 	return gens, t1 - t0, clk() - t1, err
@@ -233,7 +233,7 @@ func runSequential(set *seq.SetS, cfg Config, workers int) (*Result, error) {
 		stale += w.gen.Stats().DiscardedStale
 		st.Phases.Align = max(st.Phases.Align, w.align)
 	}
-	if cfg.FreshGen > 0 {
+	if freshGen(set) > 0 {
 		st.Incremental.FreshPairs = st.PairsGenerated
 		st.Incremental.StaleSuppressed = stale
 	}
@@ -436,7 +436,8 @@ func prologue(set *seq.SetS, cfg Config, c *mp.Comm) ([]int32, []int64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.FreshGen == 0 {
+	fg := freshGen(set)
+	if fg == 0 {
 		return suffix.Assign(global, slaves), global, nil
 	}
 	// Incremental run: only buckets the fresh batch touches get an owner —
@@ -444,7 +445,7 @@ func prologue(set *seq.SetS, cfg Config, c *mp.Comm) ([]int32, []int64, error) {
 	// suffix falls into, so untouched buckets are neither collected nor
 	// rebuilt. Every rank holds the batch and counts it itself, so all
 	// derive the same owners.
-	fresh := suffix.Histogram(set, cfg.Window, set.GenStartString(cfg.FreshGen), seq.StringID(set.NumStrings()))
+	fresh := suffix.Histogram(set, cfg.Window, set.GenStartString(fg), seq.StringID(set.NumStrings()))
 	return suffix.AssignFresh(global, fresh, slaves), global, nil
 }
 
@@ -457,7 +458,8 @@ func fillComm(rs *RankStats, s mp.CommStats) {
 }
 
 // addRank folds one rank's row into the run's totals — each phase is the
-// maximum over ranks, each counter the sum — and appends it to PerRank.
+// maximum over ranks, each counter the sum — and appends it to PerRank. The
+// processed and accepted totals are the master's verdict counts, not sums.
 func (st *Stats) addRank(rs RankStats) {
 	st.Phases.Partition = max(st.Phases.Partition, rs.Partition)
 	st.Phases.Construct = max(st.Phases.Construct, rs.Construct)
@@ -465,8 +467,6 @@ func (st *Stats) addRank(rs RankStats) {
 	st.Phases.Align = max(st.Phases.Align, rs.Align)
 	st.Phases.Total = max(st.Phases.Total, rs.Total)
 	st.PairsGenerated += rs.PairsGenerated
-	st.PairsProcessed += rs.PairsProcessed
-	st.PairsAccepted += rs.PairsAccepted
 	st.PairsSkipped += rs.PairsSkipped
 	st.Incremental.StaleSuppressed += rs.StaleSuppressed
 	st.PerRank = append(st.PerRank, rs)

@@ -10,12 +10,14 @@ import (
 
 // Incremental batch ingest: the session layer appends a batch of ESTs to a
 // SetS (a new generation), seeds the union-find with the previous partition
-// (Config.InitialLabels), and re-runs the pipeline with Config.FreshGen set.
-// Only the buckets the batch's suffixes fall into are (re)built, and inside
-// them only pairs involving a fresh string are generated; a pair's maximal
-// common substring depends on the two strings alone, so every suppressed
-// old×old pair was already produced and judged by an earlier run, and the
-// final partition is identical to a from-scratch run over the union.
+// (Config.InitialLabels), and re-runs the pipeline on the set. A run's fresh
+// generation is the set's newest (freshGen); a set of one generation is a
+// full run. Only the buckets the batch's suffixes fall into are (re)built,
+// and inside them only pairs involving a fresh string are generated; a
+// pair's maximal common substring depends on the two strings alone, so
+// every suppressed old×old pair was already produced and judged by an
+// earlier run, and the final partition is identical to a from-scratch run
+// over the union.
 
 // BucketCache carries the suffix table across the sequential runs of a
 // session: every suffix seen so far in one suffix.Buckets, each bucket in
@@ -84,22 +86,16 @@ func (bc *BucketCache) Warm(set *seq.SetS, w int) error {
 }
 
 // sequentialTable is the sequential engine's partition phase. It lays out
-// the strings the bucket table has not seen and returns the table and the
-// ids, ascending, of the buckets they touched — the buckets to order and
-// read. Without a Cache the table is run-local: it first absorbs the strings
-// before FreshGen, so the second absorb touches exactly the buckets the
-// fresh generations reach (every non-empty bucket in a one-shot run,
-// FreshGen == 0). An untouched bucket cannot contain a fresh pair, so it is
-// never ordered.
+// the strings the bucket table has not seen — every string without a Cache —
+// and returns the table and the ids, ascending, of the buckets they touched:
+// the buckets to order and read. A bucket the fresh strings do not touch
+// cannot contain a fresh pair, so it is never ordered; in a run-local table
+// every non-empty bucket is touched, and the generator's fresh threshold
+// alone keeps old×old pairs out.
 func sequentialTable(set *seq.SetS, cfg Config) (*suffix.Buckets, []int32, error) {
 	bc := cfg.Cache
 	if bc == nil {
-		bc = &BucketCache{w: cfg.Window, table: suffix.NewBuckets(cfg.Window)}
-		if old := set.GenStartString(cfg.FreshGen); old > 0 {
-			if _, err := bc.absorb(set, cfg.Window, old); err != nil {
-				return nil, nil, err
-			}
-		}
+		bc = NewBucketCache()
 	}
 	touched, err := bc.absorb(set, cfg.Window, seq.StringID(set.NumStrings()))
 	if err != nil {
@@ -107,6 +103,10 @@ func sequentialTable(set *seq.SetS, cfg Config) (*suffix.Buckets, []int32, error
 	}
 	return bc.table, touched, nil
 }
+
+// freshGen is the run's fresh generation: the set's newest. Only pairs with
+// a string of that generation are generated; 0 means every pair.
+func freshGen(set *seq.SetS) seq.Gen { return seq.Gen(set.NumGenerations() - 1) }
 
 func nonEmptyBuckets(hist []int64) int64 {
 	var n int64
@@ -137,18 +137,16 @@ func CheckpointFromLabels(numESTs, window, psi int, labels []int32) (*Checkpoint
 
 // RunSet clusters a prebuilt SetS. It is Run for callers that manage the
 // sequence set themselves — a session appending generations between runs —
-// and the entry point that understands Config.FreshGen / Config.Cache.
+// and the entry point that understands Config.Cache. Only pairs involving
+// the set's newest generation are generated (freshGen).
 func RunSet(set *seq.SetS, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if int(cfg.FreshGen) >= set.NumGenerations() {
-		return nil, fmt.Errorf("cluster: FreshGen %d out of range for %d generations", cfg.FreshGen, set.NumGenerations())
-	}
-	if cfg.Cache != nil && cfg.FreshGen == 0 && cfg.Cache.scanned > 0 {
+	if cfg.Cache != nil && freshGen(set) == 0 && cfg.Cache.scanned > 0 {
 		// A full run over a warm cache would hand the generator only the
 		// touched buckets and silently drop every pair in the rest.
-		return nil, fmt.Errorf("cluster: full run (FreshGen == 0) over a non-empty cache; set FreshGen to the batch generation")
+		return nil, fmt.Errorf("cluster: full run over a non-empty cache; append the batch to the set as a new generation")
 	}
 	if cfg.MP.Procs == 1 {
 		return runSequential(set, cfg, rankWorkers(cfg))

@@ -44,13 +44,11 @@ func TestRunSetIncrementalEquivalence(t *testing.T) {
 		t.Fatalf("cache scanned %d strings, want %d", int(cache.scanned), 2*cut)
 	}
 
-	gen, err := set.Append(b.ESTs[cut:])
-	if err != nil {
+	if _, err := set.Append(b.ESTs[cut:]); err != nil {
 		t.Fatal(err)
 	}
 	c2 := cfg
 	c2.Cache = cache
-	c2.FreshGen = gen
 	c2.InitialLabels = r1.Labels
 	r2, err := RunSet(set, c2)
 	if err != nil {
@@ -86,12 +84,13 @@ func TestRunSetIncrementalEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunSetFreshWithoutCache: a fresh-only run (FreshGen > 0) with no
-// Cache collects into a run-local table, absorbing the older strings first.
-// It must touch exactly the buckets the cached run rebuilds, so its labels,
-// pair counters and Stats.Incremental equal the cached run's. The two fresh
-// runs are pinned to one worker, where the processed, accepted and skipped
-// counts do not depend on scheduling.
+// TestRunSetFreshWithoutCache: a fresh-only run with no Cache collects every
+// string into a run-local table and orders every non-empty bucket, and the
+// generator's fresh threshold alone keeps old×old pairs out. Its labels,
+// pair counters, fresh pairs and suppressed stale pairs must equal the
+// cached run's, which orders only the buckets the batch touches. The two
+// fresh runs are pinned to one worker, where the processed, accepted and
+// skipped counts do not depend on scheduling.
 func TestRunSetFreshWithoutCache(t *testing.T) {
 	b := benchSet(t, 60, 4, 13)
 	cfg := DefaultConfig(1)
@@ -109,13 +108,11 @@ func TestRunSetFreshWithoutCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := set.Append(b.ESTs[cut:])
-	if err != nil {
+	if _, err := set.Append(b.ESTs[cut:]); err != nil {
 		t.Fatal(err)
 	}
 
 	fresh := cfg
-	fresh.FreshGen = gen
 	fresh.InitialLabels = r1.Labels
 	cached := fresh
 	cached.Cache = cache
@@ -138,8 +135,13 @@ func TestRunSetFreshWithoutCache(t *testing.T) {
 			gs.PairsGenerated, gs.PairsProcessed, gs.PairsAccepted, gs.PairsSkipped, gs.Merges,
 			ws.PairsGenerated, ws.PairsProcessed, ws.PairsAccepted, ws.PairsSkipped, ws.Merges)
 	}
-	if gs.Incremental != ws.Incremental {
-		t.Errorf("Stats.Incremental %+v, cached run %+v", gs.Incremental, ws.Incremental)
+	gi, wi := gs.Incremental, ws.Incremental
+	if gi.BucketsReused != 0 {
+		t.Errorf("cache-less run reused %d buckets, want 0", gi.BucketsReused)
+	}
+	if gi.FreshPairs != wi.FreshPairs || gi.StaleSuppressed != wi.StaleSuppressed {
+		t.Errorf("fresh/stale pairs %d/%d, cached run %d/%d",
+			gi.FreshPairs, gi.StaleSuppressed, wi.FreshPairs, wi.StaleSuppressed)
 	}
 	if ws.Incremental.BucketsRebuilt <= 0 || ws.Incremental.BucketsReused <= 0 {
 		t.Errorf("cached run rebuilt %d and reused %d buckets, want both > 0",
@@ -158,23 +160,11 @@ func TestRunSetGuards(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Window, cfg.Psi = 6, 18
 
-	bad := cfg
-	bad.FreshGen = seq.Gen(set.NumGenerations())
-	if _, err := RunSet(set, bad); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("FreshGen == NumGenerations: got %v, want out-of-range error", err)
-	}
-
-	bad = cfg
-	bad.FreshGen = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("FreshGen < 0: want Validate error")
-	}
-
 	cache := NewBucketCache()
 	if err := cache.Warm(set, cfg.Window); err != nil {
 		t.Fatal(err)
 	}
-	bad = cfg
+	bad := cfg
 	bad.Cache = cache
 	if _, err := RunSet(set, bad); err == nil || !strings.Contains(err.Error(), "non-empty cache") {
 		t.Errorf("full run over warm cache: got %v, want rejection", err)
@@ -253,7 +243,6 @@ func TestBucketCacheTruncateRollsBackAbsorb(t *testing.T) {
 	}
 	c2 := cfg
 	c2.Cache = cache
-	c2.FreshGen = gen
 	c2.InitialLabels = r1.Labels
 	r2, err := RunSet(set, c2)
 	if err != nil {
@@ -286,7 +275,6 @@ func TestBucketCacheTruncateRollsBackAbsorb(t *testing.T) {
 	}
 	c3 := cfg
 	c3.Cache = cache
-	c3.FreshGen = gen2
 	c3.InitialLabels = r1.Labels
 	r3, err := RunSet(set, c3)
 	if err != nil {
@@ -477,12 +465,11 @@ func checkWorkerCounts(t *testing.T, ests []seq.Sequence, cfg Config) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen, err := set.Append(ests[cut:])
-		if err != nil {
+		if _, err := set.Append(ests[cut:]); err != nil {
 			t.Fatal(err)
 		}
 		c2 := c1
-		c2.FreshGen, c2.InitialLabels = gen, r1.Labels
+		c2.InitialLabels = r1.Labels
 		r2, err := runSequential(set, c2, workers)
 		if err != nil {
 			t.Fatal(err)

@@ -120,7 +120,7 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 
 	res := &Result{}
 	st := &res.Stats
-	if cfg.FreshGen > 0 {
+	if freshGen(set) > 0 {
 		var rebuilt int64
 		for b, h := range global {
 			if h > 0 && owner[b] >= 0 {
@@ -182,7 +182,7 @@ func runMaster(set *seq.SetS, cfg Config, c *mp.Comm) (*Result, error) {
 	if err := m.collect(mine); err != nil {
 		return nil, err
 	}
-	if cfg.FreshGen > 0 {
+	if freshGen(set) > 0 {
 		st.Incremental.FreshPairs = st.PairsGenerated
 		pr.recordIncremental(st.Incremental)
 	}
@@ -224,11 +224,8 @@ type master struct {
 	// ownership contract (copy-on-send) makes the reuse safe, so the
 	// master's steady state allocates nothing per interaction.
 	wire []byte
-	// skipped counts the pairs the master dropped as already joined;
-	// processed and accepted mirror the slaves' counters from the verdict
-	// stream for checkpointing (the authoritative per-rank totals arrive
-	// with the final reports).
-	skipped, processed, accepted int64
+	// skipped counts the pairs the master dropped as already joined.
+	skipped int64
 }
 
 // step waits for the next slave event — a report or a slave's death — and
@@ -323,12 +320,14 @@ func (m *master) onReport(msg mp.Msg) error {
 
 // merge unions each accepted verdict into the master's union-find, logging
 // every union that joins two clusters as a spanning edge for the replicas.
+// The verdicts are the run's processed and accepted totals: a slave's final
+// report, which may be lost, carries only its own copy of them.
 func (m *master) merge(results []alignResult) {
 	for _, r := range results {
 		if !r.accepted {
 			continue
 		}
-		m.accepted++
+		m.st.PairsAccepted++
 		if m.uf.Union(int32(r.estI), int32(r.estJ)) {
 			m.st.Merges++
 			if m.cfg.SkipSameCluster {
@@ -336,7 +335,7 @@ func (m *master) merge(results []alignResult) {
 			}
 		}
 	}
-	m.processed += int64(len(results))
+	m.st.PairsProcessed += int64(len(results))
 }
 
 // admit appends a report's pairs to WORKBUF, less those already joined, and
@@ -356,7 +355,7 @@ func (m *master) admit(pairs []pairgen.Pair) int {
 func (m *master) buffered() int { return len(m.workbuf) - m.head }
 
 func (m *master) checkpoint(force bool) error {
-	return m.ck.maybe(m.uf, m.processed, m.accepted, m.skipped, m.st.Merges, force)
+	return m.ck.maybe(m.uf, m.st.PairsProcessed, m.st.PairsAccepted, m.skipped, m.st.Merges, force)
 }
 
 // popBatch takes up to BatchSize pairs whose ESTs are still in different

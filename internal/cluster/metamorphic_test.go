@@ -251,8 +251,8 @@ func TestSkewedAndNoisyProfilesKeepPartition(t *testing.T) {
 // the batch that brings its younger string. Each profile — the default,
 // ExpressionSkew 2.0 and TestPolyATailFlipsSamePartition's poly(A) one — is
 // cut at seeded random points into 2 to 5 batches, and every batch runs
-// through RunSet as pace.Session drives it: Append, then FreshGen and the
-// last partition as InitialLabels, with a BucketCache on the sequential
+// through RunSet as pace.Session drives it: Append, then the last
+// partition as InitialLabels, with a BucketCache on the sequential
 // engine. The sequential engine runs at 1 and 8 workers; the p = 3 legs, on
 // the simulated and the real transport, run the incremental prologue.
 func TestResplitBatchesSamePartition(t *testing.T) {
@@ -341,11 +341,10 @@ func ingestBatches(t *testing.T, ests []seq.Sequence, ends []int, cfg Config, wo
 				t.Fatal(err)
 			}
 		} else {
-			gen, err := set.Append(batch)
-			if err != nil {
+			if _, err := set.Append(batch); err != nil {
 				t.Fatal(err)
 			}
-			c.FreshGen, c.InitialLabels = gen, labels
+			c.InitialLabels = labels
 		}
 		var res *Result
 		var err error

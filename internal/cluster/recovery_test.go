@@ -143,6 +143,59 @@ func TestSlaveCrashManySurvivors(t *testing.T) {
 	}
 }
 
+// TestLostFinalReportKeepsVerdictTotals: a slave that dies on its final
+// report (tagPhase), after its protocol work is done, loses only its PerRank
+// row. The processed and accepted totals are the master's count of the
+// verdicts it received, so they still equal the failure-free run's on the
+// deterministic simulator; on failure-free runs of both transports they
+// equal the sums of the PerRank rows.
+func TestLostFinalReportKeepsVerdictTotals(t *testing.T) {
+	b := recoveryBench(t)
+	const p = 4
+	sums := func(st Stats) (proc, acc int64) {
+		for _, rs := range st.PerRank {
+			proc += rs.PairsProcessed
+			acc += rs.PairsAccepted
+		}
+		return proc, acc
+	}
+	for _, mpCfg := range parallelModes(p) {
+		res, err := Run(b.ESTs, recoveryConfig(p, mpCfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if proc, acc := sums(st); proc != st.PairsProcessed || acc != st.PairsAccepted {
+			t.Errorf("%s: PerRank rows sum to processed/accepted %d/%d, totals %d/%d",
+				modeName(mpCfg), proc, acc, st.PairsProcessed, st.PairsAccepted)
+		}
+	}
+
+	sim := mp.DefaultSimConfig(p)
+	sim.MeasureCompute = false
+	base, err := Run(b.ESTs, recoveryConfig(p, sim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := recoveryConfig(p, sim)
+	cfg.MP.Fault = &mp.FaultPlan{Seed: 1, CrashRank: 2, CrashAfter: 1, CrashTag: tagPhase}
+	res, err := Run(b.ESTs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if role := res.Stats.PerRank[2].Role; role != "lost" {
+		t.Fatalf("rank 2's row has role %q, want lost: the crash did not fire", role)
+	}
+	if !slices.Equal(normalizeLabels(res.Labels), normalizeLabels(base.Labels)) {
+		t.Error("partition differs from the failure-free run")
+	}
+	got, want := res.Stats, base.Stats
+	if got.PairsProcessed != want.PairsProcessed || got.PairsAccepted != want.PairsAccepted {
+		t.Errorf("processed/accepted %d/%d with rank 2's final report lost, failure-free %d/%d",
+			got.PairsProcessed, got.PairsAccepted, want.PairsProcessed, want.PairsAccepted)
+	}
+}
+
 // When the only slave dies there is no survivor to reassign to; the run must
 // fail with a clear error rather than hang.
 func TestAllSlavesDeadFails(t *testing.T) {

@@ -243,21 +243,24 @@ func comparePairs(a, b pairgen.Pair) int {
 // generator the chain is that generator's stream, pair for pair.
 func TestGenChain(t *testing.T) {
 	b := benchSet(t, 60, 4, 13)
-	set, err := seq.NewSetS(b.ESTs[:40])
+	one, err := seq.NewSetS(b.ESTs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := set.Append(b.ESTs[40:])
+	two, err := seq.NewSetS(b.ESTs[:40])
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := two.Append(b.ESTs[40:]); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(1)
 	cfg.Window, cfg.Psi = 6, 18
-	table := suffix.CollectOwned(set, cfg.Window, make([]int32, suffix.NumBuckets(cfg.Window)), 0, 0, seq.StringID(set.NumStrings()))
-	all := table.NonEmpty()
 	noClock := func() time.Duration { return 0 }
-	for _, fresh := range []seq.Gen{0, gen} {
-		cfg.FreshGen = fresh
+	for _, set := range []*seq.SetS{one, two} {
+		fresh := freshGen(set)
+		table := suffix.CollectOwned(set, cfg.Window, make([]int32, suffix.NumBuckets(cfg.Window)), 0, 0, seq.StringID(set.NumStrings()))
+		all := table.NonEmpty()
 		for _, ids := range [][]int32{all, all[:1], all[:3], nil} {
 			forest, err := suffix.BuildBuckets(set, table, ids, 1)
 			if err != nil {

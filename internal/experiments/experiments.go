@@ -105,19 +105,6 @@ func engineConfig(p int) cluster.Config {
 	return cfg
 }
 
-// baselineOptions gives the comparators engineConfig's operating point.
-func baselineOptions(budget int64) baseline.Options {
-	cfg := engineConfig(1)
-	return baseline.Options{
-		Window:            cfg.Window,
-		Psi:               cfg.Psi,
-		Scoring:           cfg.Scoring,
-		Criteria:          cfg.Criteria,
-		Band:              cfg.Band,
-		MemoryBudgetPairs: budget,
-	}
-}
-
 // ---------------------------------------------------------------- Table 1
 
 // Table1Row compares the batch baseline (CAP3/Phrap/TIGR stand-in) with
@@ -143,7 +130,7 @@ func Table1(sc Scale, seed int64) ([]Table1Row, error) {
 		}
 		row := Table1Row{N: n}
 
-		base, err := baseline.AllPairs(b.ESTs, baselineOptions(sc.BaselineBudgetPairs))
+		base, err := baseline.AllPairs(b.ESTs, baseline.Options{MemoryBudgetPairs: sc.BaselineBudgetPairs})
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +184,7 @@ func Table2(sc Scale, seed int64) ([]Table2Row, error) {
 			return nil, err
 		}
 
-		base, err := baseline.AllPairs(b.ESTs, baselineOptions(sc.BaselineBudgetPairs))
+		base, err := baseline.AllPairs(b.ESTs, baseline.Options{MemoryBudgetPairs: sc.BaselineBudgetPairs})
 		if err != nil {
 			return nil, err
 		}
@@ -410,8 +397,7 @@ func Ablations(n int, seed int64) ([]AblationRow, error) {
 		return nil, err
 	}
 
-	bopt := baselineOptions(0)
-	bopt.Seed = seed
+	bopt := baseline.Options{Seed: seed}
 	arb, err := baseline.ArbitraryOrder(b.ESTs, bopt)
 	if err != nil {
 		return nil, err
@@ -551,13 +537,11 @@ func IncrementalStudy(n int, seed int64) ([]IncrementalRow, error) {
 		return nil, err
 	}
 
-	gen, err := set.Append(b.ESTs[cut:])
-	if err != nil {
+	if _, err := set.Append(b.ESTs[cut:]); err != nil {
 		return nil, err
 	}
 	c2 := cfg
 	c2.Cache = cache
-	c2.FreshGen = gen
 	c2.InitialLabels = r1.Labels
 	start = time.Now()
 	r2, err := cluster.RunSet(set, c2)

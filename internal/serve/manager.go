@@ -206,11 +206,11 @@ type Manager struct {
 	sessions map[string]*session
 	nextLane int
 	draining bool
-	// inflight registers a cancel func per running batch, so a drain that
-	// hits its deadline can abort the engine runs instead of waiting them
+	// runs is the scope every batch run joins; a drain that hits its
+	// deadline cancels it, aborting the engine runs instead of waiting them
 	// out while they hold session locks and admission grants.
-	inflight   map[int]context.CancelFunc
-	nextCancel int
+	runs       context.Context
+	cancelRuns context.CancelFunc
 }
 
 // NewManager validates the configuration and returns an empty manager.
@@ -238,8 +238,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		fs:       cfg.fs(),
 		sessions: make(map[string]*session),
 		nextLane: 1, // lane 0 is the control lane for non-session requests
-		inflight: make(map[int]context.CancelFunc),
 	}
+	m.runs, m.cancelRuns = context.WithCancel(context.Background())
 	r := cfg.Options.Metrics
 	r.Help(metricAdmInService, "Batch requests holding an admission grant.")
 	r.Help(metricAdmWaiting, "Batch requests queued for an admission grant.")
@@ -488,8 +488,8 @@ type BatchResult struct {
 // a durable state save. Records with empty IDs are assigned est<n> names.
 //
 // The run is bounded by ctx (the HTTP request context: client disconnect
-// cancels it) tightened by Config.RequestTimeout and registered with the
-// drain machinery, so a dead client, an expired deadline or a drain
+// cancels it) tightened by Config.RequestTimeout and joined to the drain's
+// cancel scope, so a dead client, an expired deadline or a drain
 // deadline aborts the engine mid-run instead of letting it finish while
 // holding the session lock and an admission grant.
 //
@@ -510,13 +510,14 @@ func (m *Manager) Add(ctx context.Context, id string, recs []pace.Record) (*Batc
 	if err != nil {
 		return nil, err
 	}
+	// A drain that hits its deadline cancels m.runs, and so this run.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(m.runs, cancel)()
 	if m.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, m.cfg.RequestTimeout)
 		defer cancel()
 	}
-	ctx, unregister := m.registerInflight(ctx)
-	defer unregister()
 	reqID := RequestID(ctx)
 	tAcq := m.clock.Elapsed()
 	if err := m.adm.Acquire(ctx); err != nil {
@@ -747,9 +748,10 @@ func (m *Manager) Drain(ctx context.Context) error {
 			// Deadline: abort the in-flight engine runs (each rolls its
 			// session back and releases its grant) and wait a bounded
 			// grace for the cancellation polls to fire.
-			n := m.cancelInflight()
+			m.cancelRuns()
+			as := m.adm.Stats()
 			m.log.Warn("drain deadline reached; canceling in-flight batches",
-				"inflight", n, "err", ctx.Err().Error())
+				"inflight", as.InService+as.Waiting, "err", ctx.Err().Error())
 			for waited := time.Duration(0); !m.adm.Idle(); waited += tick {
 				if waited >= drainCancelGrace {
 					m.log.Error("drain: in-flight work survived cancellation")
@@ -779,38 +781,6 @@ func (m *Manager) Drain(ctx context.Context) error {
 	}
 	m.log.Info("drain complete", "sessions", len(all), "saved", saved)
 	return firstErr
-}
-
-// registerInflight derives a cancelable context for one batch run and
-// registers its cancel func so Drain can abort it at the drain deadline.
-// The returned unregister releases the slot (and the context's resources).
-func (m *Manager) registerInflight(ctx context.Context) (context.Context, func()) {
-	ctx, cancel := context.WithCancel(ctx)
-	m.mu.Lock()
-	id := m.nextCancel
-	m.nextCancel++
-	m.inflight[id] = cancel
-	m.mu.Unlock()
-	return ctx, func() {
-		m.mu.Lock()
-		delete(m.inflight, id)
-		m.mu.Unlock()
-		cancel()
-	}
-}
-
-// cancelInflight aborts every registered batch run and reports how many.
-func (m *Manager) cancelInflight() int {
-	m.mu.Lock()
-	cancels := make([]context.CancelFunc, 0, len(m.inflight))
-	for _, c := range m.inflight {
-		cancels = append(cancels, c)
-	}
-	m.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-	return len(cancels)
 }
 
 // ProbeDegraded retries persistence for every degraded session and clears

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -692,6 +693,70 @@ func TestManagerDrain(t *testing.T) {
 	}
 	if info.NumESTs != len(batch) {
 		t.Fatalf("resumed %d ESTs, want %d", info.NumESTs, len(batch))
+	}
+}
+
+// TestManagerDrainDeadlineCancelsBatch: a batch still running when Drain's
+// deadline passes is canceled. It fails with an error wrapping
+// context.Canceled and leaves its session as it was, and Drain returns once
+// admission is idle.
+func TestManagerDrainDeadlineCancelsBatch(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	opt := testOptions()
+	opt.Processors = 2
+	plan := &pace.FaultPlan{Seed: 1}
+	opt.Fault = plan
+	m, err := NewManager(Config{Options: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Create(context.Background(), "d", ""); err != nil {
+		t.Fatal(err)
+	}
+	batches := testCorpus(t, 40, 13, 20)
+	if _, err := m.Add(context.Background(), "d", batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	_, before, err := m.Labels("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every send of the second batch's run now stalls 50 ms, so the run
+	// takes far longer than the drain's 20 ms deadline.
+	plan.DelayProb, plan.Delay = 1, 50*time.Millisecond
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Add(context.Background(), "d", batches[1])
+		done <- err
+	}()
+	for m.Admission().Stats().InService == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("batch ended before it was admitted: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := m.Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if !m.Admission().Idle() {
+		t.Error("Drain returned with admission busy")
+	}
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch outliving the drain deadline: got %v, want context.Canceled", err)
+	}
+	info, err := m.Info("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.NumESTs != len(batches[0]) {
+		t.Errorf("canceled batch left %d ESTs, want %d", info.NumESTs, len(batches[0]))
+	}
+	if _, after, _ := m.Labels("d"); !slices.Equal(after, before) {
+		t.Error("canceled batch changed the session's labels")
 	}
 }
 

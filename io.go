@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"unicode/utf8"
 
 	"pace/internal/seq"
 )
@@ -26,10 +27,11 @@ const fastaWidth = 60
 // ReadFASTA parses FASTA records from r: multi-line sequences, Windows line
 // endings, blank lines and ';' comment lines are accepted, and ASCII
 // whitespace inside a sequence line is skipped. Bases are upper-cased and
-// other non-ACGT characters (e.g. N) are replaced with A — the conservative
-// treatment EST tools apply to ambiguity codes — and records with empty
-// sequences are skipped. Text before the first header and a header with an
-// empty id are refused.
+// other non-ACGT characters (e.g. N, or one multi-byte UTF-8 character) are
+// replaced with one A — the conservative treatment EST tools apply to
+// ambiguity codes — and records with empty sequences are skipped. A header's
+// id ends at its first space or tab; the rest is the description. Text
+// before the first header and a header with an empty id are refused.
 func ReadFASTA(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -54,10 +56,10 @@ func ReadFASTA(r io.Reader) ([]Record, error) {
 		}
 		if b[0] == '>' {
 			flush()
-			// The id is the header's first space-delimited token.
+			// The id is the header's first token, ended by a space or tab.
 			h := bytes.TrimSpace(b[1:])
 			cur = Record{}
-			if i := bytes.IndexByte(h, ' '); i >= 0 {
+			if i := bytes.IndexAny(h, " \t"); i >= 0 {
 				h, cur.Desc = h[:i], string(bytes.TrimSpace(h[i+1:]))
 			}
 			if len(h) == 0 {
@@ -69,7 +71,8 @@ func ReadFASTA(r io.Reader) ([]Record, error) {
 		if cur.ID == "" {
 			return nil, fmt.Errorf("fasta: line %d: expected header, got %q", line, b)
 		}
-		for _, c := range b {
+		for i := 0; i < len(b); i++ {
+			c := b[i]
 			switch c {
 			case ' ', '\t', '\v', '\f', '\r':
 				continue
@@ -77,6 +80,11 @@ func ReadFASTA(r io.Reader) ([]Record, error) {
 			code, ok := seq.CodeOf(c)
 			if !ok {
 				code = seq.A
+				if c >= utf8.RuneSelf {
+					// A multi-byte UTF-8 character is one base.
+					_, n := utf8.DecodeRune(b[i:])
+					i += n - 1
+				}
 			}
 			bases = append(bases, seq.ByteOf(code))
 		}

@@ -325,6 +325,10 @@ func TestReadFASTAAmbiguous(t *testing.T) {
 			want: []Record{{ID: "a", Desc: "some  desc", Seq: "ACGTAAAA"}}},
 		{name: "inner_whitespace", in: ">a\nAC GT\nA\tC \t G\n\tT  T \n",
 			want: []Record{{ID: "a", Seq: "ACGTACGTT"}}},
+		{name: "tab_in_header", in: ">a\tdesc here\nACGT\n",
+			want: []Record{{ID: "a", Desc: "desc here", Seq: "ACGT"}}},
+		{name: "multibyte_character", in: ">a\nACéGT\n",
+			want: []Record{{ID: "a", Seq: "ACAGT"}}},
 		{name: "whitespace_only_line", in: ">a\nAC\n \t \nGT\n",
 			want: []Record{{ID: "a", Seq: "ACGT"}}},
 		{name: "empty_sequence", in: ">a\n>b\nAC\n>c\n\n",

@@ -7,18 +7,9 @@ import (
 // Quality is the paper's §4.1 pair-based clustering assessment (Table 2):
 // every unordered EST pair is classified as true/false positive/negative by
 // comparing co-membership in the predicted versus the reference clustering.
-type Quality struct {
-	// OQ (overlap quality) = TP / (TP+FP+FN).
-	OQ float64
-	// OV (over-prediction) = FP / (TP+FP).
-	OV float64
-	// UN (under-prediction) = FN / (TP+FN).
-	UN float64
-	// CC is the correlation coefficient over the four counts.
-	CC float64
-
-	TP, FP, TN, FN int64
-}
+// OQ, OV, UN and CC are the derived measures, TP, FP, TN and FN the counts,
+// and String renders the measures in the paper's percentage format.
+type Quality = metrics.Quality
 
 // Evaluate compares a predicted clustering against a reference. Labels are
 // arbitrary identifiers; only co-membership matters.
@@ -31,17 +22,5 @@ func Evaluate(pred, truth []int) (Quality, error) {
 	for i, v := range truth {
 		t[i] = int32(v)
 	}
-	q, err := metrics.Compare(p, t)
-	if err != nil {
-		return Quality{}, err
-	}
-	return Quality{
-		OQ: q.OQ, OV: q.OV, UN: q.UN, CC: q.CC,
-		TP: q.TP, FP: q.FP, TN: q.TN, FN: q.FN,
-	}, nil
-}
-
-// String renders the measures in the paper's percentage format.
-func (q Quality) String() string {
-	return metrics.FromCounts(metrics.Counts{TP: q.TP, FP: q.FP, TN: q.TN, FN: q.FN}).String()
+	return metrics.Compare(p, t)
 }

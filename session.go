@@ -160,8 +160,7 @@ func (s *Session) AddContext(ctx context.Context, ests []string) (*Clustering, e
 		}
 	} else {
 		prevESTs = s.set.NumESTs()
-		cfg.FreshGen, err = s.set.Append(parsed)
-		if err != nil {
+		if _, err := s.set.Append(parsed); err != nil {
 			return nil, err
 		}
 	}
